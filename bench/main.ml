@@ -10,8 +10,8 @@
      dune exec bench/main.exe -- --json PATH        # perf trajectory JSON
      dune exec bench/main.exe -- --check PATH       # CI gate (see below)
      dune exec bench/main.exe -- --seed 5 --json p  # explicit PRNG seed
-     dune exec bench/main.exe -- --soak --seed 1 --steps 2000 --check
-                                                    # consistency soak gate
+     dune exec bench/main.exe -- --serve --sessions 1 --seed 1 --waves 2000 --check
+                                                    # single-session consistency soak gate
      dune exec bench/main.exe -- --serve --sessions 8 --seed 1 --waves 250 --check
                                                     # multi-session serving gate
      dune exec bench/main.exe -- --seed 1 --trace out.json
@@ -350,19 +350,6 @@ let plan_choice_counters () =
   ignore (Braid_remote.Engine.execute eng filtered);
   Braid_remote.Engine.plan_counters eng
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* The deterministic "experiments" member of the JSON: hardware-independent
    counters only. Every number here derives from fixed (or --seed-supplied)
    PRNG seeds and the simulated cost model, so the emitted text is
@@ -390,7 +377,7 @@ let experiments_json ?seed () =
     (fun i (r : Braid_experiments.Exp_indexing.row) ->
       out
         "      {\"label\": \"%s\", \"probes\": %d, \"tuples_touched\": %d, \"local_ms\": %.1f}%s\n"
-        (json_escape r.Braid_experiments.Exp_indexing.label)
+        (Braid_obs.Trace.escape r.Braid_experiments.Exp_indexing.label)
         r.Braid_experiments.Exp_indexing.probes
         r.Braid_experiments.Exp_indexing.tuples_touched
         r.Braid_experiments.Exp_indexing.local_ms
@@ -430,7 +417,7 @@ let experiments_json ?seed () =
       out
         "      {\"label\": \"%s\", \"scanned\": %d, \"transferred\": %d, \
          \"modeled_ms\": %.1f, \"rows\": %d}%s\n"
-        (json_escape r.label) r.scanned r.transferred r.modeled_ms r.rows_out
+        (Braid_obs.Trace.escape r.label) r.scanned r.transferred r.modeled_ms r.rows_out
         (if i = List.length e15_rows - 1 then "" else ","))
     e15_rows;
   out "    ],\n";
@@ -479,7 +466,7 @@ let experiments_json ?seed () =
          \"affected_queries\": %d, \"affected_fresh\": %d, \"healthy_queries\": %d, \
          \"healthy_fresh\": %d, \"failovers\": %d, \"hinted\": %d, \
          \"lag_before\": %d, \"repairs\": %d, \"lag_after\": %d}%s\n"
-        r.rp_replicas (json_escape r.rp_scenario) r.rp_down_replica
+        r.rp_replicas (Braid_obs.Trace.escape r.rp_scenario) r.rp_down_replica
         r.rp_affected_queries r.rp_affected_fresh r.rp_healthy_queries
         r.rp_healthy_fresh r.rp_failovers r.rp_hinted r.rp_lag_before r.rp_repairs
         r.rp_lag_after
@@ -494,7 +481,7 @@ let experiments_json ?seed () =
         "      {\"mode\": \"%s\", \"rate\": %d, \"inserts\": %d, \"deletes\": %d, \
          \"queries\": %d, \"cache_fresh\": %d, \"refetches\": %d, \"maintained\": %d, \
          \"fallbacks\": %d, \"oracle_mismatches\": %d}%s\n"
-        (json_escape r.iv_mode) r.iv_rate r.iv_inserts r.iv_deletes r.iv_queries
+        (Braid_obs.Trace.escape r.iv_mode) r.iv_rate r.iv_inserts r.iv_deletes r.iv_queries
         r.iv_cache_fresh r.iv_refetches r.iv_maintained r.iv_fallbacks
         r.iv_oracle_mismatches
         (if i = List.length e18_rows - 1 then "" else ","))
@@ -514,7 +501,7 @@ let experiments_json ?seed () =
         "      {\"strategy\": \"%s\", \"remote_requests\": %d, \"caql_queries\": %d, \
          \"resolutions\": %d, \"tuples_moved\": %d, \"solutions\": %d, \
          \"identical\": %b}%s\n"
-        (json_escape r.strategy) r.requests r.caql_queries r.resolutions
+        (Braid_obs.Trace.escape r.strategy) r.requests r.caql_queries r.resolutions
         r.tuples_moved r.solutions r.identical
         (if i = List.length e19_rows - 1 then "" else ","))
     e19_rows;
@@ -548,7 +535,7 @@ let write_json ?seed path =
   out "  \"micro\": [\n";
   List.iteri
     (fun i (name, est) ->
-      out "    {\"name\": \"%s\", \"ns_per_run\": %s}%s\n" (json_escape name)
+      out "    {\"name\": \"%s\", \"ns_per_run\": %s}%s\n" (Braid_obs.Trace.escape name)
         (if Float.is_nan est then "null" else Printf.sprintf "%.1f" est)
         (if i = List.length micro - 1 then "" else ","))
     micro;
@@ -748,81 +735,18 @@ let with_trace trace_path f =
         Printf.printf "wrote %s (%d spans)\n" path (Braid_obs.Trace.span_count tracer))
       f
 
-(* --- soak mode (--soak) --- *)
-
-(* Randomized consistency soak (see Braid_check.Soak): seeded interleaving
-   of queries, inserts, invalidations, faults and one crash+recovery, with
-   every answer diffed against ground truth. In this mode --check takes no
-   argument: it gates (exit 1) on any oracle divergence or recovery
-   invariant violation. The report and the surviving cache journal are
-   written as files for CI to upload on failure. *)
-let run_soak argv =
-  let seed = ref 1
-  and steps = ref 2000
-  and gate = ref false
-  and report_path = ref "soak-report.txt"
-  and journal_path = ref "soak-journal.txt"
-  and trace_path = ref None in
-  let int_arg flag n tl k =
-    match int_of_string_opt n with
-    | Some v -> k v tl
-    | None ->
-      Printf.eprintf "%s requires an integer, got %S\n" flag n;
-      exit 1
-  in
-  let rec parse = function
-    | [] -> ()
-    | "--seed" :: n :: tl -> int_arg "--seed" n tl (fun v tl -> seed := v; parse tl)
-    | "--steps" :: n :: tl -> int_arg "--steps" n tl (fun v tl -> steps := v; parse tl)
-    | "--check" :: tl ->
-      gate := true;
-      parse tl
-    | "--report" :: p :: tl ->
-      report_path := p;
-      parse tl
-    | "--journal" :: p :: tl ->
-      journal_path := p;
-      parse tl
-    | "--trace" :: p :: tl ->
-      trace_path := Some p;
-      parse tl
-    | [ ("--seed" | "--steps" | "--report" | "--journal" | "--trace") ] ->
-      prerr_endline
-        "--seed/--steps require an integer, --report/--journal/--trace a path";
-      exit 1
-    | arg :: _ ->
-      Printf.eprintf
-        "unknown soak argument %S (expected --seed N, --steps N, --check, --report \
-         PATH, --journal PATH, --trace PATH)\n"
-        arg;
-      exit 1
-  in
-  parse argv;
-  let report =
-    with_trace !trace_path (fun () -> Braid_check.Soak.run ~seed:!seed ~steps:!steps ())
-  in
-  let text = Braid_check.Soak.report_to_string report in
-  print_string text;
-  let write path lines =
-    let oc = open_out path in
-    List.iter (fun l -> output_string oc (l ^ "\n")) lines;
-    close_out oc
-  in
-  write !report_path (String.split_on_char '\n' text);
-  write !journal_path report.Braid_check.Soak.journal_dump;
-  Printf.printf "wrote %s, %s\n" !report_path !journal_path;
-  if !gate && not (Braid_check.Soak.ok report) then exit 1
-
 (* --- serve mode (--serve) --- *)
 
-(* Multi-session serving soak (see Braid_serve.Soak): N independent IE
-   sessions over one shared CMS, driven by the deterministic cooperative
-   scheduler with admission control and in-flight fetch coalescing, plus
-   one mid-run crash+recovery. As with --soak, --check here is a boolean
-   gate: it re-runs the identical configuration and requires (a) a
-   byte-identical report — the determinism contract, (b) a clean oracle
-   (no divergences, clean recovery), and (c) coalesce hits > 0 — the
-   overlapping-view workload must actually exercise the coalescer. *)
+(* Randomized consistency soak (see Braid_serve.Soak): N independent IE
+   sessions (one with --sessions 1) over one shared CMS, driven by the
+   deterministic cooperative scheduler with admission control and
+   in-flight fetch coalescing, plus one mid-run crash+recovery, every
+   answer diffed against ground truth. In this mode --check takes no
+   argument: it re-runs the identical configuration and requires (a) a
+   byte-identical report — the determinism contract — and (b) no
+   violated gate (Braid_serve.Soak.failures: clean oracle and recovery
+   plus the profile's own invariants). The report and the surviving cache
+   journal are written as files for CI to upload on failure. *)
 let run_serve argv =
   let seed = ref 1
   and sessions = ref 8
@@ -830,10 +754,8 @@ let run_serve argv =
   and shards = ref 1
   and replicas = ref 1
   and chaos = ref false
-  and heal_after = ref 600
   and write_heavy = ref false
   and recursive = ref false
-  and error_rate = ref None
   and gate = ref false
   and report_path = ref "serve-report.txt"
   and journal_path = ref "serve-journal.txt"
@@ -865,16 +787,6 @@ let run_serve argv =
     | "--recursive" :: tl ->
       recursive := true;
       parse tl
-    | "--heal-after" :: n :: tl ->
-      int_arg "--heal-after" n tl (fun v tl -> heal_after := v; parse tl)
-    | "--error-rate" :: x :: tl ->
-      (match float_of_string_opt x with
-       | Some v ->
-         error_rate := Some v;
-         parse tl
-       | None ->
-         Printf.eprintf "--error-rate requires a float, got %S\n" x;
-         exit 1)
     | "--check" :: tl ->
       gate := true;
       parse tl
@@ -888,25 +800,24 @@ let run_serve argv =
       trace_path := Some p;
       parse tl
     | [ ("--seed" | "--sessions" | "--waves" | "--steps" | "--shards" | "--replicas"
-        | "--heal-after" | "--error-rate" | "--report" | "--journal" | "--trace") ] ->
+        | "--report" | "--journal" | "--trace") ] ->
       prerr_endline
-        "--seed/--sessions/--waves/--shards/--replicas/--heal-after require an \
-         integer, --error-rate a float, --report/--journal/--trace a path";
+        "--seed/--sessions/--waves/--shards/--replicas require an integer, \
+         --report/--journal/--trace a path";
       exit 1
     | arg :: _ ->
       Printf.eprintf
         "unknown serve argument %S (expected --sessions N, --seed N, --waves N, \
-         --shards N, --replicas R, --chaos, --heal-after N, --write-heavy, --recursive, \
-         --error-rate X, --check, --report PATH, --journal PATH, --trace PATH)\n"
+         --shards N, --replicas R, --chaos, --write-heavy, --recursive, --check, \
+         --report PATH, --journal PATH, --trace PATH)\n"
         arg;
       exit 1
   in
   parse argv;
   let go () =
-    Braid_serve.Soak.run ?error_rate:!error_rate ~shards:!shards ~replicas:!replicas
-      ~chaos:!chaos ~heal_after:!heal_after ~write_heavy:!write_heavy
-      ~recursive:!recursive
-      ~sessions:!sessions ~seed:!seed ~waves:!waves ()
+    Braid_serve.Soak.run ~shards:!shards ~replicas:!replicas ~chaos:!chaos
+      ~write_heavy:!write_heavy ~recursive:!recursive ~sessions:!sessions ~seed:!seed
+      ~waves:!waves ()
   in
   let report = with_trace !trace_path go in
   let text = Braid_serve.Soak.report_to_string report in
@@ -952,113 +863,19 @@ let run_serve argv =
          different report (determinism violation)";
       exit 1
     end;
-    if not (Braid_serve.Soak.ok report) then begin
-      prerr_endline "serve check FAILED: oracle divergence or recovery violation";
+    match Braid_serve.Soak.failures report with
+    | [] -> print_endline "serve check ok: deterministic report, every gate passed"
+    | fails ->
+      List.iter (fun m -> prerr_endline ("serve check FAILED: " ^ m)) fails;
       exit 1
-    end;
-    let hits =
-      report.Braid_serve.Soak.coalesce_identical
-      + report.Braid_serve.Soak.coalesce_subsumed
-    in
-    (* The coalescer only sees duplicates when fetches fail and stay hot;
-       a fault-free chaos leg legitimately produces none, and gates on the
-       replication invariants below instead. Likewise the write-heavy leg:
-       delta maintenance keeps elements Fresh, so re-fetches — the
-       coalescer's food — all but disappear; it gates on the maintenance
-       invariants instead. *)
-    if hits = 0 && not !chaos && not !write_heavy then begin
-      prerr_endline
-        "serve check FAILED: the overlapping-view workload produced no coalesce hits";
-      exit 1
-    end;
-    (* Write-heavy gate: delta maintenance must actually run — elements
-       kept Fresh by delta propagation, rows moved in both directions, and
-       deletes exercised (the consistency model's hard case). *)
-    if !write_heavy then begin
-      let r = report in
-      let fail msg =
-        prerr_endline ("serve check FAILED: " ^ msg);
-        exit 1
-      in
-      if r.Braid_serve.Soak.delta_maintained = 0 then
-        fail "write-heavy run delta-maintained no element (cache.delta.applied = 0)";
-      if r.Braid_serve.Soak.delta_rows_added = 0 then
-        fail "write-heavy run added no delta rows";
-      if r.Braid_serve.Soak.deletes = 0 then
-        fail "write-heavy run issued no deletes";
-    end;
-    (* Recursive gate: the goal leg must actually drive the set-oriented
-       IE tier — goals answered via multi-round fixpoints, at least one
-       answer complete against ground truth, and the magic-restricted
-       fetch count staying far below the goal count times the rule count
-       (the CMS absorbs repeats). *)
-    if !recursive then begin
-      let r = report in
-      let fail msg =
-        prerr_endline ("serve check FAILED: " ^ msg);
-        exit 1
-      in
-      if r.Braid_serve.Soak.goal_answered = 0 then
-        fail "recursive run answered no goals";
-      if r.Braid_serve.Soak.goal_complete = 0 then
-        fail "recursive run completed no goal against ground truth";
-      if r.Braid_serve.Soak.goal_rounds < 2 * r.Braid_serve.Soak.goal_answered then
-        fail "goals did not drive multi-round fixpoints (ie.set.rounds too low)";
-      if r.Braid_serve.Soak.goal_fetches = 0 then
-        fail "recursive run issued no set-oriented fetches"
-    end;
-    (* Chaos gate: the severed primary must actually force failovers and
-       hinted writes, the partition must heal and repair must hand the
-       hints off, and once healed + repaired nothing may serve stale. *)
-    if !chaos then begin
-      let r = report in
-      let fail msg =
-        prerr_endline ("serve check FAILED: " ^ msg);
-        exit 1
-      in
-      if r.Braid_serve.Soak.failovers = 0 then
-        fail "chaos run recorded no failovers (backup never served)";
-      if r.Braid_serve.Soak.hinted_writes = 0 then
-        fail "chaos run recorded no hinted writes (partition never blocked a write)";
-      if r.Braid_serve.Soak.handoffs = 0 then
-        fail "chaos run recorded no handoffs (repair never drained the hints)";
-      (match r.Braid_serve.Soak.heal_wave with
-       | None -> fail "the partition never healed (raise --heal-after headroom?)"
-       | Some _ -> ());
-      if r.Braid_serve.Soak.stale_after_heal <> 0 then
-        fail
-          (Printf.sprintf "%d stale serve(s) after heal + repair"
-             r.Braid_serve.Soak.stale_after_heal);
-      if r.Braid_serve.Soak.end_max_lag <> 0 then
-        fail
-          (Printf.sprintf "replica lag %d at end of run (repair incomplete)"
-             r.Braid_serve.Soak.end_max_lag)
-    end;
-    Printf.printf
-      "serve check ok: deterministic report, clean oracle, %d coalesce hit(s)%s%s\n" hits
-      (if !chaos then
-         Printf.sprintf ", chaos: %d failover(s), %d handoff(s), healed, 0 stale after heal"
-           report.Braid_serve.Soak.failovers report.Braid_serve.Soak.handoffs
-       else "")
-      (if !write_heavy then
-         Printf.sprintf
-           ", maintenance: %d element(s) delta-maintained (+%d/-%d rows) over %d delete(s)"
-           report.Braid_serve.Soak.delta_maintained
-           report.Braid_serve.Soak.delta_rows_added
-           report.Braid_serve.Soak.delta_rows_removed report.Braid_serve.Soak.deletes
-       else "")
   end
 
 (* --- entry point --- *)
 
 let () =
-  (* --soak and --serve have their own flag grammars (their --check is a
-     boolean gate, not a path), so they are dispatched before the generic
-     parser. *)
+  (* --serve has its own flag grammar (its --check is a boolean gate, not
+     a path), so it is dispatched before the generic parser. *)
   (match Array.to_list Sys.argv with
-   | _ :: rest when List.mem "--soak" rest ->
-     run_soak (List.filter (fun a -> a <> "--soak") rest);
-     exit 0
    | _ :: rest when List.mem "--serve" rest ->
      run_serve (List.filter (fun a -> a <> "--serve") rest);
      exit 0

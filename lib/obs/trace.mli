@@ -94,3 +94,7 @@ val to_chrome : t -> string
 val write : t -> string -> unit
 (** Writes {!to_jsonl} when the path ends in [.jsonl], {!to_chrome}
     otherwise. *)
+
+val escape : string -> string
+(** The body of a JSON string literal for [s] (quotes, backslashes and
+    control characters escaped) — the escaping every export above uses. *)

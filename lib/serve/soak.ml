@@ -59,6 +59,7 @@ type report = {
   lost : int;
   fresh : int;
   degraded : int;
+  lazy_answers : int;
   inserts : int;
   deletes : int;  (** write-heavy profile only; 0 otherwise *)
   drops : int;
@@ -108,25 +109,73 @@ type report = {
   journal_dump : string list;
 }
 
-let ok r =
-  r.divergences = [] && r.recovery_mismatch = None && r.revalidation_failures = 0
-  && r.dropped_on_recovery = 0 && r.end_max_lag = 0
-  && (r.partition_wave = None || r.heal_wave <> None)
-  && ((not r.write_heavy) || r.delta_maintained > 0)
-  && ((not r.recursive) || (r.goal_answered > 0 && r.goal_complete > 0))
+(* Every gate a soak run must pass, one message per violated gate. The
+   profile gates are derived from the report itself, so a library caller
+   and the bench CLI judge a run identically. *)
+let failures r =
+  let chaos = r.partition_wave <> None in
+  List.filter_map
+    (fun (failed, msg) -> if failed then Some msg else None)
+    [
+      ( r.divergences <> [],
+        Printf.sprintf "%d oracle divergence(s)" (List.length r.divergences) );
+      ( r.recovery_mismatch <> None,
+        "the recovered cache model differs from the one that died" );
+      ( r.revalidation_failures > 0,
+        Printf.sprintf "%d recovered element(s) failed re-validation"
+          r.revalidation_failures );
+      ( r.dropped_on_recovery > 0,
+        Printf.sprintf "%d recovered element(s) dropped" r.dropped_on_recovery );
+      ( r.end_max_lag <> 0,
+        Printf.sprintf "replica lag %d at end of run (repair incomplete)" r.end_max_lag );
+      (* The coalescer needs two sessions to merge anything, and only sees
+         duplicates when fetches fail and stay hot: a fault-free chaos run
+         has none, and delta maintenance keeps write-heavy elements Fresh,
+         so re-fetches all but disappear there. *)
+      ( r.sessions > 1 && (not chaos) && (not r.write_heavy)
+        && r.coalesce_identical + r.coalesce_subsumed = 0,
+        "the overlapping-view workload produced no coalesce hits" );
+      (* Write-heavy: delta maintenance must actually run — rows moved in
+         and deletes exercised (the consistency model's hard case). *)
+      ( r.write_heavy && r.delta_maintained = 0,
+        "write-heavy run delta-maintained no element (cache.delta.applied = 0)" );
+      (r.write_heavy && r.delta_rows_added = 0, "write-heavy run added no delta rows");
+      (r.write_heavy && r.deletes = 0, "write-heavy run issued no deletes");
+      (* Recursive: goals answered through multi-round fixpoints, at least
+         one complete against ground truth. *)
+      (r.recursive && r.goal_answered = 0, "recursive run answered no goals");
+      ( r.recursive && r.goal_complete = 0,
+        "recursive run completed no goal against ground truth" );
+      ( r.recursive && r.goal_rounds < 2 * r.goal_answered,
+        "goals did not drive multi-round fixpoints (ie.set.rounds too low)" );
+      (r.recursive && r.goal_fetches = 0, "recursive run issued no set-oriented fetches");
+      (* Chaos: the severed primary must force failovers and hinted writes,
+         the partition must heal, repair must hand the hints off, and once
+         healed + repaired nothing may serve stale. *)
+      (chaos && r.failovers = 0, "chaos run recorded no failovers (backup never served)");
+      ( chaos && r.hinted_writes = 0,
+        "chaos run recorded no hinted writes (partition never blocked a write)" );
+      ( chaos && r.handoffs = 0,
+        "chaos run recorded no handoffs (repair never drained the hints)" );
+      (chaos && r.heal_wave = None, "the partition never healed");
+      ( r.stale_after_heal <> 0,
+        Printf.sprintf "%d stale serve(s) after heal + repair" r.stale_after_heal );
+    ]
 
 let report_to_string r =
   let b = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
+  let fails = failures r in
   line "serve soak seed=%d sessions=%d waves=%d%s%s%s%s: %s" r.seed r.sessions r.waves
     (if r.shards > 1 then Printf.sprintf " shards=%d" r.shards else "")
     (if r.replicas > 1 then Printf.sprintf " replicas=%d" r.replicas else "")
     (if r.write_heavy then " write-heavy" else "")
     (if r.recursive then " recursive" else "")
-    (if ok r then "OK" else "FAILED");
+    (if fails = [] then "OK" else "FAILED");
   line "  submitted:   %d (%d answered, %d shed, %d lost at crash)" r.submitted r.answered
     r.shed r.lost;
-  line "  answers:     %d fresh, %d degraded" r.fresh r.degraded;
+  line "  answers:     %d fresh, %d degraded, %d served lazily" r.fresh r.degraded
+    r.lazy_answers;
   if r.recursive then
     line
       "  goals:       %d submitted, %d answered (%d complete, %d solutions), %d shed; \
@@ -187,6 +236,7 @@ let report_to_string r =
    | ds ->
      line "  oracle:      %d divergence(s):" (List.length ds);
      List.iter (fun d -> line "    wave %d [%s]: %s" d.wave d.sid d.detail) ds);
+  List.iter (line "  gate:        FAILED %s") fails;
   List.iter
     (fun s ->
       line "  %-4s submitted=%d answered=%d shed=%d fresh=%d degraded=%d p95=%.1fms" s.sid
@@ -210,8 +260,7 @@ exception Stop
 
 let empty_advice = { Braid_advice.Ast.specs = []; path = None }
 
-let run ?(error_rate = 0.35) ?(crash = true) ?(policy = Admission.default_policy)
-    ?(shards = 1) ?(replicas = 1) ?(chaos = false) ?(heal_after = 600)
+let run ?(crash = true) ?(shards = 1) ?(replicas = 1) ?(chaos = false)
     ?(write_heavy = false) ?(recursive = false) ~sessions:n_sessions ~seed ~waves () =
   if n_sessions < 1 then invalid_arg "Serve.Soak.run: sessions must be >= 1";
   if shards < 1 then invalid_arg "Serve.Soak.run: shards must be >= 1";
@@ -233,6 +282,9 @@ let run ?(error_rate = 0.35) ?(crash = true) ?(policy = Admission.default_policy
      partition mid-heal. The chaos leg owns the partition. *)
   let crash = crash && not chaos in
   let prng = Prng.create seed in
+  (* A quarter of the CAQL jobs ask for a lazy answer. The draw comes from
+     its own stream, so the workload's main draw sequence is unchanged. *)
+  let lazy_prng = Prng.create (seed + 101) in
   let server = Server.create () in
   Workload.load server;
   (* A brownout RDI profile: per-attempt deadline, nominally one retry,
@@ -260,6 +312,9 @@ let run ?(error_rate = 0.35) ?(crash = true) ?(policy = Admission.default_policy
       Some (Router.create ~policy:rdi_policy ~shards ~replicas server)
     end
   in
+  (* Chaos runs on an otherwise fault-free link, so every stale serve
+     after the heal is the partition's doing, not the flaky link's. *)
+  let error_rate = if chaos then 0.0 else 0.35 in
   let base = Fault.flaky ~seed:(seed + 7919) ~error_rate () in
   (* Per-replica brownout profiles: every copy's injector draws from its
      own seed stream, so replica (and shard) fates decorrelate the way
@@ -298,7 +353,7 @@ let run ?(error_rate = 0.35) ?(crash = true) ?(policy = Admission.default_policy
         })
   in
   let new_scheduler c =
-    let sched = Scheduler.create ~policy ~seed:(seed + 31) c in
+    let sched = Scheduler.create ~seed:(seed + 31) c in
     Array.iter
       (fun a -> ignore (Scheduler.add_session sched ~sid:a.a_sid ~hist:a.hist empty_advice))
       per;
@@ -332,6 +387,7 @@ let run ?(error_rate = 0.35) ?(crash = true) ?(policy = Admission.default_policy
   and co_subsumed = ref 0
   and co_misses = ref 0
   and remote_requests = ref 0
+  and lazy_answers = ref 0
   and elapsed_ms = ref 0.0 in
   let deltas = ref Braid_cache.Maintain.empty_report in
   let fold_incarnation () =
@@ -341,7 +397,9 @@ let run ?(error_rate = 0.35) ?(crash = true) ?(policy = Admission.default_policy
     co_subsumed := !co_subsumed + c.Coalescer.subsumed_hits;
     co_misses := !co_misses + c.Coalescer.misses;
     remote_requests := !remote_requests + (Cms.rdi_stats !cms).Braid_remote.Rdi.requests;
-    elapsed_ms := !elapsed_ms +. (Cms.metrics !cms).Qpo.elapsed_ms;
+    let m = Cms.metrics !cms in
+    lazy_answers := !lazy_answers + m.Qpo.lazy_answers;
+    elapsed_ms := !elapsed_ms +. m.Qpo.elapsed_ms;
     let d = Cms.delta_totals !cms and a = !deltas in
     deltas :=
       {
@@ -371,6 +429,7 @@ let run ?(error_rate = 0.35) ?(crash = true) ?(policy = Admission.default_policy
   let submit sid q =
     let a = acc_of sid in
     a.a_submitted <- a.a_submitted + 1;
+    let prefer_lazy = Prng.bool lazy_prng 0.25 in
     let on_reply = function
       | Scheduler.Answered ans ->
         a.a_answered <- a.a_answered + 1;
@@ -380,7 +439,7 @@ let run ?(error_rate = 0.35) ?(crash = true) ?(policy = Admission.default_policy
       | Scheduler.Shed _ -> a.a_shed <- a.a_shed + 1
       | Scheduler.Goal_answered _ -> ()
     in
-    ignore (Scheduler.submit !sched ~sid ~on_reply q)
+    ignore (Scheduler.submit !sched ~sid ~prefer_lazy ~on_reply q)
   in
   let goal_submitted = ref 0
   and goal_answered = ref 0
@@ -487,12 +546,12 @@ let run ?(error_rate = 0.35) ?(crash = true) ?(policy = Admission.default_policy
         | Some pw, Some r when wave = pw ->
           (* chaos: sever shard 0's primary. Reads fail over to the most
              caught-up backup; writes to the primary become hints. The
-             partition heals on the shared clock after [heal_after]
-             system-wide requests, and anti-entropy repair (below) then
-             replays the hinted writes. *)
+             partition heals on the shared clock after 150 system-wide
+             requests, and anti-entropy repair (below) then replays the
+             hinted writes. *)
           partition_wave := Some wave;
           Router.set_replica_faults r ~shard:0 ~replica:0
-            (Some (Fault.severed ~seed:(seed + 4242) ~heal_after ()))
+            (Some (Fault.severed ~seed:(seed + 4242) ~heal_after:150 ()))
         | _ -> ());
        try
          (* The wave's hot view: sessions that draw low submit the same
@@ -515,7 +574,7 @@ let run ?(error_rate = 0.35) ?(crash = true) ?(policy = Admission.default_policy
             its admission cap, deterministically exercising load-shedding
             and per-session fairness. *)
          if Prng.int prng 100 < 15 then
-           for _ = 1 to policy.Admission.per_session_queue + 2 do
+           for _ = 1 to Admission.default_policy.Admission.per_session_queue + 2 do
              submit per.(0).a_sid hot
            done;
          (* Recursive leg: a few sessions per wave pose an AI goal; the
@@ -658,6 +717,7 @@ let run ?(error_rate = 0.35) ?(crash = true) ?(policy = Admission.default_policy
     lost = !lost;
     fresh = sum (fun s -> s.fresh);
     degraded = sum (fun s -> s.degraded);
+    lazy_answers = !lazy_answers;
     inserts = !inserts;
     deletes = !deletes;
     drops = !drops;

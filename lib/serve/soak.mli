@@ -1,8 +1,10 @@
-(** The multi-session serving soak: N sessions over one shared CMS,
+(** The randomized consistency soak: N sessions over one shared CMS,
     interleaved by the deterministic {!Scheduler} under flaky faults and a
-    small cache, with hot-session bursts (exercising admission-control
-    shedding), concurrent inserts/invalidations, periodic checkpoints and
-    one mid-run crash + recovery.
+    small cache, with eager and lazy answers, hot-session bursts
+    (exercising admission-control shedding), concurrent
+    inserts/invalidations, periodic checkpoints and one mid-run crash +
+    recovery. [sessions = 1] is the single-session soak: one IE session
+    driving the CMS.
 
     Every answer — planner-executed or load-shed to a cache substitute —
     is diffed against fault-free ground truth by the
@@ -67,6 +69,9 @@ type report = {
   lost : int;  (** queued in the dead scheduler when the crash hit *)
   fresh : int;
   degraded : int;
+  lazy_answers : int;
+      (** answers the planner served as lazy generators, across crash
+          incarnations *)
   inserts : int;
   deletes : int;  (** write-heavy profile only; 0 otherwise *)
   drops : int;
@@ -113,7 +118,7 @@ type report = {
   heal_wave : int option;  (** chaos: first wave the partition was seen healed *)
   stale_after_heal : int;
       (** RDI stale serves recorded after heal + the first post-heal repair
-          round — the chaos gate requires 0 under a fault-free link *)
+          round — the chaos gate requires 0 *)
   end_max_lag : int;  (** worst replica lag at the end — 0 once repair caught up *)
   per_shard : shard_report list;  (** [] when the remote is a single server *)
   journal_entries : int;
@@ -121,23 +126,25 @@ type report = {
   journal_dump : string list;
 }
 
-val ok : report -> bool
-(** No oracle divergence, byte-identical recovery, every recovered
-    element re-validated, every replica repaired back to the log head,
-    when chaos severed a primary — the partition healed, on the
-    write-heavy profile — at least one element was delta-maintained, and
-    on the recursive profile — goals were answered and at least one was
-    complete (no goal answer may ever contain a tuple outside ground
-    truth; such an answer is a divergence). *)
+val failures : report -> string list
+(** Every gate the run violated, one message each; [[]] for a passing
+    run. Always: no oracle divergence, byte-identical recovery, every
+    recovered element re-validated, every replica repaired back to the
+    log head. Per profile, derived from the report: with more than one
+    session (and neither chaos nor write-heavy) — at least one coalesce
+    hit; write-heavy — elements delta-maintained, delta rows added,
+    deletes issued; recursive — goals answered through multi-round
+    fixpoints and set-oriented fetches, at least one complete (a goal
+    answer with a tuple outside ground truth is a divergence); chaos (a
+    primary was severed) — failovers, hinted writes and handoffs
+    happened, the partition healed, and nothing served stale after heal
+    + repair. *)
 
 val run :
-  ?error_rate:float ->
   ?crash:bool ->
-  ?policy:Admission.policy ->
   ?shards:int ->
   ?replicas:int ->
   ?chaos:bool ->
-  ?heal_after:int ->
   ?write_heavy:bool ->
   ?recursive:bool ->
   sessions:int ->
@@ -145,12 +152,14 @@ val run :
   waves:int ->
   unit ->
   report
-(** [error_rate] defaults to 0.12 (transients/disconnects/timeouts);
-    [crash] (default true) arms one crash at a seeded wave in the middle
-    third of the run. Each wave: every session may submit from the
-    overlapping {!Workload} family (one hot view shared across sessions),
-    the first session occasionally bursts past its admission cap, a
-    mutation may hit a base table, then one scheduler wave executes.
+(** The link is flaky at a 0.35 transient/disconnect/timeout rate,
+    admission follows {!Admission.default_policy}, and [crash] (default
+    true) arms one crash at a seeded wave in the middle third of the run.
+    Each wave: every session may submit from the overlapping {!Workload}
+    family (one hot view shared across sessions; a quarter of the jobs ask
+    for a lazy answer), the first session occasionally bursts past its
+    admission cap, a mutation may hit a base table, then one scheduler
+    wave executes.
 
     [shards] (default 1 — the single-server path, untouched) > 1 runs the
     soak over a {!Braid_remote.Shard_router}: the workload tables are
@@ -165,11 +174,11 @@ val run :
     anti-entropy repair round runs after every wave.
 
     [chaos] (default false; requires [replicas >= 2], forces [crash]
-    off) severs shard 0's primary at wave [waves/3] with a
-    {!Braid_remote.Fault.severed} profile healing after [heal_after]
-    (default 600) system-wide requests on the router's shared fault
-    clock. The report records partition/heal waves, stale serves after
-    heal and the end-of-run lag.
+    off and makes the link fault-free) severs shard 0's primary at wave
+    [waves/3] with a {!Braid_remote.Fault.severed} profile healing after
+    150 system-wide requests on the router's shared fault clock. The
+    report records partition/heal waves, stale serves after heal and the
+    end-of-run lag.
 
     [write_heavy] (default false; requires the single-server remote —
     see docs/CONSISTENCY.md on deletes under replication lag) creates the

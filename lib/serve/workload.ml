@@ -127,15 +127,7 @@ let gen_write prng ws cms =
   end
 
 let gen_insert prng ?router server cms =
-  let zi = Printf.sprintf "z%d" (Prng.int prng size) in
-  let yi = Printf.sprintf "y%d" (Prng.int prng size) in
-  let table, tup =
-    match Prng.int prng 3 with
-    | 0 -> ("b1", [| V.Str zi; V.Str yi |])
-    | 1 -> ("b2", [| V.Str (Printf.sprintf "x%d" (Prng.int prng 4)); V.Str zi |])
-    | _ ->
-      ("b3", [| V.Str zi; V.Str (if Prng.bool prng 0.5 then "c2" else "c3"); V.Str yi |])
-  in
+  let table, tup = gen_row prng in
   (match router with
    | Some r -> Router.insert r table tup (* coordinator + owning shard *)
    | None -> Engine.insert (Server.engine server) table tup);

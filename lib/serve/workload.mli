@@ -1,9 +1,9 @@
-(** The serving layer's overlapping-view workload: the same paper-example
-    tables as {!Braid_check.Soak}, but a deliberately narrow parameter
-    space, so that within one scheduling wave independent sessions keep
-    asking identical or subsumed variants of the same small view family —
-    the workload shape the fetch coalescer exists for (K sessions,
-    overlapping views, one remote round trip). *)
+(** The serving layer's overlapping-view workload: the paper-example
+    tables of {!Braid_workload.Datagen.paper_example}, with a deliberately
+    narrow parameter space, so that within one scheduling wave
+    independent sessions keep asking identical or subsumed variants of
+    the same small view family — the workload shape the fetch coalescer
+    exists for (K sessions, overlapping views, one remote round trip). *)
 
 val size : int
 (** Base-table size knob passed to {!Braid_workload.Datagen.paper_example}. *)

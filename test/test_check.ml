@@ -1,7 +1,8 @@
 (* The consistency oracle, the crash-consistent cache journal, and the
-   randomized soak harness: answer/ground-truth diffing, journal replay
-   byte-identity after a crash, recovery re-validation, and soak
-   determinism. *)
+   single-session soak that drives both end to end: answer/ground-truth
+   diffing, journal replay byte-identity after a crash, recovery
+   re-validation, and soak determinism. The multi-session soak profiles
+   are tested in test_serve.ml. *)
 
 module R = Braid_relalg
 module V = R.Value
@@ -19,7 +20,7 @@ module Journal = Braid_cache.Journal
 module Element = Braid_cache.Element
 module Cms = Braid.Cms
 module Oracle = Braid_check.Oracle
-module Soak = Braid_check.Soak
+module Soak = Braid_serve.Soak
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -198,19 +199,21 @@ let test_recovery_validation_drops_outdated () =
          | _ -> false)
        (Journal.entries (Cms.journal cms)))
 
-(* --- the soak harness --- *)
+(* --- the single-session soak --- *)
 
 let test_soak_short_run_ok () =
-  let r = Soak.run ~seed:5 ~steps:150 () in
-  check_bool "soak ok" true (Soak.ok r);
-  check_bool "ran queries" true (r.Soak.queries > 0);
+  let r = Soak.run ~sessions:1 ~seed:1 ~waves:300 () in
+  Alcotest.(check (list string)) "every gate passes" [] (Soak.failures r);
+  check_bool "ran queries" true (r.Soak.answered > 0);
   check_bool "ran mutations" true (r.Soak.inserts > 0);
-  check_bool "crash happened" true (r.Soak.crash_step <> None);
+  check_bool "some answers served lazily" true (r.Soak.lazy_answers > 0);
+  check_bool "crash happened" true (r.Soak.crash_wave <> None);
   check_bool "crash found a populated cache" true (r.Soak.elements_at_crash >= 3);
   check_int "no divergences" 0 (List.length r.Soak.divergences)
 
 let test_soak_deterministic () =
-  let a = Soak.run ~seed:9 ~steps:120 () and b = Soak.run ~seed:9 ~steps:120 () in
+  let run () = Soak.run ~sessions:1 ~seed:9 ~waves:200 () in
+  let a = run () and b = run () in
   check_bool "identical reports (journal included)" true (a = b)
 
 let suites =
