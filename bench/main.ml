@@ -190,6 +190,28 @@ let bench_tracker =
          ignore (Braid_advice.Tracker.advance tr "d2");
          ignore (Braid_advice.Tracker.next_possible tr)))
 
+(* Exact-match lookup in a cache of 256 two-atom elements: one probe with
+   a renamed variant of a cached definition (hit), one with a definition
+   nothing caches (miss). *)
+let bench_find_exact =
+  let module CMgr = Braid_cache.Cache_manager in
+  let def i x y z =
+    A.conj [ v x; v y ]
+      [ atom "route" [ v x; v z ]; atom "link" [ v z; v y; T.Const (V.Int i) ] ]
+  in
+  let cache = CMgr.create ~capacity_bytes:max_int () in
+  let schema = R.Schema.make [ ("x", V.Tint); ("y", V.Tint) ] in
+  for i = 0 to 255 do
+    ignore
+      (CMgr.insert cache ~def:(def i "X" "Y" "Z")
+         (Braid_cache.Element.Extension (R.Relation.create schema)))
+  done;
+  let hit = def 200 "A" "B" "C" and miss = def 256 "A" "B" "C" in
+  Bechamel.Test.make ~name:"cache_find_exact_256"
+    (Bechamel.Staged.stage (fun () ->
+         ignore (CMgr.find_exact cache hit);
+         ignore (CMgr.find_exact cache miss)))
+
 let micro_tests =
   [
     bench_unify;
@@ -205,6 +227,7 @@ let micro_tests =
     bench_stream_pull;
     bench_parser;
     bench_tracker;
+    bench_find_exact;
   ]
 
 (* Run every microbenchmark and return [(name, ns_per_run)] in declaration

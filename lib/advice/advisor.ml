@@ -4,11 +4,12 @@ module Sub = Braid_subsume.Subsumption
 type t = {
   advice : Ast.t;
   tracker : Tracker.t option;
+  mutable keys : (Ast.view_spec * string) list; (* memo of [spec_key] *)
 }
 
 let create (advice : Ast.t) =
   let tracker = Option.map (fun p -> Tracker.start (Tracker.compile p)) advice.Ast.path in
-  { advice; tracker }
+  { advice; tracker; keys = [] }
 
 let no_advice () = create { Ast.specs = []; path = None }
 
@@ -39,3 +40,11 @@ let should_cache_result t (s : Ast.view_spec) =
   not (Ast.producer_only s) || may_occur_later t s.Ast.id
 
 let generalized (s : Ast.view_spec) = s.Ast.def
+
+let spec_key t (s : Ast.view_spec) =
+  match List.assq_opt s t.keys with
+  | Some k -> k
+  | None ->
+    let k = A.variant_key s.Ast.def in
+    t.keys <- (s, k) :: t.keys;
+    k

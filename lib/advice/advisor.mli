@@ -52,3 +52,8 @@ val should_cache_result : t -> Ast.view_spec -> bool
 val generalized : Ast.view_spec -> Braid_caql.Ast.conj
 (** The spec's defining conjunction with all parameters free — the
     generalization target of QPO step 1. *)
+
+val spec_key : t -> Ast.view_spec -> string
+(** [Braid_caql.Ast.variant_key (generalized s)], computed once per spec
+    record and advisor: the QPO probes the cache for the same specs on
+    every query. *)

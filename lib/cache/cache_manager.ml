@@ -94,25 +94,22 @@ let insert t ?id ~def repr =
 
 let find t id = Cache_model.find t.model id
 
-let find_exact t def =
-  List.find_opt
-    (fun (e : Element.t) -> A.variant_equal e.Element.def def)
-    (Cache_model.elements t.model)
+let find_exact t def = Cache_model.find_variant t.model (A.variant_key def)
 
 let relevant_covers t (q : A.conj) =
   let preds =
     List.sort_uniq String.compare
       (List.map (fun a -> a.Braid_logic.Atom.pred) q.A.atoms)
   in
+  let seen = Hashtbl.create 16 in
   let candidates =
     List.concat_map (Cache_model.candidates_for_pred t.model) preds
-    |> List.fold_left
-         (fun acc (e : Element.t) ->
-           if List.exists (fun (e' : Element.t) -> String.equal e'.Element.id e.Element.id) acc
-           then acc
-           else e :: acc)
-         []
-    |> List.rev
+    |> List.filter (fun (e : Element.t) ->
+           if Hashtbl.mem seen e.Element.id then false
+           else begin
+             Hashtbl.add seen e.Element.id ();
+             true
+           end)
   in
   List.concat_map
     (fun (e : Element.t) ->

@@ -29,8 +29,8 @@ val insert :
 val find : t -> string -> Element.t option
 
 val find_exact : t -> Braid_caql.Ast.conj -> Element.t option
-(** An element whose definition is a variant of the query (exact-match
-    reuse). *)
+(** The oldest element whose definition is a variant of the query
+    (exact-match reuse): one probe of {!Cache_model.find_variant}. *)
 
 val relevant_covers :
   t -> Braid_caql.Ast.conj -> (Element.t * Braid_subsume.Subsumption.cover) list

@@ -6,6 +6,7 @@ type t = {
   elements : (string, Element.t) Hashtbl.t;
   mutable order : string list; (* insertion order, newest first *)
   by_pred : (string, string list ref) Hashtbl.t;
+  by_key : (string, string list ref) Hashtbl.t; (* variant key -> ids, oldest first *)
   mutable clock : int;
   mutable counter : int;
 }
@@ -16,6 +17,7 @@ let create ~capacity_bytes =
     elements = Hashtbl.create 64;
     order = [];
     by_pred = Hashtbl.create 64;
+    by_key = Hashtbl.create 64;
     clock = 0;
     counter = 0;
   }
@@ -44,22 +46,39 @@ let add t (e : Element.t) =
       match Hashtbl.find_opt t.by_pred p with
       | Some cell -> cell := e.Element.id :: !cell
       | None -> Hashtbl.replace t.by_pred p (ref [ e.Element.id ]))
-    (def_preds e.Element.def)
+    (def_preds e.Element.def);
+  let key = A.variant_key e.Element.def in
+  match Hashtbl.find_opt t.by_key key with
+  | Some cell -> cell := !cell @ [ e.Element.id ]
+  | None -> Hashtbl.replace t.by_key key (ref [ e.Element.id ])
 
 let remove t id =
   match Hashtbl.find_opt t.elements id with
   | None -> ()
   | Some e ->
+    let others = List.filter (fun x -> not (String.equal x id)) in
     Hashtbl.remove t.elements id;
-    t.order <- List.filter (fun x -> not (String.equal x id)) t.order;
+    t.order <- others t.order;
     List.iter
       (fun p ->
         match Hashtbl.find_opt t.by_pred p with
-        | Some cell -> cell := List.filter (fun x -> not (String.equal x id)) !cell
+        | Some cell -> cell := others !cell
         | None -> ())
-      (def_preds e.Element.def)
+      (def_preds e.Element.def);
+    let key = A.variant_key e.Element.def in
+    (match Hashtbl.find_opt t.by_key key with
+     | Some cell ->
+       (match others !cell with
+        | [] -> Hashtbl.remove t.by_key key
+        | ids -> cell := ids)
+     | None -> ())
 
 let find t id = Hashtbl.find_opt t.elements id
+
+let find_variant t key =
+  match Hashtbl.find_opt t.by_key key with
+  | Some { contents = id :: _ } -> find t id
+  | Some { contents = [] } | None -> None
 
 let elements t = List.rev t.order |> List.filter_map (find t)
 

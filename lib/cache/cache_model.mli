@@ -3,7 +3,10 @@
     may query it through the CMS.
 
     Keeps the paper's [(predicate name, cache element)] index used to
-    expedite subsumption candidate lookup. *)
+    expedite subsumption candidate lookup, and a variant-key index
+    ({!Braid_caql.Ast.variant_key}) that makes exact-match lookup a hash
+    probe. {!add} and {!remove} maintain both, so journal replay rebuilds
+    them. *)
 
 type t
 
@@ -24,6 +27,10 @@ val remove : t -> string -> unit
 val find : t -> string -> Element.t option
 val elements : t -> Element.t list
 (** In insertion order. *)
+
+val find_variant : t -> string -> Element.t option
+(** [find_variant t (Braid_caql.Ast.variant_key q)] is the oldest element
+    whose definition is a variant of [q]. *)
 
 val candidates_for_pred : t -> string -> Element.t list
 (** Elements whose definition mentions the given predicate — step 1 of the

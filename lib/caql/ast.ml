@@ -128,8 +128,9 @@ let pp_conj ppf c =
 
 let conj_to_string c = Format.asprintf "%a" pp_conj c
 
-let variant_equal a b =
-  String.equal (conj_to_string (canonical a)) (conj_to_string (canonical b))
+let variant_key c = conj_to_string (canonical c)
+
+let variant_equal a b = String.equal (variant_key a) (variant_key b)
 
 let rec pp ppf = function
   | Conj c -> pp_conj ppf c

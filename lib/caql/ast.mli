@@ -68,10 +68,16 @@ val canonical : conj -> conj
 (** Variables renamed to [v0], [v1], ... in order of first occurrence —
     used for variant (exact-match) comparison of queries. *)
 
+val variant_key : conj -> string
+(** The printed {!canonical} form: two conjuncts have the same key iff they
+    are variants. The cache indexes its elements by it, so exact-match
+    lookup is a hash probe. *)
+
 val variant_equal : conj -> conj -> bool
-(** Equality up to variable renaming, with atom order significant. This is
-    the reuse test of exact-match caching systems (BERMUDA [IOAN88],
-    [SELL87]), which BrAID's subsumption strictly generalizes. *)
+(** Equality up to variable renaming, with atom order significant
+    ([variant_key a = variant_key b]). This is the reuse test of
+    exact-match caching systems (BERMUDA [IOAN88], [SELL87]), which BrAID's
+    subsumption strictly generalizes. *)
 
 val pp_conj : Format.formatter -> conj -> unit
 val pp : Format.formatter -> t -> unit

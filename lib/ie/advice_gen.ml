@@ -61,7 +61,7 @@ type table = {
 }
 
 let spec_key (def : A.conj) bindings =
-  A.conj_to_string (A.canonical def)
+  A.variant_key def
   ^ "/"
   ^ String.concat "" (List.map (function Adv.Producer -> "^" | Adv.Consumer -> "?") bindings)
 

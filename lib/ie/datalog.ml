@@ -248,7 +248,7 @@ let run kb ?(skip_rules = []) ?(algorithm = `Semi_naive) ~source:src query =
      cache hits anyway). *)
   let fetch_memo : (string, R.Relation.t) Hashtbl.t = Hashtbl.create 16 in
   let do_fetch name (c : A.conj) =
-    let key = A.conj_to_string (A.canonical c) in
+    let key = A.variant_key c in
     match Hashtbl.find_opt fetch_memo key with
     | Some r -> R.Relation.with_name name r
     | None ->

@@ -39,7 +39,9 @@ let max_conj_size t =
 let solve t query =
   Obs.Metrics.incr "ie.queries";
   Obs.Trace.with_span ~cat:"ie" "ie.solve"
-    ~args:[ ("query", Obs.Trace.Str (L.Atom.to_string query)) ]
+    ~args:
+      (if Obs.Trace.enabled () then [ ("query", Obs.Trace.Str (L.Atom.to_string query)) ]
+       else [])
     (fun () ->
       (* Query translator + problem graph extractor. *)
       let graph =

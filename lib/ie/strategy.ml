@@ -170,7 +170,9 @@ let solve_compiled kb qpo ~counters ~skip_rules query =
 
 let solve_set_oriented kb qpo ~orderings ~counters ~skip_rules query =
   Obs.Trace.with_span ~cat:"ie" "ie.set.solve"
-    ~args:[ ("query", Obs.Trace.Str (L.Atom.to_string query)) ]
+    ~args:
+      (if Obs.Trace.enabled () then [ ("query", Obs.Trace.Str (L.Atom.to_string query)) ]
+       else [])
     (fun () ->
       Obs.Metrics.incr "ie.set.solves";
       let catalog = Braid_remote.Server.catalog (Qpo.server qpo) in

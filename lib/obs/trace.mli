@@ -4,8 +4,10 @@
     parent (the span that was open when it began — causality, not call
     syntax) and optional key/value arguments; an {e instant} is a
     zero-width event. Spans are recorded into an explicitly installed
-    tracer; with no tracer installed every hook is a single [None] check,
-    so benchmarked and soak runs pay nothing and stay deterministic.
+    tracer; with no tracer installed every hook is a single [None] check.
+    Call sites whose arguments must be formatted (queries, SQL, routes)
+    build them only when {!enabled}, so untraced runs format nothing, pay
+    one check per hook and stay deterministic.
 
     {b No wall clock.} Timestamps are logical ticks of a per-tracer
     counter: every span begin, span end and instant advances it by one.

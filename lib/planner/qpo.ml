@@ -570,8 +570,12 @@ let solve_no_cache t (q : A.conj) =
 let element_cover_replacement e (q : A.conj) =
   Sub.full_cover { Sub.id = e.Elem.id; def = e.Elem.def } q
 
-let solve_exact t (q : A.conj) =
-  match CMgr.find_exact t.cache q with
+(* Exact-match lookup by a precomputed {!A.variant_key}: a query's key is
+   computed once and probed with several times. *)
+let find_key t key = Braid_cache.Cache_model.find_variant (CMgr.model t.cache) key
+
+let solve_exact t ~key (q : A.conj) =
+  match find_key t key with
   | Some e ->
     (match element_cover_replacement e q with
      | Some cover ->
@@ -700,7 +704,7 @@ let local_values_of_covers chosen =
       end)
     [] chosen
 
-let solve_subsume t (q : A.conj) =
+let solve_subsume t ~key (q : A.conj) =
   let model = CMgr.model t.cache in
   let chosen =
     Obs.Trace.with_span ~cat:"qpo" "qpo.subsume" (fun () ->
@@ -719,7 +723,10 @@ let solve_subsume t (q : A.conj) =
     List.map
       (fun ((e : Elem.t), (c : Sub.cover)) ->
         Braid_cache.Cache_model.touch model e;
-        if uncovered_idx = [] && List.length chosen = 1 && A.variant_equal e.Elem.def q then
+        if
+          uncovered_idx = [] && List.length chosen = 1
+          && String.equal (A.variant_key e.Elem.def) key
+        then
           Plan.Exact_hit { element = e.Elem.id }
         else Plan.Use_element { element = e.Elem.id; covered_atoms = c.Sub.covered })
       chosen
@@ -767,19 +774,21 @@ let caching_mode_name = function
   | Single_relation -> "single-relation"
   | Subsumption -> "subsumption"
 
-let solve t (q : A.conj) =
+let solve t ~key (q : A.conj) =
   Obs.Trace.with_span ~cat:"qpo" "qpo.solve"
     ~args:
-      [
-        ("query", Obs.Trace.Str (A.conj_to_string q));
-        ("mode", Obs.Trace.Str (caching_mode_name t.config.caching));
-      ]
+      (if Obs.Trace.enabled () then
+         [
+           ("query", Obs.Trace.Str (A.conj_to_string q));
+           ("mode", Obs.Trace.Str (caching_mode_name t.config.caching));
+         ]
+       else [])
     (fun () ->
       match t.config.caching with
       | No_cache -> solve_no_cache t q
-      | Exact_match -> solve_exact t q
+      | Exact_match -> solve_exact t ~key q
       | Single_relation -> solve_single t q
-      | Subsumption -> solve_subsume t q)
+      | Subsumption -> solve_subsume t ~key q)
 
 (* --- advice-driven extras: generalization, prefetch, indexing, pinning --- *)
 
@@ -801,11 +810,11 @@ let index_for_spec t (spec : Braid_advice.Ast.view_spec) (e : Elem.t) =
 
 (* Materialize a definition as a cache element (used by generalization and
    prefetching). Returns the element if it was (or already is) cached. *)
-let materialize_def t (def : A.conj) =
-  match CMgr.find_exact t.cache def with
+let materialize_def t ~key (def : A.conj) =
+  match find_key t key with
   | Some e -> Some (e, [])
   | None ->
-    let solved = solve t def in
+    let solved = solve t ~key def in
     (* A degraded fetch must not be materialized: generalizations and
        prefetches cached now would keep serving stale or empty data after
        the remote recovers. *)
@@ -813,7 +822,7 @@ let materialize_def t (def : A.conj) =
     else
       (* Solving may itself have cached an element with this very definition
          (a shipped subquery equal to [def]); do not duplicate it. *)
-      (match CMgr.find_exact t.cache def with
+      (match find_key t key with
        | Some e -> Some (e, solved.s_steps)
        | None ->
          let stale_before = (CMgr.stats t.cache).CMgr.stale_touches in
@@ -825,7 +834,7 @@ let materialize_def t (def : A.conj) =
             | Some e -> Some (e, solved.s_steps)
             | None -> None))
 
-let generalization_steps t ses spec (q : A.conj) =
+let generalization_steps t ses spec ~qkey (q : A.conj) =
   if
     not
       (t.config.allow_generalization && t.config.caching = Subsumption
@@ -849,20 +858,22 @@ let generalization_steps t ses spec (q : A.conj) =
     in
     let usable (s : Braid_advice.Ast.view_spec) =
       let general = Adv.generalized s in
-      (not (A.variant_equal general q))
+      let gkey = Adv.spec_key ses.advisor s in
+      (not (String.equal gkey qkey))
       && Adv.expects_repetition ses.advisor s.Braid_advice.Ast.id
       && Cost.est_conj (catalog t) general <= t.config.prefetch_max_tuples
-      && CMgr.find_exact t.cache general = None
+      && find_key t gkey = None
       && Sub.generalizes general q
     in
     match List.find_opt usable candidates with
     | None -> []
     | Some s ->
       let general = Adv.generalized s in
+      let key = Adv.spec_key ses.advisor s in
       Log.debug (fun m ->
           m "generalizing %s to spec %s (%s)" (A.conj_to_string q) s.Braid_advice.Ast.id
             (A.conj_to_string general));
-      (match materialize_def t general with
+      (match materialize_def t ~key general with
        | Some (e, steps) ->
          Hashtbl.replace ses.elem_spec e.Elem.id s.Braid_advice.Ast.id;
          t.stats.generalizations <- t.stats.generalizations + 1;
@@ -881,16 +892,17 @@ let prefetch_steps t ses current_spec_id =
     List.concat_map
       (fun (spec : Braid_advice.Ast.view_spec) ->
         let id = spec.Braid_advice.Ast.id in
+        let key = Adv.spec_key ses.advisor spec in
         if
           Some id <> current_spec_id
           && (not (Hashtbl.mem ses.prefetched id))
           && Cost.est_conj (catalog t) spec.Braid_advice.Ast.def
              <= t.config.prefetch_max_tuples
-          && CMgr.find_exact t.cache spec.Braid_advice.Ast.def = None
+          && find_key t key = None
         then begin
           Hashtbl.replace ses.prefetched id ();
           Log.debug (fun m -> m "prefetching predicted-next spec %s" id);
-          match materialize_def t spec.Braid_advice.Ast.def with
+          match materialize_def t ~key spec.Braid_advice.Ast.def with
           | Some (e, steps) ->
             Hashtbl.replace ses.elem_spec e.Elem.id id;
             t.stats.prefetches <- t.stats.prefetches + 1;
@@ -909,13 +921,15 @@ let update_pins t ses =
      d1 "will be required for one of the next two queries", so d1's element
      "is not the best candidate" for eviction. Elements whose spec can no
      longer occur are unpinned (plain LRU applies to them). *)
-  let imminent =
-    List.map (fun s -> s.Braid_advice.Ast.id) (Adv.predicted_next ses.advisor)
+  let keep =
+    List.filter_map
+      (fun s ->
+        let id = s.Braid_advice.Ast.id in
+        if Adv.may_occur_later ses.advisor id then Some id else None)
+      (Adv.predicted_next ses.advisor)
   in
   Hashtbl.iter
-    (fun elem_id spec_id ->
-      let keep = List.mem spec_id imminent && Adv.may_occur_later ses.advisor spec_id in
-      CMgr.pin t.cache elem_id keep)
+    (fun elem_id spec_id -> CMgr.pin t.cache elem_id (List.mem spec_id keep))
     ses.elem_spec
 
 (* --- the public entry points --- *)
@@ -996,9 +1010,10 @@ let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
   let touched_before = (CMgr.stats t.cache).CMgr.tuples_touched in
   let stale_before = (CMgr.stats t.cache).CMgr.stale_touches in
   (* QPO step 1: possibly evaluate a generalization first. *)
-  let gen_steps = generalization_steps t ses spec q in
+  let qkey = A.variant_key q in
+  let gen_steps = generalization_steps t ses spec ~qkey q in
   (* Steps 2 and 3: rewrite over the cache and fetch what is missing. *)
-  let solved = solve t q in
+  let solved = solve t ~key:qkey q in
   classify t solved;
   let model = Server.cost_model t.server in
   let lazy_ok =
@@ -1021,7 +1036,7 @@ let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
          elements are not cached: they would outlive the staleness. *)
       (match t.config.caching with
        | Subsumption
-         when CMgr.find_exact t.cache q = None
+         when find_key t qkey = None
               && (CMgr.stats t.cache).CMgr.stale_touches = stale_before ->
          ignore (CMgr.insert t.cache ~def:q (Elem.Generator s))
        | Subsumption | No_cache | Exact_match | Single_relation -> ());
@@ -1037,7 +1052,7 @@ let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
       if
         should_cache_eager_result t ses spec solved touched
         && (not degraded_eval)
-        && CMgr.find_exact t.cache q = None
+        && find_key t qkey = None
       then begin
         match CMgr.insert t.cache ~def:q (Elem.Extension (retyped t q rel)) with
         | Some e ->
@@ -1055,10 +1070,10 @@ let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
      path-expression pinning can protect it (§5.4). *)
   (match spec with
    | Some s ->
-     (match CMgr.find_exact t.cache (Adv.generalized s) with
+     (match find_key t (Adv.spec_key ses.advisor s) with
       | Some e -> Hashtbl.replace ses.elem_spec e.Elem.id s.Braid_advice.Ast.id
       | None ->
-        (match CMgr.find_exact t.cache q with
+        (match find_key t qkey with
          | Some e -> Hashtbl.replace ses.elem_spec e.Elem.id s.Braid_advice.Ast.id
          | None -> ()))
    | None -> ());
@@ -1145,7 +1160,9 @@ let answer_conj t ?session ?spec_id ?prefer_lazy (q : A.conj) =
   let ses = Option.value session ~default:t.default_session in
   Obs.Metrics.incr "qpo.queries";
   Obs.Trace.with_span ~cat:"qpo" "qpo.answer"
-    ~args:[ ("query", Obs.Trace.Str (A.conj_to_string q)) ]
+    ~args:
+      (if Obs.Trace.enabled () then [ ("query", Obs.Trace.Str (A.conj_to_string q)) ]
+       else [])
     (fun () ->
       let a = answer_conj_untraced t ses ?spec_id ?prefer_lazy q in
       Obs.Trace.add_arg "provenance"

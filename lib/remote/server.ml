@@ -97,7 +97,7 @@ let injected_latency t q =
 
 let exec t ?deadline_ms q =
   Obs.Trace.with_span ~cat:"remote" "remote.exec"
-    ~args:[ ("sql", Obs.Trace.Str (Sql.to_string q)) ]
+    ~args:(if Obs.Trace.enabled () then [ ("sql", Obs.Trace.Str (Sql.to_string q)) ] else [])
     (fun () ->
       let sim_before = t.server_ms +. t.comm_ms in
       Obs.Metrics.incr "remote.requests";

@@ -627,10 +627,12 @@ let exec_fanout t (q : Sql.select) targets =
   Obs.Metrics.incr "shard.fanout";
   Obs.Trace.instant ~cat:"shard" "shard.fanout"
     ~args:
-      [
-        ("shards", Obs.Trace.Int (List.length targets));
-        ("sql", Obs.Trace.Str (Sql.to_string q));
-      ];
+      (if Obs.Trace.enabled () then
+         [
+           ("shards", Obs.Trace.Int (List.length targets));
+           ("sql", Obs.Trace.Str (Sql.to_string q));
+         ]
+       else []);
   merge_outcomes q (List.map (fun i -> (i, exec_shard t i q)) targets)
 
 let exec_pinned t (q : Sql.select) shard =
@@ -722,10 +724,12 @@ let exec t (q : Sql.select) =
   t.requests <- t.requests + 1;
   Obs.Trace.with_span ~cat:"shard" "shard.route"
     ~args:
-      [
-        ("route", Obs.Trace.Str (route_to_string r));
-        ("sql", Obs.Trace.Str (Sql.to_string q));
-      ]
+      (if Obs.Trace.enabled () then
+         [
+           ("route", Obs.Trace.Str (route_to_string r));
+           ("sql", Obs.Trace.Str (Sql.to_string q));
+         ]
+       else [])
     (fun () ->
       match r with
       | Pinned { shard; _ } -> exec_pinned t q shard

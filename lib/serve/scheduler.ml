@@ -156,10 +156,12 @@ let run_job t s (job : job) =
   Journal.set_context (Cms.journal t.cms) s.s_sid;
   Obs.Trace.with_span ~cat:"serve" "serve.session"
     ~args:
-      [
-        ("sid", Obs.Trace.Str s.s_sid);
-        ("query", Obs.Trace.Str (payload_to_string job.payload));
-      ]
+      (if Obs.Trace.enabled () then
+         [
+           ("sid", Obs.Trace.Str s.s_sid);
+           ("query", Obs.Trace.Str (payload_to_string job.payload));
+         ]
+       else [])
     (fun () ->
       let before = (Cms.metrics t.cms).Qpo.elapsed_ms in
       let outcome =

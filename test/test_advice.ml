@@ -212,7 +212,10 @@ let test_advisor_recommendations () =
   Advisor.observe adv "d1";
   (* d1 is producer-only and cannot recur: not worth caching *)
   check_bool "d1 not worth caching" false (Advisor.should_cache_result adv d1);
-  check_bool "d2 worth caching" true (Advisor.should_cache_result adv d2)
+  check_bool "d2 worth caching" true (Advisor.should_cache_result adv d2);
+  Alcotest.(check string) "spec key is the variant key of the generalization"
+    (A.variant_key (Advisor.generalized d2)) (Advisor.spec_key adv d2);
+  check_bool "spec key memoized" true (Advisor.spec_key adv d2 == Advisor.spec_key adv d2)
 
 let test_no_advice_defaults () =
   let adv = Advisor.no_advice () in

@@ -266,6 +266,120 @@ let test_pin_api () =
   (* pinning an unknown id is a no-op *)
   CMgr.pin c "ghost" true
 
+let test_model_find_variant_oldest () =
+  let m = CModel.create ~capacity_bytes:1_000_000 in
+  let add id d =
+    CModel.add m (Elem.make ~id ~def:d ~now:(CModel.tick m) (Elem.Extension (rel_of_pairs "b" [])))
+  in
+  add "e1" (def "b");
+  add "e2" (A.conj [ v "P"; v "Q" ] [ atom "b" [ v "P"; v "Q" ] ]);
+  let key = A.variant_key (A.conj [ v "A"; v "B" ] [ atom "b" [ v "A"; v "B" ] ]) in
+  let found () = Option.map (fun (e : Elem.t) -> e.Elem.id) (CModel.find_variant m key) in
+  Alcotest.(check (option string)) "oldest variant" (Some "e1") (found ());
+  CModel.remove m "e1";
+  Alcotest.(check (option string)) "next variant after removal" (Some "e2") (found ());
+  CModel.remove m "e2";
+  Alcotest.(check (option string)) "none left" None (found ())
+
+(* The variant-key index must agree with the linear scan it replaced, kept
+   here as the oracle, through inserts of colliding variants, removals,
+   invalidations, capacity evictions and checkpoint + journal recovery. *)
+
+let pool =
+  [|
+    A.conj [ v "X"; v "Y" ] [ atom "b" [ v "X"; v "Y" ] ];
+    A.conj [ v "X"; v "Y" ] [ atom "b" [ v "X"; v "X" ]; atom "c" [ v "X"; v "Y" ] ];
+    A.conj [ v "X"; v "Y" ] [ atom "b" [ v "X"; v "Z" ]; atom "c" [ v "Z"; v "Y" ] ];
+    A.conj [ v "X"; v "Y" ] [ atom "c" [ v "X"; v "Y" ]; atom "b" [ v "Y"; T.Const (V.Int 1) ] ];
+    A.conj [ v "Y"; v "X" ] [ atom "b" [ v "X"; v "Y" ] ];
+  |]
+
+(* Bijective renamings: every image of a pool entry is a variant of it. *)
+let renamings =
+  [|
+    Fun.id;
+    (fun x -> x ^ "1");
+    (function "X" -> "Y" | "Y" -> "X" | x -> x);
+    (function "X" -> "Z" | "Z" -> "X" | x -> x);
+  |]
+
+type cache_op =
+  | Insert of int * int  (** pool entry, renaming *)
+  | Remove of int  (** index into the live elements *)
+  | Invalidate of string
+  | Recover of bool  (** checkpoint first? then replay into a fresh model *)
+
+let cache_op_to_string = function
+  | Insert (i, r) -> Printf.sprintf "insert %d/%d" i r
+  | Remove n -> Printf.sprintf "remove #%d" n
+  | Invalidate p -> "invalidate " ^ p
+  | Recover cp -> if cp then "checkpoint+replay" else "replay"
+
+let gen_cache_op =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 6,
+          map2
+            (fun i r -> Insert (i, r))
+            (int_bound (Array.length pool - 1))
+            (int_bound (Array.length renamings - 1)) );
+        (2, map (fun n -> Remove n) (int_bound 7));
+        (1, map (fun p -> Invalidate p) (oneofl [ "b"; "c" ]));
+        (1, map (fun cp -> Recover cp) bool);
+      ])
+
+let prop_find_exact_matches_scan =
+  QCheck.Test.make ~name:"find_exact agrees with the linear variant scan" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map cache_op_to_string ops))
+       QCheck.Gen.(list_size (int_range 1 40) gen_cache_op))
+    (fun ops ->
+      let rel () = rel_of_pairs "b" [ (1, 2); (3, 4) ] in
+      (* room for about four elements, so inserts evict *)
+      let capacity_bytes =
+        4 * Elem.bytes_estimate (Elem.make ~id:"e0" ~def:pool.(2) ~now:0 (Elem.Extension (rel ())))
+      in
+      let cmgr = ref (CMgr.create ~capacity_bytes ()) in
+      let scan q =
+        List.find_opt
+          (fun (e : Elem.t) -> A.variant_equal e.Elem.def q)
+          (CModel.elements (CMgr.model !cmgr))
+      in
+      let id = Option.map (fun (e : Elem.t) -> e.Elem.id) in
+      let agrees () =
+        Array.for_all
+          (fun d ->
+            Array.for_all
+              (fun f ->
+                let q = A.rename_vars f d in
+                id (CMgr.find_exact !cmgr q) = id (scan q))
+              renamings)
+          pool
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+           | Insert (i, r) ->
+             let def = A.rename_vars renamings.(r) pool.(i) in
+             ignore (CMgr.insert !cmgr ~def (Elem.Extension (rel ())))
+           | Remove n ->
+             (match CModel.elements (CMgr.model !cmgr) with
+              | [] -> ()
+              | es -> CMgr.remove_element !cmgr (List.nth es (n mod List.length es)) ~pred:"b")
+           | Invalidate p -> ignore (CMgr.invalidate_pred !cmgr p)
+           | Recover cp ->
+             if cp then ignore (CMgr.checkpoint !cmgr);
+             let journal = CMgr.journal !cmgr in
+             let model =
+               Braid_cache.Journal.replay ~capacity_bytes
+                 ~rebuild_generator:(fun _ -> Alcotest.fail "no generators cached")
+                 journal
+             in
+             cmgr := CMgr.create ~journal ~model ~capacity_bytes ());
+          agrees ())
+        ops)
+
 let suites : unit Alcotest.test list =
   [
     ( "cache",
@@ -282,6 +396,9 @@ let suites : unit Alcotest.test list =
         Alcotest.test_case "protected never evicted" `Quick
           test_protected_never_evicted;
         Alcotest.test_case "insert and exact lookup" `Quick test_insert_and_find_exact;
+        Alcotest.test_case "model finds the oldest variant" `Quick
+          test_model_find_variant_oldest;
+        QCheck_alcotest.to_alcotest prop_find_exact_matches_scan;
         Alcotest.test_case "oversized insert refused" `Quick test_insert_too_large;
         Alcotest.test_case "insert evicts to fit" `Quick test_insert_evicts;
         Alcotest.test_case "relevant covers via pred index" `Quick test_relevant_covers;
