@@ -212,6 +212,20 @@ let bench_find_exact =
          ignore (CMgr.find_exact cache hit);
          ignore (CMgr.find_exact cache miss)))
 
+(* One magic-set fixpoint: ancestor("p0", Y), magic-transformed, solved
+   semi-naively over the extensions of a 200-person family forest. *)
+let bench_datalog_ancestor =
+  let rels = Braid_workload.Datagen.family ~persons:200 ~fanout:3 () in
+  let base p = List.find_opt (fun r -> R.Relation.name r = p) rels in
+  let m =
+    Option.get
+      (Braid_ie.Magic.transform (Braid_workload.Kbgen.ancestor ())
+         (atom "ancestor" [ s "p0"; v "Y" ]))
+  in
+  Bechamel.Test.make ~name:"datalog_ancestor_root_200"
+    (Bechamel.Staged.stage (fun () ->
+         ignore (Braid_ie.Datalog.solve m.Braid_ie.Magic.kb ~base m.Braid_ie.Magic.query)))
+
 let micro_tests =
   [
     bench_unify;
@@ -228,6 +242,7 @@ let micro_tests =
     bench_parser;
     bench_tracker;
     bench_find_exact;
+    bench_datalog_ancestor;
   ]
 
 (* Run every microbenchmark and return [(name, ns_per_run)] in declaration

@@ -312,8 +312,8 @@ let run kb ?(skip_rules = []) ?(algorithm = `Semi_naive) ~source:src query =
     derived;
   let tuples_produced = ref 0 in
   let iterations = ref 0 in
-  let eval q =
-    let rel = Braid_caql.Eval.conj ~source ~schema_of q in
+  let eval ?index q =
+    let rel = Braid_caql.Eval.conj ?index ~source ~schema_of q in
     tuples_produced := !tuples_produced + R.Relation.cardinality rel;
     rel
   in
@@ -341,76 +341,120 @@ let run kb ?(skip_rules = []) ?(algorithm = `Semi_naive) ~source:src query =
          derived
      done
    | `Semi_naive ->
-     (* round 0: full evaluation (recursive occurrences see empty totals) *)
+     (* Run-scoped state, so a round costs its delta rather than the totals:
+        one tuple set per derived predicate holding everything derived so
+        far, and join indexes keyed by predicate and probe columns, built on
+        first use. A static relation (fetched component, supplied
+        extension) is indexed once per run; a derived total's indexes
+        follow its in-place appends; a delta is indexed per join, by
+        [Eval.conj] itself. *)
+     let seen = Hashtbl.create 16 in
+     List.iter (fun p -> Hashtbl.replace seen p (R.Relation.Tuple_tbl.create 64)) derived;
+     let indexes : (string, (int list * R.Index.t) list) Hashtbl.t = Hashtbl.create 16 in
+     let index (a : L.Atom.t) cols =
+       let p = a.L.Atom.pred in
+       let built = Option.value ~default:[] (Hashtbl.find_opt indexes p) in
+       match List.assoc_opt cols built with
+       | Some ix -> Some ix
+       | None ->
+         let ix = R.Index.build (source a) cols in
+         Hashtbl.replace indexes p ((cols, ix) :: built);
+         Some ix
+     in
+     (* The contributed tuples not derived before, in first-occurrence
+        order: the next delta, and what the total appends. *)
+     let absorb p contributions =
+       match contributions with
+       | [] -> None
+       | first :: _ ->
+         let set = Hashtbl.find seen p in
+         let fresh = R.Relation.create ~name:(R.Relation.name first) (R.Relation.schema first) in
+         List.iter
+           (R.Relation.iter (fun t ->
+                if not (R.Relation.Tuple_tbl.mem set t) then begin
+                  R.Relation.Tuple_tbl.add set t ();
+                  R.Relation.add fresh t
+                end))
+           contributions;
+         Some fresh
+     in
+     (* round 0: full evaluation (recursive occurrences see empty totals).
+        The total replaces the empty placeholder, whose indexes go with it,
+        and gets its own rows: round 1 appends to it in place while later
+        predicates still read this round's delta. *)
      incr iterations;
      List.iter
        (fun p ->
-         match union_distinct (List.map (fun r -> eval (rule_query r)) (rules_for p)) with
+         match absorb p (List.map (fun r -> eval ~index (rule_query r)) (rules_for p)) with
          | None -> ()
-         | Some combined ->
-           Hashtbl.replace total p (R.Relation.with_name p combined);
-           Hashtbl.replace delta p combined)
+         | Some fresh ->
+           Hashtbl.replace total p (R.Relation.copy ~name:p fresh);
+           Hashtbl.remove indexes p;
+           Hashtbl.replace delta p fresh)
        derived;
-     let any_delta () =
-       List.exists
+     (* Each rule once per derived body occurrence, that occurrence read
+        through the previous round's delta. The marker is resolved here,
+        once per delta query, not on every atom lookup. *)
+     let delta_queries =
+       List.map
          (fun p ->
-           match Hashtbl.find_opt delta p with
-           | Some d -> R.Relation.cardinality d > 0
-           | None -> false)
-         derived
-     in
-     while any_delta () do
-       incr iterations;
-       let next_delta = Hashtbl.create 16 in
-       List.iter
-         (fun p ->
-           let contributions =
+           ( p,
              List.concat_map
                (fun (r : L.Rule.t) ->
-                 let atoms = body_atoms r in
                  List.concat
                    (List.mapi
                       (fun j (a : L.Atom.t) ->
-                        if
-                          is_derived a.L.Atom.pred
-                          &&
-                          match Hashtbl.find_opt delta a.L.Atom.pred with
-                          | Some d -> R.Relation.cardinality d > 0
-                          | None -> false
-                        then begin
-                          (* resolve occurrence j through the delta *)
-                          let q = rule_query_with_delta r j in
-                          let source' (at : L.Atom.t) =
-                            let p' = at.L.Atom.pred in
-                            if String.length p' > 2 && String.sub p' 0 2 = "\xce\x94" then
-                              Hashtbl.find delta (String.sub p' 2 (String.length p' - 2))
-                            else source at
-                          in
-                          let schema_of' n =
-                            if String.length n > 2 && String.sub n 0 2 = "\xce\x94" then
-                              Option.map R.Relation.schema
-                                (Hashtbl.find_opt delta (String.sub n 2 (String.length n - 2)))
-                            else schema_of n
-                          in
-                          let rel = Braid_caql.Eval.conj ~source:source' ~schema_of:schema_of' q in
-                          tuples_produced := !tuples_produced + R.Relation.cardinality rel;
-                          [ rel ]
-                        end
+                        let q = a.L.Atom.pred in
+                        if is_derived q then [ (q, delta_marker q, rule_query_with_delta r j) ]
                         else [])
-                      atoms))
-               (rules_for p)
+                      (body_atoms r)))
+               (rules_for p) ))
+         derived
+     in
+     let live_delta q =
+       match Hashtbl.find_opt delta q with
+       | Some d when R.Relation.cardinality d > 0 -> Some d
+       | _ -> None
+     in
+     while List.exists (fun p -> live_delta p <> None) derived do
+       incr iterations;
+       let next_delta = Hashtbl.create 16 in
+       List.iter
+         (fun (p, queries) ->
+           let contributions =
+             List.filter_map
+               (fun (q, marker, dq) ->
+                 Option.map
+                   (fun d ->
+                     let source' (at : L.Atom.t) =
+                       if String.equal at.L.Atom.pred marker then d else source at
+                     in
+                     let schema_of' n =
+                       if String.equal n marker then Some (R.Relation.schema d) else schema_of n
+                     in
+                     let index' (at : L.Atom.t) cols =
+                       if String.equal at.L.Atom.pred marker then None else index at cols
+                     in
+                     let rel =
+                       Braid_caql.Eval.conj ~index:index' ~source:source' ~schema_of:schema_of' dq
+                     in
+                     tuples_produced := !tuples_produced + R.Relation.cardinality rel;
+                     rel)
+                   (live_delta q))
+               queries
            in
-           match union_distinct contributions with
-           | None -> ()
-           | Some combined ->
-             let previous = Hashtbl.find total p in
-             let fresh = R.Ops.diff combined previous in
-             if R.Relation.cardinality fresh > 0 then begin
-               Hashtbl.replace total p
-                 (R.Relation.with_name p (R.Relation.distinct (R.Ops.union_all previous fresh)));
-               Hashtbl.replace next_delta p fresh
-             end)
-         derived;
+           match absorb p contributions with
+           | Some fresh when R.Relation.cardinality fresh > 0 ->
+             let tot = Hashtbl.find total p in
+             let ixs = Option.value ~default:[] (Hashtbl.find_opt indexes p) in
+             R.Relation.iter
+               (fun t ->
+                 R.Relation.add tot t;
+                 List.iter (fun (_, ix) -> R.Index.add ix t) ixs)
+               fresh;
+             Hashtbl.replace next_delta p fresh
+           | Some _ | None -> ())
+         delta_queries;
        Hashtbl.reset delta;
        Hashtbl.iter (fun p d -> Hashtbl.replace delta p d) next_delta
      done);

@@ -16,7 +16,22 @@
       per recursive body occurrence with that occurrence restricted to the
       previous round's {e delta}, so settled tuples are not re-derived.
 
-    The [tuples_produced] counter measures the work difference. *)
+    The [tuples_produced] counter measures the work difference.
+
+    A semi-naive round costs its delta, not the totals. Its state is
+    scoped to one [run] and nothing outlives it:
+    - each derived predicate keeps one tuple set of everything derived so
+      far, and its total only grows: a round appends its fresh tuples in
+      place, in first-derivation order;
+    - joins probe indexes kept for the whole run, keyed by predicate and
+      join columns and built on first use. Static relations (fetched
+      components, supplied extensions) are indexed once. A derived total's
+      indexes grow with its appends. A delta gets no run-scoped index: the
+      join indexes it for that call alone.
+
+    Answers, their order and every counter are those of rebuilding the
+    totals each round. [`Naive] keeps the plain rebuild: it is the oracle
+    the semi-naive rounds are tested against. *)
 
 type outcome = {
   result : Braid_relalg.Relation.t;  (** bindings for the query's variables *)
