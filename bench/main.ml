@@ -548,8 +548,8 @@ let experiments_json ?seed () =
    let open Braid_experiments.Exp_set_oriented in
    out
      "    \"e19_set_counters\": {\"rounds\": %d, \"fetches\": %d, \
-      \"fetched_tuples\": %d, \"magic_tuples\": %d},\n"
-     s.rounds s.fetches s.fetched_tuples s.magic_tuples);
+      \"fetched_tuples\": %d, \"magic_tuples\": %d, \"reference_resolutions\": %d},\n"
+     s.rounds s.fetches s.fetched_tuples s.magic_tuples s.reference_resolutions);
   out
     "    \"plan_choices\": {\"hash_joins\": %d, \"merge_joins\": %d, \"inlj_joins\": %d, \
      \"products\": %d, \"seq_scans\": %d, \"index_probes\": %d, \"index_only_scans\": %d, \

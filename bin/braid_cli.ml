@@ -30,17 +30,10 @@ let config_of_label label =
       (Printf.sprintf "unknown system %S (expected %s)" label
          (String.concat ", " (List.map (fun b -> b.Braid.Baselines.label) Braid.Baselines.all)))
 
-let strategy_of_label = function
-  | "interpretive" -> Braid_ie.Strategy.Interpretive
-  | "compiled" -> Braid_ie.Strategy.Fully_compiled
-  | "set-oriented" -> Braid_ie.Strategy.Set_oriented
-  | "adaptive" -> Braid_ie.Strategy.Adaptive
-  | s ->
-    (match String.index_opt s '-' with
-     | Some i when String.sub s 0 i = "conjunction" ->
-       Braid_ie.Strategy.Conjunction_compiled
-         (int_of_string (String.sub s (i + 1) (String.length s - i - 1)))
-     | _ -> invalid_arg (Printf.sprintf "unknown strategy %S" s))
+let strategy_of_label label =
+  match Braid_ie.Strategy.of_label label with
+  | Ok k -> k
+  | Error msg -> invalid_arg msg
 
 let parse_query = Braid.Loader.parse_atomic_query
 
@@ -163,7 +156,7 @@ let system_arg =
 
 let strategy_arg =
   let doc =
-    "Inference strategy: interpretive, conjunction-N, compiled, set-oriented or adaptive."
+    "Inference strategy: interpretive, conjunction-N, set-oriented or adaptive."
   in
   Arg.(value & opt string "interpretive" & info [ "strategy" ] ~docv:"STRATEGY" ~doc)
 

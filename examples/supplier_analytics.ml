@@ -21,7 +21,8 @@ let () =
     (Braid_remote.Engine.load (Braid_remote.Server.engine server))
     (Braid_workload.Datagen.supplier_parts ~suppliers:8 ~parts:20 ~shipments:120 ());
   let cms = Braid.Cms.create server in
-  Braid.Cms.set_trace cms true;
+  let tracer = Braid_obs.Trace.create () in
+  Braid_obs.Trace.install tracer;
 
   (* aggregation, straight from text syntax *)
   let per_supplier, _ =
@@ -74,18 +75,19 @@ let () =
   Format.printf "@.co-supply connectivity: %d linked pairs@."
     (R.Relation.cardinality connected);
 
-  (* the session trace shows how few times the remote DBMS was consulted *)
-  Format.printf "@.session trace (%d CAQL queries):@."
-    (List.length (Braid.Cms.trace cms));
+  (* the QPO's answer spans show how few times the remote DBMS was consulted *)
+  let answers =
+    List.filter (fun s -> s.Braid_obs.Trace.name = "qpo.answer") (Braid_obs.Trace.spans tracer)
+  in
+  let arg k s =
+    match List.assoc_opt k s.Braid_obs.Trace.args with
+    | Some (Braid_obs.Trace.Str v) -> v
+    | _ -> ""
+  in
+  Format.printf "@.session trace (%d CAQL queries):@." (List.length answers);
   List.iteri
-    (fun i (q, plan) ->
-      if i < 6 then
-        Format.printf "  %s@.    %s@." (A.conj_to_string q)
-          (String.concat "; "
-             (List.map
-                (fun step -> Format.asprintf "%a" Braid_planner.Plan.pp_step step)
-                plan)))
-    (Braid.Cms.trace cms);
+    (fun i s -> if i < 6 then Format.printf "  %s@.    %s@." (arg "query" s) (arg "plan" s))
+    answers;
   let st = Braid.Cms.remote_stats cms in
   Format.printf "@.total: %d remote requests, %d tuples moved@."
     st.Braid_remote.Server.requests st.Braid_remote.Server.tuples_returned

@@ -78,16 +78,6 @@ let tail t n = if n <= 0 then [] else List.rev (List.filteri (fun i _ -> i < n) 
 let length t = t.count
 let epoch t = t.epoch
 
-let entry_seq = function
-  | Admit { seq; _ }
-  | Materialize { seq; _ }
-  | Evict { seq; _ }
-  | Remove { seq; _ }
-  | Mark_stale { seq; _ }
-  | Pin { seq; _ }
-  | Delta_insert { seq; _ }
-  | Delta_delete { seq; _ }
-  | Checkpoint { seq; _ } -> seq
 
 let entry_by = function
   | Admit { by; _ }
@@ -131,8 +121,6 @@ let entry_to_string = function
     Printf.sprintf "#%d delta- %s on %s (%d rows)%s" seq id pred (List.length rows)
       (by_suffix by)
   | Checkpoint { seq; epoch } -> Printf.sprintf "#%d checkpoint epoch=%d" seq epoch
-
-let pp_entry ppf e = Format.pp_print_string ppf (entry_to_string e)
 
 (* The element ids the cache will mint next must not collide with any id
    the journal has ever seen: recover the counter from the largest numeric

@@ -120,14 +120,11 @@ val tail : t -> int -> entry list
 val length : t -> int
 val epoch : t -> int
 
-val entry_seq : entry -> int
-
 val entry_by : entry -> string
 (** The session id the entry was written under ([""] for unattributed
     entries and checkpoints). *)
 
 val entry_to_string : entry -> string
-val pp_entry : Format.formatter -> entry -> unit
 
 val privatize : Element.t -> unit
 (** Copy-on-first-delta: if the element's extension is still shared with a

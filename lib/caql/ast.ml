@@ -49,15 +49,10 @@ let uniq xs =
   in
   loop [] xs
 
-let term_vars = function L.Term.Var x -> [ x ] | L.Term.Const _ -> []
-
 let cmp_vars (_, a, b) = L.Literal.expr_vars a @ L.Literal.expr_vars b
 
 let body_vars c =
   uniq (List.concat_map L.Atom.vars c.atoms @ List.concat_map cmp_vars c.cmps)
-
-let conj_vars c =
-  uniq (List.concat_map term_vars c.head @ body_vars c)
 
 let head_constants c =
   List.filter_map (function L.Term.Const v -> Some v | L.Term.Var _ -> None) c.head

@@ -51,9 +51,6 @@ val conj : ?cmps:comparison list -> Braid_logic.Term.t list -> Braid_logic.Atom.
 
 val head_arity : t -> int
 
-val conj_vars : conj -> string list
-(** Distinct variables: head first, then atoms, then comparisons. *)
-
 val body_vars : conj -> string list
 val head_constants : conj -> Braid_relalg.Value.t list
 

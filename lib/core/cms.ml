@@ -93,7 +93,6 @@ let invalidate_table t ?(mode = `Drop) name =
 
 (* --- the write path --- *)
 
-let maintain_enabled t = t.maintain
 let delta_totals t = t.delta_totals
 let reset_delta_totals t = t.delta_totals <- Maintain.empty_report
 
@@ -192,8 +191,6 @@ let cache_summary t = Braid_cache.Cache_model.summary (CMgr.model t.cache)
 let metrics t = Qpo.metrics t.qpo
 let remote_stats t = Qpo.remote_stats t.qpo
 
-let set_trace t enabled = Qpo.set_trace t.qpo enabled
-let trace t = Qpo.trace t.qpo
 let set_observer t f = Qpo.set_observer t.qpo f
 
 let reset_metrics t =

@@ -103,9 +103,6 @@ val invalidate_table : t -> ?mode:[ `Drop | `Mark_stale ] -> string -> string li
     but flags them, so queries can still be answered — degraded — while
     the remote is unreachable. *)
 
-val maintain_enabled : t -> bool
-(** Whether incremental view maintenance is on for this CMS. *)
-
 val apply_insert : t -> string -> Braid_relalg.Tuple.t -> unit
 (** One single-tuple insert on the write path: applied to the remote
     (router when sharded, engine otherwise), then propagated into the
@@ -180,9 +177,3 @@ val set_observer :
   unit
 (** Answer observer pass-through (see {!Braid_planner.Qpo.set_observer}) —
     the consistency oracle attaches here. *)
-
-val set_trace : t -> bool -> unit
-val trace : t -> (Braid_caql.Ast.conj * Braid_planner.Plan.t) list
-(** Session trace: every conjunctive query answered since tracing was
-    enabled, with its executed plan — the observable record of the QPO's
-    decisions (used for debugging and by the examples). *)

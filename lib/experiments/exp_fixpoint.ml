@@ -72,8 +72,8 @@ let run ?(persons = 200) () =
   let rows_data =
     [
       run_ie ~label:"interpretive IE" ~strategy:Braid_ie.Strategy.Interpretive ~persons;
-      run_ie ~label:"compiled IE + workstation fixpoint" ~strategy:Braid_ie.Strategy.Fully_compiled
-        ~persons;
+      run_ie ~label:"set-oriented IE + workstation fixpoint"
+        ~strategy:Braid_ie.Strategy.Set_oriented ~persons;
       run_cms_fixpoint ~persons;
     ]
   in

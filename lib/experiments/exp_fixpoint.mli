@@ -3,8 +3,8 @@
     operator) to alleviate much of this mismatch".
 
     Three ways to compute an ancestor closure are compared: the
-    interpretive IE (one CAQL query per subgoal), the fully compiled IE
-    (fetch base relations, fixpoint on the workstation), and a single CAQL
+    interpretive IE (one CAQL query per subgoal), the set-oriented IE
+    (fetch base components, fixpoint on the workstation), and a single CAQL
     [Fixpoint] DAP evaluated by the CMS itself. The fixpoint template gets
     the compiled strategy's round-trip economy without IE-side machinery —
     the complex-DAP mismatch moves into the interface, as proposed. *)

@@ -7,13 +7,8 @@ type row = {
 }
 
 let strategies =
-  [
-    ("interpretive", Braid_ie.Strategy.Interpretive);
-    ("conjunction-2", Braid_ie.Strategy.Conjunction_compiled 2);
-    ("conjunction-4", Braid_ie.Strategy.Conjunction_compiled 4);
-    ("fully compiled", Braid_ie.Strategy.Fully_compiled);
-    ("adaptive", Braid_ie.Strategy.Adaptive);
-  ]
+  Braid_ie.Strategy.
+    [ Interpretive; Conjunction_compiled 2; Conjunction_compiled 4; Set_oriented; Adaptive ]
 
 let run ?(persons = 600) ?(queries = 5) () =
   let kb () = Braid_workload.Kbgen.ancestor () in
@@ -21,7 +16,8 @@ let run ?(persons = 600) ?(queries = 5) () =
   let batch = Braid_workload.Queries.ancestor_batch ~persons ~n:queries ~skew:0.5 () in
   let rows_data =
     List.concat_map
-      (fun (name, strategy) ->
+      (fun strategy ->
+        let name = Braid_ie.Strategy.label strategy in
         List.map
           (fun (demand, first_only) ->
             let r =

@@ -3,7 +3,7 @@
 
     The same AI queries are solved at four points of the
     interpreted–compiled range (interpretive, conjunction compilation of 2
-    and 4, fully compiled) under two demand patterns: only the first
+    and 4, set-oriented) under two demand patterns: only the first
     solution wanted, and all solutions wanted. The crossover: interpretive
     wins when few solutions are demanded (lazy, tuple-at-a-time); the
     compiled end amortizes requests when everything is needed — and wastes

@@ -173,7 +173,7 @@ let componentize kb (r : L.Rule.t) =
   in
   ({ r with L.Rule.body = body' }, List.map (fun (_, p, _, c) -> (p, c)) built)
 
-let run kb ?(skip_rules = []) ?(algorithm = `Semi_naive) ~source:src query =
+let run kb ?(skip_rules = []) ~source:src query =
   let skip = Hashtbl.create (max 4 (List.length skip_rules)) in
   List.iter (fun id -> Hashtbl.replace skip id ()) skip_rules;
   let derived = reachable kb query in
@@ -312,152 +312,128 @@ let run kb ?(skip_rules = []) ?(algorithm = `Semi_naive) ~source:src query =
     derived;
   let tuples_produced = ref 0 in
   let iterations = ref 0 in
-  let eval ?index q =
-    let rel = Braid_caql.Eval.conj ?index ~source ~schema_of q in
+  (* Run-scoped state, so a round costs its delta rather than the totals:
+     one tuple set per derived predicate holding everything derived so
+     far, and join indexes keyed by predicate and probe columns, built on
+     first use. A static relation (fetched component, supplied
+     extension) is indexed once per run; a derived total's indexes
+     follow its in-place appends; a delta is indexed per join, by
+     [Eval.conj] itself. *)
+  let seen = Hashtbl.create 16 in
+  List.iter (fun p -> Hashtbl.replace seen p (R.Relation.Tuple_tbl.create 64)) derived;
+  let indexes : (string, (int list * R.Index.t) list) Hashtbl.t = Hashtbl.create 16 in
+  let index (a : L.Atom.t) cols =
+    let p = a.L.Atom.pred in
+    let built = Option.value ~default:[] (Hashtbl.find_opt indexes p) in
+    match List.assoc_opt cols built with
+    | Some ix -> Some ix
+    | None ->
+      let ix = R.Index.build (source a) cols in
+      Hashtbl.replace indexes p ((cols, ix) :: built);
+      Some ix
+  in
+  let eval q =
+    let rel = Braid_caql.Eval.conj ~index ~source ~schema_of q in
     tuples_produced := !tuples_produced + R.Relation.cardinality rel;
     rel
   in
-  let union_distinct rels =
-    match rels with
+  (* The contributed tuples not derived before, in first-occurrence
+     order: the next delta, and what the total appends. *)
+  let absorb p contributions =
+    match contributions with
     | [] -> None
-    | first :: rest -> Some (R.Relation.distinct (List.fold_left R.Ops.union_all first rest))
+    | first :: _ ->
+      let set = Hashtbl.find seen p in
+      let fresh = R.Relation.create ~name:(R.Relation.name first) (R.Relation.schema first) in
+      List.iter
+        (R.Relation.iter (fun t ->
+             if not (R.Relation.Tuple_tbl.mem set t) then begin
+               R.Relation.Tuple_tbl.add set t ();
+               R.Relation.add fresh t
+             end))
+        contributions;
+      Some fresh
   in
-  (match algorithm with
-   | `Naive ->
-     let changed = ref true in
-     while !changed do
-       incr iterations;
-       changed := false;
-       List.iter
-         (fun p ->
-           match union_distinct (List.map (fun r -> eval (rule_query r)) (rules_for p)) with
-           | None -> ()
-           | Some combined ->
-             let previous = Hashtbl.find total p in
-             if R.Relation.cardinality combined <> R.Relation.cardinality previous then begin
-               Hashtbl.replace total p (R.Relation.with_name p combined);
-               changed := true
-             end)
-         derived
-     done
-   | `Semi_naive ->
-     (* Run-scoped state, so a round costs its delta rather than the totals:
-        one tuple set per derived predicate holding everything derived so
-        far, and join indexes keyed by predicate and probe columns, built on
-        first use. A static relation (fetched component, supplied
-        extension) is indexed once per run; a derived total's indexes
-        follow its in-place appends; a delta is indexed per join, by
-        [Eval.conj] itself. *)
-     let seen = Hashtbl.create 16 in
-     List.iter (fun p -> Hashtbl.replace seen p (R.Relation.Tuple_tbl.create 64)) derived;
-     let indexes : (string, (int list * R.Index.t) list) Hashtbl.t = Hashtbl.create 16 in
-     let index (a : L.Atom.t) cols =
-       let p = a.L.Atom.pred in
-       let built = Option.value ~default:[] (Hashtbl.find_opt indexes p) in
-       match List.assoc_opt cols built with
-       | Some ix -> Some ix
-       | None ->
-         let ix = R.Index.build (source a) cols in
-         Hashtbl.replace indexes p ((cols, ix) :: built);
-         Some ix
-     in
-     (* The contributed tuples not derived before, in first-occurrence
-        order: the next delta, and what the total appends. *)
-     let absorb p contributions =
-       match contributions with
-       | [] -> None
-       | first :: _ ->
-         let set = Hashtbl.find seen p in
-         let fresh = R.Relation.create ~name:(R.Relation.name first) (R.Relation.schema first) in
-         List.iter
-           (R.Relation.iter (fun t ->
-                if not (R.Relation.Tuple_tbl.mem set t) then begin
-                  R.Relation.Tuple_tbl.add set t ();
-                  R.Relation.add fresh t
-                end))
-           contributions;
-         Some fresh
-     in
-     (* round 0: full evaluation (recursive occurrences see empty totals).
-        The total replaces the empty placeholder, whose indexes go with it,
-        and gets its own rows: round 1 appends to it in place while later
-        predicates still read this round's delta. *)
-     incr iterations;
-     List.iter
-       (fun p ->
-         match absorb p (List.map (fun r -> eval ~index (rule_query r)) (rules_for p)) with
-         | None -> ()
-         | Some fresh ->
-           Hashtbl.replace total p (R.Relation.copy ~name:p fresh);
-           Hashtbl.remove indexes p;
-           Hashtbl.replace delta p fresh)
-       derived;
-     (* Each rule once per derived body occurrence, that occurrence read
-        through the previous round's delta. The marker is resolved here,
-        once per delta query, not on every atom lookup. *)
-     let delta_queries =
-       List.map
-         (fun p ->
-           ( p,
-             List.concat_map
-               (fun (r : L.Rule.t) ->
-                 List.concat
-                   (List.mapi
-                      (fun j (a : L.Atom.t) ->
-                        let q = a.L.Atom.pred in
-                        if is_derived q then [ (q, delta_marker q, rule_query_with_delta r j) ]
-                        else [])
-                      (body_atoms r)))
-               (rules_for p) ))
-         derived
-     in
-     let live_delta q =
-       match Hashtbl.find_opt delta q with
-       | Some d when R.Relation.cardinality d > 0 -> Some d
-       | _ -> None
-     in
-     while List.exists (fun p -> live_delta p <> None) derived do
-       incr iterations;
-       let next_delta = Hashtbl.create 16 in
-       List.iter
-         (fun (p, queries) ->
-           let contributions =
-             List.filter_map
-               (fun (q, marker, dq) ->
-                 Option.map
-                   (fun d ->
-                     let source' (at : L.Atom.t) =
-                       if String.equal at.L.Atom.pred marker then d else source at
-                     in
-                     let schema_of' n =
-                       if String.equal n marker then Some (R.Relation.schema d) else schema_of n
-                     in
-                     let index' (at : L.Atom.t) cols =
-                       if String.equal at.L.Atom.pred marker then None else index at cols
-                     in
-                     let rel =
-                       Braid_caql.Eval.conj ~index:index' ~source:source' ~schema_of:schema_of' dq
-                     in
-                     tuples_produced := !tuples_produced + R.Relation.cardinality rel;
-                     rel)
-                   (live_delta q))
-               queries
-           in
-           match absorb p contributions with
-           | Some fresh when R.Relation.cardinality fresh > 0 ->
-             let tot = Hashtbl.find total p in
-             let ixs = Option.value ~default:[] (Hashtbl.find_opt indexes p) in
-             R.Relation.iter
-               (fun t ->
-                 R.Relation.add tot t;
-                 List.iter (fun (_, ix) -> R.Index.add ix t) ixs)
-               fresh;
-             Hashtbl.replace next_delta p fresh
-           | Some _ | None -> ())
-         delta_queries;
-       Hashtbl.reset delta;
-       Hashtbl.iter (fun p d -> Hashtbl.replace delta p d) next_delta
-     done);
+  (* round 0: full evaluation (recursive occurrences see empty totals).
+     The total replaces the empty placeholder, whose indexes go with it,
+     and gets its own rows: round 1 appends to it in place while later
+     predicates still read this round's delta. *)
+  incr iterations;
+  List.iter
+    (fun p ->
+      match absorb p (List.map (fun r -> eval (rule_query r)) (rules_for p)) with
+      | None -> ()
+      | Some fresh ->
+        Hashtbl.replace total p (R.Relation.copy ~name:p fresh);
+        Hashtbl.remove indexes p;
+        Hashtbl.replace delta p fresh)
+    derived;
+  (* Each rule once per derived body occurrence, that occurrence read
+     through the previous round's delta. The marker is resolved here,
+     once per delta query, not on every atom lookup. *)
+  let delta_queries =
+    List.map
+      (fun p ->
+        ( p,
+          List.concat_map
+            (fun (r : L.Rule.t) ->
+              List.concat
+                (List.mapi
+                   (fun j (a : L.Atom.t) ->
+                     let q = a.L.Atom.pred in
+                     if is_derived q then [ (q, delta_marker q, rule_query_with_delta r j) ]
+                     else [])
+                   (body_atoms r)))
+            (rules_for p) ))
+      derived
+  in
+  let live_delta q =
+    match Hashtbl.find_opt delta q with
+    | Some d when R.Relation.cardinality d > 0 -> Some d
+    | _ -> None
+  in
+  while List.exists (fun p -> live_delta p <> None) derived do
+    incr iterations;
+    let next_delta = Hashtbl.create 16 in
+    List.iter
+      (fun (p, queries) ->
+        let contributions =
+          List.filter_map
+            (fun (q, marker, dq) ->
+              Option.map
+                (fun d ->
+                  let source' (at : L.Atom.t) =
+                    if String.equal at.L.Atom.pred marker then d else source at
+                  in
+                  let schema_of' n =
+                    if String.equal n marker then Some (R.Relation.schema d) else schema_of n
+                  in
+                  let index' (at : L.Atom.t) cols =
+                    if String.equal at.L.Atom.pred marker then None else index at cols
+                  in
+                  let rel =
+                    Braid_caql.Eval.conj ~index:index' ~source:source' ~schema_of:schema_of' dq
+                  in
+                  tuples_produced := !tuples_produced + R.Relation.cardinality rel;
+                  rel)
+                (live_delta q))
+            queries
+        in
+        match absorb p contributions with
+        | Some fresh when R.Relation.cardinality fresh > 0 ->
+          let tot = Hashtbl.find total p in
+          let ixs = Option.value ~default:[] (Hashtbl.find_opt indexes p) in
+          R.Relation.iter
+            (fun t ->
+              R.Relation.add tot t;
+              List.iter (fun (_, ix) -> R.Index.add ix t) ixs)
+            fresh;
+          Hashtbl.replace next_delta p fresh
+        | Some _ | None -> ())
+      delta_queries;
+    Hashtbl.reset delta;
+    Hashtbl.iter (fun p d -> Hashtbl.replace delta p d) next_delta
+  done;
   let answer =
     Braid_caql.Eval.conj ~source ~schema_of
       (A.conj (List.map (fun v -> L.Term.Var v) (L.Atom.vars query)) [ query ])
@@ -480,5 +456,4 @@ let run kb ?(skip_rules = []) ?(algorithm = `Semi_naive) ~source:src query =
     derived_sizes;
   }
 
-let solve kb ?skip_rules ?algorithm ~base query =
-  run kb ?skip_rules ?algorithm ~source:(Extensions base) query
+let solve kb ?skip_rules ~base query = run kb ?skip_rules ~source:(Extensions base) query

@@ -3,20 +3,14 @@
     The compiled end of the I-C range needs "a fixed point operator" for
     recursively defined relations (paper §2: second-order templates with
     specialized operators), because the remote DBMS of the paper's era
-    cannot evaluate recursion. The fully compiled strategy fetches base
-    extensions set-at-a-time through the CMS and runs this fixpoint on the
-    workstation; the set-oriented strategy goes one step further and lets
-    the fixpoint itself drive conjunctive fetches (see {!source}).
+    cannot evaluate recursion. The set-oriented strategy runs this
+    fixpoint on the workstation and lets it drive conjunctive fetches
+    through the CMS (see {!source}).
 
-    Two algorithms, with set semantics (results are identical):
-
-    - [`Naive]: every round re-derives every derived relation from scratch
-      until nothing grows.
-    - [`Semi_naive] (default): rounds after the first join each rule once
-      per recursive body occurrence with that occurrence restricted to the
-      previous round's {e delta}, so settled tuples are not re-derived.
-
-    The [tuples_produced] counter measures the work difference.
+    The fixpoint is semi-naive, with set semantics: rounds after the first
+    join each rule once per recursive body occurrence with that occurrence
+    restricted to the previous round's {e delta}, so settled tuples are not
+    re-derived. The [tuples_produced] counter measures that work.
 
     A semi-naive round costs its delta, not the totals. Its state is
     scoped to one [run] and nothing outlives it:
@@ -30,8 +24,9 @@
       join indexes it for that call alone.
 
     Answers, their order and every counter are those of rebuilding the
-    totals each round. [`Naive] keeps the plain rebuild: it is the oracle
-    the semi-naive rounds are tested against. *)
+    totals each round. The test suite keeps a naive fixpoint, which
+    re-derives every relation from scratch each round, as the oracle the
+    semi-naive rounds are checked against. *)
 
 type outcome = {
   result : Braid_relalg.Relation.t;  (** bindings for the query's variables *)
@@ -47,8 +42,8 @@ type outcome = {
 
 (** How base relations are obtained.
 
-    - [Extensions]: extensions are supplied locally (the fully compiled
-      strategy pre-fetches them; tests pass them directly).
+    - [Extensions]: extensions are supplied locally (reference fixpoints
+      and tests pass them directly).
     - [Conj_fetch]: the evaluator requests base data itself, one
       conjunctive CAQL query per maximal variable-connected group of base
       atoms in a rule body (with the comparisons the group covers shipped
@@ -73,7 +68,6 @@ exception Unknown_base_relation of string
 val run :
   Braid_logic.Kb.t ->
   ?skip_rules:string list ->
-  ?algorithm:[ `Naive | `Semi_naive ] ->
   source:source ->
   Braid_logic.Atom.t ->
   outcome
@@ -86,7 +80,6 @@ val run :
 val solve :
   Braid_logic.Kb.t ->
   ?skip_rules:string list ->
-  ?algorithm:[ `Naive | `Semi_naive ] ->
   base:(string -> Braid_relalg.Relation.t option) ->
   Braid_logic.Atom.t ->
   outcome

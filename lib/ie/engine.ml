@@ -34,7 +34,7 @@ let max_conj_size t =
   match t.strategy with
   | Strategy.Interpretive | Strategy.Adaptive -> 1
   | Strategy.Conjunction_compiled k -> k
-  | Strategy.Fully_compiled | Strategy.Set_oriented -> max_int
+  | Strategy.Set_oriented -> max_int
 
 let solve t query =
   Obs.Metrics.incr "ie.queries";

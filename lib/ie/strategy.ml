@@ -8,9 +8,28 @@ module Obs = Braid_obs
 type kind =
   | Interpretive
   | Conjunction_compiled of int
-  | Fully_compiled
   | Set_oriented
   | Adaptive
+
+let label = function
+  | Interpretive -> "interpretive"
+  | Conjunction_compiled k -> "conjunction-" ^ string_of_int k
+  | Set_oriented -> "set-oriented"
+  | Adaptive -> "adaptive"
+
+let of_label = function
+  | "interpretive" -> Ok Interpretive
+  | "set-oriented" -> Ok Set_oriented
+  | "adaptive" -> Ok Adaptive
+  | s when String.starts_with ~prefix:"conjunction-" s ->
+    let n = String.length "conjunction-" in
+    (match int_of_string_opt (String.sub s n (String.length s - n)) with
+     | Some k when k >= 1 -> Ok (Conjunction_compiled k)
+     | _ -> Error "conjunction-N needs N >= 1")
+  | s ->
+    Error
+      (Printf.sprintf
+         "unknown strategy %S; expected interpretive, conjunction-N, set-oriented or adaptive" s)
 
 type counters = {
   mutable resolutions : int;
@@ -145,27 +164,6 @@ let solve_sld k kb qpo ~orderings ~counters ~max_depth ~skip_rules query =
                   | L.Term.Var _ -> R.Value.Null)
                 qvars)))
 
-(* --- the compiled end of the range --- *)
-
-let solve_compiled kb qpo ~counters ~skip_rules query =
-  (* One set-at-a-time request per reachable base relation, then a local
-     fixpoint: all solutions are computed regardless of demand. *)
-  let base_preds = L.Kb.base_preds_reachable kb query in
-  let fetched =
-    List.map
-      (fun p ->
-        let arity = Option.value ~default:0 (L.Kb.base_arity kb p) in
-        let vars = List.init arity (fun i -> L.Term.Var (Printf.sprintf "V%d" i)) in
-        let def = A.conj vars [ L.Atom.make p vars ] in
-        counters.db_goal_queries <- counters.db_goal_queries + 1;
-        let answer = Qpo.answer_conj qpo def in
-        (p, TS.to_relation ~name:p answer.Qpo.stream))
-      base_preds
-  in
-  let outcome = Datalog.solve kb ~skip_rules ~base:(fun p -> List.assoc_opt p fetched) query in
-  counters.resolutions <- counters.resolutions + outcome.Datalog.tuples_produced;
-  TS.of_relation outcome.Datalog.result
-
 (* --- the set-oriented endpoint of the range --- *)
 
 let solve_set_oriented kb qpo ~orderings ~counters ~skip_rules query =
@@ -221,9 +219,10 @@ let solve_set_oriented kb qpo ~orderings ~counters ~skip_rules query =
         TS.of_relation outcome.Datalog.result
       end)
 
-(* Heuristic choice for the adaptive suite: compare the whole-base
-   transfer cost of compiling against an interpretive estimate driven by
-   the query's selectivity. *)
+(* Heuristic choice for the adaptive suite: compare the cost of moving
+   every reachable base relation once (the most set-oriented evaluation
+   can fetch) against an interpretive estimate driven by the query's
+   selectivity. *)
 let adaptive_choice kb qpo query =
   let catalog = Braid_remote.Server.catalog (Qpo.server qpo) in
   let model = Braid_remote.Server.cost_model (Qpo.server qpo) in
@@ -233,7 +232,7 @@ let adaptive_choice kb qpo query =
       (fun acc p -> acc + Braid_remote.Catalog.cardinality catalog p)
       0 base_preds
   in
-  let compiled_cost =
+  let set_oriented_cost =
     (* one request per base relation + full transfer *)
     float_of_int (List.length base_preds) *. model.Braid_remote.Cost_model.request_overhead_ms
     +. (model.Braid_remote.Cost_model.transfer_tuple_ms *. float_of_int total_base)
@@ -253,7 +252,7 @@ let adaptive_choice kb qpo query =
   let interpretive_cost =
     interpretive_requests *. model.Braid_remote.Cost_model.request_overhead_ms
   in
-  if interpretive_cost <= compiled_cost then `Interpretive else `Compiled
+  if interpretive_cost <= set_oriented_cost then `Interpretive else `Set_oriented
 
 let solve kind kb qpo ~orderings ~counters ?(max_depth = 50_000) ?(skip_rules = []) query =
   match kind with
@@ -261,9 +260,8 @@ let solve kind kb qpo ~orderings ~counters ?(max_depth = 50_000) ?(skip_rules = 
   | Conjunction_compiled k ->
     if k < 1 then invalid_arg "Strategy.solve: conjunction size must be >= 1";
     solve_sld k kb qpo ~orderings ~counters ~max_depth ~skip_rules query
-  | Fully_compiled -> solve_compiled kb qpo ~counters ~skip_rules query
   | Set_oriented -> solve_set_oriented kb qpo ~orderings ~counters ~skip_rules query
   | Adaptive ->
     (match adaptive_choice kb qpo query with
      | `Interpretive -> solve_sld 1 kb qpo ~orderings ~counters ~max_depth ~skip_rules query
-     | `Compiled -> solve_compiled kb qpo ~counters ~skip_rules query)
+     | `Set_oriented -> solve_set_oriented kb qpo ~orderings ~counters ~skip_rules query)

@@ -12,32 +12,38 @@
     - {!Conjunction_compiled}[ k]: the same search, but maximal runs of up
       to [k] consecutive database conjuncts are compiled into one CAQL
       query (partial compilation / conjunction compilation, §2).
-    - {!Fully_compiled}: set-at-a-time, all-solutions. Base extensions are
-      fetched through the CMS and a local fixpoint (see {!Datalog})
-      evaluates the relevant rules bottom-up — including recursion via the
-      fixpoint operator.
-    - {!Set_oriented}: the range extended to its logical endpoint. The
-      reachable fragment is first magic-set transformed (see {!Magic}) so
-      bottom-up derivation touches only query-relevant tuples, then the
-      {!Datalog} fixpoint runs in [Conj_fetch] mode: each rule body's base
-      component is requested as {e one} conjunctive CAQL query through the
-      QPO/CMS (not a whole-extension dump, and not one query per binding),
-      so every fetch is a PSJ cache element that subsumption, advice,
-      sharded routing, and IVM all see. *)
+    - {!Set_oriented}: the compiled end of the range, set-at-a-time and
+      all-solutions. The reachable fragment is first magic-set transformed
+      (see {!Magic}) so bottom-up derivation touches only query-relevant
+      tuples; for an all-free goal the transform is the identity and this
+      is plain compiled evaluation. The semi-naive {!Datalog} fixpoint then
+      runs in [Conj_fetch] mode — including recursion via the fixpoint
+      operator: each rule body's base component is requested as {e one}
+      conjunctive CAQL query through the QPO/CMS (not a whole-extension
+      dump, and not one query per binding), so every fetch is a PSJ cache
+      element that subsumption, advice, sharded routing, and IVM all
+      see. *)
 
 type kind =
   | Interpretive
   | Conjunction_compiled of int
-  | Fully_compiled
   | Set_oriented
   | Adaptive
       (** the paper's long-run goal ("a step toward ... an inference system
           capable of adapting its choice of inference search strategy to
           the problem at hand", §4): chooses per query between the
-          interpretive and the fully compiled suite by comparing their
+          interpretive and the set-oriented suite by comparing their
           estimated costs from catalog statistics — selective (constant-
           bound) queries run interpretively; broad recursive queries run
-          compiled. *)
+          set-oriented. *)
+
+val label : kind -> string
+(** ["interpretive"], ["conjunction-N"], ["set-oriented"] or ["adaptive"]. *)
+
+val of_label : string -> (kind, string) result
+(** The inverse of {!label}; [Error] carries a one-line message naming the
+    accepted labels. Shared by the CLI's [--strategy] and the REPL's
+    [:strategy]. *)
 
 type counters = {
   mutable resolutions : int;  (** SLD steps / fixpoint tuples: workstation inference work *)
@@ -60,9 +66,9 @@ val solve :
 (** Solutions as tuples over the query's distinct variables (in order of
     first occurrence). Interpretive/conjunction strategies produce the
     stream lazily — pulling one solution performs only the inference needed
-    for it; the fully compiled strategy computes everything up front
+    for it; the set-oriented strategy computes everything up front
     (all-solutions semantics). Duplicate solutions are preserved for the
-    interpretive strategies (as in Prolog) and absent for the compiled one
-    (set semantics). [skip_rules] are rules the problem graph shaper proved
+    interpretive strategies (as in Prolog) and absent for the set-oriented
+    one (set semantics). [skip_rules] are rules the problem graph shaper proved
     useless for this query (culled by a false condition or a
     mutual-exclusion SOA); the controller never expands them. *)

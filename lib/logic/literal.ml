@@ -60,8 +60,6 @@ let eval_cmp = function
      | Some x, Some y -> Some (RP.cmp_holds c x y)
      | None, _ | _, None -> None)
 
-let is_builtin = function Rel _ -> false | Cmp _ -> true
-
 let rec rename_expr f = function
   | Term (Term.Var x) -> Term (Term.Var (f x))
   | Term (Term.Const _) as e -> e

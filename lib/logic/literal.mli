@@ -29,7 +29,6 @@ val eval_expr : expr -> Braid_relalg.Value.t option
 val eval_cmp : t -> bool option
 (** Evaluates a ground [Cmp]; [None] for [Rel] or non-ground comparisons. *)
 
-val is_builtin : t -> bool
 val rename : (string -> string) -> t -> t
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

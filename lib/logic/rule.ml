@@ -17,8 +17,6 @@ let rename_apart k r =
   let f x = Printf.sprintf "%s_%d" x k in
   { r with head = Atom.rename f r.head; body = List.map (Literal.rename f) r.body }
 
-let is_fact r = r.body = [] && Atom.is_ground r.head
-
 let pp ppf r =
   if r.body = [] then Format.fprintf ppf "%s: %a." r.id Atom.pp r.head
   else

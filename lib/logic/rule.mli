@@ -16,6 +16,5 @@ val rename_apart : int -> t -> t
 (** [rename_apart k r] suffixes every variable with ["_k"]; used to keep
     resolution steps standardized apart. *)
 
-val is_fact : t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

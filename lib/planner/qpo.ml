@@ -168,7 +168,6 @@ type t = {
   mutable session_counter : int;
   stats : stats;
   mutable fetch_counter : int;
-  mutable trace : (A.conj * Plan.t) list option; (* newest first when on *)
   mutable observer : (A.conj -> Plan.provenance -> R.Relation.t -> unit) option;
   mutable fetcher : (A.conj -> Braid_remote.Sql.select -> Rdi.outcome) option;
 }
@@ -189,7 +188,6 @@ let create ?rdi_policy ?router config ~cache ~server =
     session_counter = 0;
     stats = fresh_stats ();
     fetch_counter = 0;
-    trace = None;
     observer = None;
     fetcher = None;
   }
@@ -236,12 +234,8 @@ let new_session t ?sid advice =
 let session_id ses = ses.sid
 let session_advisor ses = ses.advisor
 
-let set_trace t enabled = t.trace <- (if enabled then Some [] else None)
-
 let set_observer t f = t.observer <- f
 let set_fetcher t f = t.fetcher <- f
-
-let trace t = match t.trace with Some entries -> List.rev entries | None -> []
 
 let set_advice t advice =
   let s = t.default_session in
@@ -1139,9 +1133,6 @@ let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
     t.stats.degraded <- t.stats.degraded + 1;
     Obs.Metrics.incr "qpo.degraded"
   end;
-  (match t.trace with
-   | Some entries -> t.trace <- Some ((q, plan) :: entries)
-   | None -> ());
   (* Consistency-oracle hook: forcing the stream is safe (streams memoize,
      the consumer's cursors re-read the spine) but does change lazy-work
      accounting, so the observer is only ever installed by checking
@@ -1165,12 +1156,15 @@ let answer_conj t ?session ?spec_id ?prefer_lazy (q : A.conj) =
        else [])
     (fun () ->
       let a = answer_conj_untraced t ses ?spec_id ?prefer_lazy q in
-      Obs.Trace.add_arg "provenance"
-        (Obs.Trace.Str
-           (match a.provenance with Plan.Fresh -> "fresh" | Plan.Degraded -> "degraded"));
-      (match a.spec_id with
-       | Some id -> Obs.Trace.add_arg "spec" (Obs.Trace.Str id)
-       | None -> ());
+      if Obs.Trace.enabled () then begin
+        Obs.Trace.add_arg "plan"
+          (Obs.Trace.Str
+             (String.concat "; " (List.map (Format.asprintf "%a" Plan.pp_step) a.plan)));
+        Obs.Trace.add_arg "provenance" (Obs.Trace.Str (Plan.provenance_to_string a.provenance));
+        match a.spec_id with
+        | Some id -> Obs.Trace.add_arg "spec" (Obs.Trace.Str id)
+        | None -> ()
+      end;
       a)
 
 (* Answer a conjunctive query in which [extras] names resolve to local

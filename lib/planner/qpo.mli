@@ -173,7 +173,10 @@ val answer_conj :
     stream tuple-at-a-time; a lazy generator is used whenever the query is
     answerable from the cache alone (§5.1). [session] selects whose advice
     tracking and pins the answer updates (default: the planner's default
-    session). *)
+    session). With a {!Braid_obs.Trace} tracer installed, every answer is
+    recorded as a [qpo.answer] span whose [query], [plan] (the executed
+    steps, ["; "]-separated) and [provenance] args are the observable
+    record of the QPO's decisions. *)
 
 val answer_query :
   t -> ?session:session -> Braid_caql.Ast.t -> Braid_relalg.Relation.t * Plan.t
@@ -204,14 +207,6 @@ val metrics : t -> metrics
 
 val reset_metrics : t -> unit
 
-val set_trace : t -> bool -> unit
-(** Enable/disable session tracing: every answered conjunctive query is
-    recorded with the plan that satisfied it. Enabling clears any previous
-    trace. *)
-
-val trace : t -> (Braid_caql.Ast.conj * Plan.t) list
-(** The recorded (query, plan) pairs, oldest first; empty when tracing is
-    off. *)
 
 val set_observer :
   t ->

@@ -227,12 +227,6 @@ let iter_probe1 ix v ~f = from_tail f (bucket1_rev ix v)
 let probes ix = ix.probes
 let bytes_estimate ix = 64 + (ix.entries * 24)
 
-let n_keys ix =
-  match ix.store with
-  | Ints d -> Idir.length d
-  | Single table -> Value_tbl.length table
-  | Multi table -> Key_tbl.length table
-
 let rec compare_keys a b =
   match a, b with
   | [], [] -> 0

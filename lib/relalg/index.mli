@@ -39,10 +39,6 @@ val probes : t -> int
 
 val bytes_estimate : t -> int
 
-val n_keys : t -> int
-(** Number of distinct keys in the directory — the rows an index-only scan
-    touches. *)
-
 val fold_sorted : t -> init:'a -> f:('a -> Value.t list -> Tuple.t list -> 'a) -> 'a
 (** Folds over [(key, bucket)] pairs in ascending key order (buckets keep
     insertion order), so covering-index scans are deterministic and emit

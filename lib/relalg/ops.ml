@@ -41,10 +41,6 @@ let project cols r =
   Relation.iter (fun t -> Relation.add out (Tuple.project t cols)) r;
   out
 
-let project_names names r =
-  let s = Relation.schema r in
-  project (List.map (Schema.position s) names) r
-
 let product a b =
   let schema = Schema.concat (Relation.schema a) (Relation.schema b) in
   let out = Relation.create schema in

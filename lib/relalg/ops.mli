@@ -29,8 +29,6 @@ val project_sv : int list -> Relation.t -> int array -> Relation.t
 val project : int list -> Relation.t -> Relation.t
 (** Bag projection onto the listed positions. *)
 
-val project_names : string list -> Relation.t -> Relation.t
-
 val product : Relation.t -> Relation.t -> Relation.t
 
 val hash_join :

@@ -35,8 +35,6 @@ let cmp_holds c a b =
   | Gt -> k > 0
   | Ge -> k >= 0
 
-let negate_cmp = function Eq -> Ne | Ne -> Eq | Lt -> Ge | Le -> Gt | Gt -> Le | Ge -> Lt
-
 let rec eval p t =
   match p with
   | True -> true

@@ -32,5 +32,4 @@ val shift : int -> t -> t
     written against the right side of a product). *)
 
 val cmp_holds : cmp -> Value.t -> Value.t -> bool
-val negate_cmp : cmp -> cmp
 val pp : Format.formatter -> t -> unit

@@ -146,13 +146,6 @@ let refresh_stats t name rel =
       List.init arity (fun i -> ([ i ], R.Index.build rel [ i ]));
     entry.bitmaps <- []
 
-let invalidate_indexes t name =
-  match Hashtbl.find_opt t.entries name with
-  | None -> ()
-  | Some entry ->
-    entry.indexes <- [];
-    entry.bitmaps <- []
-
 (* A single-row insert touches exactly one bucket per index and one value
    per column: maintain them in place instead of rescanning (or worse,
    dropping the indexes and repaying a full rebuild on the next probe).
@@ -226,12 +219,6 @@ let tables t =
 
 let cardinality t name =
   match stats_of t name with Some s -> s.cardinality | None -> 0
-
-let distinct_count t name col =
-  match stats_of t name with
-  | Some s when col >= 0 && col < Array.length s.distinct_per_column ->
-    s.distinct_per_column.(col)
-  | Some _ | None -> 0
 
 let sorted_prefix t name =
   match stats_of t name with Some s -> s.sorted_prefix | None -> 0

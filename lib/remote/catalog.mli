@@ -70,11 +70,7 @@ val index_on : t -> string -> int list -> Braid_relalg.Index.t option
 val ensure_index :
   t -> string -> Braid_relalg.Relation.t -> int list -> Braid_relalg.Index.t
 (** Returns the persisted index on the column list, building it from [rel]
-    and persisting it first if missing (e.g. after [invalidate_indexes]). *)
-
-val invalidate_indexes : t -> string -> unit
-(** Drops every index on the table. The next probe rebuilds from scratch;
-    prefer [note_insert] for single-row maintenance. *)
+    and persisting it first if missing (e.g. after [note_delete]). *)
 
 val note_insert : t -> string -> Braid_relalg.Tuple.t -> unit
 (** Incremental maintenance for a single-tuple insert: bumps the
@@ -101,8 +97,6 @@ val tables : t -> string list
 val cardinality : t -> string -> int
 (** 0 for unknown tables. *)
 
-val distinct_count : t -> string -> int -> int
-(** Distinct values in the column; 0 when unknown. *)
 
 val sorted_prefix : t -> string -> int
 (** [table_stats.sorted_prefix] of the table; 0 when unknown. *)

@@ -19,10 +19,6 @@ let catalog t = t.catalog
 let plan_counters t = t.counters
 let last_explain t = t.last_explain
 
-let create_table t name schema =
-  Hashtbl.replace t.tables name (R.Relation.create ~name schema);
-  Catalog.register t.catalog name schema
-
 let insert t name tup =
   match Hashtbl.find_opt t.tables name with
   | Some rel ->

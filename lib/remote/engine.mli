@@ -13,7 +13,6 @@ val create : unit -> t
 
 val catalog : t -> Catalog.t
 
-val create_table : t -> string -> Braid_relalg.Schema.t -> unit
 val insert : t -> string -> Braid_relalg.Tuple.t -> unit
 
 val delete : t -> string -> Braid_relalg.Tuple.t -> bool

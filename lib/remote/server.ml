@@ -105,8 +105,10 @@ let exec t ?deadline_ms q =
       let result, scanned, _, plan = Engine.execute_explained t.engine q in
       let returned = R.Relation.cardinality result in
       (* the chosen plan, so traces show how the enumerator answered *)
-      Obs.Trace.add_arg "plan" (Obs.Trace.Str (Qplan.plan_signature plan));
-      Obs.Trace.add_arg "plan_cost_ms" (Obs.Trace.Float (Qplan.modeled_cost plan));
+      if Obs.Trace.enabled () then begin
+        Obs.Trace.add_arg "plan" (Obs.Trace.Str (Qplan.plan_signature plan));
+        Obs.Trace.add_arg "plan_cost_ms" (Obs.Trace.Float (Qplan.modeled_cost plan))
+      end;
       (match deadline_ms with
        | Some d
          when latency_ms

@@ -88,7 +88,6 @@ let replica_count t = Array.length t.groups.(0).replicas
 let shard t i = t.groups.(i).replicas.(0).server
 let rdi t i = t.groups.(i).replicas.(0).r_rdi
 let replica t ~shard r = t.groups.(shard).replicas.(r).server
-let replica_rdi t ~shard r = t.groups.(shard).replicas.(r).r_rdi
 let breakers t = Array.to_list (Array.map (fun g -> Rdi.breaker g.replicas.(0).r_rdi) t.groups)
 let clock t = t.clock
 let log_length t i = t.groups.(i).rlog_len
@@ -832,12 +831,6 @@ let set_faults t ~shard config =
     invalid_arg "Shard_router.set_faults: shard out of range";
   set_replica_faults t ~shard ~replica:0 config
 
-let set_faults_all t config =
-  Array.iter
-    (fun g ->
-      Array.iter (fun rep -> Server.set_faults rep.server (wire_clock t config)) g.replicas)
-    t.groups
-
 let set_policy t policy =
   t.base_policy <- policy;
   Array.iteri
@@ -875,9 +868,6 @@ let stats t =
 
 let shard_stats t =
   Array.to_list (Array.map (fun g -> Server.stats g.replicas.(0).server) t.groups)
-
-let replica_stats t i =
-  Array.to_list (Array.map (fun rep -> Server.stats rep.server) t.groups.(i).replicas)
 
 let replica_log t ~shard ~replica = Server.log t.groups.(shard).replicas.(replica).server
 

@@ -129,7 +129,6 @@ val rdi : t -> int -> Rdi.t
 val replica : t -> shard:int -> int -> Server.t
 (** [replica t ~shard r] — replica [r]'s server (0 = primary). *)
 
-val replica_rdi : t -> shard:int -> int -> Rdi.t
 val breakers : t -> Rdi.breaker_state list
 (** Primary breaker per shard, in shard order. *)
 
@@ -231,9 +230,6 @@ val set_replica_faults : t -> shard:int -> replica:int -> Fault.config option ->
 (** Per-replica fault profile (chaos runs sever exactly one copy). Also
     wired to the shared clock. *)
 
-val set_faults_all : t -> Fault.config option -> unit
-(** The same profile on every replica of every shard. *)
-
 val set_policy : t -> Rdi.policy -> unit
 (** Re-seeds every replica's RDI with its per-replica offset of [policy]. *)
 
@@ -243,9 +239,6 @@ val stats : t -> Server.stats
 
 val shard_stats : t -> Server.stats list
 (** Per-shard {e primary} stats, in shard order. *)
-
-val replica_stats : t -> int -> Server.stats list
-(** Shard [i]'s per-replica stats, primary first. *)
 
 val replica_log : t -> shard:int -> replica:int -> string list
 (** The replica server's request log, oldest first — the per-replica

@@ -18,7 +18,6 @@ type t = {
   mutable sys : System.t option; (* rebuilt lazily after changes *)
   mutable serve : Scheduler.t option; (* serving layer over [sys]'s CMS *)
   mutable last_advice : Braid_advice.Ast.t option;
-  mutable tracing : bool;
 }
 
 let create ?(config = Qpo.braid_config) ?(shards = 1) ?(replicas = 1) () =
@@ -32,7 +31,6 @@ let create ?(config = Qpo.braid_config) ?(shards = 1) ?(replicas = 1) () =
     sys = None;
     serve = None;
     last_advice = None;
-    tracing = false;
   }
 
 let banner =
@@ -50,7 +48,7 @@ let commands_help =
   \  :explain <head> :- <body>          remote query plan with est vs actual rows\n\
   \  :load rules <file> | :load data <file.csv>\n\
   \  :system loose|bermuda|ceri|braid-sub|braid\n\
-  \  :strategy interpretive|conjunction-N|compiled|set-oriented|adaptive\n\
+  \  :strategy interpretive|conjunction-N|set-oriented|adaptive\n\
   \  :trace on|off                      record plans and observability spans; :trace shows plans\n\
   \  :spans [N]                         last N recorded spans (default 15); needs :trace on\n\
   \  :journal [N]                       last N cache journal entries (default 20) + epoch\n\
@@ -123,7 +121,6 @@ let system t =
       System.build ~config:t.config ~strategy:t.strategy ~shards:t.shards
         ~replicas:t.replicas ~partitioning ~kb:(kb_of t) ~data ()
     in
-    Cms.set_trace (System.cms sys) t.tracing;
     t.sys <- Some sys;
     sys
 
@@ -348,25 +345,12 @@ let handle_system t label =
       (String.concat ", " (List.map (fun b -> b.Baselines.label) Baselines.all))
 
 let handle_strategy t label =
-  let set k =
+  match Braid_ie.Strategy.of_label label with
+  | Ok k ->
     t.strategy <- k;
     invalidate t;
-    "strategy = " ^ label
-  in
-  match label with
-  | "interpretive" -> set Braid_ie.Strategy.Interpretive
-  | "compiled" -> set Braid_ie.Strategy.Fully_compiled
-  | "set-oriented" -> set Braid_ie.Strategy.Set_oriented
-  | "adaptive" -> set Braid_ie.Strategy.Adaptive
-  | _ ->
-    (match strip_prefix "conjunction-" label with
-     | Some n ->
-       (match int_of_string_opt n with
-        | Some k when k >= 1 -> set (Braid_ie.Strategy.Conjunction_compiled k)
-        | _ -> "error: conjunction-N needs N >= 1")
-     | None ->
-       "unknown strategy; expected interpretive, conjunction-N, compiled, set-oriented \
-        or adaptive")
+    "strategy = " ^ Braid_ie.Strategy.label k
+  | Error msg -> "error: " ^ msg
 
 let handle_cache t =
   match t.sys with
@@ -471,6 +455,26 @@ let handle_spans n =
         (Printf.sprintf "%d spans (last %d):" total (List.length tail)
         :: List.map render_span tail)
 
+(* The QPO's decisions: every recorded [qpo.answer] span, as the query
+   and the plan that satisfied it. *)
+let handle_trace () =
+  let str k (s : Obs.Trace.span) =
+    match List.assoc_opt k s.Obs.Trace.args with Some (Obs.Trace.Str v) -> Some v | _ -> None
+  in
+  let answers =
+    match Obs.Trace.installed () with
+    | None -> []
+    | Some tr ->
+      List.filter_map
+        (fun (s : Obs.Trace.span) ->
+          match (s.Obs.Trace.name, str "query" s, str "plan" s) with
+          | "qpo.answer", Some q, Some plan -> Some (q ^ "\n  " ^ plan)
+          | _ -> None)
+        (Obs.Trace.spans tr)
+  in
+  if answers = [] then "trace is empty (enable with :trace on)"
+  else String.concat "\n" answers
+
 let handle_lint t =
   match L.Kb.lint (kb_of t) with
   | [] -> "knowledge base is clean"
@@ -489,30 +493,12 @@ let exec_line t line =
     else if line = ":lint" then handle_lint t
     else if line = ":sessions" then handle_sessions t
     else if line = ":trace" then
-      match t.sys with
-      | None -> "no session yet"
-      | Some sys ->
-        let entries = Cms.trace (System.cms sys) in
-        if entries = [] then "trace is empty (enable with :trace on)"
-        else
-          String.concat "\n"
-            (List.map
-               (fun (q, plan) ->
-                 Format.asprintf "%s@.  %s" (Braid_caql.Ast.conj_to_string q)
-                   (String.concat "; "
-                      (List.map
-                         (fun step -> Format.asprintf "%a" Braid_planner.Plan.pp_step step)
-                         plan)))
-               entries)
+      if Option.is_none t.sys then "no session yet" else handle_trace ()
     else if line = ":trace on" then begin
-      t.tracing <- true;
-      (match t.sys with Some sys -> Cms.set_trace (System.cms sys) true | None -> ());
       if not (Obs.Trace.enabled ()) then Obs.Trace.install (Obs.Trace.create ());
       "tracing on (plans + spans; :trace shows plans, :spans shows spans)"
     end
     else if line = ":trace off" then begin
-      t.tracing <- false;
-      (match t.sys with Some sys -> Cms.set_trace (System.cms sys) false | None -> ());
       Obs.Trace.uninstall ();
       "tracing off"
     end

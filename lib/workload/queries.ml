@@ -15,11 +15,6 @@ let ancestor_batch ?seed ~persons ~n ~skew () =
   batch ?seed ~pool ~skew ~n (fun c ->
       L.Atom.make "ancestor" [ T.Const (Braid_relalg.Value.Str c); T.Var "Y" ])
 
-let grandparent_batch ?seed ~persons ~n ~skew () =
-  let pool = List.init (max 1 (persons / 3)) (fun i -> Printf.sprintf "p%d" i) in
-  batch ?seed ~pool ~skew ~n (fun c ->
-      L.Atom.make "grandparent" [ T.Const (Braid_relalg.Value.Str c); T.Var "Y" ])
-
 let bom_batch ?seed ~parts ~n ~skew () =
   let pool = List.init (max 1 (parts / 3)) (fun i -> Printf.sprintf "part%d" i) in
   batch ?seed ~pool ~skew ~n (fun c ->
@@ -43,7 +38,3 @@ let telecom_batch ?(seed = 9) ~orders ~offices ~n () =
         let k = Prng.zipf prng ~n:orders ~skew:0.8 in
         L.Atom.make "provisionable"
           [ T.Const (Braid_relalg.Value.Str (Printf.sprintf "ord%d" k)) ])
-
-let example1_batch ?seed ~n () =
-  ignore seed;
-  List.init n (fun _ -> L.Atom.make "k1" [ T.Var "X"; T.Var "Y" ])

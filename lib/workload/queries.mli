@@ -11,9 +11,6 @@ val ancestor_batch :
 (** Queries [ancestor(p_i, Y)] with Zipf-chosen [p_i] (low-numbered people,
     who actually have descendants). *)
 
-val grandparent_batch :
-  ?seed:int -> persons:int -> n:int -> skew:float -> unit -> Braid_logic.Atom.t list
-
 val bom_batch :
   ?seed:int -> parts:int -> n:int -> skew:float -> unit -> Braid_logic.Atom.t list
 (** Queries [uses(part_i, Y)]. *)
@@ -28,7 +25,3 @@ val telecom_batch :
     with interleaved [servable(co_j, S)] lookups and occasional
     [reachable_backbone(CO)] sweeps — the mixed, repetitive load of an
     expert-system front end. *)
-
-val example1_batch :
-  ?seed:int -> n:int -> unit -> Braid_logic.Atom.t list
-(** Repeated [k1(X, Y)] queries (the paper's running example). *)

@@ -90,15 +90,15 @@ let test_e6_ic_range () =
   in
   let interp_first = get "interpretive" "first" in
   let interp_all = get "interpretive" "all" in
-  let compiled_first = get "fully compiled" "first" in
-  let compiled_all = get "fully compiled" "all" in
+  let set_first = get "set-oriented" "first" in
+  let set_all = get "set-oriented" "all" in
   (* the paper's point: neither end always wins *)
   check_bool "interpretive wins for first-solution demand" true
-    (interp_first.E.Exp_ic_range.total_ms < compiled_first.E.Exp_ic_range.total_ms);
-  check_bool "compiled wins for all-solutions demand" true
-    (compiled_all.E.Exp_ic_range.total_ms < interp_all.E.Exp_ic_range.total_ms);
-  check_bool "compiled moves the same data regardless of demand" true
-    (compiled_first.E.Exp_ic_range.tuples_moved = compiled_all.E.Exp_ic_range.tuples_moved);
+    (interp_first.E.Exp_ic_range.total_ms < set_first.E.Exp_ic_range.total_ms);
+  check_bool "set-oriented wins for all-solutions demand" true
+    (set_all.E.Exp_ic_range.total_ms < interp_all.E.Exp_ic_range.total_ms);
+  check_bool "set-oriented moves the same data regardless of demand" true
+    (set_first.E.Exp_ic_range.tuples_moved = set_all.E.Exp_ic_range.tuples_moved);
   check_bool "interpretive moves data proportional to demand" true
     (interp_first.E.Exp_ic_range.tuples_moved < interp_all.E.Exp_ic_range.tuples_moved)
 
@@ -179,16 +179,16 @@ let test_e11_fixpoint () =
   let rows, _ = E.Exp_fixpoint.run ~persons:100 () in
   let get a = List.find (fun r -> r.E.Exp_fixpoint.approach = a) rows in
   let interp = get "interpretive IE" in
-  let compiled = get "compiled IE + workstation fixpoint" in
+  let set = get "set-oriented IE + workstation fixpoint" in
   let cms_fix = get "CMS fixpoint DAP" in
   check_bool "fixpoint DAP needs few requests" true
     (cms_fix.E.Exp_fixpoint.requests <= 2);
   check_bool "far fewer than interpretive" true
     (cms_fix.E.Exp_fixpoint.requests * 10 < interp.E.Exp_fixpoint.requests);
-  check_bool "comparable to compiled" true
+  check_bool "comparable to set-oriented" true
     (cms_fix.E.Exp_fixpoint.total_ms < interp.E.Exp_fixpoint.total_ms);
-  check_bool "same data volume as compiled" true
-    (cms_fix.E.Exp_fixpoint.tuples_moved = compiled.E.Exp_fixpoint.tuples_moved)
+  check_bool "same data volume as set-oriented" true
+    (cms_fix.E.Exp_fixpoint.tuples_moved = set.E.Exp_fixpoint.tuples_moved)
 
 let suites = match suites with
   | [ (name, cases) ] ->

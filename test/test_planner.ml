@@ -435,18 +435,22 @@ let suites = match suites with
 (* --- session tracing --- *)
 
 let test_trace () =
+  let module Trace = Braid_obs.Trace in
   let q = make_qpo () in
-  check_bool "trace off by default" true (Qpo.trace q = []);
-  Qpo.set_trace q true;
+  let tracer = Trace.create () in
+  Trace.install tracer;
   let _ = TS.to_relation (Qpo.answer_conj q (d2_instance "y1")).Qpo.stream in
   let _ = TS.to_relation (Qpo.answer_conj q (d2_instance "y2")).Qpo.stream in
-  let entries = Qpo.trace q in
-  check_int "two entries" 2 (List.length entries);
-  let q1, p1 = List.hd entries in
-  check_bool "query recorded" true (A.variant_equal q1 (d2_instance "y1"));
-  check_bool "plan recorded" true (p1 <> []);
-  Qpo.set_trace q false;
-  check_bool "disabled clears" true (Qpo.trace q = [])
+  Trace.uninstall ();
+  let _ = TS.to_relation (Qpo.answer_conj q (d2_instance "y3")).Qpo.stream in
+  let answers = List.filter (fun s -> s.Trace.name = "qpo.answer") (Trace.spans tracer) in
+  check_int "two answer spans, none once uninstalled" 2 (List.length answers);
+  let arg k = List.assoc_opt k (List.hd answers).Trace.args in
+  check_bool "query recorded" true
+    (arg "query" = Some (Trace.Str (A.conj_to_string (d2_instance "y1"))));
+  check_bool "plan recorded" true
+    (match arg "plan" with Some (Trace.Str p) -> p <> "" | _ -> false);
+  check_bool "provenance recorded" true (arg "provenance" = Some (Trace.Str "fresh"))
 
 let suites = match suites with
   | [ (name, cases) ] ->

@@ -90,9 +90,11 @@ let test_system_and_strategy_switch () =
   check_bool "bad system" true
     (contains "unknown system" (Braid_serve.Repl.exec_line s ":system nope"));
   check_bool "strategy switch" true
-    (contains "strategy = compiled" (Braid_serve.Repl.exec_line s ":strategy compiled"));
+    (contains "strategy = set-oriented" (Braid_serve.Repl.exec_line s ":strategy set-oriented"));
   check_bool "conjunction-k" true
     (contains "conjunction-3" (Braid_serve.Repl.exec_line s ":strategy conjunction-3"));
+  check_bool "no compiled alias" true
+    (contains "unknown strategy" (Braid_serve.Repl.exec_line s ":strategy compiled"));
   (* queries still work after switching *)
   check_bool "query after switch" true
     (contains "3 solutions" (Braid_serve.Repl.exec_line s "?- anc(tom, Y)."))

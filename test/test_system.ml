@@ -78,7 +78,7 @@ let test_strategies_agree () =
       Braid_ie.Strategy.Interpretive;
       Braid_ie.Strategy.Conjunction_compiled 2;
       Braid_ie.Strategy.Conjunction_compiled 4;
-      Braid_ie.Strategy.Fully_compiled;
+      Braid_ie.Strategy.Set_oriented;
     ]
 
 let test_caching_reduces_requests () =
