@@ -1,8 +1,9 @@
 (* The benchmark harness.
 
-   With no argument, runs every experiment E1-E14 (one per architectural
-   claim / figure of the paper — see DESIGN.md §5 and EXPERIMENTS.md) and
-   prints its result table, then the bechamel microbenchmarks.
+   With no argument, runs every experiment of Braid_experiments.All (one
+   per architectural claim / figure of the paper — see DESIGN.md §5 and
+   EXPERIMENTS.md) and prints its result table, then the bechamel
+   microbenchmarks.
 
      dune exec bench/main.exe                       # everything
      dune exec bench/main.exe e5 e8                 # selected experiments
@@ -10,10 +11,8 @@
      dune exec bench/main.exe -- --json PATH        # perf trajectory JSON
      dune exec bench/main.exe -- --check PATH       # CI gate (see below)
      dune exec bench/main.exe -- --seed 5 --json p  # explicit PRNG seed
-     dune exec bench/main.exe -- --serve --sessions 1 --seed 1 --waves 2000 --check
-                                                    # single-session consistency soak gate
-     dune exec bench/main.exe -- --serve --sessions 8 --seed 1 --waves 250 --check
-                                                    # multi-session serving gate
+     dune exec bench/main.exe -- --serve single-session --seed 1 --waves 2000 --check
+                                                    # one serve-soak leg as a CI gate
      dune exec bench/main.exe -- --seed 1 --trace out.json
                                                     # Chrome-loadable span trace
 
@@ -775,25 +774,21 @@ let with_trace trace_path f =
 
 (* --- serve mode (--serve) --- *)
 
-(* Randomized consistency soak (see Braid_serve.Soak): N independent IE
-   sessions (one with --sessions 1) over one shared CMS, driven by the
-   deterministic cooperative scheduler with admission control and
-   in-flight fetch coalescing, plus one mid-run crash+recovery, every
-   answer diffed against ground truth. In this mode --check takes no
-   argument: it re-runs the identical configuration and requires (a) a
-   byte-identical report — the determinism contract — and (b) no
-   violated gate (Braid_serve.Soak.failures: clean oracle and recovery
-   plus the profile's own invariants). The report and the surviving cache
-   journal are written as files for CI to upload on failure. *)
+(* Randomized consistency soak (see Braid_serve.Soak): one leg of
+   Braid_serve.Soak.legs by name, its sessions over one shared CMS, driven
+   by the deterministic cooperative scheduler with admission control and
+   in-flight fetch coalescing, every answer diffed against ground truth.
+   In this mode --check takes no argument: it re-runs the identical
+   configuration and requires (a) a byte-identical report — the
+   determinism contract — and (b) no violated gate
+   (Braid_serve.Soak.failures: clean oracle and recovery plus the
+   profile's own invariants). The report and the surviving cache journal
+   are written as files for CI to upload on failure. *)
 let run_serve argv =
-  let seed = ref 1
-  and sessions = ref 8
+  let leg_names = String.concat ", " (List.map fst Braid_serve.Soak.legs) in
+  let leg = ref None
+  and seed = ref 1
   and waves = ref 400
-  and shards = ref 1
-  and replicas = ref 1
-  and chaos = ref false
-  and write_heavy = ref false
-  and recursive = ref false
   and gate = ref false
   and report_path = ref "serve-report.txt"
   and journal_path = ref "serve-journal.txt"
@@ -808,23 +803,7 @@ let run_serve argv =
   let rec parse = function
     | [] -> ()
     | "--seed" :: n :: tl -> int_arg "--seed" n tl (fun v tl -> seed := v; parse tl)
-    | "--sessions" :: n :: tl ->
-      int_arg "--sessions" n tl (fun v tl -> sessions := v; parse tl)
-    | ("--waves" | "--steps") :: n :: tl ->
-      int_arg "--waves" n tl (fun v tl -> waves := v; parse tl)
-    | "--shards" :: n :: tl ->
-      int_arg "--shards" n tl (fun v tl -> shards := v; parse tl)
-    | "--replicas" :: n :: tl ->
-      int_arg "--replicas" n tl (fun v tl -> replicas := v; parse tl)
-    | "--chaos" :: tl ->
-      chaos := true;
-      parse tl
-    | "--write-heavy" :: tl ->
-      write_heavy := true;
-      parse tl
-    | "--recursive" :: tl ->
-      recursive := true;
-      parse tl
+    | "--waves" :: n :: tl -> int_arg "--waves" n tl (fun v tl -> waves := v; parse tl)
     | "--check" :: tl ->
       gate := true;
       parse tl
@@ -837,26 +816,28 @@ let run_serve argv =
     | "--trace" :: p :: tl ->
       trace_path := Some p;
       parse tl
-    | [ ("--seed" | "--sessions" | "--waves" | "--steps" | "--shards" | "--replicas"
-        | "--report" | "--journal" | "--trace") ] ->
-      prerr_endline
-        "--seed/--sessions/--waves/--shards/--replicas require an integer, \
-         --report/--journal/--trace a path";
+    | [ ("--seed" | "--waves" | "--report" | "--journal" | "--trace") ] ->
+      prerr_endline "--seed/--waves require an integer, --report/--journal/--trace a path";
       exit 1
+    | name :: tl when !leg = None && List.mem_assoc name Braid_serve.Soak.legs ->
+      leg := Some (List.assoc name Braid_serve.Soak.legs);
+      parse tl
     | arg :: _ ->
       Printf.eprintf
-        "unknown serve argument %S (expected --sessions N, --seed N, --waves N, \
-         --shards N, --replicas R, --chaos, --write-heavy, --recursive, --check, \
-         --report PATH, --journal PATH, --trace PATH)\n"
-        arg;
+        "unknown serve argument %S (expected one leg of %s, then --seed N, --waves N, \
+         --check, --report PATH, --journal PATH, --trace PATH)\n"
+        arg leg_names;
       exit 1
   in
   parse argv;
-  let go () =
-    Braid_serve.Soak.run ~shards:!shards ~replicas:!replicas ~chaos:!chaos
-      ~write_heavy:!write_heavy ~recursive:!recursive ~sessions:!sessions ~seed:!seed
-      ~waves:!waves ()
+  let profile =
+    match !leg with
+    | Some p -> p
+    | None ->
+      Printf.eprintf "--serve needs a leg: one of %s\n" leg_names;
+      exit 1
   in
+  let go () = Braid_serve.Soak.run profile ~seed:!seed ~waves:!waves in
   let report = with_trace !trace_path go in
   let text = Braid_serve.Soak.report_to_string report in
   print_string text;
@@ -871,27 +852,8 @@ let run_serve argv =
      uploads them on failure, so a sick copy's exact fetch sequence is
      reconstructible from the artifacts). *)
   List.iter
-    (fun (s : Braid_serve.Soak.shard_report) ->
-      let open Braid_serve.Soak in
-      write
-        (Printf.sprintf "%s.shard%d" !journal_path s.shard)
-        (Printf.sprintf
-           "# shard %d: %d requests, %d scanned, %d failures, %d stale serves, \
-            breaker %s"
-           s.shard s.sh_requests s.sh_scanned s.sh_failures s.sh_stale_serves
-           s.sh_breaker
-         :: s.sh_log);
-      List.iter
-        (fun rr ->
-          write
-            (Printf.sprintf "%s.shard%d.r%d" !journal_path s.shard rr.rr_replica)
-            (Printf.sprintf
-               "# shard %d replica %d (node %d): lag=%d hints=%d breaker=%s%s"
-               s.shard rr.rr_replica rr.rr_node rr.rr_lag rr.rr_hints rr.rr_breaker
-               (if rr.rr_partitioned then " partitioned" else "")
-             :: rr.rr_log))
-        s.sh_replicas)
-    report.Braid_serve.Soak.per_shard;
+    (fun (suffix, lines) -> write (!journal_path ^ suffix) lines)
+    (Braid_serve.Soak.shard_journals report);
   Printf.printf "wrote %s, %s\n" !report_path !journal_path;
   if !gate then begin
     let text2 = Braid_serve.Soak.report_to_string (go ()) in
@@ -953,9 +915,9 @@ let () =
             | id ->
               if not (Braid_experiments.All.run_one ?seed id) then begin
                 Printf.eprintf
-                  "unknown experiment %S (expected e1..e13, micro, --seed N, --json \
-                   PATH, --check PATH or --trace PATH)\n"
-                  arg;
+                  "unknown experiment %S (expected %s, micro, --seed N, --json PATH, \
+                   --check PATH or --trace PATH)\n"
+                  arg Braid_experiments.All.id_range;
                 exit 1
               end)
           args)

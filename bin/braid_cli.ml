@@ -4,7 +4,7 @@
        run a built-in workload end to end and print solutions + accounting
    braid solve --rules prog.pl --data parent.csv --query "anc(p0, Y)"
        load Horn rules from a file and relations from CSV files
-   braid experiments [e1 ... e10]
+   braid experiments [ID ...]
        regenerate the paper-claim experiment tables (see EXPERIMENTS.md) *)
 
 module L = Braid_logic
@@ -21,14 +21,9 @@ let setup_verbose verbose =
   end
 
 let config_of_label label =
-  match
-    List.find_opt (fun b -> b.Braid.Baselines.label = label) Braid.Baselines.all
-  with
-  | Some b -> b.Braid.Baselines.config
-  | None ->
-    invalid_arg
-      (Printf.sprintf "unknown system %S (expected %s)" label
-         (String.concat ", " (List.map (fun b -> b.Braid.Baselines.label) Braid.Baselines.all)))
+  match Braid.Baselines.of_label label with
+  | Ok b -> b.Braid.Baselines.config
+  | Error msg -> invalid_arg msg
 
 let strategy_of_label label =
   match Braid_ie.Strategy.of_label label with
@@ -140,7 +135,8 @@ let experiments ids =
      List.iter
        (fun id ->
          if not (Braid_experiments.All.run_one id) then begin
-           Printf.eprintf "unknown experiment %S\n" id;
+           Printf.eprintf "unknown experiment %S (expected %s)\n" id
+             Braid_experiments.All.id_range;
            exit 1
          end)
        ids);
@@ -232,7 +228,9 @@ let repl_cmd =
 
 let experiments_cmd =
   let ids =
-    let doc = "Experiment ids (e1..e10); all when omitted." in
+    let doc =
+      Printf.sprintf "Experiment ids (%s); all when omitted." Braid_experiments.All.id_range
+    in
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
   in
   Cmd.v

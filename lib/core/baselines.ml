@@ -42,3 +42,11 @@ let braid =
   }
 
 let all = [ loose_coupling; bermuda; ceri; braid_no_advice; braid ]
+
+let of_label label =
+  match List.find_opt (fun b -> b.label = label) all with
+  | Some b -> Ok b
+  | None ->
+    Error
+      (Printf.sprintf "unknown system %S; expected %s" label
+         (String.concat ", " (List.map (fun b -> b.label) all)))

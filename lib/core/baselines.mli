@@ -28,3 +28,8 @@ val braid : named
 
 val all : named list
 (** In the order above — weakest coupling first. *)
+
+val of_label : string -> (named, string) result
+(** The entry of {!all} with this label; [Error] carries a one-line
+    message naming the accepted labels. Shared by the CLI's [--system]
+    and the REPL's [:system]. *)

@@ -21,6 +21,10 @@ let experiments : (string * (?seed:int -> unit -> Table.t)) list =
     ("e19", fun ?seed () -> snd (Exp_set_oriented.run ?seed ()));
   ]
 
+let id_range =
+  let ids = List.map fst experiments in
+  Printf.sprintf "%s..%s" (List.hd ids) (List.nth ids (List.length ids - 1))
+
 (* Bracket each experiment with a metrics-registry reset so the
    observability table printed under its result attributes counters and
    simulated-ms histograms to that experiment alone. *)

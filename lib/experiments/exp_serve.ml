@@ -18,22 +18,23 @@ type row = {
   qps : float;  (** answered queries per simulated second *)
 }
 
+(* The multi-session CI leg at [sessions], with the crash off. *)
 let run_one ~seed ~waves sessions =
-  let r = Braid_serve.Soak.run ~crash:false ~sessions ~seed ~waves () in
+  let module Soak = Braid_serve.Soak in
+  let leg = List.assoc "multi-session" Soak.legs in
+  let r = Soak.run { leg with sessions; faults = Soak.Flaky } ~seed ~waves in
   {
     sessions;
-    submitted = r.Braid_serve.Soak.submitted;
-    answered = r.Braid_serve.Soak.answered;
-    shed = r.Braid_serve.Soak.shed;
-    coalesce_identical = r.Braid_serve.Soak.coalesce_identical;
-    coalesce_subsumed = r.Braid_serve.Soak.coalesce_subsumed;
-    remote_requests = r.Braid_serve.Soak.remote_requests;
-    elapsed_ms = r.Braid_serve.Soak.elapsed_ms;
+    submitted = r.Soak.submitted;
+    answered = r.Soak.answered;
+    shed = r.Soak.shed;
+    coalesce_identical = r.Soak.coalesce.Braid_serve.Coalescer.identical_hits;
+    coalesce_subsumed = r.Soak.coalesce.Braid_serve.Coalescer.subsumed_hits;
+    remote_requests = r.Soak.remote_requests;
+    elapsed_ms = r.Soak.elapsed_ms;
     qps =
-      (if r.Braid_serve.Soak.elapsed_ms <= 0.0 then 0.0
-       else
-         1000.0 *. float_of_int r.Braid_serve.Soak.answered
-         /. r.Braid_serve.Soak.elapsed_ms);
+      (if r.Soak.elapsed_ms <= 0.0 then 0.0
+       else 1000.0 *. float_of_int r.Soak.answered /. r.Soak.elapsed_ms);
   }
 
 let run ?(seed = 5) ?(waves = 250) () =

@@ -138,19 +138,22 @@ let run_mix ~data_seed ~size ~distinct shards =
     degraded = !degraded;
   }
 
+(* The sharded CI leg at [shards] with 4 sessions, the crash off. *)
 let run_soak ~seed ~waves shards =
-  let r = Braid_serve.Soak.run ~crash:false ~shards ~sessions:4 ~seed ~waves () in
-  let open Braid_serve.Soak in
+  let module Soak = Braid_serve.Soak in
+  let leg = List.assoc "sharded" Soak.legs in
+  let r = Soak.run { leg with shards; sessions = 4; faults = Soak.Flaky } ~seed ~waves in
+  let routed f = match r.Soak.route with Some c -> f c | None -> 0 in
   {
     sk_shards = shards;
-    sk_answered = r.answered;
-    sk_fresh = r.fresh;
-    sk_degraded = r.degraded;
-    sk_pinned = r.route_pinned;
-    sk_fanouts = r.route_fanouts;
-    sk_gathers = r.route_gathers;
-    sk_pruned = r.shards_pruned;
-    sk_remote_requests = r.remote_requests;
+    sk_answered = r.Soak.answered;
+    sk_fresh = r.Soak.fresh;
+    sk_degraded = r.Soak.degraded;
+    sk_pinned = routed (fun c -> c.Router.pinned);
+    sk_fanouts = routed (fun c -> c.Router.fanouts);
+    sk_gathers = routed (fun c -> c.Router.gathers);
+    sk_pruned = routed (fun c -> c.Router.shards_pruned);
+    sk_remote_requests = r.Soak.remote_requests;
   }
 
 let run_one_down ~data_seed ~fault_seed ~size ~distinct () =

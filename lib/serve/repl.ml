@@ -335,14 +335,12 @@ let handle_load t what =
      | _ -> "usage: :load rules <file> | :load data <file.csv>")
 
 let handle_system t label =
-  match List.find_opt (fun b -> b.Baselines.label = label) Baselines.all with
-  | Some b ->
+  match Baselines.of_label label with
+  | Ok b ->
     t.config <- b.Baselines.config;
     invalidate t;
     Printf.sprintf "system = %s (%s)" b.Baselines.label b.Baselines.description
-  | None ->
-    Printf.sprintf "unknown system %S; expected %s" label
-      (String.concat ", " (List.map (fun b -> b.Baselines.label) Baselines.all))
+  | Error msg -> "error: " ^ msg
 
 let handle_strategy t label =
   match Braid_ie.Strategy.of_label label with

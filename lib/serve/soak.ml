@@ -1,4 +1,3 @@
-module A = Braid_caql.Ast
 module Server = Braid_remote.Server
 module Fault = Braid_remote.Fault
 module Rdi = Braid_remote.Rdi
@@ -9,28 +8,60 @@ module Prng = Braid_prng.Prng
 module Cms = Braid.Cms
 module CMgr = Braid_cache.Cache_manager
 module Journal = Braid_cache.Journal
+module Maintain = Braid_cache.Maintain
 module Oracle = Braid_check.Oracle
 module Obs = Braid_obs
 
+type faults = Flaky_crash | Flaky | Partition
+type mix = Reads | Write_heavy | Recursive
+
+type profile = {
+  sessions : int;
+  shards : int;  (** 1 = the single-server remote *)
+  replicas : int;  (** copies per shard; 1 = unreplicated *)
+  faults : faults;
+  mix : mix;
+}
+
+let legs =
+  let base = { sessions = 8; shards = 1; replicas = 1; faults = Flaky_crash; mix = Reads } in
+  [
+    ("single-session", { base with sessions = 1 });
+    ("multi-session", base);
+    ("sharded", { base with shards = 4 });
+    ("chaos", { base with sessions = 6; shards = 4; replicas = 2; faults = Partition });
+    ("write-heavy", { base with mix = Write_heavy });
+    ("recursive", { base with sessions = 6; mix = Recursive });
+  ]
+
+(* The value rules a profile must meet; the types already rule out the
+   feature pairings nobody has given a meaning (recursive with
+   write-heavy, a partition with a crash). Shard and replica counts below
+   1 are rejected by [Shard_router.create]. *)
+let check p =
+  List.iter
+    (fun (broken, rule) -> if broken then invalid_arg ("Serve.Soak.run: " ^ rule))
+    [
+      (p.sessions < 1, "sessions must be >= 1");
+      (* Delta maintenance under a lagging backup breaks the replica-lag
+         Stale-subset story for deletes (docs/CONSISTENCY.md
+         §replication), so the write-heavy mix runs against the
+         single-server remote only. *)
+      ( p.mix = Write_heavy && (p.shards > 1 || p.replicas > 1),
+        "the write-heavy mix needs one server (shards = 1, replicas = 1)" );
+      ( p.faults = Partition && p.replicas < 2,
+        "a partition needs replicas >= 2 (it severs the primary)" );
+    ]
+
 type divergence = { wave : int; sid : string; detail : string }
 
-type replica_report = {
-  rr_replica : int;
-  rr_node : int;
-  rr_lag : int;
-  rr_hints : int;
-  rr_partitioned : bool;
-  rr_breaker : string;
-  rr_log : string list;
-}
+type replica_report = { rr_health : Router.replica_health; rr_log : string list }
 
 type shard_report = {
   shard : int;
-  sh_requests : int;
-  sh_scanned : int;
-  sh_failures : int;
-  sh_stale_serves : int;
-  sh_breaker : string;
+  sh_server : Server.stats;
+  sh_rdi : Rdi.stats;
+  sh_breaker : Rdi.breaker_state;
   sh_log : string list;
   sh_replicas : replica_report list;  (** [] when [replicas = 1] *)
 }
@@ -46,13 +77,9 @@ type session_report = {
 }
 
 type report = {
+  profile : profile;
   seed : int;
-  sessions : int;
   waves : int;
-  shards : int;  (** 1 = the single-server remote *)
-  replicas : int;  (** copies per shard; 1 = unreplicated *)
-  write_heavy : bool;  (** maintenance-on profile: more writes, incl. deletes *)
-  recursive : bool;  (** goal jobs solved by the set-oriented IE tier *)
   submitted : int;
   answered : int;
   shed : int;
@@ -61,26 +88,19 @@ type report = {
   degraded : int;
   lazy_answers : int;
   inserts : int;
-  deletes : int;  (** write-heavy profile only; 0 otherwise *)
+  deletes : int;  (** write-heavy mix only; 0 otherwise *)
   drops : int;
   stale_marks : int;
-  delta_maintained : int;  (** elements kept Fresh by delta propagation *)
-  delta_fallbacks : int;  (** dependents that fell back to stale/drop *)
-  delta_dropped : int;  (** dependents dropped on delete fallback *)
-  delta_rows_added : int;
-  delta_rows_removed : int;
+  deltas : Braid_cache.Maintain.report;  (** across crash incarnations *)
   checkpoints : int;
-  goal_submitted : int;  (** recursive profile only; 0 otherwise *)
+  goal_submitted : int;  (** recursive mix only; 0 otherwise *)
   goal_answered : int;
   goal_shed : int;
   goal_solutions : int;  (** fixpoint tuples across all goal answers *)
   goal_complete : int;  (** goal answers set-equal to current ground truth *)
   goal_rounds : int;  (** ie.set.rounds accumulated by goal jobs *)
   goal_fetches : int;  (** ie.set.fetches — conjunctive fetches issued *)
-  coalesce_requests : int;
-  coalesce_identical : int;
-  coalesce_subsumed : int;
-  coalesce_misses : int;
+  coalesce : Coalescer.stats;  (** across crash incarnations *)
   remote_requests : int;
   elapsed_ms : float;
   crash_wave : int option;
@@ -91,17 +111,10 @@ type report = {
   recovery_mismatch : string option;
   divergences : divergence list;
   per_session : session_report list;
-  route_pinned : int;  (** router: requests answered by exactly one shard *)
-  route_fanouts : int;
-  route_gathers : int;
-  shards_pruned : int;
-  failovers : int;  (** replicated-shard reads served by a backup *)
-  hinted_writes : int;
-  handoffs : int;
-  repairs : int;
-  partition_wave : int option;  (** chaos: the wave the primary was severed *)
-  heal_wave : int option;  (** chaos: first wave the partition was observed healed *)
-  stale_after_heal : int;  (** RDI stale serves after heal + repair (chaos gate) *)
+  route : Router.counters option;  (** None for the single-server remote *)
+  partition_wave : int option;  (** partition: the wave the primary was severed *)
+  heal_wave : int option;  (** partition: first wave the partition was observed healed *)
+  stale_after_heal : int;  (** RDI stale serves after heal + repair (partition gate) *)
   end_max_lag : int;  (** worst replica lag at end of run — 0 after repair *)
   per_shard : shard_report list;  (** [] when the remote is a single server *)
   journal_entries : int;
@@ -110,10 +123,15 @@ type report = {
 }
 
 (* Every gate a soak run must pass, one message per violated gate. The
-   profile gates are derived from the report itself, so a library caller
-   and the bench CLI judge a run identically. *)
+   profile gates are keyed on the report's own profile, so a library
+   caller and the bench CLI judge a run identically. *)
 let failures r =
-  let chaos = r.partition_wave <> None in
+  let p = r.profile in
+  let chaos = p.faults = Partition
+  and write_heavy = p.mix = Write_heavy
+  and recursive = p.mix = Recursive in
+  let routed f = match r.route with Some c -> f c | None -> 0 in
+  let d = r.deltas in
   List.filter_map
     (fun (failed, msg) -> if failed then Some msg else None)
     [
@@ -132,93 +150,111 @@ let failures r =
          duplicates when fetches fail and stay hot: a fault-free chaos run
          has none, and delta maintenance keeps write-heavy elements Fresh,
          so re-fetches all but disappear there. *)
-      ( r.sessions > 1 && (not chaos) && (not r.write_heavy)
-        && r.coalesce_identical + r.coalesce_subsumed = 0,
+      ( p.sessions > 1 && (not chaos) && (not write_heavy)
+        && r.coalesce.Coalescer.identical_hits + r.coalesce.Coalescer.subsumed_hits = 0,
         "the overlapping-view workload produced no coalesce hits" );
       (* Write-heavy: delta maintenance must actually run — rows moved in
          and deletes exercised (the consistency model's hard case). *)
-      ( r.write_heavy && r.delta_maintained = 0,
+      ( write_heavy && d.Maintain.maintained = 0,
         "write-heavy run delta-maintained no element (cache.delta.applied = 0)" );
-      (r.write_heavy && r.delta_rows_added = 0, "write-heavy run added no delta rows");
-      (r.write_heavy && r.deletes = 0, "write-heavy run issued no deletes");
+      (write_heavy && d.Maintain.rows_added = 0, "write-heavy run added no delta rows");
+      (write_heavy && r.deletes = 0, "write-heavy run issued no deletes");
       (* Recursive: goals answered through multi-round fixpoints, at least
          one complete against ground truth. *)
-      (r.recursive && r.goal_answered = 0, "recursive run answered no goals");
-      ( r.recursive && r.goal_complete = 0,
+      (recursive && r.goal_answered = 0, "recursive run answered no goals");
+      ( recursive && r.goal_complete = 0,
         "recursive run completed no goal against ground truth" );
-      ( r.recursive && r.goal_rounds < 2 * r.goal_answered,
+      ( recursive && r.goal_rounds < 2 * r.goal_answered,
         "goals did not drive multi-round fixpoints (ie.set.rounds too low)" );
-      (r.recursive && r.goal_fetches = 0, "recursive run issued no set-oriented fetches");
+      (recursive && r.goal_fetches = 0, "recursive run issued no set-oriented fetches");
       (* Chaos: the severed primary must force failovers and hinted writes,
          the partition must heal, repair must hand the hints off, and once
          healed + repaired nothing may serve stale. *)
-      (chaos && r.failovers = 0, "chaos run recorded no failovers (backup never served)");
-      ( chaos && r.hinted_writes = 0,
+      ( chaos && routed (fun c -> c.Router.failovers) = 0,
+        "chaos run recorded no failovers (backup never served)" );
+      ( chaos && routed (fun c -> c.Router.hinted_writes) = 0,
         "chaos run recorded no hinted writes (partition never blocked a write)" );
-      ( chaos && r.handoffs = 0,
+      ( chaos && routed (fun c -> c.Router.handoffs) = 0,
         "chaos run recorded no handoffs (repair never drained the hints)" );
       (chaos && r.heal_wave = None, "the partition never healed");
       ( r.stale_after_heal <> 0,
         Printf.sprintf "%d stale serve(s) after heal + repair" r.stale_after_heal );
     ]
 
+let breaker_to_string = function
+  | Rdi.Closed -> "closed"
+  | Rdi.Open -> "open"
+  | Rdi.Half_open -> "half-open"
+
 let report_to_string r =
   let b = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
+  let p = r.profile in
   let fails = failures r in
-  line "serve soak seed=%d sessions=%d waves=%d%s%s%s%s: %s" r.seed r.sessions r.waves
-    (if r.shards > 1 then Printf.sprintf " shards=%d" r.shards else "")
-    (if r.replicas > 1 then Printf.sprintf " replicas=%d" r.replicas else "")
-    (if r.write_heavy then " write-heavy" else "")
-    (if r.recursive then " recursive" else "")
+  line "serve soak seed=%d sessions=%d waves=%d%s%s%s%s: %s" r.seed p.sessions r.waves
+    (if p.shards > 1 then Printf.sprintf " shards=%d" p.shards else "")
+    (if p.replicas > 1 then Printf.sprintf " replicas=%d" p.replicas else "")
+    (if p.mix = Write_heavy then " write-heavy" else "")
+    (if p.mix = Recursive then " recursive" else "")
     (if fails = [] then "OK" else "FAILED");
   line "  submitted:   %d (%d answered, %d shed, %d lost at crash)" r.submitted r.answered
     r.shed r.lost;
   line "  answers:     %d fresh, %d degraded, %d served lazily" r.fresh r.degraded
     r.lazy_answers;
-  if r.recursive then
+  if p.mix = Recursive then
     line
       "  goals:       %d submitted, %d answered (%d complete, %d solutions), %d shed; \
        %d fixpoint rounds, %d set fetches"
       r.goal_submitted r.goal_answered r.goal_complete r.goal_solutions r.goal_shed
       r.goal_rounds r.goal_fetches;
+  let co = r.coalesce in
   line "  coalescer:   %d in-flight requests: %d identical + %d subsumed reused, %d to the RDI"
-    r.coalesce_requests r.coalesce_identical r.coalesce_subsumed r.coalesce_misses;
+    co.Coalescer.requests co.Coalescer.identical_hits co.Coalescer.subsumed_hits
+    co.Coalescer.misses;
   line "  remote:      %d RDI requests, %.1f simulated ms elapsed" r.remote_requests
     r.elapsed_ms;
-  if r.shards > 1 then
-    line "  routing:     %d pinned (%d shard-scans pruned), %d fan-outs, %d gathers"
-      r.route_pinned r.shards_pruned r.route_fanouts r.route_gathers;
-  if r.replicas > 1 then begin
-    line "  replication: %d failovers, %d hinted writes, %d handoffs, %d repairs; end lag %d"
-      r.failovers r.hinted_writes r.handoffs r.repairs r.end_max_lag;
-    match r.partition_wave with
-    | None -> ()
-    | Some pw ->
-      line "  partition:   shard 0 primary severed @wave %d, %s, %d stale after heal" pw
-        (match r.heal_wave with
-         | Some hw -> Printf.sprintf "healed @wave %d" hw
-         | None -> "NOT HEALED")
-        r.stale_after_heal
-  end;
+  (match r.route with
+   | Some c when p.shards > 1 ->
+     line "  routing:     %d pinned (%d shard-scans pruned), %d fan-outs, %d gathers"
+       c.Router.pinned c.Router.shards_pruned c.Router.fanouts c.Router.gathers
+   | _ -> ());
+  (match r.route with
+   | Some c when p.replicas > 1 -> (
+     line "  replication: %d failovers, %d hinted writes, %d handoffs, %d repairs; end lag %d"
+       c.Router.failovers c.Router.hinted_writes c.Router.handoffs c.Router.repairs
+       r.end_max_lag;
+     match r.partition_wave with
+     | None -> ()
+     | Some pw ->
+       line "  partition:   shard 0 primary severed @wave %d, %s, %d stale after heal" pw
+         (match r.heal_wave with
+          | Some hw -> Printf.sprintf "healed @wave %d" hw
+          | None -> "NOT HEALED")
+         r.stale_after_heal)
+   | _ -> ());
   List.iter
     (fun s ->
       line "  shard %d:     %d requests, %d scanned, %d failures, %d stale serves, breaker %s"
-        s.shard s.sh_requests s.sh_scanned s.sh_failures s.sh_stale_serves s.sh_breaker;
+        s.shard s.sh_server.Server.requests s.sh_server.Server.tuples_scanned
+        s.sh_rdi.Rdi.failures s.sh_rdi.Rdi.stale_serves (breaker_to_string s.sh_breaker);
       List.iter
-        (fun rr ->
-          line "    r%d@node%d   %s lag=%d hints=%d breaker=%s%s" rr.rr_replica rr.rr_node
-            (if rr.rr_replica = 0 then "primary" else "backup ")
-            rr.rr_lag rr.rr_hints rr.rr_breaker
-            (if rr.rr_partitioned then " PARTITIONED" else ""))
+        (fun { rr_health = h; _ } ->
+          line "    r%d@node%d   %s lag=%d hints=%d breaker=%s%s" h.Router.rh_replica
+            h.Router.rh_node
+            (if h.Router.rh_replica = 0 then "primary" else "backup ")
+            h.Router.rh_lag h.Router.rh_hints
+            (breaker_to_string h.Router.rh_breaker)
+            (if h.Router.rh_partitioned then " PARTITIONED" else ""))
         s.sh_replicas)
     r.per_shard;
   line "  mutations:   %d inserts, %d deletes (%d drop-invalidations, %d stale-marks)"
     r.inserts r.deletes r.drops r.stale_marks;
-  if r.write_heavy then
+  if p.mix = Write_heavy then begin
+    let d = r.deltas in
     line "  maintenance: %d elements delta-maintained (+%d/-%d rows), %d fallbacks, %d dropped"
-      r.delta_maintained r.delta_rows_added r.delta_rows_removed r.delta_fallbacks
-      r.delta_dropped;
+      d.Maintain.maintained d.Maintain.rows_added d.Maintain.rows_removed
+      d.Maintain.fallbacks d.Maintain.dropped
+  end;
   line "  checkpoints: %d (journal: %d entries, epoch %d)" r.checkpoints r.journal_entries
     r.journal_epoch;
   (match r.crash_wave with
@@ -244,6 +280,26 @@ let report_to_string r =
     r.per_session;
   Buffer.contents b
 
+let shard_journals r =
+  List.concat_map
+    (fun s ->
+      ( Printf.sprintf ".shard%d" s.shard,
+        Printf.sprintf
+          "# shard %d: %d requests, %d scanned, %d failures, %d stale serves, breaker %s"
+          s.shard s.sh_server.Server.requests s.sh_server.Server.tuples_scanned
+          s.sh_rdi.Rdi.failures s.sh_rdi.Rdi.stale_serves (breaker_to_string s.sh_breaker)
+        :: s.sh_log )
+      :: List.map
+           (fun { rr_health = h; rr_log } ->
+             ( Printf.sprintf ".shard%d.r%d" s.shard h.Router.rh_replica,
+               Printf.sprintf "# shard %d replica %d (node %d): lag=%d hints=%d breaker=%s%s"
+                 s.shard h.Router.rh_replica h.Router.rh_node h.Router.rh_lag h.Router.rh_hints
+                 (breaker_to_string h.Router.rh_breaker)
+                 (if h.Router.rh_partitioned then " partitioned" else "")
+               :: rr_log ))
+           s.sh_replicas)
+    r.per_shard
+
 (* Per-session accumulators owned by the soak, not the scheduler: they
    must survive the scheduler being rebuilt over the recovered CMS. *)
 type acc = {
@@ -260,27 +316,13 @@ exception Stop
 
 let empty_advice = { Braid_advice.Ast.specs = []; path = None }
 
-let run ?(crash = true) ?(shards = 1) ?(replicas = 1) ?(chaos = false)
-    ?(write_heavy = false) ?(recursive = false) ~sessions:n_sessions ~seed ~waves () =
-  if n_sessions < 1 then invalid_arg "Serve.Soak.run: sessions must be >= 1";
-  if shards < 1 then invalid_arg "Serve.Soak.run: shards must be >= 1";
-  if replicas < 1 then invalid_arg "Serve.Soak.run: replicas must be >= 1";
-  if chaos && replicas < 2 then
-    invalid_arg "Serve.Soak.run: chaos needs replicas >= 2 (it severs the primary)";
-  (* Delta maintenance under a lagging backup breaks the replica-lag
-     Stale-subset story for deletes (docs/CONSISTENCY.md §replication), so
-     the write-heavy profile runs against the single-server remote only. *)
-  if write_heavy && (shards > 1 || replicas > 1) then
-    invalid_arg "Serve.Soak.run: write_heavy needs shards = 1 and replicas = 1";
-  (* The goal-soundness gate (a fixpoint answer never invents tuples)
-     leans on monotonicity plus insert-only staleness; the write-heavy
-     profile's deletes break the stale-subset premise. *)
-  if recursive && write_heavy then
-    invalid_arg "Serve.Soak.run: recursive and write_heavy are separate profiles";
-  (* The CMS crash and the replica partition are separate failure stories;
-     mixing them would have the crash-recovery fault reset also wipe the
-     partition mid-heal. The chaos leg owns the partition. *)
-  let crash = crash && not chaos in
+let run profile ~seed ~waves =
+  check profile;
+  let { sessions = n_sessions; shards; replicas; faults; mix } = profile in
+  let chaos = faults = Partition
+  and crash = faults = Flaky_crash
+  and write_heavy = mix = Write_heavy
+  and recursive = mix = Recursive in
   let prng = Prng.create seed in
   (* A quarter of the CAQL jobs ask for a lazy answer. The draw comes from
      its own stream, so the workload's main draw sequence is unchanged. *)
@@ -298,8 +340,8 @@ let run ?(crash = true) ?(shards = 1) ?(replicas = 1) ?(chaos = false)
      the coalescer window absorbs. *)
   let rdi_policy =
     {
-      Braid_remote.Rdi.default_policy with
-      Braid_remote.Rdi.deadline_ms = Some 250.0;
+      Rdi.default_policy with
+      Rdi.deadline_ms = Some 250.0;
       max_retries = 1;
       request_budget_ms = Some 20.0;
       seed = seed + 13;
@@ -382,34 +424,34 @@ let run ?(crash = true) ?(shards = 1) ?(replicas = 1) ?(chaos = false)
   and recovery_mismatch = ref None in
   (* Coalescer / RDI / elapsed totals across CMS incarnations: folded in
      when the crash discards an incarnation, and again at the end. *)
-  let co_requests = ref 0
-  and co_identical = ref 0
-  and co_subsumed = ref 0
-  and co_misses = ref 0
+  let coalesce =
+    ref { Coalescer.requests = 0; identical_hits = 0; subsumed_hits = 0; misses = 0; rounds = 0 }
   and remote_requests = ref 0
   and lazy_answers = ref 0
   and elapsed_ms = ref 0.0 in
-  let deltas = ref Braid_cache.Maintain.empty_report in
+  let deltas = ref Maintain.empty_report in
   let fold_incarnation () =
-    let c = Coalescer.stats (Scheduler.coalescer !sched) in
-    co_requests := !co_requests + c.Coalescer.requests;
-    co_identical := !co_identical + c.Coalescer.identical_hits;
-    co_subsumed := !co_subsumed + c.Coalescer.subsumed_hits;
-    co_misses := !co_misses + c.Coalescer.misses;
-    remote_requests := !remote_requests + (Cms.rdi_stats !cms).Braid_remote.Rdi.requests;
+    let c = Coalescer.stats (Scheduler.coalescer !sched) and a = !coalesce in
+    coalesce :=
+      {
+        Coalescer.requests = a.Coalescer.requests + c.Coalescer.requests;
+        identical_hits = a.Coalescer.identical_hits + c.Coalescer.identical_hits;
+        subsumed_hits = a.Coalescer.subsumed_hits + c.Coalescer.subsumed_hits;
+        misses = a.Coalescer.misses + c.Coalescer.misses;
+        rounds = a.Coalescer.rounds + c.Coalescer.rounds;
+      };
+    remote_requests := !remote_requests + (Cms.rdi_stats !cms).Rdi.requests;
     let m = Cms.metrics !cms in
     lazy_answers := !lazy_answers + m.Qpo.lazy_answers;
     elapsed_ms := !elapsed_ms +. m.Qpo.elapsed_ms;
     let d = Cms.delta_totals !cms and a = !deltas in
     deltas :=
       {
-        Braid_cache.Maintain.maintained =
-          a.Braid_cache.Maintain.maintained + d.Braid_cache.Maintain.maintained;
-        fallbacks = a.Braid_cache.Maintain.fallbacks + d.Braid_cache.Maintain.fallbacks;
-        dropped = a.Braid_cache.Maintain.dropped + d.Braid_cache.Maintain.dropped;
-        rows_added = a.Braid_cache.Maintain.rows_added + d.Braid_cache.Maintain.rows_added;
-        rows_removed =
-          a.Braid_cache.Maintain.rows_removed + d.Braid_cache.Maintain.rows_removed;
+        Maintain.maintained = a.Maintain.maintained + d.Maintain.maintained;
+        fallbacks = a.Maintain.fallbacks + d.Maintain.fallbacks;
+        dropped = a.Maintain.dropped + d.Maintain.dropped;
+        rows_added = a.Maintain.rows_added + d.Maintain.rows_added;
+        rows_removed = a.Maintain.rows_removed + d.Maintain.rows_removed;
       }
   in
   let cur_wave = ref 0 in
@@ -425,9 +467,7 @@ let run ?(crash = true) ?(shards = 1) ?(replicas = 1) ?(chaos = false)
                :: !divergences))
   in
   install_observer ();
-  let acc_of sid = Array.to_list per |> List.find (fun a -> a.a_sid = sid) in
-  let submit sid q =
-    let a = acc_of sid in
+  let submit a q =
     a.a_submitted <- a.a_submitted + 1;
     let prefer_lazy = Prng.bool lazy_prng 0.25 in
     let on_reply = function
@@ -439,7 +479,7 @@ let run ?(crash = true) ?(shards = 1) ?(replicas = 1) ?(chaos = false)
       | Scheduler.Shed _ -> a.a_shed <- a.a_shed + 1
       | Scheduler.Goal_answered _ -> ()
     in
-    ignore (Scheduler.submit !sched ~sid ~prefer_lazy ~on_reply q)
+    ignore (Scheduler.submit !sched ~sid:a.a_sid ~prefer_lazy ~on_reply q)
   in
   let goal_submitted = ref 0
   and goal_answered = ref 0
@@ -459,8 +499,7 @@ let run ?(crash = true) ?(shards = 1) ?(replicas = 1) ?(chaos = false)
     let base p = Some (Braid_remote.Engine.table eng p) in
     (Braid_ie.Datalog.solve goal_kb ~base g).Braid_ie.Datalog.result
   in
-  let submit_goal sid g =
-    let a = acc_of sid in
+  let submit_goal a g =
     a.a_submitted <- a.a_submitted + 1;
     incr goal_submitted;
     let on_reply = function
@@ -473,7 +512,7 @@ let run ?(crash = true) ?(shards = 1) ?(replicas = 1) ?(chaos = false)
           divergences :=
             {
               wave = !cur_wave;
-              sid;
+              sid = a.a_sid;
               detail =
                 Printf.sprintf "goal %s: %d tuple(s) not in ground truth"
                   (Braid_logic.Atom.to_string g) (List.length extra);
@@ -485,7 +524,7 @@ let run ?(crash = true) ?(shards = 1) ?(replicas = 1) ?(chaos = false)
         incr goal_shed
       | Scheduler.Answered _ -> ()
     in
-    ignore (Scheduler.submit_goal !sched ~sid ~on_reply g)
+    ignore (Scheduler.submit_goal !sched ~sid:a.a_sid ~on_reply g)
   in
   let crash_plan =
     if crash && waves >= 3 then Some ((waves / 3) + 1 + Prng.int prng (max 1 (waves / 3)))
@@ -498,7 +537,7 @@ let run ?(crash = true) ?(shards = 1) ?(replicas = 1) ?(chaos = false)
   let router_stale () =
     match router with
     | None -> 0
-    | Some r -> (Router.rdi_stats r).Braid_remote.Rdi.stale_serves
+    | Some r -> (Router.rdi_stats r).Rdi.stale_serves
   in
   let live () =
     List.length (Braid_cache.Cache_model.elements (CMgr.model (Cms.cache !cms)))
@@ -564,25 +603,25 @@ let run ?(crash = true) ?(shards = 1) ?(replicas = 1) ?(chaos = false)
          Array.iter
            (fun a ->
              let r = Prng.int prng 100 in
-             if r < 45 then submit a.a_sid hot
+             if r < 45 then submit a hot
              else if r < 60 then
-               submit a.a_sid
+               submit a
                  (match special with Some q -> q | None -> Workload.gen_query prng)
-             else if r < 75 then submit a.a_sid (Workload.gen_query prng))
+             else if r < 75 then submit a (Workload.gen_query prng))
            per;
          (* Hot-session burst: the first session occasionally floods past
             its admission cap, deterministically exercising load-shedding
             and per-session fairness. *)
          if Prng.int prng 100 < 15 then
            for _ = 1 to Admission.default_policy.Admission.per_session_queue + 2 do
-             submit per.(0).a_sid hot
+             submit per.(0) hot
            done;
          (* Recursive leg: a few sessions per wave pose an AI goal; the
             scheduler resolves it through the set-oriented IE tier in the
             same wave, sharing the coalescer window with the CAQL jobs. *)
          if recursive then
            Array.iter
-             (fun a -> if Prng.int prng 100 < 30 then submit_goal a.a_sid (Workload.gen_goal prng))
+             (fun a -> if Prng.int prng 100 < 30 then submit_goal a (Workload.gen_goal prng))
              per;
          if write_heavy then begin
            (* The maintenance profile: a write burst most waves — inserts
@@ -650,45 +689,25 @@ let run ?(crash = true) ?(shards = 1) ?(replicas = 1) ?(chaos = false)
            })
   in
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 per_session in
-  (* Router accounting survives crash/recovery (the fleet is connection
-     state, not cache state), so end-of-run totals need no folding. *)
-  let route_counters =
-    match router with
-    | None -> None
-    | Some r -> Some (Router.counters r)
-  in
-  let breaker_str = function
-    | Rdi.Closed -> "closed"
-    | Rdi.Open -> "open"
-    | Rdi.Half_open -> "half-open"
-  in
   let per_shard =
     match router with
     | None -> []
     | Some r ->
       List.mapi
-        (fun i (st : Server.stats) ->
-          let rs = Rdi.stats (Router.rdi r i) in
+        (fun i sh_server ->
           {
             shard = i;
-            sh_requests = st.Server.requests;
-            sh_scanned = st.Server.tuples_scanned;
-            sh_failures = rs.Rdi.failures;
-            sh_stale_serves = rs.Rdi.stale_serves;
-            sh_breaker = breaker_str (Rdi.breaker (Router.rdi r i));
+            sh_server;
+            sh_rdi = Rdi.stats (Router.rdi r i);
+            sh_breaker = Rdi.breaker (Router.rdi r i);
             sh_log = Server.log (Router.shard r i);
             sh_replicas =
               (if replicas = 1 then []
                else
                  List.map
-                   (fun (h : Router.replica_health) ->
+                   (fun h ->
                      {
-                       rr_replica = h.Router.rh_replica;
-                       rr_node = h.Router.rh_node;
-                       rr_lag = h.Router.rh_lag;
-                       rr_hints = h.Router.rh_hints;
-                       rr_partitioned = h.Router.rh_partitioned;
-                       rr_breaker = breaker_str h.Router.rh_breaker;
+                       rr_health = h;
                        rr_log = Router.replica_log r ~shard:i ~replica:h.Router.rh_replica;
                      })
                    (Router.replica_health r i));
@@ -697,20 +716,17 @@ let run ?(crash = true) ?(shards = 1) ?(replicas = 1) ?(chaos = false)
   in
   let end_max_lag =
     List.fold_left
-      (fun acc s -> List.fold_left (fun acc rr -> Int.max acc rr.rr_lag) acc s.sh_replicas)
+      (fun acc s ->
+        List.fold_left (fun acc rr -> Int.max acc rr.rr_health.Router.rh_lag) acc s.sh_replicas)
       0 per_shard
   in
   let stale_after_heal =
     match !stale_at_heal with Some s -> router_stale () - s | None -> 0
   in
   {
+    profile;
     seed;
-    sessions = n_sessions;
     waves;
-    shards;
-    replicas;
-    write_heavy;
-    recursive;
     submitted = sum (fun s -> s.submitted);
     answered = sum (fun s -> s.answered);
     shed = sum (fun s -> s.shed);
@@ -722,11 +738,7 @@ let run ?(crash = true) ?(shards = 1) ?(replicas = 1) ?(chaos = false)
     deletes = !deletes;
     drops = !drops;
     stale_marks = !stale_marks;
-    delta_maintained = !deltas.Braid_cache.Maintain.maintained;
-    delta_fallbacks = !deltas.Braid_cache.Maintain.fallbacks;
-    delta_dropped = !deltas.Braid_cache.Maintain.dropped;
-    delta_rows_added = !deltas.Braid_cache.Maintain.rows_added;
-    delta_rows_removed = !deltas.Braid_cache.Maintain.rows_removed;
+    deltas = !deltas;
     checkpoints = !checkpoints;
     goal_submitted = !goal_submitted;
     goal_answered = !goal_answered;
@@ -735,10 +747,7 @@ let run ?(crash = true) ?(shards = 1) ?(replicas = 1) ?(chaos = false)
     goal_complete = !goal_complete;
     goal_rounds = Obs.Metrics.counter_value "ie.set.rounds" - goal_rounds0;
     goal_fetches = Obs.Metrics.counter_value "ie.set.fetches" - goal_fetches0;
-    coalesce_requests = !co_requests;
-    coalesce_identical = !co_identical;
-    coalesce_subsumed = !co_subsumed;
-    coalesce_misses = !co_misses;
+    coalesce = !coalesce;
     remote_requests = !remote_requests;
     elapsed_ms = !elapsed_ms;
     crash_wave = !crash_wave;
@@ -749,16 +758,9 @@ let run ?(crash = true) ?(shards = 1) ?(replicas = 1) ?(chaos = false)
     recovery_mismatch = !recovery_mismatch;
     divergences = List.rev !divergences;
     per_session;
-    route_pinned = (match route_counters with Some c -> c.Router.pinned | None -> 0);
-    route_fanouts = (match route_counters with Some c -> c.Router.fanouts | None -> 0);
-    route_gathers = (match route_counters with Some c -> c.Router.gathers | None -> 0);
-    shards_pruned =
-      (match route_counters with Some c -> c.Router.shards_pruned | None -> 0);
-    failovers = (match route_counters with Some c -> c.Router.failovers | None -> 0);
-    hinted_writes =
-      (match route_counters with Some c -> c.Router.hinted_writes | None -> 0);
-    handoffs = (match route_counters with Some c -> c.Router.handoffs | None -> 0);
-    repairs = (match route_counters with Some c -> c.Router.repairs | None -> 0);
+    (* Router accounting survives crash/recovery (the fleet is connection
+       state, not cache state), so end-of-run totals need no folding. *)
+    route = Option.map Router.counters router;
     partition_wave = !partition_wave;
     heal_wave = !heal_wave;
     stale_after_heal;

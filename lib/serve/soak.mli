@@ -3,7 +3,7 @@
     small cache, with eager and lazy answers, hot-session bursts
     (exercising admission-control shedding), concurrent
     inserts/invalidations, periodic checkpoints and one mid-run crash +
-    recovery. [sessions = 1] is the single-session soak: one IE session
+    recovery. One session is the single-session soak: one IE session
     driving the CMS.
 
     Every answer — planner-executed or load-shed to a cache substitute —
@@ -11,37 +11,93 @@
     {!Braid_check.Oracle}, attributed to the session that received it.
     Recovery must rebuild a byte-identical cache model from the shared
     journal (whose entries carry session ids). The whole run is a
-    deterministic function of [seed]: same seed, byte-identical
-    {!report_to_string}. *)
+    deterministic function of its {!profile}, [seed] and [waves]: same
+    inputs, byte-identical {!report_to_string}. *)
+
+(** What goes wrong during the run. *)
+type faults =
+  | Flaky_crash
+      (** the flaky link (a 0.35 transient/disconnect/timeout rate) plus
+          one CMS crash + recovery at a seeded wave in the middle third
+          of the run *)
+  | Flaky  (** the flaky link only — no crash *)
+  | Partition
+      (** a fault-free link except that shard 0's primary is severed at
+          wave [waves/3] with a {!Braid_remote.Fault.severed} profile
+          healing after 150 system-wide requests on the router's shared
+          fault clock; no crash. The report records partition/heal waves,
+          stale serves after heal and the end-of-run lag. *)
+
+(** What the sessions do each wave, besides their CAQL reads. *)
+type mix =
+  | Reads  (** an occasional insert that invalidates or stale-marks *)
+  | Write_heavy
+      (** the CMS runs with [~maintain:true] and a per-wave burst of
+          {!Workload.gen_write} inserts {e and deletes} replaces the
+          occasional insert: dependent cache elements are delta-maintained
+          instead of invalidated, every answer is still oracle-checked,
+          and the crash replays the journaled deltas byte-identically *)
+  | Recursive
+      (** a set-oriented inference engine over {!Workload.recursive_kb}
+          is installed on the scheduler and sessions pose [zreach] goals
+          alongside their CAQL jobs: each goal is one magic-set fixpoint
+          whose conjunctive base fetches flow through the shared cache,
+          the wave's coalescer window and the journal, under the same
+          faults. Every goal answer is diffed against a fault-free
+          fixpoint over the coordinator's current tables: extras are
+          divergences (monotone rules + insert-only staleness mean a
+          degraded answer may only miss tuples). *)
+
+(** One soak configuration. The mix and the fault plan are each one
+    value, so two pairings nobody has given a meaning cannot be asked
+    for: recursive goals under write bursts (the goal-soundness gate
+    leans on monotone rules plus insert-only staleness, which deletes
+    break) and a partition plus a crash (recovery's fault reset would
+    also wipe the partition mid-heal). *)
+type profile = {
+  sessions : int;  (** >= 1 *)
+  shards : int;
+      (** 1 = the single-server remote. More runs the soak over a
+          {!Braid_remote.Shard_router}: the workload tables are
+          hash-partitioned per {!Workload.partition_keys}, each replica
+          gets its own brownout fault profile (per-shard and per-replica
+          seed offsets) and RDI instance, inserts route to the owning
+          shard, and the crash arms every injector. The report gains
+          routing counters and per-shard lines. *)
+  replicas : int;
+      (** copies per shard; 1 = unreplicated. More keeps that many copies
+          of every shard behind the router — reads fail over, writes
+          hint, and one anti-entropy repair round runs after every wave. *)
+  faults : faults;
+  mix : mix;
+}
+
+val legs : (string * profile) list
+(** The CI serve-soak legs by name: ["single-session"] (1 session),
+    ["multi-session"] (8), ["sharded"] (8 over 4 shards), ["chaos"] (6
+    over 4 shards x 2 replicas, [Partition]), ["write-heavy"] (8,
+    [Write_heavy]) and ["recursive"] (6, [Recursive]). Every leg but
+    chaos runs [Flaky_crash]. The bench CLI's [--serve LEG], the
+    tier-1 tests and experiments E14/E16 all start from these values. *)
 
 type divergence = { wave : int; sid : string; detail : string }
 
 (** End-of-run health of one replica of a shard. *)
 type replica_report = {
-  rr_replica : int;  (** 0 = primary *)
-  rr_node : int;  (** placement node id (see {!Braid_remote.Catalog.replica_nodes}) *)
-  rr_lag : int;  (** replication-log entries not yet applied *)
-  rr_hints : int;  (** hinted writes still queued for it *)
-  rr_partitioned : bool;
-  rr_breaker : string;
-  rr_log : string list;
-      (** the SQL texts this replica served — the chaos CI leg writes one
-          journal file per replica from these on failure *)
+  rr_health : Braid_remote.Shard_router.replica_health;
+  rr_log : string list;  (** the SQL texts this replica served *)
 }
 
 (** End-of-run accounting for one shard of a sharded soak. *)
 type shard_report = {
   shard : int;
-  sh_requests : int;  (** server requests this shard's primary absorbed *)
-  sh_scanned : int;  (** tuples its executor scanned *)
-  sh_failures : int;  (** RDI requests that exhausted retries here *)
-  sh_stale_serves : int;  (** degraded answers served for this shard *)
-  sh_breaker : string;  (** final primary breaker state: closed/open/half-open *)
+  sh_server : Braid_remote.Server.stats;  (** the shard primary's server *)
+  sh_rdi : Braid_remote.Rdi.stats;  (** the shard's RDI *)
+  sh_breaker : Braid_remote.Rdi.breaker_state;  (** final primary breaker state *)
   sh_log : string list;
-      (** the SQL texts this shard's primary served (oldest first) — the
-          serve-soak CI job writes one journal file per shard from these and
-          uploads them as artifacts on failure; deliberately not part of
-          {!report_to_string} (the rendered report stays compact) *)
+      (** the SQL texts this shard's primary served (oldest first);
+          deliberately not part of {!report_to_string} (the rendered
+          report stays compact) — see {!shard_journals} *)
   sh_replicas : replica_report list;  (** [] when [replicas = 1] *)
 }
 
@@ -56,13 +112,9 @@ type session_report = {
 }
 
 type report = {
+  profile : profile;
   seed : int;
-  sessions : int;
   waves : int;
-  shards : int;  (** 1 = single-server remote (the default path) *)
-  replicas : int;  (** copies per shard; 1 = unreplicated *)
-  write_heavy : bool;  (** maintenance-on profile: write bursts, incl. deletes *)
-  recursive : bool;  (** goal jobs solved by the set-oriented IE tier *)
   submitted : int;
   answered : int;
   shed : int;
@@ -73,17 +125,14 @@ type report = {
       (** answers the planner served as lazy generators, across crash
           incarnations *)
   inserts : int;
-  deletes : int;  (** write-heavy profile only; 0 otherwise *)
+  deletes : int;  (** [Write_heavy] mix only; 0 otherwise *)
   drops : int;
   stale_marks : int;
-  delta_maintained : int;
-      (** elements kept Fresh by delta propagation, across crash incarnations *)
-  delta_fallbacks : int;  (** dependents that fell back to stale-mark/drop *)
-  delta_dropped : int;  (** dependents dropped on a delete fallback *)
-  delta_rows_added : int;
-  delta_rows_removed : int;
+  deltas : Braid_cache.Maintain.report;
+      (** delta propagation totals across crash incarnations —
+          [Write_heavy] only *)
   checkpoints : int;
-  goal_submitted : int;  (** recursive profile only; 0 otherwise *)
+  goal_submitted : int;  (** [Recursive] mix only; 0 otherwise *)
   goal_answered : int;
   goal_shed : int;
   goal_solutions : int;  (** fixpoint tuples across all goal answers *)
@@ -92,10 +141,7 @@ type report = {
           honest subsets — degraded fetches under monotone rules) *)
   goal_rounds : int;  (** ie.set.rounds accumulated by goal jobs *)
   goal_fetches : int;  (** ie.set.fetches — conjunctive fetches issued *)
-  coalesce_requests : int;
-  coalesce_identical : int;
-  coalesce_subsumed : int;
-  coalesce_misses : int;
+  coalesce : Coalescer.stats;  (** across crash incarnations *)
   remote_requests : int;  (** RDI requests across crash incarnations *)
   elapsed_ms : float;  (** simulated wall-clock across incarnations *)
   crash_wave : int option;
@@ -106,14 +152,9 @@ type report = {
   recovery_mismatch : string option;
   divergences : divergence list;
   per_session : session_report list;
-  route_pinned : int;  (** requests the router pinned to exactly one shard *)
-  route_fanouts : int;
-  route_gathers : int;
-  shards_pruned : int;  (** shard-scans partition pruning avoided *)
-  failovers : int;  (** replicated-shard reads served by a backup *)
-  hinted_writes : int;  (** writes queued for an unreachable/lagging replica *)
-  handoffs : int;  (** hinted writes delivered by anti-entropy repair *)
-  repairs : int;  (** anti-entropy log replays *)
+  route : Braid_remote.Shard_router.counters option;
+      (** routing and replication counters; [None] for the single-server
+          remote *)
   partition_wave : int option;  (** chaos: the wave the primary was severed *)
   heal_wave : int option;  (** chaos: first wave the partition was seen healed *)
   stale_after_heal : int;
@@ -130,75 +171,37 @@ val failures : report -> string list
 (** Every gate the run violated, one message each; [[]] for a passing
     run. Always: no oracle divergence, byte-identical recovery, every
     recovered element re-validated, every replica repaired back to the
-    log head. Per profile, derived from the report: with more than one
-    session (and neither chaos nor write-heavy) — at least one coalesce
-    hit; write-heavy — elements delta-maintained, delta rows added,
-    deletes issued; recursive — goals answered through multi-round
-    fixpoints and set-oriented fetches, at least one complete (a goal
-    answer with a tuple outside ground truth is a divergence); chaos (a
-    primary was severed) — failovers, hinted writes and handoffs
-    happened, the partition healed, and nothing served stale after heal
-    + repair. *)
+    log head. Per profile, keyed on [r.profile]: with more than one
+    session (and neither [Partition] nor [Write_heavy]) — at least one
+    coalesce hit; [Write_heavy] — elements delta-maintained, delta rows
+    added, deletes issued; [Recursive] — goals answered through
+    multi-round fixpoints and set-oriented fetches, at least one complete
+    (a goal answer with a tuple outside ground truth is a divergence);
+    [Partition] — failovers, hinted writes and handoffs happened, the
+    partition healed, and nothing served stale after heal + repair. *)
 
-val run :
-  ?crash:bool ->
-  ?shards:int ->
-  ?replicas:int ->
-  ?chaos:bool ->
-  ?write_heavy:bool ->
-  ?recursive:bool ->
-  sessions:int ->
-  seed:int ->
-  waves:int ->
-  unit ->
-  report
-(** The link is flaky at a 0.35 transient/disconnect/timeout rate,
-    admission follows {!Admission.default_policy}, and [crash] (default
-    true) arms one crash at a seeded wave in the middle third of the run.
-    Each wave: every session may submit from the overlapping {!Workload}
-    family (one hot view shared across sessions; a quarter of the jobs ask
-    for a lazy answer), the first session occasionally bursts past its
-    admission cap, a mutation may hit a base table, then one scheduler
-    wave executes.
+val run : profile -> seed:int -> waves:int -> report
+(** Admission follows {!Admission.default_policy}. Each wave: every
+    session may submit from the overlapping {!Workload} family (one hot
+    view shared across sessions; a quarter of the jobs ask for a lazy
+    answer), the first session occasionally bursts past its admission
+    cap, the mix's writes (and goals) are issued, then one scheduler wave
+    executes.
 
-    [shards] (default 1 — the single-server path, untouched) > 1 runs the
-    soak over a {!Braid_remote.Shard_router}: the workload tables are
-    hash-partitioned per {!Workload.partition_keys}, each replica gets its
-    own brownout fault profile (per-shard and per-replica seed offsets)
-    and RDI instance, inserts route to the owning shard, and the crash
-    arms every injector. The report gains routing counters and per-shard
-    lines.
-
-    [replicas] (default 1) > 1 keeps that many copies of every shard
-    behind the router — reads fail over, writes hint, and one
-    anti-entropy repair round runs after every wave.
-
-    [chaos] (default false; requires [replicas >= 2], forces [crash]
-    off and makes the link fault-free) severs shard 0's primary at wave
-    [waves/3] with a {!Braid_remote.Fault.severed} profile healing after
-    150 system-wide requests on the router's shared fault clock. The
-    report records partition/heal waves, stale serves after heal and the
-    end-of-run lag.
-
-    [write_heavy] (default false; requires the single-server remote —
-    see docs/CONSISTENCY.md on deletes under replication lag) creates the
-    CMS with [~maintain:true] and replaces the occasional insert with a
-    per-wave burst of {!Workload.gen_write} inserts {e and deletes}:
-    dependent cache elements are delta-maintained instead of invalidated,
-    every answer still oracle-checked, and the crash replays the
-    journaled deltas byte-identically. The report gains the [delta_*]
-    counters.
-
-    [recursive] (default false; excludes [write_heavy]) installs a
-    set-oriented inference engine on the scheduler over
-    {!Workload.recursive_kb} and has sessions pose [zreach] goals
-    alongside their CAQL jobs: each goal is one magic-set fixpoint whose
-    conjunctive base fetches flow through the shared cache, the wave's
-    coalescer window and the journal, under the same faults and crash.
-    Every goal answer is diffed against a fault-free fixpoint over the
-    coordinator's current tables: extras are divergences (monotone rules
-    + insert-only staleness mean a degraded answer may only miss
-    tuples). The report gains the [goal_*] counters. *)
+    @raise Invalid_argument naming the broken rule when [sessions < 1],
+    when the [Write_heavy] mix is given more than one server (see
+    docs/CONSISTENCY.md on deletes under replication lag), or when a
+    [Partition] has fewer than 2 replicas (it severs the primary).
+    Shard and replica counts below 1 are rejected by
+    {!Braid_remote.Shard_router.create}. *)
 
 val report_to_string : report -> string
 (** Deterministic rendering — byte-identical across runs for a seed. *)
+
+val shard_journals : report -> (string * string list) list
+(** One request journal per shard (suffix [".shardN"]) and, when
+    replicated, per replica ([".shardN.rM"]): a [#] header line with the
+    copy's end-of-run accounting, then the SQL texts it served. The bench
+    CLI writes each to its [--journal] path plus the suffix, and the
+    serve-soak CI job uploads them on failure, so a sick copy's exact
+    fetch sequence is reconstructible. *)

@@ -201,8 +201,10 @@ let test_recovery_validation_drops_outdated () =
 
 (* --- the single-session soak --- *)
 
+let single_session = List.assoc "single-session" Soak.legs
+
 let test_soak_short_run_ok () =
-  let r = Soak.run ~sessions:1 ~seed:1 ~waves:300 () in
+  let r = Soak.run single_session ~seed:1 ~waves:300 in
   Alcotest.(check (list string)) "every gate passes" [] (Soak.failures r);
   check_bool "ran queries" true (r.Soak.answered > 0);
   check_bool "ran mutations" true (r.Soak.inserts > 0);
@@ -212,7 +214,7 @@ let test_soak_short_run_ok () =
   check_int "no divergences" 0 (List.length r.Soak.divergences)
 
 let test_soak_deterministic () =
-  let run () = Soak.run ~sessions:1 ~seed:9 ~waves:200 () in
+  let run () = Soak.run single_session ~seed:9 ~waves:200 in
   let a = run () and b = run () in
   check_bool "identical reports (journal included)" true (a = b)
 

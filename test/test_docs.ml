@@ -137,6 +137,23 @@ let test_spans_command () =
   check_bool "off again" true
     (contains "span recording is off" (Braid_serve.Repl.exec_line s ":spans"))
 
+(* Every soak command in the README names a leg of [Soak.legs], and
+   every leg has one, so the documented commands cannot drift from the
+   list the CLI accepts. *)
+let test_readme_soak_legs () =
+  let words =
+    String.split_on_char '\n' (read_file "../README.md")
+    |> List.concat_map (String.split_on_char ' ')
+  in
+  let rec legs acc = function
+    | "--serve" :: leg :: tl -> legs (leg :: acc) tl
+    | _ :: tl -> legs acc tl
+    | [] -> List.sort_uniq compare acc
+  in
+  Alcotest.(check (list string))
+    "README --serve legs" (List.sort compare (List.map fst Braid_serve.Soak.legs))
+    (legs [] words)
+
 let suites =
   [
     ( "docs",
@@ -148,5 +165,7 @@ let suites =
           test_help_documents_every_command;
         Alcotest.test_case "every command dispatches" `Quick test_every_command_dispatches;
         Alcotest.test_case ":spans / :metrics observability" `Quick test_spans_command;
+        Alcotest.test_case "README soak commands name every leg" `Quick
+          test_readme_soak_legs;
       ] );
   ]

@@ -89,6 +89,15 @@ let test_system_and_strategy_switch () =
     (contains "bermuda" (Braid_serve.Repl.exec_line s ":system bermuda"));
   check_bool "bad system" true
     (contains "unknown system" (Braid_serve.Repl.exec_line s ":system nope"));
+  (match Braid.Baselines.of_label "nope" with
+   | Ok _ -> Alcotest.fail "nope is not a coupling discipline"
+   | Error msg ->
+     Alcotest.(check string) "the REPL reports the label table's error" ("error: " ^ msg)
+       (Braid_serve.Repl.exec_line s ":system nope"));
+  check_bool "every label resolves" true
+    (List.for_all
+       (fun b -> Braid.Baselines.of_label b.Braid.Baselines.label = Ok b)
+       Braid.Baselines.all);
   check_bool "strategy switch" true
     (contains "strategy = set-oriented" (Braid_serve.Repl.exec_line s ":strategy set-oriented"));
   check_bool "conjunction-k" true

@@ -267,27 +267,40 @@ let test_scheduler_goal_jobs () =
   check_bool "goal fetches populated the shared cache" true
     ((Cms.cache_summary cms).Braid_cache.Cache_model.element_count > 0)
 
-(* --- the soak, one case per CI profile --- *)
+(* --- the soak, one case per CI leg --- *)
 
-(* The multi-session serve-soak CI legs at small wave counts (the
-   single-session leg is the check-soak group in test_check.ml). Each
-   profile must pass every gate; the mid-run crash (the partition, under
-   chaos) must fire, bursts must be shed, every session answered and some
-   answers served lazily. The determinism case re-runs every profile. *)
-let soak_profiles =
+(* Every serve-soak CI leg at a small wave count and its CI seed. The
+   determinism case re-runs every leg in [Soak.legs]; a leg without a
+   scale here fails it. *)
+let soak_scale =
   [
-    ("multi-session", fun () -> Soak.run ~sessions:8 ~seed:1 ~waves:120 ());
-    ("4 shards", fun () -> Soak.run ~shards:4 ~sessions:8 ~seed:1 ~waves:120 ());
-    ( "chaos",
-      fun () ->
-        Soak.run ~shards:4 ~replicas:2 ~chaos:true ~sessions:6 ~seed:1 ~waves:120 () );
-    ( "write-heavy",
-      fun () -> Soak.run ~write_heavy:true ~sessions:8 ~seed:1 ~waves:300 () );
-    ("recursive goals", fun () -> Soak.run ~recursive:true ~sessions:6 ~seed:3 ~waves:120 ());
+    ("single-session", (1, 120));
+    ("multi-session", (1, 120));
+    ("sharded", (1, 120));
+    ("chaos", (1, 120));
+    ("write-heavy", (1, 300));
+    ("recursive", (3, 120));
   ]
 
-let test_soak run () =
-  let r = run () in
+let run_leg name =
+  let seed, waves = List.assoc name soak_scale in
+  Soak.run (List.assoc name Soak.legs) ~seed ~waves
+
+(* The multi-session legs as test cases (the single-session leg is the
+   check-soak group in test_check.ml). Each must pass every gate; the
+   mid-run crash (the partition, under chaos) must fire, bursts must be
+   shed, every session answered and some answers served lazily. *)
+let soak_profiles =
+  [
+    ("multi-session", "multi-session");
+    ("4 shards", "sharded");
+    ("chaos", "chaos");
+    ("write-heavy", "write-heavy");
+    ("recursive goals", "recursive");
+  ]
+
+let test_soak leg () =
+  let r = run_leg leg in
   Alcotest.(check (list string)) "every gate passes" [] (Soak.failures r);
   check_bool "the crash or partition fired" true
     (r.Soak.crash_wave <> None || r.Soak.partition_wave <> None);
@@ -305,13 +318,34 @@ let test_soak run () =
 
 let test_soak_deterministic () =
   List.iter
-    (fun (name, run) ->
-      let r1 = run () and r2 = run () in
+    (fun (name, _) ->
+      let r1 = run_leg name and r2 = run_leg name in
       check_bool (name ^ ": byte-identical reports for one seed") true
         (Soak.report_to_string r1 = Soak.report_to_string r2);
       check_bool (name ^ ": identical journals") true
         (r1.Soak.journal_dump = r2.Soak.journal_dump))
-    soak_profiles
+    Soak.legs
+
+(* The value rules the profile type cannot express: each broken profile
+   raises before the run starts, naming its rule. *)
+let test_soak_rejects () =
+  let contains needle hay =
+    let n = String.length needle in
+    let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
+    go 0
+  in
+  let rejects label profile rule =
+    match Soak.run profile ~seed:1 ~waves:10 with
+    | _ -> Alcotest.failf "%s: accepted" label
+    | exception Invalid_argument msg ->
+      check_bool (Printf.sprintf "%s: %S names %S" label msg rule) true (contains rule msg)
+  in
+  let leg = Fun.flip List.assoc Soak.legs in
+  let wh = leg "write-heavy" in
+  rejects "write-heavy over 4 shards" { wh with shards = 4 } "write-heavy";
+  rejects "write-heavy over 2 replicas" { wh with replicas = 2 } "write-heavy";
+  rejects "a partition with 1 replica" { (leg "chaos") with replicas = 1 } "partition";
+  rejects "no sessions" { (leg "multi-session") with sessions = 0 } "sessions"
 
 let suites =
   [
@@ -337,6 +371,7 @@ let suites =
         Alcotest.test_case "soak determinism" `Slow test_soak_deterministic;
       ]
       @ List.map
-          (fun (name, run) -> Alcotest.test_case ("soak " ^ name) `Slow (test_soak run))
-          soak_profiles );
+          (fun (name, leg) -> Alcotest.test_case ("soak " ^ name) `Slow (test_soak leg))
+          soak_profiles
+      @ [ Alcotest.test_case "soak rejects invalid profiles" `Quick test_soak_rejects ] );
   ]
