@@ -4,16 +4,6 @@ module Sub = Braid_subsume.Subsumption
 module Obs = Braid_obs
 
 type stats = {
-  insertions : int;
-  evictions : int;
-  tuples_touched : int;
-  indexes_built : int;
-  stale_touches : int;
-}
-
-type t = {
-  model : Cache_model.t;
-  journal : Journal.t;
   mutable insertions : int;
   mutable evictions : int;
   mutable tuples_touched : int;
@@ -21,20 +11,17 @@ type t = {
   mutable stale_touches : int;
 }
 
+type t = { model : Cache_model.t; journal : Journal.t; stats : stats }
+
 let create ?journal ?model ~capacity_bytes () =
   let journal = match journal with Some j -> j | None -> Journal.create () in
   let model =
     match model with Some m -> m | None -> Cache_model.create ~capacity_bytes
   in
-  {
-    model;
-    journal;
-    insertions = 0;
-    evictions = 0;
-    tuples_touched = 0;
-    indexes_built = 0;
-    stale_touches = 0;
-  }
+  let stats =
+    { insertions = 0; evictions = 0; tuples_touched = 0; indexes_built = 0; stale_touches = 0 }
+  in
+  { model; journal; stats }
 
 let model t = t.model
 let journal t = t.journal
@@ -75,7 +62,7 @@ let insert t ?id ~def repr =
             ];
         Journal.log_evict t.journal ~id:vid ~pinned_fallback)
       evicted;
-    t.evictions <- t.evictions + List.length evicted;
+    t.stats.evictions <- t.stats.evictions + List.length evicted;
     (* Even after evicting everything evictable the element may not fit
        (e.g. only pinned elements remain). *)
     if
@@ -84,7 +71,7 @@ let insert t ?id ~def repr =
     else begin
       Cache_model.add t.model e;
       journal_admit t e;
-      t.insertions <- t.insertions + 1;
+      t.stats.insertions <- t.stats.insertions + 1;
       Obs.Metrics.incr "cache.admissions";
       Obs.Trace.instant ~cat:"cache" "cache.admit"
         ~args:[ ("element", Obs.Trace.Str id); ("bytes", Obs.Trace.Int bytes) ];
@@ -118,7 +105,7 @@ let relevant_covers t (q : A.conj) =
     candidates
 
 let stale_hook t n =
-  t.stale_touches <- t.stale_touches + n;
+  t.stats.stale_touches <- t.stats.stale_touches + n;
   Obs.Metrics.incr ~by:n "cache.stale_touches"
 
 let eval t ?extra q =
@@ -126,7 +113,7 @@ let eval t ?extra q =
       let result, touched =
         Query_processor.eval t.model ?extra ~stale_hook:(stale_hook t) q
       in
-      t.tuples_touched <- t.tuples_touched + touched;
+      t.stats.tuples_touched <- t.stats.tuples_touched + touched;
       Obs.Trace.add_arg "touched" (Obs.Trace.Int touched);
       Obs.Metrics.observe "cache.eval_touched" (float_of_int touched);
       result)
@@ -138,7 +125,7 @@ let eval_conj_lazy t ?extra c =
 let ensure_index t e cols =
   if Element.index_on e cols = None then begin
     ignore (Element.ensure_index e cols);
-    t.indexes_built <- t.indexes_built + 1
+    t.stats.indexes_built <- t.stats.indexes_built + 1
   end
 
 let pin t id flag =
@@ -210,18 +197,4 @@ let checkpoint t =
   List.iter (journal_admit t) (Cache_model.elements t.model);
   epoch
 
-let stats t =
-  {
-    insertions = t.insertions;
-    evictions = t.evictions;
-    tuples_touched = t.tuples_touched;
-    indexes_built = t.indexes_built;
-    stale_touches = t.stale_touches;
-  }
-
-let reset_stats t =
-  t.insertions <- 0;
-  t.evictions <- 0;
-  t.tuples_touched <- 0;
-  t.indexes_built <- 0;
-  t.stale_touches <- 0
+let stats t = { t.stats with insertions = t.stats.insertions }

@@ -72,13 +72,14 @@ val remove_element : t -> Element.t -> pred:string -> unit
     writes, so a non-maintainable dependent of a delete must be dropped
     rather than stale-marked (see docs/CONSISTENCY.md). *)
 
-type stats = {
-  insertions : int;
-  evictions : int;
-  tuples_touched : int;  (** workstation tuples processed by the QP *)
-  indexes_built : int;
-  stale_touches : int;  (** tuples read from stale elements (degraded) *)
+(** Cache accounting since {!create}. Only this module writes it. *)
+type stats = private {
+  mutable insertions : int;
+  mutable evictions : int;
+  mutable tuples_touched : int;  (** workstation tuples processed by the QP *)
+  mutable indexes_built : int;
+  mutable stale_touches : int;  (** tuples read from stale elements (degraded) *)
 }
 
 val stats : t -> stats
-val reset_stats : t -> unit
+(** A snapshot: later cache work does not change it. *)

@@ -192,10 +192,3 @@ let metrics t = Qpo.metrics t.qpo
 let remote_stats t = Qpo.remote_stats t.qpo
 
 let set_observer t f = Qpo.set_observer t.qpo f
-
-let reset_metrics t =
-  Qpo.reset_metrics t.qpo;
-  Server.reset_stats t.server;
-  Rdi.reset_stats (rdi t);
-  (match router t with Some r -> Router.reset_stats r | None -> ());
-  CMgr.reset_stats t.cache

@@ -161,11 +161,7 @@ val cache_summary : t -> Braid_cache.Cache_model.summary
 val metrics : t -> Braid_planner.Qpo.metrics
 val remote_stats : t -> Braid_remote.Server.stats
 (** Remote-side accounting on the fetch path: the single server, or the
-    field-wise sum over the shard fleet. *)
-
-val reset_metrics : t -> unit
-(** Resets planner and remote accounting (including per-shard servers and
-    router counters when sharded); cache contents are kept. *)
+    {!Braid_remote.Server.sum} over the shard fleet. *)
 
 val set_observer :
   t ->

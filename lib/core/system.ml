@@ -89,8 +89,6 @@ let metrics t =
     total_ms = planner.Qpo.elapsed_ms +. ie_ms;
   }
 
-let reset_metrics t = Cms.reset_metrics t.cms
-
 let pp_metrics ppf m =
   Format.fprintf ppf
     "@[<v>remote: %d requests, %d tuples returned, %d scanned (server %.1fms, comm %.1fms)@,\

@@ -68,5 +68,4 @@ type metrics = {
 }
 
 val metrics : t -> metrics
-val reset_metrics : t -> unit
 val pp_metrics : Format.formatter -> metrics -> unit

@@ -82,23 +82,6 @@ let no_advice_config =
   }
 
 type metrics = {
-  queries : int;
-  exact_hits : int;
-  full_hits : int;
-  partial_hits : int;
-  misses : int;
-  generalizations : int;
-  prefetches : int;
-  lazy_answers : int;
-  indexes_built : int;
-  degraded : int;
-  semijoin_pushdowns : int;
-  semijoin_values : int;
-  local_ms : float;
-  elapsed_ms : float;
-}
-
-type stats = {
   mutable queries : int;
   mutable exact_hits : int;
   mutable full_hits : int;
@@ -114,24 +97,6 @@ type stats = {
   mutable local_ms : float;
   mutable elapsed_ms : float;
 }
-
-let fresh_stats () =
-  {
-    queries = 0;
-    exact_hits = 0;
-    full_hits = 0;
-    partial_hits = 0;
-    misses = 0;
-    generalizations = 0;
-    prefetches = 0;
-    lazy_answers = 0;
-    indexes_built = 0;
-    degraded = 0;
-    semijoin_pushdowns = 0;
-    semijoin_values = 0;
-    local_ms = 0.0;
-    elapsed_ms = 0.0;
-  }
 
 (* Per-session CMS state (paper §3: "a session begins with a set of
    advice"): the Advice Manager — and with it the path tracker, the
@@ -166,7 +131,7 @@ type t = {
          aggregates over the shards *)
   default_session : session;
   mutable session_counter : int;
-  stats : stats;
+  stats : metrics;
   mutable fetch_counter : int;
   mutable observer : (A.conj -> Plan.provenance -> R.Relation.t -> unit) option;
   mutable fetcher : (A.conj -> Braid_remote.Sql.select -> Rdi.outcome) option;
@@ -186,7 +151,23 @@ let create ?rdi_policy ?router config ~cache ~server =
     router;
     default_session = fresh_session "main" { Braid_advice.Ast.specs = []; path = None };
     session_counter = 0;
-    stats = fresh_stats ();
+    stats =
+      {
+        queries = 0;
+        exact_hits = 0;
+        full_hits = 0;
+        partial_hits = 0;
+        misses = 0;
+        generalizations = 0;
+        prefetches = 0;
+        lazy_answers = 0;
+        indexes_built = 0;
+        degraded = 0;
+        semijoin_pushdowns = 0;
+        semijoin_values = 0;
+        local_ms = 0.0;
+        elapsed_ms = 0.0;
+      };
     fetch_counter = 0;
     observer = None;
     fetcher = None;
@@ -1283,37 +1264,4 @@ and answer_query t ?session (q : A.t) =
     let src, plan = answer_query t ?session ag.A.source in
     (R.Aggregate.group_by ag.A.keys ag.A.specs src, plan)
 
-let metrics t : metrics =
-  {
-    queries = t.stats.queries;
-    exact_hits = t.stats.exact_hits;
-    full_hits = t.stats.full_hits;
-    partial_hits = t.stats.partial_hits;
-    misses = t.stats.misses;
-    generalizations = t.stats.generalizations;
-    prefetches = t.stats.prefetches;
-    lazy_answers = t.stats.lazy_answers;
-    indexes_built = t.stats.indexes_built;
-    degraded = t.stats.degraded;
-    semijoin_pushdowns = t.stats.semijoin_pushdowns;
-    semijoin_values = t.stats.semijoin_values;
-    local_ms = t.stats.local_ms;
-    elapsed_ms = t.stats.elapsed_ms;
-  }
-
-let reset_metrics t =
-  let s = t.stats in
-  s.queries <- 0;
-  s.exact_hits <- 0;
-  s.full_hits <- 0;
-  s.partial_hits <- 0;
-  s.misses <- 0;
-  s.generalizations <- 0;
-  s.prefetches <- 0;
-  s.lazy_answers <- 0;
-  s.indexes_built <- 0;
-  s.degraded <- 0;
-  s.semijoin_pushdowns <- 0;
-  s.semijoin_values <- 0;
-  s.local_ms <- 0.0;
-  s.elapsed_ms <- 0.0
+let metrics t = { t.stats with queries = t.stats.queries }

@@ -97,7 +97,7 @@ val router : t -> Braid_remote.Shard_router.t option
 
 val remote_stats : t -> Braid_remote.Server.stats
 (** Remote-side accounting for this planner's fetch path: the single
-    server's stats, or the field-wise sum over the shard fleet. *)
+    server's stats, or {!Braid_remote.Server.sum} over the shard fleet. *)
 
 val rdi_stats : t -> Braid_remote.Rdi.stats
 (** The RDI accounting on the fetch path (summed over shards when
@@ -183,30 +183,31 @@ val answer_query :
 (** Full CAQL (union / difference / aggregation), evaluated eagerly by
     answering each conjunctive leaf through the planner. *)
 
-type metrics = {
-  queries : int;
-  exact_hits : int;
-  full_hits : int;  (** answered without any remote interaction *)
-  partial_hits : int;  (** some cached data reused, some fetched *)
-  misses : int;
-  generalizations : int;
-  prefetches : int;
-  lazy_answers : int;
-  indexes_built : int;
-  degraded : int;  (** answers served with stale or incomplete data *)
-  semijoin_pushdowns : int;  (** remote requests shipped with IN-filters *)
-  semijoin_values : int;  (** total filter values shipped *)
-  local_ms : float;  (** simulated workstation time *)
-  elapsed_ms : float;  (** simulated wall-clock incl. overlap *)
+(** Per-planner counters since {!create}. Only this module writes them. *)
+type metrics = private {
+  mutable queries : int;
+  mutable exact_hits : int;
+  mutable full_hits : int;  (** answered without any remote interaction *)
+  mutable partial_hits : int;  (** some cached data reused, some fetched *)
+  mutable misses : int;
+  mutable generalizations : int;
+  mutable prefetches : int;
+  mutable lazy_answers : int;
+  mutable indexes_built : int;
+  mutable degraded : int;  (** answers served with stale or incomplete data *)
+  mutable semijoin_pushdowns : int;  (** remote requests shipped with IN-filters *)
+  mutable semijoin_values : int;  (** total filter values shipped *)
+  mutable local_ms : float;  (** simulated workstation time *)
+  mutable elapsed_ms : float;  (** simulated wall-clock incl. overlap *)
 }
 
 val metrics : t -> metrics
-(** Per-planner counters since creation or the last {!reset_metrics}.
-    The same events also feed the global [Braid_obs.Metrics] registry
-    (names under [qpo.*]) when richer aggregates are wanted. *)
-
-val reset_metrics : t -> unit
-
+(** A snapshot of the counters: later queries do not change it. The
+    global [Braid_obs.Metrics] registry counts most of the same events
+    under [qpo.<field>]; [semijoin_pushdowns] is registered as
+    [qpo.semijoin_pushdown], [local_ms]/[elapsed_ms] are per-query
+    histograms there, and [indexes_built] and [semijoin_values] have no
+    registry counterpart. *)
 
 val set_observer :
   t ->

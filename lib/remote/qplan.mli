@@ -12,7 +12,7 @@
 type t
 (** A chosen plan. *)
 
-type counters = {
+type counters = private {
   mutable hash_joins : int;
   mutable merge_joins : int;
   mutable inlj_joins : int;
@@ -23,7 +23,8 @@ type counters = {
   mutable bitmap_scans : int;
   mutable semijoin_filters : int;
 }
-(** Deterministic plan-choice counters, bumped at execution. *)
+(** Deterministic plan-choice counters, bumped at execution. Only this
+    module writes them. *)
 
 val fresh_counters : unit -> counters
 

@@ -45,26 +45,6 @@ type outcome =
   | Failed of failure
 
 type stats = {
-  requests : int;
-  attempts : int;
-  retries : int;
-  failures : int;
-  deadline_misses : int;
-  trips : int;
-  fast_fails : int;
-  half_open_probes : int;
-  stale_serves : int;
-  backoff_ms : float;
-}
-
-type t = {
-  server : Server.t;
-  mutable policy : policy;
-  mutable prng : Prng.t;
-  mutable state : breaker_state;
-  mutable consecutive_failures : int;
-  mutable cooldown_left : int;
-  last_good : (string, R.Relation.t) Hashtbl.t;
   mutable requests : int;
   mutable attempts : int;
   mutable retries : int;
@@ -75,6 +55,31 @@ type t = {
   mutable half_open_probes : int;
   mutable stale_serves : int;
   mutable backoff_ms : float;
+}
+
+let zero () =
+  {
+    requests = 0;
+    attempts = 0;
+    retries = 0;
+    failures = 0;
+    deadline_misses = 0;
+    trips = 0;
+    fast_fails = 0;
+    half_open_probes = 0;
+    stale_serves = 0;
+    backoff_ms = 0.0;
+  }
+
+type t = {
+  server : Server.t;
+  mutable policy : policy;
+  mutable prng : Prng.t;
+  mutable state : breaker_state;
+  mutable consecutive_failures : int;
+  mutable cooldown_left : int;
+  last_good : (string, R.Relation.t) Hashtbl.t;
+  stats : stats;
   mutable events : string list; (* newest first *)
 }
 
@@ -87,16 +92,7 @@ let create ?(policy = default_policy) server =
     consecutive_failures = 0;
     cooldown_left = 0;
     last_good = Hashtbl.create 64;
-    requests = 0;
-    attempts = 0;
-    retries = 0;
-    failures = 0;
-    deadline_misses = 0;
-    trips = 0;
-    fast_fails = 0;
-    half_open_probes = 0;
-    stale_serves = 0;
-    backoff_ms = 0.0;
+    stats = zero ();
     events = [];
   }
 
@@ -125,7 +121,7 @@ let trip t =
   t.state <- Open;
   t.consecutive_failures <- 0;
   t.cooldown_left <- t.policy.breaker_cooldown;
-  t.trips <- t.trips + 1;
+  t.stats.trips <- t.stats.trips + 1;
   Obs.Metrics.incr "rdi.trips";
   Obs.Trace.instant ~cat:"rdi" "rdi.trip"
     ~args:[ ("cooldown", Obs.Trace.Int t.policy.breaker_cooldown) ];
@@ -152,7 +148,7 @@ let note_success t =
 let degrade t sql_text failure =
   match Hashtbl.find_opt t.last_good sql_text with
   | Some rel ->
-    t.stale_serves <- t.stale_serves + 1;
+    t.stats.stale_serves <- t.stats.stale_serves + 1;
     Obs.Metrics.incr "rdi.stale_serves";
     Obs.Trace.instant ~cat:"rdi" "rdi.stale_serve"
       ~args:[ ("cause", Obs.Trace.Str (failure_to_string failure)) ];
@@ -166,9 +162,8 @@ let degrade t sql_text failure =
     Failed failure
 
 (* One server round trip; classifies the fault and updates the breaker. *)
-let attempt t sql ~try_ =
-  t.attempts <- t.attempts + 1;
-  let sql_text = Sql.to_string sql in
+let attempt t sql ~sql_text ~try_ =
+  t.stats.attempts <- t.stats.attempts + 1;
   match Server.exec t.server ?deadline_ms:t.policy.deadline_ms sql with
   | rel ->
     note_success t;
@@ -181,7 +176,7 @@ let attempt t sql ~try_ =
     raise (Fault.Injected Fault.Crash)
   | exception Fault.Injected kind ->
     if kind = Fault.Timeout then begin
-      t.deadline_misses <- t.deadline_misses + 1;
+      t.stats.deadline_misses <- t.stats.deadline_misses + 1;
       Obs.Metrics.incr "rdi.deadline_misses"
     end;
     event t "fault %s try=%d [%s]" (Fault.kind_to_string kind) try_ sql_text;
@@ -189,7 +184,7 @@ let attempt t sql ~try_ =
     Error (kind, tripped)
 
 let rec exec t sql =
-  t.requests <- t.requests + 1;
+  t.stats.requests <- t.stats.requests + 1;
   Obs.Metrics.incr "rdi.requests";
   let sql_text = Sql.to_string sql in
   Obs.Trace.with_span ~cat:"rdi" "rdi.exec"
@@ -218,7 +213,7 @@ and exec_traced t sql ~sql_text =
       | None -> false
     in
     let give_up kind =
-      t.failures <- t.failures + 1;
+      t.stats.failures <- t.stats.failures + 1;
       (match t.state with
        | Half_open ->
          (* The probe failed: reopen without counting more failures. *)
@@ -231,7 +226,7 @@ and exec_traced t sql ~sql_text =
     in
     let rec go try_ =
       let before = sim_now () in
-      match attempt t sql ~try_ with
+      match attempt t sql ~sql_text ~try_ with
       | Ok rel -> Fresh rel
       | Error (kind, tripped) ->
         spent := !spent +. (sim_now () -. before);
@@ -240,7 +235,7 @@ and exec_traced t sql ~sql_text =
           (* The attempts alone already blew the caller's budget: a
              request-level deadline miss, distinct from the per-attempt
              Timeout the injector may also have charged. *)
-          t.deadline_misses <- t.deadline_misses + 1;
+          t.stats.deadline_misses <- t.stats.deadline_misses + 1;
           Obs.Metrics.incr "rdi.deadline_misses";
           Obs.Trace.instant ~cat:"rdi" "rdi.budget_stop"
             ~args:[ ("spent_ms", Obs.Trace.Float !spent) ];
@@ -254,7 +249,7 @@ and exec_traced t sql ~sql_text =
             (* Waiting out this backoff would blow the budget: stop now
                rather than sleep past it. The jitter draw stays spent, so
                same-seed schedules remain aligned. *)
-            t.deadline_misses <- t.deadline_misses + 1;
+            t.stats.deadline_misses <- t.stats.deadline_misses + 1;
             Obs.Metrics.incr "rdi.deadline_misses";
             Obs.Trace.instant ~cat:"rdi" "rdi.budget_stop"
               ~args:[ ("spent_ms", Obs.Trace.Float !spent) ];
@@ -262,8 +257,8 @@ and exec_traced t sql ~sql_text =
             give_up kind
           end
           else begin
-            t.retries <- t.retries + 1;
-            t.backoff_ms <- t.backoff_ms +. delay;
+            t.stats.retries <- t.stats.retries + 1;
+            t.stats.backoff_ms <- t.stats.backoff_ms +. delay;
             Obs.Metrics.incr "rdi.retries";
             Obs.Metrics.observe "rdi.backoff_ms" delay;
             Obs.Trace.instant ~cat:"rdi" "rdi.retry"
@@ -283,7 +278,7 @@ and exec_traced t sql ~sql_text =
   match t.state with
   | Open when t.cooldown_left > 0 ->
     t.cooldown_left <- t.cooldown_left - 1;
-    t.fast_fails <- t.fast_fails + 1;
+    t.stats.fast_fails <- t.stats.fast_fails + 1;
     Obs.Metrics.incr "rdi.fast_fails";
     Obs.Trace.instant ~cat:"rdi" "rdi.fast_fail"
       ~args:[ ("cooldown_left", Obs.Trace.Int t.cooldown_left) ];
@@ -292,37 +287,29 @@ and exec_traced t sql ~sql_text =
   | Open ->
     (* Cooldown over: this request is the half-open probe. *)
     t.state <- Half_open;
-    t.half_open_probes <- t.half_open_probes + 1;
+    t.stats.half_open_probes <- t.stats.half_open_probes + 1;
     Obs.Trace.instant ~cat:"rdi" "rdi.probe";
     event t "half-open probe [%s]" sql_text;
     run_attempts ()
   | Closed | Half_open -> run_attempts ()
 
-let stats t =
-  {
-    requests = t.requests;
-    attempts = t.attempts;
-    retries = t.retries;
-    failures = t.failures;
-    deadline_misses = t.deadline_misses;
-    trips = t.trips;
-    fast_fails = t.fast_fails;
-    half_open_probes = t.half_open_probes;
-    stale_serves = t.stale_serves;
-    backoff_ms = t.backoff_ms;
-  }
+let stats t = { t.stats with requests = t.stats.requests }
 
-let reset_stats t =
-  t.requests <- 0;
-  t.attempts <- 0;
-  t.retries <- 0;
-  t.failures <- 0;
-  t.deadline_misses <- 0;
-  t.trips <- 0;
-  t.fast_fails <- 0;
-  t.half_open_probes <- 0;
-  t.stale_serves <- 0;
-  t.backoff_ms <- 0.0;
-  t.events <- []
+let sum l =
+  let acc = zero () in
+  List.iter
+    (fun s ->
+      acc.requests <- acc.requests + s.requests;
+      acc.attempts <- acc.attempts + s.attempts;
+      acc.retries <- acc.retries + s.retries;
+      acc.failures <- acc.failures + s.failures;
+      acc.deadline_misses <- acc.deadline_misses + s.deadline_misses;
+      acc.trips <- acc.trips + s.trips;
+      acc.fast_fails <- acc.fast_fails + s.fast_fails;
+      acc.half_open_probes <- acc.half_open_probes + s.half_open_probes;
+      acc.stale_serves <- acc.stale_serves + s.stale_serves;
+      acc.backoff_ms <- acc.backoff_ms +. s.backoff_ms)
+    l;
+  acc
 
 let trace t = List.rev t.events

@@ -55,17 +55,18 @@ type outcome =
       (** degraded: the last good response for this request text *)
   | Failed of failure  (** no answer available at all *)
 
-type stats = {
-  requests : int;  (** calls to {!exec} *)
-  attempts : int;  (** server round trips actually tried *)
-  retries : int;
-  failures : int;  (** requests that exhausted their retries *)
-  deadline_misses : int;
-  trips : int;  (** Closed/Half_open -> Open transitions *)
-  fast_fails : int;  (** requests rejected by an open breaker *)
-  half_open_probes : int;
-  stale_serves : int;  (** degraded answers served from the response cache *)
-  backoff_ms : float;  (** total simulated backoff waiting *)
+(** Resilience accounting since {!create}. Only this module writes it. *)
+type stats = private {
+  mutable requests : int;  (** calls to {!exec} *)
+  mutable attempts : int;  (** server round trips actually tried *)
+  mutable retries : int;
+  mutable failures : int;  (** requests that exhausted their retries *)
+  mutable deadline_misses : int;
+  mutable trips : int;  (** Closed/Half_open -> Open transitions *)
+  mutable fast_fails : int;  (** requests rejected by an open breaker *)
+  mutable half_open_probes : int;
+  mutable stale_serves : int;  (** degraded answers served from the response cache *)
+  mutable backoff_ms : float;  (** total simulated backoff waiting *)
 }
 
 type t
@@ -91,13 +92,13 @@ val exec : t -> Sql.select -> outcome
     degrade-to-cache. Never raises on injected faults. *)
 
 val stats : t -> stats
-(** Accounting since creation or the last {!reset_stats}. The same events
-    also feed the global [Braid_obs.Metrics] registry (names under
-    [rdi.*]) and emit [rdi.*] trace instants when a tracer is installed. *)
+(** A snapshot of the accounting: later requests do not change it. Most
+    of the same events also feed the global [Braid_obs.Metrics] registry
+    (names under [rdi.*]; docs/OBSERVABILITY.md maps one to the other)
+    and emit [rdi.*] trace instants when a tracer is installed. *)
 
-val reset_stats : t -> unit
-(** Clears counters and the event trace; breaker state and the response
-    cache survive (they are connection state, not accounting). *)
+val sum : stats list -> stats
+(** Field-wise sum. *)
 
 val flush_response_cache : t -> unit
 (** Drops every degrade-to-cache snapshot. The write path calls this on

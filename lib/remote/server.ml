@@ -3,18 +3,6 @@ module TS = Braid_stream.Tuple_stream
 module Obs = Braid_obs
 
 type stats = {
-  requests : int;
-  tuples_returned : int;
-  tuples_scanned : int;
-  server_ms : float;
-  comm_ms : float;
-  faults_injected : int;
-  injected_ms : float;
-}
-
-type t = {
-  engine : Engine.t;
-  cost : Cost_model.t;
   mutable requests : int;
   mutable tuples_returned : int;
   mutable tuples_scanned : int;
@@ -22,14 +10,10 @@ type t = {
   mutable comm_ms : float;
   mutable faults_injected : int;
   mutable injected_ms : float;
-  mutable faults : Fault.t option;
-  mutable log : string list; (* newest first *)
 }
 
-let create ?(cost = Cost_model.default) () =
+let zero () =
   {
-    engine = Engine.create ();
-    cost;
     requests = 0;
     tuples_returned = 0;
     tuples_scanned = 0;
@@ -37,9 +21,18 @@ let create ?(cost = Cost_model.default) () =
     comm_ms = 0.0;
     faults_injected = 0;
     injected_ms = 0.0;
-    faults = None;
-    log = [];
   }
+
+type t = {
+  engine : Engine.t;
+  cost : Cost_model.t;
+  stats : stats;
+  mutable faults : Fault.t option;
+  mutable log : string list; (* newest first *)
+}
+
+let create ?(cost = Cost_model.default) () =
+  { engine = Engine.create (); cost; stats = zero (); faults = None; log = [] }
 
 let engine t = t.engine
 let catalog t = Engine.catalog t.engine
@@ -60,23 +53,26 @@ let partitioned t =
   match t.faults with None -> false | Some inj -> Fault.partitioned inj
 
 let charge_request t q ~scanned =
-  t.requests <- t.requests + 1;
-  t.tuples_scanned <- t.tuples_scanned + scanned;
-  t.server_ms <- t.server_ms +. (t.cost.Cost_model.server_scan_ms *. float_of_int scanned);
-  t.comm_ms <- t.comm_ms +. t.cost.Cost_model.request_overhead_ms;
+  let s = t.stats in
+  s.requests <- s.requests + 1;
+  s.tuples_scanned <- s.tuples_scanned + scanned;
+  s.server_ms <- s.server_ms +. (t.cost.Cost_model.server_scan_ms *. float_of_int scanned);
+  s.comm_ms <- s.comm_ms +. t.cost.Cost_model.request_overhead_ms;
   t.log <- Sql.to_string q :: t.log
 
 let charge_transfer t n =
-  t.tuples_returned <- t.tuples_returned + n;
-  t.comm_ms <- t.comm_ms +. (t.cost.Cost_model.transfer_tuple_ms *. float_of_int n)
+  let s = t.stats in
+  s.tuples_returned <- s.tuples_returned + n;
+  s.comm_ms <- s.comm_ms +. (t.cost.Cost_model.transfer_tuple_ms *. float_of_int n)
 
 (* A failed request still costs the caller a round trip: charge the request
    overhead plus the time wasted waiting, log it, and raise. *)
 let fail_request t q kind ~wasted_ms =
-  t.requests <- t.requests + 1;
-  t.faults_injected <- t.faults_injected + 1;
-  t.comm_ms <- t.comm_ms +. t.cost.Cost_model.request_overhead_ms +. wasted_ms;
-  t.injected_ms <- t.injected_ms +. wasted_ms;
+  let s = t.stats in
+  s.requests <- s.requests + 1;
+  s.faults_injected <- s.faults_injected + 1;
+  s.comm_ms <- s.comm_ms +. t.cost.Cost_model.request_overhead_ms +. wasted_ms;
+  s.injected_ms <- s.injected_ms +. wasted_ms;
   t.log <- Printf.sprintf "-- %s: %s" (Fault.kind_to_string kind) (Sql.to_string q) :: t.log;
   Obs.Metrics.incr "remote.faults";
   Obs.Trace.add_arg "fault" (Obs.Trace.Str (Fault.kind_to_string kind));
@@ -92,14 +88,14 @@ let injected_latency t q =
     (match Fault.roll inj ~tables with
      | Error kind -> fail_request t q kind ~wasted_ms:0.0
      | Ok latency_ms ->
-       t.injected_ms <- t.injected_ms +. latency_ms;
+       t.stats.injected_ms <- t.stats.injected_ms +. latency_ms;
        latency_ms)
 
 let exec t ?deadline_ms q =
   Obs.Trace.with_span ~cat:"remote" "remote.exec"
     ~args:(if Obs.Trace.enabled () then [ ("sql", Obs.Trace.Str (Sql.to_string q)) ] else [])
     (fun () ->
-      let sim_before = t.server_ms +. t.comm_ms in
+      let sim_before = t.stats.server_ms +. t.stats.comm_ms in
       Obs.Metrics.incr "remote.requests";
       let latency_ms = injected_latency t q in
       let result, scanned, _, plan = Engine.execute_explained t.engine q in
@@ -117,16 +113,16 @@ let exec t ?deadline_ms q =
          (* The reply cannot arrive in time: the caller waits out the deadline
             and gives up. The already-charged latency stays; the wasted wait is
             the deadline minus the overhead charged by [fail_request]. *)
-         t.injected_ms <- t.injected_ms -. latency_ms;
+         t.stats.injected_ms <- t.stats.injected_ms -. latency_ms;
          fail_request t q Fault.Timeout
            ~wasted_ms:(Float.max 0.0 (d -. t.cost.Cost_model.request_overhead_ms))
        | Some _ | None -> ());
       charge_request t q ~scanned;
-      t.comm_ms <- t.comm_ms +. latency_ms;
+      t.stats.comm_ms <- t.stats.comm_ms +. latency_ms;
       charge_transfer t returned;
       (* Simulated-ms attribution: what this request added to the server and
          communication clocks, recorded on the span and in the registry. *)
-      let sim_ms = t.server_ms +. t.comm_ms -. sim_before in
+      let sim_ms = t.stats.server_ms +. t.stats.comm_ms -. sim_before in
       Obs.Trace.add_arg "scanned" (Obs.Trace.Int scanned);
       Obs.Trace.add_arg "returned" (Obs.Trace.Int returned);
       Obs.Trace.add_arg "sim_ms" (Obs.Trace.Float sim_ms);
@@ -137,7 +133,7 @@ let open_cursor t ?(block_size = 32) q =
   let latency_ms = injected_latency t q in
   let result, scanned = Engine.execute t.engine q in
   charge_request t q ~scanned;
-  t.comm_ms <- t.comm_ms +. latency_ms;
+  t.stats.comm_ms <- t.stats.comm_ms +. latency_ms;
   let base = TS.of_relation result in
   (* Wrap the raw result so every pulled tuple is charged to transfer;
      buffering then makes the charge advance block-wise. *)
@@ -152,25 +148,20 @@ let open_cursor t ?(block_size = 32) q =
   in
   TS.buffered block_size charged
 
-let stats t =
-  {
-    requests = t.requests;
-    tuples_returned = t.tuples_returned;
-    tuples_scanned = t.tuples_scanned;
-    server_ms = t.server_ms;
-    comm_ms = t.comm_ms;
-    faults_injected = t.faults_injected;
-    injected_ms = t.injected_ms;
-  }
+let stats t = { t.stats with requests = t.stats.requests }
 
-let reset_stats t =
-  t.requests <- 0;
-  t.tuples_returned <- 0;
-  t.tuples_scanned <- 0;
-  t.server_ms <- 0.0;
-  t.comm_ms <- 0.0;
-  t.faults_injected <- 0;
-  t.injected_ms <- 0.0;
-  t.log <- []
+let sum l =
+  let acc = zero () in
+  List.iter
+    (fun s ->
+      acc.requests <- acc.requests + s.requests;
+      acc.tuples_returned <- acc.tuples_returned + s.tuples_returned;
+      acc.tuples_scanned <- acc.tuples_scanned + s.tuples_scanned;
+      acc.server_ms <- acc.server_ms +. s.server_ms;
+      acc.comm_ms <- acc.comm_ms +. s.comm_ms;
+      acc.faults_injected <- acc.faults_injected + s.faults_injected;
+      acc.injected_ms <- acc.injected_ms +. s.injected_ms)
+    l;
+  acc
 
 let log t = List.rev t.log

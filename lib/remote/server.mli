@@ -8,14 +8,15 @@
 
 type t
 
-type stats = {
-  requests : int;
-  tuples_returned : int;
-  tuples_scanned : int;
-  server_ms : float;  (** simulated server computation *)
-  comm_ms : float;  (** simulated communication (overhead + transfer) *)
-  faults_injected : int;  (** requests that failed with an injected fault *)
-  injected_ms : float;  (** injected latency plus time wasted on faults *)
+(** Request accounting since {!create}. Only this module writes it. *)
+type stats = private {
+  mutable requests : int;
+  mutable tuples_returned : int;
+  mutable tuples_scanned : int;
+  mutable server_ms : float;  (** simulated server computation *)
+  mutable comm_ms : float;  (** simulated communication (overhead + transfer) *)
+  mutable faults_injected : int;  (** requests that failed with an injected fault *)
+  mutable injected_ms : float;  (** injected latency plus time wasted on faults *)
 }
 
 val create : ?cost:Cost_model.t -> unit -> t
@@ -59,6 +60,10 @@ val open_cursor : t -> ?block_size:int -> Sql.select -> Braid_stream.Tuple_strea
     an abandoned cursor therefore transfers less. *)
 
 val stats : t -> stats
-val reset_stats : t -> unit
+(** A snapshot: later requests do not change it. *)
+
+val sum : stats list -> stats
+(** Field-wise sum. *)
+
 val log : t -> string list
-(** SQL texts of the requests issued since the last reset (oldest first). *)
+(** SQL texts of the requests issued since {!create} (oldest first). *)

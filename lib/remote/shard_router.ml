@@ -7,17 +7,17 @@ type route =
   | Gather of (Sql.source * int list) list
 
 type counters = {
-  requests : int;
-  pinned : int;
-  fanouts : int;
-  gathers : int;
-  shards_touched : int;
-  shards_pruned : int;
-  gather_scanned : int;
-  failovers : int;
-  hinted_writes : int;
-  handoffs : int;
-  repairs : int;
+  mutable requests : int;
+  mutable pinned : int;
+  mutable fanouts : int;
+  mutable gathers : int;
+  mutable shards_touched : int;
+  mutable shards_pruned : int;
+  mutable gather_scanned : int;
+  mutable failovers : int;
+  mutable hinted_writes : int;
+  mutable handoffs : int;
+  mutable repairs : int;
 }
 
 (* One copy of a shard's slice. [server]/[r_rdi] are mutable only because a
@@ -67,17 +67,7 @@ type t = {
   clock : Fault.clock;
   mutable base_policy : Rdi.policy;
   mutable on_write : (write -> unit) option;
-  mutable requests : int;
-  mutable pinned : int;
-  mutable fanouts : int;
-  mutable gathers : int;
-  mutable shards_touched : int;
-  mutable shards_pruned : int;
-  mutable gather_scanned : int;
-  mutable failovers : int;
-  mutable hinted_writes : int;
-  mutable handoffs : int;
-  mutable repairs : int;
+  counters : counters;
 }
 
 let coordinator t = t.coordinator
@@ -88,6 +78,7 @@ let replica_count t = Array.length t.groups.(0).replicas
 let shard t i = t.groups.(i).replicas.(0).server
 let rdi t i = t.groups.(i).replicas.(0).r_rdi
 let replica t ~shard r = t.groups.(shard).replicas.(r).server
+let replica_rdi t ~shard r = t.groups.(shard).replicas.(r).r_rdi
 let breakers t = Array.to_list (Array.map (fun g -> Rdi.breaker g.replicas.(0).r_rdi) t.groups)
 let clock t = t.clock
 let log_length t i = t.groups.(i).rlog_len
@@ -217,18 +208,21 @@ let create ?(policy = Rdi.default_policy) ?replicas ~shards coordinator =
       groups;
       clock = Fault.clock ();
       base_policy = policy;
-      requests = 0;
-      pinned = 0;
-      fanouts = 0;
-      gathers = 0;
-      shards_touched = 0;
-      shards_pruned = 0;
-      gather_scanned = 0;
-      failovers = 0;
-      hinted_writes = 0;
-      handoffs = 0;
-      repairs = 0;
       on_write = None;
+      counters =
+        {
+          requests = 0;
+          pinned = 0;
+          fanouts = 0;
+          gathers = 0;
+          shards_touched = 0;
+          shards_pruned = 0;
+          gather_scanned = 0;
+          failovers = 0;
+          hinted_writes = 0;
+          handoffs = 0;
+          repairs = 0;
+        };
     }
   in
   List.iter (distribute t) (Catalog.tables (catalog t));
@@ -264,7 +258,7 @@ let replicate t g w =
       end
       else begin
         rep.hints <- rep.hints + 1;
-        t.hinted_writes <- t.hinted_writes + 1;
+        t.counters.hinted_writes <- t.counters.hinted_writes + 1;
         Obs.Metrics.incr "shard.replica.hints"
       end)
     g.replicas
@@ -534,7 +528,7 @@ let replica_choice t i =
   (ri, reason)
 
 let note_failover t ~shard ~replica ~lag =
-  t.failovers <- t.failovers + 1;
+  t.counters.failovers <- t.counters.failovers + 1;
   Obs.Metrics.incr "shard.replica.failovers";
   Obs.Trace.instant ~cat:"shard" "shard.replica.failover"
     ~args:
@@ -619,10 +613,15 @@ let merge_outcomes (q : Sql.select) outcomes =
      | None -> Rdi.Fresh merged
      | Some f -> Rdi.Stale (merged, f))
 
+(* One dispatch to [n] of the shards: the rest were pruned. *)
+let note_touched t n =
+  let c = t.counters in
+  c.shards_touched <- c.shards_touched + n;
+  c.shards_pruned <- c.shards_pruned + (Array.length t.groups - n)
+
 let exec_fanout t (q : Sql.select) targets =
-  t.fanouts <- t.fanouts + 1;
-  t.shards_touched <- t.shards_touched + List.length targets;
-  t.shards_pruned <- t.shards_pruned + (Array.length t.groups - List.length targets);
+  t.counters.fanouts <- t.counters.fanouts + 1;
+  note_touched t (List.length targets);
   Obs.Metrics.incr "shard.fanout";
   Obs.Trace.instant ~cat:"shard" "shard.fanout"
     ~args:
@@ -635,9 +634,8 @@ let exec_fanout t (q : Sql.select) targets =
   merge_outcomes q (List.map (fun i -> (i, exec_shard t i q)) targets)
 
 let exec_pinned t (q : Sql.select) shard =
-  t.pinned <- t.pinned + 1;
-  t.shards_touched <- t.shards_touched + 1;
-  t.shards_pruned <- t.shards_pruned + (Array.length t.groups - 1);
+  t.counters.pinned <- t.counters.pinned + 1;
+  note_touched t 1;
   Obs.Metrics.incr "shard.pinned";
   exec_shard t shard q
 
@@ -657,7 +655,7 @@ let local_conds (q : Sql.select) alias =
    they happened; the router's own join work is reported in
    [counters.gather_scanned]. *)
 let exec_gather t (q : Sql.select) per_source =
-  t.gathers <- t.gathers + 1;
+  t.counters.gathers <- t.counters.gathers + 1;
   Obs.Metrics.incr "shard.gather";
   let scratch = Engine.create () in
   let degraded = ref None in
@@ -676,9 +674,7 @@ let exec_gather t (q : Sql.select) per_source =
                 q.Sql.semijoins;
           }
         in
-        t.shards_touched <- t.shards_touched + List.length targets;
-        t.shards_pruned <-
-          t.shards_pruned + (Array.length t.groups - List.length targets);
+        note_touched t (List.length targets);
         let outcome =
           merge_outcomes sub (List.map (fun i -> (i, exec_shard t i sub)) targets)
         in
@@ -713,14 +709,14 @@ let exec_gather t (q : Sql.select) per_source =
       }
     in
     let rel, scanned = Engine.execute scratch residual in
-    t.gather_scanned <- t.gather_scanned + scanned;
+    t.counters.gather_scanned <- t.counters.gather_scanned + scanned;
     (match !degraded with
      | None -> Rdi.Fresh rel
      | Some f -> Rdi.Stale (rel, f))
 
 let exec t (q : Sql.select) =
   let r = route t q in
-  t.requests <- t.requests + 1;
+  t.counters.requests <- t.counters.requests + 1;
   Obs.Trace.with_span ~cat:"shard" "shard.route"
     ~args:
       (if Obs.Trace.enabled () then
@@ -758,11 +754,11 @@ let repair_replica t i ri =
           (log_suffix g ~from:rep.applied);
         rep.applied <- g.rlog_len;
         (* hinted writes queued while the replica was down are handed off *)
-        t.handoffs <- t.handoffs + rep.hints;
+        t.counters.handoffs <- t.counters.handoffs + rep.hints;
         if rep.hints > 0 then Obs.Metrics.incr ~by:rep.hints "shard.replica.handoffs";
         rep.hints <- 0;
         rep.repaired <- rep.repaired + 1;
-        t.repairs <- t.repairs + 1;
+        t.counters.repairs <- t.counters.repairs + 1;
         Obs.Metrics.incr "shard.replica.repairs");
     true
   end
@@ -838,105 +834,15 @@ let set_policy t policy =
       Array.iteri (fun r rep -> Rdi.set_policy rep.r_rdi (replica_policy policy i r)) g.replicas)
     t.groups
 
-let sum_server_stats acc (st : Server.stats) =
-  {
-    Server.requests = acc.Server.requests + st.Server.requests;
-    tuples_returned = acc.Server.tuples_returned + st.Server.tuples_returned;
-    tuples_scanned = acc.Server.tuples_scanned + st.Server.tuples_scanned;
-    server_ms = acc.Server.server_ms +. st.Server.server_ms;
-    comm_ms = acc.Server.comm_ms +. st.Server.comm_ms;
-    faults_injected = acc.Server.faults_injected + st.Server.faults_injected;
-    injected_ms = acc.Server.injected_ms +. st.Server.injected_ms;
-  }
+(* Every replica, shard-major: the order the fleet sums add in. *)
+let replicas_of t =
+  List.concat_map (fun g -> Array.to_list g.replicas) (Array.to_list t.groups)
 
-let zero_server_stats =
-  {
-    Server.requests = 0;
-    tuples_returned = 0;
-    tuples_scanned = 0;
-    server_ms = 0.0;
-    comm_ms = 0.0;
-    faults_injected = 0;
-    injected_ms = 0.0;
-  }
-
-let stats t =
-  Array.fold_left
-    (fun acc g ->
-      Array.fold_left (fun acc rep -> sum_server_stats acc (Server.stats rep.server)) acc g.replicas)
-    zero_server_stats t.groups
+let stats t = Server.sum (List.map (fun rep -> Server.stats rep.server) (replicas_of t))
 
 let shard_stats t =
   Array.to_list (Array.map (fun g -> Server.stats g.replicas.(0).server) t.groups)
 
 let replica_log t ~shard ~replica = Server.log t.groups.(shard).replicas.(replica).server
-
-let rdi_stats t =
-  Array.fold_left
-    (fun acc g ->
-      Array.fold_left
-        (fun (acc : Rdi.stats) rep ->
-          let st = Rdi.stats rep.r_rdi in
-          {
-            Rdi.requests = acc.Rdi.requests + st.Rdi.requests;
-            attempts = acc.Rdi.attempts + st.Rdi.attempts;
-            retries = acc.Rdi.retries + st.Rdi.retries;
-            failures = acc.Rdi.failures + st.Rdi.failures;
-            deadline_misses = acc.Rdi.deadline_misses + st.Rdi.deadline_misses;
-            trips = acc.Rdi.trips + st.Rdi.trips;
-            fast_fails = acc.Rdi.fast_fails + st.Rdi.fast_fails;
-            half_open_probes = acc.Rdi.half_open_probes + st.Rdi.half_open_probes;
-            stale_serves = acc.Rdi.stale_serves + st.Rdi.stale_serves;
-            backoff_ms = acc.Rdi.backoff_ms +. st.Rdi.backoff_ms;
-          })
-        acc g.replicas)
-    {
-      Rdi.requests = 0;
-      attempts = 0;
-      retries = 0;
-      failures = 0;
-      deadline_misses = 0;
-      trips = 0;
-      fast_fails = 0;
-      half_open_probes = 0;
-      stale_serves = 0;
-      backoff_ms = 0.0;
-    }
-    t.groups
-
-let counters t =
-  {
-    requests = t.requests;
-    pinned = t.pinned;
-    fanouts = t.fanouts;
-    gathers = t.gathers;
-    shards_touched = t.shards_touched;
-    shards_pruned = t.shards_pruned;
-    gather_scanned = t.gather_scanned;
-    failovers = t.failovers;
-    hinted_writes = t.hinted_writes;
-    handoffs = t.handoffs;
-    repairs = t.repairs;
-  }
-
-let reset_stats t =
-  Server.reset_stats t.coordinator;
-  Array.iter
-    (fun g ->
-      Array.iter
-        (fun rep ->
-          Server.reset_stats rep.server;
-          Rdi.reset_stats rep.r_rdi)
-        g.replicas)
-    t.groups;
-  t.requests <- 0;
-  t.pinned <- 0;
-  t.fanouts <- 0;
-  t.gathers <- 0;
-  t.shards_touched <- 0;
-  t.shards_pruned <- 0;
-  t.gather_scanned <- 0;
-  t.failovers <- 0;
-  t.hinted_writes <- 0;
-  t.handoffs <- 0;
-  t.repairs <- 0
+let rdi_stats t = Rdi.sum (List.map (fun rep -> Rdi.stats rep.r_rdi) (replicas_of t))
+let counters t = { t.counters with requests = t.counters.requests }

@@ -77,19 +77,20 @@ type route =
   | Gather of (Sql.source * int list) list
       (** per-source shard targets for a router-side join *)
 
-(** Cumulative routing and replication decisions (reset by {!reset_stats}). *)
-type counters = {
-  requests : int;
-  pinned : int;  (** requests answered by exactly one shard *)
-  fanouts : int;
-  gathers : int;
-  shards_touched : int;  (** sum over requests of shards contacted *)
-  shards_pruned : int;  (** sum over requests of shards skipped *)
-  gather_scanned : int;  (** tuples the router's own residual joins scanned *)
-  failovers : int;  (** reads served by a backup instead of the primary *)
-  hinted_writes : int;  (** log entries a replica missed at write time *)
-  handoffs : int;  (** hinted entries delivered by anti-entropy repair *)
-  repairs : int;  (** repair runs that caught a lagging replica up *)
+(** Routing and replication decisions since {!create}. Only this module
+    writes it. *)
+type counters = private {
+  mutable requests : int;
+  mutable pinned : int;  (** requests answered by exactly one shard *)
+  mutable fanouts : int;
+  mutable gathers : int;
+  mutable shards_touched : int;  (** sum over requests of shards contacted *)
+  mutable shards_pruned : int;  (** sum over requests of shards skipped *)
+  mutable gather_scanned : int;  (** tuples the router's own residual joins scanned *)
+  mutable failovers : int;  (** reads served by a backup instead of the primary *)
+  mutable hinted_writes : int;  (** log entries a replica missed at write time *)
+  mutable handoffs : int;  (** hinted entries delivered by anti-entropy repair *)
+  mutable repairs : int;  (** repair runs that caught a lagging replica up *)
 }
 
 (** One replica's health, as [:shards] displays it. *)
@@ -128,6 +129,9 @@ val rdi : t -> int -> Rdi.t
 
 val replica : t -> shard:int -> int -> Server.t
 (** [replica t ~shard r] — replica [r]'s server (0 = primary). *)
+
+val replica_rdi : t -> shard:int -> int -> Rdi.t
+(** Replica [r]'s RDI (0 = primary, the one {!rdi} returns). *)
 
 val breakers : t -> Rdi.breaker_state list
 (** Primary breaker per shard, in shard order. *)
@@ -234,7 +238,7 @@ val set_policy : t -> Rdi.policy -> unit
 (** Re-seeds every replica's RDI with its per-replica offset of [policy]. *)
 
 val stats : t -> Server.stats
-(** Field-wise sum over every replica server (the coordinator, never
+(** {!Server.sum} over every replica server (the coordinator, never
     executed through {!exec}, is excluded). *)
 
 val shard_stats : t -> Server.stats list
@@ -245,7 +249,7 @@ val replica_log : t -> shard:int -> replica:int -> string list
     journals the chaos soak uploads on failure. *)
 
 val rdi_stats : t -> Rdi.stats
-(** Field-wise sum over every replica's RDI. *)
+(** {!Rdi.sum} over every replica's RDI. *)
 
 val counters : t -> counters
-val reset_stats : t -> unit
+(** A snapshot: later requests do not change it. *)

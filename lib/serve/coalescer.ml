@@ -8,12 +8,14 @@ module Cms = Braid.Cms
 module Obs = Braid_obs
 
 type stats = {
-  requests : int;
-  identical_hits : int;
-  subsumed_hits : int;
-  misses : int;
-  rounds : int;
+  mutable requests : int;
+  mutable identical_hits : int;
+  mutable subsumed_hits : int;
+  mutable misses : int;
+  mutable rounds : int;
 }
+
+let zero () = { requests = 0; identical_hits = 0; subsumed_hits = 0; misses = 0; rounds = 0 }
 
 (* One in-flight fetch of the current wave. [outcome] only ever holds
    [Fresh] or [Stale] — failures are not remembered (the RDI's breaker is
@@ -32,11 +34,7 @@ type t = {
   cache : CMgr.t;
   mutable window : entry list; (* oldest first: reuse prefers the earliest fetch *)
   mutable active : bool;
-  mutable requests : int;
-  mutable identical_hits : int;
-  mutable subsumed_hits : int;
-  mutable misses : int;
-  mutable rounds : int;
+  stats : stats;
 }
 
 let create cms =
@@ -46,17 +44,13 @@ let create cms =
     cache = Cms.cache cms;
     window = [];
     active = false;
-    requests = 0;
-    identical_hits = 0;
-    subsumed_hits = 0;
-    misses = 0;
-    rounds = 0;
+    stats = zero ();
   }
 
 let begin_round t =
   t.window <- [];
   t.active <- true;
-  t.rounds <- t.rounds + 1
+  t.stats.rounds <- t.stats.rounds + 1
 
 let end_round t =
   t.window <- [];
@@ -117,24 +111,24 @@ let try_window t (q : A.conj) text route =
 let fetch t (def : A.conj) sql =
   if not t.active then t.exec sql
   else begin
-    t.requests <- t.requests + 1;
+    t.stats.requests <- t.stats.requests + 1;
     let text = Sql.to_string sql in
     let route = t.route_of sql in
     match try_window t def text route with
     | Some (`Identical outcome) ->
-      t.identical_hits <- t.identical_hits + 1;
+      t.stats.identical_hits <- t.stats.identical_hits + 1;
       Obs.Metrics.incr "serve.coalesce.identical";
       Obs.Trace.instant ~cat:"serve" "serve.coalesce"
         ~args:[ ("kind", Obs.Trace.Str "identical"); ("sql", Obs.Trace.Str text) ];
       outcome
     | Some (`Subsumed outcome) ->
-      t.subsumed_hits <- t.subsumed_hits + 1;
+      t.stats.subsumed_hits <- t.stats.subsumed_hits + 1;
       Obs.Metrics.incr "serve.coalesce.subsumed";
       Obs.Trace.instant ~cat:"serve" "serve.coalesce"
         ~args:[ ("kind", Obs.Trace.Str "subsumed"); ("sql", Obs.Trace.Str text) ];
       outcome
     | None ->
-      t.misses <- t.misses + 1;
+      t.stats.misses <- t.stats.misses + 1;
       Obs.Metrics.incr "serve.coalesce.miss";
       let outcome = t.exec sql in
       (* A semi-join-filtered request returns only a subset of its
@@ -149,11 +143,16 @@ let fetch t (def : A.conj) sql =
       outcome
   end
 
-let stats t =
-  {
-    requests = t.requests;
-    identical_hits = t.identical_hits;
-    subsumed_hits = t.subsumed_hits;
-    misses = t.misses;
-    rounds = t.rounds;
-  }
+let stats t = { t.stats with requests = t.stats.requests }
+
+let sum l =
+  let acc = zero () in
+  List.iter
+    (fun s ->
+      acc.requests <- acc.requests + s.requests;
+      acc.identical_hits <- acc.identical_hits + s.identical_hits;
+      acc.subsumed_hits <- acc.subsumed_hits + s.subsumed_hits;
+      acc.misses <- acc.misses + s.misses;
+      acc.rounds <- acc.rounds + s.rounds)
+    l;
+  acc

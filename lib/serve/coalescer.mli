@@ -31,12 +31,13 @@
     {!Braid.Cms.exec_remote}, i.e. the shard router when one is
     installed. *)
 
-type stats = {
-  requests : int;  (** fetches routed through the coalescer *)
-  identical_hits : int;  (** shared outcome, same SQL text *)
-  subsumed_hits : int;  (** derived locally from an in-flight response *)
-  misses : int;  (** went to the RDI *)
-  rounds : int;  (** waves bracketed so far *)
+(** Coalescing accounting since {!create}. Only this module writes it. *)
+type stats = private {
+  mutable requests : int;  (** fetches routed through the coalescer *)
+  mutable identical_hits : int;  (** shared outcome, same SQL text *)
+  mutable subsumed_hits : int;  (** derived locally from an in-flight response *)
+  mutable misses : int;  (** went to the RDI *)
+  mutable rounds : int;  (** waves bracketed so far *)
 }
 
 type t
@@ -62,6 +63,10 @@ val fetch : t -> Braid_caql.Ast.conj -> Braid_remote.Sql.select -> Braid_remote.
     for the rest of the wave. *)
 
 val stats : t -> stats
-(** Counters since creation — deterministic for a fixed seed; the same
-    events also feed the [serve.coalesce.*] counters of
-    {!Braid_obs.Metrics} and emit [serve.coalesce] trace instants. *)
+(** A snapshot of the counters — deterministic for a fixed seed; later
+    fetches do not change it. The hit and miss events also feed the
+    [serve.coalesce.*] counters of {!Braid_obs.Metrics} and emit
+    [serve.coalesce] trace instants. *)
+
+val sum : stats list -> stats
+(** Field-wise sum (the soak's totals across crash incarnations). *)

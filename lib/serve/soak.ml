@@ -424,22 +424,13 @@ let run profile ~seed ~waves =
   and recovery_mismatch = ref None in
   (* Coalescer / RDI / elapsed totals across CMS incarnations: folded in
      when the crash discards an incarnation, and again at the end. *)
-  let coalesce =
-    ref { Coalescer.requests = 0; identical_hits = 0; subsumed_hits = 0; misses = 0; rounds = 0 }
+  let coalesce = ref (Coalescer.sum [])
   and remote_requests = ref 0
   and lazy_answers = ref 0
   and elapsed_ms = ref 0.0 in
   let deltas = ref Maintain.empty_report in
   let fold_incarnation () =
-    let c = Coalescer.stats (Scheduler.coalescer !sched) and a = !coalesce in
-    coalesce :=
-      {
-        Coalescer.requests = a.Coalescer.requests + c.Coalescer.requests;
-        identical_hits = a.Coalescer.identical_hits + c.Coalescer.identical_hits;
-        subsumed_hits = a.Coalescer.subsumed_hits + c.Coalescer.subsumed_hits;
-        misses = a.Coalescer.misses + c.Coalescer.misses;
-        rounds = a.Coalescer.rounds + c.Coalescer.rounds;
-      };
+    coalesce := Coalescer.sum [ !coalesce; Coalescer.stats (Scheduler.coalescer !sched) ];
     remote_requests := !remote_requests + (Cms.rdi_stats !cms).Rdi.requests;
     let m = Cms.metrics !cms in
     lazy_answers := !lazy_answers + m.Qpo.lazy_answers;

@@ -154,6 +154,41 @@ let test_readme_soak_legs () =
     "README --serve legs" (List.sort compare (List.map fst Braid_serve.Soak.legs))
     (legs [] words)
 
+(* Names in the first column of OBSERVABILITY.md's metric taxonomy
+   table (a cell may list several, e.g. `a` / `b`). *)
+let taxonomy_names () =
+  let lines = String.split_on_char '\n' (read_file "../docs/OBSERVABILITY.md") in
+  let rec section = function
+    | [] -> []
+    | l :: tl when String.trim l = "## Metric taxonomy" -> body tl
+    | _ :: tl -> section tl
+  and body = function
+    | [] -> []
+    | l :: _ when String.starts_with ~prefix:"## " l -> []
+    | l :: tl when String.starts_with ~prefix:"| `" l ->
+      let cell = List.nth (String.split_on_char '|' l) 1 in
+      List.filteri (fun i _ -> i mod 2 = 1) (String.split_on_char '`' cell) @ body tl
+    | _ :: tl -> body tl
+  in
+  section lines
+
+(* Every metric the soak legs register is catalogued, so the taxonomy
+   cannot fall behind the registry. 120 waves (under a second for all six
+   legs) reach the trips, fast-fails, hinted writes and handoffs that
+   shorter runs miss. *)
+let test_taxonomy_covers_registry () =
+  let documented = taxonomy_names () in
+  check_bool "taxonomy table found" true (List.length documented > 20);
+  Braid_obs.Metrics.reset ();
+  List.iter
+    (fun (_, profile) -> ignore (Braid_serve.Soak.run profile ~seed:1 ~waves:120))
+    Braid_serve.Soak.legs;
+  List.iter
+    (fun row ->
+      let name = Braid_obs.Metrics.row_name row in
+      check_bool (name ^ " is in the metric taxonomy") true (List.mem name documented))
+    (Braid_obs.Metrics.snapshot ())
+
 let suites =
   [
     ( "docs",
@@ -167,5 +202,7 @@ let suites =
         Alcotest.test_case ":spans / :metrics observability" `Quick test_spans_command;
         Alcotest.test_case "README soak commands name every leg" `Quick
           test_readme_soak_legs;
+        Alcotest.test_case "metric taxonomy covers the registry" `Quick
+          test_taxonomy_covers_registry;
       ] );
   ]

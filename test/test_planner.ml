@@ -12,6 +12,10 @@ module Plan = Braid_planner.Plan
 module Cost = Braid_planner.Cost
 module Server = Braid_remote.Server
 module CMgr = Braid_cache.Cache_manager
+module Rdi = Braid_remote.Rdi
+module Sql = Braid_remote.Sql
+module Router = Braid_remote.Shard_router
+module Coalescer = Braid_serve.Coalescer
 module Adv = Braid_advice.Ast
 
 let check_bool = Alcotest.(check bool)
@@ -33,6 +37,8 @@ let make_qpo ?(config = Qpo.braid_config) ?(capacity = 4 * 1024 * 1024) () =
 
 let d2_def =
   A.conj [ v "X"; v "Y" ] [ atom "b2" [ v "X"; v "Z" ]; atom "b3" [ v "Z"; s "c2"; v "Y" ] ]
+
+let b2_def = A.conj [ v "X"; v "Z" ] [ atom "b2" [ v "X"; v "Z" ] ]
 
 let d2_instance y =
   A.conj [ v "X" ] [ atom "b2" [ v "X"; v "Z" ]; atom "b3" [ v "Z"; s "c2"; s y ] ]
@@ -243,13 +249,43 @@ let test_unknown_relation () =
        false
      with Qpo.Unknown_relation _ -> true)
 
-let test_metrics_reset () =
-  let q = make_qpo () in
-  let a = Qpo.answer_conj q (d2_instance "y1") in
-  let _ = TS.to_relation a.Qpo.stream in
-  check_bool "queries counted" true ((Qpo.metrics q).Qpo.queries > 0);
-  Qpo.reset_metrics q;
-  check_int "reset" 0 (Qpo.metrics q).Qpo.queries
+(* A component's counter read must be a snapshot: a value read before
+   [step] keeps its count, and a fresh read shows the increment. A read
+   that handed out the live record would fail the first check. *)
+let check_snapshot name read count step =
+  let before = read () in
+  let n = count before in
+  step ();
+  check_int (name ^ ": earlier read unchanged") n (count before);
+  check_bool (name ^ ": fresh read counts the step") true (count (read ()) > n)
+
+let test_metrics_snapshot () =
+  let q = make_qpo ~config:Qpo.no_advice_config () in
+  let k = ref 0 in
+  let query () =
+    incr k;
+    let a = Qpo.answer_conj q (d2_instance (Printf.sprintf "y%d" !k)) in
+    ignore (TS.to_relation a.Qpo.stream)
+  in
+  check_snapshot "Qpo.metrics" (fun () -> Qpo.metrics q) (fun m -> m.Qpo.queries) query;
+  check_snapshot "Rdi.stats" (fun () -> Rdi.stats (Qpo.rdi q)) (fun s -> s.Rdi.requests) query;
+  check_snapshot "Cache_manager.stats"
+    (fun () -> CMgr.stats (Qpo.cache q))
+    (fun s -> s.CMgr.insertions)
+    query;
+  let server = Qpo.server q in
+  let cms = Braid.Cms.create server in
+  let co = Coalescer.create cms in
+  Coalescer.begin_round co;
+  check_snapshot "Coalescer.stats"
+    (fun () -> Coalescer.stats co)
+    (fun s -> s.Coalescer.requests)
+    (fun () -> ignore (Coalescer.fetch co b2_def (Sql.select_all "b2")));
+  let router = Router.create ~shards:2 server in
+  check_snapshot "Shard_router.counters"
+    (fun () -> Router.counters router)
+    (fun c -> c.Router.requests)
+    (fun () -> ignore (Router.exec router (Sql.select_all "b2")))
 
 let test_parallel_overlap_reduces_elapsed () =
   (* identical work with and without overlap: elapsed must not increase *)
@@ -283,7 +319,7 @@ let suites : unit Alcotest.test list =
         Alcotest.test_case "lazy answer from cache" `Quick test_lazy_answer_from_cache;
         Alcotest.test_case "union and aggregation" `Quick test_answer_query_union_agg;
         Alcotest.test_case "unknown relation" `Quick test_unknown_relation;
-        Alcotest.test_case "metrics reset" `Quick test_metrics_reset;
+        Alcotest.test_case "metrics snapshot" `Quick test_metrics_snapshot;
         Alcotest.test_case "parallel overlap" `Quick test_parallel_overlap_reduces_elapsed;
       ] );
   ]

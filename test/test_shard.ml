@@ -488,6 +488,31 @@ let test_crash_recovers_applied_offset () =
   check_int "one replica repaired" 1 (Router.tick_repair r);
   check_int "fully caught up" (card 0) (card 1)
 
+(* The router's fleet totals are the owners' sums over every replica —
+   backups included — under a faulted primary and a read/write mix. *)
+let test_fleet_totals_sum_every_replica () =
+  let policy = { Rdi.default_policy with Rdi.max_retries = 1 } in
+  let r = make_router ~policy ~replicas:2 2 in
+  Router.set_replica_faults r ~shard:1 ~replica:0
+    (Some { Fault.none with Fault.error_rate = 0.5; seed = 11 });
+  for k = 0 to 11 do
+    let y = Printf.sprintf "y%d" (k mod 4) in
+    if k mod 3 = 2 then
+      Router.insert r "b3" [| V.Str (Printf.sprintf "mx%d" k); V.Str "c2"; V.Str y |]
+    else ignore (Router.exec r (if k mod 2 = 0 then pinned_b3 y else fanout_b1 y));
+    ignore (Router.tick_repair r)
+  done;
+  let each f =
+    List.concat_map (fun shard -> List.map (f ~shard) [ 0; 1 ]) [ 0; 1 ]
+  in
+  check_bool "the faulted primary cost failovers" true
+    ((Router.counters r).Router.failovers > 0);
+  check_bool "Router.stats = Server.sum over every replica" true
+    (Router.stats r = Server.sum (each (fun ~shard i -> Server.stats (Router.replica r ~shard i))));
+  check_bool "Router.rdi_stats = Rdi.sum over every replica" true
+    (Router.rdi_stats r
+    = Rdi.sum (each (fun ~shard i -> Rdi.stats (Router.replica_rdi r ~shard i))))
+
 let suites : unit Alcotest.test list =
   [
     ( "shard router",
@@ -527,5 +552,7 @@ let suites : unit Alcotest.test list =
           test_hinted_handoff_drains_on_rejoin;
         Alcotest.test_case "crash recovery replays to the applied offset" `Quick
           test_crash_recovers_applied_offset;
+        Alcotest.test_case "fleet totals sum every replica" `Quick
+          test_fleet_totals_sum_every_replica;
       ] );
   ]
