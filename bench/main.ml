@@ -152,6 +152,32 @@ let bench_semijoin_fetch =
   Bechamel.Test.make ~name:"semijoin_reduced_fetch"
     (Bechamel.Staged.stage (fun () -> ignore (Braid_remote.Engine.execute eng q)))
 
+(* The serve_rw remote hot spot: a covering index-only scan over 2,500
+   string keys (two rows each) whose semi-join filter lists 256 values, 250
+   of them present. Planning picks the index-only path; every key is tested
+   against the IN residual. *)
+let bench_semijoin_index_only =
+  let eng = Braid_remote.Engine.create () in
+  let key i = V.Str (Printf.sprintf "sup%04d" i) in
+  Braid_remote.Engine.load eng
+    (R.Relation.of_tuples ~name:"supplies"
+       (R.Schema.make [ ("k", V.Tstr); ("v", V.Tint) ])
+       (List.init 5_000 (fun i -> [| key (i mod 2_500); V.Int i |])));
+  let k = { Braid_remote.Sql.src = "s"; attr = "k" } in
+  let q =
+    Braid_remote.Sql.with_semijoins
+      {
+        Braid_remote.Sql.distinct = false;
+        columns = [ Braid_remote.Sql.Col k ];
+        from = [ { Braid_remote.Sql.table = "supplies"; alias = "s" } ];
+        where = [];
+        semijoins = [];
+      }
+      [ (k, List.init 256 (fun i -> key (i * 10))) ]
+  in
+  Bechamel.Test.make ~name:"semijoin_index_only_2500x256"
+    (Bechamel.Staged.stage (fun () -> ignore (Braid_remote.Engine.execute eng q)))
+
 let bench_stream_pull =
   let schema = R.Schema.make [ ("n", V.Tint) ] in
   Bechamel.Test.make ~name:"stream_pull_1k"
@@ -237,6 +263,7 @@ let micro_tests =
     bench_select_indexed;
     bench_covering_index_scan;
     bench_semijoin_fetch;
+    bench_semijoin_index_only;
     bench_stream_pull;
     bench_parser;
     bench_tracker;

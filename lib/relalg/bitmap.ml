@@ -50,12 +50,8 @@ let or_into acc b =
 let matching_any t values =
   let nbytes = (t.nrows + 7) / 8 in
   let acc = Bytes.make nbytes '\000' in
-  List.iter
-    (fun v ->
-      match List.find_opt (fun (w, _) -> Value.equal v w) t.groups with
-      | Some (_, b) -> or_into acc b
-      | None -> ())
-    values;
+  let wanted = Row_pred.value_set values in
+  List.iter (fun (w, b) -> if Row_pred.mem wanted w then or_into acc b) t.groups;
   rows_of_bits t acc
 
 let matching t cmp v =

@@ -96,11 +96,16 @@ type store =
   | Single of Tuple.t list ref Value_tbl.t
   | Multi of Tuple.t list ref Key_tbl.t
 
+(* The key directory in ascending key order, as index-only scans visit it:
+   each key's prebuilt tuple and its bucket's size. *)
+type directory = { keys : Tuple.t array; sizes : int array }
+
 type t = {
   columns : int list;
   mutable store : store;
   mutable probes : int;
   mutable entries : int;
+  mutable sorted : directory option; (* built on demand, dropped by [add] *)
 }
 
 (* The int a value hashes and compares like, if any: [Int x] itself, and
@@ -158,7 +163,7 @@ let build r cols =
         r;
       Multi table
   in
-  { columns = cols; store; probes = 0; entries = Relation.cardinality r }
+  { columns = cols; store; probes = 0; entries = Relation.cardinality r; sorted = None }
 
 let columns ix = ix.columns
 
@@ -178,7 +183,8 @@ let add ix t =
      (match Key_tbl.find_opt table k with
       | Some cell -> cell := t :: !cell
       | None -> Key_tbl.add table k (ref [ t ])));
-  ix.entries <- ix.entries + 1
+  ix.entries <- ix.entries + 1;
+  ix.sorted <- None
 
 let bucket_of ix key =
   match ix.store, key with
@@ -227,25 +233,31 @@ let iter_probe1 ix v ~f = from_tail f (bucket1_rev ix v)
 let probes ix = ix.probes
 let bytes_estimate ix = 64 + (ix.entries * 24)
 
-let rec compare_keys a b =
-  match a, b with
-  | [], [] -> 0
-  | [], _ :: _ -> -1
-  | _ :: _, [] -> 1
-  | x :: xs, y :: ys ->
-    let c = Value.compare x y in
-    if c <> 0 then c else compare_keys xs ys
+(* Hashtbl iteration order is unspecified; sort the key directory so every
+   index-only scan visits buckets in the same (lexicographic) order. Keys of
+   one index share an arity, so [Tuple.compare] is column-wise
+   [Value.compare]. *)
+let sort_directory ix =
+  let entry kt cell acc = (kt, List.length !cell) :: acc in
+  let entries =
+    match ix.store with
+    | Ints d -> Idir.fold (fun x -> entry [| Value.Int x |]) d []
+    | Single table -> Value_tbl.fold (fun v -> entry [| v |]) table []
+    | Multi table -> Key_tbl.fold (fun k -> entry (Tuple.make k)) table []
+  in
+  let entries = Array.of_list entries in
+  Array.stable_sort (fun (a, _) (b, _) -> Tuple.compare a b) entries;
+  { keys = Array.map fst entries; sizes = Array.map snd entries }
 
 let fold_sorted ix ~init ~f =
-  (* Hashtbl iteration order is unspecified; sort the key directory so every
-     index-only scan visits buckets in the same (lexicographic) order. *)
-  let directory =
-    match ix.store with
-    | Ints d ->
-      Idir.fold (fun x cell acc -> ([ Value.Int x ], List.rev !cell) :: acc) d []
-    | Single table ->
-      Value_tbl.fold (fun v cell acc -> ([ v ], List.rev !cell) :: acc) table []
-    | Multi table -> Key_tbl.fold (fun k cell acc -> (k, List.rev !cell) :: acc) table []
+  let dir =
+    match ix.sorted with
+    | Some dir -> dir
+    | None ->
+      let dir = sort_directory ix in
+      ix.sorted <- Some dir;
+      dir
   in
-  let keys = List.sort (fun (a, _) (b, _) -> compare_keys a b) directory in
-  List.fold_left (fun acc (k, bucket) -> f acc k bucket) init keys
+  let acc = ref init in
+  Array.iteri (fun i kt -> acc := f !acc kt dir.sizes.(i)) dir.keys;
+  !acc

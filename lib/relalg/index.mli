@@ -39,7 +39,10 @@ val probes : t -> int
 
 val bytes_estimate : t -> int
 
-val fold_sorted : t -> init:'a -> f:('a -> Value.t list -> Tuple.t list -> 'a) -> 'a
-(** Folds over [(key, bucket)] pairs in ascending key order (buckets keep
-    insertion order), so covering-index scans are deterministic and emit
-    key-sorted output. *)
+val fold_sorted : t -> init:'a -> f:('a -> Tuple.t -> int -> 'a) -> 'a
+(** Folds over the key directory in ascending key order: [f acc key size]
+    gets each distinct key as a tuple of the indexed columns and the
+    number of tuples in its bucket, so covering-index scans are
+    deterministic and emit key-sorted output. The sorted directory is built
+    on the first call and kept until the next [add]; its key tuples are
+    shared across calls and must not be mutated. *)

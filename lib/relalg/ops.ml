@@ -108,11 +108,13 @@ let index_nl_join_count ~left_cols ix ?(residual = Row_pred.True) a b =
 let index_only_scan ix schema ?(residual = Row_pred.True) ?(distinct = false) () =
   let out = Relation.create schema in
   let touched =
-    Index.fold_sorted ix ~init:0 ~f:(fun touched key bucket ->
-        let kt = Tuple.make key in
+    Index.fold_sorted ix ~init:0 ~f:(fun touched kt size ->
         if Row_pred.eval residual kt then
           if distinct then Relation.add out kt
-          else List.iter (fun _ -> Relation.add out kt) bucket;
+          else
+            for _ = 1 to size do
+              Relation.add out kt
+            done;
         touched + 1)
   in
   (out, touched)

@@ -8,6 +8,16 @@ type operand =
 
 type cmp = Eq | Ne | Lt | Le | Gt | Ge
 
+module Value_tbl = Hashtbl.Make (Value)
+
+(* [Value.equal]/[Value.hash] agree with [Value.compare = 0] except across
+   int and float beyond 2^53, where [float_of_int] rounds: [Int (2^53 + 1)]
+   compares equal to [Float 2^53] but hashes apart from it. Numeric members
+   that large are also kept in [wide] and matched by [Value.compare], so
+   membership is exactly the [Or] of [Eq] compares it replaces. [values] is
+   the caller's list, kept for printing. *)
+type value_set = { members : unit Value_tbl.t; wide : Value.t list; values : Value.t list }
+
 type t =
   | True
   | False
@@ -15,6 +25,7 @@ type t =
   | And of t list
   | Or of t list
   | Not of t
+  | In of operand * value_set
 
 let rec eval_operand op t =
   match op with
@@ -35,6 +46,24 @@ let cmp_holds c a b =
   | Gt -> k > 0
   | Ge -> k >= 0
 
+let two_53 = 9007199254740992.
+
+let is_wide = function
+  | Value.Float f -> Float.abs f >= two_53
+  | Value.Int x -> Float.abs (float_of_int x) >= two_53
+  | Value.Str _ | Value.Bool _ | Value.Null -> false
+
+let value_set values =
+  let members = Value_tbl.create (2 * List.length values) in
+  List.iter (fun v -> Value_tbl.replace members v ()) values;
+  { members; wide = List.filter is_wide values; values }
+
+let mem s v =
+  Value_tbl.mem s.members v
+  || (s.wide <> [] && List.exists (fun w -> Value.compare v w = 0) s.wide)
+
+let one_of a = function [] -> False | values -> In (a, value_set values)
+
 let rec eval p t =
   match p with
   | True -> true
@@ -43,10 +72,13 @@ let rec eval p t =
   | And ps -> List.for_all (fun p -> eval p t) ps
   | Or ps -> List.exists (fun p -> eval p t) ps
   | Not p -> not (eval p t)
+  | In (a, s) -> mem s (eval_operand a t)
 
+(* Matches rather than [=]: an [In]'s hash set is not for structural
+   comparison. *)
 let conj ps =
-  let ps = List.filter (fun p -> p <> True) ps in
-  if List.exists (fun p -> p = False) ps then False
+  let ps = List.filter (function True -> false | _ -> true) ps in
+  if List.exists (function False -> true | _ -> false) ps then False
   else match ps with [] -> True | [ p ] -> p | ps -> And ps
 
 let rec shift_operand k = function
@@ -64,6 +96,7 @@ let rec shift k = function
   | And ps -> And (List.map (shift k) ps)
   | Or ps -> Or (List.map (shift k) ps)
   | Not p -> Not (shift k p)
+  | In (a, s) -> In (shift_operand k a, s)
 
 let pp_cmp ppf c =
   Format.pp_print_string ppf
@@ -90,3 +123,7 @@ let rec pp ppf = function
       (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " or ") pp)
       ps
   | Not p -> Format.fprintf ppf "not %a" pp p
+  | In (a, s) ->
+    Format.fprintf ppf "%a in (%a)" pp_operand a
+      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") Value.pp)
+      s.values

@@ -13,6 +13,9 @@ type operand =
 
 type cmp = Eq | Ne | Lt | Le | Gt | Ge
 
+type value_set
+(** The members of an IN-list, hashed for one-probe membership. *)
+
 type t =
   | True
   | False
@@ -20,9 +23,26 @@ type t =
   | And of t list
   | Or of t list
   | Not of t
+  | In of operand * value_set
+      (** [In (a, s)] holds when [a] equals some member of [s]; build it
+          with [one_of]. *)
 
 val eval_operand : operand -> Tuple.t -> Value.t
 val eval : t -> Tuple.t -> bool
+
+val one_of : operand -> Value.t list -> t
+(** [one_of a vs] holds exactly when [Or [Cmp (Eq, a, Lit v); ...]] over
+    [vs] would ([Value.compare] = 0, so [2] matches [2.0], [-0.0] matches
+    [0.0] and [Null] matches [Null]), but evaluates as one hash probe rather
+    than a compare per value. The set is built here, once; [shift] shares
+    it. [False] when [vs] is empty. *)
+
+val value_set : Value.t list -> value_set
+(** Hashes an IN-list's values (duplicates allowed) for [mem]. *)
+
+val mem : value_set -> Value.t -> bool
+(** [mem s v] is [List.exists (fun w -> Value.compare v w = 0) vs] for the
+    [vs] [s] was built from, in one hash probe. *)
 
 val conj : t list -> t
 (** Conjunction with [True]/[False] simplification. *)

@@ -723,8 +723,9 @@ let plan_naive catalog ~lookup (q : Sql.select) =
 
 (* --- execution --- *)
 
-let semi_pred (col, values) =
-  R.Row_pred.Or (List.map (fun v -> R.Row_pred.Cmp (R.Row_pred.Eq, Col col, Lit v)) values)
+(* A semi-join filter as one hashed membership test, built once per node
+   execution and probed for every row or key the node visits. *)
+let semi_pred (col, values) = R.Row_pred.one_of (Col col) values
 
 let dup_pred (col, v) = R.Row_pred.Cmp (R.Row_pred.Eq, Col col, Lit v)
 

@@ -182,6 +182,50 @@ let prop_indexed_select_equals_scan =
           single_ok && pair_ok)
         [ 0; 1; 2; 3; 4; 5; 99 ])
 
+(* Values for IN-lists: every kind [Value.compare] relates across
+   constructors ([2] = [2.0], [-0.0] = [0.0], [Null] = [Null]), plus ints and
+   floats beyond 2^53, where [float_of_int] rounds and [Value.hash] parts
+   values that compare equal. Small ranges make duplicates common. *)
+let gen_in_value : V.t QCheck.Gen.t =
+  let big = 1 lsl 53 in
+  QCheck.Gen.oneof
+    [
+      (QCheck.Gen.int_range (-3) 3 >|= fun n -> V.Int n);
+      (QCheck.Gen.int_range (-3) 3 >|= fun n -> V.Float (float_of_int n));
+      (QCheck.Gen.int_range (-3) 3 >|= fun n -> V.Float (float_of_int n +. 0.5));
+      QCheck.Gen.return (V.Float (-0.0));
+      (QCheck.Gen.oneofl [ "a"; "b"; "2" ] >|= fun s -> V.Str s);
+      (QCheck.Gen.bool >|= fun b -> V.Bool b);
+      QCheck.Gen.return V.Null;
+      QCheck.Gen.oneofl
+        [ V.Int big; V.Int (big + 1); V.Float (float_of_int big); V.Int max_int; V.Float 1e19 ];
+    ]
+
+let prop_in_set_equals_or_of_eq =
+  let print (vs, t, k) =
+    Printf.sprintf "in [%s] tuple %s shift %d"
+      (String.concat "; " (List.map V.to_string vs))
+      (R.Tuple.to_list t |> List.map V.to_string |> String.concat ", ")
+      k
+  in
+  QCheck.Test.make ~count:500 ~name:"IN-set membership = Or of Eq compares"
+    (arb_of
+       (QCheck.Gen.triple
+          (QCheck.Gen.list_size (QCheck.Gen.int_range 0 12) gen_in_value)
+          (QCheck.Gen.array_repeat 3 gen_in_value)
+          (QCheck.Gen.int_range 0 3))
+       print)
+    (fun (vs, t, k) ->
+      let padded = R.Tuple.concat (Array.make k V.Null) t in
+      (match RP.one_of (Col 0) [] with RP.False -> true | _ -> false)
+      && List.for_all
+           (fun col ->
+             let member = RP.one_of (Col col) vs in
+             let explicit = RP.Or (List.map (fun v -> RP.Cmp (RP.Eq, Col col, Lit v)) vs) in
+             RP.eval member t = RP.eval explicit t
+             && RP.eval (RP.shift k member) padded = RP.eval (RP.shift k explicit) padded)
+           [ 0; 1; 2 ])
+
 let prop_schema_view_preserves_rows =
   QCheck.Test.make ~count:300 ~name:"qualify is a zero-copy row-preserving view" arb_rel
     (fun r ->
@@ -713,6 +757,7 @@ let suites : unit Alcotest.test list =
           prop_inter_matches_reference;
           prop_diff_matches_reference;
           prop_indexed_select_equals_scan;
+          prop_in_set_equals_or_of_eq;
           prop_schema_view_preserves_rows;
           prop_hash_join_equals_nested;
           prop_merge_join_equals_hash;

@@ -195,6 +195,44 @@ let test_select_indexed () =
   in
   check_int "one row survives residual" 1 (R.Relation.cardinality out)
 
+(* The sorted key directory an index-only scan reads is cached between
+   scans; [Index.add] must drop it. After one scan and two adds (a new key,
+   and a second copy of an existing one), a scan must equal a fresh index's
+   scan — key order and multiplicity — with and without [distinct]. One
+   case per directory store: immediate ints, single values, composite keys. *)
+let test_index_only_cache_follows_add () =
+  let schema = R.Schema.make [ ("k", V.Tint); ("s", V.Tstr); ("n", V.Tint) ] in
+  let rows = [ (3, "c", 1); (1, "a", 2); (3, "c", 3); (2, "b", 4); (1, "a", 5) ] in
+  let row (k, s, n) = tup [ V.Int k; V.Str s; V.Int n ] in
+  let scan ix ~distinct =
+    let out, _ =
+      R.Ops.index_only_scan ix (R.Schema.project schema (R.Index.columns ix)) ~distinct ()
+    in
+    List.map R.Tuple.to_list (R.Relation.to_list out)
+  in
+  List.iter
+    (fun (store, cols) ->
+      let r = R.Relation.of_tuples ~name:"r" schema (List.map row rows) in
+      let ix = R.Index.build r cols in
+      let before = scan ix ~distinct:false in
+      ignore (scan ix ~distinct:true);
+      List.iter
+        (fun t ->
+          R.Relation.add r t;
+          R.Index.add ix t)
+        [ row (0, "0", 6); row (2, "b", 7) ];
+      let fresh = R.Index.build r cols in
+      List.iter
+        (fun distinct ->
+          check_bool
+            (Printf.sprintf "%s store, distinct %b: scan after add = fresh index" store distinct)
+            true
+            (scan ix ~distinct = scan fresh ~distinct))
+        [ false; true ];
+      check_int (store ^ " store: both adds visible") (List.length before + 2)
+        (List.length (scan ix ~distinct:false)))
+    [ ("int", [ 0 ]); ("string", [ 1 ]); ("composite", [ 0; 1 ]) ]
+
 (* --- aggregation --- *)
 
 let test_group_by () =
@@ -273,6 +311,7 @@ let suites : unit Alcotest.test list =
         Alcotest.test_case "index lookup" `Quick test_index_lookup;
         Alcotest.test_case "multi-column index" `Quick test_index_multi_column;
         Alcotest.test_case "indexed select" `Quick test_select_indexed;
+        Alcotest.test_case "index-only cache follows add" `Quick test_index_only_cache_follows_add;
         Alcotest.test_case "group_by aggregates" `Quick test_group_by;
         Alcotest.test_case "aggregate over empty" `Quick test_aggregate_empty_whole;
         Alcotest.test_case "avg" `Quick test_avg;

@@ -436,3 +436,135 @@ let planner_cases =
 let suites = match suites with
   | [ (name, cases) ] -> [ (name, cases @ planner_cases) ]
   | other -> other
+
+(* --- semi-join filters on every access path that carries one --- *)
+
+(* [parts] has 400 rows over 200 string keys [k], five groups [grp] (few
+   enough for a bitmap), 100 ints [n] and eight tags [tag]. The IN-lists
+   repeat values and mix ints with floats ([7.0] matches [7], [7.5] matches
+   nothing); [Sql.with_semijoins] would de-duplicate them, so the filters
+   are set directly. Each case checks the planner took the intended path,
+   then compares the answer, as a bag, with [Ops.select] of the explicit
+   [Or]-of-[Eq] filter over the base relation. *)
+let parts_schema =
+  R.Schema.make [ ("k", V.Tstr); ("grp", V.Tstr); ("n", V.Tint); ("tag", V.Tstr) ]
+
+let parts_rows =
+  List.init 400 (fun i ->
+      [| V.Str (Printf.sprintf "k%03d" (i mod 200)); V.Str (Printf.sprintf "g%d" (i mod 5));
+         V.Int (i mod 100); V.Str (Printf.sprintf "t%d" (i mod 8)) |])
+
+let semi_engine () =
+  let eng = Engine.create () in
+  Engine.load eng (R.Relation.of_tuples ~name:"parts" parts_schema parts_rows);
+  Engine.load eng
+    (R.Relation.of_tuples ~name:"probes"
+       (R.Schema.make [ ("pk", V.Tstr) ])
+       (List.map (fun k -> [| V.Str k |]) [ "k001"; "k005"; "k042"; "k404" ]));
+  eng
+
+let key_in = [ V.Str "k005"; V.Str "k001"; V.Str "k005"; V.Str "k150"; V.Str "k999"; V.Str "k042" ]
+let num_in = [ V.Int 5; V.Float 1.0; V.Float 42.0; V.Float 7.5; V.Int 5; V.Int 50; V.Int 1 ]
+let grp_in = [ V.Str "g1"; V.Str "g0"; V.Str "g1" ]
+
+let parts_col = function "k" -> 0 | "grp" -> 1 | "n" -> 2 | _ -> 3
+
+(* The filter as the executor used to build it: one [Eq] per listed value. *)
+let explicit_in col values =
+  R.Row_pred.Or (List.map (fun v -> R.Row_pred.Cmp (R.Row_pred.Eq, Col col, Lit v)) values)
+
+let bag r = List.sort compare (List.map R.Tuple.to_list (R.Relation.to_list r))
+
+let rec labels (e : Qplan.explain) = e.Qplan.label :: List.concat_map labels e.Qplan.children
+
+let contains ~needle text =
+  let nl = String.length needle and tl = String.length text in
+  let rec at i = i + nl <= tl && (String.sub text i nl = needle || at (i + 1)) in
+  at 0
+
+let check_semi_case eng ~name ~path ~columns ~from ~where ~semis ~expected =
+  let q =
+    { Sql.distinct = false; columns; from; where;
+      semijoins = List.map (fun (src, attr, vs) -> ({ Sql.src; attr }, vs)) semis }
+  in
+  let r, _, explain, _ = Engine.execute_explained eng q in
+  check_bool (name ^ ": plan uses " ^ path) true
+    (List.exists (fun l -> contains ~needle:path l) (labels explain));
+  check_bool (name ^ ": answer is non-empty") true (R.Relation.cardinality expected > 0);
+  check_bool (name ^ ": answer = explicit Or-of-Eq select") true (bag r = bag expected);
+  r
+
+let one_parts = [ { Sql.table = "parts"; alias = "p" } ]
+let pk_semis = [ ("p", "k", key_in); ("p", "n", num_in) ]
+let pk_preds = [ explicit_in 0 key_in; explicit_in 2 num_in ]
+let select_parts eng preds = R.Ops.select (R.Row_pred.conj preds) (Engine.table eng "parts")
+
+let test_semi_seq_scan () =
+  let eng = semi_engine () in
+  ignore
+    (check_semi_case eng ~name:"seq scan" ~path:"[seq]" ~columns:[] ~from:one_parts ~where:[]
+       ~semis:pk_semis ~expected:(select_parts eng pk_preds))
+
+let test_semi_index_probe () =
+  let eng = semi_engine () in
+  let t1 = R.Row_pred.Cmp (R.Row_pred.Eq, Col 3, Lit (V.Str "t1")) in
+  ignore
+    (check_semi_case eng ~name:"index probe" ~path:"[index probe" ~columns:[] ~from:one_parts
+       ~where:[ (R.Row_pred.Eq, col "p" "tag", Sql.Const (V.Str "t1")) ]
+       ~semis:pk_semis ~expected:(select_parts eng (t1 :: pk_preds)))
+
+let test_semi_index_only () =
+  let eng = semi_engine () in
+  List.iter
+    (fun (attr, values) ->
+      let c = parts_col attr in
+      let r =
+        check_semi_case eng ~name:("index-only on " ^ attr) ~path:"[index-only"
+          ~columns:[ col "p" attr ] ~from:one_parts ~where:[]
+          ~semis:[ ("p", attr, values) ]
+          ~expected:(R.Ops.project [ c ] (select_parts eng [ explicit_in c values ]))
+      in
+      let rows = List.map R.Tuple.to_list (R.Relation.to_list r) in
+      check_bool ("index-only on " ^ attr ^ ": key order") true
+        (rows = List.stable_sort (List.compare V.compare) rows))
+    [ ("k", key_in); ("n", num_in) ]
+
+let test_semi_bitmap_in () =
+  let eng = semi_engine () in
+  ignore
+    (check_semi_case eng ~name:"bitmap IN + second semi" ~path:"[bitmap col 1 in"
+       ~columns:[] ~from:one_parts ~where:[]
+       ~semis:[ ("p", "grp", grp_in); ("p", "k", key_in) ]
+       ~expected:(select_parts eng [ explicit_in 1 grp_in; explicit_in 0 key_in ]))
+
+(* The right side's filters, its bitmap path's included, become a residual
+   over the concatenated tuple. *)
+let test_semi_index_nl_residual () =
+  let eng = semi_engine () in
+  let join_pred =
+    R.Row_pred.conj
+      (R.Row_pred.Cmp (R.Row_pred.Eq, Col 0, Col 1)
+      :: List.map (R.Row_pred.shift 1)
+           [ explicit_in 1 grp_in; explicit_in 2 num_in; explicit_in 0 key_in ])
+  in
+  ignore
+    (check_semi_case eng ~name:"index-NL right residual" ~path:"index-nl join" ~columns:[]
+       ~from:[ { Sql.table = "probes"; alias = "q" }; { Sql.table = "parts"; alias = "p" } ]
+       ~where:[ (R.Row_pred.Eq, col "q" "pk", col "p" "k") ]
+       ~semis:[ ("p", "grp", grp_in); ("p", "n", num_in); ("p", "k", key_in) ]
+       ~expected:
+         (R.Ops.nested_join join_pred (Engine.table eng "probes") (Engine.table eng "parts")))
+
+let semi_cases =
+  [
+    Alcotest.test_case "semi-join filter on a seq scan" `Quick test_semi_seq_scan;
+    Alcotest.test_case "semi-join filter on an index probe" `Quick test_semi_index_probe;
+    Alcotest.test_case "semi-join filter on an index-only scan" `Quick test_semi_index_only;
+    Alcotest.test_case "semi-join filter on a bitmap IN scan" `Quick test_semi_bitmap_in;
+    Alcotest.test_case "semi-join filter in an index-NL residual" `Quick
+      test_semi_index_nl_residual;
+  ]
+
+let suites = match suites with
+  | [ (name, cases) ] -> [ (name, cases @ semi_cases) ]
+  | other -> other
