@@ -178,6 +178,31 @@ let bench_semijoin_index_only =
   Bechamel.Test.make ~name:"semijoin_index_only_2500x256"
     (Bechamel.Staged.stage (fun () -> ignore (Braid_remote.Engine.execute eng q)))
 
+(* serve_rw's remote write shape: one insert and one delete of a new
+   (supplier, part) key, then a covering index-only scan over the ~2,550
+   composite keys of a 2,650-shipment supplies table. The writes leave the
+   table as it was, so every run does the same work. *)
+let bench_index_only_after_write =
+  let eng = Braid_remote.Engine.create () in
+  List.iter (Braid_remote.Engine.load eng)
+    (Braid_workload.Datagen.supplier_parts ~suppliers:100 ~parts:400 ~shipments:2_650 ());
+  let col attr = Braid_remote.Sql.Col { Braid_remote.Sql.src = "s"; attr } in
+  let q =
+    {
+      Braid_remote.Sql.distinct = false;
+      columns = [ col "supplier"; col "part" ];
+      from = [ { Braid_remote.Sql.table = "supplies"; alias = "s" } ];
+      where = [];
+      semijoins = [];
+    }
+  in
+  let row = [| V.Str "sup100"; V.Str "prt400"; V.Int 1 |] in
+  Bechamel.Test.make ~name:"index_only_after_write_2500"
+    (Bechamel.Staged.stage (fun () ->
+         Braid_remote.Engine.insert eng "supplies" row;
+         ignore (Braid_remote.Engine.delete eng "supplies" row);
+         ignore (Braid_remote.Engine.execute eng q)))
+
 let bench_stream_pull =
   let schema = R.Schema.make [ ("n", V.Tint) ] in
   Bechamel.Test.make ~name:"stream_pull_1k"
@@ -264,6 +289,7 @@ let micro_tests =
     bench_covering_index_scan;
     bench_semijoin_fetch;
     bench_semijoin_index_only;
+    bench_index_only_after_write;
     bench_stream_pull;
     bench_parser;
     bench_tracker;

@@ -14,7 +14,21 @@ val columns : t -> int list
 val add : t -> Tuple.t -> unit
 (** Appends one tuple to its key's bucket — incremental maintenance for a
     single-row insert into the indexed relation. The caller is responsible
-    for also adding the tuple to the relation itself. *)
+    for also adding the tuple to the relation itself. If the sorted key
+    directory (see {!fold_sorted}) has been built, it is updated in place:
+    a known key's size is bumped, a new key is inserted at its sorted
+    position. *)
+
+val remove : t -> Tuple.t -> unit
+(** [remove ix t] takes the oldest tuple [Tuple.equal] to [t] out of its
+    key's bucket — the same row {!Relation.remove_once} removes, so every
+    bucket stays what {!build} over the relation would give. A key whose
+    bucket empties leaves the index (lookups return [[]], index-only scans
+    skip it). When the removed tuple was its bucket's oldest, the key is
+    re-stored as the new oldest tuple's key if the two differ structurally
+    (e.g. [Float 2.0] after [Int 2]). The sorted directory, if built, is
+    updated in place. The caller removes the row from the relation itself.
+    Raises [Invalid_argument] if the index holds no tuple equal to [t]. *)
 
 val lookup : t -> Value.t list -> Tuple.t list
 (** Tuples whose key columns equal the given values. *)
@@ -44,5 +58,6 @@ val fold_sorted : t -> init:'a -> f:('a -> Tuple.t -> int -> 'a) -> 'a
     gets each distinct key as a tuple of the indexed columns and the
     number of tuples in its bucket, so covering-index scans are
     deterministic and emit key-sorted output. The sorted directory is built
-    on the first call and kept until the next [add]; its key tuples are
+    (sorted) on the first call only; from then on {!add} and {!remove} keep
+    it current in place, so later calls never re-sort. Its key tuples are
     shared across calls and must not be mutated. *)

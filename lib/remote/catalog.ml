@@ -159,29 +159,35 @@ let note_insert t name tup =
   | None -> ()
   | Some entry ->
     let arity = R.Schema.arity entry.schema in
+    (* A column's distinct count moves only when the value is new to its
+       set — O(log n) per column instead of recounting every set. *)
+    let distinct = Array.copy entry.stats.distinct_per_column in
     for i = 0 to arity - 1 do
-      entry.value_sets.(i) <- V_set.add (R.Tuple.get tup i) entry.value_sets.(i)
+      let v = R.Tuple.get tup i in
+      if not (V_set.mem v entry.value_sets.(i)) then begin
+        entry.value_sets.(i) <- V_set.add v entry.value_sets.(i);
+        distinct.(i) <- distinct.(i) + 1
+      end
     done;
     entry.stats <-
       { cardinality = entry.stats.cardinality + 1;
-        distinct_per_column = Array.map V_set.cardinal entry.value_sets;
+        distinct_per_column = distinct;
         sorted_prefix = (if entry.stats.cardinality = 0 then entry.stats.sorted_prefix else 0) };
     List.iter (fun (_, ix) -> R.Index.add ix tup) entry.indexes;
     entry.bitmaps <- []
 
-(* A single-row delete cannot maintain the secondary indexes in place
-   (Index has no removal — a stale bucket would resurrect the deleted row
-   on the next probe), so indexes and bitmaps are dropped for lazy rebuild.
-   Value sets are kept: distinct counts are estimates, and removing a value
-   would require per-value reference counts for little planning benefit. *)
+(* A single-row delete takes the row out of one bucket per index, in
+   place, mirroring [Relation.remove_once]; bitmaps are fixed-width
+   snapshots and are dropped as on insert. Value sets are kept: distinct
+   counts are estimates, and removing a value would require per-value
+   reference counts for little planning benefit. *)
 let note_delete t name tup =
-  ignore tup;
   match Hashtbl.find_opt t.entries name with
   | None -> ()
   | Some entry ->
     entry.stats <-
       { entry.stats with cardinality = Int.max 0 (entry.stats.cardinality - 1) };
-    entry.indexes <- [];
+    List.iter (fun (_, ix) -> R.Index.remove ix tup) entry.indexes;
     entry.bitmaps <- []
 
 let index_on t name cols =

@@ -70,7 +70,7 @@ val index_on : t -> string -> int list -> Braid_relalg.Index.t option
 val ensure_index :
   t -> string -> Braid_relalg.Relation.t -> int list -> Braid_relalg.Index.t
 (** Returns the persisted index on the column list, building it from [rel]
-    and persisting it first if missing (e.g. after [note_delete]). *)
+    and persisting it first if missing. *)
 
 val note_insert : t -> string -> Braid_relalg.Tuple.t -> unit
 (** Incremental maintenance for a single-tuple insert: bumps the
@@ -79,11 +79,13 @@ val note_insert : t -> string -> Braid_relalg.Tuple.t -> unit
     dropped and no rescan is paid. *)
 
 val note_delete : t -> string -> Braid_relalg.Tuple.t -> unit
-(** Incremental maintenance for a single-tuple delete: decrements the
-    cardinality and drops the table's indexes and bitmaps (indexes have no
-    removal operation — a stale bucket would resurrect the deleted row).
-    Distinct-count value sets are kept: they are planning estimates, and
-    exact decrement would need per-value reference counting. *)
+(** Incremental maintenance for a single-tuple delete, called after the
+    row left the relation ({!Braid_relalg.Relation.remove_once}):
+    decrements the cardinality and removes the row from every persisted
+    index in place ({!Braid_relalg.Index.remove}) — no index is dropped.
+    Bitmaps are dropped. Distinct-count value sets are kept: they are
+    planning estimates, and exact decrement would need per-value reference
+    counting. *)
 
 val ensure_bitmap :
   t -> string -> Braid_relalg.Relation.t -> int -> Braid_relalg.Bitmap.t

@@ -260,6 +260,110 @@ let prop_index_complete =
           via_index = via_scan)
         [ 0; 1; 2; 3; 4; 5; 99 ])
 
+(* Incremental index maintenance: a random run of [add]/[remove] writes,
+   mirrored on a relation with [Relation.remove_once], must leave the index
+   identical to [Index.build] over that relation after every step. Lookups
+   are compared by physical tuple identity, so removing the newest equal
+   row instead of the oldest shows (equal rows differ by Int/Float
+   representation). [fold_sorted] runs at random points: writes before the
+   first one run without a directory, later ones maintain it; once built it
+   is compared after every step, key tuples structurally. *)
+type ix_op = Ix_add of R.Tuple.t | Ix_remove of int * bool | Ix_fold
+
+let ix_schema = R.Schema.make [ ("a", V.Tint); ("b", V.Tint); ("c", V.Tint) ]
+
+(* [Ints] stays all-int; the mixed domain has integral floats equal to the
+   ints, a non-integral float, strings and Null — all far below 2^53. *)
+let gen_ix_case =
+  let open QCheck.Gen in
+  let int_val = int_range 0 3 >|= fun n -> V.Int n in
+  let mixed_val =
+    frequency
+      [
+        (4, int_val);
+        (3, oneofl [ V.Float 1.0; V.Float 2.0; V.Float 1.5 ]);
+        (1, oneofl [ V.Str "a"; V.Str "b" ]);
+        (1, return V.Null);
+      ]
+  in
+  let payload = oneofl [ V.Int 0; V.Int 1; V.Float 1.0 ] in
+  oneofl [ ("ints", [ 0 ], int_val); ("single", [ 0 ], mixed_val); ("multi", [ 0; 1 ], mixed_val) ]
+  >>= fun (store, cols, key_val) ->
+  let row = map3 (fun a b c -> [| a; b; c |]) key_val mixed_val payload in
+  let op =
+    frequency
+      [
+        (5, row >|= fun t -> Ix_add t);
+        (4, pair (int_range 0 1000) bool >|= fun (i, twist) -> Ix_remove (i, twist));
+        (1, return Ix_fold);
+      ]
+  in
+  pair (list_size (int_range 0 12) row) (list_size (int_range 1 40) op)
+  >|= fun (rows, ops) -> (store, cols, rows, ops)
+
+let print_ix_case (store, _, rows, ops) =
+  let value = function V.Float f -> string_of_float f | v -> V.to_string v in
+  let tuple t = R.Tuple.to_list t |> List.map value |> String.concat "," in
+  let op = function
+    | Ix_add t -> "+(" ^ tuple t ^ ")"
+    | Ix_remove (i, twist) -> Printf.sprintf "-%d%s" i (if twist then "~" else "")
+    | Ix_fold -> "fold"
+  in
+  Printf.sprintf "%s [%s] %s" store
+    (String.concat "; " (List.map tuple rows))
+    (String.concat " " (List.map op ops))
+
+(* The same row with Int and integral Float swapped: [Tuple.equal] to it. *)
+let twist_row t =
+  Array.map
+    (function
+      | V.Int n -> V.Float (float_of_int n)
+      | V.Float f when Float.is_integer f -> V.Int (int_of_float f)
+      | v -> v)
+    t
+
+let sorted_dir ix =
+  List.rev
+    (R.Index.fold_sorted ix ~init:[] ~f:(fun acc kt n -> (R.Tuple.to_list kt, n) :: acc))
+
+let prop_index_incremental_equals_build =
+  QCheck.Test.make ~count:400 ~name:"incremental index (add/remove) = fresh build"
+    (arb_of gen_ix_case print_ix_case)
+    (fun (_, cols, rows, ops) ->
+      let r = R.Relation.of_tuples ~name:"r" ix_schema rows in
+      let ix = R.Index.build r cols in
+      let seen = ref rows and dir_built = ref false in
+      let agrees () =
+        let fresh = R.Index.build r cols in
+        let same_bucket t =
+          let k = R.Tuple.key t cols in
+          let a = R.Index.lookup ix k and b = R.Index.lookup fresh k in
+          List.length a = List.length b && List.for_all2 ( == ) a b
+        in
+        List.for_all same_bucket !seen
+        && ((not !dir_built) || sorted_dir ix = sorted_dir fresh)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+           | Ix_add t ->
+             R.Relation.add r t;
+             R.Index.add ix t;
+             seen := t :: !seen
+           | Ix_remove (i, twist) ->
+             let n = R.Relation.cardinality r in
+             if n > 0 then begin
+               let t = R.Relation.get r (i mod n) in
+               let t = if twist then twist_row t else t in
+               assert (R.Relation.remove_once r t);
+               R.Index.remove ix t
+             end
+           | Ix_fold ->
+             ignore (sorted_dir ix);
+             dir_built := true);
+          agrees ())
+        ops)
+
 let prop_merge_join_equals_hash =
   QCheck.Test.make ~count:300 ~name:"merge join = hash join on sorted inputs" arb_rel2
     (fun (a, b) ->
@@ -763,6 +867,7 @@ let suites : unit Alcotest.test list =
           prop_merge_join_equals_hash;
           prop_select_conj_commutes;
           prop_index_complete;
+          prop_index_incremental_equals_build;
           prop_stream_roundtrip;
           prop_stream_take_prefix;
           prop_stream_buffered_same;

@@ -195,8 +195,8 @@ let test_select_indexed () =
   in
   check_int "one row survives residual" 1 (R.Relation.cardinality out)
 
-(* The sorted key directory an index-only scan reads is cached between
-   scans; [Index.add] must drop it. After one scan and two adds (a new key,
+(* The sorted key directory an index-only scan reads is kept between
+   scans; [Index.add] must keep it current. After one scan and two adds (a new key,
    and a second copy of an existing one), a scan must equal a fresh index's
    scan — key order and multiplicity — with and without [distinct]. One
    case per directory store: immediate ints, single values, composite keys. *)

@@ -568,3 +568,117 @@ let semi_cases =
 let suites = match suites with
   | [ (name, cases) ] -> [ (name, cases @ semi_cases) ]
   | other -> other
+
+(* --- writes maintain the remote's indexes in place --- *)
+
+let supplies_schema = R.Schema.make [ ("sup", V.Tstr); ("part", V.Tint); ("qty", V.Tint) ]
+
+let supplies_row (s, p, q) = [| V.Str s; V.Int p; V.Int q |]
+
+let supplies_engine rows =
+  let eng = Engine.create () in
+  Engine.load eng (R.Relation.of_tuples ~name:"supplies" supplies_schema rows);
+  eng
+
+(* A delete and an insert keep the very same index objects alive, and the
+   index-only scan (a covering [(sup, part)] directory, in key order) and
+   the index probe answer exactly as a freshly loaded engine does, with the
+   same [scanned]. *)
+let test_writes_maintain_indexes_in_place () =
+  let eng =
+    supplies_engine
+      (List.map supplies_row
+         [ ("s2", 1, 10); ("s1", 2, 20); ("s2", 1, 30); ("s3", 4, 40); ("s1", 3, 50);
+           ("s2", 2, 60); ("s4", 5, 70) ])
+  in
+  let s = { Sql.table = "supplies"; alias = "s" } in
+  let c attr = Sql.Col { Sql.src = "s"; attr } in
+  let covering =
+    { Sql.distinct = false; columns = [ c "sup"; c "part" ]; from = [ s ]; where = [];
+      semijoins = [] }
+  in
+  let probe =
+    { covering with
+      Sql.columns = [];
+      where = [ (R.Row_pred.Eq, c "sup", Sql.Const (V.Str "s2")) ] }
+  in
+  let run eng q =
+    let before = (Engine.plan_counters eng).Braid_remote.Qplan.index_only_scans in
+    let r, scanned = Engine.execute eng q in
+    ( List.map R.Tuple.to_list (R.Relation.to_list r),
+      scanned,
+      (Engine.plan_counters eng).Braid_remote.Qplan.index_only_scans - before )
+  in
+  let agrees_with_fresh what =
+    let fresh = supplies_engine (R.Relation.to_list (Engine.table eng "supplies")) in
+    List.iter
+      (fun (name, q) ->
+        check_bool (Printf.sprintf "%s: %s = freshly loaded engine" what name) true
+          (run eng q = run fresh q))
+      [ ("index-only scan", covering); ("index probe", probe) ]
+  in
+  let _, _, only = run eng covering in
+  check_int "index-only path" 1 only;
+  ignore (run eng probe);
+  let catalog = Engine.catalog eng in
+  let ix_sup = Option.get (Catalog.index_on catalog "supplies" [ 0 ]) in
+  let ix_pair = Option.get (Catalog.index_on catalog "supplies" [ 0; 1 ]) in
+  check_bool "delete one of two equal-key rows" true
+    (Engine.delete eng "supplies" (supplies_row ("s2", 1, 10)));
+  Engine.insert eng "supplies" (supplies_row ("s0", 9, 80));
+  List.iter
+    (fun (name, cols, ix) ->
+      check_bool (name ^ ": same index object after the writes") true
+        (match Catalog.index_on catalog "supplies" cols with Some ix' -> ix' == ix | None -> false))
+    [ ("sup", [ 0 ], ix_sup); ("(sup, part)", [ 0; 1 ], ix_pair) ];
+  agrees_with_fresh "after delete + insert";
+  check_bool "delete a key's last row" true
+    (Engine.delete eng "supplies" (supplies_row ("s4", 5, 70)));
+  let rows, _, _ = run eng covering in
+  check_bool "emptied key leaves the index-only output" false
+    (List.mem [ V.Str "s4"; V.Int 5 ] rows);
+  check_bool "output in key order" true
+    (rows = List.sort (List.compare V.compare) rows);
+  agrees_with_fresh "after emptying a key";
+  check_bool "removing an absent tuple is refused" true
+    (match R.Index.remove ix_sup (supplies_row ("s9", 0, 0)) with
+     | () -> false
+     | exception Invalid_argument _ -> true)
+
+(* [note_insert] bumps a column's distinct count only for a value new to
+   it; after random inserts (ints, equal integral floats, strings, Null)
+   the counts and cardinality equal a full [refresh_stats] rescan. The
+   sorted prefix is left out: inserts clear it conservatively. *)
+let test_note_insert_distinct_counts () =
+  let rng = Random.State.make [| 7 |] in
+  let value () =
+    match Random.State.int rng 4 with
+    | 0 -> V.Int (Random.State.int rng 30)
+    | 1 -> V.Float (float_of_int (Random.State.int rng 30))
+    | 2 -> V.Str (string_of_int (Random.State.int rng 10))
+    | _ -> V.Null
+  in
+  let eng = supplies_engine [] in
+  for _ = 1 to 300 do
+    Engine.insert eng "supplies" [| value (); value (); value () |]
+  done;
+  let rescanned = Catalog.create () in
+  Catalog.register rescanned "supplies" supplies_schema;
+  Catalog.refresh_stats rescanned "supplies" (Engine.table eng "supplies");
+  let stats catalog =
+    let st = Option.get (Catalog.stats_of catalog "supplies") in
+    (st.Catalog.cardinality, Array.to_list st.Catalog.distinct_per_column)
+  in
+  check_bool "incremental stats = rescan" true (stats (Engine.catalog eng) = stats rescanned)
+
+let write_cases =
+  [
+    Alcotest.test_case "note_insert distinct counts = rescan" `Quick
+      test_note_insert_distinct_counts;
+    Alcotest.test_case "writes maintain indexes in place" `Quick
+      test_writes_maintain_indexes_in_place;
+  ]
+
+let suites = match suites with
+  | [ (name, cases) ] -> [ (name, cases @ write_cases) ]
+  | other -> other
