@@ -21,8 +21,10 @@
    committed BENCH_relalg.json is a snapshot of that output. --check
    regenerates only the deterministic counters and fails (exit 1) if the
    snapshot at PATH disagrees — the CI bench-smoke job runs this; timings
-   are uploaded as artifacts but never gated on. --seed overrides the
-   experiments' default PRNG seeds (the snapshot uses the defaults).
+   are uploaded as artifacts but never gated on. --json and --check exclude
+   each other and take no experiment ids. --seed overrides the
+   experiments' default PRNG seeds (the snapshot uses the defaults). Every
+   path is opened or checked before any work starts.
 
    --trace PATH installs the Braid_obs span tracer for the run and writes
    every recorded span on exit: Chrome trace_event JSON by default,
@@ -440,319 +442,262 @@ let plan_choice_counters () =
   ignore (Braid_remote.Engine.execute eng filtered);
   Braid_remote.Engine.plan_counters eng
 
+module J = Braid_obs.Json
+module X = Braid_experiments
+
 (* The deterministic "experiments" member of the JSON: hardware-independent
    counters only. Every number here derives from fixed (or --seed-supplied)
-   PRNG seeds and the simulated cost model, so the emitted text is
+   PRNG seeds and the simulated cost model, so the printed text is
    byte-identical across runs and machines — which is what lets CI gate on
-   it (--check) while the bechamel timings above it are reported but never
-   compared. *)
+   it (--check) while the bechamel timings beside it are reported but never
+   compared. Each table is a list of flat rows, printed one per line. *)
 let experiments_json ?seed () =
-  let e10_rows, _ = Braid_experiments.Exp_indexing.run ?seed ~probes:60 ~size:120 () in
-  let e13_rows, _ = Braid_experiments.Exp_faults.run ?seed () in
-  let e14_rows, _ = Braid_experiments.Exp_serve.run ?seed () in
-  let e15_rows, _ = Braid_experiments.Exp_join_planning.run ?seed () in
-  let (e16_mix, e16_soak, e16_avail), _ = Braid_experiments.Exp_sharding.run ?seed () in
-  let e17_rows, _ = Braid_experiments.Exp_replication.run ?seed () in
-  let (e18_rows, e18_rec), _ = Braid_experiments.Exp_ivm.run ?seed () in
-  let (e19_rows, e19_set), _ = Braid_experiments.Exp_set_oriented.run ?seed () in
+  let e10_rows, _ = X.Exp_indexing.run ?seed ~probes:60 ~size:120 () in
+  let e13_rows, _ = X.Exp_faults.run ?seed () in
+  let e14_rows, _ = X.Exp_serve.run ?seed () in
+  let e15_rows, _ = X.Exp_join_planning.run ?seed () in
+  let (e16_mix, e16_soak, a), _ = X.Exp_sharding.run ?seed () in
+  let e17_rows, _ = X.Exp_replication.run ?seed () in
+  let (e18_rows, rc), _ = X.Exp_ivm.run ?seed () in
+  let (e19_rows, sc), _ = X.Exp_set_oriented.run ?seed () in
   let table_card, result_rows, scanned = remote_scan_counters () in
-  let pc = plan_choice_counters () in
-  let b = Buffer.create 4096 in
-  let out fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  out "  \"experiments\": {\n";
-  out "    \"remote_indexed_scan\": {\"table_cardinality\": %d, \"result_rows\": %d, \"rows_scanned\": %d},\n"
-    table_card result_rows scanned;
-  out "    \"e10_indexing\": [\n";
-  List.iteri
-    (fun i (r : Braid_experiments.Exp_indexing.row) ->
-      out
-        "      {\"label\": \"%s\", \"probes\": %d, \"tuples_touched\": %d, \"local_ms\": %.1f}%s\n"
-        (Braid_obs.Trace.escape r.Braid_experiments.Exp_indexing.label)
-        r.Braid_experiments.Exp_indexing.probes
-        r.Braid_experiments.Exp_indexing.tuples_touched
-        r.Braid_experiments.Exp_indexing.local_ms
-        (if i = List.length e10_rows - 1 then "" else ","))
-    e10_rows;
-  out "    ],\n";
-  out "    \"e13_faults\": [\n";
-  List.iteri
-    (fun i (r : Braid_experiments.Exp_faults.row) ->
-      let open Braid_experiments.Exp_faults in
-      out
-        "      {\"error_rate\": %.2f, \"queries\": %d, \"answered\": %d, \"fresh\": %d, \
-         \"degraded\": %d, \"requests\": %d, \"retries\": %d, \"trips\": %d, \
-         \"deadline_misses\": %d, \"stale_serves\": %d, \"fast_fails\": %d}%s\n"
-        r.error_rate r.queries r.answered r.fresh r.degraded r.requests r.retries
-        r.trips r.deadline_misses r.stale_serves r.fast_fails
-        (if i = List.length e13_rows - 1 then "" else ","))
-    e13_rows;
-  out "    ],\n";
-  out "    \"e14_serve\": [\n";
-  List.iteri
-    (fun i (r : Braid_experiments.Exp_serve.row) ->
-      let open Braid_experiments.Exp_serve in
-      out
-        "      {\"sessions\": %d, \"submitted\": %d, \"answered\": %d, \"shed\": %d, \
-         \"coalesce_identical\": %d, \"coalesce_subsumed\": %d, \"remote_requests\": %d, \
-         \"elapsed_ms\": %.1f}%s\n"
-        r.sessions r.submitted r.answered r.shed r.coalesce_identical
-        r.coalesce_subsumed r.remote_requests r.elapsed_ms
-        (if i = List.length e14_rows - 1 then "" else ","))
-    e14_rows;
-  out "    ],\n";
-  out "    \"e15_join_planning\": [\n";
-  List.iteri
-    (fun i (r : Braid_experiments.Exp_join_planning.row) ->
-      let open Braid_experiments.Exp_join_planning in
-      out
-        "      {\"label\": \"%s\", \"scanned\": %d, \"transferred\": %d, \
-         \"modeled_ms\": %.1f, \"rows\": %d}%s\n"
-        (Braid_obs.Trace.escape r.label) r.scanned r.transferred r.modeled_ms r.rows_out
-        (if i = List.length e15_rows - 1 then "" else ","))
-    e15_rows;
-  out "    ],\n";
-  out "    \"e16_sharding_mix\": [\n";
-  List.iteri
-    (fun i (r : Braid_experiments.Exp_sharding.row) ->
-      let open Braid_experiments.Exp_sharding in
-      out
-        "      {\"shards\": %d, \"queries\": %d, \"pinned\": %d, \"fanouts\": %d, \
-         \"gathers\": %d, \"shards_touched\": %d, \"shards_pruned\": %d, \
-         \"scanned\": %d, \"fresh\": %d, \"degraded\": %d}%s\n"
-        r.shards r.queries r.pinned r.fanouts r.gathers r.shards_touched
-        r.shards_pruned r.scanned r.fresh r.degraded
-        (if i = List.length e16_mix - 1 then "" else ","))
-    e16_mix;
-  out "    ],\n";
-  out "    \"e16_sharding_soak\": [\n";
-  List.iteri
-    (fun i (r : Braid_experiments.Exp_sharding.soak_row) ->
-      let open Braid_experiments.Exp_sharding in
-      out
-        "      {\"shards\": %d, \"answered\": %d, \"fresh\": %d, \"degraded\": %d, \
-         \"pinned\": %d, \"fanouts\": %d, \"gathers\": %d, \"shards_pruned\": %d, \
-         \"remote_requests\": %d}%s\n"
-        r.sk_shards r.sk_answered r.sk_fresh r.sk_degraded r.sk_pinned
-        r.sk_fanouts r.sk_gathers r.sk_pruned r.sk_remote_requests
-        (if i = List.length e16_soak - 1 then "" else ","))
-    e16_soak;
-  out "    ],\n";
-  (let a = e16_avail in
-   let open Braid_experiments.Exp_sharding in
-   out
-     "    \"e16_one_shard_down\": {\"shards\": %d, \"sick_shard\": %d, \
-      \"pinned_queries\": %d, \"healthy_fresh\": %d, \"healthy_degraded\": %d, \
-      \"sick_queries\": %d, \"sick_degraded\": %d, \"scatter_queries\": %d, \
-      \"scatter_degraded\": %d},\n"
-     a.av_shards a.sick_shard a.pinned_queries a.healthy_fresh
-     a.healthy_degraded a.sick_queries a.sick_degraded a.scatter_queries
-     a.scatter_degraded);
-  out "    \"e17_replication\": [\n";
-  List.iteri
-    (fun i (r : Braid_experiments.Exp_replication.row) ->
-      let open Braid_experiments.Exp_replication in
-      out
-        "      {\"replicas\": %d, \"scenario\": \"%s\", \"down_replica\": %d, \
-         \"affected_queries\": %d, \"affected_fresh\": %d, \"healthy_queries\": %d, \
-         \"healthy_fresh\": %d, \"failovers\": %d, \"hinted\": %d, \
-         \"lag_before\": %d, \"repairs\": %d, \"lag_after\": %d}%s\n"
-        r.rp_replicas (Braid_obs.Trace.escape r.rp_scenario) r.rp_down_replica
-        r.rp_affected_queries r.rp_affected_fresh r.rp_healthy_queries
-        r.rp_healthy_fresh r.rp_failovers r.rp_hinted r.rp_lag_before r.rp_repairs
-        r.rp_lag_after
-        (if i = List.length e17_rows - 1 then "" else ","))
-    e17_rows;
-  out "    ],\n";
-  out "    \"e18_ivm\": [\n";
-  List.iteri
-    (fun i (r : Braid_experiments.Exp_ivm.row) ->
-      let open Braid_experiments.Exp_ivm in
-      out
-        "      {\"mode\": \"%s\", \"rate\": %d, \"inserts\": %d, \"deletes\": %d, \
-         \"queries\": %d, \"cache_fresh\": %d, \"refetches\": %d, \"maintained\": %d, \
-         \"fallbacks\": %d, \"oracle_mismatches\": %d}%s\n"
-        (Braid_obs.Trace.escape r.iv_mode) r.iv_rate r.iv_inserts r.iv_deletes r.iv_queries
-        r.iv_cache_fresh r.iv_refetches r.iv_maintained r.iv_fallbacks
-        r.iv_oracle_mismatches
-        (if i = List.length e18_rows - 1 then "" else ","))
-    e18_rows;
-  out "    ],\n";
-  (let r = e18_rec in
-   let open Braid_experiments.Exp_ivm in
-   out
-     "    \"e18_recovery\": {\"deltas\": %d, \"epoch\": %d, \"elements\": %d, \
-      \"replayed\": %d, \"byte_identical\": %b},\n"
-     r.rc_deltas r.rc_epoch r.rc_elements r.rc_replayed r.rc_byte_identical);
-  out "    \"e19_set_oriented\": [\n";
-  List.iteri
-    (fun i (r : Braid_experiments.Exp_set_oriented.row) ->
-      let open Braid_experiments.Exp_set_oriented in
-      out
-        "      {\"strategy\": \"%s\", \"remote_requests\": %d, \"caql_queries\": %d, \
-         \"resolutions\": %d, \"tuples_moved\": %d, \"solutions\": %d, \
-         \"identical\": %b}%s\n"
-        (Braid_obs.Trace.escape r.strategy) r.requests r.caql_queries r.resolutions
-        r.tuples_moved r.solutions r.identical
-        (if i = List.length e19_rows - 1 then "" else ","))
-    e19_rows;
-  out "    ],\n";
-  (let s = e19_set in
-   let open Braid_experiments.Exp_set_oriented in
-   out
-     "    \"e19_set_counters\": {\"rounds\": %d, \"fetches\": %d, \
-      \"fetched_tuples\": %d, \"magic_tuples\": %d, \"reference_resolutions\": %d},\n"
-     s.rounds s.fetches s.fetched_tuples s.magic_tuples s.reference_resolutions);
-  out
-    "    \"plan_choices\": {\"hash_joins\": %d, \"merge_joins\": %d, \"inlj_joins\": %d, \
-     \"products\": %d, \"seq_scans\": %d, \"index_probes\": %d, \"index_only_scans\": %d, \
-     \"bitmap_scans\": %d, \"semijoin_filters\": %d}\n"
-    pc.Braid_remote.Qplan.hash_joins pc.Braid_remote.Qplan.merge_joins
-    pc.Braid_remote.Qplan.inlj_joins pc.Braid_remote.Qplan.products
-    pc.Braid_remote.Qplan.seq_scans pc.Braid_remote.Qplan.index_probes
-    pc.Braid_remote.Qplan.index_only_scans pc.Braid_remote.Qplan.bitmap_scans
-    pc.Braid_remote.Qplan.semijoin_filters;
-  out "  }\n";
-  Buffer.contents b
+  let (pc : Braid_remote.Qplan.counters) = plan_choice_counters () in
+  let table row rows = J.List (List.map row rows) in
+  let ints fields = J.Obj (List.map (fun (k, n) -> (k, J.int n)) fields) in
+  let i = J.int and ms = J.float ~decimals:1 in
+  J.Obj
+    [
+      ( "remote_indexed_scan",
+        ints [ ("table_cardinality", table_card); ("result_rows", result_rows); ("rows_scanned", scanned) ] );
+      ( "e10_indexing",
+        table
+          (fun (r : X.Exp_indexing.row) ->
+            J.Obj
+              [ ("label", J.Str r.label); ("probes", i r.probes);
+                ("tuples_touched", i r.tuples_touched); ("local_ms", ms r.local_ms) ])
+          e10_rows );
+      ( "e13_faults",
+        table
+          (fun (r : X.Exp_faults.row) ->
+            J.Obj
+              [ ("error_rate", J.float ~decimals:2 r.error_rate); ("queries", i r.queries);
+                ("answered", i r.answered); ("fresh", i r.fresh); ("degraded", i r.degraded);
+                ("requests", i r.requests); ("retries", i r.retries); ("trips", i r.trips);
+                ("deadline_misses", i r.deadline_misses); ("stale_serves", i r.stale_serves);
+                ("fast_fails", i r.fast_fails) ])
+          e13_rows );
+      ( "e14_serve",
+        table
+          (fun (r : X.Exp_serve.row) ->
+            J.Obj
+              [ ("sessions", i r.sessions); ("submitted", i r.submitted); ("answered", i r.answered);
+                ("shed", i r.shed); ("coalesce_identical", i r.coalesce_identical);
+                ("coalesce_subsumed", i r.coalesce_subsumed);
+                ("remote_requests", i r.remote_requests); ("elapsed_ms", ms r.elapsed_ms) ])
+          e14_rows );
+      ( "e15_join_planning",
+        table
+          (fun (r : X.Exp_join_planning.row) ->
+            J.Obj
+              [ ("label", J.Str r.label); ("scanned", i r.scanned); ("transferred", i r.transferred);
+                ("modeled_ms", ms r.modeled_ms); ("rows", i r.rows_out) ])
+          e15_rows );
+      ( "e16_sharding_mix",
+        table
+          (fun (r : X.Exp_sharding.row) ->
+            ints
+              [ ("shards", r.shards); ("queries", r.queries); ("pinned", r.pinned);
+                ("fanouts", r.fanouts); ("gathers", r.gathers); ("shards_touched", r.shards_touched);
+                ("shards_pruned", r.shards_pruned); ("scanned", r.scanned); ("fresh", r.fresh);
+                ("degraded", r.degraded) ])
+          e16_mix );
+      ( "e16_sharding_soak",
+        table
+          (fun (r : X.Exp_sharding.soak_row) ->
+            ints
+              [ ("shards", r.sk_shards); ("answered", r.sk_answered); ("fresh", r.sk_fresh);
+                ("degraded", r.sk_degraded); ("pinned", r.sk_pinned); ("fanouts", r.sk_fanouts);
+                ("gathers", r.sk_gathers); ("shards_pruned", r.sk_pruned);
+                ("remote_requests", r.sk_remote_requests) ])
+          e16_soak );
+      ( "e16_one_shard_down",
+        ints
+          [ ("shards", a.X.Exp_sharding.av_shards); ("sick_shard", a.sick_shard);
+            ("pinned_queries", a.pinned_queries); ("healthy_fresh", a.healthy_fresh);
+            ("healthy_degraded", a.healthy_degraded); ("sick_queries", a.sick_queries);
+            ("sick_degraded", a.sick_degraded); ("scatter_queries", a.scatter_queries);
+            ("scatter_degraded", a.scatter_degraded) ] );
+      ( "e17_replication",
+        table
+          (fun (r : X.Exp_replication.row) ->
+            J.Obj
+              [ ("replicas", i r.rp_replicas); ("scenario", J.Str r.rp_scenario);
+                ("down_replica", i r.rp_down_replica); ("affected_queries", i r.rp_affected_queries);
+                ("affected_fresh", i r.rp_affected_fresh); ("healthy_queries", i r.rp_healthy_queries);
+                ("healthy_fresh", i r.rp_healthy_fresh); ("failovers", i r.rp_failovers);
+                ("hinted", i r.rp_hinted); ("lag_before", i r.rp_lag_before);
+                ("repairs", i r.rp_repairs); ("lag_after", i r.rp_lag_after) ])
+          e17_rows );
+      ( "e18_ivm",
+        table
+          (fun (r : X.Exp_ivm.row) ->
+            J.Obj
+              [ ("mode", J.Str r.iv_mode); ("rate", i r.iv_rate); ("inserts", i r.iv_inserts);
+                ("deletes", i r.iv_deletes); ("queries", i r.iv_queries);
+                ("cache_fresh", i r.iv_cache_fresh); ("refetches", i r.iv_refetches);
+                ("maintained", i r.iv_maintained); ("fallbacks", i r.iv_fallbacks);
+                ("oracle_mismatches", i r.iv_oracle_mismatches) ])
+          e18_rows );
+      ( "e18_recovery",
+        J.Obj
+          [ ("deltas", i rc.X.Exp_ivm.rc_deltas); ("epoch", i rc.rc_epoch);
+            ("elements", i rc.rc_elements); ("replayed", i rc.rc_replayed);
+            ("byte_identical", J.Bool rc.rc_byte_identical) ] );
+      ( "e19_set_oriented",
+        table
+          (fun (r : X.Exp_set_oriented.row) ->
+            J.Obj
+              [ ("strategy", J.Str r.strategy); ("remote_requests", i r.requests);
+                ("caql_queries", i r.caql_queries); ("resolutions", i r.resolutions);
+                ("tuples_moved", i r.tuples_moved); ("solutions", i r.solutions);
+                ("identical", J.Bool r.identical) ])
+          e19_rows );
+      ( "e19_set_counters",
+        ints
+          [ ("rounds", sc.X.Exp_set_oriented.rounds); ("fetches", sc.fetches);
+            ("fetched_tuples", sc.fetched_tuples); ("magic_tuples", sc.magic_tuples);
+            ("reference_resolutions", sc.reference_resolutions) ] );
+      ( "plan_choices",
+        ints
+          [ ("hash_joins", pc.hash_joins); ("merge_joins", pc.merge_joins);
+            ("inlj_joins", pc.inlj_joins); ("products", pc.products); ("seq_scans", pc.seq_scans);
+            ("index_probes", pc.index_probes); ("index_only_scans", pc.index_only_scans);
+            ("bitmap_scans", pc.bitmap_scans); ("semijoin_filters", pc.semijoin_filters) ] );
+    ]
+
+(* Every command-line error: one line on stderr, exit 1. *)
+let usage_error msg =
+  prerr_endline msg;
+  exit 1
+
+(* Fails unless [path] can be opened for writing. Called before any work
+   starts, so a bad output path costs nothing; an existing file is not
+   truncated until the run writes it. *)
+let ensure_writable path =
+  try close_out (open_out_gen [ Open_wronly; Open_creat ] 0o666 path)
+  with Sys_error msg -> usage_error ("cannot write " ^ msg)
 
 let write_json ?seed path =
   let micro = micro_estimates () in
   let experiments = experiments_json ?seed () in
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"schema_version\": 1,\n";
-  out "  \"suite\": \"relalg\",\n";
-  out "  \"micro\": [\n";
-  List.iteri
-    (fun i (name, est) ->
-      out "    {\"name\": \"%s\", \"ns_per_run\": %s}%s\n" (Braid_obs.Trace.escape name)
-        (if Float.is_nan est then "null" else Printf.sprintf "%.1f" est)
-        (if i = List.length micro - 1 then "" else ","))
-    micro;
-  out "  ],\n";
-  out "%s" experiments;
-  out "}\n";
-  close_out oc;
+  let micro_row (name, est) = J.Obj [ ("name", J.Str name); ("ns_per_run", J.float ~decimals:1 est) ] in
+  let doc =
+    J.Obj
+      [ ("schema_version", J.int 1); ("suite", J.Str "relalg");
+        ("micro", J.List (List.map micro_row micro)); ("experiments", experiments) ]
+  in
+  Out_channel.with_open_text path (fun oc -> output_string oc (J.to_string doc ^ "\n"));
   Printf.printf "wrote %s\n" path
 
-(* Flattens a JSON text into [(path, scalar-as-text)] pairs — e.g.
-   [("experiments.e13_faults[2].retries", "14")] — so --check can report
-   exactly which counters drifted instead of dumping the whole fragment.
-   Minimal recursive-descent parser covering the harness's own output
-   (objects, arrays, strings, numbers, null); raises [Failure] on anything
-   else, in which case the caller falls back to printing the fragment. *)
-let flatten_json text =
-  let n = String.length text in
-  let pos = ref 0 in
-  let fail msg = failwith (Printf.sprintf "json: %s at offset %d" msg !pos) in
-  let peek () = if !pos < n then text.[!pos] else fail "unexpected end" in
-  let skip_ws () =
-    while
-      !pos < n && (match text.[!pos] with ' ' | '\n' | '\t' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let parse_string () =
-    let b = Buffer.create 16 in
-    incr pos;
-    let rec go () =
-      match peek () with
-      | '"' -> incr pos
-      | '\\' ->
-        Buffer.add_char b text.[!pos];
-        incr pos;
-        Buffer.add_char b (peek ());
-        incr pos;
-        go ()
-      | c ->
-        Buffer.add_char b c;
-        incr pos;
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let out = ref [] in
-  let rec value path =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-      incr pos;
-      skip_ws ();
-      if peek () = '}' then incr pos
-      else
-        let rec members () =
-          skip_ws ();
-          if peek () <> '"' then fail "expected a key";
-          let k = parse_string () in
-          skip_ws ();
-          if peek () <> ':' then fail "expected ':'";
-          incr pos;
-          value (if path = "" then k else path ^ "." ^ k);
-          skip_ws ();
-          match peek () with
-          | ',' ->
-            incr pos;
-            members ()
-          | '}' -> incr pos
-          | _ -> fail "expected ',' or '}'"
-        in
-        members ()
-    | '[' ->
-      incr pos;
-      skip_ws ();
-      if peek () = ']' then incr pos
-      else
-        let rec elems i =
-          value (Printf.sprintf "%s[%d]" path i);
-          skip_ws ();
-          match peek () with
-          | ',' ->
-            incr pos;
-            elems (i + 1)
-          | ']' -> incr pos
-          | _ -> fail "expected ',' or ']'"
-        in
-        elems 0
-    | '"' -> out := (path, Printf.sprintf "%S" (parse_string ())) :: !out
-    | _ ->
-      let start = !pos in
-      while
-        !pos < n
-        && (match text.[!pos] with
-            | ',' | '}' | ']' | ' ' | '\n' | '\t' | '\r' -> false
-            | _ -> true)
-      do
-        incr pos
-      done;
-      if !pos = start then fail "expected a value";
-      out := (path, String.sub text start (!pos - start)) :: !out
-  in
-  value "";
-  List.rev !out
+(* ["key": value] as (key, value text); any other text is keyed by itself. *)
+let key_value text =
+  let t = String.trim text in
+  try Scanf.sscanf t "%S: %[^\n]" (fun k v -> (k, v))
+  with Scanf.Scan_failure _ | Failure _ | End_of_file -> (t, t)
 
-let experiment_counters text =
-  List.filter
-    (fun (p, _) ->
-      String.length p >= 12 && String.sub p 0 12 = "experiments.")
-    (flatten_json text)
+(* The rows of every member of a printed "experiments" object, as
+   [(row id, row text)] in order — e.g. [("e13_faults[2]", "{...}")] for a
+   table row, [("plan_choices", "{...}")] for a one-row member. Reads only
+   the printer's layout: the block runs from the [  "experiments": {] line
+   to the [  }] line, a table member opens with a line ending in "[" and
+   holds one row per line up to its "]" line, and any other member is one
+   line. *)
+let experiment_rows text =
+  let strip line =
+    let l = String.trim line in
+    if String.ends_with ~suffix:"," l then String.sub l 0 (String.length l - 1) else l
+  in
+  let rec members acc = function
+    | [] | "  }" :: _ -> List.rev acc
+    | line :: rest ->
+      (match key_value (strip line) with
+       | name, "[" ->
+         let rec table i acc = function
+           | l :: rest when strip l <> "]" ->
+             table (i + 1) ((Printf.sprintf "%s[%d]" name i, strip l) :: acc) rest
+           | _ :: rest -> members acc rest
+           | [] -> members acc []
+         in
+         table 0 acc rest
+       | row -> members (row :: acc) rest)
+  in
+  let rec block = function
+    | [] -> []
+    | "  \"experiments\": {" :: rest -> members [] rest
+    | _ :: rest -> block rest
+  in
+  block (String.split_on_char '\n' text)
+
+(* The [(key, value text)] fields of a one-line object row, split at the
+   commas outside string literals. *)
+let row_fields row =
+  let fields = ref [] and b = Buffer.create 64 and in_str = ref false and esc = ref false in
+  String.iter
+    (fun c ->
+      if c = ',' && not !in_str then begin
+        fields := Buffer.contents b :: !fields;
+        Buffer.clear b
+      end
+      else begin
+        Buffer.add_char b c;
+        if !esc then esc := false
+        else if c = '\\' then esc := !in_str
+        else if c = '"' then in_str := not !in_str
+      end)
+    (String.sub row 1 (String.length row - 2));
+  List.rev_map key_value (Buffer.contents b :: !fields)
+
+(* The entries of two assoc lists whose values differ, as "name: ...": in
+   [regenerated] order, then the names only [snapshot] has. *)
+let diff_assoc ~describe snapshot regenerated =
+  List.filter_map
+    (fun (name, want) ->
+      match List.assoc_opt name snapshot with
+      | Some got when got = want -> None
+      | Some got -> Some (name ^ ": " ^ describe got want)
+      | None -> Some (Printf.sprintf "%s: missing from the snapshot, regenerated %s" name want))
+    regenerated
+  @ List.filter_map
+      (fun (name, got) ->
+        if List.mem_assoc name regenerated then None
+        else Some (Printf.sprintf "%s: snapshot %s, not regenerated" name got))
+      snapshot
+
+(* One line per drifted row: its id and, field by field, the snapshot and
+   regenerated values; rows only one side has are listed whole. *)
+let drift ~snapshot ~regenerated =
+  let whole got want = Printf.sprintf "snapshot %s, regenerated %s" got want in
+  let is_object r = String.starts_with ~prefix:"{" r && String.ends_with ~suffix:"}" r in
+  let fields got want =
+    if not (is_object got && is_object want) then whole got want
+    else
+      match diff_assoc ~describe:whole (row_fields got) (row_fields want) with
+      | [] -> whole got want
+      | diffs -> String.concat "; " diffs
+  in
+  List.map (fun line -> "  " ^ line) (diff_assoc ~describe:fields snapshot regenerated)
 
 (* CI gate: regenerate the deterministic experiment counters and require
-   the committed snapshot to contain exactly that text. Timing estimates
-   drift with hardware and are deliberately not compared. On a mismatch the
-   failure output lists only the drifted counters, one per line, as
-   path: snapshot vs regenerated — so the CI log pinpoints the drift
-   instead of burying it in the full fragment. *)
-let check_json ?seed path =
-  let committed =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  let expected = experiments_json ?seed () in
+   the committed snapshot to contain exactly their printed "experiments"
+   member. Timing estimates drift with hardware and are deliberately not
+   compared. On a mismatch the failure output lists only the drifted rows,
+   one per line as "id: field: snapshot X, regenerated Y", so the CI log
+   pinpoints the drift instead of burying it in the full fragment. *)
+let check_json ?seed committed path =
+  let printed = J.to_string (J.Obj [ ("experiments", experiments_json ?seed ()) ]) in
+  (* the member as the snapshot document prints it: drop the "{\n" and "\n}"
+     that wrap it here *)
+  let expected = String.sub printed 2 (String.length printed - 4) in
   let contains haystack needle =
     let nh = String.length haystack and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
@@ -764,58 +709,31 @@ let check_json ?seed path =
   end
   else begin
     Printf.eprintf
-      "check FAILED: %s does not contain the regenerated experiment counters.\n"
-      path;
-    (match
-       ( experiment_counters committed,
-         experiment_counters ("{\n" ^ expected ^ "}\n") )
-     with
-     | exception Failure _ ->
-       (* Unparseable snapshot (or harness bug): fall back to the fragment. *)
+      "check FAILED: %s does not contain the regenerated experiment counters.\n" path;
+    let regenerated = experiment_rows printed in
+    (match drift ~snapshot:(experiment_rows committed) ~regenerated with
+     | [] ->
        Printf.eprintf
-         "Expected this fragment (regenerate the snapshot with --json if the \
-          change is intended):\n%s"
-         expected
-     | snapshot, regenerated ->
-       let drifted =
-         List.filter_map
-           (fun (p, want) ->
-             match List.assoc_opt p snapshot with
-             | Some got when got = want -> None
-             | Some got -> Some (Printf.sprintf "  %s: snapshot %s, regenerated %s" p got want)
-             | None -> Some (Printf.sprintf "  %s: missing from snapshot, regenerated %s" p want))
-           regenerated
-         @ List.filter_map
-             (fun (p, got) ->
-               if List.mem_assoc p regenerated then None
-               else
-                 Some
-                   (Printf.sprintf
-                      "  %s: snapshot %s, absent from the regenerated counters" p got))
-             snapshot
-       in
-       if drifted = [] then
-         Printf.eprintf
-           "Every counter agrees but the snapshot's experiments block is \
-            formatted differently; regenerate it with --json.\n"
-       else begin
-         Printf.eprintf "%d drifted counter(s) (of %d regenerated):\n"
-           (List.length drifted) (List.length regenerated);
-         List.iter prerr_endline drifted;
-         Printf.eprintf
-           "Regenerate the snapshot with --json if the change is intended.\n"
-       end);
+         "Every row agrees but the snapshot's experiments block is formatted \
+          differently; regenerate it with --json.\n"
+     | drifted ->
+       Printf.eprintf "%d drifted row(s) (of %d regenerated):\n" (List.length drifted)
+         (List.length regenerated);
+       List.iter prerr_endline drifted;
+       Printf.eprintf "Regenerate the snapshot with --json if the change is intended.\n");
     false
   end
 
 (* --- span tracing (--trace) --- *)
 
 (* Install a fresh tracer around [f]; on the way out write every recorded
-   span to [path] (Chrome trace_event, or JSONL for a .jsonl path). *)
+   span to [path] (Chrome trace_event, or JSONL for a .jsonl path). The path
+   is checked before [f] runs. *)
 let with_trace trace_path f =
   match trace_path with
   | None -> f ()
   | Some path ->
+    ensure_writable path;
     let tracer = Braid_obs.Trace.create () in
     Braid_obs.Trace.install tracer;
     Fun.protect
@@ -849,9 +767,7 @@ let run_serve argv =
   let int_arg flag n tl k =
     match int_of_string_opt n with
     | Some v -> k v tl
-    | None ->
-      Printf.eprintf "%s requires an integer, got %S\n" flag n;
-      exit 1
+    | None -> usage_error (Printf.sprintf "%s requires an integer, got %S" flag n)
   in
   let rec parse = function
     | [] -> ()
@@ -870,26 +786,25 @@ let run_serve argv =
       trace_path := Some p;
       parse tl
     | [ ("--seed" | "--waves" | "--report" | "--journal" | "--trace") ] ->
-      prerr_endline "--seed/--waves require an integer, --report/--journal/--trace a path";
-      exit 1
+      usage_error "--seed/--waves require an integer, --report/--journal/--trace a path"
     | name :: tl when !leg = None && List.mem_assoc name Braid_serve.Soak.legs ->
       leg := Some (List.assoc name Braid_serve.Soak.legs);
       parse tl
     | arg :: _ ->
-      Printf.eprintf
-        "unknown serve argument %S (expected one leg of %s, then --seed N, --waves N, \
-         --check, --report PATH, --journal PATH, --trace PATH)\n"
-        arg leg_names;
-      exit 1
+      usage_error
+        (Printf.sprintf
+           "unknown serve argument %S (expected one leg of %s, then --seed N, --waves N, \
+            --check, --report PATH, --journal PATH, --trace PATH)"
+           arg leg_names)
   in
   parse argv;
   let profile =
     match !leg with
     | Some p -> p
-    | None ->
-      Printf.eprintf "--serve needs a leg: one of %s\n" leg_names;
-      exit 1
+    | None -> usage_error ("--serve needs a leg: one of " ^ leg_names)
   in
+  ensure_writable !report_path;
+  ensure_writable !journal_path;
   let go () = Braid_serve.Soak.run profile ~seed:!seed ~waves:!waves in
   let report = with_trace !trace_path go in
   let text = Braid_serve.Soak.report_to_string report in
@@ -941,36 +856,43 @@ let () =
     | "--seed" :: n :: tl ->
       (match int_of_string_opt n with
        | Some s -> split_flags json check (Some s) trace rest tl
-       | None ->
-         Printf.eprintf "--seed requires an integer, got %S\n" n;
-         exit 1)
+       | None -> usage_error (Printf.sprintf "--seed requires an integer, got %S" n))
     | [ ("--json" | "--check" | "--seed" | "--trace") ] ->
-      prerr_endline "--json/--check/--trace require a path argument, --seed an integer";
-      exit 1
+      usage_error "--json/--check/--trace require a path argument, --seed an integer"
     | arg :: tl -> split_flags json check seed trace (arg :: rest) tl
   in
   let json, check, seed, trace, args =
     split_flags None None None None [] (List.tl (Array.to_list Sys.argv))
   in
-  with_trace trace (fun () ->
-      (match json, check, args with
-       | Some path, _, _ -> write_json ?seed path
-       | None, Some path, _ -> if not (check_json ?seed path) then exit 1
-       | None, None, [] ->
-         Braid_experiments.All.run_all ?seed ();
-         run_micro ()
-       | None, None, _ -> ());
-      if json = None && check = None then
+  let run =
+    match (json, check, args) with
+    | Some _, Some _, _ -> usage_error "--json and --check cannot be combined: pass one of them"
+    | (Some _, _, arg :: _ | _, Some _, arg :: _) ->
+      usage_error (Printf.sprintf "--json and --check take no experiment ids or micro: drop %S" arg)
+    | Some path, None, [] ->
+      ensure_writable path;
+      fun () -> write_json ?seed path
+    | None, Some path, [] ->
+      (match In_channel.with_open_bin path In_channel.input_all with
+       | committed -> fun () -> if not (check_json ?seed committed path) then exit 1
+       | exception Sys_error msg -> usage_error ("cannot read " ^ msg))
+    | None, None, [] ->
+      fun () ->
+        Braid_experiments.All.run_all ?seed ();
+        run_micro ()
+    | None, None, args ->
+      fun () ->
         List.iter
           (fun arg ->
             match String.lowercase_ascii arg with
             | "micro" -> run_micro ()
             | id ->
-              if not (Braid_experiments.All.run_one ?seed id) then begin
-                Printf.eprintf
-                  "unknown experiment %S (expected %s, micro, --seed N, --json PATH, \
-                   --check PATH or --trace PATH)\n"
-                  arg Braid_experiments.All.id_range;
-                exit 1
-              end)
-          args)
+              if not (Braid_experiments.All.run_one ?seed id) then
+                usage_error
+                  (Printf.sprintf
+                     "unknown experiment %S (expected %s, micro, --seed N, --json PATH, \
+                      --check PATH or --trace PATH)"
+                     arg Braid_experiments.All.id_range))
+          args
+  in
+  with_trace trace run

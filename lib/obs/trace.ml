@@ -110,97 +110,44 @@ let dropped t = t.n_dropped
 
 (* --- export --- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let arg_to_json = function
-  | Str s -> Printf.sprintf "\"%s\"" (escape s)
-  | Int n -> string_of_int n
-  | Float f ->
-    if Float.is_finite f then Printf.sprintf "%.3f" f
-    else Printf.sprintf "\"%s\"" (escape (Float.to_string f))
-  | Bool b -> if b then "true" else "false"
+  | Str s -> Json.Str s
+  | Int n -> Json.int n
+  | Float f -> if Float.is_finite f then Json.float ~decimals:3 f else Json.Str (Float.to_string f)
+  | Bool b -> Json.Bool b
 
 (* args are consed newest-first; keep the newest binding per key and emit
    in original (oldest-first) attachment order. *)
 let dedup_args args =
-  let seen = Hashtbl.create 8 in
-  let newest_first =
-    List.filter
-      (fun (k, _) ->
-        if Hashtbl.mem seen k then false
-        else begin
-          Hashtbl.add seen k ();
-          true
-        end)
-      args
-  in
-  List.rev newest_first
+  List.fold_left (fun acc (k, v) -> if List.mem_assoc k acc then acc else (k, v) :: acc) [] args
 
-let args_to_json args =
-  match dedup_args args with
-  | [] -> "{}"
-  | args ->
-    "{"
-    ^ String.concat ","
-        (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (escape k) (arg_to_json v)) args)
-    ^ "}"
+let args_to_json args = Json.Obj (List.map (fun (k, v) -> (k, arg_to_json v)) (dedup_args args))
+
+let compact_lines span_json t = List.map (fun s -> Json.to_string ~compact:true (span_json s)) (spans t)
 
 let to_jsonl t =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"id\":%d,\"parent\":%s,\"name\":\"%s\",\"cat\":\"%s\",\"start\":%d,\"end\":%d,\"instant\":%b,\"args\":%s}\n"
-           s.id
-           (match s.parent with Some p -> string_of_int p | None -> "null")
-           (escape s.name) (escape s.cat) s.start_ts s.end_ts s.instant
-           (args_to_json s.args)))
-    (spans t);
-  Buffer.contents buf
+  let span_json s =
+    Json.Obj
+      [ ("id", Json.int s.id); ("parent", Option.fold ~none:Json.Null ~some:Json.int s.parent);
+        ("name", Json.Str s.name); ("cat", Json.Str s.cat); ("start", Json.int s.start_ts);
+        ("end", Json.int s.end_ts); ("instant", Json.Bool s.instant); ("args", args_to_json s.args) ]
+  in
+  String.concat "" (List.map (fun line -> line ^ "\n") (compact_lines span_json t))
 
 let to_chrome t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[\n";
-  let first = ref true in
-  List.iter
-    (fun s ->
-      if not !first then Buffer.add_string buf ",\n";
-      first := false;
-      let common =
-        Printf.sprintf
-          "\"name\":\"%s\",\"cat\":\"%s\",\"pid\":1,\"tid\":1,\"ts\":%d,\"args\":%s"
-          (escape s.name) (escape s.cat) s.start_ts (args_to_json s.args)
-      in
-      if s.instant then
-        Buffer.add_string buf (Printf.sprintf "{\"ph\":\"i\",\"s\":\"t\",%s}" common)
-      else
-        Buffer.add_string buf
-          (Printf.sprintf "{\"ph\":\"X\",\"dur\":%d,%s}" (s.end_ts - s.start_ts) common))
-    (spans t);
-  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents buf
-
-let ends_with ~suffix s =
-  let ls = String.length suffix and l = String.length s in
-  l >= ls && String.sub s (l - ls) ls = suffix
+  let event s =
+    let phase =
+      if s.instant then [ ("ph", Json.Str "i"); ("s", Json.Str "t") ]
+      else [ ("ph", Json.Str "X"); ("dur", Json.int (s.end_ts - s.start_ts)) ]
+    in
+    Json.Obj
+      (phase
+      @ [ ("name", Json.Str s.name); ("cat", Json.Str s.cat); ("pid", Json.int 1);
+          ("tid", Json.int 1); ("ts", Json.int s.start_ts); ("args", args_to_json s.args) ])
+  in
+  (* the document framing stays literal so each event keeps its own line *)
+  "{\"traceEvents\":[\n" ^ String.concat ",\n" (compact_lines event t) ^ "\n],\"displayTimeUnit\":\"ms\"}\n"
 
 let write t path =
-  let text = if ends_with ~suffix:".jsonl" path then to_jsonl t else to_chrome t in
-  let oc = open_out path in
-  output_string oc text;
-  close_out oc
+  let text = if String.ends_with ~suffix:".jsonl" path then to_jsonl t else to_chrome t in
+  Out_channel.with_open_text path (fun oc -> output_string oc text)

@@ -20,8 +20,9 @@
 
     Exports: one-object-per-line JSONL ({!to_jsonl}) and the Chrome
     [trace_event] format ({!to_chrome}) loadable by [chrome://tracing] or
-    {{:https://ui.perfetto.dev}Perfetto}. The span taxonomy and both file
-    formats are documented in docs/OBSERVABILITY.md. *)
+    {{:https://ui.perfetto.dev}Perfetto}, each span printed by {!Json}.
+    The span taxonomy and both file formats are documented in
+    docs/OBSERVABILITY.md. *)
 
 (** A span argument value. *)
 type arg =
@@ -74,8 +75,8 @@ val add_arg : string -> arg -> unit
     duplicate keys at export time); a no-op when no span is open. *)
 
 val spans : t -> span list
-(** Completed spans in begin order (by [id]). Spans still open are not
-    included. *)
+(** Completed spans in completion order: a span follows every span it
+    encloses. Spans still open are not included. *)
 
 val span_count : t -> int
 (** Completed spans, including any dropped over the retention limit. *)
@@ -83,7 +84,7 @@ val span_count : t -> int
 val dropped : t -> int
 
 val to_jsonl : t -> string
-(** One JSON object per line, in begin order:
+(** One compact JSON object per line, in {!spans} order:
     [{"id":7,"parent":3,"name":"remote.exec","cat":"remote","start":12,
       "end":13,"instant":false,"args":{"sql":"..."}}]. *)
 
@@ -96,7 +97,3 @@ val to_chrome : t -> string
 val write : t -> string -> unit
 (** Writes {!to_jsonl} when the path ends in [.jsonl], {!to_chrome}
     otherwise. *)
-
-val escape : string -> string
-(** The body of a JSON string literal for [s] (quotes, backslashes and
-    control characters escaped) — the escaping every export above uses. *)

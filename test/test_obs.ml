@@ -1,15 +1,18 @@
 (* The observability layer: histogram percentiles on known inputs, the
    metrics registry, span-tree well-formedness over a real end-to-end run,
-   export formats, and span-count determinism across two seeded runs. *)
+   the JSON printer, export formats, and span-count determinism across two
+   seeded runs. *)
 
 module Obs = Braid_obs
 module H = Braid_obs.Histogram
 module M = Braid_obs.Metrics
 module T = Braid_obs.Trace
+module J = Braid_obs.Json
 module L = Braid_logic
 module V = Braid_relalg.Value
 
 let check_bool = Alcotest.(check bool)
+let check_string = Alcotest.(check string)
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -250,6 +253,66 @@ let test_exports () =
   check_bool "escaped chrome balanced" true (json_balanced (T.to_chrome tr2));
   check_bool "escaped jsonl balanced" true (json_balanced (T.to_jsonl tr2))
 
+(* --- the JSON printer --- *)
+
+let test_json_escapes () =
+  (* every control byte, the quote and the backslash; other bytes, UTF-8
+     included, are copied *)
+  let text = String.init 32 Char.chr ^ "\"\\ ~\xc3\xa9" in
+  check_string "escaped string"
+    ({|"\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\u0008\t\n\u000b\u000c\r\u000e\u000f\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f\"\\ ~|} ^ "\xc3\xa9\"")
+    (J.to_string (J.Str text));
+  check_string "object keys are escaped too" {|{"a\"b":null}|}
+    (J.to_string ~compact:true (J.Obj [ ("a\"b", J.Null) ]))
+
+let test_json_numbers () =
+  check_string "Num is verbatim" "[0.00, 1e3, -7]"
+    (J.to_string (J.List [ J.Num "0.00"; J.Num "1e3"; J.Num "-7" ]));
+  check_string "int" "42" (J.to_string (J.int 42));
+  check_string "float keeps its decimals" "[0.00, 63.750, 56.2]"
+    (J.to_string
+       (J.List [ J.float ~decimals:2 0.0; J.float ~decimals:3 63.75; J.float ~decimals:1 56.24 ]));
+  check_string "non-finite float is null" "[null, null]"
+    (J.to_string (J.List [ J.float ~decimals:1 Float.nan; J.float ~decimals:1 Float.infinity ]))
+
+let test_json_empty_containers () =
+  check_string "empty object" "{}" (J.to_string (J.Obj []));
+  check_string "empty list" "[]" (J.to_string (J.List []));
+  check_string "compact empties" "{}[]"
+    (J.to_string ~compact:true (J.Obj []) ^ J.to_string ~compact:true (J.List []));
+  check_string "empty children do not break a line" {|{"a": [], "b": {}}|}
+    (J.to_string (J.Obj [ ("a", J.List []); ("b", J.Obj []) ]))
+
+let test_json_pretty_layout () =
+  check_string "scalars stay on one line" {|{"label": "a", "n": 1, "ok": true}|}
+    (J.to_string (J.Obj [ ("label", J.Str "a"); ("n", J.int 1); ("ok", J.Bool true) ]));
+  let row label n = J.Obj [ ("label", J.Str label); ("n", J.int n) ] in
+  check_string "a container holding a non-empty container breaks"
+    "{\n\
+    \  \"suite\": \"relalg\",\n\
+    \  \"rows\": [\n\
+    \    {\"label\": \"a\", \"n\": 1},\n\
+    \    {\"label\": \"b\", \"n\": 2}\n\
+    \  ],\n\
+    \  \"empty\": []\n\
+     }"
+    (J.to_string
+       (J.Obj [ ("suite", J.Str "relalg"); ("rows", J.List [ row "a" 1; row "b" 2 ]); ("empty", J.List []) ]));
+  check_string "lists break the same way" "[\n  [1, 2],\n  3\n]"
+    (J.to_string (J.List [ J.List [ J.int 1; J.int 2 ]; J.int 3 ]))
+
+let test_json_compact () =
+  let v =
+    J.Obj
+      [
+        ("a", J.int 1);
+        ("b", J.List [ J.Bool true; J.Null; J.Obj [ ("c", J.List [ J.Str "x y" ]) ] ]);
+        ("d", J.Obj []);
+      ]
+  in
+  check_string "compact" {|{"a":1,"b":[true,null,{"c":["x y"]}],"d":{}}|}
+    (J.to_string ~compact:true v)
+
 let test_write_picks_format () =
   let tr = traced_run () in
   let tmp = Filename.temp_file "braid_trace" ".json" in
@@ -280,6 +343,11 @@ let suites =
         Alcotest.test_case "span retention limit" `Quick test_span_limit;
         Alcotest.test_case "span tree well-formed (e2e)" `Quick test_span_tree_well_formed;
         Alcotest.test_case "trace deterministic across runs" `Quick test_trace_determinism;
+        Alcotest.test_case "json string escapes" `Quick test_json_escapes;
+        Alcotest.test_case "json numbers verbatim" `Quick test_json_numbers;
+        Alcotest.test_case "json empty containers" `Quick test_json_empty_containers;
+        Alcotest.test_case "json pretty layout" `Quick test_json_pretty_layout;
+        Alcotest.test_case "json compact" `Quick test_json_compact;
         Alcotest.test_case "chrome + jsonl exports" `Quick test_exports;
         Alcotest.test_case "write picks format by extension" `Quick test_write_picks_format;
       ] );
