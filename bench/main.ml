@@ -278,6 +278,26 @@ let bench_datalog_ancestor =
     (Bechamel.Staged.stage (fun () ->
          ignore (Braid_ie.Datalog.solve m.Braid_ie.Magic.kb ~base m.Braid_ie.Magic.query)))
 
+(* The IE front end for one telecom [provisionable] goal: a cold compile
+   (extract, shape, advise) against an instantiation of the form's
+   template. *)
+let bench_ie_front_end =
+  let sys =
+    Braid.System.build ~kb:(Braid_workload.Kbgen.telecom ())
+      ~data:(Braid_workload.Datagen.telecom ~offices:30 ~customers:100 ~orders:100 ())
+      ()
+  in
+  let engine = Braid.System.engine sys in
+  let goal = atom "provisionable" [ s "ord7" ] in
+  ignore (Braid_ie.Engine.front_end engine (atom "provisionable" [ s "ord1" ]));
+  Bechamel.Test.make_grouped ~name:"ie_front_end_goal" ~fmt:"%s/%s"
+    [
+      Bechamel.Test.make ~name:"cold_compile"
+        (Bechamel.Staged.stage (fun () -> ignore (Braid_ie.Engine.compile engine goal)));
+      Bechamel.Test.make ~name:"template_hit"
+        (Bechamel.Staged.stage (fun () -> ignore (Braid_ie.Engine.front_end engine goal)));
+    ]
+
 let micro_tests =
   [
     bench_unify;
@@ -297,6 +317,7 @@ let micro_tests =
     bench_tracker;
     bench_find_exact;
     bench_datalog_ancestor;
+    bench_ie_front_end;
   ]
 
 (* Run every microbenchmark and return [(name, ns_per_run)] in declaration

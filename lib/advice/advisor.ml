@@ -7,8 +7,12 @@ type t = {
   mutable keys : (Ast.view_spec * string) list; (* memo of [spec_key] *)
 }
 
-let create (advice : Ast.t) =
-  let tracker = Option.map (fun p -> Tracker.start (Tracker.compile p)) advice.Ast.path in
+let create ?nfa (advice : Ast.t) =
+  let tracker =
+    match nfa with
+    | Some nfa -> Some (Tracker.start nfa)
+    | None -> Option.map (fun p -> Tracker.start (Tracker.compile p)) advice.Ast.path
+  in
   { advice; tracker; keys = [] }
 
 let no_advice () = create { Ast.specs = []; path = None }

@@ -11,7 +11,11 @@
 
 type t
 
-val create : Ast.t -> t
+val create : ?nfa:Tracker.nfa -> Ast.t -> t
+(** [nfa], when given, must be [Tracker.compile] of the advice's path (or
+    of a path with the same shape and spec ids: the NFA reads only the
+    ids), and saves compiling it again. *)
+
 val no_advice : unit -> t
 
 val specs : t -> Ast.view_spec list

@@ -11,7 +11,12 @@ type stats = {
   mutable stale_touches : int;
 }
 
-type t = { model : Cache_model.t; journal : Journal.t; stats : stats }
+type t = {
+  model : Cache_model.t;
+  journal : Journal.t;
+  stats : stats;
+  mutable pin_epoch : int;  (* pin transitions since [create] *)
+}
 
 let create ?journal ?model ~capacity_bytes () =
   let journal = match journal with Some j -> j | None -> Journal.create () in
@@ -21,7 +26,7 @@ let create ?journal ?model ~capacity_bytes () =
   let stats =
     { insertions = 0; evictions = 0; tuples_touched = 0; indexes_built = 0; stale_touches = 0 }
   in
-  { model; journal; stats }
+  { model; journal; stats; pin_epoch = 0 }
 
 let model t = t.model
 let journal t = t.journal
@@ -135,9 +140,12 @@ let pin t id flag =
        elements on every query, which would otherwise flood the log. *)
     if e.Element.pinned <> flag then begin
       e.Element.pinned <- flag;
+      t.pin_epoch <- t.pin_epoch + 1;
       Journal.log_pin t.journal ~id ~flag
     end
   | None -> ()
+
+let pin_epoch t = t.pin_epoch
 
 let invalidate_pred t pred =
   let victims =

@@ -49,6 +49,11 @@ val ensure_index : t -> Element.t -> int list -> unit
 val pin : t -> string -> bool -> unit
 (** Sets/clears the pinned flag of an element, if present. *)
 
+val pin_epoch : t -> int
+(** The number of pin transitions (calls to {!pin} that changed a flag)
+    since {!create}. A client that remembers it after pinning knows, while
+    it is unchanged, that nobody else has flipped a flag since. *)
+
 val invalidate_pred : t -> string -> string list
 (** Drops every element whose definition mentions the given base relation —
     the consistency action when the remote table changes. Returns the

@@ -60,16 +60,7 @@ let head_constants c =
 let constants c =
   head_constants c
   @ List.concat_map L.Atom.constants c.atoms
-  @ List.concat_map
-      (fun (_, a, b) ->
-        let rec consts = function
-          | L.Literal.Term (L.Term.Const v) -> [ v ]
-          | L.Literal.Term (L.Term.Var _) -> []
-          | L.Literal.Add (x, y) | L.Literal.Sub (x, y) | L.Literal.Mul (x, y) | L.Literal.Div (x, y)
-            -> consts x @ consts y
-        in
-        consts a @ consts b)
-      c.cmps
+  @ List.concat_map (fun (op, a, b) -> L.Literal.constants (L.Literal.Cmp (op, a, b))) c.cmps
 
 let apply_subst s c =
   let apply_cmp (op, a, b) =

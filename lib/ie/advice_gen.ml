@@ -130,10 +130,8 @@ let first_producer (s : Adv.view_spec) =
 
 let seq_once ps = Adv.Seq (ps, { Adv.lo = 1; hi = Adv.Fin 1 })
 
-(* Run-length parameter for the current [generate] invocation. *)
-let segment_size = ref max_int
-
-let rec path_of_or table kb recursive_preds bound (node : PG.or_node) : Adv.path list =
+let rec path_of_or ~max_conj_size table kb recursive_preds bound (node : PG.or_node) :
+    Adv.path list =
   match node.PG.kind with
   | PG.Base ->
     (* A bare base goal at OR level only happens for a base-root query. *)
@@ -145,7 +143,9 @@ let rec path_of_or table kb recursive_preds bound (node : PG.or_node) : Adv.path
     if node.PG.recursive_ref then []
     else begin
       let branch_paths =
-        List.map (fun b -> path_of_and table kb recursive_preds bound b) node.PG.branches
+        List.map
+          (fun b -> path_of_and ~max_conj_size table kb recursive_preds bound b)
+          node.PG.branches
       in
       let non_empty = List.filter (fun (p, _) -> p <> []) branch_paths in
       let inner =
@@ -202,8 +202,8 @@ let rec path_of_or table kb recursive_preds bound (node : PG.or_node) : Adv.path
       else inner
     end
 
-and path_of_and table kb recursive_preds bound (b : PG.and_node) : Adv.path list * bool =
-  let max_conj_size = !segment_size in
+and path_of_and ~max_conj_size table kb recursive_preds bound (b : PG.and_node) :
+    Adv.path list * bool =
   let segments = segment ~max_conj_size b.PG.children in
   let bound_here = ref bound in
   (* A branch is "guarded" when an IE-only derived goal (one contributing
@@ -223,7 +223,7 @@ and path_of_and table kb recursive_preds bound (b : PG.and_node) : Adv.path list
           saw_pattern := true;
           [ Adv.Pattern (s.Adv.id, s.Adv.def.A.head) ]
         | Derived_goal n ->
-          let sub = path_of_or table kb recursive_preds !bound_here n in
+          let sub = path_of_or ~max_conj_size table kb recursive_preds !bound_here n in
           bound_here := uniq (!bound_here @ L.Atom.vars n.PG.goal);
           if sub = [] && not !saw_pattern then guarded := true;
           if sub <> [] then saw_pattern := true;
@@ -252,12 +252,10 @@ and path_of_and table kb recursive_preds bound (b : PG.and_node) : Adv.path list
     !guarded )
 
 let generate ?(max_conj_size = max_int) kb (g : PG.t) =
-  segment_size := max_conj_size;
   let table = { specs = []; counter = 0 } in
   let recursive_preds = L.Kb.recursive_preds kb in
   (* Entry bindings: the AI query's constant positions are bound; its
      variables are free. Variables of the root goal are not bound. *)
-  let path_items = path_of_or table kb recursive_preds [] g.PG.root in
+  let path_items = path_of_or ~max_conj_size table kb recursive_preds [] g.PG.root in
   let path = match path_items with [] -> None | items -> Some (seq_once items) in
-  segment_size := max_int;
   { Adv.specs = List.rev table.specs; path }

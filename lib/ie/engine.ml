@@ -5,6 +5,36 @@ module Qpo = Braid_planner.Qpo
 module Server = Braid_remote.Server
 module Catalog = Braid_remote.Catalog
 module Obs = Braid_obs
+module V = Braid_relalg.Value
+module Adv = Braid_advice.Ast
+
+(* What [solve] uses from the front end (extract, shape, advise): every
+   field depends on the goal's form and, for the advice, on its constants. *)
+type front_end = {
+  advice : Adv.t;
+  nfa : Braid_advice.Tracker.nfa option;
+  orderings : (string * int list) list;
+  skip_rules : string list;
+  graph_size : Problem_graph.size;
+  shaper_stats : Shaper.stats;
+}
+
+(* A front end compiled once for a goal form, with each class of equal
+   constants replaced by a sentinel that occurs nowhere in the KB. *)
+type template = {
+  sentinels : V.t list;  (* one per class, in order of first occurrence *)
+  front : front_end;
+  consulted : (string * int) list;  (* catalog cardinalities the shaper read *)
+}
+
+type form =
+  | Template of template
+  | Value_dependent  (* a condition mentions a goal constant: the shaper reads it *)
+
+type compile =
+  | Hit
+  | Miss
+  | Per_goal
 
 type t = {
   kb : L.Kb.t;
@@ -13,11 +43,24 @@ type t = {
   max_depth : int;
   send_advice : bool;
   mutable total_resolutions : int;
+  forms : (string, form) Hashtbl.t;
+  mutable forms_generation : int;  (* the KB generation [forms] was built for *)
+  mutable kb_constants : (V.t * string) list;  (* with their written forms *)
 }
 
 let create ?(strategy = Strategy.Interpretive) ?(max_depth = 50_000) ?(send_advice = true) kb
     qpo =
-  { kb; qpo; strategy; max_depth; send_advice; total_resolutions = 0 }
+  {
+    kb;
+    qpo;
+    strategy;
+    max_depth;
+    send_advice;
+    total_resolutions = 0;
+    forms = Hashtbl.create 16;
+    forms_generation = -1;
+    kb_constants = [];
+  }
 
 let kb t = t.kb
 let qpo t = t.qpo
@@ -36,6 +79,184 @@ let max_conj_size t =
   | Strategy.Conjunction_compiled k -> k
   | Strategy.Set_oriented -> max_int
 
+(* --- the front end: query translator, problem graph extractor, shaper,
+   view specifier and path expression creator --- *)
+
+let extract t query =
+  Obs.Trace.with_span ~cat:"ie" "ie.extract" (fun () ->
+      let graph = Problem_graph.extract t.kb query in
+      let size = Problem_graph.size graph in
+      Obs.Trace.add_arg "and_nodes" (Obs.Trace.Int size.Problem_graph.and_nodes);
+      Obs.Trace.add_arg "or_nodes" (Obs.Trace.Int size.Problem_graph.or_nodes);
+      graph)
+
+let shape_and_advise t ~cardinality graph =
+  let rules_before = Problem_graph.rule_ids graph in
+  (* Problem graph shaper, fed by catalog statistics via the CMS. *)
+  let shaper_stats =
+    Obs.Trace.with_span ~cat:"ie" "ie.shape" (fun () ->
+        Shaper.shape t.kb ~cardinality graph)
+  in
+  (* Rules the shaper proved useless (every instance culled) are never
+     expanded by the strategy controller. *)
+  let rules_after = Problem_graph.rule_ids graph in
+  let skip_rules = List.filter (fun id -> not (List.mem id rules_after)) rules_before in
+  (* View specifier + path expression creator. *)
+  let advice =
+    Obs.Trace.with_span ~cat:"ie" "ie.advice" (fun () ->
+        let advice = Advice_gen.generate ~max_conj_size:(max_conj_size t) t.kb graph in
+        Obs.Trace.add_arg "specs" (Obs.Trace.Int (List.length advice.Adv.specs));
+        advice)
+  in
+  {
+    advice;
+    nfa = None;
+    orderings = Shaper.rule_orderings graph;
+    skip_rules;
+    graph_size = Problem_graph.size graph;
+    shaper_stats;
+  }
+
+let catalog t = Server.catalog (Qpo.server t.qpo)
+
+let compile t query =
+  shape_and_advise t ~cardinality:(Catalog.cardinality (catalog t)) (extract t query)
+
+(* --- compiled once per goal form --- *)
+
+(* Whether [v] is, or is written like, the constant [(c, printed c)]. Both
+   matter: the extractor unifies by value, the view specifier matches
+   literals by their printed form. *)
+let clash v printed (c, p) = V.equal c v || String.equal p printed
+
+(* A goal's form: its predicate, its variables, and which positions hold
+   constants of which equality class; with the classes' values in order.
+   [None] when the compiled front end could depend on a constant's value:
+   a constant the KB also mentions (unification or a mutex check against it
+   can go either way), or two constants that are equal but written
+   differently, or vice versa. *)
+let form_of t (goal : L.Atom.t) =
+  let key = Buffer.create 32 in
+  Buffer.add_string key goal.L.Atom.pred;
+  (* [classes]: one [(value, printed)] per class, newest first. *)
+  let rec go classes = function
+    | [] -> Some (Buffer.contents key, List.rev_map fst classes)
+    | L.Term.Var x :: rest ->
+      Printf.bprintf key " %S" x;
+      go classes rest
+    | L.Term.Const v :: rest ->
+      let printed = V.to_string v in
+      let n = List.length classes in
+      if List.exists (clash v printed) t.kb_constants then None
+      else begin
+        match List.find_index (clash v printed) classes with
+        | None ->
+          Printf.bprintf key " #%d" n;
+          go ((v, printed) :: classes) rest
+        | Some j ->
+          let c, p = List.nth classes j in
+          if V.equal c v && String.equal p printed then begin
+            Printf.bprintf key " #%d" (n - 1 - j);
+            go classes rest
+          end
+          else None
+      end
+  in
+  go [] goal.L.Atom.args
+
+let sentinel t i =
+  let rec fresh s =
+    let v = V.Str s in
+    if List.exists (clash v (V.to_string v)) t.kb_constants then fresh (s ^ "'") else v
+  in
+  fresh (Printf.sprintf "\000form%d" i)
+
+(* Replaces each constant equal to the first of a pair by the second. *)
+let swap pairs = function
+  | L.Term.Const v as c ->
+    (match List.find_opt (fun (from, _) -> V.equal from v) pairs with
+     | Some (_, into) -> L.Term.Const into
+     | None -> c)
+  | L.Term.Var _ as x -> x
+
+let swap_atom pairs (a : L.Atom.t) = { a with L.Atom.args = List.map (swap pairs) a.L.Atom.args }
+
+(* Sentinels can only sit in the atoms of view specifications: spec heads
+   and path patterns are parameter variables, and a spec's comparisons come
+   from graph conditions, none of which mention a sentinel in a template. *)
+let instantiate tpl values =
+  let pairs = List.combine tpl.sentinels values in
+  let spec (s : Adv.view_spec) =
+    let def = s.Adv.def in
+    { s with Adv.def = { def with atoms = List.map (swap_atom pairs) def.Braid_caql.Ast.atoms } }
+  in
+  let f = tpl.front in
+  if pairs = [] then f
+  else { f with advice = { f.advice with Adv.specs = List.map spec f.advice.Adv.specs } }
+
+(* Whether a built-in condition of the extracted graph mentions a sentinel:
+   the shaper would evaluate it, so the goal's value decides the outcome. *)
+let condition_mentions sentinels (g : Problem_graph.t) =
+  let sentinel v = List.exists (V.equal v) sentinels in
+  let rec or_node (n : Problem_graph.or_node) = List.exists and_node n.Problem_graph.branches
+  and and_node (b : Problem_graph.and_node) =
+    List.exists
+      (function
+        | Problem_graph.Subgoal n -> or_node n
+        | Problem_graph.Condition c -> List.exists sentinel (L.Literal.constants c))
+      b.Problem_graph.children
+  in
+  or_node g.Problem_graph.root
+
+(* Compile the form's template from the goal with its constants replaced by
+   sentinels, recording the cardinalities the shaper consults. *)
+let compile_template t key (goal : L.Atom.t) values =
+  let sentinels = List.mapi (fun i _ -> sentinel t i) values in
+  let graph = extract t (swap_atom (List.combine values sentinels) goal) in
+  if condition_mentions sentinels graph then begin
+    Hashtbl.replace t.forms key Value_dependent;
+    None
+  end
+  else begin
+    let catalog = catalog t in
+    let consulted = ref [] in
+    let cardinality p =
+      let c = Catalog.cardinality catalog p in
+      if not (List.mem_assoc p !consulted) then consulted := (p, c) :: !consulted;
+      c
+    in
+    let front = shape_and_advise t ~cardinality graph in
+    let nfa = Option.map Braid_advice.Tracker.compile front.advice.Adv.path in
+    let front = { front with nfa } in
+    let tpl = { sentinels; front; consulted = !consulted } in
+    Hashtbl.replace t.forms key (Template tpl);
+    Some tpl
+  end
+
+let front_end t query =
+  let generation = L.Kb.generation t.kb in
+  if generation <> t.forms_generation then begin
+    Hashtbl.reset t.forms;
+    t.forms_generation <- generation;
+    t.kb_constants <- List.map (fun c -> (c, V.to_string c)) (L.Kb.constants t.kb)
+  end;
+  match form_of t query with
+  | None -> (compile t query, Per_goal)
+  | Some (key, values) ->
+    (match Hashtbl.find_opt t.forms key with
+     | Some Value_dependent -> (compile t query, Per_goal)
+     | Some (Template tpl)
+       when List.for_all
+              (fun (p, c) -> Catalog.cardinality (catalog t) p = c)
+              tpl.consulted ->
+       (instantiate tpl values, Hit)
+     | Some (Template _) | None ->
+       (match compile_template t key query values with
+        | Some tpl -> (instantiate tpl values, Miss)
+        | None -> (compile t query, Per_goal)))
+
+let compile_name = function Hit -> "hit" | Miss -> "miss" | Per_goal -> "per_goal"
+
 let solve t query =
   Obs.Metrics.incr "ie.queries";
   Obs.Trace.with_span ~cat:"ie" "ie.solve"
@@ -43,44 +264,15 @@ let solve t query =
       (if Obs.Trace.enabled () then [ ("query", Obs.Trace.Str (L.Atom.to_string query)) ]
        else [])
     (fun () ->
-      (* Query translator + problem graph extractor. *)
-      let graph =
-        Obs.Trace.with_span ~cat:"ie" "ie.extract" (fun () ->
-            let graph = Problem_graph.extract t.kb query in
-            let size = Problem_graph.size graph in
-            Obs.Trace.add_arg "and_nodes" (Obs.Trace.Int size.Problem_graph.and_nodes);
-            Obs.Trace.add_arg "or_nodes" (Obs.Trace.Int size.Problem_graph.or_nodes);
-            graph)
-      in
-      let rules_before = Problem_graph.rule_ids graph in
-      (* Problem graph shaper, fed by catalog statistics via the CMS. *)
-      let catalog = Server.catalog (Qpo.server t.qpo) in
-      let shaper_stats =
-        Obs.Trace.with_span ~cat:"ie" "ie.shape" (fun () ->
-            Shaper.shape t.kb ~cardinality:(Catalog.cardinality catalog) graph)
-      in
-      (* Rules the shaper proved useless (every instance culled) are never
-         expanded by the strategy controller. *)
-      let rules_after = Problem_graph.rule_ids graph in
-      let skip_rules =
-        List.filter (fun id -> not (List.mem id rules_after)) rules_before
-      in
-      (* View specifier + path expression creator. *)
-      let advice =
-        Obs.Trace.with_span ~cat:"ie" "ie.advice" (fun () ->
-            let advice = Advice_gen.generate ~max_conj_size:(max_conj_size t) t.kb graph in
-            Obs.Trace.add_arg "specs"
-              (Obs.Trace.Int (List.length advice.Braid_advice.Ast.specs));
-            advice)
-      in
-      if t.send_advice then Qpo.set_advice t.qpo advice
-      else Qpo.set_advice t.qpo { Braid_advice.Ast.specs = []; path = None };
+      let front, status = front_end t query in
+      Obs.Trace.add_arg "compile" (Obs.Trace.Str (compile_name status));
+      if t.send_advice then Qpo.set_advice ?nfa:front.nfa t.qpo front.advice
+      else Qpo.set_advice t.qpo { Adv.specs = []; path = None };
       (* Inference strategy controller. *)
       let counters = { Strategy.resolutions = 0; db_goal_queries = 0 } in
-      let orderings = Shaper.rule_orderings graph in
       let stream =
-        Strategy.solve t.strategy t.kb t.qpo ~orderings ~counters ~max_depth:t.max_depth
-          ~skip_rules query
+        Strategy.solve t.strategy t.kb t.qpo ~orderings:front.orderings ~counters
+          ~max_depth:t.max_depth ~skip_rules:front.skip_rules query
       in
       (* Account inference work as it happens: wrap the stream so pulls update
          the engine's running total. *)
@@ -96,7 +288,13 @@ let solve t query =
              last := counters.Strategy.resolutions;
              r)
       in
-      (counted, { graph_size = Problem_graph.size graph; shaper_stats; advice; counters }))
+      ( counted,
+        {
+          graph_size = front.graph_size;
+          shaper_stats = front.shaper_stats;
+          advice = front.advice;
+          counters;
+        } ))
 
 let solve_all t query =
   let stream, report = solve t query in

@@ -46,3 +46,39 @@ val solve_first : t -> ?n:int -> Braid_logic.Atom.t ->
 val ie_ms : t -> float
 (** Simulated workstation inference time accumulated so far (resolution
     steps times the cost model's per-step charge). *)
+
+(** {1 The front end, compiled once per goal form}
+
+    Extraction, shaping and advice generation depend on a goal's {e form}:
+    its predicate, its variables, and which positions hold constants of
+    which equality class. {!solve} compiles each form once, for the goal
+    with every class replaced by a sentinel constant that occurs nowhere in
+    the KB, and instantiates the result (sentinel → constant in the advice;
+    spec ids and order unchanged) for every later goal of that form.
+
+    A template is reused only while the KB's {!Braid_logic.Kb.generation}
+    and every catalog cardinality the shaper consulted are unchanged. A goal
+    whose constant is also a KB constant, and every goal of a form whose
+    extracted graph has a condition on a goal constant (the shaper evaluates
+    it), is compiled on its own by {!compile}. *)
+
+type front_end = {
+  advice : Braid_advice.Ast.t;
+  nfa : Braid_advice.Tracker.nfa option;
+      (** the compiled path tracker, kept with a template *)
+  orderings : (string * int list) list;  (** {!Shaper.rule_orderings} *)
+  skip_rules : string list;  (** rules the shaper culled entirely *)
+  graph_size : Problem_graph.size;
+  shaper_stats : Shaper.stats;
+}
+
+type compile =
+  | Hit  (** instantiated from the form's template *)
+  | Miss  (** the form's template was compiled, then instantiated *)
+  | Per_goal  (** compiled for this goal alone *)
+
+val front_end : t -> Braid_logic.Atom.t -> front_end * compile
+(** What {!solve} uses. *)
+
+val compile : t -> Braid_logic.Atom.t -> front_end
+(** Extract, shape and advise this very goal, ignoring templates. *)

@@ -3,10 +3,20 @@ type t = {
   rules : (string, Rule.t list ref) Hashtbl.t; (* head pred -> rules, reversed *)
   by_id : (string, Rule.t) Hashtbl.t;
   mutable soas : Soa.t list;
+  mutable generation : int;
 }
 
 let create () =
-  { base = Hashtbl.create 16; rules = Hashtbl.create 16; by_id = Hashtbl.create 16; soas = [] }
+  {
+    base = Hashtbl.create 16;
+    rules = Hashtbl.create 16;
+    by_id = Hashtbl.create 16;
+    soas = [];
+    generation = 0;
+  }
+
+let generation kb = kb.generation
+let bump kb = kb.generation <- kb.generation + 1
 
 let is_base kb p = Hashtbl.mem kb.base p
 let is_derived kb p = Hashtbl.mem kb.rules p
@@ -19,7 +29,8 @@ let declare_base kb p ~arity =
    | Some _ | None -> ());
   if is_derived kb p then
     invalid_arg (Printf.sprintf "Kb.declare_base: %s is already defined by rules" p);
-  Hashtbl.replace kb.base p arity
+  Hashtbl.replace kb.base p arity;
+  bump kb
 
 let add_rule kb r =
   let p = r.Rule.head.Atom.pred in
@@ -28,11 +39,14 @@ let add_rule kb r =
   if Hashtbl.mem kb.by_id r.Rule.id then
     invalid_arg (Printf.sprintf "Kb.add_rule: duplicate rule id %s" r.Rule.id);
   Hashtbl.replace kb.by_id r.Rule.id r;
-  match Hashtbl.find_opt kb.rules p with
-  | Some cell -> cell := r :: !cell
-  | None -> Hashtbl.replace kb.rules p (ref [ r ])
+  (match Hashtbl.find_opt kb.rules p with
+   | Some cell -> cell := r :: !cell
+   | None -> Hashtbl.replace kb.rules p (ref [ r ]));
+  bump kb
 
-let add_soa kb s = kb.soas <- s :: kb.soas
+let add_soa kb s =
+  kb.soas <- s :: kb.soas;
+  bump kb
 
 let rules_for kb p =
   match Hashtbl.find_opt kb.rules p with Some cell -> List.rev !cell | None -> []
@@ -40,6 +54,13 @@ let rules_for kb p =
 let all_rules kb =
   Hashtbl.fold (fun _ cell acc -> List.rev_append !cell acc) kb.rules []
   |> List.sort (fun a b -> String.compare a.Rule.id b.Rule.id)
+
+let constants kb =
+  List.concat_map
+    (fun (r : Rule.t) ->
+      Atom.constants r.Rule.head @ List.concat_map Literal.constants r.Rule.body)
+    (all_rules kb)
+  |> List.sort_uniq Stdlib.compare
 
 let rule_by_id kb id = Hashtbl.find_opt kb.by_id id
 let soas kb = List.rev kb.soas

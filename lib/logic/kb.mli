@@ -17,6 +17,10 @@ val add_rule : t -> Rule.t -> unit
 
 val add_soa : t -> Soa.t -> unit
 
+val generation : t -> int
+(** Bumped by every {!declare_base}, {!add_rule} and {!add_soa}: work
+    derived from the knowledge base stays valid while it is unchanged. *)
+
 val is_base : t -> string -> bool
 val is_derived : t -> string -> bool
 val base_arity : t -> string -> int option
@@ -25,6 +29,11 @@ val rules_for : t -> string -> Rule.t list
 (** Rules whose head predicate is the given one, in insertion order. *)
 
 val all_rules : t -> Rule.t list
+val constants : t -> Braid_relalg.Value.t list
+(** Every constant written in a rule (heads, body atoms and comparisons),
+    without structural duplicates (values that are equal but written
+    differently, such as [Int 100000000] and [Float 1e8], both stay). *)
+
 val rule_by_id : t -> string -> Rule.t option
 val soas : t -> Soa.t list
 

@@ -29,6 +29,15 @@ let vars = function
     in
     uniq [] (expr_vars a @ expr_vars b)
 
+let rec expr_constants = function
+  | Term (Term.Const v) -> [ v ]
+  | Term (Term.Var _) -> []
+  | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) -> expr_constants a @ expr_constants b
+
+let constants = function
+  | Rel a -> Atom.constants a
+  | Cmp (_, a, b) -> expr_constants a @ expr_constants b
+
 let rec apply_expr s = function
   | Term t -> Term (Subst.resolve s t)
   | Add (a, b) -> Add (apply_expr s a, apply_expr s b)

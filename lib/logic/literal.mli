@@ -21,6 +21,9 @@ val cmp : Braid_relalg.Row_pred.cmp -> Term.t -> Term.t -> t
 val expr_vars : expr -> string list
 val vars : t -> string list
 
+val constants : t -> Braid_relalg.Value.t list
+(** Constants in order of appearance, with repeats. *)
+
 val apply : Subst.t -> t -> t
 
 val eval_expr : expr -> Braid_relalg.Value.t option

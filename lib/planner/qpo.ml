@@ -109,6 +109,11 @@ type session = {
   sid : string;
   mutable advisor : Adv.t;
   elem_spec : (string, string) Hashtbl.t; (* element id -> originating spec id *)
+  spec_elems : (string, (string, unit) Hashtbl.t) Hashtbl.t; (* its reverse *)
+  mutable dirty : string list; (* elements associated since the last [update_pins] *)
+  mutable kept : string list; (* the spec ids the last [update_pins] pinned for *)
+  mutable pins_synced : (CMgr.t * int) option;
+      (* the cache and its pin epoch right after the last [update_pins] *)
   prefetched : (string, unit) Hashtbl.t; (* spec ids prefetched this epoch *)
 }
 
@@ -117,8 +122,31 @@ let fresh_session sid advice =
     sid;
     advisor = Adv.create advice;
     elem_spec = Hashtbl.create 32;
+    spec_elems = Hashtbl.create 16;
+    dirty = [];
+    kept = [];
+    pins_synced = None;
     prefetched = Hashtbl.create 16;
   }
+
+(* Every element→spec link is written here: it keeps the spec→elements
+   index [update_pins] re-pins from, and marks the element for its next
+   call. *)
+let associate ses elem_id spec_id =
+  let elems_of spec =
+    match Hashtbl.find_opt ses.spec_elems spec with
+    | Some elems -> elems
+    | None ->
+      let elems = Hashtbl.create 16 in
+      Hashtbl.replace ses.spec_elems spec elems;
+      elems
+  in
+  Option.iter
+    (fun old -> Hashtbl.remove (elems_of old) elem_id)
+    (Hashtbl.find_opt ses.elem_spec elem_id);
+  Hashtbl.replace (elems_of spec_id) elem_id ();
+  Hashtbl.replace ses.elem_spec elem_id spec_id;
+  ses.dirty <- elem_id :: ses.dirty
 
 type t = {
   config : config;
@@ -218,10 +246,11 @@ let session_advisor ses = ses.advisor
 let set_observer t f = t.observer <- f
 let set_fetcher t f = t.fetcher <- f
 
-let set_advice t advice =
-  let s = t.default_session in
-  s.advisor <- Adv.create advice;
-  Hashtbl.reset s.prefetched
+let advise ?nfa ses advice =
+  ses.advisor <- Adv.create ?nfa advice;
+  Hashtbl.reset ses.prefetched
+
+let set_advice ?nfa t advice = advise ?nfa t.default_session advice
 
 let catalog t = Server.catalog t.server
 let remote_schema t name = Catalog.schema_of (catalog t) name
@@ -836,8 +865,8 @@ let generalization_steps t ses spec ~qkey (q : A.conj) =
       let gkey = Adv.spec_key ses.advisor s in
       (not (String.equal gkey qkey))
       && Adv.expects_repetition ses.advisor s.Braid_advice.Ast.id
-      && Cost.est_conj (catalog t) general <= t.config.prefetch_max_tuples
       && find_key t gkey = None
+      && Cost.est_conj (catalog t) general <= t.config.prefetch_max_tuples
       && Sub.generalizes general q
     in
     match List.find_opt usable candidates with
@@ -850,7 +879,7 @@ let generalization_steps t ses spec ~qkey (q : A.conj) =
             (A.conj_to_string general));
       (match materialize_def t ~key general with
        | Some (e, steps) ->
-         Hashtbl.replace ses.elem_spec e.Elem.id s.Braid_advice.Ast.id;
+         associate ses e.Elem.id s.Braid_advice.Ast.id;
          t.stats.generalizations <- t.stats.generalizations + 1;
          Obs.Metrics.incr "qpo.generalizations";
          Obs.Trace.add_arg "spec" (Obs.Trace.Str s.Braid_advice.Ast.id);
@@ -879,7 +908,7 @@ let prefetch_steps t ses current_spec_id =
           Log.debug (fun m -> m "prefetching predicted-next spec %s" id);
           match materialize_def t ~key spec.Braid_advice.Ast.def with
           | Some (e, steps) ->
-            Hashtbl.replace ses.elem_spec e.Elem.id id;
+            associate ses e.Elem.id id;
             t.stats.prefetches <- t.stats.prefetches + 1;
             Obs.Metrics.incr "qpo.prefetches";
             steps
@@ -903,9 +932,31 @@ let update_pins t ses =
         if Adv.may_occur_later ses.advisor id then Some id else None)
       (Adv.predicted_next ses.advisor)
   in
-  Hashtbl.iter
-    (fun elem_id spec_id -> CMgr.pin t.cache elem_id (List.mem spec_id keep))
-    ses.elem_spec
+  (* Incrementally: while nobody else has flipped a pin since our last call,
+     every linked element already carries [spec ∈ kept], so only the
+     elements of specs that entered or left [keep], and the elements linked
+     since, can change. Otherwise (another session, or a different cache
+     after recovery) walk every link once. *)
+  let pin elem_id spec_id = CMgr.pin t.cache elem_id (List.mem spec_id keep) in
+  (match ses.pins_synced with
+   | Some (cache, epoch) when cache == t.cache && epoch = CMgr.pin_epoch t.cache ->
+     let repin spec_id =
+       match Hashtbl.find_opt ses.spec_elems spec_id with
+       | Some elems -> Hashtbl.iter (fun elem_id () -> pin elem_id spec_id) elems
+       | None -> ()
+     in
+     List.iter (fun id -> if not (List.mem id ses.kept) then repin id) keep;
+     List.iter (fun id -> if not (List.mem id keep) then repin id) ses.kept;
+     List.iter
+       (fun elem_id ->
+         match Hashtbl.find_opt ses.elem_spec elem_id with
+         | Some spec_id -> pin elem_id spec_id
+         | None -> ())
+       ses.dirty
+   | Some _ | None -> Hashtbl.iter pin ses.elem_spec);
+  ses.dirty <- [];
+  ses.kept <- keep;
+  ses.pins_synced <- Some (t.cache, CMgr.pin_epoch t.cache)
 
 (* --- the public entry points --- *)
 
@@ -1033,7 +1084,7 @@ let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
         | Some e ->
           (match spec with
            | Some s ->
-             Hashtbl.replace ses.elem_spec e.Elem.id s.Braid_advice.Ast.id;
+             associate ses e.Elem.id s.Braid_advice.Ast.id;
              result_steps := !result_steps @ index_for_spec t s e
            | None -> ())
         | None -> ()
@@ -1046,10 +1097,10 @@ let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
   (match spec with
    | Some s ->
      (match find_key t (Adv.spec_key ses.advisor s) with
-      | Some e -> Hashtbl.replace ses.elem_spec e.Elem.id s.Braid_advice.Ast.id
+      | Some e -> associate ses e.Elem.id s.Braid_advice.Ast.id
       | None ->
         (match find_key t qkey with
-         | Some e -> Hashtbl.replace ses.elem_spec e.Elem.id s.Braid_advice.Ast.id
+         | Some e -> associate ses e.Elem.id s.Braid_advice.Ast.id
          | None -> ()))
    | None -> ());
   update_pins t ses;

@@ -120,9 +120,10 @@ val advisor : t -> Braid_advice.Advisor.t
 (** The default session's advice manager (see {!new_session} for
     multi-session serving). *)
 
-val set_advice : t -> Braid_advice.Ast.t -> unit
+val set_advice : ?nfa:Braid_advice.Tracker.nfa -> t -> Braid_advice.Ast.t -> unit
 (** Starts a new advice epoch on the {e default} session (a session's
-    advice set, §3). *)
+    advice set, §3). [nfa] is the path's compiled tracker, when the caller
+    already has it (see {!Braid_advice.Advisor.create}). *)
 
 (** {1 Sessions}
 
@@ -219,3 +220,13 @@ val set_observer :
     (harmless for consumers — streams memoize — but it perturbs
     lazy-evaluation work counters, so benchmarked runs must leave the
     observer unset). *)
+
+(**/**)
+
+(* Exposed for tests: a new advice epoch on any session, the element→spec
+   links replacement pinning reads, and the pinning step every answer runs
+   twice. *)
+
+val advise : ?nfa:Braid_advice.Tracker.nfa -> session -> Braid_advice.Ast.t -> unit
+val associate : session -> string -> string -> unit
+val update_pins : t -> session -> unit

@@ -862,3 +862,245 @@ let run_cases =
 let suites = match suites with
   | [ (name, cases) ] -> [ (name, cases @ run_cases) ]
   | other -> other
+
+(* --- the front end, compiled once per goal form --- *)
+
+module Engine = Braid_ie.Engine
+module Kbgen = Braid_workload.Kbgen
+module Datagen = Braid_workload.Datagen
+module Queries = Braid_workload.Queries
+
+(* Everything [solve] takes from the front end, printed. *)
+let front_report (f : Engine.front_end) =
+  let size = f.Engine.graph_size and st = f.Engine.shaper_stats in
+  Format.asprintf
+    "%a@.orderings: %s@.skipped: %s@.graph: %d or, %d and, %d cond@.shaper: %d %d %d %d"
+    Adv.pp f.Engine.advice
+    (String.concat "; "
+       (List.map
+          (fun (id, ps) -> id ^ "=" ^ String.concat "," (List.map string_of_int ps))
+          f.Engine.orderings))
+    (String.concat "," f.Engine.skip_rules)
+    size.PG.or_nodes size.PG.and_nodes size.PG.conditions st.Shaper.culled_by_condition
+    st.Shaper.culled_by_mutex st.Shaper.conditions_evaluated st.Shaper.reordered_nodes
+
+let compile_name = function
+  | Engine.Hit -> "hit"
+  | Engine.Miss -> "miss"
+  | Engine.Per_goal -> "per_goal"
+
+(* Each goal through the memoized front end, in order: the report must
+   equal a fresh compile of that very goal. Returns the statuses. *)
+let check_front_ends engine goals =
+  List.map
+    (fun g ->
+      let f, status = Engine.front_end engine g in
+      Alcotest.(check string)
+        (Printf.sprintf "%s (%s)" (L.Atom.to_string g) (compile_name status))
+        (front_report (Engine.compile engine g))
+        (front_report f);
+      status)
+    goals
+
+(* Every rule-defined and reachable base predicate, with all variables, one
+   constant per position, one constant everywhere, and distinct constants
+   everywhere. *)
+let sweep_goals kb consts =
+  let derived =
+    List.sort_uniq compare
+      (List.map
+         (fun (r : L.Rule.t) -> (r.L.Rule.head.L.Atom.pred, L.Atom.arity r.L.Rule.head))
+         (L.Kb.all_rules kb))
+  in
+  let base =
+    List.concat_map
+      (fun (p, n) ->
+        List.filter_map
+          (fun b -> Option.map (fun arity -> (b, arity)) (L.Kb.base_arity kb b))
+          (L.Kb.base_preds_reachable kb (atom p (List.init n (fun _ -> v "X")))))
+      derived
+  in
+  List.concat_map
+    (fun (p, n) ->
+      let vars = List.init n (fun j -> v (Printf.sprintf "Q%d" j)) in
+      let at j c = List.mapi (fun k t -> if k = j then T.Const c else t) vars in
+      (atom p vars
+      :: List.concat_map
+           (fun c ->
+             atom p (List.map (fun _ -> T.Const c) vars) :: List.init n (fun j -> atom p (at j c)))
+           consts)
+      @ [ atom p (List.mapi (fun k _ -> s (Printf.sprintf "x%d" k)) vars) ])
+    (List.sort_uniq compare (derived @ base))
+
+let template_kbs =
+  [
+    ("ancestor", Kbgen.ancestor, fun () -> Datagen.family ~persons:30 ~fanout:3 ());
+    ("same_generation", Kbgen.same_generation, fun () -> Datagen.family ~persons:30 ~fanout:3 ());
+    ( "bill_of_materials",
+      Kbgen.bill_of_materials,
+      fun () -> Datagen.bill_of_materials ~parts:20 ~max_children:3 () );
+    ( "university",
+      Kbgen.university,
+      fun () -> Datagen.university ~students:10 ~courses:6 ~enrollments:20 () );
+    ("telecom", Kbgen.telecom, fun () -> Datagen.telecom ~offices:5 ~customers:10 ~orders:10 ());
+    ("example1", Kbgen.example1, fun () -> Datagen.paper_example ~size:10 ());
+    ("example2", Kbgen.example2, fun () -> Datagen.paper_example ~size:10 ());
+  ]
+
+let batch_goals = function
+  | "ancestor" -> Queries.ancestor_batch ~persons:30 ~n:40 ~skew:0.5 ()
+  | "bill_of_materials" -> Queries.bom_batch ~parts:20 ~n:20 ~skew:0.5 ()
+  | "university" -> Queries.university_batch ~students:10 ~n:20 ~skew:0.5 ()
+  | "telecom" -> Queries.telecom_batch ~orders:10 ~offices:5 ~n:60 ()
+  | _ -> []
+
+let test_templates_equal_fresh_compiles () =
+  List.iter
+    (fun strategy ->
+      List.iter
+        (fun (name, kb, data) ->
+          let sys = Braid.System.build ~strategy ~kb:(kb ()) ~data:(data ()) () in
+          let kb = Braid.System.kb sys in
+          let consts =
+            [ V.Str "y1"; V.Int 7 ] @ List.filteri (fun j _ -> j < 2) (L.Kb.constants kb)
+          in
+          let goals = batch_goals name @ sweep_goals kb consts @ sweep_goals kb [ V.Str "y2" ] in
+          let statuses = check_front_ends (Braid.System.engine sys) goals in
+          check_bool (name ^ ": some goals hit a template") true (List.mem Engine.Hit statuses))
+        template_kbs)
+    [ Strategy.Interpretive; Strategy.Set_oriented ]
+
+let telecom_system () =
+  Braid.System.build ~kb:(Kbgen.telecom ())
+    ~data:(Datagen.telecom ~offices:5 ~customers:10 ~orders:10 ())
+    ()
+
+let check_statuses what expected statuses =
+  Alcotest.(check (list string))
+    what (List.map compile_name expected) (List.map compile_name statuses)
+
+let test_kb_constant_goal_per_goal () =
+  (* co0 is RB1's constant: unification or a mutex check against it could
+     go either way depending on the value. *)
+  let engine = Braid.System.engine (telecom_system ()) in
+  check_statuses "servable" [ Engine.Miss; Engine.Per_goal; Engine.Hit ]
+    (check_front_ends engine
+       [
+         atom "servable" [ s "co3"; v "S" ];
+         atom "servable" [ s "co0"; v "S" ];
+         atom "servable" [ s "co1"; v "S" ];
+       ]);
+  (* A rule head with a constant: the template compiled for silver has one
+     branch, gold has two. *)
+  let kb = L.Kb.create () in
+  L.Kb.declare_base kb "premium" ~arity:1;
+  L.Kb.declare_base kb "member" ~arity:2;
+  L.Kb.add_rule kb
+    (L.Rule.make ~id:"T1"
+       (atom "tier" [ s "gold"; v "X" ])
+       [ L.Literal.rel (atom "premium" [ v "X" ]) ]);
+  L.Kb.add_rule kb
+    (L.Rule.make ~id:"T2" (atom "tier" [ v "T"; v "X" ])
+       [ L.Literal.rel (atom "member" [ v "X"; v "T" ]) ]);
+  let sys = Braid.System.build ~kb ~data:[] () in
+  check_statuses "tier" [ Engine.Miss; Engine.Per_goal; Engine.Hit ]
+    (check_front_ends (Braid.System.engine sys)
+       [
+         atom "tier" [ s "silver"; v "X" ];
+         atom "tier" [ s "gold"; v "X" ];
+         atom "tier" [ s "bronze"; v "X" ];
+       ])
+
+let test_condition_on_goal_constant () =
+  (* N is bound by the goal, so the shaper evaluates N >= 10 and culls the
+     branch for small N: the form compiles per goal. *)
+  let kb = L.Kb.create () in
+  L.Kb.declare_base kb "item" ~arity:2;
+  L.Kb.add_rule kb
+    (L.Rule.make ~id:"B1" (atom "big" [ v "N"; v "P" ])
+       [
+         L.Literal.rel (atom "item" [ v "N"; v "P" ]);
+         L.Literal.cmp R.Row_pred.Ge (v "N") (i 10);
+       ]);
+  L.Kb.add_rule kb
+    (L.Rule.make ~id:"B2" (atom "big" [ v "N"; v "P" ])
+       [ L.Literal.rel (atom "item" [ v "P"; v "N" ]) ]);
+  let sys = Braid.System.build ~kb ~data:[] () in
+  let engine = Braid.System.engine sys in
+  check_statuses "big" [ Engine.Per_goal; Engine.Per_goal; Engine.Per_goal; Engine.Miss ]
+    (check_front_ends engine
+       [
+         atom "big" [ i 5; v "P" ];
+         atom "big" [ i 20; v "P" ];
+         atom "big" [ i 3; v "P" ];
+         atom "big" [ v "N"; i 3 ];
+       ]);
+  check_bool "the two values shape differently" true
+    (front_report (Engine.compile engine (atom "big" [ i 5; v "P" ]))
+    <> front_report (Engine.compile engine (atom "big" [ i 20; v "P" ])))
+
+let test_add_rule_invalidates_templates () =
+  let sys = telecom_system () in
+  let engine = Braid.System.engine sys in
+  let and_nodes g = (fst (Engine.front_end engine g)).Engine.graph_size.PG.and_nodes in
+  check_statuses "before" [ Engine.Miss; Engine.Hit ]
+    (check_front_ends engine
+       [ atom "provisionable" [ s "ord1" ]; atom "provisionable" [ s "ord2" ] ]);
+  let and_before = and_nodes (atom "provisionable" [ s "ord2" ]) in
+  ignore (Braid.System.solve_all sys (atom "provisionable" [ s "ord3" ]));
+  L.Kb.add_rule (Braid.System.kb sys)
+    (L.Rule.make ~id:"P2" (atom "provisionable" [ v "Ord" ])
+       [ L.Literal.rel (atom "order_req" [ v "Ord"; v "Cust"; s "dsl" ]) ]);
+  check_statuses "after add_rule" [ Engine.Miss; Engine.Hit ]
+    (check_front_ends engine
+       [ atom "provisionable" [ s "ord4" ]; atom "provisionable" [ s "ord5" ] ]);
+  check_bool "the new rule is in the graph" true
+    (and_nodes (atom "provisionable" [ s "ord6" ]) > and_before)
+
+let test_cardinality_change_recompiles () =
+  (* a(c, Y) and b(Y, c) are equally bound: the smaller relation goes
+     first, so growing [a] past [b] reorders the rule body. *)
+  let kb = L.Kb.create () in
+  L.Kb.add_rule kb
+    (L.Rule.make ~id:"R" (atom "p" [ v "X" ])
+       [ L.Literal.rel (atom "a" [ v "X"; v "Y" ]); L.Literal.rel (atom "b" [ v "Y"; v "X" ]) ]);
+  let pair x y = [| V.Str x; V.Str y |] in
+  let rel name cols rows = R.Relation.of_tuples ~name (R.Schema.make cols) rows in
+  let sys =
+    Braid.System.build ~kb
+      ~data:
+        [
+          rel "a" [ ("x", V.Tstr); ("y", V.Tstr) ] [ pair "c0" "d0"; pair "c1" "d1" ];
+          rel "b" [ ("y", V.Tstr); ("x", V.Tstr) ]
+            (List.init 5 (fun k -> pair (Printf.sprintf "d%d" k) (Printf.sprintf "c%d" k)));
+        ]
+      ()
+  in
+  let engine = Braid.System.engine sys in
+  let orderings g = (fst (Engine.front_end engine g)).Engine.orderings in
+  check_statuses "before" [ Engine.Miss; Engine.Hit ]
+    (check_front_ends engine [ atom "p" [ s "c0" ]; atom "p" [ s "c1" ] ]);
+  let order_before = orderings (atom "p" [ s "c1" ]) in
+  for k = 2 to 11 do
+    Braid.System.insert_remote sys "a" (pair (Printf.sprintf "c%d" k) (Printf.sprintf "d%d" k))
+  done;
+  check_statuses "after the insert" [ Engine.Miss; Engine.Hit ]
+    (check_front_ends engine [ atom "p" [ s "c2" ]; atom "p" [ s "c3" ] ]);
+  check_bool "the body was reordered" true (order_before <> orderings (atom "p" [ s "c4" ]))
+
+let template_cases =
+  [
+    Alcotest.test_case "templates equal fresh compiles" `Quick
+      test_templates_equal_fresh_compiles;
+    Alcotest.test_case "KB constant goal compiles per goal" `Quick
+      test_kb_constant_goal_per_goal;
+    Alcotest.test_case "condition on a goal constant" `Quick test_condition_on_goal_constant;
+    Alcotest.test_case "add_rule invalidates templates" `Quick
+      test_add_rule_invalidates_templates;
+    Alcotest.test_case "cardinality change recompiles" `Quick
+      test_cardinality_change_recompiles;
+  ]
+
+let suites = match suites with
+  | [ (name, cases) ] -> [ (name, cases @ template_cases) ]
+  | other -> other

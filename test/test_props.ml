@@ -518,6 +518,153 @@ let prop_tracker_accepts_legal_sequences =
       let prng = Braid_workload.Prng.create seed in
       List.for_all (Tracker.advance tr) (sample_path prng p))
 
+(* --- incremental replacement pins --- *)
+
+module CMgr = Braid_cache.Cache_manager
+module Qpo = Braid_planner.Qpo
+module Advisor = Braid_advice.Advisor
+
+type pin_op =
+  | Advise of int * Adv.path  (* new advice on a session *)
+  | Observe of int * string
+  | Associate of int * int * string  (* session, element, spec *)
+  | Evict of int
+  | Recover  (* rebuild the cache from its journal *)
+  | Update of int  (* [update_pins] on a session *)
+
+let pin_specs = [ "a"; "b"; "c"; "d" ]
+let pin_elements = 8
+
+let pin_advice path =
+  {
+    Adv.specs =
+      List.map
+        (fun id -> Adv.spec ~id ~bindings:[] (A.conj [] [ L.Atom.make ("r_" ^ id) [ T.Var "X" ] ]))
+        pin_specs;
+    path = Some path;
+  }
+
+let gen_pin_op =
+  let session = QCheck.Gen.int_range 0 1 and spec = QCheck.Gen.oneofl pin_specs in
+  QCheck.Gen.frequency
+    [
+      (1, QCheck.Gen.pair session (gen_path 2) >|= fun (k, p) -> Advise (k, p));
+      (3, QCheck.Gen.pair session spec >|= fun (k, id) -> Observe (k, id));
+      ( 3,
+        QCheck.Gen.triple session (QCheck.Gen.int_range 0 (pin_elements - 1)) spec
+        >|= fun (k, e, id) -> Associate (k, e, id) );
+      (1, QCheck.Gen.int_range 0 (pin_elements - 1) >|= fun e -> Evict e);
+      (1, QCheck.Gen.return Recover);
+      (4, session >|= fun k -> Update k);
+    ]
+
+let pin_op_to_string = function
+  | Advise (k, p) -> Format.asprintf "advise s%d %a" k Adv.pp_path p
+  | Observe (k, id) -> Printf.sprintf "observe s%d %s" k id
+  | Associate (k, e, id) -> Printf.sprintf "associate s%d e%d %s" k (e + 1) id
+  | Evict e -> Printf.sprintf "evict e%d" (e + 1)
+  | Recover -> "recover"
+  | Update k -> Printf.sprintf "update s%d" k
+
+let pin_capacity = 1 lsl 20
+
+let pin_cache () =
+  let cache = CMgr.create ~capacity_bytes:pin_capacity () in
+  for k = 1 to pin_elements do
+    let rel = R.Relation.of_tuples ~name:"b" (R.Schema.make [ ("y", V.Tint) ]) [ [| V.Int k |] ] in
+    ignore
+      (CMgr.insert cache
+         ~def:(A.conj [ T.Var "Y" ] [ L.Atom.make "b" [ T.int k; T.Var "Y" ] ])
+         (Braid_cache.Element.Extension rel))
+  done;
+  cache
+
+let recover cache =
+  let journal = CMgr.journal cache in
+  let model =
+    Braid_cache.Journal.replay ~capacity_bytes:pin_capacity
+      ~rebuild_generator:(fun _ -> invalid_arg "no generators")
+      journal
+  in
+  CMgr.create ~journal ~model ~capacity_bytes:pin_capacity ()
+
+let pin_entries cache =
+  List.length
+    (List.filter
+       (function Braid_cache.Journal.Pin _ -> true | _ -> false)
+       (Braid_cache.Journal.entries (CMgr.journal cache)))
+
+let flags cache =
+  List.init pin_elements (fun e ->
+      Option.map
+        (fun (el : Braid_cache.Element.t) -> el.Braid_cache.Element.pinned)
+        (CMgr.find cache (Printf.sprintf "e%d" (e + 1))))
+
+(* Two sessions share one cache. The planner re-pins incrementally; the
+   reference is the full walk over every element→spec link, run on a
+   second cache that sees the same operations. *)
+let prop_incremental_pins_equal_full_walk =
+  QCheck.Test.make ~count:300 ~name:"incremental pins = full walk"
+    (arb_of
+       (QCheck.Gen.pair (QCheck.Gen.pair (gen_path 2) (gen_path 2))
+          (QCheck.Gen.list_size (QCheck.Gen.int_range 1 60) gen_pin_op))
+       (fun (_, ops) -> String.concat "; " (List.map pin_op_to_string ops)))
+    (fun ((p0, p1), ops) ->
+      let server = Braid_remote.Server.create () in
+      let cache = ref (pin_cache ()) in
+      let qpo = ref (Qpo.create Qpo.braid_config ~cache:!cache ~server) in
+      let sessions =
+        [| Qpo.new_session !qpo (pin_advice p0); Qpo.new_session !qpo (pin_advice p1) |]
+      in
+      let ref_cache = ref (pin_cache ()) in
+      let ref_advisors = [| Advisor.create (pin_advice p0); Advisor.create (pin_advice p1) |] in
+      let ref_links = [| Hashtbl.create 8; Hashtbl.create 8 |] in
+      let elem e = Printf.sprintf "e%d" (e + 1) in
+      List.for_all
+        (fun op ->
+          match op with
+          | Advise (k, p) ->
+            Qpo.advise sessions.(k) (pin_advice p);
+            ref_advisors.(k) <- Advisor.create (pin_advice p);
+            true
+          | Observe (k, id) ->
+            Advisor.observe (Qpo.session_advisor sessions.(k)) id;
+            Advisor.observe ref_advisors.(k) id;
+            true
+          | Associate (k, e, id) ->
+            if CMgr.find !cache (elem e) <> None then begin
+              Qpo.associate sessions.(k) (elem e) id;
+              Hashtbl.replace ref_links.(k) (elem e) id
+            end;
+            true
+          | Evict e ->
+            List.iter
+              (fun c ->
+                match CMgr.find c (elem e) with
+                | Some el -> CMgr.remove_element c el ~pred:"b"
+                | None -> ())
+              [ !cache; !ref_cache ];
+            true
+          | Recover ->
+            cache := recover !cache;
+            qpo := Qpo.create Qpo.braid_config ~cache:!cache ~server;
+            ref_cache := recover !ref_cache;
+            true
+          | Update k ->
+            Qpo.update_pins !qpo sessions.(k);
+            let adv = ref_advisors.(k) in
+            let keep =
+              List.filter_map
+                (fun (s : Adv.view_spec) ->
+                  if Advisor.may_occur_later adv s.Adv.id then Some s.Adv.id else None)
+                (Advisor.predicted_next adv)
+            in
+            Hashtbl.iter
+              (fun e id -> CMgr.pin !ref_cache e (List.mem id keep))
+              ref_links.(k);
+            flags !cache = flags !ref_cache && pin_entries !cache = pin_entries !ref_cache)
+        ops)
+
 (* --- second-order operations --- *)
 
 let prop_division_is_forall =
@@ -875,6 +1022,7 @@ let suites : unit Alcotest.test list =
           prop_subsumption_sound;
           prop_instance_always_covered;
           prop_tracker_accepts_legal_sequences;
+          prop_incremental_pins_equal_full_walk;
           prop_division_is_forall;
           prop_count_sums_to_cardinality;
           prop_fixpoint_is_closure;
