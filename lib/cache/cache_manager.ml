@@ -43,7 +43,25 @@ let journal_admit t (e : Element.t) =
      applied to the element must copy-on-write (see Element.delta_private). *)
   e.Element.delta_private <- false
 
+(* A checkpoint is the marker followed by a full re-admission of the live
+   state in insertion order, so it replaces the log before it.
+   Representations are journaled as they are NOW — an element admitted lazy
+   but since forced checkpoints as an extension. *)
+let checkpoint t =
+  let live = Cache_model.elements t.model in
+  let epoch = Journal.log_checkpoint t.journal ~live:(List.length live) in
+  List.iter (journal_admit t) live;
+  epoch
+
+(* The CMS checkpoints itself once the journal reaches [Journal.compact_at],
+   and only between operations — never between a delta's log record and
+   its apply — so the live state it re-admits is the one replay must
+   rebuild. *)
+let compact t =
+  if Journal.length t.journal >= Journal.compact_at t.journal then ignore (checkpoint t)
+
 let insert t ?id ~def repr =
+  compact t;
   let id = match id with Some id -> id | None -> Cache_model.fresh_id t.model in
   let e = Element.make ~id ~def ~now:(Cache_model.tick t.model) repr in
   e.Element.on_materialize <-
@@ -141,7 +159,8 @@ let pin t id flag =
     if e.Element.pinned <> flag then begin
       e.Element.pinned <- flag;
       t.pin_epoch <- t.pin_epoch + 1;
-      Journal.log_pin t.journal ~id ~flag
+      Journal.log_pin t.journal ~id ~flag;
+      compact t
     end
   | None -> ()
 
@@ -194,15 +213,5 @@ let remove_element t (e : Element.t) ~pred =
   Journal.log_remove t.journal ~id:e.Element.id ~pred;
   Cache_model.remove t.model e.Element.id;
   Obs.Metrics.incr "cache.invalidations"
-
-(* A checkpoint is the marker followed by a full re-admission of the live
-   state in insertion order: replay can then start from the marker instead
-   of the beginning of the log. Representations are journaled as they are
-   NOW — an element admitted lazy but since forced checkpoints as an
-   extension. *)
-let checkpoint t =
-  let epoch = Journal.log_checkpoint t.journal in
-  List.iter (journal_admit t) (Cache_model.elements t.model);
-  epoch
 
 let stats t = { t.stats with insertions = t.stats.insertions }

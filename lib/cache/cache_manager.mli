@@ -18,7 +18,12 @@ val journal : t -> Journal.t
 val checkpoint : t -> int
 (** Writes a checkpoint — the epoch marker followed by re-admissions of
     every live element with its current representation and flags — and
-    returns the new epoch. Replay restarts from the latest checkpoint. *)
+    returns the new epoch. The journal drops everything before it; replay
+    starts from it.
+
+    The cache manager also checkpoints itself, at the start of {!insert}
+    and after a pin flip, once the journal holds {!Journal.compact_at}
+    entries. *)
 
 val insert :
   t -> ?id:string -> def:Braid_caql.Ast.conj -> Element.representation -> Element.t option

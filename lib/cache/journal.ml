@@ -26,14 +26,18 @@ type entry =
   | Checkpoint of { seq : int; epoch : int }
 
 type t = {
-  mutable log : entry list; (* newest first *)
+  mutable log : entry list; (* newest first, back to the last checkpoint *)
   mutable seq : int;
   mutable epoch : int;
   mutable count : int;
   mutable context : string; (* session id stamped on new entries; "" = none *)
+  mutable counter : int; (* largest element id counter admitted before the cut *)
+  mutable clock : int; (* largest admission clock before the cut *)
+  mutable written : int; (* entries the last checkpoint wrote: marker + re-admits *)
 }
 
-let create () = { log = []; seq = 0; epoch = 0; count = 0; context = "" }
+let create () =
+  { log = []; seq = 0; epoch = 0; count = 0; context = ""; counter = 0; clock = 0; written = 0 }
 
 let set_context t sid = t.context <- sid
 let context t = t.context
@@ -68,10 +72,39 @@ let log_delta_insert t ~id ~pred ~rows =
 let log_delta_delete t ~id ~pred ~rows =
   push t (Delta_delete { seq = next_seq t; id; pred; rows; by = t.context })
 
-let log_checkpoint t =
+(* The element ids the cache will mint next must not collide with any id
+   the journal has ever seen, and its clock must not run back: recover both
+   as the largest values over every admission, those a checkpoint cut away
+   included. *)
+let id_counter id =
+  try Scanf.sscanf id "e%d%!" Fun.id with Scanf.Scan_failure _ | Failure _ | End_of_file -> 0
+
+let max_admitted t =
+  List.fold_left
+    (fun ((counter, clock) as acc) -> function
+      | Admit { id; at; _ } -> (max counter (id_counter id), max clock at)
+      | Materialize _ | Evict _ | Remove _ | Mark_stale _ | Pin _ | Delta_insert _
+      | Delta_delete _ | Checkpoint _ -> acc)
+    (t.counter, t.clock) t.log
+
+(* Replay starts from the latest checkpoint, whose re-admissions restore
+   every live element, so everything before it is dead weight: drop it,
+   keeping only the id counter and clock it held. *)
+let log_checkpoint t ~live =
+  let counter, clock = max_admitted t in
+  t.counter <- counter;
+  t.clock <- clock;
+  t.log <- [];
+  t.count <- 0;
+  t.written <- 1 + live;
   t.epoch <- t.epoch + 1;
   push t (Checkpoint { seq = next_seq t; epoch = t.epoch });
   t.epoch
+
+(* The self-checkpoint rule: the log may grow to twice what the last
+   checkpoint wrote, and to at least 1,024 entries, before the next one
+   rewrites it, so rewriting costs O(1) amortised per entry. *)
+let compact_at t = max 1024 (2 * t.written)
 
 let entries t = List.rev t.log
 let tail t n = if n <= 0 then [] else List.rev (List.filteri (fun i _ -> i < n) t.log)
@@ -121,36 +154,6 @@ let entry_to_string = function
     Printf.sprintf "#%d delta- %s on %s (%d rows)%s" seq id pred (List.length rows)
       (by_suffix by)
   | Checkpoint { seq; epoch } -> Printf.sprintf "#%d checkpoint epoch=%d" seq epoch
-
-(* The element ids the cache will mint next must not collide with any id
-   the journal has ever seen: recover the counter from the largest numeric
-   suffix over all admissions. *)
-let max_id_counter t =
-  List.fold_left
-    (fun acc e ->
-      match e with
-      | Admit { id; _ } ->
-        (try Scanf.sscanf id "e%d%!" (fun n -> max acc n) with
-         | Scanf.Scan_failure _ | Failure _ | End_of_file -> acc)
-      | Materialize _ | Evict _ | Remove _ | Mark_stale _ | Pin _ | Delta_insert _
-      | Delta_delete _ | Checkpoint _ -> acc)
-    0 t.log
-
-let max_clock t =
-  List.fold_left
-    (fun acc e -> match e with Admit { at; _ } -> max acc at | _ -> acc)
-    0 t.log
-
-(* Entries to replay: everything from the most recent checkpoint marker on
-   (the marker is followed by re-admissions of all elements live at that
-   point), or the whole log if no checkpoint was ever taken. *)
-let replay_suffix t =
-  let rec cut acc = function
-    | [] -> acc
-    | (Checkpoint _ as c) :: _ -> c :: acc
-    | e :: rest -> cut (e :: acc) rest
-  in
-  cut [] t.log
 
 (* Journaled extension snapshots are shared by reference: before replay may
    mutate an element's extension (delta application), it must switch to a
@@ -213,6 +216,7 @@ let replay ~capacity_bytes ~rebuild_generator t =
        | None -> ())
     | Checkpoint _ -> ()
   in
-  List.iter apply (replay_suffix t);
-  Cache_model.restore model ~counter:(max_id_counter t) ~clock:(max_clock t + 1);
+  List.iter apply (entries t);
+  let counter, clock = max_admitted t in
+  Cache_model.restore model ~counter ~clock:(clock + 1);
   model

@@ -1,7 +1,8 @@
 (** Crash-consistent cache journal: a write-ahead log of every operation
     that changes the cache model — admissions, forced materializations,
     evictions, invalidations ([`Drop`]), stale-marks ([`Mark_stale`]) and
-    pin changes — plus periodic checkpoints.
+    pin changes — plus periodic checkpoints. A checkpoint drops the log
+    before it, so the journal holds only what replay reads.
 
     The journal is the durable artifact of the simulated CMS process: when
     a {!Braid_remote.Fault.Crash} kills the CMS mid-run, {!replay} rebuilds
@@ -106,18 +107,26 @@ val log_delta_delete :
 (** Journals rows removed (one occurrence each) from an element's extension
     by incremental maintenance. *)
 
-val log_checkpoint : t -> int
-(** Writes the checkpoint marker and returns the new epoch. The caller
-    (the Cache Manager) must follow it with [log_admit] for every live
-    element — see {!Cache_manager.checkpoint}. *)
+val log_checkpoint : t -> live:int -> int
+(** Drops every entry, writes the checkpoint marker and returns the new
+    epoch. The caller (the Cache Manager) must follow it with [log_admit]
+    for each of the [live] elements — see {!Cache_manager.checkpoint}. The
+    largest element id counter and admission clock of the dropped entries
+    are kept, so {!replay} restores both as if nothing had been dropped. *)
+
+val compact_at : t -> int
+(** The length at which the Cache Manager checkpoints on its own:
+    max(1,024, 2 × the entries the last checkpoint wrote). *)
 
 val entries : t -> entry list
-(** Oldest first. *)
+(** Oldest first: the entries since the last checkpoint, marker included. *)
 
 val tail : t -> int -> entry list
 (** The last [n] entries, oldest first. *)
 
 val length : t -> int
+(** The number of {!entries}. *)
+
 val epoch : t -> int
 
 val entry_by : entry -> string
@@ -138,12 +147,13 @@ val replay :
   rebuild_generator:(Braid_caql.Ast.conj -> Braid_stream.Tuple_stream.t) ->
   t ->
   Cache_model.t
-(** Rebuilds the cache model from the most recent checkpoint (or from the
-    beginning when none was taken): admissions restore elements with their
-    journaled representation, flags and admission time; materializations
-    restore forced extensions by shared reference; evictions and removals
-    delete; stale-marks and pins update flags. [rebuild_generator] supplies
-    a fresh stream for elements journaled as generators (their memoized
-    content is not durable). The model's id counter and logical clock are
-    restored past every journaled value, so post-recovery admissions cannot
-    collide. *)
+(** Rebuilds the cache model from the retained log — the latest
+    checkpoint on, or everything when none was taken: admissions restore
+    elements with their journaled representation, flags and admission
+    time; materializations restore forced extensions by shared reference;
+    evictions and removals delete; stale-marks and pins update flags.
+    [rebuild_generator] supplies a fresh stream for elements journaled as
+    generators (their memoized content is not durable). The model's id
+    counter and logical clock are restored past every value ever
+    journaled, dropped entries included, so post-recovery admissions
+    cannot collide. *)

@@ -130,7 +130,9 @@ val journal : t -> Braid_cache.Journal.t
 
 val checkpoint : t -> int
 (** Writes a cache checkpoint to the journal and returns the new epoch;
-    replay after a crash restarts from the latest checkpoint. *)
+    the journal drops everything before it, and replay after a crash
+    starts from it. The cache also checkpoints itself (see
+    {!Braid_cache.Cache_manager.checkpoint}). *)
 
 type recovery_report = {
   recovered : string list;  (** element ids restored by replay, in order *)
@@ -145,7 +147,8 @@ type recovery_report = {
     generators re-bound to ground-truth evaluation of their definition),
     re-validates every recovered element with [validate] (dropping — and
     journaling the drop of — any failure), and wires a new QPO over the
-    recovered cache. The journal keeps growing in the recovered CMS. *)
+    recovered cache. The recovered CMS keeps writing the same journal,
+    and checkpoints itself at the same points. *)
 val recover :
   ?config:Braid_planner.Qpo.config ->
   ?capacity_bytes:int ->

@@ -24,9 +24,10 @@
    maintenance on at the highest write rate.
 
    The recovery scenario replays the crash story mid-delta: writes land
-   deltas in the journal, a checkpoint interposes, more deltas follow,
-   then the journal is replayed into a fresh CMS which must rebuild a
-   byte-identical cache model (the WAL's copy-on-first-delta discipline).
+   deltas in the journal, a checkpoint interposes (dropping them with the
+   log before it), more deltas follow, then the journal is replayed into a
+   fresh CMS which must rebuild a byte-identical cache model (the WAL's
+   copy-on-first-delta discipline).
 
    Deterministic: fixed seeds, simulated cost model, no wall-clock. *)
 
@@ -174,8 +175,10 @@ let run_mode ~seed ~rounds ~rate maintain =
 
 (* Crash mid-delta: deltas land before and after a checkpoint, then the
    journal is replayed into a fresh CMS over the surviving server. The
-   recovered cache model must be byte-identical to the dead one — the
-   replay applies the same copy-on-first-delta rule the live path did. *)
+   checkpoint dropped the earlier deltas, so the journal holds only the
+   later ones. The recovered cache model must be byte-identical to the dead
+   one — the replay applies the same copy-on-first-delta rule the live path
+   did. *)
 let run_recovery ~seed =
   let server, cms = make_cms ~maintain:true in
   let oracle = Oracle.create server in
@@ -277,7 +280,7 @@ let run ?(seed = 3) ?(rounds = 12) () =
            b2-side of the join has no covering element and falls back — \
            the decision table in docs/CONSISTENCY.md";
           Printf.sprintf
-            "crash mid-delta: %d journaled deltas around a checkpoint \
+            "crash mid-delta: %d journaled deltas after a checkpoint \
              (epoch %d); replay rebuilt %d/%d elements %s"
             recovery.rc_deltas recovery.rc_epoch recovery.rc_replayed
             recovery.rc_elements

@@ -246,11 +246,20 @@ let session_advisor ses = ses.advisor
 let set_observer t f = t.observer <- f
 let set_fetcher t f = t.fetcher <- f
 
-let advise ?nfa ses advice =
+(* Element→spec links end with their advice epoch: the next advice reuses
+   the spec ids d1…dn for other views, so a surviving link would pin its
+   element whenever the tracker predicts the reused id. *)
+let advise ?nfa t ses advice =
+  Hashtbl.iter (fun elem_id _ -> CMgr.pin t.cache elem_id false) ses.elem_spec;
+  Hashtbl.reset ses.elem_spec;
+  Hashtbl.reset ses.spec_elems;
+  ses.dirty <- [];
+  ses.kept <- [];
+  ses.pins_synced <- Some (t.cache, CMgr.pin_epoch t.cache);
   ses.advisor <- Adv.create ?nfa advice;
   Hashtbl.reset ses.prefetched
 
-let set_advice ?nfa t advice = advise ?nfa t.default_session advice
+let set_advice ?nfa t advice = advise ?nfa t t.default_session advice
 
 let catalog t = Server.catalog t.server
 let remote_schema t name = Catalog.schema_of (catalog t) name

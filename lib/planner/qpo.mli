@@ -123,7 +123,9 @@ val advisor : t -> Braid_advice.Advisor.t
 val set_advice : ?nfa:Braid_advice.Tracker.nfa -> t -> Braid_advice.Ast.t -> unit
 (** Starts a new advice epoch on the {e default} session (a session's
     advice set, §3). [nfa] is the path's compiled tracker, when the caller
-    already has it (see {!Braid_advice.Advisor.create}). *)
+    already has it (see {!Braid_advice.Advisor.create}). The previous
+    epoch's element→spec links end here: every element they linked is
+    unpinned (each flip journaled) and the links are dropped. *)
 
 (** {1 Sessions}
 
@@ -227,6 +229,6 @@ val set_observer :
    links replacement pinning reads, and the pinning step every answer runs
    twice. *)
 
-val advise : ?nfa:Braid_advice.Tracker.nfa -> session -> Braid_advice.Ast.t -> unit
+val advise : ?nfa:Braid_advice.Tracker.nfa -> t -> session -> Braid_advice.Ast.t -> unit
 val associate : session -> string -> string -> unit
 val update_pins : t -> session -> unit

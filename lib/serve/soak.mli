@@ -162,9 +162,9 @@ type report = {
           round — the chaos gate requires 0 *)
   end_max_lag : int;  (** worst replica lag at the end — 0 once repair caught up *)
   per_shard : shard_report list;  (** [] when the remote is a single server *)
-  journal_entries : int;
+  journal_entries : int;  (** entries since the last checkpoint *)
   journal_epoch : int;
-  journal_dump : string list;
+  journal_dump : string list;  (** those entries, oldest first *)
 }
 
 val failures : report -> string list

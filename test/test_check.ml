@@ -112,8 +112,45 @@ let test_journal_records_transitions () =
   check_int "epoch starts at 0" 0 (Journal.epoch jnl);
   let epoch = Cms.checkpoint cms in
   check_int "checkpoint bumps epoch" 1 epoch;
+  let live =
+    List.map
+      (fun (e : Element.t) -> e.Element.id)
+      (Braid_cache.Cache_model.elements (CMgr.model (Cms.cache cms)))
+  in
   check_bool "checkpoint re-admits live elements" true
-    (List.length (Journal.entries jnl) > List.length admits + 2)
+    (match Journal.entries jnl with
+     | Journal.Checkpoint { epoch = 1; _ } :: rest ->
+       List.map (function Journal.Admit { id; _ } -> Some id | _ -> None) rest
+       = List.map Option.some live
+     | _ -> false)
+
+(* A read-only telecom session pins and unpins as its tracker moves, so
+   without a bound the journal would grow with every goal. The CMS
+   checkpoints itself between operations, so after any goal the journal
+   holds at most the rule's bound plus what one operation wrote since the
+   last check: here one admission, since nothing is evicted. *)
+let test_journal_bounded_over_long_session () =
+  let offices = 30 and orders = 100 in
+  let sys =
+    Braid.System.build ~kb:(Braid_workload.Kbgen.telecom ())
+      ~data:(Braid_workload.Datagen.telecom ~offices ~customers:100 ~orders ())
+      ()
+  in
+  let cms = Braid.System.cms sys in
+  let jnl = Cms.journal cms in
+  let worst = ref 0 and worst_at_1000 = ref 0 and within = ref true in
+  List.iteri
+    (fun i g ->
+      ignore (Braid.System.solve_all sys g);
+      let len = Journal.length jnl in
+      if len > Journal.compact_at jnl + 1 then within := false;
+      worst := max !worst len;
+      if i = 999 then worst_at_1000 := !worst)
+    (Braid_workload.Queries.telecom_batch ~orders ~offices ~n:5000 ());
+  check_int "nothing evicted" 0 (CMgr.stats (Cms.cache cms)).CMgr.evictions;
+  check_bool "the CMS checkpointed itself" true (Journal.epoch jnl > 1);
+  check_bool "within the bound after every goal" true !within;
+  check_int "the maximum stops growing" !worst_at_1000 !worst
 
 (* --- crash + recover: byte-identical cache model --- *)
 
@@ -229,6 +266,8 @@ let suites =
     ( "check-journal",
       [
         Alcotest.test_case "transitions are logged" `Quick test_journal_records_transitions;
+        Alcotest.test_case "bounded over a long session" `Quick
+          test_journal_bounded_over_long_session;
         Alcotest.test_case "crash recovery is byte-identical" `Quick
           test_crash_recover_byte_identical;
         Alcotest.test_case "validation drops outdated elements" `Quick

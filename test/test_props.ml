@@ -521,6 +521,8 @@ let prop_tracker_accepts_legal_sequences =
 (* --- incremental replacement pins --- *)
 
 module CMgr = Braid_cache.Cache_manager
+module CModel = Braid_cache.Cache_model
+module Elem = Braid_cache.Element
 module Qpo = Braid_planner.Qpo
 module Advisor = Braid_advice.Advisor
 
@@ -624,8 +626,11 @@ let prop_incremental_pins_equal_full_walk =
         (fun op ->
           match op with
           | Advise (k, p) ->
-            Qpo.advise sessions.(k) (pin_advice p);
+            Qpo.advise !qpo sessions.(k) (pin_advice p);
             ref_advisors.(k) <- Advisor.create (pin_advice p);
+            (* links end with their advice epoch *)
+            Hashtbl.iter (fun e _ -> CMgr.pin !ref_cache e false) ref_links.(k);
+            Hashtbl.reset ref_links.(k);
             true
           | Observe (k, id) ->
             Advisor.observe (Qpo.session_advisor sessions.(k)) id;
@@ -664,6 +669,161 @@ let prop_incremental_pins_equal_full_walk =
               ref_links.(k);
             flags !cache = flags !ref_cache && pin_entries !cache = pin_entries !ref_cache)
         ops)
+
+(* Pin links end with their advice epoch: right after a new advice nothing
+   the old links pinned stays pinned, and from then on the session pins
+   exactly what a fresh session pins over the same cache with the old pins
+   cleared. *)
+let gen_epoch_op =
+  let spec = QCheck.Gen.oneofl pin_specs in
+  QCheck.Gen.frequency
+    [
+      (3, spec >|= fun id -> Observe (0, id));
+      ( 3,
+        QCheck.Gen.pair (QCheck.Gen.int_range 0 (pin_elements - 1)) spec
+        >|= fun (e, id) -> Associate (0, e, id) );
+      (2, QCheck.Gen.return (Update 0));
+    ]
+
+let run_epoch_op qpo ses = function
+  | Observe (_, id) -> Advisor.observe (Qpo.session_advisor ses) id
+  | Associate (_, e, id) -> Qpo.associate ses (Printf.sprintf "e%d" (e + 1)) id
+  | Update _ -> Qpo.update_pins qpo ses
+  | Advise _ | Evict _ | Recover -> ()
+
+let prop_advice_epoch_ends_links =
+  let ops = QCheck.Gen.list_size (QCheck.Gen.int_range 0 30) gen_epoch_op in
+  QCheck.Test.make ~count:300 ~name:"a new advice epoch ends pin links"
+    (arb_of
+       (QCheck.Gen.pair (QCheck.Gen.pair (gen_path 2) (gen_path 2)) (QCheck.Gen.pair ops ops))
+       (fun ((_, p1), (before, after)) ->
+         String.concat "; " (List.map pin_op_to_string (before @ (Advise (0, p1) :: after)))))
+    (fun ((p0, p1), (before, after)) ->
+      let server = Braid_remote.Server.create () in
+      let run renew =
+        let cache = pin_cache () in
+        let qpo = Qpo.create Qpo.braid_config ~cache ~server in
+        let ses = Qpo.new_session qpo (pin_advice p0) in
+        List.iter (run_epoch_op qpo ses) before;
+        let ses = renew qpo ses cache in
+        let renewed = flags cache in
+        List.iter (run_epoch_op qpo ses) after;
+        (renewed, flags cache)
+      in
+      let renewed, pinned =
+        run (fun qpo ses _ ->
+            Qpo.advise qpo ses (pin_advice p1);
+            ses)
+      in
+      let _, fresh =
+        run (fun qpo _ cache ->
+            List.iter
+              (fun (e : Elem.t) -> CMgr.pin cache e.Elem.id false)
+              (CModel.elements (CMgr.model cache));
+            Qpo.new_session qpo (pin_advice p1))
+      in
+      List.for_all (fun f -> f <> Some true) renewed && pinned = fresh)
+
+(* --- journal truncation --- *)
+
+module Journal = Braid_cache.Journal
+module Maintain = Braid_cache.Maintain
+
+type journal_op =
+  | J_admit of int  (* an element over b(k, Y) *)
+  | J_drop of int  (* the n-th live element *)
+  | J_pin of int * bool
+  | J_flips of int * int  (* flip a pin this many times: the CMS checkpoints itself *)
+  | J_stale of int
+  | J_write of bool * int * int  (* insert (true) or delete the row (k, y) of b *)
+  | J_checkpoint
+
+let gen_journal_op =
+  let open QCheck.Gen in
+  let key = int_range 0 3 and nth = int_range 0 7 in
+  frequency
+    [
+      (4, key >|= fun k -> J_admit k);
+      (1, nth >|= fun n -> J_drop n);
+      (2, pair nth bool >|= fun (n, f) -> J_pin (n, f));
+      (1, pair nth (int_range 200 1100) >|= fun (n, c) -> J_flips (n, c));
+      (1, nth >|= fun n -> J_stale n);
+      (3, triple bool key (int_range 0 3) >|= fun (ins, k, y) -> J_write (ins, k, y));
+      (1, return J_checkpoint);
+    ]
+
+let journal_op_to_string = function
+  | J_admit k -> Printf.sprintf "admit b(%d, Y)" k
+  | J_drop n -> Printf.sprintf "drop #%d" n
+  | J_pin (n, f) -> Printf.sprintf "pin #%d %b" n f
+  | J_flips (n, c) -> Printf.sprintf "flip #%d x%d" n c
+  | J_stale n -> Printf.sprintf "stale #%d" n
+  | J_write (ins, k, y) -> Printf.sprintf "%s b(%d, %d)" (if ins then "insert" else "delete") k y
+  | J_checkpoint -> "checkpoint"
+
+(* Random cache histories, with explicit checkpoints and the CMS's own,
+   then a crash after the last one: replaying the truncated journal must
+   rebuild the dead model, and the recovered cache must mint the id and
+   clock a replay of the whole history would (past every admission, also
+   those a checkpoint dropped). *)
+let prop_replay_across_truncation =
+  let b_schema = R.Schema.make [ ("x", V.Tint); ("y", V.Tint) ] in
+  let y_schema = R.Schema.make [ ("y", V.Tint) ] in
+  let def k = A.conj [ T.Var "Y" ] [ L.Atom.make "b" [ T.int k; T.Var "Y" ] ] in
+  let ext k = R.Relation.of_tuples ~name:"b" y_schema [ [| V.Int k |]; [| V.Int (k + 1) |] ] in
+  let capacity_bytes =
+    6 * Elem.bytes_estimate
+          (Elem.make ~id:"e0" ~def:(def 0) ~now:0 (Elem.Extension (ext 0)))
+  in
+  QCheck.Test.make ~count:200 ~name:"journal replay across truncation"
+    (arb_of
+       (QCheck.Gen.list_size (QCheck.Gen.int_range 1 40) gen_journal_op)
+       (fun ops -> String.concat "; " (List.map journal_op_to_string ops)))
+    (fun ops ->
+      let cache = CMgr.create ~capacity_bytes () in
+      let max_id = ref 0 and max_at = ref 0 in
+      let nth n =
+        match CModel.elements (CMgr.model cache) with
+        | [] -> None
+        | es -> Some (List.nth es (n mod List.length es))
+      in
+      List.iter
+        (fun op ->
+          match op with
+          | J_admit k ->
+            Option.iter
+              (fun (e : Elem.t) ->
+                max_id := max !max_id (Scanf.sscanf e.Elem.id "e%d" Fun.id);
+                max_at := max !max_at e.Elem.created_at)
+              (CMgr.insert cache ~def:(def k) (Elem.Extension (ext k)))
+          | J_drop n -> Option.iter (fun e -> CMgr.remove_element cache e ~pred:"b") (nth n)
+          | J_pin (n, flag) ->
+            Option.iter (fun (e : Elem.t) -> CMgr.pin cache e.Elem.id flag) (nth n)
+          | J_flips (n, count) ->
+            Option.iter
+              (fun (e : Elem.t) ->
+                for _ = 1 to count do
+                  CMgr.pin cache e.Elem.id (not e.Elem.pinned)
+                done)
+              (nth n)
+          | J_stale n -> Option.iter (fun e -> CMgr.mark_stale_element cache e ~pred:"b") (nth n)
+          | J_write (ins, k, y) ->
+            let row = [| V.Int k; V.Int y |] in
+            ignore
+              (Maintain.on_write cache
+                 ~schema_of:(fun p -> if p = "b" then Some b_schema else None)
+                 (if ins then Maintain.Insert ("b", row)
+                  else Maintain.Delete ("b", row)))
+          | J_checkpoint -> ignore (CMgr.checkpoint cache))
+        ops;
+      let recovered =
+        Journal.replay ~capacity_bytes
+          ~rebuild_generator:(fun _ -> invalid_arg "no generators")
+          (CMgr.journal cache)
+      in
+      Braid_check.Oracle.same_state (CMgr.model cache) recovered = Ok ()
+      && CModel.fresh_id recovered = Printf.sprintf "e%d" (!max_id + 1)
+      && CModel.now recovered = !max_at + 1)
 
 (* --- second-order operations --- *)
 
@@ -1023,6 +1183,8 @@ let suites : unit Alcotest.test list =
           prop_instance_always_covered;
           prop_tracker_accepts_legal_sequences;
           prop_incremental_pins_equal_full_walk;
+          prop_advice_epoch_ends_links;
+          prop_replay_across_truncation;
           prop_division_is_forall;
           prop_count_sums_to_cardinality;
           prop_fixpoint_is_closure;
