@@ -775,7 +775,12 @@ let with_trace trace_path f =
    determinism contract — and (b) no violated gate
    (Braid_serve.Soak.failures: clean oracle and recovery plus the
    profile's own invariants). The report and the surviving cache journal
-   are written as files for CI to upload on failure. *)
+   are written as files for CI to upload on failure, and so is the
+   --trace file when given: the run's per-request record, where every
+   replica read is a shard.read span naming its shard and replica, so a
+   sick copy's exact fetch sequence can be rebuilt from it. The --check
+   re-run is untraced, so a passing gate also shows that tracing does not
+   perturb the leg. *)
 let run_serve argv =
   let leg_names = String.concat ", " (List.map fst Braid_serve.Soak.legs) in
   let leg = ref None
@@ -837,12 +842,6 @@ let run_serve argv =
   in
   write !report_path (String.split_on_char '\n' text);
   write !journal_path report.Braid_serve.Soak.journal_dump;
-  (* One request journal per shard — and per replica when replicated (CI
-     uploads them on failure, so a sick copy's exact fetch sequence is
-     reconstructible from the artifacts). *)
-  List.iter
-    (fun (suffix, lines) -> write (!journal_path ^ suffix) lines)
-    (Braid_serve.Soak.shard_journals report);
   Printf.printf "wrote %s, %s\n" !report_path !journal_path;
   if !gate then begin
     let text2 = Braid_serve.Soak.report_to_string (go ()) in

@@ -80,7 +80,6 @@ type t = {
   mutable cooldown_left : int;
   last_good : (string, R.Relation.t) Hashtbl.t;
   stats : stats;
-  mutable events : string list; (* newest first *)
 }
 
 let create ?(policy = default_policy) server =
@@ -93,7 +92,6 @@ let create ?(policy = default_policy) server =
     cooldown_left = 0;
     last_good = Hashtbl.create 64;
     stats = zero ();
-    events = [];
   }
 
 let server t = t.server
@@ -110,8 +108,6 @@ let set_policy t policy =
 
 let breaker t = t.state
 
-let event t fmt = Printf.ksprintf (fun s -> t.events <- s :: t.events) fmt
-
 let backoff_delay t ~attempt =
   let p = t.policy in
   let base = p.backoff_base_ms *. (p.backoff_multiplier ** float_of_int attempt) in
@@ -124,8 +120,7 @@ let trip t =
   t.stats.trips <- t.stats.trips + 1;
   Obs.Metrics.incr "rdi.trips";
   Obs.Trace.instant ~cat:"rdi" "rdi.trip"
-    ~args:[ ("cooldown", Obs.Trace.Int t.policy.breaker_cooldown) ];
-  event t "trip cooldown=%d" t.policy.breaker_cooldown
+    ~args:[ ("cooldown", Obs.Trace.Int t.policy.breaker_cooldown) ]
 
 let note_failure t =
   t.consecutive_failures <- t.consecutive_failures + 1;
@@ -140,8 +135,7 @@ let note_success t =
   match t.state with
   | Half_open ->
     t.state <- Closed;
-    Obs.Trace.instant ~cat:"rdi" "rdi.close";
-    event t "close"
+    Obs.Trace.instant ~cat:"rdi" "rdi.close"
   | Closed | Open -> ()
 
 (* Serve the last good response for this request text, if any. *)
@@ -152,23 +146,20 @@ let degrade t sql_text failure =
     Obs.Metrics.incr "rdi.stale_serves";
     Obs.Trace.instant ~cat:"rdi" "rdi.stale_serve"
       ~args:[ ("cause", Obs.Trace.Str (failure_to_string failure)) ];
-    event t "stale-serve [%s]" sql_text;
     Stale (rel, failure)
   | None ->
     Obs.Metrics.incr "rdi.failures";
     Obs.Trace.instant ~cat:"rdi" "rdi.fail"
       ~args:[ ("cause", Obs.Trace.Str (failure_to_string failure)) ];
-    event t "fail %s [%s]" (failure_to_string failure) sql_text;
     Failed failure
 
 (* One server round trip; classifies the fault and updates the breaker. *)
-let attempt t sql ~sql_text ~try_ =
+let attempt t sql ~sql_text =
   t.stats.attempts <- t.stats.attempts + 1;
   match Server.exec t.server ?deadline_ms:t.policy.deadline_ms sql with
   | rel ->
     note_success t;
     Hashtbl.replace t.last_good sql_text rel;
-    event t "ok try=%d [%s]" try_ sql_text;
     Ok rel
   | exception Fault.Injected Fault.Crash ->
     (* Not a remote failure: the CMS itself dies here. No retry, no
@@ -179,7 +170,6 @@ let attempt t sql ~sql_text ~try_ =
       t.stats.deadline_misses <- t.stats.deadline_misses + 1;
       Obs.Metrics.incr "rdi.deadline_misses"
     end;
-    event t "fault %s try=%d [%s]" (Fault.kind_to_string kind) try_ sql_text;
     let tripped = note_failure t in
     Error (kind, tripped)
 
@@ -188,7 +178,7 @@ let rec exec t sql =
   Obs.Metrics.incr "rdi.requests";
   let sql_text = Sql.to_string sql in
   Obs.Trace.with_span ~cat:"rdi" "rdi.exec"
-    ~args:[ ("sql", Obs.Trace.Str sql_text) ]
+    ~args:(if Obs.Trace.enabled () then [ ("sql", Obs.Trace.Str sql_text) ] else [])
     (fun () -> exec_traced t sql ~sql_text)
 
 and exec_traced t sql ~sql_text =
@@ -219,14 +209,13 @@ and exec_traced t sql ~sql_text =
          (* The probe failed: reopen without counting more failures. *)
          t.state <- Open;
          t.cooldown_left <- t.policy.breaker_cooldown;
-         Obs.Trace.instant ~cat:"rdi" "rdi.reopen";
-         event t "reopen cooldown=%d" t.policy.breaker_cooldown
+         Obs.Trace.instant ~cat:"rdi" "rdi.reopen"
        | Closed | Open -> ());
       degrade t sql_text (Remote_fault kind)
     in
     let rec go try_ =
       let before = sim_now () in
-      match attempt t sql ~sql_text ~try_ with
+      match attempt t sql ~sql_text with
       | Ok rel -> Fresh rel
       | Error (kind, tripped) ->
         spent := !spent +. (sim_now () -. before);
@@ -239,7 +228,6 @@ and exec_traced t sql ~sql_text =
           Obs.Metrics.incr "rdi.deadline_misses";
           Obs.Trace.instant ~cat:"rdi" "rdi.budget_stop"
             ~args:[ ("spent_ms", Obs.Trace.Float !spent) ];
-          event t "budget-stop %.1fms try=%d" !spent try_;
           give_up kind
         end
         else begin
@@ -253,7 +241,6 @@ and exec_traced t sql ~sql_text =
             Obs.Metrics.incr "rdi.deadline_misses";
             Obs.Trace.instant ~cat:"rdi" "rdi.budget_stop"
               ~args:[ ("spent_ms", Obs.Trace.Float !spent) ];
-            event t "budget-stop %.1fms try=%d" !spent try_;
             give_up kind
           end
           else begin
@@ -268,7 +255,6 @@ and exec_traced t sql ~sql_text =
                   ("fault", Obs.Trace.Str (Fault.kind_to_string kind));
                   ("backoff_ms", Obs.Trace.Float delay);
                 ];
-            event t "backoff %.1fms try=%d" delay try_;
             go (try_ + 1)
           end
         end
@@ -282,14 +268,12 @@ and exec_traced t sql ~sql_text =
     Obs.Metrics.incr "rdi.fast_fails";
     Obs.Trace.instant ~cat:"rdi" "rdi.fast_fail"
       ~args:[ ("cooldown_left", Obs.Trace.Int t.cooldown_left) ];
-    event t "fast-fail left=%d [%s]" t.cooldown_left sql_text;
     degrade t sql_text Breaker_open
   | Open ->
     (* Cooldown over: this request is the half-open probe. *)
     t.state <- Half_open;
     t.stats.half_open_probes <- t.stats.half_open_probes + 1;
     Obs.Trace.instant ~cat:"rdi" "rdi.probe";
-    event t "half-open probe [%s]" sql_text;
     run_attempts ()
   | Closed | Half_open -> run_attempts ()
 
@@ -311,5 +295,3 @@ let sum l =
       acc.backoff_ms <- acc.backoff_ms +. s.backoff_ms)
     l;
   acc
-
-let trace t = List.rev t.events

@@ -11,7 +11,13 @@
     Everything is simulated and deterministic: backoff "waits" charge
     simulated milliseconds, the breaker cooldown counts requests, and
     jitter comes from a seeded {!Braid_prng.Prng} — the same seed replays
-    the same retry/trip trace byte for byte. *)
+    the same retry/trip sequence byte for byte.
+
+    The record of what happened is the span tracer: each {!exec} is one
+    [rdi.exec] span (argument [sql]) holding the attempts' [remote.exec]
+    spans and the [rdi.*] instants — retries with their backoff, trips,
+    probes, stale serves, failures (docs/OBSERVABILITY.md). Untraced, the
+    interface keeps only {!stats}. *)
 
 type policy = {
   deadline_ms : float option;  (** per-attempt deadline, [None] = wait forever *)
@@ -108,7 +114,3 @@ val flush_response_cache : t -> unit
     consistency oracle's subset rule would flag exactly that — see
     docs/CONSISTENCY.md). Inserts never flush. *)
 
-val trace : t -> string list
-(** Human-readable event log (attempts, faults, backoffs, trips, probes,
-    stale serves), oldest first. Deterministic given the seeds — asserted
-    byte-identical across runs by the resilience tests. *)

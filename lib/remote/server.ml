@@ -28,11 +28,10 @@ type t = {
   cost : Cost_model.t;
   stats : stats;
   mutable faults : Fault.t option;
-  mutable log : string list; (* newest first *)
 }
 
 let create ?(cost = Cost_model.default) () =
-  { engine = Engine.create (); cost; stats = zero (); faults = None; log = [] }
+  { engine = Engine.create (); cost; stats = zero (); faults = None }
 
 let engine t = t.engine
 let catalog t = Engine.catalog t.engine
@@ -52,13 +51,12 @@ let reachable t = match t.faults with None -> true | Some inj -> Fault.probe inj
 let partitioned t =
   match t.faults with None -> false | Some inj -> Fault.partitioned inj
 
-let charge_request t q ~scanned =
+let charge_request t ~scanned =
   let s = t.stats in
   s.requests <- s.requests + 1;
   s.tuples_scanned <- s.tuples_scanned + scanned;
   s.server_ms <- s.server_ms +. (t.cost.Cost_model.server_scan_ms *. float_of_int scanned);
-  s.comm_ms <- s.comm_ms +. t.cost.Cost_model.request_overhead_ms;
-  t.log <- Sql.to_string q :: t.log
+  s.comm_ms <- s.comm_ms +. t.cost.Cost_model.request_overhead_ms
 
 let charge_transfer t n =
   let s = t.stats in
@@ -66,14 +64,13 @@ let charge_transfer t n =
   s.comm_ms <- s.comm_ms +. (t.cost.Cost_model.transfer_tuple_ms *. float_of_int n)
 
 (* A failed request still costs the caller a round trip: charge the request
-   overhead plus the time wasted waiting, log it, and raise. *)
-let fail_request t q kind ~wasted_ms =
+   overhead plus the time wasted waiting, tag the span, and raise. *)
+let fail_request t kind ~wasted_ms =
   let s = t.stats in
   s.requests <- s.requests + 1;
   s.faults_injected <- s.faults_injected + 1;
   s.comm_ms <- s.comm_ms +. t.cost.Cost_model.request_overhead_ms +. wasted_ms;
   s.injected_ms <- s.injected_ms +. wasted_ms;
-  t.log <- Printf.sprintf "-- %s: %s" (Fault.kind_to_string kind) (Sql.to_string q) :: t.log;
   Obs.Metrics.incr "remote.faults";
   Obs.Trace.add_arg "fault" (Obs.Trace.Str (Fault.kind_to_string kind));
   raise (Fault.Injected kind)
@@ -86,7 +83,7 @@ let injected_latency t q =
   | Some inj ->
     let tables = List.map (fun (s : Sql.source) -> s.Sql.table) q.Sql.from in
     (match Fault.roll inj ~tables with
-     | Error kind -> fail_request t q kind ~wasted_ms:0.0
+     | Error kind -> fail_request t kind ~wasted_ms:0.0
      | Ok latency_ms ->
        t.stats.injected_ms <- t.stats.injected_ms +. latency_ms;
        latency_ms)
@@ -114,10 +111,10 @@ let exec t ?deadline_ms q =
             and gives up. The already-charged latency stays; the wasted wait is
             the deadline minus the overhead charged by [fail_request]. *)
          t.stats.injected_ms <- t.stats.injected_ms -. latency_ms;
-         fail_request t q Fault.Timeout
+         fail_request t Fault.Timeout
            ~wasted_ms:(Float.max 0.0 (d -. t.cost.Cost_model.request_overhead_ms))
        | Some _ | None -> ());
-      charge_request t q ~scanned;
+      charge_request t ~scanned;
       t.stats.comm_ms <- t.stats.comm_ms +. latency_ms;
       charge_transfer t returned;
       (* Simulated-ms attribution: what this request added to the server and
@@ -132,7 +129,7 @@ let exec t ?deadline_ms q =
 let open_cursor t ?(block_size = 32) q =
   let latency_ms = injected_latency t q in
   let result, scanned = Engine.execute t.engine q in
-  charge_request t q ~scanned;
+  charge_request t ~scanned;
   t.stats.comm_ms <- t.stats.comm_ms +. latency_ms;
   let base = TS.of_relation result in
   (* Wrap the raw result so every pulled tuple is charged to transfer;
@@ -163,5 +160,3 @@ let sum l =
       acc.injected_ms <- acc.injected_ms +. s.injected_ms)
     l;
   acc
-
-let log t = List.rev t.log

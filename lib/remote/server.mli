@@ -52,7 +52,11 @@ val exec : t -> ?deadline_ms:float -> Sql.select -> Braid_relalg.Relation.t
     [deadline_ms] is given — a timeout because the request's simulated
     total (injected latency + request cost) exceeds the deadline. A failed
     request still charges the round-trip overhead plus the time wasted
-    waiting. *)
+    waiting.
+
+    The server keeps no request log: under an installed tracer each call
+    is one [remote.exec] span carrying its [sql], plan and cost, and the
+    injected [fault] when there was one. *)
 
 val open_cursor : t -> ?block_size:int -> Sql.select -> Braid_stream.Tuple_stream.t
 (** The request is executed on the server (charged as one request plus its
@@ -64,6 +68,3 @@ val stats : t -> stats
 
 val sum : stats list -> stats
 (** Field-wise sum. *)
-
-val log : t -> string list
-(** SQL texts of the requests issued since {!create} (oldest first). *)

@@ -549,7 +549,9 @@ let note_failover t ~shard ~replica ~lag =
    answer — inserts are append-only, so its data is a subset of the truth,
    exactly what [Stale] promises. A serve by anyone but the primary counts
    as a failover. Only when every replica fails does the read fall back to
-   the best degrade-to-cache outcome collected along the way. *)
+   the best degrade-to-cache outcome collected along the way. Each offer
+   is one [shard.read] span naming the copy, so a trace attributes every
+   [rdi.exec] to exactly one shard and replica, fan-outs included. *)
 let exec_shard t i q =
   let g = t.groups.(i) in
   let rec go fallback = function
@@ -558,11 +560,18 @@ let exec_shard t i q =
        | Some o -> o
        | None -> Rdi.Failed (Rdi.Remote_fault Fault.Transient))
     | (ri, rep) :: rest ->
-      (match Rdi.exec rep.r_rdi q with
+      let outcome =
+        Obs.Trace.with_span ~cat:"shard" "shard.read"
+          ~args:
+            (if Obs.Trace.enabled () then
+               [ ("shard", Obs.Trace.Int i); ("replica", Obs.Trace.Int ri) ]
+             else [])
+          (fun () -> Rdi.exec rep.r_rdi q)
+      in
+      (match outcome with
        | Rdi.Fresh rel ->
          let lag = g.rlog_len - rep.applied in
          if ri <> 0 then note_failover t ~shard:i ~replica:ri ~lag;
-         Obs.Trace.add_arg "replica" (Obs.Trace.Int ri);
          if lag = 0 then Rdi.Fresh rel else Rdi.Stale (rel, Rdi.Replica_lag lag)
        | (Rdi.Stale _ | Rdi.Failed _) as o ->
          let fallback =
@@ -843,6 +852,5 @@ let stats t = Server.sum (List.map (fun rep -> Server.stats rep.server) (replica
 let shard_stats t =
   Array.to_list (Array.map (fun g -> Server.stats g.replicas.(0).server) t.groups)
 
-let replica_log t ~shard ~replica = Server.log t.groups.(shard).replicas.(replica).server
 let rdi_stats t = Rdi.sum (List.map (fun rep -> Rdi.stats rep.r_rdi) (replicas_of t))
 let counters t = { t.counters with requests = t.counters.requests }

@@ -205,7 +205,9 @@ val route_signature : t -> Sql.select -> string
 
 val exec : t -> Sql.select -> Rdi.outcome
 (** One routed request (see the routing/merging/replica-serving rules
-    above). Emits a [shard.route] span, [shard.fanout] instants,
+    above). Emits a [shard.route] span holding one [shard.read] span
+    (arguments [shard], [replica]) per replica offered the read — the
+    copy's [rdi.exec] nests inside it — plus [shard.fanout] instants,
     [shard.replica.failover] instants, and [shard.*] metrics. *)
 
 val tick_repair : ?max_lag:int -> t -> int
@@ -243,10 +245,6 @@ val stats : t -> Server.stats
 
 val shard_stats : t -> Server.stats list
 (** Per-shard {e primary} stats, in shard order. *)
-
-val replica_log : t -> shard:int -> replica:int -> string list
-(** The replica server's request log, oldest first — the per-replica
-    journals the chaos soak uploads on failure. *)
 
 val rdi_stats : t -> Rdi.stats
 (** {!Rdi.sum} over every replica's RDI. *)

@@ -55,15 +55,12 @@ let check p =
 
 type divergence = { wave : int; sid : string; detail : string }
 
-type replica_report = { rr_health : Router.replica_health; rr_log : string list }
-
 type shard_report = {
   shard : int;
   sh_server : Server.stats;
   sh_rdi : Rdi.stats;
   sh_breaker : Rdi.breaker_state;
-  sh_log : string list;
-  sh_replicas : replica_report list;  (** [] when [replicas = 1] *)
+  sh_replicas : Router.replica_health list;  (** [] when [replicas = 1] *)
 }
 
 type session_report = {
@@ -238,7 +235,7 @@ let report_to_string r =
         s.shard s.sh_server.Server.requests s.sh_server.Server.tuples_scanned
         s.sh_rdi.Rdi.failures s.sh_rdi.Rdi.stale_serves (breaker_to_string s.sh_breaker);
       List.iter
-        (fun { rr_health = h; _ } ->
+        (fun (h : Router.replica_health) ->
           line "    r%d@node%d   %s lag=%d hints=%d breaker=%s%s" h.Router.rh_replica
             h.Router.rh_node
             (if h.Router.rh_replica = 0 then "primary" else "backup ")
@@ -279,26 +276,6 @@ let report_to_string r =
         s.submitted s.answered s.shed s.fresh s.degraded s.p95_ms)
     r.per_session;
   Buffer.contents b
-
-let shard_journals r =
-  List.concat_map
-    (fun s ->
-      ( Printf.sprintf ".shard%d" s.shard,
-        Printf.sprintf
-          "# shard %d: %d requests, %d scanned, %d failures, %d stale serves, breaker %s"
-          s.shard s.sh_server.Server.requests s.sh_server.Server.tuples_scanned
-          s.sh_rdi.Rdi.failures s.sh_rdi.Rdi.stale_serves (breaker_to_string s.sh_breaker)
-        :: s.sh_log )
-      :: List.map
-           (fun { rr_health = h; rr_log } ->
-             ( Printf.sprintf ".shard%d.r%d" s.shard h.Router.rh_replica,
-               Printf.sprintf "# shard %d replica %d (node %d): lag=%d hints=%d breaker=%s%s"
-                 s.shard h.Router.rh_replica h.Router.rh_node h.Router.rh_lag h.Router.rh_hints
-                 (breaker_to_string h.Router.rh_breaker)
-                 (if h.Router.rh_partitioned then " partitioned" else "")
-               :: rr_log ))
-           s.sh_replicas)
-    r.per_shard
 
 (* Per-session accumulators owned by the soak, not the scheduler: they
    must survive the scheduler being rebuilt over the recovered CMS. *)
@@ -691,24 +668,14 @@ let run profile ~seed ~waves =
             sh_server;
             sh_rdi = Rdi.stats (Router.rdi r i);
             sh_breaker = Rdi.breaker (Router.rdi r i);
-            sh_log = Server.log (Router.shard r i);
-            sh_replicas =
-              (if replicas = 1 then []
-               else
-                 List.map
-                   (fun h ->
-                     {
-                       rr_health = h;
-                       rr_log = Router.replica_log r ~shard:i ~replica:h.Router.rh_replica;
-                     })
-                   (Router.replica_health r i));
+            sh_replicas = (if replicas = 1 then [] else Router.replica_health r i);
           })
         (Router.shard_stats r)
   in
   let end_max_lag =
     List.fold_left
       (fun acc s ->
-        List.fold_left (fun acc rr -> Int.max acc rr.rr_health.Router.rh_lag) acc s.sh_replicas)
+        List.fold_left (fun acc h -> Int.max acc h.Router.rh_lag) acc s.sh_replicas)
       0 per_shard
   in
   let stale_after_heal =

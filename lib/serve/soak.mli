@@ -12,7 +12,13 @@
     Recovery must rebuild a byte-identical cache model from the shared
     journal (whose entries carry session ids). The whole run is a
     deterministic function of its {!profile}, [seed] and [waves]: same
-    inputs, byte-identical {!report_to_string}. *)
+    inputs, byte-identical {!report_to_string}.
+
+    The report keeps counts only. The per-request record of a run — which
+    copy was asked for what, with every retry, trip and stale serve — is
+    the span trace of the run under an installed tracer ([bench --serve
+    LEG --trace PATH]): each replica read is a [shard.read] span naming
+    its shard and replica (docs/OBSERVABILITY.md). *)
 
 (** What goes wrong during the run. *)
 type faults =
@@ -82,23 +88,14 @@ val legs : (string * profile) list
 
 type divergence = { wave : int; sid : string; detail : string }
 
-(** End-of-run health of one replica of a shard. *)
-type replica_report = {
-  rr_health : Braid_remote.Shard_router.replica_health;
-  rr_log : string list;  (** the SQL texts this replica served *)
-}
-
 (** End-of-run accounting for one shard of a sharded soak. *)
 type shard_report = {
   shard : int;
   sh_server : Braid_remote.Server.stats;  (** the shard primary's server *)
   sh_rdi : Braid_remote.Rdi.stats;  (** the shard's RDI *)
   sh_breaker : Braid_remote.Rdi.breaker_state;  (** final primary breaker state *)
-  sh_log : string list;
-      (** the SQL texts this shard's primary served (oldest first);
-          deliberately not part of {!report_to_string} (the rendered
-          report stays compact) — see {!shard_journals} *)
-  sh_replicas : replica_report list;  (** [] when [replicas = 1] *)
+  sh_replicas : Braid_remote.Shard_router.replica_health list;
+      (** end-of-run health of each copy; [] when [replicas = 1] *)
 }
 
 type session_report = {
@@ -197,11 +194,3 @@ val run : profile -> seed:int -> waves:int -> report
 
 val report_to_string : report -> string
 (** Deterministic rendering — byte-identical across runs for a seed. *)
-
-val shard_journals : report -> (string * string list) list
-(** One request journal per shard (suffix [".shardN"]) and, when
-    replicated, per replica ([".shardN.rM"]): a [#] header line with the
-    copy's end-of-run accounting, then the SQL texts it served. The bench
-    CLI writes each to its [--journal] path plus the suffix, and the
-    serve-soak CI job uploads them on failure, so a sick copy's exact
-    fetch sequence is reconstructible. *)

@@ -154,13 +154,13 @@ let test_readme_soak_legs () =
     "README --serve legs" (List.sort compare (List.map fst Braid_serve.Soak.legs))
     (legs [] words)
 
-(* Names in the first column of OBSERVABILITY.md's metric taxonomy
-   table (a cell may list several, e.g. `a` / `b`). *)
-let taxonomy_names () =
+(* Names in the first column of the table under OBSERVABILITY.md's
+   [heading] (a cell may list several, e.g. `a` / `b`). *)
+let taxonomy_names heading =
   let lines = String.split_on_char '\n' (read_file "../docs/OBSERVABILITY.md") in
   let rec section = function
     | [] -> []
-    | l :: tl when String.trim l = "## Metric taxonomy" -> body tl
+    | l :: tl when String.trim l = heading -> body tl
     | _ :: tl -> section tl
   and body = function
     | [] -> []
@@ -177,7 +177,7 @@ let taxonomy_names () =
    legs) reach the trips, fast-fails, hinted writes and handoffs that
    shorter runs miss. *)
 let test_taxonomy_covers_registry () =
-  let documented = taxonomy_names () in
+  let documented = taxonomy_names "## Metric taxonomy" in
   check_bool "taxonomy table found" true (List.length documented > 20);
   Braid_obs.Metrics.reset ();
   List.iter
@@ -188,6 +188,45 @@ let test_taxonomy_covers_registry () =
       let name = Braid_obs.Metrics.row_name row in
       check_bool (name ^ " is in the metric taxonomy") true (List.mem name documented))
     (Braid_obs.Metrics.snapshot ())
+
+(* The span table is checked the same way against a tracer installed over
+   the six legs, plus one RDI request whose budget stops it after a retry
+   (the soak's tighter budgets stop before any retry). *)
+let test_span_taxonomy_covers_trace () =
+  let module Trace = Braid_obs.Trace in
+  let module Remote = Braid_remote in
+  let documented = taxonomy_names "## Span taxonomy" in
+  check_bool "span table found" true (List.length documented > 20);
+  let budget_stop_after_retry () =
+    let server = Remote.Server.create () in
+    List.iter
+      (Remote.Engine.load (Remote.Server.engine server))
+      (Braid_workload.Datagen.paper_example ~size:20 ());
+    Remote.Server.set_faults server
+      (Some { Remote.Fault.none with Remote.Fault.error_rate = 1.0; seed = 3 });
+    (* 150 ms: room for the first backoff, not for the second *)
+    let policy =
+      { Remote.Rdi.default_policy with Remote.Rdi.seed = 9; request_budget_ms = Some 150.0 }
+    in
+    ignore (Remote.Rdi.exec (Remote.Rdi.create ~policy server) (Remote.Sql.select_all "b2"))
+  in
+  let tr = Trace.create () in
+  Trace.install tr;
+  Fun.protect ~finally:Trace.uninstall (fun () ->
+      List.iter
+        (fun (_, profile) -> ignore (Braid_serve.Soak.run profile ~seed:1 ~waves:120))
+        Braid_serve.Soak.legs;
+      budget_stop_after_retry ());
+  check_int "nothing dropped" 0 (Trace.dropped tr);
+  let recorded =
+    List.sort_uniq compare (List.map (fun (s : Trace.span) -> s.Trace.name) (Trace.spans tr))
+  in
+  List.iter
+    (fun name -> check_bool (name ^ " was recorded") true (List.mem name recorded))
+    [ "rdi.retry"; "rdi.budget_stop"; "shard.read" ];
+  List.iter
+    (fun name -> check_bool (name ^ " is in the span taxonomy") true (List.mem name documented))
+    recorded
 
 let suites =
   [
@@ -204,5 +243,7 @@ let suites =
           test_readme_soak_legs;
         Alcotest.test_case "metric taxonomy covers the registry" `Quick
           test_taxonomy_covers_registry;
+        Alcotest.test_case "span taxonomy covers the trace" `Quick
+          test_span_taxonomy_covers_trace;
       ] );
   ]

@@ -15,6 +15,7 @@ module Rdi = Braid_remote.Rdi
 module Qpo = Braid_planner.Qpo
 module Plan = Braid_planner.Plan
 module CMgr = Braid_cache.Cache_manager
+module Trace = Braid_obs.Trace
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -35,6 +36,14 @@ let all_b2 = Sql.select_all "b2"
 let all_b3 = Sql.select_all "b3"
 
 let always_fail = { Fault.none with Fault.error_rate = 1.0; seed = 3 }
+
+(* The RDI's event record is the span tracer: run [f] under a fresh one
+   and return both. *)
+let with_tracer f =
+  let tr = Trace.create () in
+  Trace.install tr;
+  let x = Fun.protect ~finally:Trace.uninstall f in
+  (x, tr)
 
 (* --- the injector: bit-identical schedules from a seed --- *)
 
@@ -151,18 +160,26 @@ let run_sequence () =
   let server = load_server () in
   Server.set_faults server (Some (Fault.flaky ~seed:11 ~error_rate:0.5 ()));
   let rdi = Rdi.create ~policy:{ Rdi.default_policy with Rdi.seed = 7 } server in
-  for i = 0 to 19 do
-    ignore (Rdi.exec rdi (if i mod 2 = 0 then all_b2 else all_b3))
-  done;
-  (Rdi.trace rdi, Rdi.stats rdi)
+  let (), tr =
+    with_tracer (fun () ->
+        for i = 0 to 19 do
+          ignore (Rdi.exec rdi (if i mod 2 = 0 then all_b2 else all_b3))
+        done)
+  in
+  (tr, Rdi.stats rdi)
 
+let count_named tr name =
+  List.length (List.filter (fun (s : Trace.span) -> s.Trace.name = name) (Trace.spans tr))
+
+(* Every span argument — SQL, faults, backoff delays, simulated ms — must
+   repeat, not just the event sequence. *)
 let test_rdi_determinism () =
-  let trace1, stats1 = run_sequence () in
-  let trace2, stats2 = run_sequence () in
-  check_int "same trace length" (List.length trace1) (List.length trace2);
-  List.iter2 (fun a b -> check_string "trace line" a b) trace1 trace2;
+  let tr1, stats1 = run_sequence () in
+  let tr2, stats2 = run_sequence () in
+  check_string "byte-identical JSONL trace" (Trace.to_jsonl tr1) (Trace.to_jsonl tr2);
   check_bool "identical stats" true (stats1 = stats2);
-  check_bool "trace is non-trivial" true (List.length trace1 > 20)
+  check_int "one rdi.exec per request" 20 (count_named tr1 "rdi.exec");
+  check_bool "trace has retries" true (count_named tr1 "rdi.retry" > 0)
 
 (* --- backoff: each delay within [base*mult^k, base*mult^k*(1+jitter)] --- *)
 
@@ -181,16 +198,19 @@ let test_backoff_bounds () =
     }
   in
   let rdi = Rdi.create ~policy server in
-  (match Rdi.exec rdi all_b2 with
+  let outcome, tr = with_tracer (fun () -> Rdi.exec rdi all_b2) in
+  (match outcome with
    | Rdi.Failed (Rdi.Remote_fault _) -> ()
    | Rdi.Failed _ | Rdi.Fresh _ | Rdi.Stale _ ->
      Alcotest.fail "expected the request to fail through its retries");
   let backoffs =
     List.filter_map
-      (fun line ->
-        try Scanf.sscanf line "backoff %fms try=%d" (fun d k -> Some (d, k))
-        with Scanf.Scan_failure _ | End_of_file -> None)
-      (Rdi.trace rdi)
+      (fun (sp : Trace.span) ->
+        let arg key = List.assoc_opt key sp.Trace.args in
+        match (sp.Trace.name, arg "backoff_ms", arg "try") with
+        | "rdi.retry", Some (Trace.Float d), Some (Trace.Int k) -> Some (d, k)
+        | _ -> None)
+      (Trace.spans tr)
   in
   check_int "one backoff per retry" 3 (List.length backoffs);
   List.iter
@@ -348,22 +368,22 @@ let acceptance_run () =
   Server.set_faults server (Some (Fault.flaky ~seed:13 ~error_rate:0.2 ()));
   let config = { Qpo.braid_config with Qpo.allow_lazy = false } in
   let cms = Braid.Cms.create ~config server in
-  let provenances = ref [] in
-  for i = 0 to 39 do
-    let y = Printf.sprintf "y%d" (i mod 10) in
-    let a = Braid.Cms.query cms (d2_instance y) in
-    ignore (TS.to_relation a.Qpo.stream);
-    provenances := a.Qpo.provenance :: !provenances
-  done;
-  (List.rev !provenances, Rdi.trace (Braid.Cms.rdi cms))
+  let provenances, tr =
+    with_tracer (fun () ->
+        List.init 40 (fun i ->
+            let y = Printf.sprintf "y%d" (i mod 10) in
+            let a = Braid.Cms.query cms (d2_instance y) in
+            ignore (TS.to_relation a.Qpo.stream);
+            a.Qpo.provenance))
+  in
+  (provenances, Trace.to_jsonl tr)
 
 let test_acceptance_availability () =
   let provenances, trace = acceptance_run () in
   check_int "every query answered" 40 (List.length provenances);
   let provenances2, trace2 = acceptance_run () in
   check_bool "identical provenance sequence" true (provenances = provenances2);
-  check_int "identical trace length" (List.length trace) (List.length trace2);
-  List.iter2 (fun a b -> check_string "trace line" a b) trace trace2
+  check_string "byte-identical JSONL trace" trace trace2
 
 (* --- property: a degraded answer never invents tuples --- *)
 

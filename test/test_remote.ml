@@ -8,6 +8,8 @@ module Engine = Braid_remote.Engine
 module Server = Braid_remote.Server
 module Catalog = Braid_remote.Catalog
 module CM = Braid_remote.Cost_model
+module Fault = Braid_remote.Fault
+module Trace = Braid_obs.Trace
 module TS = Braid_stream.Tuple_stream
 
 let check_int = Alcotest.(check int)
@@ -151,11 +153,32 @@ let test_accounting () =
   check_int "four returned" 4 st.Server.tuples_returned;
   check_bool "comm charged" true
     (st.Server.comm_ms >= (Server.cost_model server).CM.request_overhead_ms);
-  check_bool "log records sql" true (Server.log server = [ "SELECT * FROM emp" ]);
   (* [stats] is a snapshot: the earlier read keeps its counts. *)
   let _ = Server.exec server (Sql.select_all "emp") in
   check_int "earlier read unchanged" 1 st.Server.requests;
   check_int "fresh read counts both" 2 (Server.stats server).Server.requests
+
+(* The request record is the [remote.exec] span: a faulted request keeps
+   its SQL text next to the injected fault. *)
+let test_exec_span_records_sql_and_fault () =
+  let server = load_server () in
+  Server.set_faults server (Some { Fault.none with Fault.error_rate = 1.0; seed = 3 });
+  let tr = Trace.create () in
+  Trace.install tr;
+  let kind =
+    Fun.protect ~finally:Trace.uninstall (fun () ->
+        match Server.exec server (Sql.select_all "emp") with
+        | _ -> Alcotest.fail "an always-failing link answered"
+        | exception Fault.Injected k -> k)
+  in
+  match Trace.spans tr with
+  | [ sp ] ->
+    Alcotest.(check string) "span name" "remote.exec" sp.Trace.name;
+    check_bool "sql recorded" true
+      (List.assoc_opt "sql" sp.Trace.args = Some (Trace.Str "SELECT * FROM emp"));
+    check_bool "fault recorded" true
+      (List.assoc_opt "fault" sp.Trace.args = Some (Trace.Str (Fault.kind_to_string kind)))
+  | spans -> Alcotest.failf "expected one remote.exec span, got %d" (List.length spans)
 
 let test_cursor_partial_transfer () =
   let server = load_server () in
@@ -190,6 +213,8 @@ let suites : unit Alcotest.test list =
         Alcotest.test_case "sql printing" `Quick test_sql_printing;
         Alcotest.test_case "catalog statistics" `Quick test_catalog_stats;
         Alcotest.test_case "request accounting" `Quick test_accounting;
+        Alcotest.test_case "faulted request span records sql and fault" `Quick
+          test_exec_span_records_sql_and_fault;
         Alcotest.test_case "cursor transfers per block" `Quick test_cursor_partial_transfer;
         Alcotest.test_case "cost model" `Quick test_cost_model;
       ] );

@@ -10,6 +10,7 @@ module Catalog = Braid_remote.Catalog
 module Fault = Braid_remote.Fault
 module Rdi = Braid_remote.Rdi
 module Router = Braid_remote.Shard_router
+module Trace = Braid_obs.Trace
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -513,6 +514,49 @@ let test_fleet_totals_sum_every_replica () =
     (Router.rdi_stats r
     = Rdi.sum (each (fun ~shard i -> Rdi.stats (Router.replica_rdi r ~shard i))))
 
+(* The trace is the remote path's only per-request record, so it must say
+   which copy every RDI request went to: each [rdi.exec] of the chaos leg
+   sits directly under a [shard.read] naming one shard and one replica,
+   and no [shard.read] holds more than one request. *)
+let test_chaos_reads_attributed () =
+  let profile = List.assoc "chaos" Braid_serve.Soak.legs in
+  let tr = Trace.create () in
+  Trace.install tr;
+  Fun.protect ~finally:Trace.uninstall (fun () ->
+      ignore (Braid_serve.Soak.run profile ~seed:1 ~waves:120));
+  check_int "nothing dropped" 0 (Trace.dropped tr);
+  let spans = Trace.spans tr in
+  let by_id = Hashtbl.create 4096 in
+  List.iter (fun (sp : Trace.span) -> Hashtbl.replace by_id sp.Trace.id sp) spans;
+  let int_arg (sp : Trace.span) key =
+    match List.filter (fun (k, _) -> k = key) sp.Trace.args with
+    | [ (_, Trace.Int n) ] -> Some n
+    | _ -> None
+  in
+  let reads_used = Hashtbl.create 1024 in
+  let copies = Hashtbl.create 8 in
+  let execs = List.filter (fun (sp : Trace.span) -> sp.Trace.name = "rdi.exec") spans in
+  check_bool "the leg issued RDI requests" true (List.length execs > 100);
+  List.iter
+    (fun (sp : Trace.span) ->
+      match Option.bind sp.Trace.parent (Hashtbl.find_opt by_id) with
+      | Some (read : Trace.span) when read.Trace.name = "shard.read" ->
+        (match (int_arg read "shard", int_arg read "replica") with
+         | Some shard, Some replica ->
+           check_bool "shard in range" true (shard >= 0 && shard < profile.Braid_serve.Soak.shards);
+           check_bool "replica in range" true
+             (replica >= 0 && replica < profile.Braid_serve.Soak.replicas);
+           check_bool "one request per shard.read" false (Hashtbl.mem reads_used read.Trace.id);
+           Hashtbl.replace reads_used read.Trace.id ();
+           Hashtbl.replace copies (shard, replica) ()
+         | _ -> Alcotest.fail "shard.read without exactly one shard and replica")
+      | _ -> Alcotest.failf "rdi.exec #%d is not under a shard.read" sp.Trace.id)
+    execs;
+  check_bool "every shard's primary was read" true
+    (List.for_all (fun i -> Hashtbl.mem copies (i, 0)) [ 0; 1; 2; 3 ]);
+  check_bool "a backup served while the primary was severed" true
+    (Hashtbl.to_seq_keys copies |> Seq.exists (fun (_, r) -> r > 0))
+
 let suites : unit Alcotest.test list =
   [
     ( "shard router",
@@ -554,5 +598,7 @@ let suites : unit Alcotest.test list =
           test_crash_recovers_applied_offset;
         Alcotest.test_case "fleet totals sum every replica" `Quick
           test_fleet_totals_sum_every_replica;
+        Alcotest.test_case "every chaos read names its shard and replica" `Quick
+          test_chaos_reads_attributed;
       ] );
   ]
