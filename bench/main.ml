@@ -264,6 +264,29 @@ let bench_find_exact =
          ignore (CMgr.find_exact cache hit);
          ignore (CMgr.find_exact cache miss)))
 
+(* The subsumption probe of one query in a cache of 256 elements: 40 of
+   them mention the query's predicate, each with its own constant in the
+   third column, and only the one whose constant the query names covers
+   it; the other 216 are over another predicate. Times candidate lookup
+   and the reject path that [subsumption_covers] (one matching pair)
+   never takes. *)
+let bench_relevant_covers =
+  let module CMgr = Braid_cache.Cache_manager in
+  let cache = CMgr.create ~capacity_bytes:max_int () in
+  let schema = R.Schema.make [ ("x", V.Tint); ("y", V.Tint) ] in
+  for i = 0 to 255 do
+    let def =
+      if i mod 6 = 0 && i / 6 < 40 then
+        A.conj [ v "X"; v "Y" ] [ atom "link" [ v "X"; v "Y"; T.Const (V.Int (i / 6)) ] ]
+      else A.conj [ v "X"; v "Y" ] [ atom "route" [ v "X"; v "Y"; T.Const (V.Int i) ] ]
+    in
+    ignore (CMgr.insert cache ~def (Braid_cache.Element.Extension (R.Relation.create schema)))
+  done;
+  let query = A.conj [ v "A"; v "B" ] [ atom "link" [ v "A"; v "B"; T.Const (V.Int 17) ] ] in
+  assert (List.length (CMgr.relevant_covers cache query) = 1);
+  Bechamel.Test.make ~name:"cache_relevant_covers_256"
+    (Bechamel.Staged.stage (fun () -> ignore (CMgr.relevant_covers cache query)))
+
 (* One magic-set fixpoint: ancestor("p0", Y), magic-transformed, solved
    semi-naively over the extensions of a 200-person family forest. *)
 let bench_datalog_ancestor =
@@ -316,6 +339,7 @@ let micro_tests =
     bench_parser;
     bench_tracker;
     bench_find_exact;
+    bench_relevant_covers;
     bench_datalog_ancestor;
     bench_ie_front_end;
   ]

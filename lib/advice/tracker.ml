@@ -4,6 +4,10 @@ type nfa = {
   trans : (int, (string * int) list ref) Hashtbl.t;
   start_state : int;
   final_state : int;
+  reach : string list array Lazy.t;
+      (* per state, the labels of every labeled edge reachable from it over
+         epsilon and labeled edges; computed on first use, then shared by
+         every tracker started on this NFA *)
 }
 
 let new_state nfa =
@@ -74,12 +78,47 @@ let rec build nfa (p : Ast.path) =
     (match sel with Some 1 -> () | Some _ | None -> add_eps nfa f s);
     (s, f)
 
+let edges tbl s = match Hashtbl.find_opt tbl s with Some cell -> !cell | None -> []
+
+let rec mem_label id = function
+  | [] -> false
+  | label :: rest -> String.equal label id || mem_label id rest
+
+let reachable_labels nfa =
+  Array.init nfa.n (fun s ->
+      let visited = Array.make nfa.n false in
+      let rec go labels = function
+        | [] -> labels
+        | s :: rest when visited.(s) -> go labels rest
+        | s :: rest ->
+          visited.(s) <- true;
+          let labeled = edges nfa.trans s in
+          let labels =
+            List.fold_left
+              (fun acc (label, _) -> if mem_label label acc then acc else label :: acc)
+              labels labeled
+          in
+          go labels (edges nfa.eps s @ List.map snd labeled @ rest)
+      in
+      go [] [ s ])
+
 let compile p =
   let nfa =
-    { n = 0; eps = Hashtbl.create 64; trans = Hashtbl.create 64; start_state = 0; final_state = 0 }
+    {
+      n = 0;
+      eps = Hashtbl.create 64;
+      trans = Hashtbl.create 64;
+      start_state = 0;
+      final_state = 0;
+      reach = lazy [||];
+    }
   in
   let s, f = build nfa p in
-  { nfa with start_state = s; final_state = f }
+  { nfa with start_state = s; final_state = f; reach = lazy (reachable_labels nfa) }
+
+let successors nfa s =
+  List.map (fun dst -> (None, dst)) (edges nfa.eps s)
+  @ List.map (fun (label, dst) -> (Some label, dst)) (edges nfa.trans s)
 
 module Int_set = Set.Make (Int)
 
@@ -90,8 +129,7 @@ let closure nfa states =
       if Int_set.mem s acc then go acc rest
       else
         let acc = Int_set.add s acc in
-        let nexts = match Hashtbl.find_opt nfa.eps s with Some cell -> !cell | None -> [] in
-        go acc (nexts @ rest)
+        go acc (edges nfa.eps s @ rest)
   in
   go Int_set.empty states
 
@@ -130,26 +168,15 @@ let next_possible t =
     (fun s acc ->
       match Hashtbl.find_opt t.nfa.trans s with
       | Some cell ->
-        List.fold_left (fun acc (label, _) -> if List.mem label acc then acc else label :: acc) acc !cell
+        List.fold_left (fun acc (label, _) -> if mem_label label acc then acc else label :: acc) acc !cell
       | None -> acc)
     t.current []
   |> List.rev
 
 let may_occur_later t id =
-  (* BFS over both epsilon and labeled edges from the current states. *)
-  let visited = Hashtbl.create 64 in
-  let rec go = function
-    | [] -> false
-    | s :: rest ->
-      if Hashtbl.mem visited s then go rest
-      else begin
-        Hashtbl.add visited s ();
-        let eps = match Hashtbl.find_opt t.nfa.eps s with Some c -> !c | None -> [] in
-        let labeled = match Hashtbl.find_opt t.nfa.trans s with Some c -> !c | None -> [] in
-        if List.exists (fun (label, _) -> String.equal label id) labeled then true
-        else go (eps @ List.map snd labeled @ rest)
-      end
-  in
-  go (Int_set.elements t.current)
+  let reach = Lazy.force t.nfa.reach in
+  Int_set.exists (fun s -> mem_label id reach.(s)) t.current
+
+let states t = Int_set.elements t.current
 
 let finished t = Int_set.mem t.nfa.final_state t.current

@@ -33,7 +33,18 @@ val next_possible : t -> string list
 (** Spec ids that may label the very next query. *)
 
 val may_occur_later : t -> string -> bool
-(** Whether the spec id can still appear in the remainder of the session. *)
+(** Whether the spec id can still appear in the remainder of the session:
+    whether some current state reaches an edge labeled with it. The set of
+    labels reachable from each NFA state is computed once per compiled
+    NFA, so a call is a lookup per current state. *)
+
+val states : t -> int list
+(** The NFA states the tracker is in, ascending. *)
+
+val successors : nfa -> int -> (string option * int) list
+(** The edges out of an NFA state: [(None, dst)] for an epsilon edge,
+    [(Some id, dst)] for one labeled with a spec id. With {!states} this
+    lets a test walk the automaton itself. *)
 
 val finished : t -> bool
 (** Whether the session may be complete at this point. *)

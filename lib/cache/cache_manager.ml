@@ -107,24 +107,28 @@ let find t id = Cache_model.find t.model id
 let find_exact t def = Cache_model.find_variant t.model (A.variant_key def)
 
 let relevant_covers t (q : A.conj) =
-  let preds =
-    List.sort_uniq String.compare
-      (List.map (fun a -> a.Braid_logic.Atom.pred) q.A.atoms)
-  in
-  let seen = Hashtbl.create 16 in
   let candidates =
-    List.concat_map (Cache_model.candidates_for_pred t.model) preds
-    |> List.filter (fun (e : Element.t) ->
-           if Hashtbl.mem seen e.Element.id then false
-           else begin
-             Hashtbl.add seen e.Element.id ();
-             true
-           end)
+    match
+      List.sort_uniq String.compare
+        (List.map (fun a -> a.Braid_logic.Atom.pred) q.A.atoms)
+    with
+    | [ p ] -> Cache_model.candidates_for_pred t.model p
+    | preds ->
+      let seen = Hashtbl.create 16 in
+      List.concat_map (Cache_model.candidates_for_pred t.model) preds
+      |> List.filter (fun (e : Element.t) ->
+             if Hashtbl.mem seen e.Element.id then false
+             else begin
+               Hashtbl.add seen e.Element.id ();
+               true
+             end)
   in
+  let probe = Sub.probe q in
   List.concat_map
     (fun (e : Element.t) ->
-      let sub_elem = { Sub.id = e.Element.id; def = e.Element.def } in
-      List.map (fun cover -> (e, cover)) (Sub.covers sub_elem q))
+      match Sub.probe_covers probe { Sub.id = e.Element.id; def = e.Element.def } with
+      | [] -> [] (* most candidates: no closure built for them *)
+      | covers -> List.map (fun cover -> (e, cover)) covers)
     candidates
 
 let stale_hook t n =

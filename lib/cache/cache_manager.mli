@@ -40,7 +40,11 @@ val find_exact : t -> Braid_caql.Ast.conj -> Element.t option
 val relevant_covers :
   t -> Braid_caql.Ast.conj -> (Element.t * Braid_subsume.Subsumption.cover) list
 (** Step 2 of §5.3.2: all (element, cover) pairs usable to derive part of
-    the query, found via the predicate-name index. *)
+    the query, found via the predicate-name index. Pairs come in candidate
+    order — the query's predicates sorted, each predicate's elements
+    oldest first, an element counted once — and each element's covers in
+    the order {!Braid_subsume.Subsumption.covers} finds them. The QPO's
+    cover choice breaks ties by this order. *)
 
 val eval : t -> ?extra:(string * Braid_relalg.Relation.t) list -> Braid_caql.Ast.t ->
   Braid_relalg.Relation.t

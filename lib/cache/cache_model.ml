@@ -5,7 +5,7 @@ type t = {
   capacity_bytes : int;
   elements : (string, Element.t) Hashtbl.t;
   mutable order : string list; (* insertion order, newest first *)
-  by_pred : (string, string list ref) Hashtbl.t;
+  by_pred : (string, Element.t list ref) Hashtbl.t; (* oldest first *)
   by_key : (string, string list ref) Hashtbl.t; (* variant key -> ids, oldest first *)
   mutable clock : int;
   mutable counter : int;
@@ -44,13 +44,12 @@ let add t (e : Element.t) =
   List.iter
     (fun p ->
       match Hashtbl.find_opt t.by_pred p with
-      | Some cell -> cell := e.Element.id :: !cell
-      | None -> Hashtbl.replace t.by_pred p (ref [ e.Element.id ]))
+      | Some cell -> cell := !cell @ [ e ]
+      | None -> Hashtbl.replace t.by_pred p (ref [ e ]))
     (def_preds e.Element.def);
-  let key = A.variant_key e.Element.def in
-  match Hashtbl.find_opt t.by_key key with
+  match Hashtbl.find_opt t.by_key e.Element.key with
   | Some cell -> cell := !cell @ [ e.Element.id ]
-  | None -> Hashtbl.replace t.by_key key (ref [ e.Element.id ])
+  | None -> Hashtbl.replace t.by_key e.Element.key (ref [ e.Element.id ])
 
 let remove t id =
   match Hashtbl.find_opt t.elements id with
@@ -62,14 +61,13 @@ let remove t id =
     List.iter
       (fun p ->
         match Hashtbl.find_opt t.by_pred p with
-        | Some cell -> cell := others !cell
+        | Some cell -> cell := List.filter (fun (x : Element.t) -> x != e) !cell
         | None -> ())
       (def_preds e.Element.def);
-    let key = A.variant_key e.Element.def in
-    (match Hashtbl.find_opt t.by_key key with
+    (match Hashtbl.find_opt t.by_key e.Element.key with
      | Some cell ->
        (match others !cell with
-        | [] -> Hashtbl.remove t.by_key key
+        | [] -> Hashtbl.remove t.by_key e.Element.key
         | ids -> cell := ids)
      | None -> ())
 
@@ -83,9 +81,7 @@ let find_variant t key =
 let elements t = List.rev t.order |> List.filter_map (find t)
 
 let candidates_for_pred t p =
-  match Hashtbl.find_opt t.by_pred p with
-  | Some cell -> List.rev !cell |> List.filter_map (find t)
-  | None -> []
+  match Hashtbl.find_opt t.by_pred p with Some cell -> !cell | None -> []
 
 let touch t (e : Element.t) =
   e.Element.hits <- e.Element.hits + 1;

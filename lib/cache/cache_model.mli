@@ -33,8 +33,9 @@ val find_variant : t -> string -> Element.t option
     whose definition is a variant of [q]. *)
 
 val candidates_for_pred : t -> string -> Element.t list
-(** Elements whose definition mentions the given predicate — step 1 of the
-    §5.3.2 algorithm. *)
+(** Elements whose definition mentions the given predicate, oldest first —
+    the candidates of the §5.3.2 algorithm. The index holds the elements
+    themselves in that order, so this allocates nothing. *)
 
 val touch : t -> Element.t -> unit
 (** Records a use (hit count + LRU clock). *)

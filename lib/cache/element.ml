@@ -8,6 +8,7 @@ type representation =
 type t = {
   id : string;
   def : Braid_caql.Ast.conj;
+  key : string;
   mutable repr : representation;
   mutable indexes : (int list * R.Index.t) list;
   mutable sorted : (int list * R.Relation.t) list;
@@ -24,6 +25,7 @@ let make ~id ~def ~now repr =
   {
     id;
     def;
+    key = Braid_caql.Ast.variant_key def;
     repr;
     indexes = [];
     sorted = [];

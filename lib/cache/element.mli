@@ -15,6 +15,10 @@ type representation =
 type t = {
   id : string;
   def : Braid_caql.Ast.conj;  (** [def.head] describes the stored columns *)
+  key : string;
+      (** [Braid_caql.Ast.variant_key def], printed once when the element
+          is made; the cache model's exact-match index and the QPO's
+          exact-hit test read it *)
   mutable repr : representation;
   mutable indexes : (int list * Braid_relalg.Index.t) list;
   mutable sorted : (int list * Braid_relalg.Relation.t) list;

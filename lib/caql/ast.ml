@@ -1,5 +1,6 @@
 module L = Braid_logic
 module RP = Braid_relalg.Row_pred
+module V = Braid_relalg.Value
 
 type comparison = RP.cmp * L.Literal.expr * L.Literal.expr
 
@@ -86,19 +87,37 @@ let rename_vars f c =
     cmps = List.map rename_cmp c.cmps;
   }
 
-let canonical c =
-  let mapping = Hashtbl.create 8 in
-  let counter = ref 0 in
-  let f x =
-    match Hashtbl.find_opt mapping x with
-    | Some y -> y
-    | None ->
-      let y = Printf.sprintf "v%d" !counter in
-      incr counter;
-      Hashtbl.add mapping x y;
-      y
+(* The numbering of [variant_key]: comparisons first, in list order, each
+   one's right operand before its left (and inside an arithmetic
+   expression the right operand first too); then the atoms' arguments,
+   left to right; then the head. It is the order in which the first
+   implementation, a [rename_vars] pass, met the variables under OCaml's
+   right-to-left evaluation of constructor arguments and record fields;
+   spelling it out keeps every key byte-identical to that one's. Returns
+   [(variable, printed name)] pairs, most recent first. *)
+let numbering c =
+  let names = ref [] and counter = ref 0 in
+  let see x =
+    if not (List.mem_assoc x !names) then begin
+      names := (x, "v" ^ string_of_int !counter) :: !names;
+      incr counter
+    end
   in
-  rename_vars f c
+  let term = function L.Term.Var x -> see x | L.Term.Const _ -> () in
+  let rec expr = function
+    | L.Literal.Term t -> term t
+    | L.Literal.Add (a, b) | L.Literal.Sub (a, b) | L.Literal.Mul (a, b) | L.Literal.Div (a, b) ->
+      expr b;
+      expr a
+  in
+  List.iter
+    (fun (_, a, b) ->
+      expr b;
+      expr a)
+    c.cmps;
+  List.iter (fun (a : L.Atom.t) -> List.iter term a.L.Atom.args) c.atoms;
+  List.iter term c.head;
+  !names
 
 let pp_sep s ppf () = Format.fprintf ppf "%s" s
 
@@ -114,7 +133,58 @@ let pp_conj ppf c =
 
 let conj_to_string c = Format.asprintf "%a" pp_conj c
 
-let variant_key c = conj_to_string (canonical c)
+(* What [conj_to_string] prints of the renamed conjunct, without building
+   the renamed copy. *)
+let variant_key c =
+  let names = numbering c in
+  let b = Buffer.create 64 in
+  let term = function
+    | L.Term.Var x -> Buffer.add_string b (List.assoc x names)
+    | L.Term.Const v -> V.add_to_buffer b v
+  in
+  let rec expr = function
+    | L.Literal.Term t -> term t
+    | L.Literal.Add (x, y) -> bin x " + " y
+    | L.Literal.Sub (x, y) -> bin x " - " y
+    | L.Literal.Mul (x, y) -> bin x " * " y
+    | L.Literal.Div (x, y) -> bin x " / " y
+  and bin x op y =
+    Buffer.add_char b '(';
+    expr x;
+    Buffer.add_string b op;
+    expr y;
+    Buffer.add_char b ')'
+  in
+  let terms ts =
+    List.iteri
+      (fun i t ->
+        if i > 0 then Buffer.add_string b ", ";
+        term t)
+      ts
+  in
+  let first = ref true in
+  let conjunct () = if !first then first := false else Buffer.add_string b " & " in
+  Buffer.add_char b '(';
+  terms c.head;
+  Buffer.add_string b ") :- ";
+  List.iter
+    (fun (a : L.Atom.t) ->
+      conjunct ();
+      Buffer.add_string b a.L.Atom.pred;
+      Buffer.add_char b '(';
+      terms a.L.Atom.args;
+      Buffer.add_char b ')')
+    c.atoms;
+  List.iter
+    (fun (op, x, y) ->
+      conjunct ();
+      expr x;
+      Buffer.add_char b ' ';
+      Buffer.add_string b (L.Literal.cmp_symbol op);
+      Buffer.add_char b ' ';
+      expr y)
+    c.cmps;
+  Buffer.contents b
 
 let variant_equal a b = String.equal (variant_key a) (variant_key b)
 

@@ -61,14 +61,16 @@ val apply_subst : Braid_logic.Subst.t -> conj -> conj
 
 val rename_vars : (string -> string) -> conj -> conj
 
-val canonical : conj -> conj
-(** Variables renamed to [v0], [v1], ... in order of first occurrence —
-    used for variant (exact-match) comparison of queries. *)
-
 val variant_key : conj -> string
-(** The printed {!canonical} form: two conjuncts have the same key iff they
-    are variants. The cache indexes its elements by it, so exact-match
-    lookup is a hash probe. *)
+(** The conjunct as {!conj_to_string} prints it, with its variables
+    renamed [v0], [v1], ... in the order they are met when the comparisons
+    are read first (each one's right operand before its left, and inside
+    an arithmetic expression the right operand first), then the atoms'
+    arguments left to right, then the head. So [(X, Y) :- b(X, Y) & X < Y]
+    has the key [(v1, v0) :- b(v1, v0) & v1 < v0]. Printed straight into
+    one buffer. Two conjuncts have the same key iff they are variants; the
+    cache indexes its elements by it, so exact-match lookup is a hash
+    probe. *)
 
 val variant_equal : conj -> conj -> bool
 (** Equality up to variable renaming, with atom order significant

@@ -81,10 +81,11 @@ let rename f = function
   | Rel a -> Rel (Atom.rename f a)
   | Cmp (c, a, b) -> Cmp (c, rename_expr f a, rename_expr f b)
 
-let pp_cmp ppf (c : RP.cmp) =
-  Format.pp_print_string ppf
-    (match c with
-     | RP.Eq -> "=" | RP.Ne -> "<>" | RP.Lt -> "<" | RP.Le -> "<=" | RP.Gt -> ">" | RP.Ge -> ">=")
+let cmp_symbol (c : RP.cmp) =
+  match c with
+  | RP.Eq -> "=" | RP.Ne -> "<>" | RP.Lt -> "<" | RP.Le -> "<=" | RP.Gt -> ">" | RP.Ge -> ">="
+
+let pp_cmp ppf c = Format.pp_print_string ppf (cmp_symbol c)
 
 let rec pp_expr ppf = function
   | Term t -> Term.pp ppf t

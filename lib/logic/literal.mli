@@ -33,5 +33,9 @@ val eval_cmp : t -> bool option
 (** Evaluates a ground [Cmp]; [None] for [Rel] or non-ground comparisons. *)
 
 val rename : (string -> string) -> t -> t
+
+val cmp_symbol : Braid_relalg.Row_pred.cmp -> string
+(** How {!pp} prints the comparison: ["="], ["<>"], ["<"], ["<="], [">"], [">="]. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -662,14 +662,15 @@ let solve_single t (q : A.conj) =
   }
 
 (* Greedy disjoint cover selection: larger covers first, preferring
-   materialized elements and smaller extensions. *)
+   materialized elements and smaller extensions. Ties keep the order of
+   [CMgr.relevant_covers] (each predicate's elements oldest first). *)
 let choose_covers covers =
   let score ((e : Elem.t), (c : Sub.cover)) =
     ( -List.length c.Sub.covered,
       (if Elem.is_materialized e then 0 else 1),
       Elem.cardinality_estimate e )
   in
-  let sorted = List.sort (fun a b -> Stdlib.compare (score a) (score b)) covers in
+  let sorted = List.stable_sort (fun a b -> Stdlib.compare (score a) (score b)) covers in
   let chosen, _ =
     List.fold_left
       (fun (chosen, taken) ((_, c) as ec) ->
@@ -738,7 +739,7 @@ let solve_subsume t ~key (q : A.conj) =
         Braid_cache.Cache_model.touch model e;
         if
           uncovered_idx = [] && List.length chosen = 1
-          && String.equal (A.variant_key e.Elem.def) key
+          && String.equal e.Elem.key key
         then
           Plan.Exact_hit { element = e.Elem.id }
         else Plan.Use_element { element = e.Elem.id; covered_atoms = c.Sub.covered })

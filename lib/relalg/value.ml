@@ -70,6 +70,13 @@ let pp ppf = function
 
 let to_string v = Format.asprintf "%a" pp v
 
+let add_to_buffer b = function
+  | Int x -> Buffer.add_string b (string_of_int x)
+  | Float x -> Printf.bprintf b "%g" x
+  | Str s -> Printf.bprintf b "%S" s
+  | Bool x -> Buffer.add_string b (string_of_bool x)
+  | Null -> Buffer.add_string b "null"
+
 let pp_ty ppf ty =
   Format.pp_print_string ppf
     (match ty with Tint -> "int" | Tfloat -> "float" | Tstr -> "str" | Tbool -> "bool")

@@ -29,6 +29,9 @@ val hash_int : int -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends exactly what {!pp} prints. *)
+
 val pp_ty : Format.formatter -> ty -> unit
 val ty_to_string : ty -> string
 

@@ -127,10 +127,18 @@ let exec t ?deadline_ms q =
       result)
 
 let open_cursor t ?(block_size = 32) q =
-  let latency_ms = injected_latency t q in
-  let result, scanned = Engine.execute t.engine q in
-  charge_request t ~scanned;
-  t.stats.comm_ms <- t.stats.comm_ms +. latency_ms;
+  let result =
+    Obs.Trace.with_span ~cat:"remote" "remote.exec"
+      ~args:(if Obs.Trace.enabled () then [ ("sql", Obs.Trace.Str (Sql.to_string q)) ] else [])
+      (fun () ->
+        Obs.Metrics.incr "remote.requests";
+        let latency_ms = injected_latency t q in
+        let result, scanned = Engine.execute t.engine q in
+        charge_request t ~scanned;
+        t.stats.comm_ms <- t.stats.comm_ms +. latency_ms;
+        Obs.Trace.add_arg "scanned" (Obs.Trace.Int scanned);
+        result)
+  in
   let base = TS.of_relation result in
   (* Wrap the raw result so every pulled tuple is charged to transfer;
      buffering then makes the charge advance block-wise. *)

@@ -61,7 +61,10 @@ val exec : t -> ?deadline_ms:float -> Sql.select -> Braid_relalg.Relation.t
 val open_cursor : t -> ?block_size:int -> Sql.select -> Braid_stream.Tuple_stream.t
 (** The request is executed on the server (charged as one request plus its
     scan cost), but transfer cost is charged per block as the client pulls;
-    an abandoned cursor therefore transfers less. *)
+    an abandoned cursor therefore transfers less. Like {!exec} it counts in
+    [remote.requests] and is one [remote.exec] span carrying its [sql],
+    [scanned] and any injected [fault]; the span closes when the cursor
+    opens, so it holds no transfer. *)
 
 val stats : t -> stats
 (** A snapshot: later requests do not change it. *)

@@ -36,8 +36,20 @@ type cover = {
 
 val covers : element -> Braid_caql.Ast.conj -> cover list
 (** All distinct ways the element derives a sub-conjunction of the query
-    (the element's every atom must participate). Empty when the element
-    cannot be used. *)
+    (the element's every atom must participate), in the order the search
+    finds them. Empty when the element cannot be used. Step 1 runs first
+    and allocates nothing: unless every element atom meets a query atom of
+    its predicate and arity whose constants agree with the element's
+    constants, the element is rejected before any mapping is built. *)
+
+type probe
+(** A query prepared for testing many elements against it. *)
+
+val probe : Braid_caql.Ast.conj -> probe
+
+val probe_covers : probe -> element -> cover list
+(** [probe_covers (probe q) e = covers e q]; the query's preparation is
+    shared by every element probed with it. *)
 
 val full_cover : element -> Braid_caql.Ast.conj -> cover option
 (** A cover whose [covered] is all of the query's atoms, if any. *)

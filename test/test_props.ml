@@ -476,6 +476,115 @@ let prop_instance_always_covered =
       let q = A.apply_subst subst def in
       Sub.full_cover { Sub.id = "e"; def } q <> None)
 
+(* --- the cache probe against its reference implementations --- *)
+
+let gen_probe_value : V.t QCheck.Gen.t =
+  QCheck.Gen.oneof
+    [
+      (QCheck.Gen.int_range 0 2 >|= fun n -> V.Int n);
+      QCheck.Gen.oneofl [ V.Str "a"; V.Str "b"; V.Float 0.5; V.Float 2.5 ];
+    ]
+
+let gen_probe_term vars : T.t QCheck.Gen.t =
+  QCheck.Gen.frequency
+    [ (3, QCheck.Gen.oneofl vars >|= fun x -> T.Var x); (1, gen_probe_value >|= fun c -> T.Const c) ]
+
+let gen_probe_atom vars : L.Atom.t QCheck.Gen.t =
+  QCheck.Gen.oneofl [ ("p", 2); ("q", 2); ("r", 3) ] >>= fun (pred, arity) ->
+  QCheck.Gen.list_repeat arity (gen_probe_term vars) >|= L.Atom.make pred
+
+let gen_probe_cmp vars : A.comparison QCheck.Gen.t =
+  let var = QCheck.Gen.oneofl vars >|= fun x -> L.Literal.Term (T.Var x) in
+  let const = QCheck.Gen.int_range 0 2 >|= fun n -> L.Literal.Term (T.Const (V.Int n)) in
+  QCheck.Gen.triple gen_cmp_op var (QCheck.Gen.oneof [ var; const ])
+
+(* A conjunct over [vars]: 1-3 atoms, a head of 0-3 of its atoms' terms
+   (repeats allowed) and 0-2 comparisons on atom variables, so it is safe. *)
+let gen_probe_conj vars : A.conj QCheck.Gen.t =
+  QCheck.Gen.list_size (QCheck.Gen.int_range 1 3) (gen_probe_atom vars) >>= fun atoms ->
+  let terms = List.concat_map (fun (a : L.Atom.t) -> a.L.Atom.args) atoms in
+  let bound = List.concat_map L.Atom.vars atoms in
+  QCheck.Gen.list_size (QCheck.Gen.int_range 0 3) (QCheck.Gen.oneofl terms) >>= fun head ->
+  (if bound = [] then QCheck.Gen.return []
+   else QCheck.Gen.list_size (QCheck.Gen.int_range 0 2) (gen_probe_cmp bound))
+  >|= fun cmps -> A.conj ~cmps head atoms
+
+(* Half the queries instantiate the element (some of its variables bound
+   to constants or to the query's own variables U and V, which can merge
+   two of them) and add atoms of their own, so covers are common; the
+   rest are unrelated conjuncts. *)
+let gen_probe_pair : (A.conj * A.conj) QCheck.Gen.t =
+  gen_probe_conj [ "X"; "Y"; "Z" ] >>= fun def ->
+  QCheck.Gen.bool >>= fun related ->
+  if not related then gen_probe_conj [ "U"; "V"; "W"; "X" ] >|= fun q -> (def, q)
+  else
+    QCheck.Gen.list_repeat 3
+      (QCheck.Gen.frequency [ (1, QCheck.Gen.return None); (2, gen_probe_term [ "U"; "V" ] >|= Option.some) ])
+    >>= fun images ->
+    QCheck.Gen.list_size (QCheck.Gen.int_range 0 2) (gen_probe_atom [ "U"; "V"; "W" ])
+    >|= fun extra ->
+    let subst =
+      List.fold_left2
+        (fun s x image -> match image with Some t -> L.Subst.bind x t s | None -> s)
+        L.Subst.empty [ "X"; "Y"; "Z" ] images
+    in
+    let inst = A.apply_subst subst def in
+    (def, { inst with A.atoms = extra @ inst.A.atoms })
+
+let print_probe_pair (def, q) = A.conj_to_string def ^ "  vs  " ^ A.conj_to_string q
+
+let prop_covers_equal_reference =
+  QCheck.Test.make ~count:2000 ~name:"covers = pre-reject reference, same order"
+    (arb_of gen_probe_pair print_probe_pair)
+    (fun (def, q) ->
+      let e = { Sub.id = "e"; def } in
+      let expected = Probe_oracle.covers e q in
+      Sub.covers e q = expected && Sub.probe_covers (Sub.probe q) e = expected)
+
+(* Comparisons with nested arithmetic and every kind of constant, strings
+   that need escaping included. *)
+let gen_key_conj : A.conj QCheck.Gen.t =
+  let vars = [ "X"; "Y"; "Z"; "W" ] in
+  let const =
+    QCheck.Gen.oneofl
+      [ V.Int (-3); V.Int 7; V.Float 0.1; V.Float 1e21; V.Float (-2.5); V.Str "a b";
+        V.Str "say \"hi\""; V.Str "tab\tnew\nline"; V.Bool true; V.Null ]
+  in
+  let term =
+    QCheck.Gen.frequency
+      [ (3, QCheck.Gen.oneofl vars >|= fun x -> T.Var x); (1, const >|= fun c -> T.Const c) ]
+  in
+  let rec expr depth =
+    if depth = 0 then term >|= fun t -> L.Literal.Term t
+    else
+      QCheck.Gen.frequency
+        [
+          (2, term >|= fun t -> L.Literal.Term t);
+          ( 1,
+            QCheck.Gen.triple (QCheck.Gen.int_range 0 3) (expr (depth - 1)) (expr (depth - 1))
+            >|= fun (k, a, b) ->
+            match k with
+            | 0 -> L.Literal.Add (a, b)
+            | 1 -> L.Literal.Sub (a, b)
+            | 2 -> L.Literal.Mul (a, b)
+            | _ -> L.Literal.Div (a, b) );
+        ]
+  in
+  let atom =
+    QCheck.Gen.oneofl [ ("b", 2); ("link", 3); ("e", 0) ] >>= fun (pred, arity) ->
+    QCheck.Gen.list_repeat arity term >|= L.Atom.make pred
+  in
+  QCheck.Gen.list_size (QCheck.Gen.int_range 0 3) term >>= fun head ->
+  QCheck.Gen.list_size (QCheck.Gen.int_range 0 3) atom >>= fun atoms ->
+  QCheck.Gen.list_size (QCheck.Gen.int_range 0 3) (QCheck.Gen.triple gen_cmp_op (expr 2) (expr 2))
+  >|= fun cmps -> A.conj ~cmps head atoms
+
+let prop_variant_key_equals_reference =
+  QCheck.Test.make ~count:1000 ~name:"variant_key = printed old canonical form"
+    (arb_of gen_key_conj A.conj_to_string)
+    (fun c ->
+      String.equal (A.variant_key c) (Probe_oracle.variant_key c))
+
 (* --- path expression tracking --- *)
 
 let rec gen_path depth : Adv.path QCheck.Gen.t =
@@ -518,6 +627,30 @@ let prop_tracker_accepts_legal_sequences =
       let prng = Braid_workload.Prng.create seed in
       List.for_all (Tracker.advance tr) (sample_path prng p))
 
+(* Random walks, unexpected ids included (they make the tracker lost and
+   permissive): after every step, for every id, the per-state label sets
+   answer what a breadth-first walk of the automaton answers. *)
+let prop_may_occur_later_equals_bfs =
+  QCheck.Test.make ~count:300 ~name:"may_occur_later = BFS over the NFA"
+    (arb_of
+       (QCheck.Gen.pair (gen_path 2)
+          (QCheck.Gen.list_size (QCheck.Gen.int_range 0 8) (QCheck.Gen.oneofl [ "a"; "b"; "c"; "d"; "e" ])))
+       (fun (p, ids) -> Format.asprintf "%a after %s" Adv.pp_path p (String.concat "," ids)))
+    (fun (p, ids) ->
+      let nfa = Tracker.compile p in
+      let tr = Tracker.start nfa in
+      let agrees () =
+        List.for_all
+          (fun id -> Tracker.may_occur_later tr id = Probe_oracle.may_occur_later nfa tr id)
+          [ "a"; "b"; "c"; "d"; "e" ]
+      in
+      agrees ()
+      && List.for_all
+           (fun id ->
+             ignore (Tracker.advance tr id);
+             agrees ())
+           ids)
+
 (* --- incremental replacement pins --- *)
 
 module CMgr = Braid_cache.Cache_manager
@@ -525,6 +658,49 @@ module CModel = Braid_cache.Cache_model
 module Elem = Braid_cache.Element
 module Qpo = Braid_planner.Qpo
 module Advisor = Braid_advice.Advisor
+
+(* Random adds and removes on a cache model: each predicate's candidates
+   are the live elements that mention it, in the order they were added. *)
+let prop_candidates_keep_insertion_order =
+  let preds = [ "p"; "q"; "r" ] in
+  let gen_op =
+    QCheck.Gen.frequency
+      [
+        (3, QCheck.Gen.list_size (QCheck.Gen.int_range 1 2) (QCheck.Gen.oneofl preds) >|= fun ps -> `Add ps);
+        (2, QCheck.Gen.int_range 0 20 >|= fun i -> `Remove i);
+      ]
+  in
+  let print_op = function
+    | `Add ps -> "add " ^ String.concat "&" ps
+    | `Remove i -> "remove e" ^ string_of_int i
+  in
+  QCheck.Test.make ~count:300 ~name:"candidates_for_pred keeps insertion order"
+    (arb_of (QCheck.Gen.list_size (QCheck.Gen.int_range 0 30) gen_op) (fun ops ->
+         String.concat "; " (List.map print_op ops)))
+    (fun ops ->
+      let m = CModel.create ~capacity_bytes:max_int in
+      let live = ref [] (* (id, preds), oldest first *) and next = ref 0 in
+      List.iter
+        (function
+          | `Add ps ->
+            let id = "e" ^ string_of_int !next in
+            incr next;
+            let def =
+              A.conj [ T.Var "X" ]
+                (List.map (fun p -> L.Atom.make p [ T.Var "X"; T.Var "Y" ]) ps)
+            in
+            CModel.add m (Elem.make ~id ~def ~now:(CModel.tick m) (Elem.Extension (R.Relation.create schema2)));
+            live := !live @ [ (id, ps) ]
+          | `Remove i ->
+            let id = "e" ^ string_of_int i in
+            CModel.remove m id;
+            live := List.filter (fun (x, _) -> not (String.equal x id)) !live)
+        ops;
+      List.for_all
+        (fun p ->
+          List.map (fun (e : Elem.t) -> e.Elem.id) (CModel.candidates_for_pred m p)
+          = List.filter_map (fun (id, ps) -> if List.mem p ps then Some id else None) !live)
+        preds)
 
 type pin_op =
   | Advise of int * Adv.path  (* new advice on a session *)
@@ -1182,6 +1358,10 @@ let suites : unit Alcotest.test list =
           prop_subsumption_sound;
           prop_instance_always_covered;
           prop_tracker_accepts_legal_sequences;
+          prop_covers_equal_reference;
+          prop_variant_key_equals_reference;
+          prop_candidates_keep_insertion_order;
+          prop_may_occur_later_equals_bfs;
           prop_incremental_pins_equal_full_walk;
           prop_advice_epoch_ends_links;
           prop_replay_across_truncation;

@@ -180,6 +180,33 @@ let test_exec_span_records_sql_and_fault () =
       (List.assoc_opt "fault" sp.Trace.args = Some (Trace.Str (Fault.kind_to_string kind)))
   | spans -> Alcotest.failf "expected one remote.exec span, got %d" (List.length spans)
 
+let test_cursor_span_records_sql_and_fault () =
+  let server = load_server () in
+  Server.set_faults server (Some { Fault.none with Fault.error_rate = 1.0; seed = 3 });
+  let tr = Trace.create () in
+  Trace.install tr;
+  let requests_before = Braid_obs.Metrics.counter_value "remote.requests" in
+  let kind =
+    Fun.protect ~finally:Trace.uninstall (fun () ->
+        Trace.with_span ~cat:"test" "test.caller" (fun () ->
+            match Server.open_cursor server (Sql.select_all "emp") with
+            | _ -> Alcotest.fail "an always-failing link opened a cursor"
+            | exception Fault.Injected k -> k))
+  in
+  check_int "request counted" (requests_before + 1) (Braid_obs.Metrics.counter_value "remote.requests");
+  let span name =
+    match List.filter (fun sp -> String.equal sp.Trace.name name) (Trace.spans tr) with
+    | [ sp ] -> sp
+    | spans -> Alcotest.failf "expected one %s span, got %d" name (List.length spans)
+  in
+  let exec = span "remote.exec" and caller = span "test.caller" in
+  check_bool "sql recorded" true
+    (List.assoc_opt "sql" exec.Trace.args = Some (Trace.Str "SELECT * FROM emp"));
+  check_bool "fault recorded" true
+    (List.assoc_opt "fault" exec.Trace.args = Some (Trace.Str (Fault.kind_to_string kind)));
+  check_bool "caller's span carries no fault" true
+    (List.assoc_opt "fault" caller.Trace.args = None)
+
 let test_cursor_partial_transfer () =
   let server = load_server () in
   let stream = Server.open_cursor server ~block_size:2 (Sql.select_all "emp") in
@@ -215,6 +242,8 @@ let suites : unit Alcotest.test list =
         Alcotest.test_case "request accounting" `Quick test_accounting;
         Alcotest.test_case "faulted request span records sql and fault" `Quick
           test_exec_span_records_sql_and_fault;
+        Alcotest.test_case "faulted cursor span records sql and fault" `Quick
+          test_cursor_span_records_sql_and_fault;
         Alcotest.test_case "cursor transfers per block" `Quick test_cursor_partial_transfer;
         Alcotest.test_case "cost model" `Quick test_cost_model;
       ] );
