@@ -12,21 +12,33 @@
     restricted to the previous round's {e delta}, so settled tuples are not
     re-derived. The [tuples_produced] counter measures that work.
 
-    A semi-naive round costs its delta, not the totals. Its state is
-    scoped to one [run] and nothing outlives it:
-    - each derived predicate keeps one tuple set of everything derived so
-      far, and its total only grows: a round appends its fresh tuples in
-      place, in first-derivation order;
-    - joins probe indexes kept for the whole run, keyed by predicate and
-      join columns and built on first use. Static relations (fetched
-      components, supplied extensions) are indexed once. A derived total's
-      indexes grow with its appends. A delta gets no run-scoped index: the
-      join indexes it for that call alone.
+    A semi-naive round costs its delta, not the totals. Every join runs a
+    rule {e plan} compiled before round 0:
+    - a plan's join order starts from its delta atom (in round 0, from the
+      rule's first atom), then takes the first remaining atom that shares
+      a bound variable, or else the first remaining one (a product);
+    - a delta is scanned. Every later atom with a bound column (a bound
+      variable or a constant) is probed through an index on exactly those
+      columns; an atom with none is scanned;
+    - bindings live in one slot array. Constants, repeated variables and
+      comparisons are checked as soon as their variables are bound, and
+      head tuples go straight into the predicate's seen-set and next
+      delta, with no intermediate relation.
 
-    Answers, their order and every counter are those of rebuilding the
-    totals each round. The test suite keeps a naive fixpoint, which
-    re-derives every relation from scratch each round, as the oracle the
-    semi-naive rounds are checked against. *)
+    A run's state is its own and nothing outlives it. Each derived
+    predicate's total only grows, in first-derivation order, and its delta
+    is the range of rows the previous round appended. Indexes are built on
+    first probe: a static relation's once per run (components that are
+    variants are one fetch and share their indexes), a total's kept
+    current as it grows. A delta is never indexed.
+
+    A join order changes only the order in which a round meets its
+    tuples. So the rounds, [tuples_produced] and every fixpoint size are
+    those of joining each rule body in written order, and answers are
+    equal as sets; the order of their rows may differ. The test suite
+    keeps a naive fixpoint, which re-derives every relation from scratch
+    each round through {!Braid_caql.Eval.conj}, as the oracle the plans
+    are checked against. *)
 
 type outcome = {
   result : Braid_relalg.Relation.t;  (** bindings for the query's variables *)
@@ -84,3 +96,34 @@ val solve :
   Braid_logic.Atom.t ->
   outcome
 (** [run] with [source = Extensions base]. *)
+
+(** {1 A program compiled once}
+
+    The plans, the componentized rules and every schema depend on the KB,
+    the rules skipped, the catalog schemas and the query's form, not on
+    the query's constants. [compile] builds them once; [exec] runs them
+    for one set of constants. *)
+
+type program
+
+val compile :
+  Braid_logic.Kb.t ->
+  ?skip_rules:string list ->
+  ?params:Braid_relalg.Value.t list ->
+  schema:(string -> Braid_relalg.Schema.t option) ->
+  Braid_logic.Atom.t ->
+  program
+(** What [run] does before round 0 in [Conj_fetch] mode. Every constant of
+    the query or of a rule head or body that equals one of [params]
+    becomes that parameter; a fetched component must not mention one.
+    Raises what [run] raises for an unsafe rule or a base relation
+    without a schema. *)
+
+val exec :
+  program ->
+  args:Braid_relalg.Value.t list ->
+  fetch:(Braid_caql.Ast.conj -> Braid_relalg.Relation.t) ->
+  outcome
+(** Runs the program with [args] in place of its [params], fetching each
+    distinct component once. [exec (compile kb ~schema q) ~args:[] ~fetch]
+    is [run kb ~source:(Conj_fetch { fetch; schema }) q]. *)

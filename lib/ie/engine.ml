@@ -20,11 +20,15 @@ type front_end = {
 }
 
 (* A front end compiled once for a goal form, with each class of equal
-   constants replaced by a sentinel that occurs nowhere in the KB. *)
+   constants replaced by a sentinel that occurs nowhere in the KB; and, on
+   the form's first set-oriented goal, the set-oriented program compiled
+   for that sentinel goal. *)
 type template = {
   sentinels : V.t list;  (* one per class, in order of first occurrence *)
+  goal : L.Atom.t;  (* the goal with its sentinels *)
   front : front_end;
   consulted : (string * int) list;  (* catalog cardinalities the shaper read *)
+  mutable set_program : Strategy.set_program option;
 }
 
 type form =
@@ -212,7 +216,8 @@ let condition_mentions sentinels (g : Problem_graph.t) =
    sentinels, recording the cardinalities the shaper consults. *)
 let compile_template t key (goal : L.Atom.t) values =
   let sentinels = List.mapi (fun i _ -> sentinel t i) values in
-  let graph = extract t (swap_atom (List.combine values sentinels) goal) in
+  let goal = swap_atom (List.combine values sentinels) goal in
+  let graph = extract t goal in
   if condition_mentions sentinels graph then begin
     Hashtbl.replace t.forms key Value_dependent;
     None
@@ -228,12 +233,14 @@ let compile_template t key (goal : L.Atom.t) values =
     let front = shape_and_advise t ~cardinality graph in
     let nfa = Option.map Braid_advice.Tracker.compile front.advice.Adv.path in
     let front = { front with nfa } in
-    let tpl = { sentinels; front; consulted = !consulted } in
+    let tpl = { sentinels; goal; front; consulted = !consulted; set_program = None } in
     Hashtbl.replace t.forms key (Template tpl);
     Some tpl
   end
 
-let front_end t query =
+(* The front end, how it was compiled, and for a template, the template
+   and the goal's values for its sentinels. *)
+let lookup t query =
   let generation = L.Kb.generation t.kb in
   if generation <> t.forms_generation then begin
     Hashtbl.reset t.forms;
@@ -241,19 +248,44 @@ let front_end t query =
     t.kb_constants <- List.map (fun c -> (c, V.to_string c)) (L.Kb.constants t.kb)
   end;
   match form_of t query with
-  | None -> (compile t query, Per_goal)
+  | None -> (compile t query, Per_goal, None)
   | Some (key, values) ->
     (match Hashtbl.find_opt t.forms key with
-     | Some Value_dependent -> (compile t query, Per_goal)
+     | Some Value_dependent -> (compile t query, Per_goal, None)
      | Some (Template tpl)
        when List.for_all
               (fun (p, c) -> Catalog.cardinality (catalog t) p = c)
               tpl.consulted ->
-       (instantiate tpl values, Hit)
+       (instantiate tpl values, Hit, Some (tpl, values))
      | Some (Template _) | None ->
        (match compile_template t key query values with
-        | Some tpl -> (instantiate tpl values, Miss)
-        | None -> (compile t query, Per_goal)))
+        | Some tpl -> (instantiate tpl values, Miss, Some (tpl, values))
+        | None -> (compile t query, Per_goal, None)))
+
+let front_end t query =
+  let front, status, _ = lookup t query in
+  (front, status)
+
+(* The set-oriented program for the goal: the template's, compiled on the
+   form's first set-oriented goal and then reused with the goal's values,
+   or one compiled for this goal alone. *)
+let set_program t front form query () =
+  let compile goal params =
+    Strategy.compile_set t.kb t.qpo ~orderings:front.orderings ~skip_rules:front.skip_rules
+      ~params goal
+  in
+  match form with
+  | None -> (compile query [], [])
+  | Some (tpl, values) ->
+    let program =
+      match tpl.set_program with
+      | Some p -> p
+      | None ->
+        let p = compile tpl.goal tpl.sentinels in
+        tpl.set_program <- Some p;
+        p
+    in
+    (program, values)
 
 let compile_name = function Hit -> "hit" | Miss -> "miss" | Per_goal -> "per_goal"
 
@@ -264,7 +296,7 @@ let solve t query =
       (if Obs.Trace.enabled () then [ ("query", Obs.Trace.Str (L.Atom.to_string query)) ]
        else [])
     (fun () ->
-      let front, status = front_end t query in
+      let front, status, form = lookup t query in
       Obs.Trace.add_arg "compile" (Obs.Trace.Str (compile_name status));
       if t.send_advice then Qpo.set_advice ?nfa:front.nfa t.qpo front.advice
       else Qpo.set_advice t.qpo { Adv.specs = []; path = None };
@@ -272,7 +304,9 @@ let solve t query =
       let counters = { Strategy.resolutions = 0; db_goal_queries = 0 } in
       let stream =
         Strategy.solve t.strategy t.kb t.qpo ~orderings:front.orderings ~counters
-          ~max_depth:t.max_depth ~skip_rules:front.skip_rules query
+          ~max_depth:t.max_depth ~skip_rules:front.skip_rules
+          ~set_program:(set_program t front form query)
+          query
       in
       (* Account inference work as it happens: wrap the stream so pulls update
          the engine's running total. *)

@@ -60,7 +60,15 @@ val ie_ms : t -> float
     and every catalog cardinality the shaper consulted are unchanged. A goal
     whose constant is also a KB constant, and every goal of a form whose
     extracted graph has a condition on a goal constant (the shaper evaluates
-    it), is compiled on its own by {!compile}. *)
+    it), is compiled on its own by {!compile}.
+
+    The set-oriented suite's program ({!Strategy.compile_set}: the
+    magic-set transform, the componentized rules and their join plans) is
+    kept with the template too. It is compiled on the form's first
+    set-oriented goal, for the sentinel goal, and each later goal of the
+    form runs it with its own constants as the parameters: the magic seed
+    and the answer's selection are the only parts that depend on them. A
+    goal compiled on its own compiles its program on its own. *)
 
 type front_end = {
   advice : Braid_advice.Ast.t;

@@ -15,17 +15,6 @@ let is_magic p =
 let adorned p ad = p ^ "$" ^ ad
 let magic_name p ad = magic_prefix ^ p ^ "$" ^ ad
 
-(* Replay the shaper's conjunct ordering on a rule: the sideways
-   information passing order is the shaper's cheapest-first order, so
-   bindings flow through the body exactly as the strategy controller would
-   evaluate it. *)
-let reorder orderings (r : L.Rule.t) =
-  match List.assoc_opt r.L.Rule.id orderings with
-  | Some perm when List.length perm = List.length r.L.Rule.body ->
-    let arr = Array.of_list r.L.Rule.body in
-    List.map (fun i -> arr.(i)) perm
-  | Some _ | None -> r.L.Rule.body
-
 let adornment_of bound args =
   String.concat ""
     (List.map
@@ -73,7 +62,8 @@ let transform kb ?(orderings = []) ?(skip_rules = []) (query : L.Atom.t) =
             then begin
               (* head variables at bound positions are bound by the magic
                  guard; sideways information passing then walks the body
-                 in the shaper's order. *)
+                 in the shaper's cheapest-first order, so bindings flow
+                 exactly as the strategy controller would evaluate it. *)
               let bound = Hashtbl.create 8 in
               List.iteri
                 (fun i arg ->
@@ -136,7 +126,7 @@ let transform kb ?(orderings = []) ?(skip_rules = []) (query : L.Atom.t) =
                     else
                       (* neither base nor derived: keep — it Prolog-fails *)
                       new_body := lit :: !new_body)
-                (reorder orderings r);
+                (Shaper.reorder orderings r);
               add_rule
                 (L.Rule.make ~id:(r.L.Rule.id ^ "$" ^ ad)
                    { head with L.Atom.pred = adorned p ad }

@@ -218,3 +218,10 @@ let rule_orderings (g : PG.t) =
   in
   go g.PG.root;
   List.rev !orderings
+
+let reorder orderings (r : L.Rule.t) =
+  match List.assoc_opt r.L.Rule.id orderings with
+  | Some perm when List.length perm = List.length r.L.Rule.body ->
+    let arr = Array.of_list r.L.Rule.body in
+    List.map (fun i -> arr.(i)) perm
+  | Some _ | None -> r.L.Rule.body

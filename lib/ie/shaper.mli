@@ -32,3 +32,9 @@ val rule_orderings : Problem_graph.t -> (string * int list) list
     applied to its body (positions into the original body), taken from the
     first instance encountered. The strategy controller replays these
     orderings when it expands rules dynamically. *)
+
+val reorder : (string * int list) list -> Braid_logic.Rule.t -> Braid_logic.Literal.t list
+(** [reorder orderings r] is [r]'s body in the order [orderings] records for
+    its id (a renamed instance keeps its id), or as written when there is
+    none. Both the strategy controller and the magic-set transform replay
+    the shaper's order this way. *)

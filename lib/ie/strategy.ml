@@ -46,14 +46,6 @@ let uniq xs =
   in
   loop [] xs
 
-(* Replay the shaper's conjunct ordering on a (renamed) rule instance. *)
-let reorder orderings (r : L.Rule.t) =
-  match List.assoc_opt r.L.Rule.id orderings with
-  | Some perm when List.length perm = List.length r.L.Rule.body ->
-    let arr = Array.of_list r.L.Rule.body in
-    List.map (fun i -> arr.(i)) perm
-  | Some _ | None -> r.L.Rule.body
-
 (* Collect the maximal prefix run of at most [k] base conjuncts (plus the
    comparisons their variables cover), applying the current bindings. *)
 let take_run kb k env goals =
@@ -143,7 +135,7 @@ let solve_sld k kb qpo ~orderings ~counters ~max_depth ~skip_rules query =
             let r = L.Rule.rename_apart !rename_counter rule in
             counters.resolutions <- counters.resolutions + 1;
             match L.Unify.atoms env a r.L.Rule.head with
-            | Some env' -> go env' (reorder orderings r @ rest) (depth + 1)
+            | Some env' -> go env' (Shaper.reorder orderings r @ rest) (depth + 1)
             | None -> Seq.empty)
           (List.to_seq (rules_for a.L.Atom.pred))
   in
@@ -166,15 +158,25 @@ let solve_sld k kb qpo ~orderings ~counters ~max_depth ~skip_rules query =
 
 (* --- the set-oriented endpoint of the range --- *)
 
-let solve_set_oriented kb qpo ~orderings ~counters ~skip_rules query =
+type set_program = {
+  magic : bool;  (* whether the goal was magic-transformed *)
+  program : Datalog.program;
+}
+
+let compile_set kb qpo ~orderings ~skip_rules ~params query =
+  let catalog = Braid_remote.Server.catalog (Qpo.server qpo) in
+  let schema p = Braid_remote.Catalog.schema_of catalog p in
+  match Magic.transform kb ~orderings ~skip_rules query with
+  | Some m -> { magic = true; program = Datalog.compile m.Magic.kb ~params ~schema m.Magic.query }
+  | None -> { magic = false; program = Datalog.compile kb ~skip_rules ~params ~schema query }
+
+let solve_set_oriented kb qpo ~counters ~set_program query =
   Obs.Trace.with_span ~cat:"ie" "ie.set.solve"
     ~args:
       (if Obs.Trace.enabled () then [ ("query", Obs.Trace.Str (L.Atom.to_string query)) ]
        else [])
     (fun () ->
       Obs.Metrics.incr "ie.set.solves";
-      let catalog = Braid_remote.Server.catalog (Qpo.server qpo) in
-      let schema p = Braid_remote.Catalog.schema_of catalog p in
       let fetch c =
         counters.db_goal_queries <- counters.db_goal_queries + 1;
         Obs.Metrics.incr "ie.set.fetches";
@@ -190,17 +192,8 @@ let solve_set_oriented kb qpo ~orderings ~counters ~skip_rules query =
         TS.of_relation (fetch q)
       end
       else begin
-        let transformed = Magic.transform kb ~orderings ~skip_rules query in
-        let kb', query', skip' =
-          match transformed with
-          | Some m -> (m.Magic.kb, m.Magic.query, [])
-          | None -> (kb, query, skip_rules)
-        in
-        let outcome =
-          Datalog.run kb' ~skip_rules:skip'
-            ~source:(Datalog.Conj_fetch { fetch; schema })
-            query'
-        in
+        let compiled, args = set_program () in
+        let outcome = Datalog.exec compiled.program ~args ~fetch in
         counters.resolutions <- counters.resolutions + outcome.Datalog.tuples_produced;
         Obs.Metrics.incr ~by:outcome.Datalog.iterations "ie.set.rounds";
         let magic_tuples =
@@ -209,7 +202,7 @@ let solve_set_oriented kb qpo ~orderings ~counters ~skip_rules query =
             0 outcome.Datalog.derived_sizes
         in
         Obs.Metrics.incr ~by:magic_tuples "ie.set.magic_tuples";
-        if Option.is_some transformed && outcome.Datalog.fetched_tuples > 0 then
+        if compiled.magic && outcome.Datalog.fetched_tuples > 0 then
           Obs.Metrics.observe "ie.set.magic.selectivity"
             (float_of_int magic_tuples /. float_of_int outcome.Datalog.fetched_tuples);
         Obs.Trace.add_arg "rounds" (Obs.Trace.Int outcome.Datalog.iterations);
@@ -254,14 +247,15 @@ let adaptive_choice kb qpo query =
   in
   if interpretive_cost <= set_oriented_cost then `Interpretive else `Set_oriented
 
-let solve kind kb qpo ~orderings ~counters ?(max_depth = 50_000) ?(skip_rules = []) query =
+let solve kind kb qpo ~orderings ~counters ?(max_depth = 50_000) ?(skip_rules = [])
+    ~set_program query =
   match kind with
   | Interpretive -> solve_sld 1 kb qpo ~orderings ~counters ~max_depth ~skip_rules query
   | Conjunction_compiled k ->
     if k < 1 then invalid_arg "Strategy.solve: conjunction size must be >= 1";
     solve_sld k kb qpo ~orderings ~counters ~max_depth ~skip_rules query
-  | Set_oriented -> solve_set_oriented kb qpo ~orderings ~counters ~skip_rules query
+  | Set_oriented -> solve_set_oriented kb qpo ~counters ~set_program query
   | Adaptive ->
     (match adaptive_choice kb qpo query with
      | `Interpretive -> solve_sld 1 kb qpo ~orderings ~counters ~max_depth ~skip_rules query
-     | `Set_oriented -> solve_set_oriented kb qpo ~orderings ~counters ~skip_rules query)
+     | `Set_oriented -> solve_set_oriented kb qpo ~counters ~set_program query)

@@ -16,8 +16,10 @@
       all-solutions. The reachable fragment is first magic-set transformed
       (see {!Magic}) so bottom-up derivation touches only query-relevant
       tuples; for an all-free goal the transform is the identity and this
-      is plain compiled evaluation. The semi-naive {!Datalog} fixpoint then
-      runs in [Conj_fetch] mode — including recursion via the fixpoint
+      is plain compiled evaluation. The transform and the fixpoint's rule
+      plans are compiled once per goal form ({!compile_set}), the goal's
+      constants being the program's parameters. The semi-naive {!Datalog}
+      fixpoint then runs in [Conj_fetch] mode — including recursion via the fixpoint
       operator: each rule body's base component is requested as {e one}
       conjunctive CAQL query through the QPO/CMS (not a whole-extension
       dump, and not one query per binding), so every fetch is a PSJ cache
@@ -53,6 +55,25 @@ type counters = {
 exception Depth_limit of int
 exception Unbound_builtin of string
 
+type set_program
+(** The set-oriented suite compiled for one goal form: the (magic-)
+    transformed program and its {!Datalog.program}, whose parameters stand
+    for the goal's constants. *)
+
+val compile_set :
+  Braid_logic.Kb.t ->
+  Braid_planner.Qpo.t ->
+  orderings:(string * int list) list ->
+  skip_rules:string list ->
+  params:Braid_relalg.Value.t list ->
+  Braid_logic.Atom.t ->
+  set_program
+(** Magic-transforms the goal (the transform needs its constants only for
+    the seed) and compiles the result against the remote catalog's
+    schemas. Every constant equal to one of [params] becomes a parameter:
+    a caller that compiles a form once passes a goal whose constants are
+    sentinels that occur nowhere in the KB, and lists them here. *)
+
 val solve :
   kind ->
   Braid_logic.Kb.t ->
@@ -61,6 +82,7 @@ val solve :
   counters:counters ->
   ?max_depth:int ->
   ?skip_rules:string list ->
+  set_program:(unit -> set_program * Braid_relalg.Value.t list) ->
   Braid_logic.Atom.t ->
   Braid_stream.Tuple_stream.t
 (** Solutions as tuples over the query's distinct variables (in order of
@@ -71,4 +93,7 @@ val solve :
     interpretive strategies (as in Prolog) and absent for the set-oriented
     one (set semantics). [skip_rules] are rules the problem graph shaper proved
     useless for this query (culled by a false condition or a
-    mutual-exclusion SOA); the controller never expands them. *)
+    mutual-exclusion SOA); the controller never expands them.
+    [set_program] gives the compiled program of a derived goal's form with
+    the goal's values for its parameters; only the set-oriented suite
+    asks for it, once per goal. *)

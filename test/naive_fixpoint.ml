@@ -1,8 +1,9 @@
 (* Naive bottom-up Datalog: the oracle the library's semi-naive fixpoint
    ([Braid_ie.Datalog]) is checked against. Every round re-derives every
    derived relation from scratch over the current totals, until no total
-   grows. It shares nothing with the library's fixpoint but the
-   conjunctive evaluator and its schema inference. *)
+   grows. It joins through the conjunctive evaluator ([Eval.conj]), which
+   the library's fixpoint does not use, and shares only schema inference
+   with it. *)
 
 module L = Braid_logic
 module R = Braid_relalg

@@ -1088,6 +1088,42 @@ let test_cardinality_change_recompiles () =
     (check_front_ends engine [ atom "p" [ s "c2" ]; atom "p" [ s "c3" ] ]);
   check_bool "the body was reordered" true (order_before <> orderings (atom "p" [ s "c4" ]))
 
+(* The set-oriented program is compiled once per goal form, with the
+   goal's constant as a parameter: a template hit must run the new goal's
+   seed, a new rule must reach the next goal, and a goal naming a KB
+   constant compiles on its own. *)
+let test_set_program_reuse () =
+  let data () = Datagen.family ~persons:30 ~fanout:3 () in
+  let sys =
+    Braid.System.build ~strategy:Strategy.Set_oriented ~kb:(Kbgen.ancestor ()) ~data:(data ()) ()
+  in
+  let engine = Braid.System.engine sys in
+  let kb = Braid.System.kb sys in
+  let rels = data () in
+  let base name = List.find_opt (fun r -> R.Relation.name r = name) rels in
+  let solve expected g =
+    let status = snd (Engine.front_end engine g) in
+    Alcotest.(check string) (L.Atom.to_string g ^ " status") (compile_name expected)
+      (compile_name status);
+    let got = norm_rel (Braid.System.solve_all sys g) in
+    check_bool
+      (L.Atom.to_string g ^ " = a fresh fixpoint")
+      true
+      (got = norm_rel (Datalog.solve kb ~base g).Datalog.result);
+    got
+  in
+  let goal c = atom "ancestor" [ s c; v "Y" ] in
+  let p0 = solve Engine.Miss (goal "p0") in
+  let p5 = solve Engine.Hit (goal "p5") in
+  check_bool "p0 and p5 differ" true (p0 <> p5 && p5 <> []);
+  check_bool "p0 again" true (solve Engine.Hit (goal "p0") = p0);
+  let rule id head body = L.Kb.add_rule kb (L.Rule.make ~id head (List.map L.Literal.rel body)) in
+  rule "UP" (atom "ancestor" [ v "X"; v "Y" ]) [ atom "parent" [ v "Y"; v "X" ] ];
+  rule "ROOT" (atom "ancestor" [ v "X"; s "p0" ]) [ atom "person" [ v "X"; v "A" ] ];
+  check_bool "the new rules reach p5" true (solve Engine.Miss (goal "p5") <> p5);
+  check_bool "p0, now a KB constant" true (solve Engine.Per_goal (goal "p0") <> p0);
+  ignore (solve Engine.Hit (goal "p7"))
+
 let template_cases =
   [
     Alcotest.test_case "templates equal fresh compiles" `Quick
@@ -1099,6 +1135,7 @@ let template_cases =
       test_add_rule_invalidates_templates;
     Alcotest.test_case "cardinality change recompiles" `Quick
       test_cardinality_change_recompiles;
+    Alcotest.test_case "set-oriented program reused per form" `Quick test_set_program_reuse;
   ]
 
 let suites = match suites with

@@ -1294,6 +1294,140 @@ let prop_datalog_algorithms_agree =
       && semi.Datalog.tuples_produced = work
       && norm_rel semi.Datalog.result = norm_rel set.Datalog.result)
 
+(* Rule bodies the edge-only KBs above never produce: a constant inside an
+   atom, a repeated variable, comparisons (shipped with a fetch or kept
+   local), three-atom bodies, a ground atom, and an atom that shares no
+   variable with the delta (a product). [p] always has its base rule; each
+   other rule is in or out by a flag. *)
+type shapes_instance = {
+  s_edges : (int * int) list;
+  s_marks : int list;
+  s_rules : bool list;  (* one flag per optional rule of [shapes_kb] *)
+  s_consts : int * int * int;
+  s_query : [ `P | `Q ] * int option;
+}
+
+let shapes_kb { s_rules; s_consts = c1, c2, c3; _ } =
+  let kb = L.Kb.create () in
+  L.Kb.declare_base kb "edge" ~arity:2;
+  L.Kb.declare_base kb "mark" ~arity:1;
+  let x = T.Var "X" and y = T.Var "Y" and z = T.Var "Z" and w = T.Var "W" in
+  let k n = T.Const (V.Int n) in
+  let rel p args = L.Literal.rel (L.Atom.make p args) in
+  let cmp op a b = L.Literal.Cmp (op, a, b) in
+  let term t = L.Literal.Term t in
+  let rule id head body = L.Kb.add_rule kb (L.Rule.make ~id head body) in
+  rule "P0" (L.Atom.make "p" [ x; y ]) [ rel "edge" [ x; y ] ];
+  let optional =
+    [
+      (* linear recursion, the delta second *)
+      (fun () -> rule "P1" (L.Atom.make "p" [ x; y ]) [ rel "edge" [ x; z ]; rel "p" [ z; y ] ]);
+      (* a comparison across the derived and the base atom: kept local *)
+      (fun () ->
+        rule "P2" (L.Atom.make "p" [ x; y ])
+          [ rel "p" [ x; z ]; rel "edge" [ z; y ]; cmp RP.Lt (term x) (term y) ]);
+      (* three atoms, nonlinear: two derived occurrences *)
+      (fun () ->
+        rule "P3" (L.Atom.make "p" [ x; y ]) [ rel "p" [ x; z ]; rel "p" [ z; w ]; rel "edge" [ w; y ] ]);
+      (* constants inside a base and a derived atom *)
+      (fun () -> rule "P4" (L.Atom.make "p" [ x; y ]) [ rel "edge" [ x; k c1 ]; rel "p" [ k c1; y ] ]);
+      (* a two-atom base component with a comparison shipped alongside *)
+      (fun () ->
+        rule "P5" (L.Atom.make "p" [ x; y ])
+          [ rel "edge" [ x; z ]; rel "edge" [ z; y ]; cmp RP.Gt (term z) (term (k c2)) ]);
+      (* a repeated variable in the derived atom *)
+      (fun () -> rule "Q1" (L.Atom.make "q" [ x; y ]) [ rel "p" [ x; x ]; rel "edge" [ x; y ] ]);
+      (* a product: mark(X) shares no variable with the delta of p *)
+      (fun () -> rule "Q2" (L.Atom.make "q" [ x; y ]) [ rel "mark" [ x ]; rel "p" [ y; z ] ]);
+      (* a ground atom and an arithmetic comparison *)
+      (fun () ->
+        rule "Q3" (L.Atom.make "q" [ x; y ])
+          [
+            rel "edge" [ k c3; k c1 ];
+            rel "p" [ x; y ];
+            cmp RP.Lt (L.Literal.Add (term x, term (k 1))) (term y);
+          ]);
+      (* recursion through q with the head's arguments swapped *)
+      (fun () -> rule "Q4" (L.Atom.make "q" [ x; y ]) [ rel "q" [ y; x ]; rel "mark" [ y ] ]);
+    ]
+  in
+  List.iter2 (fun on add -> if on then add ()) s_rules optional;
+  rule "Q0" (L.Atom.make "q" [ x; x ]) [ rel "mark" [ x ] ];
+  kb
+
+let gen_shapes_instance =
+  let open QCheck.Gen in
+  let node = int_range 0 6 in
+  map
+    (fun ((s_edges, s_marks), (s_rules, s_consts, s_query)) ->
+      { s_edges; s_marks; s_rules; s_consts; s_query })
+    (pair
+       (pair (list_size (int_range 0 20) (pair node node)) (list_size (int_range 0 4) node))
+       (triple (list_repeat 9 bool) (triple node node node)
+          (pair (oneofl [ `P; `Q ]) (opt node))))
+
+let print_shapes_instance i =
+  let c1, c2, c3 = i.s_consts in
+  Printf.sprintf "edges=%s marks=%s rules=%s consts=%d,%d,%d q=%s(%s, Y)"
+    (String.concat "," (List.map (fun (a, b) -> Printf.sprintf "%d->%d" a b) i.s_edges))
+    (String.concat "," (List.map string_of_int i.s_marks))
+    (String.concat "" (List.map (fun b -> if b then "1" else "0") i.s_rules))
+    c1 c2 c3
+    (match fst i.s_query with `P -> "p" | `Q -> "q")
+    (match snd i.s_query with Some c -> string_of_int c | None -> "X")
+
+let prop_datalog_shapes_agree =
+  QCheck.Test.make ~count:300 ~name:"rule plans = naive fixpoint on varied rule bodies"
+    (arb_of gen_shapes_instance print_shapes_instance)
+    (fun inst ->
+      let kb = shapes_kb inst in
+      let edge = edge_rel inst.s_edges in
+      let mark =
+        R.Relation.of_tuples ~name:"mark"
+          (R.Schema.make [ ("x", V.Tint) ])
+          (List.map (fun m -> [| V.Int m |]) inst.s_marks)
+      in
+      let base n = if n = "edge" then Some edge else if n = "mark" then Some mark else None in
+      let pred = match fst inst.s_query with `P -> "p" | `Q -> "q" in
+      let arg0 = match snd inst.s_query with Some c -> T.Const (V.Int c) | None -> T.Var "X" in
+      let q = L.Atom.make pred [ arg0; T.Var "Y" ] in
+      let naive = Naive_fixpoint.solve kb ~base q in
+      let expected = norm_rel naive.Naive_fixpoint.result in
+      let agrees what result sizes =
+        if norm_rel result <> expected then QCheck.Test.fail_reportf "%s: answers differ" what
+        else
+          match sizes with
+          | Some s when s <> naive.Naive_fixpoint.derived_sizes ->
+            QCheck.Test.fail_reportf "%s: derived sizes differ" what
+          | Some _ | None -> true
+      in
+      let semi = Datalog.solve kb ~base q in
+      let schema n = Option.map R.Relation.schema (base n) in
+      let fetch c =
+        Braid_caql.Eval.conj ~source:(fun a -> Option.get (base a.L.Atom.pred)) ~schema_of:schema c
+      in
+      let fetched = Datalog.run kb ~source:(Datalog.Conj_fetch { fetch; schema }) q in
+      (* the set-oriented tier's path: the magic program compiled once with
+         a parameter in place of the goal's constant *)
+      let compiled =
+        match snd inst.s_query with
+        | None -> None
+        | Some c ->
+          let sentinel = V.Str "\000param" in
+          Option.map
+            (fun m ->
+              Datalog.exec
+                (Datalog.compile m.Magic.kb ~params:[ sentinel ] ~schema m.Magic.query)
+                ~args:[ V.Int c ] ~fetch)
+            (Magic.transform kb (L.Atom.make pred [ T.Const sentinel; T.Var "Y" ]))
+      in
+      agrees "Datalog.solve" semi.Datalog.result (Some semi.Datalog.derived_sizes)
+      && agrees "Conj_fetch run" fetched.Datalog.result (Some fetched.Datalog.derived_sizes)
+      &&
+      match compiled with
+      | Some o -> agrees "compiled magic program" o.Datalog.result None
+      | None -> true)
+
 let prop_magic_sound =
   QCheck.Test.make ~count:150 ~name:"magic answer = full answer restricted to query"
     (arb_of
@@ -1373,6 +1507,7 @@ let suites : unit Alcotest.test list =
           prop_zipf_in_range;
           prop_enumerated_plan_equals_naive;
           prop_datalog_algorithms_agree;
+          prop_datalog_shapes_agree;
           prop_magic_sound;
         ] );
   ]
