@@ -528,8 +528,7 @@ let experiments_json ?seed () =
               [ ("error_rate", J.float ~decimals:2 r.error_rate); ("queries", i r.queries);
                 ("answered", i r.answered); ("fresh", i r.fresh); ("degraded", i r.degraded);
                 ("requests", i r.requests); ("retries", i r.retries); ("trips", i r.trips);
-                ("deadline_misses", i r.deadline_misses); ("stale_serves", i r.stale_serves);
-                ("fast_fails", i r.fast_fails) ])
+                ("deadline_misses", i r.deadline_misses); ("fast_fails", i r.fast_fails) ])
           e13_rows );
       ( "e14_serve",
         table

@@ -62,7 +62,7 @@ let operand_of_expr env e =
 
 let cmp_vars (_, a, b) = L.Literal.expr_vars a @ L.Literal.expr_vars b
 
-let conj ?index ~source ~schema_of (c : Ast.conj) =
+let conj ~source ~schema_of (c : Ast.conj) =
   (* Join pipeline; comparisons are applied as soon as their variables are
      all bound. *)
   let apply_ready env pending rel =
@@ -81,8 +81,7 @@ let conj ?index ~source ~schema_of (c : Ast.conj) =
   in
   let step (acc, env, pending) (a : L.Atom.t) =
     let ext = source a in
-    let local = local_pred a in
-    let ext = match local with R.Row_pred.True -> ext | p -> R.Ops.select p ext in
+    let ext = match local_pred a with R.Row_pred.True -> ext | p -> R.Ops.select p ext in
     let joins, fresh = atom_joins env a in
     let acc_arity = R.Schema.arity (R.Relation.schema acc) in
     let joined =
@@ -90,18 +89,7 @@ let conj ?index ~source ~schema_of (c : Ast.conj) =
       | [] -> R.Ops.product acc ext
       | _ ->
         let left_cols = List.map fst joins and right_cols = List.map snd joins in
-        (* A caller-held index stands for [ext] only when no local selection
-           filtered it. Without one the join stays a hash join: building a
-           per-call index for the probe loop gives the same rows, but
-           measured slower end to end on the serve_rw workload. *)
-        let ix =
-          match local, index with
-          | R.Row_pred.True, Some index -> index a right_cols
-          | _ -> None
-        in
-        (match ix with
-         | Some ix -> fst (R.Ops.index_nl_join_count ~left_cols ix acc ext)
-         | None -> R.Ops.hash_join ~left_cols ~right_cols acc ext)
+        R.Ops.hash_join ~left_cols ~right_cols acc ext
     in
     let env = env @ List.map (fun (x, i) -> (x, acc_arity + i)) fresh in
     let joined, pending = apply_ready env pending joined in

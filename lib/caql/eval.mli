@@ -14,21 +14,12 @@ exception Unsafe of string
 (** Raised when a head or comparison variable is not range-restricted. *)
 
 val conj :
-  ?index:(Braid_logic.Atom.t -> int list -> Braid_relalg.Index.t option) ->
   source:(Braid_logic.Atom.t -> Braid_relalg.Relation.t) ->
   schema_of:(string -> Braid_relalg.Schema.t option) ->
   Ast.conj ->
   Braid_relalg.Relation.t
 (** Eager bottom-up evaluation: left-to-right hash-join pipeline with
-    pushed-down constant selections and comparisons.
-
-    [index a cols], when given, may return an index on [cols] over exactly
-    the rows [source a] returns, in the same order. It is asked only for an
-    atom joined on [cols] with no constant or repeated-variable selection
-    of its own; a returned index replaces that join's per-call hash table
-    ({!Braid_relalg.Ops.index_nl_join_count}), which emits the same rows in
-    the same order as the hash join. [None], or no [index] at all, keeps the
-    hash join. *)
+    pushed-down constant selections and comparisons. *)
 
 val query :
   source:(Braid_logic.Atom.t -> Braid_relalg.Relation.t) ->

@@ -3,7 +3,6 @@ module CMgr = Braid_cache.Cache_manager
 module Journal = Braid_cache.Journal
 module Maintain = Braid_cache.Maintain
 module Server = Braid_remote.Server
-module Rdi = Braid_remote.Rdi
 module Router = Braid_remote.Shard_router
 module TS = Braid_stream.Tuple_stream
 
@@ -116,9 +115,6 @@ let apply_delete t name tup =
   | None ->
     let removed = Braid_remote.Engine.delete (Server.engine t.server) name tup in
     if removed then begin
-      (* degrade-to-cache snapshots are honest subsets only while writes
-         are insert-only; a delete invalidates them (docs/CONSISTENCY.md) *)
-      Rdi.flush_response_cache (rdi t);
       if t.maintain then note_write t (Maintain.Delete (name, tup))
       else ignore (CMgr.invalidate_pred t.cache name)
     end;

@@ -20,8 +20,8 @@ val create :
   t
 (** [config] defaults to {!Braid_planner.Qpo.braid_config};
     [capacity_bytes] defaults to 8 MiB of cache; [rdi_policy] configures
-    the resilient Remote DBMS Interface (retries, backoff, breaker,
-    degrade-to-cache). [router] shards the remote: fetches route through
+    the resilient Remote DBMS Interface (retries, backoff, breaker).
+    [router] shards the remote: fetches route through
     {!Braid_remote.Shard_router.exec} with per-shard RDI instances, while
     the server (the router's coordinator) stays the catalog authority.
     [maintain] (default [false]) turns on incremental view maintenance:

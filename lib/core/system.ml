@@ -94,8 +94,7 @@ let pp_metrics ppf m =
     "@[<v>remote: %d requests, %d tuples returned, %d scanned (server %.1fms, comm %.1fms)@,\
      planner: %d queries — %d exact, %d full, %d partial hits, %d misses; %d generalizations, \
      %d prefetches, %d lazy@,\
-     rdi: %d requests, %d retries, %d trips, %d deadline misses, %d stale serves, \
-     %d degraded answers@,\
+     rdi: %d requests, %d retries, %d trips, %d deadline misses, %d degraded answers@,\
      cache: %d elements (%d ext / %d gen), %d bytes, %d insertions, %d evictions@,\
      time: ie %.1fms, local %.1fms, total %.1fms@]"
     m.remote.Server.requests m.remote.Server.tuples_returned m.remote.Server.tuples_scanned
@@ -104,8 +103,7 @@ let pp_metrics ppf m =
     m.planner.Qpo.misses m.planner.Qpo.generalizations m.planner.Qpo.prefetches
     m.planner.Qpo.lazy_answers m.rdi.Braid_remote.Rdi.requests
     m.rdi.Braid_remote.Rdi.retries m.rdi.Braid_remote.Rdi.trips
-    m.rdi.Braid_remote.Rdi.deadline_misses m.rdi.Braid_remote.Rdi.stale_serves
-    m.planner.Qpo.degraded m.cache_summary.Braid_cache.Cache_model.element_count
+    m.rdi.Braid_remote.Rdi.deadline_misses m.planner.Qpo.degraded m.cache_summary.Braid_cache.Cache_model.element_count
     m.cache_summary.Braid_cache.Cache_model.materialized
     m.cache_summary.Braid_cache.Cache_model.generators
     m.cache_summary.Braid_cache.Cache_model.total_bytes

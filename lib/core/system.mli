@@ -59,7 +59,7 @@ val insert_remote : t -> string -> Braid_relalg.Tuple.t -> unit
 (** Aggregated accounting across the three components. *)
 type metrics = {
   remote : Braid_remote.Server.stats;
-  rdi : Braid_remote.Rdi.stats;  (** resilience accounting (retries, trips, stale serves) *)
+  rdi : Braid_remote.Rdi.stats;  (** resilience accounting (retries, trips, failures) *)
   planner : Braid_planner.Qpo.metrics;
   cache : Braid_cache.Cache_manager.stats;
   cache_summary : Braid_cache.Cache_model.summary;

@@ -20,7 +20,6 @@ type row = {
   retries : int;
   trips : int;
   deadline_misses : int;
-  stale_serves : int;
   fast_fails : int;
 }
 
@@ -43,9 +42,9 @@ let run_one ~fault_seed ~rdi_seed ~queries ~size ~distinct error_rate =
   let policy =
     { Rdi.default_policy with Rdi.deadline_ms = Some 120.0; seed = rdi_seed }
   in
-  (* Loose coupling: every query is a remote request, so the sweep measures
-     the RDI alone. The workload repeats each request text, giving the
-     RDI's last-good response cache something to degrade to. *)
+  (* Loose coupling: every query is a remote request and nothing is
+     cached, so the sweep measures the RDI alone. A request the RDI gives
+     up on is answered [Unavailable]: empty and degraded. *)
   let config = Qpo.loose_coupling_config in
   let cms = Braid.Cms.create ~config ~rdi_policy:policy server in
   let answered = ref 0 and fresh = ref 0 and degraded = ref 0 in
@@ -70,7 +69,6 @@ let run_one ~fault_seed ~rdi_seed ~queries ~size ~distinct error_rate =
     retries = r.Rdi.retries;
     trips = r.Rdi.trips;
     deadline_misses = r.Rdi.deadline_misses;
-    stale_serves = r.Rdi.stale_serves;
     fast_fails = r.Rdi.fast_fails;
   }
 
@@ -92,7 +90,6 @@ let run ?(seed = 11) ?(queries = 60) ?(size = 120) ?(distinct = 12) () =
           Table.Int r.retries;
           Table.Int r.trips;
           Table.Int r.deadline_misses;
-          Table.Int r.stale_serves;
           Table.Int r.fast_fails;
         ])
       rows_data
@@ -102,7 +99,7 @@ let run ?(seed = 11) ?(queries = 60) ?(size = 120) ?(distinct = 12) () =
       ~title:
         (Printf.sprintf
            "E13  fault rate vs answer availability — %d remote-bound queries, \
-            RDI retries + breaker + degrade-to-cache"
+            RDI retries + breaker, no cache"
            queries)
       ~columns:
         [
@@ -115,14 +112,12 @@ let run ?(seed = 11) ?(queries = 60) ?(size = 120) ?(distinct = 12) () =
           "retries";
           "trips";
           "deadline misses";
-          "stale serves";
           "fast fails";
         ]
       ~notes:
         [
-          "every query is answered at every fault rate: degraded answers \
-           substitute the RDI's last good response (or an empty extension) \
-           when retries and the breaker give up";
+          "every query is answered at every fault rate: when retries and the \
+           breaker give up, the answer is an empty extension flagged degraded";
           "deterministic: fault schedule and backoff jitter derive from fixed \
            seeds, so this table is byte-identical across runs";
         ]

@@ -2,9 +2,9 @@
     an unreliable remote link.
 
     Sweeps the injected transient-error rate over a remote-bound workload
-    and reports how queries were satisfied: fresh after retries, degraded
-    from the RDI's last good response, or degraded-empty when nothing was
-    available. All randomness (fault schedule, backoff jitter) is seeded,
+    and reports how queries were satisfied: fresh after retries, or
+    degraded-empty when retries and the breaker gave up (loose coupling:
+    no cache to fall back on). All randomness (fault schedule, backoff jitter) is seeded,
     so the resulting counters are byte-identical across runs — the CI
     bench-smoke job gates on them. *)
 
@@ -19,12 +19,10 @@ type row = {
   retries : int;
   trips : int;  (** circuit-breaker trips *)
   deadline_misses : int;
-  stale_serves : int;  (** last-good responses served in place of a fetch *)
   fast_fails : int;  (** requests short-circuited while the breaker was open *)
 }
 
 val run :
   ?seed:int -> ?queries:int -> ?size:int -> ?distinct:int -> unit -> row list * Table.t
-(** [queries] requests over [distinct] request texts (repetition feeds the
-    RDI's last-good cache) against a [size]-scaled database; [seed] drives
-    the fault injector's schedule. *)
+(** [queries] requests over [distinct] request texts against a
+    [size]-scaled database; [seed] drives the fault injector's schedule. *)

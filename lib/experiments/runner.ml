@@ -25,7 +25,6 @@ type result = {
   degraded : int;
   retries : int;
   trips : int;
-  stale_serves : int;
   evictions : int;
   cache_bytes : int;
 }
@@ -65,7 +64,6 @@ let run_batch ~label ?config ?capacity_bytes ?strategy ?first_only ~kb ~data que
     degraded = m.Sys_.planner.Qpo.degraded;
     retries = m.Sys_.rdi.Braid_remote.Rdi.retries;
     trips = m.Sys_.rdi.Braid_remote.Rdi.trips;
-    stale_serves = m.Sys_.rdi.Braid_remote.Rdi.stale_serves;
     evictions = m.Sys_.cache.Braid_cache.Cache_manager.evictions;
     cache_bytes = m.Sys_.cache_summary.Braid_cache.Cache_model.total_bytes;
   }

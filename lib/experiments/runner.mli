@@ -24,7 +24,6 @@ type result = {
   degraded : int;  (** answers served with stale or incomplete data *)
   retries : int;  (** RDI retry attempts *)
   trips : int;  (** circuit-breaker trips *)
-  stale_serves : int;  (** last-good responses served in place of a fetch *)
   evictions : int;
   cache_bytes : int;
 }

@@ -1,6 +1,6 @@
 type degraded_source =
-  | Stale_response  (** the RDI's last good response for the same request *)
-  | Unavailable  (** nothing cached: an explicitly empty answer *)
+  | Stale_subset of Braid_remote.Rdi.failure
+  | Unavailable of Braid_remote.Rdi.failure
 
 type step =
   | Exact_hit of { element : string }
@@ -49,10 +49,13 @@ let pp_step ppf = function
          Format.pp_print_int)
       columns
   | Degraded_serve { sql; source } ->
-    Format.fprintf ppf "degraded [%s] (%s)" sql
-      (match source with
-       | Stale_response -> "stale last-good response"
-       | Unavailable -> "unavailable, empty answer")
+    let cause, failure =
+      match source with
+      | Stale_subset f -> ("stale subset", f)
+      | Unavailable f -> ("unavailable", f)
+    in
+    Format.fprintf ppf "degraded [%s] (%s: %s)" sql cause
+      (Braid_remote.Rdi.failure_to_string failure)
   | Stale_elements { touched } ->
     Format.fprintf ppf "read %d stale cache tuples" touched
 

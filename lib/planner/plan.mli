@@ -6,12 +6,15 @@
     The executed plan is reported alongside every answer so examples,
     tests and experiments can observe {e how} a query was satisfied. *)
 
+(** Why a remote part of the plan is degraded, with the failure that
+    caused it ({!Braid_remote.Rdi.failure_to_string} prints it). *)
 type degraded_source =
-  | Stale_response
-      (** the RDI's most recent good response for the same request text *)
-  | Unavailable
-      (** the remote failed and nothing was cached: the answer for this
-          part is explicitly empty *)
+  | Stale_subset of Braid_remote.Rdi.failure
+      (** an honest subset of the truth from the shard router: a lagging
+          replica's answer, or a scatter merge missing some slices *)
+  | Unavailable of Braid_remote.Rdi.failure
+      (** the remote failed: the answer for this part is explicitly
+          empty *)
 
 type step =
   | Exact_hit of { element : string }
@@ -32,9 +35,8 @@ type step =
       (** a predicted-next query was materialized ahead of its arrival *)
   | Index_built of { element : string; columns : int list }
   | Degraded_serve of { sql : string; source : degraded_source }
-      (** the remote could not answer in time; a degraded substitute was
-          used for this subquery (paper §4: the cache shields the IE from
-          the remote link) *)
+      (** the remote could not answer this subquery fully: a subset or an
+          empty answer stands in for it *)
   | Stale_elements of { touched : int }
       (** the local evaluation read cache elements marked stale (kept
           through an invalidation instead of dropped) *)

@@ -222,7 +222,9 @@ let set_rdi_policy t p =
    sharded, the single RDI otherwise. The serving layer's coalescer calls
    this as its fallback. *)
 let exec_remote t sql =
-  match t.router with Some r -> Router.exec r sql | None -> Rdi.exec t.rdi sql
+  match t.router with
+  | Some r -> Router.exec r sql
+  | None -> (match Rdi.exec t.rdi sql with Ok rel -> Rdi.Fresh rel | Error f -> Rdi.Failed f)
 
 let route_signature t sql =
   match t.router with
@@ -319,19 +321,19 @@ let uniq xs =
 let do_fetch t (def : A.conj) sql =
   match t.fetcher with Some f -> f def sql | None -> exec_remote t sql
 
-(* One resilient remote request through the RDI. Always produces a
-   relation: fresh, the RDI's last good response (stale), or — when the
-   remote is unavailable and nothing was ever fetched for this request —
+(* One resilient remote request. Always produces a relation, plus why it
+   is degraded when it is: a stale subset from the shard router (a lagging
+   replica, a partial scatter merge), or — when the remote is unavailable —
    an explicitly empty extension under the definition's schema. *)
 let remote_fetch t (def : A.conj) sql =
   let text = Braid_remote.Sql.to_string sql in
   match do_fetch t def sql with
-  | Rdi.Fresh rel -> (retyped t def rel, text, `Fresh)
-  | Rdi.Stale (rel, _) -> (retyped t def rel, text, `Stale)
-  | Rdi.Failed _ ->
+  | Rdi.Fresh rel -> (retyped t def rel, text, None)
+  | Rdi.Stale (rel, f) -> (retyped t def rel, text, Some (Plan.Stale_subset f))
+  | Rdi.Failed f ->
     Log.debug (fun m -> m "remote unavailable, empty degraded answer for [%s]" text);
     let schema = Analyze.schema_of_conj (schema_resolver t []) def in
-    (R.Relation.create schema, text, `Unavailable)
+    (R.Relation.create schema, text, Some (Plan.Unavailable f))
 
 (* --- semi-join pushdown (transfer reduction) ---
 
@@ -420,25 +422,19 @@ let fetch_atom t ?(local_values = []) (a : L.Atom.t) =
   match To_sql.translate ~schema_of:(remote_schema t) def with
   | Ok sql ->
     let sql, filtered = attach_semijoins t def sql local_values in
-    let rel, text, freshness = remote_fetch t def sql in
-    (def, rel, text, freshness, filtered)
+    let rel, text, degraded = remote_fetch t def sql in
+    (def, rel, text, degraded, filtered)
   | Error (To_sql.Unknown_relation r) -> raise (Unknown_relation r)
   | Error f -> invalid_arg ("Qpo.fetch_atom: " ^ To_sql.failure_to_string f)
 
-(* Try to ship a conjunction as one remote request. [None] also covers the
-   remote being unavailable with nothing cached for this request — the
-   caller then degrades per relation occurrence, where the RDI's response
-   cache has a better chance of a last-good hit. *)
+(* Try to ship a conjunction as one remote request. [None] only when it
+   does not translate to SQL; a failed ship degrades like any fetch. *)
 let ship_conj t ?(local_values = []) (sc : A.conj) =
   match To_sql.translate ~schema_of:(remote_schema t) sc with
   | Ok sql ->
     let sql, filtered = attach_semijoins t sc sql local_values in
-    (match do_fetch t sc sql with
-     | Rdi.Fresh rel ->
-       Some (retyped t sc rel, Braid_remote.Sql.to_string sql, `Fresh, filtered)
-     | Rdi.Stale (rel, _) ->
-       Some (retyped t sc rel, Braid_remote.Sql.to_string sql, `Stale, filtered)
-     | Rdi.Failed _ -> None)
+    let rel, text, degraded = remote_fetch t sc sql in
+    Some (rel, text, degraded, filtered)
   | Error (To_sql.Unknown_relation r) -> raise (Unknown_relation r)
   | Error _ -> None
 
@@ -447,20 +443,19 @@ let ship_conj t ?(local_values = []) (sc : A.conj) =
    plus the extras/steps contributions. Degraded (stale/unavailable) data
    is NEVER cached — a later fresh fetch must not find a poisoned hit —
    and is reported as a [Degraded_serve] step instead. *)
-let stash t ~cacheable ~freshness (def : A.conj) rel sql ~ship =
+let stash t ~cacheable ~degraded (def : A.conj) rel sql ~ship =
   let mk_step cached_as =
-    match freshness with
-    | `Fresh ->
+    match degraded with
+    | None ->
       if ship then Plan.Ship_subquery { sql; cached_as }
       else Plan.Remote_fetch { sql; cached_as }
-    | `Stale -> Plan.Degraded_serve { sql; source = Plan.Stale_response }
-    | `Unavailable -> Plan.Degraded_serve { sql; source = Plan.Unavailable }
+    | Some source -> Plan.Degraded_serve { sql; source }
   in
   let as_extra () =
     let name = fresh_extra t in
     (name, [ (name, rel) ], [ mk_step None ])
   in
-  if not (cacheable && freshness = `Fresh) then as_extra ()
+  if not (cacheable && degraded = None) then as_extra ()
   else
     match CMgr.insert t.cache ~def (Elem.Extension rel) with
     | Some e -> (e.Elem.id, [], [ mk_step (Some e.Elem.id) ])
@@ -528,13 +523,13 @@ let fetch_uncovered t ~cacheable ?(local_values = []) (q : A.conj) uncovered_idx
         if ship_c > atoms_c then None
         else
           match ship_conj t ~local_values sc with
-          | Some (rel, sql, freshness, filtered) ->
+          | Some (rel, sql, source, filtered) ->
             let name, extras, steps =
-              stash t ~cacheable:(cacheable && not filtered) ~freshness sc rel sql
+              stash t ~cacheable:(cacheable && not filtered) ~degraded:source sc rel sql
                 ~ship:true
             in
             let repl = L.Atom.make name (List.map (fun v -> L.Term.Var v) head_vars) in
-            Some ([ (uncovered_idx, repl) ], extras, steps, freshness <> `Fresh)
+            Some ([ (uncovered_idx, repl) ], extras, steps, source <> None)
           | None -> None
       end
     end
@@ -546,16 +541,16 @@ let fetch_uncovered t ~cacheable ?(local_values = []) (q : A.conj) uncovered_idx
     List.fold_left
       (fun (repls, extras, steps, degraded) i ->
         let a = List.nth q.A.atoms i in
-        let def, rel, sql, freshness, filtered = fetch_atom t ~local_values a in
+        let def, rel, sql, source, filtered = fetch_atom t ~local_values a in
         let name, extras', steps' =
-          stash t ~cacheable:(cacheable && not filtered) ~freshness def rel sql
+          stash t ~cacheable:(cacheable && not filtered) ~degraded:source def rel sql
             ~ship:false
         in
         let repl = L.Atom.make name def.A.head in
         ( repls @ [ ([ i ], repl) ],
           extras @ extras',
           steps @ steps',
-          degraded || freshness <> `Fresh ))
+          degraded || source <> None ))
       ([], [], [], false) uncovered_idx
 
 let all_indices (q : A.conj) = List.init (List.length q.A.atoms) (fun i -> i)
@@ -612,16 +607,16 @@ let solve_exact t ~key (q : A.conj) =
 let solve_single t (q : A.conj) =
   let model = CMgr.model t.cache in
   let fetch_arm (repls, extras, steps, uc, cards, degraded) i a =
-    let def, rel, sql, freshness, filtered = fetch_atom t a in
+    let def, rel, sql, source, filtered = fetch_atom t a in
     let name, extras', steps' =
-      stash t ~cacheable:(not filtered) ~freshness def rel sql ~ship:false
+      stash t ~cacheable:(not filtered) ~degraded:source def rel sql ~ship:false
     in
     ( repls @ [ ([ i ], L.Atom.make name def.A.head) ],
       extras @ extras',
       steps @ steps',
       uc,
       cards,
-      degraded || freshness <> `Fresh )
+      degraded || source <> None )
   in
   let repls, extras, steps, used_cache, used_remote, cards, degraded =
     List.fold_left

@@ -68,8 +68,8 @@ val create :
   server:Braid_remote.Server.t ->
   t
 (** [rdi_policy] configures the resilient Remote DBMS Interface the planner
-    routes every remote request through (retries, backoff, breaker,
-    degrade-to-cache); defaults to {!Braid_remote.Rdi.default_policy}.
+    routes every remote request through (retries, backoff, breaker);
+    defaults to {!Braid_remote.Rdi.default_policy}.
 
     [router] shards the remote: when given (its coordinator should be
     [server]), every fetch routes through

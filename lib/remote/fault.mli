@@ -17,8 +17,8 @@ type kind =
   | Timeout  (** the caller's deadline elapsed before the reply *)
   | Crash
       (** the CMS process dies at this request — not a remote failure.
-          The RDI re-raises it (no retry, no degrade); recovery is the
-          cache journal's job ({!Braid_cache.Journal}). *)
+          The RDI re-raises it (no retry, no failure accounting);
+          recovery is the cache journal's job ({!Braid_cache.Journal}). *)
   | Partition
       (** the target is unreachable: requests fail fast (no latency draw
           spent) until the partition heals. Deterministic — see

@@ -53,7 +53,6 @@ type stats = {
   mutable trips : int;
   mutable fast_fails : int;
   mutable half_open_probes : int;
-  mutable stale_serves : int;
   mutable backoff_ms : float;
 }
 
@@ -67,7 +66,6 @@ let zero () =
     trips = 0;
     fast_fails = 0;
     half_open_probes = 0;
-    stale_serves = 0;
     backoff_ms = 0.0;
   }
 
@@ -78,7 +76,6 @@ type t = {
   mutable state : breaker_state;
   mutable consecutive_failures : int;
   mutable cooldown_left : int;
-  last_good : (string, R.Relation.t) Hashtbl.t;
   stats : stats;
 }
 
@@ -90,14 +87,11 @@ let create ?(policy = default_policy) server =
     state = Closed;
     consecutive_failures = 0;
     cooldown_left = 0;
-    last_good = Hashtbl.create 64;
     stats = zero ();
   }
 
 let server t = t.server
 let policy t = t.policy
-
-let flush_response_cache t = Hashtbl.reset t.last_good
 
 let set_policy t policy =
   t.policy <- policy;
@@ -138,32 +132,23 @@ let note_success t =
     Obs.Trace.instant ~cat:"rdi" "rdi.close"
   | Closed | Open -> ()
 
-(* Serve the last good response for this request text, if any. *)
-let degrade t sql_text failure =
-  match Hashtbl.find_opt t.last_good sql_text with
-  | Some rel ->
-    t.stats.stale_serves <- t.stats.stale_serves + 1;
-    Obs.Metrics.incr "rdi.stale_serves";
-    Obs.Trace.instant ~cat:"rdi" "rdi.stale_serve"
-      ~args:[ ("cause", Obs.Trace.Str (failure_to_string failure)) ];
-    Stale (rel, failure)
-  | None ->
-    Obs.Metrics.incr "rdi.failures";
-    Obs.Trace.instant ~cat:"rdi" "rdi.fail"
-      ~args:[ ("cause", Obs.Trace.Str (failure_to_string failure)) ];
-    Failed failure
+(* The end of a request that got no answer. *)
+let fail failure =
+  Obs.Metrics.incr "rdi.failures";
+  Obs.Trace.instant ~cat:"rdi" "rdi.fail"
+    ~args:[ ("cause", Obs.Trace.Str (failure_to_string failure)) ];
+  Error failure
 
 (* One server round trip; classifies the fault and updates the breaker. *)
-let attempt t sql ~sql_text =
+let attempt t sql =
   t.stats.attempts <- t.stats.attempts + 1;
   match Server.exec t.server ?deadline_ms:t.policy.deadline_ms sql with
   | rel ->
     note_success t;
-    Hashtbl.replace t.last_good sql_text rel;
     Ok rel
   | exception Fault.Injected Fault.Crash ->
     (* Not a remote failure: the CMS itself dies here. No retry, no
-       degrade, no breaker accounting — recovery replays the journal. *)
+       failure or breaker accounting — recovery replays the journal. *)
     raise (Fault.Injected Fault.Crash)
   | exception Fault.Injected kind ->
     if kind = Fault.Timeout then begin
@@ -176,12 +161,12 @@ let attempt t sql ~sql_text =
 let rec exec t sql =
   t.stats.requests <- t.stats.requests + 1;
   Obs.Metrics.incr "rdi.requests";
-  let sql_text = Sql.to_string sql in
   Obs.Trace.with_span ~cat:"rdi" "rdi.exec"
-    ~args:(if Obs.Trace.enabled () then [ ("sql", Obs.Trace.Str sql_text) ] else [])
-    (fun () -> exec_traced t sql ~sql_text)
+    ~args:
+      (if Obs.Trace.enabled () then [ ("sql", Obs.Trace.Str (Sql.to_string sql)) ] else [])
+    (fun () -> exec_traced t sql)
 
-and exec_traced t sql ~sql_text =
+and exec_traced t sql =
   (* Simulated milliseconds this server has accumulated so far — deltas
      around each attempt are what the request budget is charged with. *)
   let sim_now () =
@@ -211,12 +196,12 @@ and exec_traced t sql ~sql_text =
          t.cooldown_left <- t.policy.breaker_cooldown;
          Obs.Trace.instant ~cat:"rdi" "rdi.reopen"
        | Closed | Open -> ());
-      degrade t sql_text (Remote_fault kind)
+      fail (Remote_fault kind)
     in
     let rec go try_ =
       let before = sim_now () in
-      match attempt t sql ~sql_text with
-      | Ok rel -> Fresh rel
+      match attempt t sql with
+      | Ok rel -> Ok rel
       | Error (kind, tripped) ->
         spent := !spent +. (sim_now () -. before);
         if tripped || try_ >= max_tries - 1 then give_up kind
@@ -268,7 +253,7 @@ and exec_traced t sql ~sql_text =
     Obs.Metrics.incr "rdi.fast_fails";
     Obs.Trace.instant ~cat:"rdi" "rdi.fast_fail"
       ~args:[ ("cooldown_left", Obs.Trace.Int t.cooldown_left) ];
-    degrade t sql_text Breaker_open
+    fail Breaker_open
   | Open ->
     (* Cooldown over: this request is the half-open probe. *)
     t.state <- Half_open;
@@ -291,7 +276,6 @@ let sum l =
       acc.trips <- acc.trips + s.trips;
       acc.fast_fails <- acc.fast_fails + s.fast_fails;
       acc.half_open_probes <- acc.half_open_probes + s.half_open_probes;
-      acc.stale_serves <- acc.stale_serves + s.stale_serves;
       acc.backoff_ms <- acc.backoff_ms +. s.backoff_ms)
     l;
   acc

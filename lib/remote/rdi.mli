@@ -2,11 +2,11 @@
 
     The RDI is the one component that talks to the autonomous remote
     server, so it is where unreliability must be absorbed: per-request
-    deadlines, bounded retries with exponential backoff + jitter, a
-    circuit breaker that stops hammering a down server, and — the bridge's
-    last line of defense — degrade-to-cache: the most recent good response
-    for the same request text is served, explicitly flagged stale, when
-    the remote cannot answer in time.
+    deadlines, bounded retries with exponential backoff + jitter, and a
+    circuit breaker that stops hammering a down server. It holds no data:
+    a request either returns fresh rows or fails. Old data lives only in
+    the Cache Management System, whose stale elements the QPO uses as
+    covers before any remote fetch.
 
     Everything is simulated and deterministic: backoff "waits" charge
     simulated milliseconds, the breaker cooldown counts requests, and
@@ -16,7 +16,7 @@
     The record of what happened is the span tracer: each {!exec} is one
     [rdi.exec] span (argument [sql]) holding the attempts' [remote.exec]
     spans and the [rdi.*] instants — retries with their backoff, trips,
-    probes, stale serves, failures (docs/OBSERVABILITY.md). Untraced, the
+    probes, failures (docs/OBSERVABILITY.md). Untraced, the
     interface keeps only {!stats}. *)
 
 type policy = {
@@ -55,10 +55,13 @@ type failure =
 
 val failure_to_string : failure -> string
 
+(** What a remote request through the shard router, the coalescer or the
+    planner's fetch hook produced. {!exec} itself never yields [Stale]. *)
 type outcome =
   | Fresh of Braid_relalg.Relation.t
   | Stale of Braid_relalg.Relation.t * failure
-      (** degraded: the last good response for this request text *)
+      (** an honest subset of the truth: a lagging replica's answer or a
+          scatter merge missing some slices. Produced by {!Shard_router}. *)
   | Failed of failure  (** no answer available at all *)
 
 (** Resilience accounting since {!create}. Only this module writes it. *)
@@ -71,7 +74,6 @@ type stats = private {
   mutable trips : int;  (** Closed/Half_open -> Open transitions *)
   mutable fast_fails : int;  (** requests rejected by an open breaker *)
   mutable half_open_probes : int;
-  mutable stale_serves : int;  (** degraded answers served from the response cache *)
   mutable backoff_ms : float;  (** total simulated backoff waiting *)
 }
 
@@ -92,10 +94,11 @@ val set_policy : t -> policy -> unit
 val breaker : t -> breaker_state
 (** The circuit breaker's current state. *)
 
-val exec : t -> Sql.select -> outcome
-(** One resilient request: breaker check, up to [1 + max_retries]
-    attempts under the deadline with backoff between them, then
-    degrade-to-cache. Never raises on injected faults. *)
+val exec : t -> Sql.select -> (Braid_relalg.Relation.t, failure) result
+(** One resilient request: breaker check, then up to [1 + max_retries]
+    attempts under the deadline with backoff between them. Fresh rows or
+    the failure that ended the request; never raises on injected faults
+    (except [Crash], which is the CMS dying, not the remote). *)
 
 val stats : t -> stats
 (** A snapshot of the accounting: later requests do not change it. Most
@@ -105,12 +108,3 @@ val stats : t -> stats
 
 val sum : stats list -> stats
 (** Field-wise sum. *)
-
-val flush_response_cache : t -> unit
-(** Drops every degrade-to-cache snapshot. The write path calls this on
-    every accepted {e delete}: a last-good response is only an honest
-    subset of the truth under insert-only writes, so once a row is gone a
-    retained snapshot could serve it back as phantom "extra" rows (the
-    consistency oracle's subset rule would flag exactly that — see
-    docs/CONSISTENCY.md). Inserts never flush. *)
-

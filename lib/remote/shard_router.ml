@@ -279,12 +279,6 @@ let delete t name tup =
   let removed = Engine.delete (Server.engine t.coordinator) name tup in
   if removed then begin
     replicate t t.groups.(owner_of_row t name tup) (W_delete (name, tup));
-    (* A degrade-to-cache snapshot is only an honest subset under
-       insert-only writes: once a row is gone, every replica's retained
-       last-good response could serve it back as phantom rows. *)
-    Array.iter
-      (fun g -> Array.iter (fun r -> Rdi.flush_response_cache r.r_rdi) g.replicas)
-      t.groups;
     notify_write t (W_delete (name, tup))
   end;
   removed
@@ -540,27 +534,24 @@ let note_failover t ~shard ~replica ~lag =
 
 (* One replicated-shard read. Replicas are offered the request in serving
    order, except that a replica whose breaker is open is demoted behind
-   every closed one — its RDI would only fast-fail or serve from its
-   response cache, so a healthy backup should be asked first (that demotion
-   IS the breaker-open failover; when every breaker is open the demoted
-   copies are still tried, which at R=1 makes this identical to the
-   unreplicated path). The first Fresh execution wins. A fully caught-up
-   copy serves Fresh; a lagging one is downgraded to an honestly-Stale
-   answer — inserts are append-only, so its data is a subset of the truth,
-   exactly what [Stale] promises. A serve by anyone but the primary counts
-   as a failover. Only when every replica fails does the read fall back to
-   the best degrade-to-cache outcome collected along the way. Each offer
-   is one [shard.read] span naming the copy, so a trace attributes every
+   every closed one — its RDI would only fast-fail, so a healthy backup
+   should be asked first (that demotion IS the breaker-open failover; when
+   every breaker is open the demoted copies are still tried, which at R=1
+   makes this identical to the unreplicated path). The first successful
+   execution wins. A fully caught-up copy serves Fresh; a lagging one is
+   downgraded to an honestly-Stale answer — inserts are append-only, so
+   its data is a subset of the truth, exactly what [Stale] promises. A
+   serve by anyone but the primary counts as a failover. When every
+   replica fails, the first failure is the read's. Each offer is one
+   [shard.read] span naming the copy, so a trace attributes every
    [rdi.exec] to exactly one shard and replica, fan-outs included. *)
 let exec_shard t i q =
   let g = t.groups.(i) in
-  let rec go fallback = function
+  let rec go first_failure = function
     | [] ->
-      (match fallback with
-       | Some o -> o
-       | None -> Rdi.Failed (Rdi.Remote_fault Fault.Transient))
+      Rdi.Failed (Option.value first_failure ~default:(Rdi.Remote_fault Fault.Transient))
     | (ri, rep) :: rest ->
-      let outcome =
+      let result =
         Obs.Trace.with_span ~cat:"shard" "shard.read"
           ~args:
             (if Obs.Trace.enabled () then
@@ -568,19 +559,13 @@ let exec_shard t i q =
              else [])
           (fun () -> Rdi.exec rep.r_rdi q)
       in
-      (match outcome with
-       | Rdi.Fresh rel ->
+      (match result with
+       | Ok rel ->
          let lag = g.rlog_len - rep.applied in
          if ri <> 0 then note_failover t ~shard:i ~replica:ri ~lag;
          if lag = 0 then Rdi.Fresh rel else Rdi.Stale (rel, Rdi.Replica_lag lag)
-       | (Rdi.Stale _ | Rdi.Failed _) as o ->
-         let fallback =
-           match (fallback, o) with
-           | None, _ -> Some o
-           | Some (Rdi.Failed _), Rdi.Stale _ -> Some o
-           | Some _, _ -> fallback
-         in
-         go fallback rest)
+       | Error f ->
+         go (if first_failure = None then Some f else first_failure) rest)
   in
   let closed, open_ =
     List.partition (fun (_, rep) -> Rdi.breaker rep.r_rdi <> Rdi.Open) (serving_order g)

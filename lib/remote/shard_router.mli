@@ -42,12 +42,12 @@
     the same way).
 
     Reads are offered to replicas most-caught-up-first (primary ahead on
-    ties); the first Fresh execution wins. A fully caught-up copy serves
-    Fresh, a lagging one is downgraded to an honestly-[Stale] answer
+    ties); the first successful execution wins. A fully caught-up copy
+    serves Fresh, a lagging one is downgraded to an honestly-[Stale] answer
     ([Rdi.Replica_lag] — inserts are append-only, so its data is a subset
     of the truth), and a serve by anyone but the primary counts as a
-    failover ([shard.replica.failovers]). Only total replica loss falls
-    back to the RDI's degrade-to-cache.
+    failover ([shard.replica.failovers]). Only total replica loss fails the
+    read; old data is the CMS's stale elements, not the router's.
 
     Outcome merging is degradation-aware: all slices Fresh ⇒ Fresh; any
     slice degraded or missing ⇒ [Stale] (the merged subset — compatible

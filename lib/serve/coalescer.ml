@@ -17,10 +17,9 @@ type stats = {
 
 let zero () = { requests = 0; identical_hits = 0; subsumed_hits = 0; misses = 0; rounds = 0 }
 
-(* One in-flight fetch of the current wave. [outcome] only ever holds
-   [Fresh] or [Stale] — failures are not remembered (the RDI's breaker is
-   the right place to bound repeated failures). [route] is where the
-   sharded remote placed the fetch ([None] when unsharded). *)
+(* One in-flight fetch of the current wave, with whatever it produced —
+   a failure included. [route] is where the sharded remote placed the
+   fetch ([None] when unsharded). *)
 type entry = {
   def : A.conj;
   sql_text : string;
@@ -72,21 +71,16 @@ let try_window t (q : A.conj) text route =
        new request would have touched the same shards — a request pinned
        elsewhere (different route) would have come back Fresh, so it goes
        to the remote instead of inheriting staleness. Fresh entries are a
-       true superset wherever they were fetched and reuse freely. *)
-    let route_ok =
-      match entry.outcome with
-      | Rdi.Fresh _ -> true
-      | Rdi.Stale _ | Rdi.Failed _ -> entry.route = route
-    in
+       true superset wherever they were fetched and reuse freely. A failure
+       has no rows to derive from. *)
     let rel =
       match entry.outcome with
-      | Rdi.Fresh rel | Rdi.Stale (rel, _) -> Some rel
-      | Rdi.Failed _ -> None
+      | Rdi.Fresh rel -> Some rel
+      | Rdi.Stale (rel, _) when entry.route = route -> Some rel
+      | Rdi.Stale _ | Rdi.Failed _ -> None
     in
     match rel with
-    | Some rel
-      when route_ok
-           && R.Schema.arity (R.Relation.schema rel) = List.length entry.def.A.head ->
+    | Some rel when R.Schema.arity (R.Relation.schema rel) = List.length entry.def.A.head ->
       (match Sub.full_cover { Sub.id = "__inflight"; def = entry.def } q with
        | Some cover -> Some (entry, cover, rel)
        | None -> None)
@@ -136,10 +130,8 @@ let fetch t (def : A.conj) sql =
          unfiltered request could be answered from the subset. (Serving a
          filtered request FROM an unfiltered entry remains safe — the
          superset is cut down by the local join.) *)
-      (match outcome with
-       | (Rdi.Fresh _ | Rdi.Stale _) when not (Sql.has_semijoin sql) ->
-         t.window <- t.window @ [ { def; sql_text = text; route; outcome } ]
-       | Rdi.Fresh _ | Rdi.Stale _ | Rdi.Failed _ -> ());
+      if not (Sql.has_semijoin sql) then
+        t.window <- t.window @ [ { def; sql_text = text; route; outcome } ];
       outcome
   end
 

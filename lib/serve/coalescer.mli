@@ -14,9 +14,12 @@
       selection/projection — charged as Cache Manager work, not a round
       trip.
 
-    Only [Fresh] and [Stale] outcomes are reused; failures always go back
-    to the RDI, whose breaker already bounds the retry storm. The window
-    is valid {e only} within one wave: [begin_round]/[end_round] bracket
+    Identical reuse shares the first fetch's outcome whatever it was, a
+    failure included: the fetches of one wave are concurrent, so an
+    identical one would have waited on the same in-flight request and got
+    the same answer. Subsumed reuse needs rows, so it derives only from
+    [Fresh] and [Stale] entries. The window is valid {e only} within one
+    wave: [begin_round]/[end_round] bracket
     it, and a fetch arriving outside any round bypasses the window
     entirely (a later single-session query must not read a response that
     cache inserts may since have superseded).
@@ -25,9 +28,9 @@
     shard-aware: entries record their
     {!Braid_remote.Shard_router.route_signature}, identical reuse matches
     on (SQL text, route), and a {e Stale} in-flight response is only
-    reused for a request with the same route — a request pinned to a
-    healthy shard must not inherit another placement's degradation (Fresh
-    entries, being true supersets, reuse freely). Misses go through
+    subsumed-reused for a request with the same route — a request pinned
+    to a healthy shard must not inherit another placement's degradation
+    (Fresh entries, being true supersets, reuse freely). Misses go through
     {!Braid.Cms.exec_remote}, i.e. the shard router when one is
     installed. *)
 

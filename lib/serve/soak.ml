@@ -111,7 +111,7 @@ type report = {
   route : Router.counters option;  (** None for the single-server remote *)
   partition_wave : int option;  (** partition: the wave the primary was severed *)
   heal_wave : int option;  (** partition: first wave the partition was observed healed *)
-  stale_after_heal : int;  (** RDI stale serves after heal + repair (partition gate) *)
+  failed_after_heal : int;  (** RDI failures after heal + repair (partition gate) *)
   end_max_lag : int;  (** worst replica lag at end of run — 0 after repair *)
   per_shard : shard_report list;  (** [] when the remote is a single server *)
   journal_entries : int;
@@ -166,7 +166,7 @@ let failures r =
       (recursive && r.goal_fetches = 0, "recursive run issued no set-oriented fetches");
       (* Chaos: the severed primary must force failovers and hinted writes,
          the partition must heal, repair must hand the hints off, and once
-         healed + repaired nothing may serve stale. *)
+         healed + repaired no replica request may fail. *)
       ( chaos && routed (fun c -> c.Router.failovers) = 0,
         "chaos run recorded no failovers (backup never served)" );
       ( chaos && routed (fun c -> c.Router.hinted_writes) = 0,
@@ -174,8 +174,8 @@ let failures r =
       ( chaos && routed (fun c -> c.Router.handoffs) = 0,
         "chaos run recorded no handoffs (repair never drained the hints)" );
       (chaos && r.heal_wave = None, "the partition never healed");
-      ( r.stale_after_heal <> 0,
-        Printf.sprintf "%d stale serve(s) after heal + repair" r.stale_after_heal );
+      ( r.failed_after_heal <> 0,
+        Printf.sprintf "%d failed request(s) after heal + repair" r.failed_after_heal );
     ]
 
 let breaker_to_string = function
@@ -223,17 +223,17 @@ let report_to_string r =
      match r.partition_wave with
      | None -> ()
      | Some pw ->
-       line "  partition:   shard 0 primary severed @wave %d, %s, %d stale after heal" pw
+       line "  partition:   shard 0 primary severed @wave %d, %s, %d failed after heal" pw
          (match r.heal_wave with
           | Some hw -> Printf.sprintf "healed @wave %d" hw
           | None -> "NOT HEALED")
-         r.stale_after_heal)
+         r.failed_after_heal)
    | _ -> ());
   List.iter
     (fun s ->
-      line "  shard %d:     %d requests, %d scanned, %d failures, %d stale serves, breaker %s"
+      line "  shard %d:     %d requests, %d scanned, %d failures, breaker %s"
         s.shard s.sh_server.Server.requests s.sh_server.Server.tuples_scanned
-        s.sh_rdi.Rdi.failures s.sh_rdi.Rdi.stale_serves (breaker_to_string s.sh_breaker);
+        s.sh_rdi.Rdi.failures (breaker_to_string s.sh_breaker);
       List.iter
         (fun (h : Router.replica_health) ->
           line "    r%d@node%d   %s lag=%d hints=%d breaker=%s%s" h.Router.rh_replica
@@ -331,7 +331,7 @@ let run profile ~seed ~waves =
       Some (Router.create ~policy:rdi_policy ~shards ~replicas server)
     end
   in
-  (* Chaos runs on an otherwise fault-free link, so every stale serve
+  (* Chaos runs on an otherwise fault-free link, so every failed request
      after the heal is the partition's doing, not the flaky link's. *)
   let error_rate = if chaos then 0.0 else 0.35 in
   let base = Fault.flaky ~seed:(seed + 7919) ~error_rate () in
@@ -501,11 +501,15 @@ let run profile ~seed ~waves =
   let partition_plan = if chaos then Some (max 2 (waves / 3)) else None in
   let partition_wave = ref None
   and heal_wave = ref None
-  and stale_at_heal = ref None in
-  let router_stale () =
+  and failed_at_heal = ref None in
+  (* Every replica request that gave up or was fast-failed: exactly the
+     requests that end in [Rdi.exec]'s failure path. *)
+  let router_failed () =
     match router with
     | None -> 0
-    | Some r -> (Router.rdi_stats r).Rdi.stale_serves
+    | Some r ->
+      let s = Router.rdi_stats r in
+      s.Rdi.failures + s.Rdi.fast_fails
   in
   let live () =
     List.length (Braid_cache.Cache_model.elements (CMgr.model (Cms.cache !cms)))
@@ -624,9 +628,9 @@ let run profile ~seed ~waves =
                if healed then begin
                  heal_wave := Some wave;
                  (* snapshot after the first post-heal repair: from here on
-                    every replica is at the log head, so any further stale
-                    serve is a bug the chaos gate catches *)
-                 stale_at_heal := Some (router_stale ())
+                    every replica is at the log head and reachable, so any
+                    further failed request is a bug the chaos gate catches *)
+                 failed_at_heal := Some (router_failed ())
                end
              | _ -> ())
           | _ -> ())
@@ -678,8 +682,8 @@ let run profile ~seed ~waves =
         List.fold_left (fun acc h -> Int.max acc h.Router.rh_lag) acc s.sh_replicas)
       0 per_shard
   in
-  let stale_after_heal =
-    match !stale_at_heal with Some s -> router_stale () - s | None -> 0
+  let failed_after_heal =
+    match !failed_at_heal with Some s -> router_failed () - s | None -> 0
   in
   {
     profile;
@@ -721,7 +725,7 @@ let run profile ~seed ~waves =
     route = Option.map Router.counters router;
     partition_wave = !partition_wave;
     heal_wave = !heal_wave;
-    stale_after_heal;
+    failed_after_heal;
     end_max_lag;
     per_shard;
     journal_entries = Journal.length journal;

@@ -15,7 +15,7 @@
     inputs, byte-identical {!report_to_string}.
 
     The report keeps counts only. The per-request record of a run — which
-    copy was asked for what, with every retry, trip and stale serve — is
+    copy was asked for what, with every retry, trip and failure — is
     the span trace of the run under an installed tracer ([bench --serve
     LEG --trace PATH]): each replica read is a [shard.read] span naming
     its shard and replica (docs/OBSERVABILITY.md). *)
@@ -32,7 +32,7 @@ type faults =
           wave [waves/3] with a {!Braid_remote.Fault.severed} profile
           healing after 150 system-wide requests on the router's shared
           fault clock; no crash. The report records partition/heal waves,
-          stale serves after heal and the end-of-run lag. *)
+          failed requests after heal and the end-of-run lag. *)
 
 (** What the sessions do each wave, besides their CAQL reads. *)
 type mix =
@@ -154,9 +154,9 @@ type report = {
           remote *)
   partition_wave : int option;  (** chaos: the wave the primary was severed *)
   heal_wave : int option;  (** chaos: first wave the partition was seen healed *)
-  stale_after_heal : int;
-      (** RDI stale serves recorded after heal + the first post-heal repair
-          round — the chaos gate requires 0 *)
+  failed_after_heal : int;
+      (** replica RDI failures plus fast-fails recorded after heal + the
+          first post-heal repair round — the chaos gate requires 0 *)
   end_max_lag : int;  (** worst replica lag at the end — 0 once repair caught up *)
   per_shard : shard_report list;  (** [] when the remote is a single server *)
   journal_entries : int;  (** entries since the last checkpoint *)
@@ -175,7 +175,7 @@ val failures : report -> string list
     multi-round fixpoints and set-oriented fetches, at least one complete
     (a goal answer with a tuple outside ground truth is a divergence);
     [Partition] — failovers, hinted writes and handoffs happened, the
-    partition healed, and nothing served stale after heal + repair. *)
+    partition healed, and no replica request failed after heal + repair. *)
 
 val run : profile -> seed:int -> waves:int -> report
 (** Admission follows {!Admission.default_policy}. Each wave: every

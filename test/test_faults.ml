@@ -1,6 +1,7 @@
 (* Fault injection and the resilient Remote DBMS Interface: determinism,
-   backoff bounds, breaker transitions, degrade-to-cache, and the
-   availability guarantee the CI bench gate relies on. *)
+   backoff bounds, breaker transitions, stale cache elements as the only
+   store of old data, and the availability guarantee the CI bench gate
+   relies on. *)
 
 module R = Braid_relalg
 module V = R.Value
@@ -16,6 +17,7 @@ module Qpo = Braid_planner.Qpo
 module Plan = Braid_planner.Plan
 module CMgr = Braid_cache.Cache_manager
 module Trace = Braid_obs.Trace
+module Metrics = Braid_obs.Metrics
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -200,9 +202,8 @@ let test_backoff_bounds () =
   let rdi = Rdi.create ~policy server in
   let outcome, tr = with_tracer (fun () -> Rdi.exec rdi all_b2) in
   (match outcome with
-   | Rdi.Failed (Rdi.Remote_fault _) -> ()
-   | Rdi.Failed _ | Rdi.Fresh _ | Rdi.Stale _ ->
-     Alcotest.fail "expected the request to fail through its retries");
+   | Error (Rdi.Remote_fault _) -> ()
+   | Error _ | Ok _ -> Alcotest.fail "expected the request to fail through its retries");
   let backoffs =
     List.filter_map
       (fun (sp : Trace.span) ->
@@ -240,6 +241,7 @@ let test_breaker_transitions () =
       seed = 5;
     }
   in
+  let failures_before = Metrics.counter_value "rdi.failures" in
   let rdi = Rdi.create ~policy server in
   let fail_req () = ignore (Rdi.exec rdi all_b2) in
   fail_req ();
@@ -263,39 +265,53 @@ let test_breaker_transitions () =
   fail_req ();
   Server.set_faults server None;
   (match Rdi.exec rdi all_b2 with
-   | Rdi.Fresh _ -> ()
-   | Rdi.Stale _ | Rdi.Failed _ -> Alcotest.fail "healed probe should answer fresh");
+   | Ok _ -> ()
+   | Error _ -> Alcotest.fail "healed probe should answer fresh");
   check_bool "closed after successful probe" true (Rdi.breaker rdi = Rdi.Closed);
-  check_int "two probes total" 2 (Rdi.stats rdi).Rdi.half_open_probes
+  check_int "two probes total" 2 (Rdi.stats rdi).Rdi.half_open_probes;
+  (* the registry counts every request that ended in failure: the ones
+     that exhausted their attempts and the fast-failed ones *)
+  let st = Rdi.stats rdi in
+  check_int "rdi.failures = failures + fast_fails"
+    (st.Rdi.failures + st.Rdi.fast_fails)
+    (Metrics.counter_value "rdi.failures" - failures_before)
 
-(* --- degrade-to-cache: last good response, flagged stale --- *)
+(* --- the RDI holds no data: a failed request fails --- *)
 
-let test_stale_serve () =
+let test_rdi_keeps_no_copy () =
   let server = load_server () in
   let rdi = Rdi.create server in
-  let fresh =
-    match Rdi.exec rdi all_b2 with
-    | Rdi.Fresh rel -> rel
-    | Rdi.Stale _ | Rdi.Failed _ -> Alcotest.fail "healthy fetch must be fresh"
-  in
-  Server.set_faults server (Some always_fail);
   (match Rdi.exec rdi all_b2 with
-   | Rdi.Stale (rel, Rdi.Remote_fault _) ->
-     check_int "same cardinality as last good" (R.Relation.cardinality fresh)
-       (R.Relation.cardinality rel);
-     check_bool "same tuples" true
-       (List.for_all (R.Relation.mem fresh) (R.Relation.to_list rel))
-   | Rdi.Stale _ | Rdi.Fresh _ | Rdi.Failed _ ->
-     Alcotest.fail "expected a stale serve from the response cache");
-  (* nothing ever fetched for b3: no degraded substitute exists *)
-  (match Rdi.exec rdi all_b3 with
-   | Rdi.Failed _ -> ()
-   | Rdi.Fresh _ | Rdi.Stale _ -> Alcotest.fail "unknown request text cannot degrade");
-  check_int "one stale serve" 1 (Rdi.stats rdi).Rdi.stale_serves
+   | Ok _ -> ()
+   | Error _ -> Alcotest.fail "healthy fetch must be fresh");
+  Server.set_faults server (Some always_fail);
+  match Rdi.exec rdi all_b2 with
+  | Error (Rdi.Remote_fault _) -> ()
+  | Error f -> Alcotest.failf "unexpected failure %s" (Rdi.failure_to_string f)
+  | Ok _ -> Alcotest.fail "a request that failed every attempt cannot answer"
 
 (* --- planner integration: stale cache elements flag the answer --- *)
 
 let b2_query = A.conj [ v "X"; v "Z" ] [ atom "b2" [ v "X"; v "Z" ] ]
+
+(* Old data lives only in the cache: a stale-marked element still answers
+   its query while every remote request fails, without asking the RDI. *)
+let test_stale_element_while_down () =
+  let server = load_server () in
+  let config = { Qpo.braid_config with Qpo.allow_lazy = false } in
+  let cms = Braid.Cms.create ~config server in
+  ignore (TS.to_relation (Braid.Cms.query cms b2_query).Qpo.stream);
+  let marked = Braid.Cms.invalidate_table cms ~mode:`Mark_stale "b2" in
+  check_bool "element marked stale" true (marked <> []);
+  Server.set_faults server (Some always_fail);
+  let requests_before = (Braid.Cms.rdi_stats cms).Rdi.requests in
+  let a = Braid.Cms.query cms b2_query in
+  let rel = TS.to_relation a.Qpo.stream in
+  check_bool "answer non-empty" true (R.Relation.cardinality rel > 0);
+  check_bool "flagged degraded" true (a.Qpo.provenance = Plan.Degraded);
+  check_bool "plan reports stale reads" true
+    (List.exists (function Plan.Stale_elements _ -> true | _ -> false) a.Qpo.plan);
+  check_int "no RDI request" requests_before (Braid.Cms.rdi_stats cms).Rdi.requests
 
 let test_stale_elements_degrade () =
   let server = load_server () in
@@ -347,16 +363,30 @@ let test_degraded_not_cached () =
   let server = load_server () in
   let config = { Qpo.braid_config with Qpo.allow_lazy = false } in
   let cms = Braid.Cms.create ~config server in
-  (* populate the RDI's last-good cache, then drop the cache element so the
-     next request must go remote again *)
+  (* cache b2, then drop the element so the next request must go remote
+     again — and fail *)
   ignore (TS.to_relation (Braid.Cms.query cms b2_query).Qpo.stream);
   ignore (Braid.Cms.invalidate_table cms "b2");
   Server.set_faults server (Some always_fail);
   let a = Braid.Cms.query cms b2_query in
   ignore (TS.to_relation a.Qpo.stream);
   check_bool "degraded answer" true (a.Qpo.provenance = Plan.Degraded);
-  check_bool "stale response not inserted into the cache" true
-    (CMgr.find_exact (Braid.Cms.cache cms) b2_query = None)
+  check_bool "degraded answer not inserted into the cache" true
+    (CMgr.find_exact (Braid.Cms.cache cms) b2_query = None);
+  (* :explain names the cause of a degraded step *)
+  let explained = Plan.to_string a.Qpo.plan in
+  let contains sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length explained && (String.sub explained i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  check_bool ("plan names the failure: " ^ explained) true
+    (contains "degraded [SELECT" && contains "(unavailable: ");
+  check_string "a stale subset names its cause" "degraded [q] (stale subset: replica-lag(2))"
+    (Format.asprintf "%a" Plan.pp_step
+       (Plan.Degraded_serve { sql = "q"; source = Plan.Stale_subset (Rdi.Replica_lag 2) }))
 
 (* --- availability: with faults on, every query still answers --- *)
 
@@ -445,7 +475,9 @@ let suites =
         Alcotest.test_case "rdi determinism" `Quick test_rdi_determinism;
         Alcotest.test_case "backoff bounds" `Quick test_backoff_bounds;
         Alcotest.test_case "breaker transitions" `Quick test_breaker_transitions;
-        Alcotest.test_case "stale serve" `Quick test_stale_serve;
+        Alcotest.test_case "no last-good copy" `Quick test_rdi_keeps_no_copy;
+        Alcotest.test_case "stale element answers while the remote is down" `Quick
+          test_stale_element_while_down;
         Alcotest.test_case "stale elements degrade" `Quick test_stale_elements_degrade;
         Alcotest.test_case "stale lazy answers degrade" `Quick test_stale_lazy_degrade;
         Alcotest.test_case "degraded not cached" `Quick test_degraded_not_cached;

@@ -78,6 +78,27 @@ let test_coalescer_subsumed () =
      check_int "derived by local selection" expected (R.Relation.cardinality derived)
    | _ -> Alcotest.fail "expected fresh outcomes")
 
+(* The fetches of a wave are concurrent: an identical request waits on the
+   in-flight one, so it shares a failure too. A subsumed request needs rows
+   to derive from, so it goes to the remote. *)
+let test_coalescer_shares_failure () =
+  let server, cms = mk_cms () in
+  Server.set_faults server
+    (Some { Braid_remote.Fault.none with Braid_remote.Fault.error_rate = 1.0; seed = 3 });
+  let co = Coalescer.create cms in
+  Coalescer.begin_round co;
+  let o1 = Coalescer.fetch co b2_def (Sql.select_all "b2") in
+  let o2 = Coalescer.fetch co b2_def (Sql.select_all "b2") in
+  (match (o1, o2) with
+   | Rdi.Failed f1, Rdi.Failed f2 -> check_bool "same failure" true (f1 = f2)
+   | _ -> Alcotest.fail "expected two failures");
+  check_int "identical hit" 1 (Coalescer.stats co).Coalescer.identical_hits;
+  check_int "one rdi request" 1 (Cms.rdi_stats cms).Rdi.requests;
+  let narrow_def = A.conj [ v "Z" ] [ atom "b2" [ s "x1"; v "Z" ] ] in
+  ignore (Coalescer.fetch co narrow_def { (Sql.select_all "b2") with Sql.distinct = true });
+  check_int "no subsumed hit on a failure" 0 (Coalescer.stats co).Coalescer.subsumed_hits;
+  check_int "the subsumed request went remote" 2 (Cms.rdi_stats cms).Rdi.requests
+
 let test_coalescer_disjoint () =
   let _, cms = mk_cms () in
   let co = Coalescer.create cms in
@@ -309,8 +330,8 @@ let test_soak leg () =
     (List.for_all (fun (s : Soak.session_report) -> s.Soak.answered > 0) r.Soak.per_session);
   check_bool "lazy answers served" true (r.Soak.lazy_answers > 0);
   (* The profile gates live in the report's own verdict, not only in the
-     CLI: one stale serve after heal must fail it. *)
-  let broken = { r with Soak.stale_after_heal = 1 } in
+     CLI: one failed request after heal must fail it. *)
+  let broken = { r with Soak.failed_after_heal = 1 } in
   check_bool "a violated gate fails the run" true (Soak.failures broken <> []);
   check_bool "the rendered report says FAILED" true
     (String.ends_with ~suffix:": FAILED"
@@ -373,5 +394,8 @@ let suites =
       @ List.map
           (fun (name, leg) -> Alcotest.test_case ("soak " ^ name) `Slow (test_soak leg))
           soak_profiles
-      @ [ Alcotest.test_case "soak rejects invalid profiles" `Quick test_soak_rejects ] );
+      @ [
+          Alcotest.test_case "soak rejects invalid profiles" `Quick test_soak_rejects;
+          Alcotest.test_case "coalescer shares a failure" `Quick test_coalescer_shares_failure;
+        ] );
   ]
