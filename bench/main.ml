@@ -287,6 +287,38 @@ let bench_relevant_covers =
   Bechamel.Test.make ~name:"cache_relevant_covers_256"
     (Bechamel.Staged.stage (fun () -> ignore (CMgr.relevant_covers cache query)))
 
+(* One-column index over 1k rows of string keys, 100 distinct: the shape of
+   the set-oriented tier's per-goal indexes over a fetched [parent], where
+   the store is chosen from the first key's kind. *)
+let bench_index_build_str =
+  let rel =
+    R.Relation.of_tuples ~name:"s"
+      (R.Schema.make [ ("k", V.Tstr); ("v", V.Tint) ])
+      (List.init 1_000 (fun i -> [| V.Str (Printf.sprintf "k%03d" (i mod 100)); V.Int i |]))
+  in
+  Bechamel.Test.make ~name:"index_build_str_1k"
+    (Bechamel.Staged.stage (fun () -> ignore (R.Index.build rel [ 0 ])))
+
+(* A QPO exact hit over a cached 199-row [parent] element, through to a
+   relation: the set-oriented tier's per-goal fetch once [parent] is
+   cached. *)
+let bench_cache_exact_hit =
+  let server = Braid_remote.Server.create () in
+  List.iter
+    (Braid_remote.Engine.load (Braid_remote.Server.engine server))
+    (Braid_workload.Datagen.family ~persons:200 ~fanout:3 ());
+  let qpo = Braid.Cms.qpo (Braid.Cms.create server) in
+  let q = A.conj [ v "X"; v "Y" ] [ atom "parent" [ v "X"; v "Y" ] ] in
+  let answer () =
+    Braid_stream.Tuple_stream.to_relation (Braid_planner.Qpo.answer_conj qpo q).stream
+  in
+  assert (R.Relation.cardinality (answer ()) = 199);
+  let requests = (Braid_remote.Server.stats server).requests in
+  ignore (answer ());
+  assert ((Braid_remote.Server.stats server).requests = requests);
+  Bechamel.Test.make ~name:"cache_exact_hit_199"
+    (Bechamel.Staged.stage (fun () -> ignore (answer ())))
+
 (* One magic-set fixpoint: ancestor("p0", Y), magic-transformed, solved
    semi-naively over the extensions of a 200-person family forest. *)
 let bench_datalog_ancestor =
@@ -340,6 +372,8 @@ let micro_tests =
     bench_tracker;
     bench_find_exact;
     bench_relevant_covers;
+    bench_index_build_str;
+    bench_cache_exact_hit;
     bench_datalog_ancestor;
     bench_ie_front_end;
   ]

@@ -86,6 +86,8 @@ let conj ~source ~schema_of (c : Ast.conj) =
     let acc_arity = R.Schema.arity (R.Relation.schema acc) in
     let joined =
       match joins with
+      (* the unit relation times [ext] is [ext]: share its rows *)
+      | [] when acc_arity = 0 && R.Relation.cardinality acc = 1 -> ext
       | [] -> R.Ops.product acc ext
       | _ ->
         let left_cols = List.map fst joins and right_cols = List.map snd joins in
@@ -107,26 +109,35 @@ let conj ~source ~schema_of (c : Ast.conj) =
           (Format.asprintf "comparison with unbound variable: %a" L.Literal.pp
              (let op, a, b = cmp in
               L.Literal.Cmp (op, a, b)))));
-  (* Project the head. *)
+  (* Project the head. [acc] may share an element's row vector, so the
+     result always owns a fresh one; an identity head keeps the tuples. *)
   let out_schema = Analyze.schema_of_conj schema_of c in
-  let out = R.Relation.create out_schema in
   let cols =
-    List.map
-      (function
-        | L.Term.Var x ->
-          (match List.assoc_opt x env with
-           | Some col -> `Col col
-           | None -> raise (Unsafe ("unbound head variable: " ^ x)))
-        | L.Term.Const v -> `Const v)
-      c.Ast.head
+    Array.of_list
+      (List.map
+         (function
+           | L.Term.Var x ->
+             (match List.assoc_opt x env with
+              | Some col -> `Col col
+              | None -> raise (Unsafe ("unbound head variable: " ^ x)))
+           | L.Term.Const v -> `Const v)
+         c.Ast.head)
   in
-  R.Relation.iter
-    (fun t ->
-      R.Relation.add out
-        (Array.of_list
-           (List.map (function `Col i -> R.Tuple.get t i | `Const v -> v) cols)))
-    acc;
-  out
+  let n = Array.length cols in
+  let rec identity i =
+    i = n || (match cols.(i) with `Col j when j = i -> identity (i + 1) | _ -> false)
+  in
+  if n = R.Schema.arity (R.Relation.schema acc) && identity 0 then
+    R.Relation.with_schema out_schema (R.Relation.copy ~name:"" acc)
+  else begin
+    let rows = R.Vec.create () in
+    R.Relation.iter
+      (fun t ->
+        R.Vec.push rows
+          (Array.map (function `Col i -> R.Tuple.get t i | `Const v -> v) cols))
+      acc;
+    R.Relation.unsafe_of_rows out_schema rows
+  end
 
 let rec query ~source ~schema_of = function
   | Ast.Conj c -> conj ~source ~schema_of c

@@ -19,7 +19,10 @@ val conj :
   Ast.conj ->
   Braid_relalg.Relation.t
 (** Eager bottom-up evaluation: left-to-right hash-join pipeline with
-    pushed-down constant selections and comparisons. *)
+    pushed-down constant selections and comparisons. The result shares
+    tuples with the [source] relations (a head naming the body's columns
+    in order keeps them whole) but always owns its row vector, so writes to
+    either side never reach the other. *)
 
 val query :
   source:(Braid_logic.Atom.t -> Braid_relalg.Relation.t) ->

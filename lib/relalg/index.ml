@@ -160,34 +160,40 @@ let demote d =
   Idir.fold (fun x cell () -> Value_tbl.add table (Value.Int x) cell) d ();
   table
 
+(* Files [t] in its key's bucket, demoting an [Ints] store at the first
+   non-int key. Returns the bucket cell. *)
+let insert ix t =
+  match ix.store, ix.columns with
+  | Ints d, [ c ] ->
+    (match Tuple.get t c with
+     | Value.Int x -> Idir.insert d x t
+     | v ->
+       let table = demote d in
+       ix.store <- Single table;
+       insert_value table v t)
+  | Single table, [ c ] -> insert_value table (Tuple.get t c) t
+  | (Ints _ | Single _), _ -> assert false
+  | Multi table, cols -> insert_key table (Tuple.key t cols) t
+
+(* [build] is [add] row by row from the empty index, except that a
+   one-column store is chosen from the first key's kind: a first key that
+   is not an int starts in the generic table, sized as [demote] would size
+   it, so no int directory is built only to be thrown away. *)
 let build r cols =
   if cols = [] then invalid_arg "Index.build: empty column list";
   let n = max 16 (Relation.cardinality r) in
   let store =
     match cols with
-    | [ c ] ->
-      let d = Idir.create n in
-      let fallback = ref None in
-      Relation.iter
-        (fun t ->
-          let v = Tuple.get t c in
-          match !fallback with
-          | Some table -> ignore (insert_value table v t)
-          | None ->
-            (match v with
-             | Value.Int x -> ignore (Idir.insert d x t)
-             | _ ->
-               let table = demote d in
-               ignore (insert_value table v t);
-               fallback := Some table))
-        r;
-      (match !fallback with Some table -> Single table | None -> Ints d)
-    | _ ->
-      let table = Key_tbl.create n in
-      Relation.iter (fun t -> ignore (insert_key table (Tuple.key t cols) t)) r;
-      Multi table
+    | [ c ]
+      when Relation.cardinality r > 0
+           && (match Tuple.get (Relation.get r 0) c with Value.Int _ -> false | _ -> true) ->
+      Single (Value_tbl.create 16)
+    | [ _ ] -> Ints (Idir.create n)
+    | _ -> Multi (Key_tbl.create n)
   in
-  { columns = cols; store; probes = 0; entries = Relation.cardinality r; sorted = None }
+  let ix = { columns = cols; store; probes = 0; entries = Relation.cardinality r; sorted = None } in
+  Relation.iter (fun t -> ignore (insert ix t)) r;
+  ix
 
 let columns ix = ix.columns
 
@@ -242,19 +248,7 @@ let delete_key_slot dir i =
   dir.len <- last
 
 let add ix t =
-  let cell =
-    match ix.store, ix.columns with
-    | Ints d, [ c ] ->
-      (match Tuple.get t c with
-       | Value.Int x -> Idir.insert d x t
-       | v ->
-         let table = demote d in
-         ix.store <- Single table;
-         insert_value table v t)
-    | Single table, [ c ] -> insert_value table (Tuple.get t c) t
-    | (Ints _ | Single _), _ -> assert false
-    | Multi table, cols -> insert_key table (Tuple.key t cols) t
-  in
+  let cell = insert ix t in
   ix.entries <- ix.entries + 1;
   match ix.sorted with
   | None -> ()

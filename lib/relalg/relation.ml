@@ -37,6 +37,7 @@ let remove_once r t =
     true
 
 let get r i = Vec.get r.rows i
+let rows_copy r = Vec.copy r.rows
 let iter f r = Vec.iter f r.rows
 let fold f acc r = Vec.fold f acc r.rows
 let to_list r = Vec.to_list r.rows

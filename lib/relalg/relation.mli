@@ -28,6 +28,12 @@ val remove_once : t -> Tuple.t -> bool
     when the tuple is absent. The delta-maintenance primitive. *)
 
 val get : t -> int -> Tuple.t
+
+val rows_copy : t -> Tuple.t Vec.t
+(** A fresh vector of the relation's rows, in order: one copy of the row
+    vector, with every tuple shared. Later writes to the relation do not
+    show in the vector, nor the other way round. *)
+
 val iter : (Tuple.t -> unit) -> t -> unit
 val fold : ('acc -> Tuple.t -> 'acc) -> 'acc -> t -> 'acc
 val to_list : t -> Tuple.t list

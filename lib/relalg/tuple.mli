@@ -1,4 +1,11 @@
-(** Tuples: immutable-by-convention arrays of values. *)
+(** Tuples: immutable-by-convention arrays of values.
+
+    Invariant: tuples are shared between relations and never mutated in
+    place. Relation copies, selections, schema views, stream spines, index
+    buckets and cache answers hold the same tuple values and copy at most
+    the row vector, so writing into a [Tuple.t] after it has been added
+    anywhere would change every relation that holds it. A new tuple may be
+    filled slot by slot only before it is first handed out. *)
 
 type t = Value.t array
 

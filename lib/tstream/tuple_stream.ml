@@ -21,7 +21,12 @@ let of_list schema tuples =
         rest := tl;
         Some t)
 
-let of_relation r = of_list (R.Relation.schema r) (R.Relation.to_list r)
+(* A snapshot: one copy of the row vector becomes the whole spine, so the
+   stream starts exhausted and later writes to [r] do not reach it. *)
+let of_relation r =
+  let spine = R.Relation.rows_copy r in
+  { schema = R.Relation.schema r; spine; pull = None; produced = R.Vec.length spine }
+
 let empty schema = of_list schema []
 let schema s = s.schema
 let cursor s = { stream = s; pos = 0 }
@@ -59,18 +64,19 @@ let next c =
 let produced s = s.produced
 let exhausted s = s.pull = None
 
+(* Forces the producer, then copies the spine in one step. Tuples from an
+   arbitrary producer still get the arity check [Relation.add] would make. *)
 let to_relation ?name s =
-  let out = R.Relation.create ?name s.schema in
-  let c = cursor s in
-  let rec loop () =
-    match next c with
-    | Some t ->
-      R.Relation.add out t;
-      loop ()
-    | None -> ()
-  in
-  loop ();
-  out
+  ignore (fill s max_int);
+  let arity = R.Schema.arity s.schema in
+  R.Vec.iter
+    (fun t ->
+      if R.Tuple.arity t <> arity then
+        invalid_arg
+          (Printf.sprintf "Tuple_stream.to_relation: arity %d, expected %d" (R.Tuple.arity t)
+             arity))
+    s.spine;
+  R.Relation.unsafe_of_rows ?name s.schema (R.Vec.copy s.spine)
 
 let to_list s = R.Relation.to_list (to_relation s)
 

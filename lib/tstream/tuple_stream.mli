@@ -17,6 +17,11 @@ val from : Braid_relalg.Schema.t -> (unit -> Braid_relalg.Tuple.t option) -> t
     marks exhaustion (it is not called again afterwards). *)
 
 val of_relation : Braid_relalg.Relation.t -> t
+(** A snapshot of the relation's rows: the row vector is copied once (the
+    tuples are shared), so later writes to the relation do not change what
+    the stream yields. The stream is exhausted from the start and counts
+    every row as produced. *)
+
 val of_list : Braid_relalg.Schema.t -> Braid_relalg.Tuple.t list -> t
 val empty : Braid_relalg.Schema.t -> t
 
@@ -37,7 +42,10 @@ val exhausted : t -> bool
 (** Whether the producer has reported end-of-stream. *)
 
 val to_relation : ?name:string -> t -> Braid_relalg.Relation.t
-(** Forces the stream (eager evaluation of a generator). *)
+(** Forces the stream (eager evaluation of a generator) and returns its
+    rows as a fresh relation: one copy of the spine, tuples shared. Writes
+    to the result do not reach the stream. Raises [Invalid_argument] if a
+    tuple's arity differs from the schema's. *)
 
 val to_list : t -> Braid_relalg.Tuple.t list
 

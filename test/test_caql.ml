@@ -210,6 +210,32 @@ let test_eval_ground_cmp_only () =
   check_int "true ground" 1 (rows (eval_conj yes));
   check_int "false ground" 0 (rows (eval_conj no))
 
+(* The first atom's extension is read without a per-row copy, and an
+   identity head keeps its tuples; the result still owns its row vector, so
+   writes on either side stay on that side. A false ground comparison
+   empties the body before the first atom is read. *)
+let test_eval_shares_tuples_not_rows () =
+  let src = R.Relation.copy edge in
+  let source _ = src in
+  let q head = A.conj head [ atom "edge" [ v "X"; v "Y" ] ] in
+  let out = E.conj ~source ~schema_of (q [ v "X"; v "Y" ]) in
+  check_bool "identity head keeps the tuples" true
+    (R.Relation.get out 0 == R.Relation.get src 0);
+  R.Relation.add src [| V.Str "x"; V.Str "y" |];
+  check_int "result unchanged by writes to the source" 5 (rows out);
+  R.Relation.add out [| V.Str "p"; V.Str "q" |];
+  check_int "source unchanged by writes to the result" 6 (rows src);
+  let swapped = E.conj ~source ~schema_of (q [ v "Y"; v "X" ]) in
+  check_bool "permuted head" true
+    (R.Tuple.to_list (R.Relation.get swapped 0) = [ V.Str "b"; V.Str "a" ]);
+  let never =
+    A.conj ~cmps:[ (Braid_relalg.Row_pred.Gt, L.Literal.Term (i 1), L.Literal.Term (i 2)) ]
+      [ v "X"; v "Y" ] [ atom "edge" [ v "X"; v "Y" ] ]
+  in
+  let none = E.conj ~source ~schema_of never in
+  check_int "false ground comparison" 0 (rows none);
+  check_int "keeps the head's arity" 2 (R.Schema.arity (R.Relation.schema none))
+
 let test_eval_unsafe_raises () =
   let c = A.conj [ v "Z" ] [ atom "edge" [ v "X"; v "Y" ] ] in
   check_bool "unsafe raises" true
@@ -351,6 +377,7 @@ let suites : unit Alcotest.test list =
         Alcotest.test_case "eval arithmetic comparison" `Quick test_eval_arith_cmp;
         Alcotest.test_case "eval constant head" `Quick test_eval_const_head;
         Alcotest.test_case "eval ground comparisons only" `Quick test_eval_ground_cmp_only;
+        Alcotest.test_case "eval shares tuples, not rows" `Quick test_eval_shares_tuples_not_rows;
         Alcotest.test_case "eval unsafe raises" `Quick test_eval_unsafe_raises;
         Alcotest.test_case "eval union/diff/agg" `Quick test_eval_union_diff_agg;
         Alcotest.test_case "lazy matches eager" `Quick test_lazy_matches_eager;

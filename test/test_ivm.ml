@@ -272,6 +272,42 @@ let test_crash_mid_delta_recovery () =
   write_burst recovered prng inserted 4;
   check_all_fresh_exact server recovered
 
+(* --- answers never alias an element's rows --- *)
+
+(* An exact-hit answer shares the element's tuples but owns its row vector:
+   maintenance on the element does not reach an answer already handed out,
+   and writes to the answer do not reach the element. The first delta after
+   an admission (or a checkpoint's re-admission) copies the element's rows
+   (copy-on-write); the next one edits them in place. Both run, on both
+   sides of a checkpoint. *)
+let test_exact_hit_answer_no_alias () =
+  let server = load_server () in
+  let cms = make_cms server in
+  warm cms [ q_full2 ];
+  let e = element_of cms q_full2 in
+  let round what ins del =
+    let requests = (Cms.remote_stats cms).Server.requests in
+    let answer = TS.to_relation (Cms.query cms q_full2).Qpo.stream in
+    check_int (what ^ ": exact hit, no remote request") requests
+      (Cms.remote_stats cms).Server.requests;
+    let before = norm answer in
+    check_bool (what ^ ": answer = element") true (before = norm (Elem.extension e));
+    Cms.apply_insert cms "t2" (row ins);
+    check_bool (what ^ ": copy-on-write delta taken") true e.Elem.delta_private;
+    check_bool (what ^ ": delete") true (Cms.apply_delete cms "t2" (row del));
+    check_bool (what ^ ": element still fresh") false e.Elem.stale;
+    check_exact server e (what ^ ": element after the deltas");
+    check_bool (what ^ ": answer unchanged by the deltas") true (norm answer = before);
+    let held = norm (Elem.extension e) in
+    R.Relation.add answer (row [ "mine"; "only" ]);
+    check_bool (what ^ ": element unchanged by writes to the answer") true
+      (norm (Elem.extension e) = held)
+  in
+  round "before the checkpoint" [ "x9"; "z9" ] [ "x0"; "z1" ];
+  ignore (Cms.checkpoint cms);
+  check_bool "checkpoint re-shares the element's rows" false e.Elem.delta_private;
+  round "after the checkpoint" [ "x8"; "z8" ] [ "x9"; "z9" ]
+
 (* --- the relalg primitive --- *)
 
 let test_remove_once () =
@@ -300,6 +336,8 @@ let suites =
         QCheck_alcotest.to_alcotest prop_maintained_equals_recompute;
         Alcotest.test_case "crash mid-delta recovers byte-identically" `Quick
           test_crash_mid_delta_recovery;
+        Alcotest.test_case "exact-hit answers share no rows with the element" `Quick
+          test_exact_hit_answer_no_alias;
         Alcotest.test_case "Relation.remove_once" `Quick test_remove_once;
       ] );
   ]

@@ -364,6 +364,53 @@ let prop_index_incremental_equals_build =
           agrees ())
         ops)
 
+(* [Index.build] picks a one-column store from the first key's kind, so
+   the relation's first key is drawn from each kind in turn (int, string,
+   integral float) and the rest mix all three. Building over the relation
+   must give the index [add] builds row by row from the empty one: the same
+   buckets (by physical tuple identity, in [lookup] and [bucket1_rev]
+   order), the same sorted directory, the same entry count. Probes include
+   the other kind of each equal int/float key. *)
+let gen_build_case =
+  let open QCheck.Gen in
+  let int_key = int_range 0 3 >|= fun n -> V.Int n in
+  let str_key = oneofl [ V.Str "a"; V.Str "b"; V.Str "c" ] in
+  let float_key = int_range 0 3 >|= fun n -> V.Float (float_of_int n) in
+  let key = oneof [ int_key; str_key; float_key ] in
+  let row k = map (fun p -> [| k; V.Int p |]) (int_range 0 9) in
+  oneofl [ ("int", int_key); ("str", str_key); ("float", float_key) ]
+  >>= fun (kind, first) ->
+  first >>= fun k0 ->
+  pair (row k0) (list_size (int_range 0 30) (key >>= row))
+  >|= fun (r0, rest) -> (kind, r0 :: rest)
+
+let print_build_case (kind, rows) =
+  let value = function V.Float f -> string_of_float f | v -> V.to_string v in
+  Printf.sprintf "%s-first [%s]" kind
+    (String.concat "; "
+       (List.map (fun t -> String.concat "," (List.map value (R.Tuple.to_list t))) rows))
+
+let prop_index_build_equals_adds =
+  let schema = R.Schema.make [ ("k", V.Tstr); ("p", V.Tint) ] in
+  let probes =
+    List.concat_map (fun n -> [ V.Int n; V.Float (float_of_int n) ]) [ 0; 1; 2; 3; 4 ]
+    @ [ V.Str "a"; V.Str "b"; V.Str "c"; V.Str "z"; V.Float 1.5; V.Null ]
+  in
+  QCheck.Test.make ~count:400 ~name:"one-column Index.build = adds from empty"
+    (arb_of gen_build_case print_build_case)
+    (fun (_, rows) ->
+      let built = R.Index.build (R.Relation.of_tuples schema rows) [ 0 ] in
+      let added = R.Index.build (R.Relation.create schema) [ 0 ] in
+      List.iter (R.Index.add added) rows;
+      let same a b = List.length a = List.length b && List.for_all2 ( == ) a b in
+      List.for_all
+        (fun v ->
+          same (R.Index.lookup built [ v ]) (R.Index.lookup added [ v ])
+          && same (R.Index.bucket1_rev built v) (R.Index.bucket1_rev added v))
+        probes
+      && sorted_dir built = sorted_dir added
+      && R.Index.bytes_estimate built = R.Index.bytes_estimate added)
+
 let prop_merge_join_equals_hash =
   QCheck.Test.make ~count:300 ~name:"merge join = hash join on sorted inputs" arb_rel2
     (fun (a, b) ->
@@ -1485,6 +1532,7 @@ let suites : unit Alcotest.test list =
           prop_select_conj_commutes;
           prop_index_complete;
           prop_index_incremental_equals_build;
+          prop_index_build_equals_adds;
           prop_stream_roundtrip;
           prop_stream_take_prefix;
           prop_stream_buffered_same;

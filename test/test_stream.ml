@@ -101,6 +101,32 @@ let test_empty () =
   check_bool "no tuples" true (TS.to_list s = []);
   check_bool "append empty" true (List.length (TS.to_list (TS.append (TS.empty schema1) (TS.of_list schema1 [ [| V.Int 1 |] ]))) = 1)
 
+(* [of_relation] snapshots the row vector and [to_relation] hands out a
+   fresh one: writes on either side of the stream stay on that side, while
+   the tuples themselves are shared. *)
+let test_relation_round_trip_no_alias () =
+  let ints xs = List.map (fun x -> [| V.Int x |]) xs in
+  let values l = List.map (fun t -> t.(0)) l in
+  let r = R.Relation.of_tuples schema1 (ints [ 1; 2; 3 ]) in
+  let s = TS.of_relation r in
+  R.Relation.add r [| V.Int 4 |];
+  check_bool "remove from the source" true (R.Relation.remove_once r [| V.Int 1 |]);
+  let expected = values (ints [ 1; 2; 3 ]) in
+  check_bool "stream keeps the snapshot" true (values (TS.to_list s) = expected);
+  let out = TS.to_relation s in
+  R.Relation.add out [| V.Int 9 |];
+  check_bool "remove from the result" true (R.Relation.remove_once out [| V.Int 2 |]);
+  check_bool "stream unchanged by writes to its result" true
+    (values (TS.to_list s) = expected);
+  check_bool "a fresh cursor reads the snapshot" true
+    (let c = TS.cursor s in
+     let rec all acc = match TS.next c with Some t -> all (t.(0) :: acc) | None -> List.rev acc in
+     all [] = expected);
+  check_bool "source unchanged by writes to the result" true
+    (values (R.Relation.to_list r) = values (ints [ 2; 3; 4 ]));
+  check_bool "tuples are shared, not copied" true
+    (R.Relation.get (TS.to_relation s) 1 == R.Relation.get r 0)
+
 let suites : unit Alcotest.test list =
   [
     ( "stream",
@@ -116,5 +142,7 @@ let suites : unit Alcotest.test list =
         Alcotest.test_case "concat_map" `Quick test_concat_map;
         Alcotest.test_case "buffered pulls blocks" `Quick test_buffered_blocks;
         Alcotest.test_case "empty stream" `Quick test_empty;
+        Alcotest.test_case "relation round trip shares no row vector" `Quick
+          test_relation_round_trip_no_alias;
       ] );
   ]
