@@ -288,16 +288,33 @@ let bench_relevant_covers =
     (Bechamel.Staged.stage (fun () -> ignore (CMgr.relevant_covers cache query)))
 
 (* One-column index over 1k rows of string keys, 100 distinct: the shape of
-   the set-oriented tier's per-goal indexes over a fetched [parent], where
-   the store is chosen from the first key's kind. *)
+   the set-oriented tier's indexes over a fetched [parent]. *)
+let str_relation_1k =
+  R.Relation.of_tuples ~name:"s"
+    (R.Schema.make [ ("k", V.Tstr); ("v", V.Tint) ])
+    (List.init 1_000 (fun i -> [| V.Str (Printf.sprintf "k%03d" (i mod 100)); V.Int i |]))
+
 let bench_index_build_str =
-  let rel =
-    R.Relation.of_tuples ~name:"s"
-      (R.Schema.make [ ("k", V.Tstr); ("v", V.Tint) ])
-      (List.init 1_000 (fun i -> [| V.Str (Printf.sprintf "k%03d" (i mod 100)); V.Int i |]))
-  in
   Bechamel.Test.make ~name:"index_build_str_1k"
-    (Bechamel.Staged.stage (fun () -> ignore (R.Index.build rel [ 0 ])))
+    (Bechamel.Staged.stage (fun () -> ignore (R.Index.build str_relation_1k [ 0 ])))
+
+(* 1k cursor probes into that index, each walking its whole bucket (ten
+   rows, or none for the 28 absent keys): the fixpoint's inner loop over a
+   string-keyed static relation. *)
+let bench_index_probe_str =
+  let ix = R.Index.build str_relation_1k [ 0 ] in
+  let keys = Array.init 1_000 (fun i -> V.Str (Printf.sprintf "k%03d" (i mod 128))) in
+  Bechamel.Test.make ~name:"index_probe_str_1k"
+    (Bechamel.Staged.stage (fun () ->
+         let rows = ref 0 in
+         for i = 0 to Array.length keys - 1 do
+           let p = ref (R.Index.first1 ix keys.(i)) in
+           while !p >= 0 do
+             rows := !rows + R.Tuple.arity (R.Index.tuple_at ix !p);
+             p := R.Index.next ix !p
+           done
+         done;
+         ignore (Sys.opaque_identity !rows)))
 
 (* A QPO exact hit over a cached 199-row [parent] element, through to a
    relation: the set-oriented tier's per-goal fetch once [parent] is
@@ -373,6 +390,7 @@ let micro_tests =
     bench_find_exact;
     bench_relevant_covers;
     bench_index_build_str;
+    bench_index_probe_str;
     bench_cache_exact_hit;
     bench_datalog_ancestor;
     bench_ie_front_end;

@@ -150,10 +150,11 @@ let eval_conj_lazy t ?extra c =
   Query_processor.eval_conj_lazy t.model ?extra ~stale_hook:(stale_hook t) c
 
 let ensure_index t e cols =
-  if Element.index_on e cols = None then begin
-    ignore (Element.ensure_index e cols);
-    t.stats.indexes_built <- t.stats.indexes_built + 1
-  end
+  match Element.index_on e cols with
+  | Some ix -> ix
+  | None ->
+    t.stats.indexes_built <- t.stats.indexes_built + 1;
+    Element.ensure_index e cols
 
 let pin t id flag =
   match Cache_model.find t.model id with

@@ -54,7 +54,12 @@ val eval_conj_lazy :
   t -> ?extra:(string * Braid_relalg.Relation.t) list -> Braid_caql.Ast.conj ->
   Braid_stream.Tuple_stream.t
 
-val ensure_index : t -> Element.t -> int list -> unit
+val ensure_index : t -> Element.t -> int list -> Braid_relalg.Index.t
+(** {!Element.ensure_index}, counted in [indexes_built] when it builds.
+    An element's indexes are charged to the cache's capacity with it
+    ({!Element.bytes_estimate}) from the moment they are built; building
+    one evicts nothing, so the next {!insert} makes room for it. *)
+
 val pin : t -> string -> bool -> unit
 (** Sets/clears the pinned flag of an element, if present. *)
 

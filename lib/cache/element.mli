@@ -21,6 +21,16 @@ type t = {
           exact-hit test read it *)
   mutable repr : representation;
   mutable indexes : (int list * Braid_relalg.Index.t) list;
+      (** Invariant: an element's indexes always index its current
+          extension, row for row. They are built on demand
+          ({!ensure_index}, through [Cache_manager.ensure_index]) and
+          kept across reads, so the Query Processor's probes and the
+          set-oriented fixpoint's (through [Qpo.answer_relation]) reuse
+          them from goal to goal; every write to the extension — an IVM
+          delta ({!Maintain}) or its journal replay — drops them, and the
+          next probe rebuilds them. Whoever asked for them, they count in
+          {!bytes_estimate}, so they are charged to the cache's capacity
+          while the element keeps them. *)
   mutable sorted : (int list * Braid_relalg.Relation.t) list;
       (** co-existing sorted representations (§5.2) *)
   mutable hits : int;
@@ -60,7 +70,9 @@ val stream : t -> Braid_stream.Tuple_stream.t
 
 val ensure_index : t -> int list -> Braid_relalg.Index.t
 (** Builds (and remembers) a hash index on the given columns; forces the
-    element. Returns the existing index when one is already present. *)
+    element. Returns the existing index when one is already present. The
+    index is the element's: a caller may probe it but must not add to it
+    or remove from it. *)
 
 val index_on : t -> int list -> Braid_relalg.Index.t option
 

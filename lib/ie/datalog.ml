@@ -493,7 +493,10 @@ type run = {
   lo : int array;  (* the delta each predicate is read through this round: *)
   hi : int array;  (* the rows [lo, hi) of its total *)
   static_rels : R.Relation.t array;
-  built : R.Index.t option array;  (* built on first probe *)
+  providers : (int list -> R.Index.t) option array;
+      (* per static, where its indexes come from when not built here *)
+  built : R.Index.t option array;  (* got on first probe *)
+  keys : R.Value.t array array;  (* per index, the buffer a multi-column probe fills *)
   seen : unit R.Relation.Tuple_tbl.t array;
   pending : R.Tuple.t R.Vec.t;
   answer_rel : R.Relation.t;
@@ -508,12 +511,17 @@ let relation run = function
   | Static k -> run.static_rels.(k)
   | Delta _ -> invalid_arg "Datalog: a delta is a range of its total"
 
+(* A static relation that is exactly a cache element's extension probes
+   the element's own indexes; any other input's are built here. *)
 let index run id =
   match run.built.(id) with
   | Some ix -> ix
   | None ->
     let input, cols = run.prog.indexes.(id) in
-    let ix = R.Index.build (relation run input) cols in
+    let provided = match input with Static k -> run.providers.(k) | Total _ | Delta _ -> None in
+    let ix =
+      match provided with Some ix -> ix cols | None -> R.Index.build (relation run input) cols
+    in
     run.built.(id) <- Some ix;
     ix
 
@@ -546,20 +554,26 @@ let rec visit run plan i =
       done
     | Total _ | Static _ ->
       let ix = index run st.index in
-      if Array.length st.key = 1 then
-        bucket run plan i st (R.Index.bucket1_rev ix (value run st.key.(0)))
-      else
-        R.Index.iter_probe ix
-          (Array.to_list (Array.map (value run) st.key))
-          ~f:(row run plan i st)
+      let key = st.key in
+      let p =
+        if Array.length key = 1 then R.Index.first1 ix (value run key.(0))
+        else begin
+          let buf = run.keys.(st.index) in
+          for k = 0 to Array.length key - 1 do
+            buf.(k) <- value run key.(k)
+          done;
+          R.Index.first ix buf
+        end
+      in
+      bucket run plan i st ix p
   end
 
-(* A single-column bucket, stored newest first, visited oldest first. *)
-and bucket run plan i st = function
-  | [] -> ()
-  | t :: older ->
-    bucket run plan i st older;
-    row run plan i st t
+(* The probed bucket from cursor position [p] on, oldest first. *)
+and bucket run plan i st ix p =
+  if p >= 0 then begin
+    row run plan i st (R.Index.tuple_at ix p);
+    bucket run plan i st ix (R.Index.next ix p)
+  end
 
 and row run plan i st t =
   if tests_hold run t st.tests 0 && repeats_hold t st.repeats 0 then begin
@@ -601,6 +615,7 @@ let exec_program prog ~resolve ~args =
   let bindings = Array.make (max 1 prog.slots) R.Value.Null in
   Array.blit args 0 bindings 0 prog.params;
   let n = Array.length prog.derived in
+  let statics = Array.map resolve prog.statics in
   let run =
     {
       prog;
@@ -608,8 +623,10 @@ let exec_program prog ~resolve ~args =
       totals = Array.mapi (fun i s -> R.Relation.create ~name:prog.derived.(i) s) prog.schemas;
       lo = Array.make n 0;
       hi = Array.make n 0;
-      static_rels = Array.map resolve prog.statics;
+      static_rels = Array.map fst statics;
+      providers = Array.map snd statics;
       built = Array.make (Array.length prog.indexes) None;
+      keys = Array.map (fun (_, cols) -> Array.make (List.length cols) R.Value.Null) prog.indexes;
       seen = Array.init n (fun _ -> R.Relation.Tuple_tbl.create 64);
       pending = R.Vec.create ();
       answer_rel = R.Relation.create prog.answer_schema;
@@ -683,10 +700,10 @@ let exec prog ~args ~fetch =
   let resolve = function
     | Fetch c ->
       incr fetches;
-      let r = fetch c in
+      let ((r, _) as fetched) = fetch c in
       fetched_tuples := !fetched_tuples + R.Relation.cardinality r;
-      r
-    | Fail a -> prolog_fail a
+      fetched
+    | Fail a -> (prolog_fail a, None)
     | Extension _ -> invalid_arg "Datalog.exec: not a fetching program"
   in
   let outcome = exec_program prog ~resolve ~args in
@@ -694,7 +711,8 @@ let exec prog ~args ~fetch =
 
 let run kb ?(skip_rules = []) ~source query =
   match source with
-  | Conj_fetch { fetch; schema } -> exec (compile kb ~skip_rules ~schema query) ~args:[] ~fetch
+  | Conj_fetch { fetch; schema } ->
+    exec (compile kb ~skip_rules ~schema query) ~args:[] ~fetch:(fun c -> (fetch c, None))
   | Extensions base ->
     let prog =
       compile_program kb ~skip_rules ~params:[] ~fetched:false
@@ -704,10 +722,11 @@ let run kb ?(skip_rules = []) ~source query =
     let resolve = function
       | Extension (a, declared) ->
         (match base a.L.Atom.pred with
-         | Some r -> r
+         | Some r -> (r, None)
          | None ->
-           if declared then raise (Unknown_base_relation a.L.Atom.pred) else prolog_fail a)
-      | Fail a -> prolog_fail a
+           if declared then raise (Unknown_base_relation a.L.Atom.pred)
+           else (prolog_fail a, None))
+      | Fail a -> (prolog_fail a, None)
       | Fetch _ -> invalid_arg "Datalog.run: a fetch without a fetching source"
     in
     exec_program prog ~resolve ~args:[]

@@ -25,12 +25,15 @@
       head tuples go straight into the predicate's seen-set and next
       delta, with no intermediate relation.
 
-    A run's state is its own and nothing outlives it. Each derived
+    A run's state is its own and nothing outlives it, except the indexes
+    of a fetch that handed out its own (see {!exec}). Each derived
     predicate's total only grows, in first-derivation order, and its delta
-    is the range of rows the previous round appended. Indexes are built on
+    is the range of rows the previous round appended. Indexes are got on
     first probe: a static relation's once per run (components that are
-    variants are one fetch and share their indexes), a total's kept
-    current as it grows. A delta is never indexed.
+    variants are one fetch and share their indexes), a total's built and
+    kept current as it grows. A delta is never indexed. A probe walks its
+    bucket with {!Braid_relalg.Index}'s cursor, and a multi-column probe
+    fills a per-run key buffer, so neither allocates.
 
     A join order changes only the order in which a round meets its
     tuples. So the rounds, [tuples_produced] and every fixpoint size are
@@ -122,8 +125,16 @@ val compile :
 val exec :
   program ->
   args:Braid_relalg.Value.t list ->
-  fetch:(Braid_caql.Ast.conj -> Braid_relalg.Relation.t) ->
+  fetch:
+    (Braid_caql.Ast.conj ->
+    Braid_relalg.Relation.t * (int list -> Braid_relalg.Index.t) option) ->
   outcome
 (** Runs the program with [args] in place of its [params], fetching each
-    distinct component once. [exec (compile kb ~schema q) ~args:[] ~fetch]
-    is [run kb ~source:(Conj_fetch { fetch; schema }) q]. *)
+    distinct component once. A fetch returns the component's rows and,
+    optionally, where indexes on them come from: [Some ix] when something
+    already keeps indexes on exactly those rows, in that order (a cache
+    element whose extension the fetch returned), so that [ix cols] is an
+    index on [cols] over them; the run then probes those instead of
+    building its own. [exec (compile kb ~schema q) ~args:[]
+    ~fetch:(fun c -> (fetch c, None))] is
+    [run kb ~source:(Conj_fetch { fetch; schema }) q]. *)

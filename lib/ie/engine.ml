@@ -289,7 +289,9 @@ let set_program t front form query () =
 
 let compile_name = function Hit -> "hit" | Miss -> "miss" | Per_goal -> "per_goal"
 
-let solve t query =
+(* The strategy's solutions and the report; the interpretive suites'
+   inference happens as the stream is pulled. *)
+let solutions t query =
   Obs.Metrics.incr "ie.queries";
   Obs.Trace.with_span ~cat:"ie" "ie.solve"
     ~args:
@@ -302,27 +304,13 @@ let solve t query =
       else Qpo.set_advice t.qpo { Adv.specs = []; path = None };
       (* Inference strategy controller. *)
       let counters = { Strategy.resolutions = 0; db_goal_queries = 0 } in
-      let stream =
-        Strategy.solve t.strategy t.kb t.qpo ~orderings:front.orderings ~counters
+      let solutions =
+        Strategy.solutions t.strategy t.kb t.qpo ~orderings:front.orderings ~counters
           ~max_depth:t.max_depth ~skip_rules:front.skip_rules
           ~set_program:(set_program t front form query)
           query
       in
-      (* Account inference work as it happens: wrap the stream so pulls update
-         the engine's running total. *)
-      let counted =
-        TS.from (TS.schema stream)
-          (let cursor = TS.cursor stream in
-           let last = ref 0 in
-           fun () ->
-             let r = TS.next cursor in
-             let delta = counters.Strategy.resolutions - !last in
-             t.total_resolutions <- t.total_resolutions + delta;
-             if delta > 0 then Obs.Metrics.incr ~by:delta "ie.resolutions";
-             last := counters.Strategy.resolutions;
-             r)
-      in
-      ( counted,
+      ( solutions,
         {
           graph_size = front.graph_size;
           shaper_stats = front.shaper_stats;
@@ -330,9 +318,38 @@ let solve t query =
           counters;
         } ))
 
+(* Adds the inference the goal's counters gained since [last] to the
+   engine's running total. *)
+let account t counters last =
+  let delta = counters.Strategy.resolutions - !last in
+  t.total_resolutions <- t.total_resolutions + delta;
+  if delta > 0 then Obs.Metrics.incr ~by:delta "ie.resolutions";
+  last := counters.Strategy.resolutions
+
+(* Accounts inference work as it happens: the stream's pulls update the
+   engine's running total. *)
+let counted t report stream =
+  TS.from (TS.schema stream)
+    (let cursor = TS.cursor stream in
+     let last = ref 0 in
+     fun () ->
+       let r = TS.next cursor in
+       account t report.counters last;
+       r)
+
+let solve t query =
+  let solutions, report = solutions t query in
+  match solutions with
+  | Strategy.Lazily s -> (counted t report s, report)
+  | Strategy.All r -> (counted t report (TS.of_relation r), report)
+
 let solve_all t query =
-  let stream, report = solve t query in
-  (TS.to_relation stream, report)
+  let solutions, report = solutions t query in
+  match solutions with
+  | Strategy.Lazily s -> (TS.to_relation (counted t report s), report)
+  | Strategy.All r ->
+    account t report.counters (ref 0);
+    (r, report)
 
 let solve_first t ?(n = 1) query =
   let stream, report = solve t query in

@@ -158,6 +158,10 @@ let solve_sld k kb qpo ~orderings ~counters ~max_depth ~skip_rules query =
 
 (* --- the set-oriented endpoint of the range --- *)
 
+type solutions =
+  | Lazily of TS.t
+  | All of R.Relation.t
+
 type set_program = {
   magic : bool;  (* whether the goal was magic-transformed *)
   program : Datalog.program;
@@ -177,19 +181,21 @@ let solve_set_oriented kb qpo ~counters ~set_program query =
        else [])
     (fun () ->
       Obs.Metrics.incr "ie.set.solves";
+      (* A fetch answered by a cache element's whole extension hands the
+         fixpoint that element's indexes, kept across goals. *)
       let fetch c =
         counters.db_goal_queries <- counters.db_goal_queries + 1;
         Obs.Metrics.incr "ie.set.fetches";
-        let answer = Qpo.answer_conj qpo c in
-        let rel = TS.to_relation answer.Qpo.stream in
+        let answer = Qpo.answer_relation qpo c in
+        let rel = answer.Qpo.relation in
         Obs.Metrics.incr ~by:(R.Relation.cardinality rel) "ie.set.fetched_tuples";
-        rel
+        (rel, answer.Qpo.index)
       in
       if L.Kb.is_base kb query.L.Atom.pred then begin
         (* a base goal is itself one set-oriented fetch *)
         let vars = L.Atom.vars query in
         let q = A.conj (List.map (fun v -> L.Term.Var v) vars) [ query ] in
-        TS.of_relation (fetch q)
+        All (fst (fetch q))
       end
       else begin
         let compiled, args = set_program () in
@@ -209,7 +215,7 @@ let solve_set_oriented kb qpo ~counters ~set_program query =
         Obs.Trace.add_arg "fetches" (Obs.Trace.Int outcome.Datalog.fetches);
         Obs.Trace.add_arg "fetched_tuples" (Obs.Trace.Int outcome.Datalog.fetched_tuples);
         Obs.Trace.add_arg "magic_tuples" (Obs.Trace.Int magic_tuples);
-        TS.of_relation outcome.Datalog.result
+        All outcome.Datalog.result
       end)
 
 (* Heuristic choice for the adaptive suite: compare the cost of moving
@@ -247,15 +253,16 @@ let adaptive_choice kb qpo query =
   in
   if interpretive_cost <= set_oriented_cost then `Interpretive else `Set_oriented
 
-let solve kind kb qpo ~orderings ~counters ?(max_depth = 50_000) ?(skip_rules = [])
+let solutions kind kb qpo ~orderings ~counters ?(max_depth = 50_000) ?(skip_rules = [])
     ~set_program query =
+  let sld k = Lazily (solve_sld k kb qpo ~orderings ~counters ~max_depth ~skip_rules query) in
   match kind with
-  | Interpretive -> solve_sld 1 kb qpo ~orderings ~counters ~max_depth ~skip_rules query
+  | Interpretive -> sld 1
   | Conjunction_compiled k ->
-    if k < 1 then invalid_arg "Strategy.solve: conjunction size must be >= 1";
-    solve_sld k kb qpo ~orderings ~counters ~max_depth ~skip_rules query
+    if k < 1 then invalid_arg "Strategy.solutions: conjunction size must be >= 1";
+    sld k
   | Set_oriented -> solve_set_oriented kb qpo ~counters ~set_program query
   | Adaptive ->
     (match adaptive_choice kb qpo query with
-     | `Interpretive -> solve_sld 1 kb qpo ~orderings ~counters ~max_depth ~skip_rules query
+     | `Interpretive -> sld 1
      | `Set_oriented -> solve_set_oriented kb qpo ~counters ~set_program query)

@@ -74,7 +74,15 @@ val compile_set :
     a caller that compiles a form once passes a goal whose constants are
     sentinels that occur nowhere in the KB, and lists them here. *)
 
-val solve :
+type solutions =
+  | Lazily of Braid_stream.Tuple_stream.t
+      (** the interpretive suites' stream: pulling one solution performs
+          only the inference needed for it *)
+  | All of Braid_relalg.Relation.t
+      (** the set-oriented suite's answer, computed up front
+          (all-solutions semantics); the caller owns the row vector *)
+
+val solutions :
   kind ->
   Braid_logic.Kb.t ->
   Braid_planner.Qpo.t ->
@@ -84,12 +92,9 @@ val solve :
   ?skip_rules:string list ->
   set_program:(unit -> set_program * Braid_relalg.Value.t list) ->
   Braid_logic.Atom.t ->
-  Braid_stream.Tuple_stream.t
+  solutions
 (** Solutions as tuples over the query's distinct variables (in order of
-    first occurrence). Interpretive/conjunction strategies produce the
-    stream lazily — pulling one solution performs only the inference needed
-    for it; the set-oriented strategy computes everything up front
-    (all-solutions semantics). Duplicate solutions are preserved for the
+    first occurrence). Duplicate solutions are preserved for the
     interpretive strategies (as in Prolog) and absent for the set-oriented
     one (set semantics). [skip_rules] are rules the problem graph shaper proved
     useless for this query (culled by a false condition or a

@@ -809,7 +809,7 @@ let index_for_spec t (spec : Braid_advice.Ast.view_spec) (e : Elem.t) =
         (Adv.index_recommendation spec)
     in
     if cols <> [] then begin
-      CMgr.ensure_index t.cache e cols;
+      ignore (CMgr.ensure_index t.cache e cols);
       t.stats.indexes_built <- t.stats.indexes_built + 1;
       [ Plan.Index_built { element = e.Elem.id; columns = cols } ]
     end
@@ -972,6 +972,12 @@ type answer = {
   spec_id : string option;
 }
 
+type relation_answer = {
+  relation : R.Relation.t;
+  rel_plan : Plan.t;
+  index : (int list -> R.Index.t) option;
+}
+
 let classify t solved =
   let hit_kind =
     if not solved.s_used_remote then
@@ -1022,6 +1028,32 @@ let should_cache_eager_result t ses spec solved touched =
     advice_ok
     && (solved.s_used_remote || touched >= t.config.recompute_cache_threshold)
 
+(* What [answer_conj_untraced] computed: a lazy generator, or an eager
+   relation whose row vector only the caller holds unless [cached] (then
+   it is also the new cache element's). [exact_hit] is the element a lone
+   exact hit read. *)
+type result =
+  | Lazy_result of TS.t
+  | Eager_result of { rel : R.Relation.t; cached : bool; exact_hit : string option }
+
+let exact_hit solved =
+  match solved.s_steps, solved.s_extras with
+  | [ Plan.Exact_hit { element } ], [] -> Some element
+  | _ -> None
+
+(* The element an exact hit read, when [rel] holds that element's
+   extension row for row, in order: the same tuples, not equal copies.
+   Checked row by row, so no rewrite or projection the evaluator might
+   make can pass for one. *)
+let element_holding t exact_hit rel =
+  match Option.bind exact_hit (CMgr.find t.cache) with
+  | Some e when Elem.is_materialized e ->
+    let ext = Elem.extension e in
+    let n = R.Relation.cardinality rel in
+    let rec same i = i = n || (R.Relation.get rel i == R.Relation.get ext i && same (i + 1)) in
+    if R.Relation.cardinality ext = n && same 0 then Some e else None
+  | Some _ | None -> None
+
 let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
   t.stats.queries <- t.stats.queries + 1;
   let spec =
@@ -1055,7 +1087,7 @@ let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
        || match spec with Some s -> Adv.recommend_lazy s | None -> false)
   in
   let result_steps = ref [] in
-  let stream =
+  let result =
     if lazy_ok then begin
       Log.debug (fun m -> m "answering lazily: %s" (A.conj_to_string q));
       t.stats.lazy_answers <- t.stats.lazy_answers + 1;
@@ -1071,7 +1103,7 @@ let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
               && (CMgr.stats t.cache).CMgr.stale_touches = stale_before ->
          ignore (CMgr.insert t.cache ~def:q (Elem.Generator s))
        | Subsumption | No_cache | Exact_match | Single_relation -> ());
-      s
+      Lazy_result s
     end
     else begin
       let rel = CMgr.eval t.cache ~extra:solved.s_extras (A.Conj solved.s_rewritten) in
@@ -1080,21 +1112,22 @@ let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
       let degraded_eval =
         solved.s_degraded || (CMgr.stats t.cache).CMgr.stale_touches > stale_before
       in
-      if
+      let cached =
         should_cache_eager_result t ses spec solved touched
         && (not degraded_eval)
         && find_key t qkey = None
-      then begin
+        &&
         match CMgr.insert t.cache ~def:q (Elem.Extension (retyped t q rel)) with
         | Some e ->
           (match spec with
            | Some s ->
              associate ses e.Elem.id s.Braid_advice.Ast.id;
              result_steps := !result_steps @ index_for_spec t s e
-           | None -> ())
-        | None -> ()
-      end;
-      TS.of_relation rel
+           | None -> ());
+          true
+        | None -> false
+      in
+      Eager_result { rel; cached; exact_hit = exact_hit solved }
     end
   in
   (* Associate this spec with whichever cache element now answers it, so
@@ -1175,16 +1208,15 @@ let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
      accounting, so the observer is only ever installed by checking
      harnesses, never in benchmarked runs. *)
   (match t.observer with
-   | Some f -> f q provenance (TS.to_relation stream)
+   | Some f ->
+     f q provenance
+       (match result with
+        | Lazy_result s -> TS.to_relation s
+        | Eager_result { rel; _ } -> R.Relation.copy rel)
    | None -> ());
-  {
-    stream;
-    plan;
-    provenance;
-    spec_id = Option.map (fun s -> s.Braid_advice.Ast.id) spec;
-  }
+  (result, plan, provenance, Option.map (fun s -> s.Braid_advice.Ast.id) spec)
 
-let answer_conj t ?session ?spec_id ?prefer_lazy (q : A.conj) =
+let answer_traced t ?session ?spec_id ?prefer_lazy (q : A.conj) =
   let ses = Option.value session ~default:t.default_session in
   Obs.Metrics.incr "qpo.queries";
   Obs.Trace.with_span ~cat:"qpo" "qpo.answer"
@@ -1192,17 +1224,40 @@ let answer_conj t ?session ?spec_id ?prefer_lazy (q : A.conj) =
       (if Obs.Trace.enabled () then [ ("query", Obs.Trace.Str (A.conj_to_string q)) ]
        else [])
     (fun () ->
-      let a = answer_conj_untraced t ses ?spec_id ?prefer_lazy q in
+      let ((_, plan, provenance, spec_id) as a) =
+        answer_conj_untraced t ses ?spec_id ?prefer_lazy q
+      in
       if Obs.Trace.enabled () then begin
         Obs.Trace.add_arg "plan"
           (Obs.Trace.Str
-             (String.concat "; " (List.map (Format.asprintf "%a" Plan.pp_step) a.plan)));
-        Obs.Trace.add_arg "provenance" (Obs.Trace.Str (Plan.provenance_to_string a.provenance));
-        match a.spec_id with
+             (String.concat "; " (List.map (Format.asprintf "%a" Plan.pp_step) plan)));
+        Obs.Trace.add_arg "provenance" (Obs.Trace.Str (Plan.provenance_to_string provenance));
+        match spec_id with
         | Some id -> Obs.Trace.add_arg "spec" (Obs.Trace.Str id)
         | None -> ()
       end;
       a)
+
+let answer_conj t ?session ?spec_id ?prefer_lazy q =
+  let result, plan, provenance, spec_id = answer_traced t ?session ?spec_id ?prefer_lazy q in
+  let stream =
+    match result with
+    | Lazy_result s -> s
+    | Eager_result { rel; _ } -> TS.of_relation rel
+  in
+  { stream; plan; provenance; spec_id }
+
+let answer_relation t ?session ?spec_id q =
+  let result, plan, _, _ = answer_traced t ?session ?spec_id q in
+  let relation, index =
+    match result with
+    | Lazy_result s -> (TS.to_relation s, None)
+    | Eager_result { rel; cached; exact_hit } ->
+      (* A cached result shares its row vector with the new element. *)
+      ( (if cached then R.Relation.copy rel else rel),
+        Option.map (CMgr.ensure_index t.cache) (element_holding t exact_hit rel) )
+  in
+  { relation; rel_plan = plan; index }
 
 (* Answer a conjunctive query in which [extras] names resolve to local
    scratch relations (used by the fixpoint operator); atoms over extras are
@@ -1213,8 +1268,8 @@ let answer_conj_with_extra t ?session extras (c : A.conj) =
     List.exists (fun (a : L.Atom.t) -> List.mem a.L.Atom.pred extra_names) c.A.atoms
   in
   if not mentions_extra then
-    let a = answer_conj t ?session c in
-    (TS.to_relation a.stream, a.plan)
+    let a = answer_relation t ?session c in
+    (a.relation, a.rel_plan)
   else begin
     (* Fetch each non-extra base occurrence through the planner (so caching
        and subsumption apply), then evaluate the whole conjunct locally. *)
@@ -1228,9 +1283,9 @@ let answer_conj_with_extra t ?session extras (c : A.conj) =
           then a
           else begin
             let def = single_atom_def a in
-            let ans = answer_conj t ?session def in
+            let ans = answer_relation t ?session def in
             let name = fresh_extra t in
-            fetched := (name, TS.to_relation ans.stream) :: !fetched;
+            fetched := (name, ans.relation) :: !fetched;
             (* the fetched extension's columns are the occurrence's
                distinct variables; constants were applied remotely *)
             L.Atom.make name def.A.head
@@ -1266,8 +1321,8 @@ let rec answer_query_with_extra t ?session extras (q : A.t) =
 and answer_query t ?session (q : A.t) =
   match q with
   | A.Conj c ->
-    let a = answer_conj t ?session c in
-    (TS.to_relation a.stream, a.plan)
+    let a = answer_relation t ?session c in
+    (a.relation, a.rel_plan)
   | A.Union [] -> invalid_arg "Qpo.answer_query: empty union"
   | A.Union (first :: rest) ->
     let r0, p0 = answer_query t ?session first in

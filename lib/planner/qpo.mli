@@ -181,6 +181,27 @@ val answer_conj :
     steps, ["; "]-separated) and [provenance] args are the observable
     record of the QPO's decisions. *)
 
+type relation_answer = {
+  relation : Braid_relalg.Relation.t;
+      (** the caller's own row vector (the tuples are shared) *)
+  rel_plan : Plan.t;
+  index : (int list -> Braid_relalg.Index.t) option;
+      (** set when [relation] is a cache element's extension, row for row
+          and in order: the plan is a lone exact hit on a materialized
+          element and the evaluation returned that element's own tuples.
+          [i cols] is the element's index on [cols], built through the
+          cache manager on first use and kept, so it is charged to the
+          cache's capacity. It indexes [relation]'s rows until the next
+          write to the element. *)
+}
+
+val answer_relation :
+  t -> ?session:session -> ?spec_id:string -> Braid_caql.Ast.conj -> relation_answer
+(** {!answer_conj} for a caller that wants the whole answer at once: the
+    same planning, caching and accounting, but an eager answer is handed
+    over as the relation it was evaluated into, with no stream around it
+    (a lazy one, chosen by advice, is forced). *)
+
 val answer_query :
   t -> ?session:session -> Braid_caql.Ast.t -> Braid_relalg.Relation.t * Plan.t
 (** Full CAQL (union / difference / aggregation), evaluated eagerly by

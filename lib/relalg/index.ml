@@ -1,112 +1,17 @@
-module Key = struct
-  type t = Value.t list
+(* Flat-array hash index. Rows are filed at positions of [rows]; the rows
+   of one key form a circular chain through [next], oldest first, and an
+   open-addressed table [heads] maps each key to its newest row:
 
-  (* single structural walk — the length guard + [for_all2] pair traverses
-     both lists twice and boxes the lengths; key comparison sits on every
-     hash-table probe, so this is hot *)
-  let rec equal a b =
-    match a, b with
-    | [], [] -> true
-    | x :: xs, y :: ys -> Value.equal x y && equal xs ys
-    | _ -> false
+   - [next.(p) >= 0]: the next-newer row of [p]'s key;
+   - [next.(p) < 0]: [p] is its key's newest row, and [lnot next.(p)] is
+     the key's oldest row.
 
-  let hash k = List.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 k
-end
-
-module Key_tbl = Hashtbl.Make (Key)
-module Value_tbl = Hashtbl.Make (Value)
-
-(* Open-addressing directory for immediate-int keys: linear probing over an
-   unboxed key array. A probe is a hash, a mask, and int compares against a
-   flat array — no functor indirection, no boxed-key dereference, no
-   allocation. Buckets are the same newest-first ref-cells the generic
-   stores use; the [dummy] sentinel marks an empty slot (its contents are
-   never mutated, so an absent key reads as the empty bucket). A key whose
-   last tuple is removed keeps its slot, holding [ref []]: slots are never
-   freed, so plain linear probing stays sound, and every reader treats an
-   empty bucket as an absent key. *)
-module Idir = struct
-  let dummy : Tuple.t list ref = ref []
-
-  type t = {
-    mutable keys : int array;
-    mutable cells : Tuple.t list ref array;
-    mutable occupied : int;
-    mutable mask : int;
-  }
-
-  let create n =
-    let rec pow2 c = if c >= n * 2 then c else pow2 (c * 2) in
-    let cap = pow2 16 in
-    { keys = Array.make cap 0; cells = Array.make cap dummy; occupied = 0; mask = cap - 1 }
-
-  (* First slot that is empty or already holds [x]. *)
-  let rec slot_of d x i =
-    if d.cells.(i) == dummy || d.keys.(i) = x then i
-    else slot_of d x ((i + 1) land d.mask)
-
-  (* [x]'s bucket cell, or [dummy] (the empty bucket) when absent. *)
-  let find_cell d x = d.cells.(slot_of d x (Value.hash_int x land d.mask))
-
-  let resize d =
-    let old_keys = d.keys and old_cells = d.cells in
-    let cap = (d.mask + 1) * 2 in
-    d.keys <- Array.make cap 0;
-    d.cells <- Array.make cap dummy;
-    d.mask <- cap - 1;
-    Array.iteri
-      (fun i cell ->
-        if cell != dummy then begin
-          let x = old_keys.(i) in
-          let j = slot_of d x (Value.hash_int x land d.mask) in
-          d.keys.(j) <- x;
-          d.cells.(j) <- cell
-        end)
-      old_cells
-
-  (* Returns [x]'s bucket cell. *)
-  let insert d x t =
-    let i = slot_of d x (Value.hash_int x land d.mask) in
-    let cell = d.cells.(i) in
-    if cell != dummy then begin
-      cell := t :: !cell;
-      cell
-    end
-    else begin
-      let cell = ref [ t ] in
-      d.keys.(i) <- x;
-      d.cells.(i) <- cell;
-      d.occupied <- d.occupied + 1;
-      (* keep load factor under 1/2 *)
-      if d.occupied * 2 > d.mask + 1 then resize d;
-      cell
-    end
-
-  (* Folds over the non-empty buckets. *)
-  let fold f d init =
-    let acc = ref init in
-    Array.iteri
-      (fun i cell -> match !cell with [] -> () | _ -> acc := f d.keys.(i) cell !acc)
-      d.cells;
-    !acc
-
-  let length d = d.occupied
-end
-
-(* Single-column indexes — every join probe the engine plans and most
-   catalog indexes — key the table on the bare value, skipping the
-   one-element key list (one allocation per probe) and the list-walking
-   hash/equality of the composite directory. When every key seen so far is
-   an integer (the overwhelmingly common join-key shape), the directory is
-   further specialized to immediate-int keys, so a probe compares unboxed
-   ints instead of dereferencing boxed values; the first non-int key
-   demotes the store to the generic form, rehoming the shared bucket
-   cells. A bucket's stored key is always its oldest tuple's key, as
-   [build] over the relation would store it. *)
-type store =
-  | Ints of Idir.t
-  | Single of Tuple.t list ref Value_tbl.t
-  | Multi of Tuple.t list ref Key_tbl.t
+   A key is never stored apart from its rows: a slot is hashed and
+   compared through its newest row's indexed columns. Every row of a key
+   is [Value.equal] to every other on those columns, so any one of them
+   stands for the key; the directory key is the oldest row's. A removed
+   row's position goes on a free list threaded through [next] and is
+   reused by the next [add]. *)
 
 (* The key directory in ascending key order, as index-only scans visit it:
    each key's tuple and its bucket's size. The first [len] slots are live;
@@ -116,86 +21,249 @@ type directory = { mutable keys : Tuple.t array; mutable sizes : int array; muta
 
 type t = {
   columns : int list;
-  mutable store : store;
+  cols : int array;
+  mutable rows : Tuple.t array;
+  mutable next : int array;
+  mutable filled : int;  (* positions handed out so far; the rest of [rows] is spare *)
+  mutable free : int;  (* first free position below [filled], or -1 *)
+  mutable heads : int array;  (* slot -> its key's newest row, or -1 when empty *)
+  mutable mask : int;
+  mutable occupied : int;  (* slots in use: the distinct keys *)
   mutable probes : int;
   mutable entries : int;
   mutable sorted : directory option; (* built on first use, then kept current by writes *)
 }
 
-(* The int a value hashes and compares like, if any: [Int x] itself, and
-   integral floats, which [Value.equal]/[Value.hash] treat as the equal
-   integer. *)
-let int_key = function
-  | Value.Int x -> Some x
-  | Value.Float f when Float.is_integer f && Float.abs f < 1e18 ->
-    Some (int_of_float f)
-  | _ -> None
+let no_row : Tuple.t = [||]
 
-(* Returns [v]'s bucket cell. *)
-let insert_value table v t =
-  match Value_tbl.find_opt table v with
-  | Some cell ->
-    cell := t :: !cell;
-    cell
-  | None ->
-    let cell = ref [ t ] in
-    Value_tbl.add table v cell;
-    cell
+(* --- hashing and comparing keys --- *)
 
-let insert_key table k t =
-  match Key_tbl.find_opt table k with
-  | Some cell ->
-    cell := t :: !cell;
-    cell
-  | None ->
-    let cell = ref [ t ] in
-    Key_tbl.add table k cell;
-    cell
+(* [Value.hash] folded over the key's values in column order; a one-column
+   key hashes as its value. *)
+let hash_row ix t =
+  let cols = ix.cols in
+  if Array.length cols = 1 then Value.hash (Tuple.get t cols.(0))
+  else begin
+    let h = ref 7 in
+    for k = 0 to Array.length cols - 1 do
+      h := (!h * 31) + Value.hash (Tuple.get t cols.(k))
+    done;
+    !h
+  end
 
-(* Demotion keeps the bucket ref-cells themselves, so bucket contents and
-   their order are untouched. Integral-float keys cannot appear in an
-   [Ints] table (they demote it), so re-keying by [Value.Int] is exact. *)
-let demote d =
-  let table = Value_tbl.create (max 16 (2 * Idir.length d)) in
-  Idir.fold (fun x cell () -> Value_tbl.add table (Value.Int x) cell) d ();
-  table
+let hash_values (key : Value.t array) =
+  if Array.length key = 1 then Value.hash key.(0)
+  else begin
+    let h = ref 7 in
+    for k = 0 to Array.length key - 1 do
+      h := (!h * 31) + Value.hash key.(k)
+    done;
+    !h
+  end
 
-(* Files [t] in its key's bucket, demoting an [Ints] store at the first
-   non-int key. Returns the bucket cell. *)
+(* [Value.equal v (Int x)] without boxing [x]: an int probe compares
+   unboxed ints against [Int] rows. *)
+let equal_int x v =
+  match v with
+  | Value.Int y -> x = y
+  | Value.Float f -> Float.compare (float_of_int x) f = 0
+  | Value.Str _ | Value.Bool _ | Value.Null -> false
+
+let rec row_matches_values t cols key k =
+  k = Array.length cols
+  || (Value.equal (Tuple.get t cols.(k)) key.(k) && row_matches_values t cols key (k + 1))
+
+let rec rows_match a b cols k =
+  k = Array.length cols
+  || (Value.equal (Tuple.get a cols.(k)) (Tuple.get b cols.(k)) && rows_match a b cols (k + 1))
+
+(* --- the slot table --- *)
+
+(* Linear probing: each returns the slot holding the probed key, or the
+   empty slot where it would go. The key is compared against each slot's
+   newest row. *)
+let rec slot_of_int ix c x i =
+  let h = ix.heads.(i) in
+  if h < 0 || equal_int x (Tuple.get ix.rows.(h) c) then i
+  else slot_of_int ix c x ((i + 1) land ix.mask)
+
+let rec slot_of_value ix c v i =
+  let h = ix.heads.(i) in
+  if h < 0 || Value.equal (Tuple.get ix.rows.(h) c) v then i
+  else slot_of_value ix c v ((i + 1) land ix.mask)
+
+let rec slot_of_values ix key i =
+  let h = ix.heads.(i) in
+  if h < 0 || row_matches_values ix.rows.(h) ix.cols key 0 then i
+  else slot_of_values ix key ((i + 1) land ix.mask)
+
+let rec slot_of_row_key ix t i =
+  let h = ix.heads.(i) in
+  if h < 0 || rows_match ix.rows.(h) t ix.cols 0 then i
+  else slot_of_row_key ix t ((i + 1) land ix.mask)
+
+let slot_of_value1 ix v =
+  let c = ix.cols.(0) in
+  let i = Value.hash v land ix.mask in
+  match v with Value.Int x -> slot_of_int ix c x i | v -> slot_of_value ix c v i
+
+(* The slot of the key of row [t]. *)
+let slot_of_row ix t =
+  if Array.length ix.cols = 1 then slot_of_value1 ix (Tuple.get t ix.cols.(0))
+  else slot_of_row_key ix t (hash_row ix t land ix.mask)
+
+(* The next empty slot from [i] on; for re-filing heads, whose keys are
+   all distinct. *)
+let rec empty_slot heads mask i = if heads.(i) < 0 then i else empty_slot heads mask ((i + 1) land mask)
+
+let grow_heads ix =
+  let old = ix.heads in
+  let cap = 2 * Array.length old in
+  let heads = Array.make cap (-1) in
+  let mask = cap - 1 in
+  Array.iter
+    (fun h -> if h >= 0 then heads.(empty_slot heads mask (hash_row ix ix.rows.(h) land mask)) <- h)
+    old;
+  ix.heads <- heads;
+  ix.mask <- mask
+
+(* Empties slot [i] by backward-shift deletion: every later head of the
+   same probe run whose home slot does not lie cyclically in (hole, j] moves
+   back into the hole, so linear probing needs no tombstones. *)
+let delete_slot ix i =
+  let heads = ix.heads and mask = ix.mask in
+  let rec shift hole j =
+    let h = heads.(j) in
+    if h < 0 then heads.(hole) <- -1
+    else begin
+      let home = hash_row ix ix.rows.(h) land mask in
+      if (j - home) land mask >= (j - hole) land mask then begin
+        heads.(hole) <- h;
+        shift j ((j + 1) land mask)
+      end
+      else shift hole ((j + 1) land mask)
+    end
+  in
+  shift i ((i + 1) land mask);
+  ix.occupied <- ix.occupied - 1
+
+(* --- filing rows --- *)
+
+let new_position ix t =
+  let p =
+    if ix.free >= 0 then begin
+      let p = ix.free in
+      ix.free <- ix.next.(p);
+      p
+    end
+    else begin
+      if ix.filled = Array.length ix.rows then begin
+        let cap = max 8 (2 * ix.filled) in
+        let rows = Array.make cap no_row and next = Array.make cap (-1) in
+        Array.blit ix.rows 0 rows 0 ix.filled;
+        Array.blit ix.next 0 next 0 ix.filled;
+        ix.rows <- rows;
+        ix.next <- next
+      end;
+      let p = ix.filled in
+      ix.filled <- p + 1;
+      p
+    end
+  in
+  ix.rows.(p) <- t;
+  p
+
+(* Files [t] as its key's newest row. Returns whether the key is new. *)
 let insert ix t =
-  match ix.store, ix.columns with
-  | Ints d, [ c ] ->
-    (match Tuple.get t c with
-     | Value.Int x -> Idir.insert d x t
-     | v ->
-       let table = demote d in
-       ix.store <- Single table;
-       insert_value table v t)
-  | Single table, [ c ] -> insert_value table (Tuple.get t c) t
-  | (Ints _ | Single _), _ -> assert false
-  | Multi table, cols -> insert_key table (Tuple.key t cols) t
+  let p = new_position ix t in
+  let i = slot_of_row ix t in
+  let h = ix.heads.(i) in
+  if h >= 0 then begin
+    ix.next.(p) <- ix.next.(h);
+    ix.next.(h) <- p;
+    ix.heads.(i) <- p;
+    false
+  end
+  else begin
+    ix.next.(p) <- lnot p;
+    ix.heads.(i) <- p;
+    ix.occupied <- ix.occupied + 1;
+    (* keep the load factor at or under 1/2 *)
+    if ix.occupied * 2 > Array.length ix.heads then grow_heads ix;
+    true
+  end
 
-(* [build] is [add] row by row from the empty index, except that a
-   one-column store is chosen from the first key's kind: a first key that
-   is not an int starts in the generic table, sized as [demote] would size
-   it, so no int directory is built only to be thrown away. *)
 let build r cols =
   if cols = [] then invalid_arg "Index.build: empty column list";
-  let n = max 16 (Relation.cardinality r) in
-  let store =
-    match cols with
-    | [ c ]
-      when Relation.cardinality r > 0
-           && (match Tuple.get (Relation.get r 0) c with Value.Int _ -> false | _ -> true) ->
-      Single (Value_tbl.create 16)
-    | [ _ ] -> Ints (Idir.create n)
-    | _ -> Multi (Key_tbl.create n)
+  let n = Relation.cardinality r in
+  let ix =
+    {
+      columns = cols;
+      cols = Array.of_list cols;
+      rows = Array.make n no_row;
+      next = Array.make n (-1);
+      filled = 0;
+      free = -1;
+      heads = Array.make 16 (-1);
+      mask = 15;
+      occupied = 0;
+      probes = 0;
+      entries = n;
+      sorted = None;
+    }
   in
-  let ix = { columns = cols; store; probes = 0; entries = Relation.cardinality r; sorted = None } in
   Relation.iter (fun t -> ignore (insert ix t)) r;
   ix
 
 let columns ix = ix.columns
+
+(* --- the cursor --- *)
+
+let oldest ix h = lnot ix.next.(h)
+
+(* The oldest row of slot [i]'s key, or -1 for an empty slot; one probe. *)
+let first_in ix i =
+  ix.probes <- ix.probes + 1;
+  let h = ix.heads.(i) in
+  if h < 0 then -1 else oldest ix h
+
+let first1 ix v =
+  if Array.length ix.cols <> 1 then begin
+    ix.probes <- ix.probes + 1;
+    -1
+  end
+  else first_in ix (slot_of_value1 ix v)
+
+let first ix key =
+  if Array.length key <> Array.length ix.cols then begin
+    ix.probes <- ix.probes + 1;
+    -1
+  end
+  else first_in ix (slot_of_values ix key (hash_values key land ix.mask))
+
+let next ix p =
+  let q = ix.next.(p) in
+  if q < 0 then -1 else q
+
+let tuple_at ix p = ix.rows.(p)
+
+let[@tail_mod_cons] rec collect ix p = if p < 0 then [] else ix.rows.(p) :: collect ix (next ix p)
+
+let first_of_list ix = function [ v ] -> first1 ix v | key -> first ix (Array.of_list key)
+let lookup ix key = collect ix (first_of_list ix key)
+
+let rec walk ix f p =
+  if p >= 0 then begin
+    f ix.rows.(p);
+    walk ix f (next ix p)
+  end
+
+let iter_probe ix key ~f = walk ix f (first_of_list ix key)
+
+let probes ix = ix.probes
+let bytes_estimate ix = 64 + (ix.entries * 24)
+
+(* --- the sorted directory --- *)
 
 (* [Tuple.compare kt (Tuple.project t cols)] without building the
    projection: directory keys share the index's arity. *)
@@ -248,142 +316,83 @@ let delete_key_slot dir i =
   dir.len <- last
 
 let add ix t =
-  let cell = insert ix t in
+  let fresh = insert ix t in
   ix.entries <- ix.entries + 1;
   match ix.sorted with
   | None -> ()
   | Some dir ->
-    (match !cell with
-     | [ _ ] -> insert_key_slot dir (lower_bound dir t ix.columns) (Tuple.project t ix.columns)
-     | _ ->
-       let i = slot_of_key dir t ix.columns in
-       dir.sizes.(i) <- dir.sizes.(i) + 1)
-
-let bucket_of ix key =
-  match ix.store, key with
-  | Ints d, [ v ] ->
-    (match int_key v with
-     | Some x ->
-       let cell = Idir.find_cell d x in
-       if cell == Idir.dummy then None else Some cell
-     | None -> None)
-  | Single table, [ v ] -> Value_tbl.find_opt table v
-  | (Ints _ | Single _), _ -> None
-  | Multi table, _ -> Key_tbl.find_opt table key
-
-(* Buckets are stored newest-first, so the oldest tuple equal to [t] — the
-   row [Relation.remove_once] takes out — is the last match. Returns its
-   position and the bucket's length. *)
-let last_match t bucket =
-  let rec go i found = function
-    | [] -> (found, i)
-    | x :: rest -> go (i + 1) (if Tuple.equal x t then i else found) rest
-  in
-  go 0 (-1) bucket
-
-(* [bucket]'s [n]th tuple, and the bucket without it. *)
-let take_nth n bucket =
-  let rec go n acc = function
-    | [] -> assert false
-    | x :: rest -> if n = 0 then (x, List.rev_append acc rest) else go (n - 1) (x :: acc) rest
-  in
-  go n [] bucket
-
-let rec last = function [ x ] -> x | _ :: rest -> last rest | [] -> assert false
+    if fresh then insert_key_slot dir (lower_bound dir t ix.columns) (Tuple.project t ix.columns)
+    else begin
+      let i = slot_of_key dir t ix.columns in
+      dir.sizes.(i) <- dir.sizes.(i) + 1
+    end
 
 let same_key cols a b = List.for_all (fun c -> Tuple.get a c = Tuple.get b c) cols
 
+let free_position ix p =
+  ix.rows.(p) <- no_row;
+  ix.next.(p) <- ix.free;
+  ix.free <- p
+
 let remove ix t =
-  let cell =
-    match bucket_of ix (Tuple.key t ix.columns) with
-    | Some cell -> cell
-    | None -> invalid_arg "Index.remove: tuple not in the index"
+  let not_found () = invalid_arg "Index.remove: tuple not in the index" in
+  let i = slot_of_row ix t in
+  let newest = ix.heads.(i) in
+  if newest < 0 then not_found ();
+  (* The oldest row equal to [t] and the row before it in the chain (-1
+     when it is the oldest). *)
+  let rec find prev p =
+    if Tuple.equal ix.rows.(p) t then (prev, p)
+    else if p = newest then not_found ()
+    else find p ix.next.(p)
   in
-  let i, n = last_match t !cell in
-  if i < 0 then invalid_arg "Index.remove: tuple not in the index";
-  let gone, rest = take_nth i !cell in
-  cell := rest;
-  ix.entries <- ix.entries - 1;
+  let prev, p = find (-1) (oldest ix newest) in
+  let gone = ix.rows.(p) in
   (* The directory slot is found by the departing tuple's key, which still
      compares equal to the stored one. *)
   let slot = Option.map (fun dir -> (dir, slot_of_key dir gone ix.columns)) ix.sorted in
-  match !cell with
-  | [] ->
-    (match ix.store, ix.columns with
-     | Ints _, _ -> () (* the slot stays, holding the empty bucket *)
-     | Single table, [ c ] -> Value_tbl.remove table (Tuple.get gone c)
-     | Single _, _ -> assert false
-     | Multi table, cols -> Key_tbl.remove table (Tuple.key gone cols));
-    Option.iter (fun (dir, s) -> delete_key_slot dir s) slot
-  | bucket ->
-    Option.iter (fun (dir, s) -> dir.sizes.(s) <- dir.sizes.(s) - 1) slot;
-    (* The stored key was [gone]'s; when [gone] was the oldest tuple, the
-       new oldest one's key takes over if it differs structurally (say
-       [Float 2.0] after [Int 2]). [Ints] keys are exact, never re-keyed. *)
-    if i = n - 1 then begin
-      let oldest = last bucket in
-      if not (same_key ix.columns gone oldest) then begin
-        (match ix.store, ix.columns with
-         | Ints _, _ -> ()
-         | Single table, [ c ] ->
-           Value_tbl.remove table (Tuple.get gone c);
-           Value_tbl.add table (Tuple.get oldest c) cell
-         | Single _, _ -> assert false
-         | Multi table, cols ->
-           Key_tbl.remove table (Tuple.key gone cols);
-           Key_tbl.add table (Tuple.key oldest cols) cell);
-        Option.iter (fun (dir, s) -> dir.keys.(s) <- Tuple.project oldest ix.columns) slot
+  if p = newest then begin
+    if prev < 0 then delete_slot ix i
+    else begin
+      ix.next.(prev) <- ix.next.(p);
+      ix.heads.(i) <- prev
+    end
+  end
+  else if prev < 0 then ix.next.(newest) <- lnot ix.next.(p)
+  else ix.next.(prev) <- ix.next.(p);
+  free_position ix p;
+  ix.entries <- ix.entries - 1;
+  match slot with
+  | None -> ()
+  | Some (dir, s) ->
+    if p = newest && prev < 0 then delete_key_slot dir s
+    else begin
+      dir.sizes.(s) <- dir.sizes.(s) - 1;
+      (* The directory key is the oldest row's; when [gone] was the oldest,
+         the new oldest row's key takes over if the two differ
+         structurally (say [Float 2.0] after [Int 2]). *)
+      if prev < 0 then begin
+        let now_oldest = ix.rows.(oldest ix ix.heads.(i)) in
+        if not (same_key ix.columns gone now_oldest) then
+          dir.keys.(s) <- Tuple.project now_oldest ix.columns
       end
     end
 
-let lookup ix key =
-  ix.probes <- ix.probes + 1;
-  match bucket_of ix key with Some cell -> List.rev !cell | None -> []
-
-(* Buckets are stored newest-first; recurse to the tail so callers see
-   insertion order (as [lookup] does) without allocating the reversed copy.
-   Bucket depth is bounded by key multiplicity, so the non-tail recursion
-   is safe. *)
-let rec from_tail f = function
-  | [] -> ()
-  | t :: tl ->
-    from_tail f tl;
-    f t
-
-let iter_probe ix key ~f =
-  ix.probes <- ix.probes + 1;
-  match bucket_of ix key with Some cell -> from_tail f !cell | None -> ()
-
-let bucket1_rev ix v =
-  ix.probes <- ix.probes + 1;
-  match ix.store with
-  | Ints d ->
-    (match v with
-     | Value.Int x -> !(Idir.find_cell d x)
-     | _ -> (match int_key v with Some x -> !(Idir.find_cell d x) | None -> []))
-  | Single table ->
-    (match Value_tbl.find table v with cell -> !cell | exception Not_found -> [])
-  | Multi table ->
-    (match Key_tbl.find table [ v ] with cell -> !cell | exception Not_found -> [])
-
-let iter_probe1 ix v ~f = from_tail f (bucket1_rev ix v)
-
-let probes ix = ix.probes
-let bytes_estimate ix = 64 + (ix.entries * 24)
-
-(* Hashtbl iteration order is unspecified; sort the key directory so every
-   index-only scan visits buckets in the same (lexicographic) order. Keys of
-   one index share an arity, so [Tuple.compare] is column-wise
-   [Value.compare]. *)
+(* Slot order is hash order; sort the key directory so every index-only
+   scan visits buckets in the same (lexicographic) order. Keys of one index
+   share an arity, so [Tuple.compare] is column-wise [Value.compare]. *)
 let sort_directory ix =
-  let entry kt cell acc = (kt, List.length !cell) :: acc in
-  let entries =
-    match ix.store with
-    | Ints d -> Idir.fold (fun x -> entry [| Value.Int x |]) d []
-    | Single table -> Value_tbl.fold (fun v -> entry [| v |]) table []
-    | Multi table -> Key_tbl.fold (fun k -> entry (Tuple.make k)) table []
-  in
-  let entries = Array.of_list entries in
+  let entries = Array.make ix.occupied ([||], 0) in
+  let k = ref 0 in
+  Array.iter
+    (fun h ->
+      if h >= 0 then begin
+        let rec size p n = if p = h then n else size ix.next.(p) (n + 1) in
+        let o = oldest ix h in
+        entries.(!k) <- (Tuple.project ix.rows.(o) ix.columns, size o 1);
+        incr k
+      end)
+    ix.heads;
   Array.stable_sort (fun (a, _) (b, _) -> Tuple.compare a b) entries;
   { keys = Array.map fst entries; sizes = Array.map snd entries; len = Array.length entries }
 

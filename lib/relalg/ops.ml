@@ -6,11 +6,9 @@ let select pred r =
 let select_indexed_count ix key ?(residual = Row_pred.True) r =
   let out = Relation.create ~name:(Relation.name r) (Relation.schema r) in
   let matched = ref 0 in
-  List.iter
-    (fun t ->
+  Index.iter_probe ix key ~f:(fun t ->
       incr matched;
-      if Row_pred.eval residual t then Relation.add out t)
-    (Index.lookup ix key);
+      if Row_pred.eval residual t then Relation.add out t);
   (out, !matched)
 
 let select_indexed ix key ?residual r = fst (select_indexed_count ix key ?residual r)
@@ -49,61 +47,58 @@ let product a b =
     a;
   out
 
-let hash_join ~left_cols ~right_cols ?(residual = Row_pred.True) a b =
-  let schema = Schema.concat (Relation.schema a) (Relation.schema b) in
-  let out = Relation.create schema in
-  let ix = Index.build b right_cols in
-  Relation.iter
-    (fun ta ->
-      let key = Tuple.key ta left_cols in
-      List.iter
-        (fun tb ->
-          let t = Tuple.concat ta tb in
-          if Row_pred.eval residual t then Relation.add out t)
-        (Index.lookup ix key))
-    a;
-  out
+(* A probe of [ix] by [ta]'s [left_cols], through [key] (one slot per
+   column, refilled per probe): a cursor position, as {!Index.first}. *)
+let probe_first ix left_cols key ta =
+  match left_cols with
+  | [| c |] -> Index.first1 ix (Tuple.get ta c)
+  | _ ->
+    Array.iteri (fun k c -> key.(k) <- Tuple.get ta c) left_cols;
+    Index.first ix key
 
-(* Walks a bucket in storage (reverse-insertion) order, emitting from the
-   tail so output keeps insertion order. Top-level on purpose: an inner
-   closure here would capture the outer tuple and be re-allocated per probe,
-   which at bench scale costs as much as the output tuples themselves. *)
-let rec emit_bucket_rev rows ta = function
-  | [] -> ()
-  | tb :: tl ->
-    emit_bucket_rev rows ta tl;
-    Vec.push rows (Tuple.concat ta tb)
+(* Emits [ta] joined with each row from cursor position [p] on. Top-level
+   on purpose: an inner closure here would capture the outer tuple and be
+   re-allocated per probe. *)
+let rec emit_bucket rows ix ta p =
+  if p >= 0 then begin
+    Vec.push rows (Tuple.concat ta (Index.tuple_at ix p));
+    emit_bucket rows ix ta (Index.next ix p)
+  end
+
+let rec emit_bucket_where rows residual ix ta p matched =
+  if p < 0 then matched
+  else begin
+    let t = Tuple.concat ta (Index.tuple_at ix p) in
+    if Row_pred.eval residual t then Vec.push rows t;
+    emit_bucket_where rows residual ix ta (Index.next ix p) (matched + 1)
+  end
 
 let index_nl_join_count ~left_cols ix ?(residual = Row_pred.True) a b =
   let schema = Schema.concat (Relation.schema a) (Relation.schema b) in
   let rows = Vec.create () in
-  let probed = ref 0 in
+  let left_cols = Array.of_list left_cols in
+  let key = Array.make (Array.length left_cols) Value.Null in
   (* The probe loop is the enumerator's chosen inner loop for selective
-     joins: no per-probe bucket copy ([Index.lookup]), no key-list or
-     closure allocation for single-column probes, no per-row arity re-check
-     on output (tuples are schema-correct by construction), and no residual
-     dispatch when there is none — in which case matched = emitted, so the
-     counter is read off the output instead of bumped per tuple. *)
-  (match left_cols, residual with
-   | [ c ], Row_pred.True ->
-     Relation.iter
-       (fun ta -> emit_bucket_rev rows ta (Index.bucket1_rev ix (Tuple.get ta c)))
-       a;
-     probed := Vec.length rows
-   | _ ->
-     let probe =
-       match left_cols with
-       | [ c ] -> fun ta f -> Index.iter_probe1 ix (Tuple.get ta c) ~f
-       | _ -> fun ta f -> Index.iter_probe ix (Tuple.key ta left_cols) ~f
-     in
-     Relation.iter
-       (fun ta ->
-         probe ta (fun tb ->
-             incr probed;
-             let t = Tuple.concat ta tb in
-             if Row_pred.eval residual t then Vec.push rows t))
-       a);
-  (Relation.unsafe_of_rows schema rows, !probed)
+     joins: a cursor walk with no bucket copy, key list or closure per
+     probe, no per-row arity re-check on output (tuples are schema-correct
+     by construction), and no residual dispatch when there is none — in
+     which case matched = emitted, so the counter is read off the output
+     instead of bumped per tuple. *)
+  let probed =
+    match residual with
+    | Row_pred.True ->
+      Relation.iter (fun ta -> emit_bucket rows ix ta (probe_first ix left_cols key ta)) a;
+      Vec.length rows
+    | _ ->
+      Relation.fold
+        (fun matched ta ->
+          emit_bucket_where rows residual ix ta (probe_first ix left_cols key ta) matched)
+        0 a
+  in
+  (Relation.unsafe_of_rows schema rows, probed)
+
+let hash_join ~left_cols ~right_cols ?residual a b =
+  fst (index_nl_join_count ~left_cols (Index.build b right_cols) ?residual a b)
 
 let index_only_scan ix schema ?(residual = Row_pred.True) ?(distinct = false) () =
   let out = Relation.create schema in

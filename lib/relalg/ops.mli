@@ -34,8 +34,10 @@ val product : Relation.t -> Relation.t -> Relation.t
 val hash_join :
   left_cols:int list -> right_cols:int list -> ?residual:Row_pred.t ->
   Relation.t -> Relation.t -> Relation.t
-(** Equi-join building a hash table on the right input; the residual
-    predicate sees the concatenated tuple. *)
+(** Equi-join: {!index_nl_join_count} over an {!Index.build} of the right
+    input on [right_cols]. The residual predicate sees the concatenated
+    tuple; output follows the left input, each left tuple's matches in
+    the right input's order. *)
 
 val nested_join : Row_pred.t -> Relation.t -> Relation.t -> Relation.t
 (** Theta join by nested loops; the predicate sees the concatenated tuple. *)

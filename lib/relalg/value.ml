@@ -83,15 +83,12 @@ let pp_ty ppf ty =
 
 let ty_to_string ty = Format.asprintf "%a" pp_ty ty
 
-let as_int = function Int x -> Some x | Float _ | Str _ | Bool _ | Null -> None
-
 let as_float = function
   | Int x -> Some (float_of_int x)
   | Float x -> Some x
   | Str _ | Bool _ | Null -> None
 
 let as_string = function Str s -> Some s | Int _ | Float _ | Bool _ | Null -> None
-let as_bool = function Bool b -> Some b | Int _ | Float _ | Str _ | Null -> None
 
 let arith f_int f_float a b =
   match a, b with

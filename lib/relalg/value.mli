@@ -35,12 +35,10 @@ val add_to_buffer : Buffer.t -> t -> unit
 val pp_ty : Format.formatter -> ty -> unit
 val ty_to_string : ty -> string
 
-val as_int : t -> int option
 val as_float : t -> float option
 (** [as_float] also converts [Int]. *)
 
 val as_string : t -> string option
-val as_bool : t -> bool option
 
 val add : t -> t -> t
 val sub : t -> t -> t

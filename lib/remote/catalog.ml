@@ -127,13 +127,12 @@ let refresh_stats t name rel =
   | None -> ()
   | Some entry ->
     let arity = R.Schema.arity entry.schema in
-    let sets = Array.make arity V_set.empty in
-    R.Relation.iter
-      (fun tup ->
-        for i = 0 to arity - 1 do
-          sets.(i) <- V_set.add (R.Tuple.get tup i) sets.(i)
-        done)
-      rel;
+    (* One sort per column; adding row by row copies a tree path for
+       every new value. *)
+    let sets =
+      Array.init arity (fun i ->
+          V_set.of_list (R.Relation.fold (fun acc tup -> R.Tuple.get tup i :: acc) [] rel))
+    in
     entry.stats <-
       { cardinality = R.Relation.cardinality rel;
         distinct_per_column = Array.map V_set.cardinal sets;

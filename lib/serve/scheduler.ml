@@ -176,8 +176,7 @@ let run_job t s (job : job) =
               invalid_arg "Scheduler: goal job but no inference engine installed"
           in
           Obs.Metrics.incr "serve.goals";
-          let stream, _report = Braid_ie.Engine.solve engine g in
-          Goal_answered (TS.to_relation stream)
+          Goal_answered (fst (Braid_ie.Engine.solve_all engine g))
       in
       let elapsed = (Cms.metrics t.cms).Qpo.elapsed_ms -. before in
       Obs.Histogram.observe s.hist elapsed;

@@ -245,7 +245,7 @@ let test_index_probe_reduces_touched () =
   let q = A.Conj (A.conj [ v "Y" ] [ atom "eb" [ T.Const (V.Int 5); v "Y" ] ]) in
   ignore (CMgr.eval c q);
   let before = (CMgr.stats c).CMgr.tuples_touched in
-  CMgr.ensure_index c e [ 0 ];
+  ignore (CMgr.ensure_index c e [ 0 ]);
   ignore (CMgr.eval c q);
   let delta = (CMgr.stats c).CMgr.tuples_touched - before in
   check_bool "indexed probe touches fewer tuples" true (delta < before)

@@ -308,6 +308,151 @@ let test_exact_hit_answer_no_alias () =
   check_bool "checkpoint re-shares the element's rows" false e.Elem.delta_private;
   round "after the checkpoint" [ "x8"; "z8" ] [ "x9"; "z9" ]
 
+(* --- element indexes under the set-oriented tier --- *)
+
+(* The set-oriented tier over a maintained CMS: every goal's fetch of
+   [parent] is an exact hit on one cached element, whose indexes the
+   fixpoint probes. *)
+let family () = Braid_workload.Datagen.family ~persons:30 ~fanout:3 ()
+
+let family_server () =
+  let server = Server.create () in
+  List.iter (Engine.load (Server.engine server)) (family ());
+  server
+
+let set_engine cms =
+  Braid_ie.Engine.create ~strategy:Braid_ie.Strategy.Set_oriented
+    (Braid_workload.Kbgen.ancestor ())
+    (Cms.qpo cms)
+
+let ancestors_of = atom "ancestor" [ s "p0"; v "Y" ]
+
+(* Each goal's answer against a local fixpoint over the remote's tables as
+   they are now. *)
+let check_goal what server engine =
+  let answer, _ = Braid_ie.Engine.solve_all engine ancestors_of in
+  let base name = try Some (Engine.table (Server.engine server) name) with Not_found -> None in
+  let expected =
+    (Braid_ie.Datalog.solve (Braid_workload.Kbgen.ancestor ()) ~base ancestors_of)
+      .Braid_ie.Datalog.result
+  in
+  check_bool (what ^ ": answer reflects the remote") true
+    (List.sort_uniq compare (R.Relation.to_list answer)
+    = List.sort_uniq compare (R.Relation.to_list expected))
+
+let parent_element cms =
+  match
+    List.filter
+      (fun (e : Elem.t) -> List.exists (fun a -> a.L.Atom.pred = "parent") e.Elem.def.A.atoms)
+      (elements cms)
+  with
+  | [ e ] -> e
+  | es -> Alcotest.failf "expected one parent element, found %d" (List.length es)
+
+(* Every index the element keeps is the one [Index.build] makes over its
+   extension: the same rows per key, by physical identity and in order,
+   and the same sorted directory. *)
+let check_indexes_fresh what (e : Elem.t) =
+  check_bool (what ^ ": the fixpoint probed element indexes") true (e.Elem.indexes <> []);
+  let ext = Elem.extension e in
+  List.iter
+    (fun (cols, ix) ->
+      let fresh = R.Index.build ext cols in
+      let same a b = List.length a = List.length b && List.for_all2 ( == ) a b in
+      let dir ix = R.Index.fold_sorted ix ~init:[] ~f:(fun acc k n -> (k, n) :: acc) in
+      check_bool (what ^ ": index = Index.build over the extension") true
+        (R.Relation.fold
+           (fun ok t ->
+             let k = R.Tuple.key t cols in
+             ok && same (R.Index.lookup ix k) (R.Index.lookup fresh k))
+           true ext
+        && dir ix = dir fresh))
+    e.Elem.indexes
+
+let test_element_indexes_kept_across_goals () =
+  let server = family_server () in
+  let cms = Cms.create ~config:Qpo.no_advice_config ~maintain:true server in
+  let engine = set_engine cms in
+  check_goal "a goal that caches parent" server engine;
+  let e = parent_element cms in
+  check_goal "first goal" server engine;
+  let built = e.Elem.indexes in
+  check_bool "the first goal built the indexes" true (built <> []);
+  let probes () = List.fold_left (fun n (_, ix) -> n + R.Index.probes ix) 0 e.Elem.indexes in
+  let after_first = probes () in
+  check_goal "second goal" server engine;
+  check_bool "each index built once" true
+    (List.length e.Elem.indexes = List.length built
+    && List.for_all2 (fun (c, a) (c', b) -> c = c' && a == b) e.Elem.indexes built);
+  check_bool "the second goal probed them" true (probes () > after_first)
+
+(* The fixpoint's element indexes are the cache's: counted in
+   [indexes_built] once each, and charged to its capacity, so a cache that
+   holds [parent] bare but not indexed makes room for the next element by
+   evicting it. *)
+let test_element_indexes_charged () =
+  let goals cms n =
+    let engine = set_engine cms in
+    for i = 1 to n do
+      check_goal (Printf.sprintf "goal %d" i) (Cms.server cms) engine
+    done
+  in
+  let big = Cms.create ~config:Qpo.no_advice_config (family_server ()) in
+  goals big 1;
+  let bare = Elem.bytes_estimate (parent_element big) in
+  goals big 3;
+  let e = parent_element big in
+  let indexed = Elem.bytes_estimate e in
+  check_int "indexes_built counts each element index once" (List.length e.Elem.indexes)
+    (CMgr.stats (Cms.cache big)).CMgr.indexes_built;
+  check_int "the element is charged its indexes"
+    (List.fold_left (fun n (_, ix) -> n + R.Index.bytes_estimate ix) bare e.Elem.indexes)
+    indexed;
+  check_int "the cache's used bytes include them" indexed
+    (Braid_cache.Cache_model.used_bytes (CMgr.model (Cms.cache big)));
+  let one = R.Relation.of_tuples ~name:"one" (str_schema [ "a" ]) [ row [ "p0" ] ] in
+  let admit_one cms =
+    let c = Cms.cache cms in
+    check_bool "the next element is admitted" true
+      (CMgr.insert c ~def:(A.conj [ v "X" ] [ atom "one" [ v "X" ] ]) (Elem.Extension one) <> None);
+    (CMgr.stats c).CMgr.evictions
+  in
+  let tight n =
+    let cms = Cms.create ~config:Qpo.no_advice_config ~capacity_bytes:(indexed - 1) (family_server ()) in
+    goals cms n;
+    cms
+  in
+  check_int "bare parent leaves room" 0 (admit_one (tight 1));
+  check_int "indexed parent is evicted to make room" 1 (admit_one (tight 2))
+
+let test_element_indexes_follow_writes () =
+  let server = family_server () in
+  let cms = Cms.create ~config:Qpo.no_advice_config ~maintain:true server in
+  let engine = set_engine cms in
+  check_goal "a goal that caches parent" server engine;
+  check_goal "a goal that indexes it" server engine;
+  check_bool "the element has indexes" true ((parent_element cms).Elem.indexes <> []);
+  let after what cms engine =
+    check_goal what server engine;
+    check_indexes_fresh what (parent_element cms)
+  in
+  let str x = V.Str x in
+  Cms.apply_insert cms "parent" [| str "p0"; str "q0" |];
+  check_bool "the insert dropped the indexes" true ((parent_element cms).Elem.indexes = []);
+  after "after an insert" cms engine;
+  let child =
+    R.Relation.fold
+      (fun acc t -> if V.equal (R.Tuple.get t 0) (str "p0") then Some t else acc)
+      None
+      (Engine.table (Server.engine server) "parent")
+  in
+  check_bool "the delete found its row" true (Cms.apply_delete cms "parent" (Option.get child));
+  after "after a delete" cms engine;
+  let recovered, _ =
+    Cms.recover ~config:Qpo.no_advice_config ~maintain:true ~journal:(Cms.journal cms) server
+  in
+  after "after recovery" recovered (set_engine recovered)
+
 (* --- the relalg primitive --- *)
 
 let test_remove_once () =
@@ -338,6 +483,12 @@ let suites =
           test_crash_mid_delta_recovery;
         Alcotest.test_case "exact-hit answers share no rows with the element" `Quick
           test_exact_hit_answer_no_alias;
+        Alcotest.test_case "set-oriented goals keep the element's indexes" `Quick
+          test_element_indexes_kept_across_goals;
+        Alcotest.test_case "element indexes are charged to the cache" `Quick
+          test_element_indexes_charged;
+        Alcotest.test_case "element indexes follow writes and recovery" `Quick
+          test_element_indexes_follow_writes;
         Alcotest.test_case "Relation.remove_once" `Quick test_remove_once;
       ] );
   ]

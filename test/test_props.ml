@@ -265,18 +265,24 @@ let prop_index_complete =
    identical to [Index.build] over that relation after every step. Lookups
    are compared by physical tuple identity, so removing the newest equal
    row instead of the oldest shows (equal rows differ by Int/Float
-   representation). [fold_sorted] runs at random points: writes before the
-   first one run without a directory, later ones maintain it; once built it
-   is compared after every step, key tuples structurally. *)
-type ix_op = Ix_add of R.Tuple.t | Ix_remove of int * bool | Ix_fold
+   representation), and the cursor must walk every bucket in [lookup]'s
+   order. A drain removes every row of one key, oldest first, so keys
+   empty and later adds refill them. [fold_sorted] runs at random points:
+   writes before the first one run without a directory, later ones
+   maintain it; once built it is compared after every step, key tuples
+   structurally, and its sizes must sum to the relation's cardinality. The
+   relation's first row's key is an int, a string or an integral float. *)
+type ix_op = Ix_add of R.Tuple.t | Ix_remove of int * bool | Ix_drain of int | Ix_fold
 
 let ix_schema = R.Schema.make [ ("a", V.Tint); ("b", V.Tint); ("c", V.Tint) ]
 
-(* [Ints] stays all-int; the mixed domain has integral floats equal to the
+(* [ints] stays all-int; the mixed domain has integral floats equal to the
    ints, a non-integral float, strings and Null — all far below 2^53. *)
 let gen_ix_case =
   let open QCheck.Gen in
   let int_val = int_range 0 3 >|= fun n -> V.Int n in
+  let str_val = oneofl [ V.Str "a"; V.Str "b"; V.Str "c" ] in
+  let float_val = int_range 0 3 >|= fun n -> V.Float (float_of_int n) in
   let mixed_val =
     frequency
       [
@@ -287,19 +293,29 @@ let gen_ix_case =
       ]
   in
   let payload = oneofl [ V.Int 0; V.Int 1; V.Float 1.0 ] in
-  oneofl [ ("ints", [ 0 ], int_val); ("single", [ 0 ], mixed_val); ("multi", [ 0; 1 ], mixed_val) ]
-  >>= fun (store, cols, key_val) ->
-  let row = map3 (fun a b c -> [| a; b; c |]) key_val mixed_val payload in
+  oneofl
+    [
+      ("ints", [ 0 ], int_val, int_val);
+      ("int-first", [ 0 ], int_val, mixed_val);
+      ("str-first", [ 0 ], str_val, mixed_val);
+      ("float-first", [ 0 ], float_val, mixed_val);
+      ("multi", [ 0; 1 ], mixed_val, mixed_val);
+      ("multi-str", [ 1; 0 ], str_val, mixed_val);
+    ]
+  >>= fun (store, cols, first_val, key_val) ->
+  let row k = map2 (fun b c -> [| k; b; c |]) mixed_val payload in
   let op =
     frequency
       [
-        (5, row >|= fun t -> Ix_add t);
+        (5, key_val >>= row >|= fun t -> Ix_add t);
         (4, pair (int_range 0 1000) bool >|= fun (i, twist) -> Ix_remove (i, twist));
+        (1, int_range 0 1000 >|= fun i -> Ix_drain i);
         (1, return Ix_fold);
       ]
   in
-  pair (list_size (int_range 0 12) row) (list_size (int_range 1 40) op)
-  >|= fun (rows, ops) -> (store, cols, rows, ops)
+  triple (first_val >>= row) (list_size (int_range 0 12) (key_val >>= row))
+    (list_size (int_range 1 40) op)
+  >|= fun (r0, rows, ops) -> (store, cols, r0 :: rows, ops)
 
 let print_ix_case (store, _, rows, ops) =
   let value = function V.Float f -> string_of_float f | v -> V.to_string v in
@@ -307,6 +323,7 @@ let print_ix_case (store, _, rows, ops) =
   let op = function
     | Ix_add t -> "+(" ^ tuple t ^ ")"
     | Ix_remove (i, twist) -> Printf.sprintf "-%d%s" i (if twist then "~" else "")
+    | Ix_drain i -> Printf.sprintf "drain%d" i
     | Ix_fold -> "fold"
   in
   Printf.sprintf "%s [%s] %s" store
@@ -326,6 +343,17 @@ let sorted_dir ix =
   List.rev
     (R.Index.fold_sorted ix ~init:[] ~f:(fun acc kt n -> (R.Tuple.to_list kt, n) :: acc))
 
+(* A bucket as the cursor walks it from position [p]. *)
+let rec cursor_walk ix p =
+  if p < 0 then [] else R.Index.tuple_at ix p :: cursor_walk ix (R.Index.next ix p)
+
+let cursor_bucket ix key =
+  match key with
+  | [ v ] -> cursor_walk ix (R.Index.first1 ix v)
+  | _ -> cursor_walk ix (R.Index.first ix (Array.of_list key))
+
+let same_rows a b = List.length a = List.length b && List.for_all2 ( == ) a b
+
 let prop_index_incremental_equals_build =
   QCheck.Test.make ~count:400 ~name:"incremental index (add/remove) = fresh build"
     (arb_of gen_ix_case print_ix_case)
@@ -337,11 +365,19 @@ let prop_index_incremental_equals_build =
         let fresh = R.Index.build r cols in
         let same_bucket t =
           let k = R.Tuple.key t cols in
-          let a = R.Index.lookup ix k and b = R.Index.lookup fresh k in
-          List.length a = List.length b && List.for_all2 ( == ) a b
+          let a = R.Index.lookup ix k in
+          same_rows a (R.Index.lookup fresh k) && same_rows a (cursor_bucket ix k)
         in
         List.for_all same_bucket !seen
-        && ((not !dir_built) || sorted_dir ix = sorted_dir fresh)
+        && R.Index.bytes_estimate ix = R.Index.bytes_estimate fresh
+        && ((not !dir_built)
+           || sorted_dir ix = sorted_dir fresh
+              && List.fold_left (fun n (_, k) -> n + k) 0 (sorted_dir ix)
+                 = R.Relation.cardinality r)
+      in
+      let remove t =
+        assert (R.Relation.remove_once r t);
+        R.Index.remove ix t
       in
       List.for_all
         (fun op ->
@@ -354,23 +390,24 @@ let prop_index_incremental_equals_build =
              let n = R.Relation.cardinality r in
              if n > 0 then begin
                let t = R.Relation.get r (i mod n) in
-               let t = if twist then twist_row t else t in
-               assert (R.Relation.remove_once r t);
-               R.Index.remove ix t
+               remove (if twist then twist_row t else t)
              end
+           | Ix_drain i ->
+             let n = R.Relation.cardinality r in
+             if n > 0 then
+               List.iter remove (R.Index.lookup ix (R.Tuple.key (R.Relation.get r (i mod n)) cols))
            | Ix_fold ->
              ignore (sorted_dir ix);
              dir_built := true);
           agrees ())
         ops)
 
-(* [Index.build] picks a one-column store from the first key's kind, so
-   the relation's first key is drawn from each kind in turn (int, string,
-   integral float) and the rest mix all three. Building over the relation
-   must give the index [add] builds row by row from the empty one: the same
-   buckets (by physical tuple identity, in [lookup] and [bucket1_rev]
-   order), the same sorted directory, the same entry count. Probes include
-   the other kind of each equal int/float key. *)
+(* [Index.build] over a relation must give the index [add] builds row by
+   row from the empty one: the same buckets (by physical tuple identity,
+   through [lookup] and the cursor), the same sorted directory, the same
+   entry count. The relation's first key is drawn from each kind in turn
+   (int, string, integral float) and the rest mix all three. Probes
+   include the other kind of each equal int/float key. *)
 let gen_build_case =
   let open QCheck.Gen in
   let int_key = int_range 0 3 >|= fun n -> V.Int n in
@@ -402,14 +439,46 @@ let prop_index_build_equals_adds =
       let built = R.Index.build (R.Relation.of_tuples schema rows) [ 0 ] in
       let added = R.Index.build (R.Relation.create schema) [ 0 ] in
       List.iter (R.Index.add added) rows;
-      let same a b = List.length a = List.length b && List.for_all2 ( == ) a b in
       List.for_all
         (fun v ->
-          same (R.Index.lookup built [ v ]) (R.Index.lookup added [ v ])
-          && same (R.Index.bucket1_rev built v) (R.Index.bucket1_rev added v))
+          same_rows (R.Index.lookup built [ v ]) (R.Index.lookup added [ v ])
+          && same_rows (cursor_bucket built [ v ]) (cursor_bucket added [ v ]))
         probes
       && sorted_dir built = sorted_dir added
       && R.Index.bytes_estimate built = R.Index.bytes_estimate added)
+
+(* The cursor is the join inner loop's probe: walking 1,000 one-column
+   buckets allocates nothing, for int and for string keys. The cost of
+   reading the counter itself is measured and taken off. *)
+let test_cursor_allocates_nothing () =
+  let minor_words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let probe ix keys () =
+    let hits = ref 0 in
+    for i = 0 to Array.length keys - 1 do
+      let p = ref (R.Index.first1 ix keys.(i)) in
+      while !p >= 0 do
+        hits := !hits + R.Tuple.arity (R.Index.tuple_at ix !p);
+        p := R.Index.next ix !p
+      done
+    done;
+    ignore (Sys.opaque_identity !hits)
+  in
+  let idle = minor_words (fun () -> ()) in
+  List.iter
+    (fun (kind, key) ->
+      let rows = List.init 1000 (fun i -> [| key (i mod 500); V.Int i |]) in
+      let schema = R.Schema.make [ ("k", V.Tstr); ("p", V.Tint) ] in
+      let ix = R.Index.build (R.Relation.of_tuples schema rows) [ 0 ] in
+      let keys = Array.init 1000 (fun i -> key (i mod 700)) in
+      ignore (probe ix keys ());
+      Alcotest.(check (float 0.0))
+        (kind ^ " probes allocate nothing") 0.0
+        (minor_words (probe ix keys) -. idle))
+    [ ("int", fun i -> V.Int i); ("string", fun i -> V.Str (string_of_int i)) ]
 
 let prop_merge_join_equals_hash =
   QCheck.Test.make ~count:300 ~name:"merge join = hash join on sorted inputs" arb_rel2
@@ -1465,7 +1534,12 @@ let prop_datalog_shapes_agree =
             (fun m ->
               Datalog.exec
                 (Datalog.compile m.Magic.kb ~params:[ sentinel ] ~schema m.Magic.query)
-                ~args:[ V.Int c ] ~fetch)
+                ~args:[ V.Int c ]
+                ~fetch:(fun c ->
+                  (* hand over indexes kept outside the run, as a cache
+                     element's are *)
+                  let r = fetch c in
+                  (r, Some (R.Index.build r))))
             (Magic.transform kb (L.Atom.make pred [ T.Const sentinel; T.Var "Y" ]))
       in
       agrees "Datalog.solve" semi.Datalog.result (Some semi.Datalog.derived_sizes)
@@ -1507,7 +1581,6 @@ let prop_magic_sound =
         norm_rel magic.Datalog.result = restricted)
 
 let to_alcotest = List.map (QCheck_alcotest.to_alcotest ~verbose:false)
-
 
 let suites : unit Alcotest.test list =
   [
@@ -1557,5 +1630,7 @@ let suites : unit Alcotest.test list =
           prop_datalog_algorithms_agree;
           prop_datalog_shapes_agree;
           prop_magic_sound;
-        ] );
+        ]
+      @ [ Alcotest.test_case "index cursor allocates nothing" `Quick test_cursor_allocates_nothing ]
+    );
   ]
