@@ -588,7 +588,6 @@ let experiments_json ?seed () =
             J.Obj
               [ ("sessions", i r.sessions); ("submitted", i r.submitted); ("answered", i r.answered);
                 ("shed", i r.shed); ("coalesce_identical", i r.coalesce_identical);
-                ("coalesce_subsumed", i r.coalesce_subsumed);
                 ("remote_requests", i r.remote_requests); ("elapsed_ms", ms r.elapsed_ms) ])
           e14_rows );
       ( "e15_join_planning",

@@ -38,8 +38,6 @@ let consumer_positions s =
 
 let producer_only s = List.for_all (fun b -> b = Producer) s.bindings
 
-let once p = Seq ([ p ], { lo = 1; hi = Fin 1 })
-
 let pattern_ids p =
   let rec collect acc = function
     | Pattern (id, _) -> if List.mem id acc then acc else id :: acc

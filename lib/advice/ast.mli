@@ -55,12 +55,8 @@ val producer_only : view_spec -> bool
 (** No consumer annotation anywhere: the relation is "strictly a producer
     relation", best produced lazily and without indexing (§4.2.1). *)
 
-val once : path -> path
-(** Wraps in a [<1,1>] sequence. *)
-
 val pattern_ids : path -> string list
 (** All spec ids mentioned, without duplicates. *)
 
-val pp_view_spec : Format.formatter -> view_spec -> unit
 val pp_path : Format.formatter -> path -> unit
 val pp : Format.formatter -> t -> unit

@@ -145,9 +145,9 @@ let eval t ?extra q =
       Obs.Metrics.observe "cache.eval_touched" (float_of_int touched);
       result)
 
-let eval_conj_lazy t ?extra c =
+let eval_conj_lazy t c =
   Obs.Trace.instant ~cat:"cache" "cache.eval_lazy";
-  Query_processor.eval_conj_lazy t.model ?extra ~stale_hook:(stale_hook t) c
+  Query_processor.eval_conj_lazy t.model ~stale_hook:(stale_hook t) c
 
 let ensure_index t e cols =
   match Element.index_on e cols with

@@ -50,9 +50,7 @@ val eval : t -> ?extra:(string * Braid_relalg.Relation.t) list -> Braid_caql.Ast
   Braid_relalg.Relation.t
 (** Evaluate over cache element ids; accumulates touched-tuple counts. *)
 
-val eval_conj_lazy :
-  t -> ?extra:(string * Braid_relalg.Relation.t) list -> Braid_caql.Ast.conj ->
-  Braid_stream.Tuple_stream.t
+val eval_conj_lazy : t -> Braid_caql.Ast.conj -> Braid_stream.Tuple_stream.t
 
 val ensure_index : t -> Element.t -> int list -> Braid_relalg.Index.t
 (** {!Element.ensure_index}, counted in [indexes_built] when it builds.

@@ -57,11 +57,3 @@ val on_write :
     [cache.delta.rows_added], [cache.delta.rows_removed],
     [cache.delta.fallbacks]. *)
 
-val full_content_of :
-  Cache_manager.t ->
-  schema_of:(string -> Braid_relalg.Schema.t option) ->
-  string ->
-  Braid_relalg.Relation.t option
-(** The complete current content of a base predicate as derivable from a
-    Fresh materialized cache element fully covering its identity query, or
-    [None] — exposed for tests and the maintainability probe. *)

@@ -1,7 +1,6 @@
 module R = Braid_relalg
 module L = Braid_logic
 module A = Braid_caql.Ast
-module TS = Braid_stream.Tuple_stream
 
 exception Unknown_relation of string
 
@@ -81,18 +80,15 @@ let eval model ?(extra = []) ?(stale_hook = fun _ -> ()) q =
   in
   (result, !touched)
 
-let eval_conj_lazy model ?(extra = []) ?(stale_hook = fun _ -> ()) c =
+let eval_conj_lazy model ?(stale_hook = fun _ -> ()) c =
   (* Resolve to streams without forcing generator elements: laziness must
      propagate all the way down. *)
   let source (a : L.Atom.t) =
-    match List.assoc_opt a.L.Atom.pred extra with
-    | Some r -> TS.of_relation r
-    | None ->
-      (match Cache_model.find model a.L.Atom.pred with
-       | None -> raise (Unknown_relation a.L.Atom.pred)
-       | Some e ->
-         Cache_model.touch model e;
-         if e.Element.stale then stale_hook (Element.cardinality_estimate e);
-         Element.stream e)
+    match Cache_model.find model a.L.Atom.pred with
+    | None -> raise (Unknown_relation a.L.Atom.pred)
+    | Some e ->
+      Cache_model.touch model e;
+      if e.Element.stale then stale_hook (Element.cardinality_estimate e);
+      Element.stream e
   in
-  Braid_caql.Eval.lazy_conj ~source ~schema_of:(schema_resolver model extra) c
+  Braid_caql.Eval.lazy_conj ~source ~schema_of:(schema_resolver model []) c

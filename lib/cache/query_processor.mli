@@ -30,7 +30,6 @@ val eval :
 
 val eval_conj_lazy :
   Cache_model.t ->
-  ?extra:(string * Braid_relalg.Relation.t) list ->
   ?stale_hook:(int -> unit) ->
   Braid_caql.Ast.conj ->
   Braid_stream.Tuple_stream.t

@@ -22,7 +22,3 @@ val schema_of_conj :
 val schema_of :
   (string -> Braid_relalg.Schema.t option) -> Ast.t -> Braid_relalg.Schema.t
 
-val var_type :
-  (string -> Braid_relalg.Schema.t option) -> Ast.conj -> string -> Braid_relalg.Value.ty option
-(** Type of a variable from its first occurrence in a relation occurrence
-    whose base schema is known. *)

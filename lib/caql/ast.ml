@@ -43,18 +43,6 @@ let rec head_arity = function
   | Fixpoint f -> head_arity f.base
   | Agg a -> List.length a.keys + List.length a.specs
 
-let uniq xs =
-  let rec loop seen = function
-    | [] -> List.rev seen
-    | x :: rest -> loop (if List.mem x seen then seen else x :: seen) rest
-  in
-  loop [] xs
-
-let cmp_vars (_, a, b) = L.Literal.expr_vars a @ L.Literal.expr_vars b
-
-let body_vars c =
-  uniq (List.concat_map L.Atom.vars c.atoms @ List.concat_map cmp_vars c.cmps)
-
 let head_constants c =
   List.filter_map (function L.Term.Const v -> Some v | L.Term.Var _ -> None) c.head
 

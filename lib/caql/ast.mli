@@ -51,9 +51,6 @@ val conj : ?cmps:comparison list -> Braid_logic.Term.t list -> Braid_logic.Atom.
 
 val head_arity : t -> int
 
-val body_vars : conj -> string list
-val head_constants : conj -> Braid_relalg.Value.t list
-
 val constants : conj -> Braid_relalg.Value.t list
 (** All constants appearing anywhere in the conjunct. *)
 

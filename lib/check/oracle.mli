@@ -50,10 +50,6 @@ val check_answer :
   divergence option
 (** [None] when the answer satisfies its provenance's invariant. *)
 
-val element_content : Braid_cache.Element.t -> Braid_relalg.Relation.t
-(** An element's tuples without converting its representation (a
-    generator's stream is drained but [repr] stays a generator). *)
-
 val revalidate : t -> Braid_cache.Element.t -> bool
 (** Whether a (recovered) element's content satisfies its invariant
     against current ground truth: set-equal when fresh, subset when

@@ -16,18 +16,14 @@ val bermuda : named
 (** BERMUDA [IOAN88]: query results are cached but "the data is reused only
     if an exact match of a later query occurs". *)
 
-val ceri : named
-(** [CERI86]: caching of single-relation extensions inside the interface. *)
-
-val braid_no_advice : named
-(** BrAID's subsumption caching with the advice-driven features (prefetch,
-    generalization, pinning, indexing) disabled — isolates subsumption. *)
-
 val braid : named
 (** The full system. *)
 
 val all : named list
-(** In the order above — weakest coupling first. *)
+(** Weakest coupling first: loose coupling, BERMUDA, CERI86-style caching
+    of single-relation extensions (label ["ceri"]), BrAID's subsumption
+    caching with the advice-driven features off (["braid-sub"]), and the
+    full system. *)
 
 val of_label : string -> (named, string) result
 (** The entry of {!all} with this label; [Error] carries a one-line

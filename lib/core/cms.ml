@@ -65,9 +65,7 @@ let server t = t.server
 let rdi t = Qpo.rdi t.qpo
 let router t = Qpo.router t.qpo
 let rdi_stats t = Qpo.rdi_stats t.qpo
-let set_rdi_policy t policy = Qpo.set_rdi_policy t.qpo policy
 let exec_remote t sql = Qpo.exec_remote t.qpo sql
-let route_signature t sql = Qpo.route_signature t.qpo sql
 
 let begin_session t advice = Qpo.set_advice t.qpo advice
 

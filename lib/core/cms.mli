@@ -44,18 +44,9 @@ val router : t -> Braid_remote.Shard_router.t option
 val rdi_stats : t -> Braid_remote.Rdi.stats
 (** RDI accounting on the fetch path — summed over shards when sharded. *)
 
-val set_rdi_policy : t -> Braid_remote.Rdi.policy -> unit
-(** Replaces the RDI policy; resets the breaker and the RDI's PRNG (so a
-    run under a new policy is reproducible from its seed). When sharded,
-    every per-shard RDI gets the policy with its seed offset. *)
-
 val exec_remote : t -> Braid_remote.Sql.select -> Braid_remote.Rdi.outcome
 (** One resilient remote request on the fetch path (router or single RDI),
     bypassing any installed fetcher hook. *)
-
-val route_signature : t -> Braid_remote.Sql.select -> string option
-(** Where the sharded remote would place this request; [None] when
-    unsharded. *)
 
 val begin_session : t -> Braid_advice.Ast.t -> unit
 (** Submit the session's advice (view specifications + path expression)

@@ -1,7 +1,7 @@
 (* E14: serving-layer scale — throughput and coalesce rate vs session
    count. The same seeded overlapping-view workload (Braid_serve.Workload)
    is run through the deterministic scheduler at 1/2/4/8 sessions over one
-   shared CMS; more sessions per wave mean more identical/subsumed
+   shared CMS; more sessions per wave mean more identical
    in-flight fetches for the coalescer to merge and more pressure on the
    admission controller. Crash injection is off: this measures the serving
    layer, the crash path is the serve soak's job. *)
@@ -12,7 +12,6 @@ type row = {
   answered : int;
   shed : int;
   coalesce_identical : int;
-  coalesce_subsumed : int;
   remote_requests : int;
   elapsed_ms : float;
   qps : float;  (** answered queries per simulated second *)
@@ -29,7 +28,6 @@ let run_one ~seed ~waves sessions =
     answered = r.Soak.answered;
     shed = r.Soak.shed;
     coalesce_identical = r.Soak.coalesce.Braid_serve.Coalescer.identical_hits;
-    coalesce_subsumed = r.Soak.coalesce.Braid_serve.Coalescer.subsumed_hits;
     remote_requests = r.Soak.remote_requests;
     elapsed_ms = r.Soak.elapsed_ms;
     qps =
@@ -48,7 +46,6 @@ let run ?(seed = 5) ?(waves = 250) () =
           Table.Int r.answered;
           Table.Int r.shed;
           Table.Int r.coalesce_identical;
-          Table.Int r.coalesce_subsumed;
           Table.Int r.remote_requests;
           Table.Float r.elapsed_ms;
           Table.Text (Printf.sprintf "%.1f" r.qps);
@@ -68,17 +65,16 @@ let run ?(seed = 5) ?(waves = 250) () =
           "submitted";
           "answered";
           "shed";
-          "coalesced =";
-          "coalesced ⊐";
+          "coalesced";
           "rdi requests";
           "elapsed";
           "q/s (sim)";
         ]
       ~notes:
         [
-          "coalesced = / ⊐: in-flight remote fetches absorbed by an identical or \
-           subsuming fetch issued earlier in the same wave — K sessions asking \
-           overlapping views cost one remote round trip";
+          "coalesced: in-flight remote fetches absorbed by an identical fetch \
+           issued earlier in the same wave — K sessions asking the same view \
+           cost one remote round trip";
           "shed: submissions bounced by the admission controller (bounded run \
            queue, per-session cap) and degraded to a cache-only answer";
           "deterministic: workload, faults, scheduling rotation and jitter all \

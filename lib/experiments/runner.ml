@@ -67,7 +67,3 @@ let run_batch ~label ?config ?capacity_bytes ?strategy ?first_only ~kb ~data que
     evictions = m.Sys_.cache.Braid_cache.Cache_manager.evictions;
     cache_bytes = m.Sys_.cache_summary.Braid_cache.Cache_model.total_bytes;
   }
-
-let hit_ratio r =
-  if r.caql_queries = 0 then 0.0
-  else float_of_int r.full_hits /. float_of_int r.caql_queries

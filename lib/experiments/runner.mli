@@ -42,5 +42,3 @@ val run_batch :
     pulls only the first [n] solutions per query — the single-solution
     usage pattern). *)
 
-val hit_ratio : result -> float
-(** Fraction of CAQL queries answered without remote interaction. *)

@@ -35,7 +35,6 @@ val constants : t -> Braid_relalg.Value.t list
     differently, such as [Int 100000000] and [Float 1e8], both stay). *)
 
 val rule_by_id : t -> string -> Rule.t option
-val soas : t -> Soa.t list
 
 val mutually_exclusive : t -> string -> string -> bool
 (** Symmetric lookup of mutual-exclusion SOAs. *)

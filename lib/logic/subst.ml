@@ -3,7 +3,6 @@ module M = Map.Make (String)
 type t = Term.t M.t
 
 let empty = M.empty
-let is_empty = M.is_empty
 let bind x t s = M.add x t s
 let find x s = M.find_opt x s
 

@@ -6,7 +6,6 @@
 type t
 
 val empty : t
-val is_empty : t -> bool
 val bind : string -> Term.t -> t -> t
 (** Unchecked bind; callers (the unifier) maintain consistency. *)
 

@@ -4,10 +4,7 @@ type t =
   | Var of string
   | Const of V.t
 
-let var x = Var x
 let int n = Const (V.Int n)
-let str s = Const (V.Str s)
-let const v = Const v
 let is_var = function Var _ -> true | Const _ -> false
 let is_const t = not (is_var t)
 

@@ -8,10 +8,7 @@ type t =
   | Var of string
   | Const of Braid_relalg.Value.t
 
-val var : string -> t
 val int : int -> t
-val str : string -> t
-val const : Braid_relalg.Value.t -> t
 
 val is_var : t -> bool
 val is_const : t -> bool

@@ -6,16 +6,8 @@
     predicate in the cache element, but a variable can only match with a
     variable". *)
 
-val terms : Subst.t -> Term.t -> Term.t -> Subst.t option
-(** Two-way unification, extending the given substitution. *)
-
 val atoms : Subst.t -> Atom.t -> Atom.t -> Subst.t option
 (** Fails on predicate or arity mismatch. *)
-
-val match_terms : Subst.t -> general:Term.t -> specific:Term.t -> Subst.t option
-(** One-way: only variables of [general] may be bound. A variable of
-    [specific] can only be matched by a [general] variable; a constant of
-    [specific] is matched by the same constant or a [general] variable. *)
 
 val match_atoms : Subst.t -> general:Atom.t -> specific:Atom.t -> Subst.t option
 (** The two atoms must be standardized apart (no shared variable names);

@@ -56,8 +56,4 @@ val fully_from_cache : t -> bool
 (** No remote interaction was needed for the query itself (prefetches and
     generalizations are counted separately). *)
 
-val is_degraded : t -> bool
-(** Some step served stale or unavailable data; the answer may be
-    incomplete or out of date. *)
-
 val provenance : t -> provenance

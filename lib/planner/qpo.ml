@@ -214,10 +214,6 @@ let remote_stats t =
 let rdi_stats t =
   match t.router with Some r -> Router.rdi_stats r | None -> Rdi.stats t.rdi
 
-let set_rdi_policy t p =
-  Rdi.set_policy t.rdi p;
-  match t.router with Some r -> Router.set_policy r p | None -> ()
-
 (* The resilient request primitive: per-shard RDIs behind the router when
    sharded, the single RDI otherwise. The serving layer's coalescer calls
    this as its fallback. *)
@@ -225,12 +221,6 @@ let exec_remote t sql =
   match t.router with
   | Some r -> Router.exec r sql
   | None -> (match Rdi.exec t.rdi sql with Ok rel -> Rdi.Fresh rel | Error f -> Rdi.Failed f)
-
-let route_signature t sql =
-  match t.router with
-  | Some r when Router.shard_count r > 1 -> Some (Router.route_signature r sql)
-  | Some _ | None -> None
-let advisor t = t.default_session.advisor
 
 let new_session t ?sid advice =
   let sid =
@@ -316,8 +306,8 @@ let uniq xs =
 
 (* All remote requests leave through here: the RDI directly, or — when the
    serving layer installed a fetch hook — its coalescer, which dedups
-   identical/subsumed in-flight requests across concurrent sessions before
-   falling back to the same RDI. *)
+   identical in-flight requests across concurrent sessions before falling
+   back to the same RDI. *)
 let do_fetch t (def : A.conj) sql =
   match t.fetcher with Some f -> f def sql | None -> exec_remote t sql
 

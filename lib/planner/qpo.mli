@@ -103,22 +103,10 @@ val rdi_stats : t -> Braid_remote.Rdi.stats
 (** The RDI accounting on the fetch path (summed over shards when
     sharded). *)
 
-val set_rdi_policy : t -> Braid_remote.Rdi.policy -> unit
-(** Installs a new resilience policy on the fetch path — the single RDI
-    and, when sharded, every per-shard RDI (with its seed offset). *)
-
 val exec_remote : t -> Braid_remote.Sql.select -> Braid_remote.Rdi.outcome
 (** One resilient remote request on this planner's fetch path (router or
     single RDI), bypassing any installed fetcher hook — the serving
     layer's coalescer uses this as its miss fallback. *)
-
-val route_signature : t -> Braid_remote.Sql.select -> string option
-(** How the sharded remote would place this request (see
-    {!Braid_remote.Shard_router.route_signature}); [None] when unsharded. *)
-
-val advisor : t -> Braid_advice.Advisor.t
-(** The default session's advice manager (see {!new_session} for
-    multi-session serving). *)
 
 val set_advice : ?nfa:Braid_advice.Tracker.nfa -> t -> Braid_advice.Ast.t -> unit
 (** Starts a new advice epoch on the {e default} session (a session's
@@ -154,7 +142,7 @@ val set_fetcher :
 (** Installs (or clears) a remote-fetch interceptor: when set, every
     planner fetch goes through it instead of calling {!Braid_remote.Rdi.exec}
     directly. The serving layer's coalescer uses this to deduplicate
-    identical or subsumed in-flight remote queries across sessions; the
+    identical in-flight remote queries across sessions; the
     interceptor receives the definition being fetched alongside the SQL it
     compiles to, and must return the fetch outcome (typically by calling
     [Rdi.exec] itself on a miss). *)

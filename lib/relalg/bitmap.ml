@@ -3,7 +3,6 @@
    sort order the base relation has. *)
 
 type t = {
-  column : int;
   nrows : int;
   groups : (Value.t * Bytes.t) list; (* ascending by Value.compare *)
 }
@@ -29,9 +28,8 @@ let build r col =
     in
     bit_set b i
   done;
-  { column = col; nrows = n; groups = V_map.bindings !groups }
+  { nrows = n; groups = V_map.bindings !groups }
 
-let column t = t.column
 let nrows t = t.nrows
 let distinct t = List.length t.groups
 
@@ -61,5 +59,3 @@ let matching t cmp v =
     (fun (w, b) -> if Row_pred.cmp_holds cmp w v then or_into acc b)
     t.groups;
   rows_of_bits t acc
-
-let bytes_estimate t = 64 + (List.length t.groups * (24 + ((t.nrows + 7) / 8)))

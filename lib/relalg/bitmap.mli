@@ -13,7 +13,6 @@ val build : Relation.t -> int -> t
     bitmap is a snapshot: it covers exactly the rows present at build time
     (see [nrows]). *)
 
-val column : t -> int
 val nrows : t -> int
 (** Cardinality of the relation at build time — callers use this to detect
     a stale bitmap after inserts. *)
@@ -27,4 +26,3 @@ val matching_any : t -> Value.t list -> int array
 val matching : t -> Row_pred.cmp -> Value.t -> int array
 (** Row positions (ascending) whose column value satisfies [cmp value]. *)
 
-val bytes_estimate : t -> int

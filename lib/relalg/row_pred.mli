@@ -27,7 +27,6 @@ type t =
       (** [In (a, s)] holds when [a] equals some member of [s]; build it
           with [one_of]. *)
 
-val eval_operand : operand -> Tuple.t -> Value.t
 val eval : t -> Tuple.t -> bool
 
 val one_of : operand -> Value.t list -> t

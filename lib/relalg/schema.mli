@@ -6,7 +6,6 @@ val make : (string * Value.ty) list -> t
 (** Raises [Invalid_argument] on duplicate attribute names. *)
 
 val arity : t -> int
-val attrs : t -> (string * Value.ty) list
 val names : t -> string list
 val name_at : t -> int -> string
 val ty_at : t -> int -> Value.ty

@@ -81,14 +81,10 @@ let pp_ty ppf ty =
   Format.pp_print_string ppf
     (match ty with Tint -> "int" | Tfloat -> "float" | Tstr -> "str" | Tbool -> "bool")
 
-let ty_to_string ty = Format.asprintf "%a" pp_ty ty
-
 let as_float = function
   | Int x -> Some (float_of_int x)
   | Float x -> Some x
   | Str _ | Bool _ | Null -> None
-
-let as_string = function Str s -> Some s | Int _ | Float _ | Bool _ | Null -> None
 
 let arith f_int f_float a b =
   match a, b with

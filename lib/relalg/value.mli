@@ -22,10 +22,6 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
 
-val hash_int : int -> int
-(** The hash [Int x] (and an integral [Float]) receives — exposed so
-    int-specialized containers stay hash-compatible with [hash]. *)
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
@@ -33,12 +29,6 @@ val add_to_buffer : Buffer.t -> t -> unit
 (** Appends exactly what {!pp} prints. *)
 
 val pp_ty : Format.formatter -> ty -> unit
-val ty_to_string : ty -> string
-
-val as_float : t -> float option
-(** [as_float] also converts [Int]. *)
-
-val as_string : t -> string option
 
 val add : t -> t -> t
 val sub : t -> t -> t

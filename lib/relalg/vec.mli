@@ -35,7 +35,6 @@ val for_all : ('a -> bool) -> 'a t -> bool
 val to_list : 'a t -> 'a list
 val of_list : 'a list -> 'a t
 val to_array : 'a t -> 'a array
-val of_array : 'a array -> 'a t
 
 val copy : 'a t -> 'a t
 

@@ -43,9 +43,3 @@ let remote_query_cost m ~scanned ~returned =
   m.request_overhead_ms
   +. (m.server_scan_ms *. float_of_int scanned)
   +. (m.transfer_tuple_ms *. float_of_int returned)
-
-let pp ppf m =
-  Format.fprintf ppf
-    "{request=%.2fms scan=%.3fms/t transfer=%.3fms/t cache=%.3fms/t ie=%.3fms/step}"
-    m.request_overhead_ms m.server_scan_ms m.transfer_tuple_ms m.cache_tuple_ms
-    m.ie_resolution_ms

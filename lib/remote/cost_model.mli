@@ -35,4 +35,3 @@ val local_only : t
 val remote_query_cost : t -> scanned:int -> returned:int -> float
 (** Server + communication cost of one remote request. *)
 
-val pp : Format.formatter -> t -> unit

@@ -1,5 +1,4 @@
 module R = Braid_relalg
-module TS = Braid_stream.Tuple_stream
 module Obs = Braid_obs
 
 type stats = {
@@ -125,33 +124,6 @@ let exec t ?deadline_ms q =
       Obs.Trace.add_arg "sim_ms" (Obs.Trace.Float sim_ms);
       Obs.Metrics.observe "remote.request_ms" sim_ms;
       result)
-
-let open_cursor t ?(block_size = 32) q =
-  let result =
-    Obs.Trace.with_span ~cat:"remote" "remote.exec"
-      ~args:(if Obs.Trace.enabled () then [ ("sql", Obs.Trace.Str (Sql.to_string q)) ] else [])
-      (fun () ->
-        Obs.Metrics.incr "remote.requests";
-        let latency_ms = injected_latency t q in
-        let result, scanned = Engine.execute t.engine q in
-        charge_request t ~scanned;
-        t.stats.comm_ms <- t.stats.comm_ms +. latency_ms;
-        Obs.Trace.add_arg "scanned" (Obs.Trace.Int scanned);
-        result)
-  in
-  let base = TS.of_relation result in
-  (* Wrap the raw result so every pulled tuple is charged to transfer;
-     buffering then makes the charge advance block-wise. *)
-  let c = TS.cursor base in
-  let charged =
-    TS.from (R.Relation.schema result) (fun () ->
-        match TS.next c with
-        | Some tup ->
-          charge_transfer t 1;
-          Some tup
-        | None -> None)
-  in
-  TS.buffered block_size charged
 
 let stats t = { t.stats with requests = t.stats.requests }
 

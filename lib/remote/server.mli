@@ -1,10 +1,8 @@
 (** The remote DBMS as BrAID sees it: an independent server reached over a
     (simulated) network, with per-request accounting.
 
-    Results can be fetched eagerly or through a buffered cursor; the cursor
-    models the RDI's buffering/pipelining (§5.5) — the server fills a buffer
-    of [block_size] tuples per exchange, and the CMS can keep working while
-    a block is in flight. *)
+    Every result is fetched eagerly: one request returns the whole
+    relation and charges its transfer at once. *)
 
 type t
 
@@ -57,14 +55,6 @@ val exec : t -> ?deadline_ms:float -> Sql.select -> Braid_relalg.Relation.t
     The server keeps no request log: under an installed tracer each call
     is one [remote.exec] span carrying its [sql], plan and cost, and the
     injected [fault] when there was one. *)
-
-val open_cursor : t -> ?block_size:int -> Sql.select -> Braid_stream.Tuple_stream.t
-(** The request is executed on the server (charged as one request plus its
-    scan cost), but transfer cost is charged per block as the client pulls;
-    an abandoned cursor therefore transfers less. Like {!exec} it counts in
-    [remote.requests] and is one [remote.exec] span carrying its [sql],
-    [scanned] and any injected [fault]; the span closes when the cursor
-    opens, so it holds no transfer. *)
 
 val stats : t -> stats
 (** A snapshot: later requests do not change it. *)

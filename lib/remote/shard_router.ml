@@ -80,7 +80,6 @@ let rdi t i = t.groups.(i).replicas.(0).r_rdi
 let replica t ~shard r = t.groups.(shard).replicas.(r).server
 let replica_rdi t ~shard r = t.groups.(shard).replicas.(r).r_rdi
 let breakers t = Array.to_list (Array.map (fun g -> Rdi.breaker g.replicas.(0).r_rdi) t.groups)
-let clock t = t.clock
 let log_length t i = t.groups.(i).rlog_len
 let applied t ~shard ~replica = t.groups.(shard).replicas.(replica).applied
 
@@ -471,8 +470,6 @@ let route_to_string = function
               Printf.sprintf "%s->%s" s.Sql.alias
                 (String.concat "," (List.map string_of_int is)))
             srcs))
-
-let route_signature t q = route_to_string (route t q)
 
 (* --- replica serving --- *)
 

@@ -136,10 +136,6 @@ val replica_rdi : t -> shard:int -> int -> Rdi.t
 val breakers : t -> Rdi.breaker_state list
 (** Primary breaker per shard, in shard order. *)
 
-val clock : t -> Fault.clock
-(** The shared fault clock every injector installed through the router is
-    wired to; partitions heal against its system-wide request count. *)
-
 val log_length : t -> int -> int
 (** Length of shard [i]'s replication log (entries since the last
     distribute). *)
@@ -188,20 +184,10 @@ val set_write_observer : t -> (write -> unit) option -> unit
     same logical write and do not fire it. The CMS hooks incremental cache
     maintenance here ({!Braid_cache.Maintain}). *)
 
-val distribute : t -> string -> unit
-(** Reslices one coordinator table, e.g. after changing its partitioning.
-    Re-baselines the affected groups: outstanding log entries are applied
-    first (reachability ignored — bulk admin), then the log restarts empty
-    with every replica at offset zero. *)
-
 val route : t -> Sql.select -> route
 (** The routing decision alone — pure, no execution, no counters. *)
 
 val route_to_string : route -> string
-
-val route_signature : t -> Sql.select -> string
-(** [route_to_string (route t q)]; the coalescer keys in-flight windows on
-    it and [:explain] prints it. *)
 
 val exec : t -> Sql.select -> Rdi.outcome
 (** One routed request (see the routing/merging/replica-serving rules

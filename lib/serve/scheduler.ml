@@ -70,7 +70,6 @@ let create ?(policy = Admission.default_policy) ?(seed = 0) cms =
   }
 
 let cms t = t.cms
-let policy t = t.policy
 let coalescer t = t.co
 let set_engine t engine = t.engine <- engine
 let engine t = t.engine

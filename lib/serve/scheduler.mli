@@ -47,7 +47,6 @@ val create : ?policy:Admission.policy -> ?seed:int -> Braid.Cms.t -> t
     rotation offsets. One scheduler per CMS. *)
 
 val cms : t -> Braid.Cms.t
-val policy : t -> Admission.policy
 val coalescer : t -> Coalescer.t
 
 val set_engine : t -> Braid_ie.Engine.t option -> unit

@@ -148,7 +148,7 @@ let failures r =
          has none, and delta maintenance keeps write-heavy elements Fresh,
          so re-fetches all but disappear there. *)
       ( p.sessions > 1 && (not chaos) && (not write_heavy)
-        && r.coalesce.Coalescer.identical_hits + r.coalesce.Coalescer.subsumed_hits = 0,
+        && r.coalesce.Coalescer.identical_hits = 0,
         "the overlapping-view workload produced no coalesce hits" );
       (* Write-heavy: delta maintenance must actually run — rows moved in
          and deletes exercised (the consistency model's hard case). *)
@@ -205,9 +205,8 @@ let report_to_string r =
       r.goal_submitted r.goal_answered r.goal_complete r.goal_solutions r.goal_shed
       r.goal_rounds r.goal_fetches;
   let co = r.coalesce in
-  line "  coalescer:   %d in-flight requests: %d identical + %d subsumed reused, %d to the RDI"
-    co.Coalescer.requests co.Coalescer.identical_hits co.Coalescer.subsumed_hits
-    co.Coalescer.misses;
+  line "  coalescer:   %d in-flight requests: %d identical reused, %d to the RDI"
+    co.Coalescer.requests co.Coalescer.identical_hits co.Coalescer.misses;
   line "  remote:      %d RDI requests, %.1f simulated ms elapsed" r.remote_requests
     r.elapsed_ms;
   (match r.route with
@@ -567,9 +566,9 @@ let run profile ~seed ~waves =
        try
          (* The wave's hot view: sessions that draw low submit the same
             query, lighting up the coalescer window; a middle band submits
-            a strictly narrower variant of it when the family has one (the
-            subsumption-reuse pair); the rest mix in independent draws or
-            sit the wave out. *)
+            a strictly narrower variant of it when the family has one (a
+            pair the cache's subsumption answers); the rest mix in
+            independent draws or sit the wave out. *)
          let hot = Workload.gen_query prng in
          let special = Workload.specialize prng hot in
          Array.iter

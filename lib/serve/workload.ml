@@ -84,9 +84,9 @@ let recursive_kb () =
 let gen_goal prng = atom "zreach" [ s (Printf.sprintf "z%d" (Prng.int prng 8)); v "Y" ]
 
 (* A strictly narrower variant of [q], when the family has one: all of
-   [b2] narrows to a single x-key (shape 1 ⊒ shape 4). When the broad
-   fetch is in the coalescer's in-flight window, the narrow one is
-   answered by subsumption from it instead of reaching the RDI. *)
+   [b2] narrows to a single x-key (shape 1 ⊒ shape 4). Once the broad
+   fetch is cached, the narrow one is answered by subsumption from it
+   instead of reaching the RDI. *)
 let specialize prng (q : A.conj) =
   match q.A.atoms with
   | [ { L.Atom.pred = "b2"; args = [ T.Var _; T.Var _ ] } ] ->

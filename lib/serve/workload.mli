@@ -3,10 +3,8 @@
     narrow parameter space, so that within one scheduling wave
     independent sessions keep asking identical or subsumed variants of
     the same small view family — the workload shape the fetch coalescer
-    exists for (K sessions, overlapping views, one remote round trip). *)
-
-val size : int
-(** Base-table size knob passed to {!Braid_workload.Datagen.paper_example}. *)
+    and the cache's subsumption exist for (K sessions, overlapping views,
+    one remote round trip). *)
 
 val load : Braid_remote.Server.t -> unit
 (** Loads the paper-example tables ([b1]/[b2]/[b3]) into the server. *)
@@ -42,7 +40,7 @@ val specialize :
 (** [specialize prng q] is a strictly narrower variant of [q] when the
     shape family has one (all of [b2] narrows to one x-key), [None]
     otherwise. Waves that pair a broad hot query with its specialization
-    exercise the coalescer's subsumption reuse. *)
+    exercise the cache's subsumption reuse. *)
 
 type write_stream
 (** Mutable history of the rows {!gen_write} has inserted and not yet

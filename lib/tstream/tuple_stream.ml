@@ -149,24 +149,3 @@ let distinct s =
       end
   in
   from s.schema pull
-
-let buffered n s =
-  if n <= 0 then invalid_arg "Tuple_stream.buffered: block size must be positive";
-  let c = cursor s in
-  let buffer = Queue.create () in
-  let pull () =
-    if Queue.is_empty buffer then begin
-      (* Fetch a whole block, as the RDI does when talking to the server. *)
-      let rec fetch k =
-        if k > 0 then
-          match next c with
-          | Some t ->
-            Queue.add t buffer;
-            fetch (k - 1)
-          | None -> ()
-      in
-      fetch n
-    end;
-    Queue.take_opt buffer
-  in
-  from s.schema pull

@@ -59,8 +59,3 @@ val concat_map : Braid_relalg.Schema.t -> (Braid_relalg.Tuple.t -> Braid_relalg.
 
 val distinct : t -> t
 (** Lazily deduplicates while preserving order. *)
-
-val buffered : int -> t -> t
-(** [buffered n s] models the RDI's buffering (§5.5): the producer is pumped
-    in blocks of [n] tuples, so [produced s] advances in steps of up to [n]
-    even when the consumer pulls one tuple at a time. *)

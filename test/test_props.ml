@@ -506,11 +506,6 @@ let prop_stream_take_prefix =
       in
       is_prefix t l && List.length t = min 3 (List.length l))
 
-let prop_stream_buffered_same =
-  QCheck.Test.make ~count:300 ~name:"buffering does not change contents" arb_rel (fun r ->
-      List.map R.Tuple.to_list (TS.to_list (TS.buffered 4 (TS.of_relation r)))
-      = List.map R.Tuple.to_list (R.Relation.to_list r))
-
 (* --- lazy vs eager CAQL evaluation --- *)
 
 let gen_conj_query : A.conj QCheck.Gen.t =
@@ -1608,7 +1603,6 @@ let suites : unit Alcotest.test list =
           prop_index_build_equals_adds;
           prop_stream_roundtrip;
           prop_stream_take_prefix;
-          prop_stream_buffered_same;
           prop_lazy_equals_eager;
           prop_subsumption_sound;
           prop_instance_always_covered;

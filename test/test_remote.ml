@@ -1,5 +1,5 @@
 (* The simulated remote DBMS: SQL executor, catalog statistics, cost
-   accounting, cursors. *)
+   accounting. *)
 
 module R = Braid_relalg
 module V = R.Value
@@ -10,7 +10,6 @@ module Catalog = Braid_remote.Catalog
 module CM = Braid_remote.Cost_model
 module Fault = Braid_remote.Fault
 module Trace = Braid_obs.Trace
-module TS = Braid_stream.Tuple_stream
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -180,44 +179,6 @@ let test_exec_span_records_sql_and_fault () =
       (List.assoc_opt "fault" sp.Trace.args = Some (Trace.Str (Fault.kind_to_string kind)))
   | spans -> Alcotest.failf "expected one remote.exec span, got %d" (List.length spans)
 
-let test_cursor_span_records_sql_and_fault () =
-  let server = load_server () in
-  Server.set_faults server (Some { Fault.none with Fault.error_rate = 1.0; seed = 3 });
-  let tr = Trace.create () in
-  Trace.install tr;
-  let requests_before = Braid_obs.Metrics.counter_value "remote.requests" in
-  let kind =
-    Fun.protect ~finally:Trace.uninstall (fun () ->
-        Trace.with_span ~cat:"test" "test.caller" (fun () ->
-            match Server.open_cursor server (Sql.select_all "emp") with
-            | _ -> Alcotest.fail "an always-failing link opened a cursor"
-            | exception Fault.Injected k -> k))
-  in
-  check_int "request counted" (requests_before + 1) (Braid_obs.Metrics.counter_value "remote.requests");
-  let span name =
-    match List.filter (fun sp -> String.equal sp.Trace.name name) (Trace.spans tr) with
-    | [ sp ] -> sp
-    | spans -> Alcotest.failf "expected one %s span, got %d" name (List.length spans)
-  in
-  let exec = span "remote.exec" and caller = span "test.caller" in
-  check_bool "sql recorded" true
-    (List.assoc_opt "sql" exec.Trace.args = Some (Trace.Str "SELECT * FROM emp"));
-  check_bool "fault recorded" true
-    (List.assoc_opt "fault" exec.Trace.args = Some (Trace.Str (Fault.kind_to_string kind)));
-  check_bool "caller's span carries no fault" true
-    (List.assoc_opt "fault" caller.Trace.args = None)
-
-let test_cursor_partial_transfer () =
-  let server = load_server () in
-  let stream = Server.open_cursor server ~block_size:2 (Sql.select_all "emp") in
-  let c = TS.cursor stream in
-  ignore (TS.next c);
-  let st = Server.stats server in
-  check_int "only one block transferred" 2 st.Server.tuples_returned;
-  ignore (TS.next c);
-  ignore (TS.next c);
-  check_int "second block" 4 (Server.stats server).Server.tuples_returned
-
 let test_cost_model () =
   let m = CM.default in
   let c1 = CM.remote_query_cost m ~scanned:0 ~returned:0 in
@@ -242,24 +203,11 @@ let suites : unit Alcotest.test list =
         Alcotest.test_case "request accounting" `Quick test_accounting;
         Alcotest.test_case "faulted request span records sql and fault" `Quick
           test_exec_span_records_sql_and_fault;
-        Alcotest.test_case "faulted cursor span records sql and fault" `Quick
-          test_cursor_span_records_sql_and_fault;
-        Alcotest.test_case "cursor transfers per block" `Quick test_cursor_partial_transfer;
         Alcotest.test_case "cost model" `Quick test_cost_model;
       ] );
   ]
 
-(* --- cursor abandonment and pushdown --- *)
-
-let test_cursor_abandonment_saves_transfer () =
-  let server = load_server () in
-  let stream = Server.open_cursor server ~block_size:1 (Sql.select_all "emp") in
-  let c = TS.cursor stream in
-  ignore (TS.next c);
-  (* abandoning after one tuple: only one block transferred *)
-  let st = Server.stats server in
-  check_int "one tuple transferred" 1 st.Server.tuples_returned;
-  check_bool "but scanned fully server-side" true (st.Server.tuples_scanned >= 4)
+(* --- pushdown --- *)
 
 let test_condition_classes () =
   let server = load_server () in
@@ -364,8 +312,6 @@ let test_insert_maintains_indexes () =
 
 let extra_cases =
   [
-    Alcotest.test_case "cursor abandonment saves transfer" `Quick
-      test_cursor_abandonment_saves_transfer;
     Alcotest.test_case "condition classes" `Quick test_condition_classes;
     Alcotest.test_case "product without join condition" `Quick
       test_product_when_no_join_condition;

@@ -21,6 +21,7 @@ module Coalescer = Braid_serve.Coalescer
 module Admission = Braid_serve.Admission
 module Soak = Braid_serve.Soak
 module Workload = Braid_serve.Workload
+module Trace = Braid_obs.Trace
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -56,31 +57,9 @@ let test_coalescer_identical () =
      check_bool "outcome shared by reference" true (r1 == r2)
    | _ -> Alcotest.fail "expected two fresh outcomes")
 
-let test_coalescer_subsumed () =
-  let _, cms = mk_cms () in
-  let co = Coalescer.create cms in
-  Coalescer.begin_round co;
-  let broad = Coalescer.fetch co b2_def (Sql.select_all "b2") in
-  let narrow_def = A.conj [ v "Z" ] [ atom "b2" [ s "x1"; v "Z" ] ] in
-  (* Distinct SQL text; on a window hit the SQL is never executed. *)
-  let narrow_sql = { (Sql.select_all "b2") with Sql.distinct = true } in
-  let narrow = Coalescer.fetch co narrow_def narrow_sql in
-  let st = Coalescer.stats co in
-  check_int "subsumed hit" 1 st.Coalescer.subsumed_hits;
-  check_int "still one rdi request" 1 (Cms.rdi_stats cms).Rdi.requests;
-  (match (broad, narrow) with
-   | Rdi.Fresh all, Rdi.Fresh derived ->
-     let expected =
-       R.Relation.to_list all
-       |> List.filter (fun t -> t.(0) = V.Str "x1")
-       |> List.length
-     in
-     check_int "derived by local selection" expected (R.Relation.cardinality derived)
-   | _ -> Alcotest.fail "expected fresh outcomes")
-
 (* The fetches of a wave are concurrent: an identical request waits on the
-   in-flight one, so it shares a failure too. A subsumed request needs rows
-   to derive from, so it goes to the remote. *)
+   in-flight one, so it shares a failure too. A different query goes to
+   the remote. *)
 let test_coalescer_shares_failure () =
   let server, cms = mk_cms () in
   Server.set_faults server
@@ -94,10 +73,8 @@ let test_coalescer_shares_failure () =
    | _ -> Alcotest.fail "expected two failures");
   check_int "identical hit" 1 (Coalescer.stats co).Coalescer.identical_hits;
   check_int "one rdi request" 1 (Cms.rdi_stats cms).Rdi.requests;
-  let narrow_def = A.conj [ v "Z" ] [ atom "b2" [ s "x1"; v "Z" ] ] in
-  ignore (Coalescer.fetch co narrow_def { (Sql.select_all "b2") with Sql.distinct = true });
-  check_int "no subsumed hit on a failure" 0 (Coalescer.stats co).Coalescer.subsumed_hits;
-  check_int "the subsumed request went remote" 2 (Cms.rdi_stats cms).Rdi.requests
+  ignore (Coalescer.fetch co b2_def { (Sql.select_all "b2") with Sql.distinct = true });
+  check_int "a different query went remote" 2 (Cms.rdi_stats cms).Rdi.requests
 
 let test_coalescer_disjoint () =
   let _, cms = mk_cms () in
@@ -106,9 +83,66 @@ let test_coalescer_disjoint () =
   ignore (Coalescer.fetch co b2_def (Sql.select_all "b2"));
   ignore (Coalescer.fetch co b1_def (Sql.select_all "b1"));
   let st = Coalescer.stats co in
-  check_int "no reuse across disjoint views" 0
-    (st.Coalescer.identical_hits + st.Coalescer.subsumed_hits);
+  check_int "no reuse across disjoint views" 0 st.Coalescer.identical_hits;
   check_int "both fetched" 2 (Cms.rdi_stats cms).Rdi.requests
+
+(* [b2] filtered by a semi-join on its first column. *)
+let b2_semijoin keys =
+  Sql.with_semijoins (Sql.select_all "b2")
+    [ ({ Sql.src = "b2"; attr = "a" }, List.map (fun k -> V.Str k) keys) ]
+
+(* A semi-join filter is part of the query: the same filter asked twice in
+   one wave gets the same answer, so it is one request. *)
+let test_coalescer_semijoin_identical () =
+  let _, cms = mk_cms () in
+  let co = Coalescer.create cms in
+  Coalescer.begin_round co;
+  let o1 = Coalescer.fetch co b2_def (b2_semijoin [ "x1"; "x2" ]) in
+  let o2 = Coalescer.fetch co b2_def (b2_semijoin [ "x2"; "x1" ]) in
+  check_int "one rdi request" 1 (Cms.rdi_stats cms).Rdi.requests;
+  check_int "identical hit" 1 (Coalescer.stats co).Coalescer.identical_hits;
+  match (o1, o2) with
+  | Rdi.Fresh r1, Rdi.Fresh r2 -> check_bool "outcome shared by reference" true (r1 == r2)
+  | _ -> Alcotest.fail "expected two fresh outcomes"
+
+(* Queries that differ anywhere, even in one semi-join value or in
+   [distinct], are different requests. *)
+let test_coalescer_near_misses () =
+  let _, cms = mk_cms () in
+  let co = Coalescer.create cms in
+  Coalescer.begin_round co;
+  List.iter
+    (fun sql -> ignore (Coalescer.fetch co b2_def sql))
+    [
+      b2_semijoin [ "x1" ];
+      b2_semijoin [ "x2" ];
+      Sql.select_all "b2";
+      { (Sql.select_all "b2") with Sql.distinct = true };
+    ];
+  let st = Coalescer.stats co in
+  check_int "no hits" 0 st.Coalescer.identical_hits;
+  check_int "four misses" 4 st.Coalescer.misses;
+  check_int "four rdi requests" 4 (Cms.rdi_stats cms).Rdi.requests
+
+(* SQL text is printed only at the trace boundary: a hit's instant names
+   the query it shared. *)
+let test_coalescer_trace_sql () =
+  let _, cms = mk_cms () in
+  let co = Coalescer.create cms in
+  let tracer = Trace.create () in
+  Trace.install tracer;
+  Fun.protect ~finally:Trace.uninstall (fun () ->
+      Coalescer.begin_round co;
+      ignore (Coalescer.fetch co b2_def (b2_semijoin [ "x1" ]));
+      ignore (Coalescer.fetch co b2_def (b2_semijoin [ "x1" ]));
+      Coalescer.end_round co);
+  match List.filter (fun sp -> sp.Trace.name = "serve.coalesce") (Trace.spans tracer) with
+  | [ sp ] ->
+    check_bool "kind" true (List.assoc_opt "kind" sp.args = Some (Trace.Str "identical"));
+    check_bool "sql text" true
+      (List.assoc_opt "sql" sp.args
+       = Some (Trace.Str (Sql.to_string (b2_semijoin [ "x1" ]))))
+  | spans -> Alcotest.failf "expected one serve.coalesce instant, got %d" (List.length spans)
 
 let test_coalescer_window_scope () =
   let _, cms = mk_cms () in
@@ -373,7 +407,8 @@ let suites =
     ( "serve",
       [
         Alcotest.test_case "coalescer identical" `Quick test_coalescer_identical;
-        Alcotest.test_case "coalescer subsumed" `Quick test_coalescer_subsumed;
+        Alcotest.test_case "coalescer shares a semi-join fetch" `Quick
+          test_coalescer_semijoin_identical;
         Alcotest.test_case "coalescer disjoint" `Quick test_coalescer_disjoint;
         Alcotest.test_case "coalescer window scope" `Quick test_coalescer_window_scope;
         Alcotest.test_case "admission decisions" `Quick test_admission_decide;
@@ -397,5 +432,7 @@ let suites =
       @ [
           Alcotest.test_case "soak rejects invalid profiles" `Quick test_soak_rejects;
           Alcotest.test_case "coalescer shares a failure" `Quick test_coalescer_shares_failure;
+          Alcotest.test_case "coalescer keys on the whole query" `Quick test_coalescer_near_misses;
+          Alcotest.test_case "coalescer traces the sql" `Quick test_coalescer_trace_sql;
         ] );
   ]

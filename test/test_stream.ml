@@ -83,19 +83,6 @@ let test_concat_map () =
   let exploded = TS.concat_map schema1 (fun t -> [ t; t |> Array.copy ]) s in
   check_int "doubled" 4 (List.length (TS.to_list exploded))
 
-let test_buffered_blocks () =
-  let s, produced = counting_stream 10 in
-  let b = TS.buffered 4 s in
-  let c = TS.cursor b in
-  ignore (TS.next c);
-  check_int "whole block pumped" 4 !produced;
-  ignore (TS.next c);
-  ignore (TS.next c);
-  ignore (TS.next c);
-  check_int "still one block" 4 !produced;
-  ignore (TS.next c);
-  check_int "second block" 8 !produced
-
 let test_empty () =
   let s = TS.empty schema1 in
   check_bool "no tuples" true (TS.to_list s = []);
@@ -140,7 +127,6 @@ let suites : unit Alcotest.test list =
         Alcotest.test_case "take is lazy" `Quick test_take_is_lazy;
         Alcotest.test_case "append + distinct" `Quick test_append_distinct;
         Alcotest.test_case "concat_map" `Quick test_concat_map;
-        Alcotest.test_case "buffered pulls blocks" `Quick test_buffered_blocks;
         Alcotest.test_case "empty stream" `Quick test_empty;
         Alcotest.test_case "relation round trip shares no row vector" `Quick
           test_relation_round_trip_no_alias;
