@@ -24,6 +24,86 @@ let adornment_of bound args =
        args)
 
 let bound_args ad args = List.filteri (fun i _ -> ad.[i] = 'b') args
+let free_args ad args = List.filteri (fun i _ -> ad.[i] = 'f') args
+let var_of = function L.Term.Var v -> Some v | L.Term.Const _ -> None
+
+(* Whether [p] is [q] or its kept rules reach [q]. *)
+let reaches kb ~skip q p =
+  let seen = Hashtbl.create 8 in
+  let rec go p =
+    p = q
+    || (not (Hashtbl.mem seen p))
+       && (Hashtbl.replace seen p ();
+           List.exists
+             (fun (r : L.Rule.t) ->
+               (not (Hashtbl.mem skip r.L.Rule.id))
+               && List.exists
+                    (function L.Literal.Rel a -> go a.L.Atom.pred | L.Literal.Cmp _ -> false)
+                    r.L.Rule.body)
+             (L.Kb.rules_for kb p))
+  in
+  go p
+
+(* The right-linear case (Naughton, Ramakrishnan, Sagiv and Ullman, SIGMOD
+   1989): [Some ids] names q's recursive rules when each kept rule of q is
+   an exit rule (no body atom reaches q) or a right-linear one, and at
+   least one is right-linear. Such a rule's one atom reaching q is q
+   itself, last in the shaper's order, adorned [ad] again there, with
+   every other literal before it in the magic rule emitted for it; and it
+   passes each free head argument unchanged, a variable used nowhere
+   else. The rows its exit rules give any binding in m$q$ad are then
+   rows of the query. *)
+let right_linear kb ~orderings ~skip q ad =
+  let reaches_q = function
+    | L.Literal.Rel a -> reaches kb ~skip q a.L.Atom.pred
+    | L.Literal.Cmp _ -> false
+  in
+  let classify (r : L.Rule.t) =
+    let head = r.L.Rule.head.L.Atom.args in
+    match List.partition reaches_q r.L.Rule.body with
+    | [], _ -> `Exit
+    | [ L.Literal.Rel call ], rest
+      when call.L.Atom.pred = q && List.length call.L.Atom.args = String.length ad ->
+      let free = free_args ad head in
+      let free_vars = List.filter_map var_of free in
+      let head_bound = List.filter_map var_of (bound_args ad head) in
+      (* at the call's bound positions a free variable fails [sip] *)
+      let elsewhere = head_bound @ List.concat_map L.Literal.vars rest in
+      let bound = Hashtbl.create 8 in
+      List.iter (fun v -> Hashtbl.replace bound v ()) head_bound;
+      (* sideways, as [transform] walks the body *)
+      let rec sip = function
+        | [ (L.Literal.Rel a as lit) ] when reaches_q lit -> adornment_of bound a.L.Atom.args = ad
+        | (L.Literal.Cmp _ as c) :: more ->
+          List.for_all (Hashtbl.mem bound) (L.Literal.vars c) && sip more
+        | (L.Literal.Rel a as lit) :: more
+          when (not (reaches_q lit))
+               && (L.Kb.is_base kb a.L.Atom.pred || L.Kb.is_derived kb a.L.Atom.pred) ->
+          List.iter (fun v -> Hashtbl.replace bound v ()) (L.Atom.vars a);
+          sip more
+        | _ -> false
+      in
+      if
+        List.length free_vars = List.length free
+        && List.equal L.Term.equal free (free_args ad call.L.Atom.args)
+        && List.length (List.sort_uniq String.compare free_vars) = List.length free_vars
+        && not (List.exists (fun v -> List.mem v elsewhere) free_vars)
+        && sip (Shaper.reorder orderings r)
+      then `Recursive
+      else `Other
+    | _ -> `Other
+  in
+  let kinds =
+    List.filter_map
+      (fun (r : L.Rule.t) ->
+        if Hashtbl.mem skip r.L.Rule.id || List.length r.L.Rule.head.L.Atom.args <> String.length ad
+        then None
+        else Some (r.L.Rule.id, classify r))
+      (L.Kb.rules_for kb q)
+  in
+  let recursive = List.filter_map (fun (id, k) -> if k = `Recursive then Some id else None) kinds in
+  if recursive <> [] && List.for_all (fun (_, k) -> k <> `Other) kinds then Some recursive
+  else None
 
 let transform kb ?(orderings = []) ?(skip_rules = []) (query : L.Atom.t) =
   let qp = query.L.Atom.pred in
@@ -33,6 +113,10 @@ let transform kb ?(orderings = []) ?(skip_rules = []) (query : L.Atom.t) =
   else begin
     let skip = Hashtbl.create (max 4 (List.length skip_rules)) in
     List.iter (fun id -> Hashtbl.replace skip id ()) skip_rules;
+    let rl =
+      if String.contains ad0 'f' then right_linear kb ~orderings ~skip qp ad0 else None
+    in
+    let answers = adorned (adorned qp ad0) "rl" in
     let out = L.Kb.create () in
     let declared = Hashtbl.create 16 in
     let declare_base p =
@@ -127,10 +211,20 @@ let transform kb ?(orderings = []) ?(skip_rules = []) (query : L.Atom.t) =
                       (* neither base nor derived: keep — it Prolog-fails *)
                       new_body := lit :: !new_body)
                 (Shaper.reorder orderings r);
-              add_rule
-                (L.Rule.make ~id:(r.L.Rule.id ^ "$" ^ ad)
-                   { head with L.Atom.pred = adorned p ad }
-                   (List.rev !new_body))
+              match rl with
+              | Some recursive when p = qp && ad = ad0 ->
+                (* right-linear: a recursive rule adds no answer its call
+                   does not; an exit rule answers every demanded binding *)
+                if not (List.mem r.L.Rule.id recursive) then
+                  add_rule
+                    (L.Rule.make ~id:(r.L.Rule.id ^ "$" ^ ad ^ "$rl")
+                       (L.Atom.make answers (free_args ad head.L.Atom.args))
+                       (List.rev !new_body))
+              | _ ->
+                add_rule
+                  (L.Rule.make ~id:(r.L.Rule.id ^ "$" ^ ad)
+                     { head with L.Atom.pred = adorned p ad }
+                     (List.rev !new_body))
             end)
           (L.Kb.rules_for kb p)
       end
@@ -141,6 +235,10 @@ let transform kb ?(orderings = []) ?(skip_rules = []) (query : L.Atom.t) =
          (L.Atom.make (magic_name qp ad0) (bound_args ad0 query.L.Atom.args))
          []);
     List.iter (L.Kb.add_rule out) (List.rev !rules);
-    Some
-      { kb = out; query = { query with L.Atom.pred = adorned qp ad0 }; adornment = ad0 }
+    let query =
+      match rl with
+      | Some _ -> L.Atom.make answers (free_args ad0 query.L.Atom.args)
+      | None -> { query with L.Atom.pred = adorned qp ad0 }
+    in
+    Some { kb = out; query; adornment = ad0 }
   end

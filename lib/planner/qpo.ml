@@ -807,6 +807,23 @@ let index_for_spec t (spec : Braid_advice.Ast.view_spec) (e : Elem.t) =
   end
   else []
 
+(* Whether a plan reads a stale element. The cache's [stale_touches]
+   counts tuples read from stale elements, which misses one case: a stale
+   element whose selection matches nothing reads zero tuples but may hide
+   rows inserted upstream since it was cached — emptiness from a stale
+   element is itself stale. An answer that read one is [Degraded] and is
+   never cached. *)
+let read_stale_element t steps =
+  List.exists
+    (fun step ->
+      match step with
+      | Plan.Exact_hit { element }
+      | Plan.Use_element { element; _ }
+      | Plan.Generalized { element; _ } ->
+        (match CMgr.find t.cache element with Some e -> e.Elem.stale | None -> false)
+      | _ -> false)
+    steps
+
 (* Materialize a definition as a cache element (used by generalization and
    prefetching). Returns the element if it was (or already is) cached. *)
 let materialize_def t ~key (def : A.conj) =
@@ -816,8 +833,8 @@ let materialize_def t ~key (def : A.conj) =
     let solved = solve t ~key def in
     (* A degraded fetch must not be materialized: generalizations and
        prefetches cached now would keep serving stale or empty data after
-       the remote recovers. *)
-    if solved.s_degraded then None
+       the remote recovers. Nor must one that read a stale element. *)
+    if solved.s_degraded || read_stale_element t solved.s_steps then None
     else
       (* Solving may itself have cached an element with this very definition
          (a shipped subquery equal to [def]); do not duplicate it. *)
@@ -1068,6 +1085,7 @@ let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
   (* Steps 2 and 3: rewrite over the cache and fetch what is missing. *)
   let solved = solve t ~key:qkey q in
   classify t solved;
+  let read_stale = read_stale_element t solved.s_steps in
   let model = Server.cost_model t.server in
   let lazy_ok =
     t.config.allow_lazy
@@ -1090,6 +1108,7 @@ let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
       (match t.config.caching with
        | Subsumption
          when find_key t qkey = None
+              && (not read_stale)
               && (CMgr.stats t.cache).CMgr.stale_touches = stale_before ->
          ignore (CMgr.insert t.cache ~def:q (Elem.Generator s))
        | Subsumption | No_cache | Exact_match | Single_relation -> ());
@@ -1100,7 +1119,8 @@ let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
       let touched = (CMgr.stats t.cache).CMgr.tuples_touched - touched_before in
       result_steps := [ Plan.Local_eval { touched } ];
       let degraded_eval =
-        solved.s_degraded || (CMgr.stats t.cache).CMgr.stale_touches > stale_before
+        solved.s_degraded || read_stale
+        || (CMgr.stats t.cache).CMgr.stale_touches > stale_before
       in
       let cached =
         should_cache_eager_result t ses spec solved touched
@@ -1155,38 +1175,14 @@ let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
   Obs.Trace.add_arg "elapsed_ms" (Obs.Trace.Float elapsed);
   Obs.Trace.add_arg "local_ms" (Obs.Trace.Float local_ms);
   let stale_delta = (CMgr.stats t.cache).CMgr.stale_touches - stale_before in
-  (* [stale_delta] counts tuples read from stale elements, which misses one
-     case: a stale element whose selection matches nothing reads zero tuples
-     but may hide rows inserted upstream since it was cached — emptiness from
-     a stale element is itself stale. So additionally consult the stale flag
-     of every element the plan read. *)
-  let read_stale_element =
-    List.exists
-      (fun step ->
-        let id =
-          match step with
-          | Plan.Exact_hit { element }
-          | Plan.Use_element { element; _ }
-          | Plan.Generalized { element; _ } ->
-            Some element
-          | _ -> None
-        in
-        match id with
-        | None -> false
-        | Some id ->
-          (match CMgr.find t.cache id with
-           | Some e -> e.Elem.stale
-           | None -> false))
-      solved.s_steps
-  in
   let stale_steps =
-    if stale_delta > 0 || read_stale_element then
+    if stale_delta > 0 || read_stale then
       [ Plan.Stale_elements { touched = stale_delta } ]
     else []
   in
   let plan = gen_steps @ solved.s_steps @ !result_steps @ stale_steps @ pf_steps in
   let provenance =
-    if solved.s_degraded || stale_delta > 0 || read_stale_element then Plan.Degraded
+    if solved.s_degraded || stale_delta > 0 || read_stale then Plan.Degraded
     else Plan.Fresh
   in
   if provenance = Plan.Degraded then begin

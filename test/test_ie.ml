@@ -506,6 +506,161 @@ let test_magic_identity_on_free_query () =
   check_bool "base query not transformed" true
     (Magic.transform kb (atom "parent" [ s "p0"; v "Y" ]) = None)
 
+(* The transformed program, one line per rule, after the query. *)
+let magic_program kb q =
+  match Magic.transform kb q with
+  | None -> Alcotest.fail "expected a transform for a bound query"
+  | Some m ->
+    L.Atom.to_string m.Magic.query :: List.map L.Rule.to_string (L.Kb.all_rules m.Magic.kb)
+
+let test_magic_right_linear () =
+  let kb = Braid_workload.Kbgen.ancestor () in
+  let base = family_base () in
+  let q = atom "ancestor" [ s "p0"; v "Y" ] in
+  (* A2 passes Y to its call unchanged: its magic rule stays, its adorned
+     rule goes, and A1 answers every demanded binding *)
+  Alcotest.(check (list string))
+    "right-linear program"
+    [
+      "ancestor$bf$rl(Y)";
+      "A1$bf$rl: ancestor$bf$rl(Y) <- m$ancestor$bf(X) & parent(X, Y).";
+      "A2$bf$m1: m$ancestor$bf(Z) <- m$ancestor$bf(X) & parent(X, Z).";
+      "m$seed: m$ancestor$bf(\"p0\").";
+    ]
+    (magic_program kb q);
+  match Magic.transform kb q with
+  | None -> Alcotest.fail "expected a transform for a bound query"
+  | Some m ->
+    let run = Datalog.solve m.Magic.kb ~base m.Magic.query in
+    let demanded = List.assoc "m$ancestor$bf" run.Datalog.derived_sizes in
+    let answers = R.Relation.cardinality run.Datalog.result in
+    check_bool
+      (Printf.sprintf "%d tuples produced <= %d demanded + %d answers" run.Datalog.tuples_produced
+         demanded answers)
+      true
+      (run.Datalog.tuples_produced <= demanded + answers);
+    check_bool "answers = unrestricted answers" true
+      (norm_rel (Datalog.solve kb ~base q).Datalog.result = norm_rel run.Datalog.result)
+
+(* A KB over edge/2 with the given rules. *)
+let edge_kb rules =
+  let kb = L.Kb.create () in
+  L.Kb.declare_base kb "edge" ~arity:2;
+  List.iter (fun (id, head, body) -> L.Kb.add_rule kb (L.Rule.make ~id head body)) rules;
+  kb
+
+(* Programs the right-linear rewrite must leave as they were before it:
+   each expected list is the plain magic-set program. *)
+let test_magic_right_linear_fallbacks () =
+  let rel p args = L.Literal.rel (atom p args) in
+  let tc_exit = ("T1", atom "tc" [ v "X"; v "Y" ], [ rel "edge" [ v "X"; v "Y" ] ]) in
+  let cases =
+    [
+      ( "nonlinear (same generation)",
+        Braid_workload.Kbgen.same_generation (),
+        atom "sg" [ s "p3"; v "Y" ],
+        [
+          "sg$bf(\"p3\", Y)";
+          "SG1$bf: sg$bf(X, Y) <- m$sg$bf(X) & parent(P, X) & parent(P, Y).";
+          "SG2$bf: sg$bf(X, Y) <- m$sg$bf(X) & parent(PX, X) & sg$bf(PX, PY) & parent(PY, Y).";
+          "SG2$bf$m1: m$sg$bf(PX) <- m$sg$bf(X) & parent(PX, X).";
+          "m$seed: m$sg$bf(\"p3\").";
+        ] );
+      ( "left-linear",
+        edge_kb
+          [
+            tc_exit;
+            ("T2", atom "tc" [ v "X"; v "Y" ], [ rel "tc" [ v "X"; v "Z" ]; rel "edge" [ v "Z"; v "Y" ] ]);
+          ],
+        atom "tc" [ i 1; v "Y" ],
+        [
+          "tc$bf(1, Y)";
+          "T1$bf: tc$bf(X, Y) <- m$tc$bf(X) & edge(X, Y).";
+          "T2$bf: tc$bf(X, Y) <- m$tc$bf(X) & tc$bf(X, Z) & edge(Z, Y).";
+          "T2$bf$m1: m$tc$bf(X) <- m$tc$bf(X).";
+          "m$seed: m$tc$bf(1).";
+        ] );
+      ( "a comparison on the free variable",
+        edge_kb
+          [
+            tc_exit;
+            ( "T2",
+              atom "tc" [ v "X"; v "Y" ],
+              [
+                rel "edge" [ v "X"; v "Z" ];
+                rel "tc" [ v "Z"; v "Y" ];
+                L.Literal.cmp R.Row_pred.Lt (v "Z") (v "Y");
+              ] );
+          ],
+        atom "tc" [ i 1; v "Y" ],
+        [
+          "tc$bf(1, Y)";
+          "T1$bf: tc$bf(X, Y) <- m$tc$bf(X) & edge(X, Y).";
+          "T2$bf: tc$bf(X, Y) <- m$tc$bf(X) & edge(X, Z) & tc$bf(Z, Y) & Z < Y.";
+          "T2$bf$m1: m$tc$bf(Z) <- m$tc$bf(X) & edge(X, Z).";
+          "m$seed: m$tc$bf(1).";
+        ] );
+      ( "a repeated free variable",
+        edge_kb
+          [
+            ("P1", atom "p" [ v "X"; v "Y"; v "Y" ], [ rel "edge" [ v "X"; v "Y" ] ]);
+            ( "P2",
+              atom "p" [ v "X"; v "Y"; v "Y" ],
+              [ rel "edge" [ v "X"; v "Z" ]; rel "p" [ v "Z"; v "Y"; v "Y" ] ] );
+          ],
+        atom "p" [ i 1; v "Y"; v "W" ],
+        [
+          "p$bff(1, Y, W)";
+          "P1$bff: p$bff(X, Y, Y) <- m$p$bff(X) & edge(X, Y).";
+          "P2$bff: p$bff(X, Y, Y) <- m$p$bff(X) & edge(X, Z) & p$bff(Z, Y, Y).";
+          "P2$bff$m1: m$p$bff(Z) <- m$p$bff(X) & edge(X, Z).";
+          "m$seed: m$p$bff(1).";
+        ] );
+      ( "mutual recursion (parity)",
+        edge_kb
+          [
+            ("O1", atom "odd" [ v "X"; v "Y" ], [ rel "edge" [ v "X"; v "Y" ] ]);
+            ( "O2",
+              atom "odd" [ v "X"; v "Y" ],
+              [ rel "even" [ v "X"; v "Z" ]; rel "edge" [ v "Z"; v "Y" ] ] );
+            ( "E1",
+              atom "even" [ v "X"; v "Y" ],
+              [ rel "odd" [ v "X"; v "Z" ]; rel "edge" [ v "Z"; v "Y" ] ] );
+          ],
+        atom "odd" [ i 1; v "Y" ],
+        [
+          "odd$bf(1, Y)";
+          "E1$bf: even$bf(X, Y) <- m$even$bf(X) & odd$bf(X, Z) & edge(Z, Y).";
+          "E1$bf$m1: m$odd$bf(X) <- m$even$bf(X).";
+          "O1$bf: odd$bf(X, Y) <- m$odd$bf(X) & edge(X, Y).";
+          "O2$bf: odd$bf(X, Y) <- m$odd$bf(X) & even$bf(X, Z) & edge(Z, Y).";
+          "O2$bf$m1: m$even$bf(X) <- m$odd$bf(X).";
+          "m$seed: m$odd$bf(1).";
+        ] );
+      ( "a free variable at a bound head position",
+        edge_kb
+          [
+            ("R1", atom "r" [ v "X"; v "Y" ], [ rel "edge" [ v "X"; v "Y" ] ]);
+            ("R2", atom "r" [ v "Y"; v "Y" ], [ rel "edge" [ v "W"; v "Z" ]; rel "r" [ v "Z"; v "Y" ] ]);
+          ],
+        atom "r" [ i 1; v "Y" ],
+        [
+          "r$bf(1, Y)";
+          "R1$bb: r$bb(X, Y) <- m$r$bb(X, Y) & edge(X, Y).";
+          "R1$bf: r$bf(X, Y) <- m$r$bf(X) & edge(X, Y).";
+          "R2$bb: r$bb(Y, Y) <- m$r$bb(Y, Y) & edge(W, Z) & r$bb(Z, Y).";
+          "R2$bb$m1: m$r$bb(Z, Y) <- m$r$bb(Y, Y) & edge(W, Z).";
+          "R2$bf: r$bf(Y, Y) <- m$r$bf(Y) & edge(W, Z) & r$bb(Z, Y).";
+          "R2$bf$m1: m$r$bb(Z, Y) <- m$r$bf(Y) & edge(W, Z).";
+          "m$seed: m$r$bf(1).";
+        ] );
+    ]
+  in
+  List.iter
+    (fun (what, kb, q, expected) ->
+      Alcotest.(check (list string)) what expected (magic_program kb q))
+    cases
+
 let test_conj_fetch_ships_selections () =
   (* AA1's body is ancestor(X,Y), person(X,A), A >= 40: the person atom and
      its covered comparison become one conjunctive fetch, so the age
@@ -1136,6 +1291,8 @@ let template_cases =
     Alcotest.test_case "cardinality change recompiles" `Quick
       test_cardinality_change_recompiles;
     Alcotest.test_case "set-oriented program reused per form" `Quick test_set_program_reuse;
+    Alcotest.test_case "magic right-linear rewrite" `Quick test_magic_right_linear;
+    Alcotest.test_case "magic right-linear fallbacks" `Quick test_magic_right_linear_fallbacks;
   ]
 
 let suites = match suites with

@@ -1561,6 +1561,10 @@ let prop_magic_sound =
       let q_bound = L.Atom.make "tc" [ T.Const (V.Int c); T.Var "Y" ] in
       match Magic.transform kb q_bound with
       | None -> false (* a bound query must transform *)
+      | Some m when (m.Magic.query.L.Atom.pred = "tc$bf$rl") <> (dir = `Left) ->
+        (* `Left's tc(X,Y) <- edge(X,Z) & tc(Z,Y) is right-linear and takes
+           the rewrite; `Right's left-linear rule keeps the plain program *)
+        QCheck.Test.fail_reportf "right-linear rewrite %s" (L.Atom.to_string m.Magic.query)
       | Some m ->
         let full = Datalog.solve kb ~base q_free in
         let restricted =

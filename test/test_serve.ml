@@ -199,6 +199,30 @@ let test_qpo_stale_emptiness_degrades () =
   check_bool "empty answer from a stale element is degraded" true
     (a2.Qpo.provenance = Plan.Degraded)
 
+(* An answer read from a stale element whose selection matches nothing
+   reads no stale tuples, yet it is as stale as the element: it is
+   degraded, lazily or eagerly, and never cached. A cached copy would
+   later answer as an exact hit, fresh, missing every row inserted since. *)
+let test_qpo_stale_emptiness_not_cached () =
+  let _, cms = mk_cms () in
+  let empty = A.conj [ v "Z"; v "Y" ] [ atom "b3" [ v "Z"; s "c-none"; v "Y" ] ] in
+  ignore (Cms.query cms empty);
+  check_bool "empty element cached" true
+    (Braid_cache.Cache_manager.find_exact (Cms.cache cms) empty <> None);
+  ignore (Cms.invalidate_table cms ~mode:`Mark_stale "b3");
+  let answer what ~prefer_lazy q =
+    let a = Cms.query cms ~prefer_lazy q in
+    check_bool (what ^ ": read the stale element") true
+      (List.exists (function Plan.Use_element _ -> true | _ -> false) a.Qpo.plan);
+    check_bool (what ^ ": lazy") prefer_lazy (List.mem Plan.Lazy_answer a.Qpo.plan);
+    check_bool (what ^ ": degraded") true (a.Qpo.provenance = Plan.Degraded);
+    check_bool (what ^ ": not cached") true
+      (Braid_cache.Cache_manager.find_exact (Cms.cache cms) q = None)
+  in
+  answer "lazy" ~prefer_lazy:true (A.conj [ v "Z" ] [ atom "b3" [ v "Z"; s "c-none"; s "y1" ] ]);
+  answer "eager" ~prefer_lazy:false
+    (A.conj [ v "X" ] [ atom "b2" [ v "X"; v "Z" ]; atom "b3" [ v "Z"; s "c-none"; s "y1" ] ])
+
 (* --- scheduler --- *)
 
 let test_scheduler_fairness_under_hot_session () =
@@ -434,5 +458,7 @@ let suites =
           Alcotest.test_case "coalescer shares a failure" `Quick test_coalescer_shares_failure;
           Alcotest.test_case "coalescer keys on the whole query" `Quick test_coalescer_near_misses;
           Alcotest.test_case "coalescer traces the sql" `Quick test_coalescer_trace_sql;
+          Alcotest.test_case "qpo stale emptiness is never cached" `Quick
+            test_qpo_stale_emptiness_not_cached;
         ] );
   ]
