@@ -13,7 +13,12 @@ type t
 val create : capacity_bytes:int -> t
 
 val capacity_bytes : t -> int
+
 val used_bytes : t -> int
+(** The sum of {!Element.bytes_estimate} over the elements: one fold over
+    the elements, each read in O(1) (the element keeps its extension's
+    byte count), so O(elements), not O(cached tuples). There is no running
+    total: a generator's size grows as its consumers pull from it. *)
 
 val tick : t -> int
 (** Advances and returns the logical clock. *)

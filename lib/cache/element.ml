@@ -10,6 +10,7 @@ type t = {
   def : Braid_caql.Ast.conj;
   key : string;
   mutable repr : representation;
+  mutable ext_bytes : int;
   mutable indexes : (int list * R.Index.t) list;
   mutable sorted : (int list * R.Relation.t) list;
   mutable hits : int;
@@ -27,6 +28,7 @@ let make ~id ~def ~now repr =
     def;
     key = Braid_caql.Ast.variant_key def;
     repr;
+    ext_bytes = (match repr with Extension r -> R.Relation.bytes_estimate r | Generator _ -> 0);
     indexes = [];
     sorted = [];
     hits = 0;
@@ -45,14 +47,65 @@ let schema e =
 
 let is_materialized e = match e.repr with Extension _ -> true | Generator _ -> false
 
+(* The journal holds this relation by reference (a forced generator's
+   [Materialize] entry, or the entry replay reads it from), so the first
+   delta must copy it. *)
+let set_extension e r =
+  e.repr <- Extension r;
+  e.ext_bytes <- R.Relation.bytes_estimate r;
+  e.delta_private <- false
+
 let extension e =
   match e.repr with
   | Extension r -> r
   | Generator s ->
     let r = TS.to_relation ~name:e.id s in
-    e.repr <- Extension r;
+    set_extension e r;
     e.on_materialize e.id r;
     r
+
+(* The extension, as a private copy a delta may change in place: the
+   journal shares every snapshot it holds by reference, so the first delta
+   after one copies the rows (same rows, same size) and later ones edit
+   them. *)
+let writable e =
+  let r = extension e in
+  if e.delta_private then r
+  else begin
+    let r = R.Relation.copy r in
+    e.repr <- Extension r;
+    e.delta_private <- true;
+    r
+  end
+
+(* A write leaves no index or sorted representation of the old rows. *)
+let written e =
+  e.indexes <- [];
+  e.sorted <- []
+
+let insert_rows e rows =
+  let r = writable e in
+  List.iter
+    (fun row ->
+      R.Relation.add r row;
+      e.ext_bytes <- e.ext_bytes + R.Relation.row_bytes row)
+    rows;
+  written e
+
+let delete_rows e rows =
+  let r = writable e in
+  let all_present =
+    List.fold_left
+      (fun ok row ->
+        if R.Relation.remove_once r row then begin
+          e.ext_bytes <- e.ext_bytes - R.Relation.row_bytes row;
+          ok
+        end
+        else false)
+      true rows
+  in
+  written e;
+  all_present
 
 let stream e =
   match e.repr with
@@ -82,14 +135,16 @@ let sorted_representations e = List.map fst e.sorted
 let bytes_estimate e =
   let data =
     match e.repr with
-    | Extension r -> R.Relation.bytes_estimate r
+    | Extension _ -> e.ext_bytes
     | Generator s ->
       (* Only the memoized prefix occupies memory so far. *)
       64 + (TS.produced s * 48)
   in
+  (* A sorted representation is a permutation of the current extension
+     (writes drop it), so it costs exactly the extension's bytes. *)
   data
   + List.fold_left (fun acc (_, ix) -> acc + R.Index.bytes_estimate ix) 0 e.indexes
-  + List.fold_left (fun acc (_, r) -> acc + R.Relation.bytes_estimate r) 0 e.sorted
+  + (List.length e.sorted * e.ext_bytes)
 
 let cardinality_estimate e =
   match e.repr with

@@ -4,7 +4,21 @@
     An element carries its view definition (for subsumption), one of two
     co-existing representations — a materialized {b extension} or a
     {b generator} for lazy evaluation (§5.1) — plus hash indexes and the
-    usage metadata the Cache Manager needs for replacement (§5.4). *)
+    usage metadata the Cache Manager needs for replacement (§5.4).
+
+    {b Size.} An element's {!bytes_estimate} always equals its
+    extension's [Relation.bytes_estimate] (for a generator, its memoized
+    prefix: 64 bytes plus 48 per tuple pulled so far), plus
+    [Index.bytes_estimate] of each of its indexes, plus the extension's
+    bytes again for each sorted representation. The element keeps its
+    extension's byte count in [ext_bytes], so reading the size costs
+    O(indexes + sorted representations), not O(cached tuples). Only these
+    functions set or change an extension, and each keeps [ext_bytes] with
+    it: {!make}, {!extension} (when it forces a generator),
+    {!set_extension} and the two delta functions {!insert_rows} and
+    {!delete_rows}. No
+    other code may assign [repr] or add rows to, or remove rows from, an
+    element's extension. *)
 
 type representation =
   | Extension of Braid_relalg.Relation.t
@@ -20,6 +34,10 @@ type t = {
           is made; the cache model's exact-match index and the QPO's
           exact-hit test read it *)
   mutable repr : representation;
+  mutable ext_bytes : int;
+      (** [Relation.bytes_estimate] of the extension, kept current by the
+          functions that change it (see {b Size} above); [0] while the
+          element is a generator *)
   mutable indexes : (int list * Braid_relalg.Index.t) list;
       (** Invariant: an element's indexes always index its current
           extension, row for row. They are built on demand
@@ -65,6 +83,25 @@ val is_materialized : t -> bool
 val extension : t -> Braid_relalg.Relation.t
 (** Forces a generator (converting the representation) if necessary. *)
 
+val set_extension : t -> Braid_relalg.Relation.t -> unit
+(** Makes the given relation the element's extension, shared with
+    whoever holds it ([delta_private] is cleared) — journal replay's
+    restoration of a forced generator. *)
+
+val insert_rows : t -> Braid_relalg.Tuple.t list -> unit
+(** An IVM insert delta: appends the rows to the element's extension
+    (forcing a generator), after copying it if it is still shared with a
+    journal snapshot, and drops the element's indexes and sorted
+    representations. The one insert path of live maintenance
+    ({!Maintain}) and of journal replay. *)
+
+val delete_rows : t -> Braid_relalg.Tuple.t list -> bool
+(** An IVM delete delta: removes one occurrence of each row
+    ([Relation.remove_once]), on the same copy-on-write terms as
+    {!insert_rows}, and drops indexes and sorted representations. The size
+    shrinks only by the rows actually removed. [false] when some row was
+    absent — the element diverged from its definition. *)
+
 val stream : t -> Braid_stream.Tuple_stream.t
 (** A lazy view of the element without forcing it. *)
 
@@ -86,7 +123,8 @@ val sorted_on : t -> int list -> Braid_relalg.Relation.t
 val sorted_representations : t -> int list list
 
 val bytes_estimate : t -> int
-(** Extension size, or the memoized prefix size for a generator. *)
+(** The element's size (see {b Size} above): extension or memoized
+    prefix, plus indexes, plus sorted representations. *)
 
 val cardinality_estimate : t -> int
 val pp : Format.formatter -> t -> unit

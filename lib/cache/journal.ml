@@ -155,18 +155,6 @@ let entry_to_string = function
       (by_suffix by)
   | Checkpoint { seq; epoch } -> Printf.sprintf "#%d checkpoint epoch=%d" seq epoch
 
-(* Journaled extension snapshots are shared by reference: before replay may
-   mutate an element's extension (delta application), it must switch to a
-   private copy — exactly the copy-on-first-delta rule live maintenance
-   follows — so the journal itself stays immutable and re-replayable. *)
-let privatize (e : Element.t) =
-  if not e.Element.delta_private then begin
-    (match e.Element.repr with
-     | Element.Extension r -> e.Element.repr <- Element.Extension (R.Relation.copy r)
-     | Element.Generator _ -> ());
-    e.Element.delta_private <- true
-  end
-
 let replay ~capacity_bytes ~rebuild_generator t =
   let model = Cache_model.create ~capacity_bytes in
   let apply = function
@@ -183,27 +171,15 @@ let replay ~capacity_bytes ~rebuild_generator t =
       Cache_model.add model e
     | Materialize { id; rel; _ } ->
       (match Cache_model.find model id with
-       | Some e ->
-         e.Element.repr <- Element.Extension rel;
-         e.Element.delta_private <- false
+       | Some e -> Element.set_extension e rel
        | None -> ())
     | Delta_insert { id; rows; _ } ->
       (match Cache_model.find model id with
-       | Some e when Element.is_materialized e ->
-         privatize e;
-         let ext = Element.extension e in
-         List.iter (R.Relation.add ext) rows;
-         e.Element.indexes <- [];
-         e.Element.sorted <- []
+       | Some e when Element.is_materialized e -> Element.insert_rows e rows
        | Some _ | None -> ())
     | Delta_delete { id; rows; _ } ->
       (match Cache_model.find model id with
-       | Some e when Element.is_materialized e ->
-         privatize e;
-         let ext = Element.extension e in
-         List.iter (fun row -> ignore (R.Relation.remove_once ext row)) rows;
-         e.Element.indexes <- [];
-         e.Element.sorted <- []
+       | Some e when Element.is_materialized e -> ignore (Element.delete_rows e rows)
        | Some _ | None -> ())
     | Evict { id; _ } | Remove { id; _ } -> Cache_model.remove model id
     | Mark_stale { id; _ } ->

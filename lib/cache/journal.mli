@@ -135,13 +135,6 @@ val entry_by : entry -> string
 
 val entry_to_string : entry -> string
 
-val privatize : Element.t -> unit
-(** Copy-on-first-delta: if the element's extension is still shared with a
-    journal snapshot ([delta_private = false]), replace it with a private
-    copy and set the flag. Both live maintenance ({!Maintain}) and {!replay}
-    call this before mutating an extension, so the journaled snapshots stay
-    immutable and the log re-replayable. *)
-
 val replay :
   capacity_bytes:int ->
   rebuild_generator:(Braid_caql.Ast.conj -> Braid_stream.Tuple_stream.t) ->

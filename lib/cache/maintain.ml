@@ -123,11 +123,7 @@ let apply_insert cmgr (e : Element.t) ~pred rows =
   if rows <> [] then begin
     (* WAL discipline: journal the delta before mutating the model. *)
     Journal.log_delta_insert (CM.journal cmgr) ~id:e.Element.id ~pred ~rows;
-    Journal.privatize e;
-    let ext = Element.extension e in
-    List.iter (R.Relation.add ext) rows;
-    e.Element.indexes <- [];
-    e.Element.sorted <- [];
+    Element.insert_rows e rows;
     Obs.Metrics.incr ~by:(List.length rows) "cache.delta.rows_added";
     trace_delta e ~pred ~kind:"insert" ~rows
   end;
@@ -143,14 +139,7 @@ let apply_delete cmgr (e : Element.t) ~pred rows =
   end
   else begin
     Journal.log_delta_delete (CM.journal cmgr) ~id:e.Element.id ~pred ~rows;
-    Journal.privatize e;
-    let ext = Element.extension e in
-    let all_present =
-      List.fold_left (fun ok row -> R.Relation.remove_once ext row && ok) true rows
-    in
-    e.Element.indexes <- [];
-    e.Element.sorted <- [];
-    if all_present then begin
+    if Element.delete_rows e rows then begin
       Obs.Metrics.incr ~by:(List.length rows) "cache.delta.rows_removed";
       Obs.Metrics.incr "cache.delta.applied";
       trace_delta e ~pred ~kind:"delete" ~rows;

@@ -196,10 +196,15 @@ let transform kb ?(orderings = []) ?(skip_rules = []) (query : L.Atom.t) =
                         let mhead =
                           L.Atom.make (magic_name pa ad_a) (bound_args ad_a a.L.Atom.args)
                         in
-                        add_rule
-                          (L.Rule.make
-                             ~id:(r.L.Rule.id ^ "$" ^ ad ^ "$m" ^ string_of_int !midx)
-                             mhead (List.rev !prefix))
+                        match List.rev !prefix with
+                        | [ L.Literal.Rel a ] when L.Atom.equal a mhead ->
+                          (* m(X) <- m(X) copies the demand onto itself: it derives nothing *)
+                          ()
+                        | body ->
+                          add_rule
+                            (L.Rule.make
+                               ~id:(r.L.Rule.id ^ "$" ^ ad ^ "$m" ^ string_of_int !midx)
+                               mhead body)
                       end;
                       Queue.add (pa, ad_a) queue;
                       let a' = { a with L.Atom.pred = adorned pa ad_a } in

@@ -92,8 +92,8 @@ let value_bytes = function
   | Value.Str s -> 16 + String.length s
   | Value.Int _ | Value.Float _ | Value.Bool _ | Value.Null -> 16
 
-let bytes_estimate r =
-  fold (fun acc t -> acc + 16 + Array.fold_left (fun a v -> a + value_bytes v) 0 t) 64 r
+let row_bytes t = 16 + Array.fold_left (fun a v -> a + value_bytes v) 0 t
+let bytes_estimate r = fold (fun acc t -> acc + row_bytes t) 64 r
 
 let pp ppf r =
   let header = Schema.names r.schema in

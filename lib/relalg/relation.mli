@@ -67,8 +67,13 @@ module Tuple_tbl : Hashtbl.S with type key = Tuple.t
 
 val sort_by : (Tuple.t -> Tuple.t -> int) -> t -> t
 
+val row_bytes : Tuple.t -> int
+(** One row's term of {!bytes_estimate}: 16 bytes plus 16 per value, plus
+    the length of each string value. *)
+
 val bytes_estimate : t -> int
-(** Rough in-memory footprint used for cache space accounting. *)
+(** Rough in-memory footprint used for cache space accounting: 64 bytes
+    plus the {!row_bytes} of every row. *)
 
 val pp : Format.formatter -> t -> unit
 (** Tabular rendering (for examples and debugging). *)

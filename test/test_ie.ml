@@ -577,7 +577,6 @@ let test_magic_right_linear_fallbacks () =
           "tc$bf(1, Y)";
           "T1$bf: tc$bf(X, Y) <- m$tc$bf(X) & edge(X, Y).";
           "T2$bf: tc$bf(X, Y) <- m$tc$bf(X) & tc$bf(X, Z) & edge(Z, Y).";
-          "T2$bf$m1: m$tc$bf(X) <- m$tc$bf(X).";
           "m$seed: m$tc$bf(1).";
         ] );
       ( "a comparison on the free variable",

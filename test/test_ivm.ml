@@ -453,6 +453,226 @@ let test_element_indexes_follow_writes () =
   in
   after "after recovery" recovered (set_engine recovered)
 
+(* --- element sizes --- *)
+
+(* An element's size from scratch: the formula every element keeps current
+   without walking its rows. *)
+let recount (e : Elem.t) =
+  (match e.Elem.repr with
+   | Elem.Extension r -> R.Relation.bytes_estimate r
+   | Elem.Generator g -> 64 + (TS.produced g * 48))
+  + List.fold_left (fun n (_, ix) -> n + R.Index.bytes_estimate ix) 0 e.Elem.indexes
+  + List.fold_left (fun n (_, r) -> n + R.Relation.bytes_estimate r) 0 e.Elem.sorted
+
+let sizes_hold model =
+  let es = Braid_cache.Cache_model.elements model in
+  List.for_all (fun e -> Elem.bytes_estimate e = recount e) es
+  && Braid_cache.Cache_model.used_bytes model = List.fold_left (fun n e -> n + recount e) 0 es
+
+(* Random cache histories: admissions of extensions and generators (with
+   evictions, under a small capacity), pulls, forcing, IVM inserts and
+   deletes through [Maintain.on_write] (a delete a dependent does not hold
+   drops it), a delta with an absent row applied the way [Maintain] applies
+   one, element indexes, sorted representations, checkpoints and replays.
+   After every step each element's size equals a recount, and so does the
+   cache's used bytes; every replayed model holds the same. *)
+let prop_sizes_equal_recount =
+  QCheck.Test.make ~name:"element sizes = recount under admit/pull/IVM/index/sort/replay"
+    ~count:100
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let prng = Prng.create seed in
+      let schema = str_schema [ "a"; "b" ] in
+      let schema_of p = if p = "b0" || p = "b1" then Some schema else None in
+      let capacity_bytes = 2_500 in
+      let cmgr = CMgr.create ~capacity_bytes () in
+      let model = CMgr.model cmgr in
+      let pick l = List.nth l (Prng.int prng (List.length l)) in
+      let str () = String.make (1 + Prng.int prng 6) (Char.chr (97 + Prng.int prng 3)) in
+      let tup () = row [ (if Prng.bool prng 0.5 then "k" else str ()); str () ] in
+      let rows n = List.init n (fun _ -> tup ()) in
+      let pred () = if Prng.bool prng 0.5 then "b0" else "b1" in
+      let defs p =
+        [
+          A.conj [ v "X"; v "Y" ] [ atom p [ v "X"; v "Y" ] ];
+          A.conj [ v "Y" ] [ atom p [ v "X"; v "Y" ] ];
+          A.conj [ v "Y" ] [ atom p [ s "k"; v "Y" ] ];
+        ]
+      in
+      let elements () = Braid_cache.Cache_model.elements model in
+      let materialized () = List.filter Elem.is_materialized (elements ()) in
+      let check step =
+        if not (sizes_hold model) then QCheck.Test.fail_reportf "seed %d: step %d" seed step
+      in
+      for step = 1 to 60 do
+        (match Prng.int prng 11 with
+         | 0 ->
+           let p = pred () in
+           let def = pick (defs p) in
+           let arity = List.length def.A.head in
+           let rel =
+             R.Relation.of_tuples
+               (if arity = 2 then schema else str_schema [ "b" ])
+               (List.map
+                  (fun t -> if arity = 2 then t else [| t.(1) |])
+                  (rows (Prng.int prng 7)))
+           in
+           ignore (CMgr.insert cmgr ~def (Elem.Extension rel))
+         | 1 ->
+           let p = pred () in
+           ignore
+             (CMgr.insert cmgr ~def:(List.hd (defs p))
+                (Elem.Generator (TS.of_list schema (rows (Prng.int prng 9)))))
+         | 2 -> (
+           match List.filter (fun e -> not (Elem.is_materialized e)) (elements ()) with
+           | [] -> ()
+           | gs ->
+             let c = TS.cursor (Elem.stream (pick gs)) in
+             for _ = 1 to 1 + Prng.int prng 6 do
+               ignore (TS.next c)
+             done)
+         | 3 -> if elements () <> [] then ignore (Elem.extension (pick (elements ())))
+         | 4 -> ignore (Maintain.on_write cmgr ~schema_of (Maintain.Insert (pred (), tup ())))
+         | 5 -> (
+           (* a row some element holds: the others drop *)
+           match List.filter (fun e -> List.length e.Elem.def.A.head = 2) (materialized ()) with
+           | [] -> ()
+           | es ->
+             let e = pick es in
+             let ext = Elem.extension e in
+             if R.Relation.cardinality ext > 0 then
+               let p = (List.hd e.Elem.def.A.atoms).L.Atom.pred in
+               ignore
+                 (Maintain.on_write cmgr ~schema_of
+                    (Maintain.Delete (p, R.Relation.get ext (Prng.int prng (R.Relation.cardinality ext))))))
+         | 6 -> (
+           (* a delta with an absent row: journaled, partly applied, checked,
+              then the element is dropped — [Maintain]'s divergence path *)
+           match materialized () with
+           | [] -> ()
+           | es ->
+             let e = pick es in
+             let ext = Elem.extension e in
+             let arity = R.Schema.arity (R.Relation.schema ext) in
+             let absent = Array.make arity (V.Str "absent") in
+             let present = R.Relation.to_list ext in
+             let rows = (if present = [] then [] else [ pick present ]) @ [ absent ] in
+             let pred = (List.hd e.Elem.def.A.atoms).L.Atom.pred in
+             Braid_cache.Journal.log_delta_delete (CMgr.journal cmgr) ~id:e.Elem.id ~pred ~rows;
+             check_bool "a delta with an absent row is refused" false (Elem.delete_rows e rows);
+             check step;
+             CMgr.remove_element cmgr e ~pred)
+         | 7 ->
+           if elements () <> [] then begin
+             let e = pick (elements ()) in
+             let arity = R.Schema.arity (Elem.schema e) in
+             ignore (CMgr.ensure_index cmgr e (if arity = 1 then [ 0 ] else pick [ [ 0 ]; [ 1 ]; [ 0; 1 ] ]))
+           end
+         | 8 ->
+           if elements () <> [] then begin
+             let e = pick (elements ()) in
+             ignore (Elem.sorted_on e (if R.Schema.arity (Elem.schema e) = 1 then [ 0 ] else pick [ [ 0 ]; [ 1 ] ]))
+           end
+         | 9 -> ignore (CMgr.checkpoint cmgr)
+         | _ ->
+           let replayed =
+             Braid_cache.Journal.replay ~capacity_bytes
+               ~rebuild_generator:(fun _ -> TS.of_list schema [])
+               (CMgr.journal cmgr)
+           in
+           if not (sizes_hold replayed) then
+             QCheck.Test.fail_reportf "seed %d: step %d: replayed sizes" seed step;
+           List.iter
+             (fun (r : Elem.t) ->
+               match Braid_cache.Cache_model.find model r.Elem.id with
+               | Some live when Elem.is_materialized live && Elem.is_materialized r ->
+                 if r.Elem.ext_bytes <> live.Elem.ext_bytes then
+                   QCheck.Test.fail_reportf "seed %d: step %d: %s replays to %d bytes, live %d"
+                     seed step r.Elem.id r.Elem.ext_bytes live.Elem.ext_bytes
+               | Some _ -> ()
+               | None -> QCheck.Test.fail_reportf "seed %d: step %d: %s not live" seed step r.Elem.id)
+             (Braid_cache.Cache_model.elements replayed));
+        check step
+      done;
+      true)
+
+(* A cache with extensions, a generator pulled and then forced, IVM
+   inserts and deletes (one of them of a row its dependents lack), an
+   index, a sorted representation and a checkpoint, crashed: every
+   recovered element is the live one's size and its recount, and the next
+   admission evicts the same elements from both. *)
+let test_sizes_survive_recovery () =
+  let server = load_server () in
+  let capacity_bytes = 4_096 in
+  let cms = Cms.create ~config:eager ~maintain:true ~capacity_bytes server in
+  let cache = Cms.cache cms in
+  warm cms
+    [
+      q_join;
+      q_sel1;
+      q_full2;
+      q_sel3;
+      A.conj [ v "Z" ] [ atom "t2" [ s "x1"; v "Z" ] ];
+      A.conj [ v "C" ] [ atom "t3" [ s "z2"; v "C"; v "Y" ] ];
+    ];
+  let q_t1 = A.conj [ v "X"; v "Y" ] [ atom "t1" [ v "X"; v "Y" ] ] in
+  let g =
+    match
+      CMgr.insert cache ~def:q_t1
+        (Elem.Generator
+           (TS.of_list (str_schema [ "a"; "b" ])
+              (R.Relation.to_list (Engine.table (Server.engine server) "t1"))))
+    with
+    | Some g -> g
+    | None -> Alcotest.fail "the generator was not admitted"
+  in
+  let c = TS.cursor (Elem.stream g) in
+  ignore (TS.next c);
+  ignore (TS.next c);
+  ignore (CMgr.ensure_index cache (element_of cms q_full2) [ 0 ]);
+  ignore (Elem.sorted_on (element_of cms q_sel1) [ 0 ]);
+  ignore (Cms.checkpoint cms);
+  ignore (Elem.extension g);
+  Cms.apply_insert cms "t2" (row [ "x5"; "z1" ]);
+  Cms.apply_insert cms "t1" (row [ "c1"; "y9" ]);
+  check_bool "a held row is deleted" true (Cms.apply_delete cms "t1" (row [ "c1"; "y1" ]));
+  ignore
+    (Maintain.on_write cache
+       ~schema_of:(Braid_remote.Catalog.schema_of (Server.catalog server))
+       (Maintain.Delete ("t3", row [ "z9"; "c2"; "y1" ])));
+  let live = CMgr.model cache in
+  check_bool "live sizes = recount" true (sizes_hold live);
+  let recovered, _ =
+    Cms.recover ~config:eager ~maintain:true ~capacity_bytes ~journal:(Cms.journal cms) server
+  in
+  let rcache = Cms.cache recovered in
+  let ids m = List.map (fun (e : Elem.t) -> e.Elem.id) (Braid_cache.Cache_model.elements m) in
+  check_bool "the same elements recovered" true (ids live = ids (CMgr.model rcache));
+  List.iter
+    (fun (r : Elem.t) ->
+      let e = Option.get (Braid_cache.Cache_model.find live r.Elem.id) in
+      check_int (r.Elem.id ^ ": recovered size = live size") (Elem.bytes_estimate e)
+        (Elem.bytes_estimate r);
+      check_int (r.Elem.id ^ ": recovered size = recount") (recount r) (Elem.bytes_estimate r))
+    (Braid_cache.Cache_model.elements (CMgr.model rcache));
+  (* just over the free space: the admission evicts some elements, not all *)
+  let pad = R.Relation.create (str_schema [ "a" ]) in
+  while R.Relation.bytes_estimate pad <= capacity_bytes - Braid_cache.Cache_model.used_bytes live do
+    R.Relation.add pad (row [ "pad" ])
+  done;
+  let victims cache =
+    let before = ids (CMgr.model cache) in
+    let def = A.conj [ v "P" ] [ atom "pad" [ v "P" ] ] in
+    check_bool "the next element is admitted" true
+      (CMgr.insert cache ~id:"next" ~def (Elem.Extension (R.Relation.copy pad)) <> None);
+    List.filter (fun id -> not (List.mem id (ids (CMgr.model cache)))) before
+  in
+  let kept = List.length (ids live) in
+  let on_live = victims cache in
+  check_bool "the admission evicts some elements, not all" true
+    (on_live <> [] && List.length on_live < kept);
+  check_bool "the same victims on the recovered cache" true (victims rcache = on_live)
+
 (* --- the relalg primitive --- *)
 
 let test_remove_once () =
@@ -489,6 +709,8 @@ let suites =
           test_element_indexes_charged;
         Alcotest.test_case "element indexes follow writes and recovery" `Quick
           test_element_indexes_follow_writes;
+        QCheck_alcotest.to_alcotest prop_sizes_equal_recount;
+        Alcotest.test_case "element sizes survive recovery" `Quick test_sizes_survive_recovery;
         Alcotest.test_case "Relation.remove_once" `Quick test_remove_once;
       ] );
   ]
