@@ -50,28 +50,20 @@ let binding_mark = function Producer -> "^" | Consumer -> "?"
 let pp_sep s ppf () = Format.fprintf ppf "%s" s
 
 let pp_view_spec ppf s =
-  let heads =
-    List.map2
-      (fun t b ->
-        match t with
-        | L.Term.Var x -> x ^ binding_mark b
-        | L.Term.Const v -> Braid_relalg.Value.to_string v)
-      s.def.A.head s.bindings
+  let param ppf (t, b) =
+    match t with
+    | L.Term.Var x -> Format.fprintf ppf "%s%s" x (binding_mark b)
+    | L.Term.Const _ -> L.Term.pp ppf t
   in
-  Format.fprintf ppf "%s(%a) =def %a" s.id
-    (Format.pp_print_list ~pp_sep:(pp_sep ", ") Format.pp_print_string)
-    heads
-    (Format.pp_print_list ~pp_sep:(pp_sep " & ") (fun ppf x -> x ppf))
-    (List.map (fun a ppf -> L.Atom.pp ppf a) s.def.A.atoms
-    @ List.map
-        (fun (op, a, b) ppf -> L.Literal.pp ppf (L.Literal.Cmp (op, a, b)))
-        s.def.A.cmps);
+  Format.fprintf ppf "%s(%a) =def %a." s.id
+    (Format.pp_print_list ~pp_sep:(pp_sep ", ") param)
+    (List.combine s.def.A.head s.bindings)
+    (Format.pp_print_list ~pp_sep:(pp_sep " & ") L.Literal.pp)
+    (List.map (fun a -> L.Literal.Rel a) s.def.A.atoms
+    @ List.map (fun (op, a, b) -> L.Literal.Cmp (op, a, b)) s.def.A.cmps);
   match s.rule_ids with
   | [] -> ()
-  | ids ->
-    Format.fprintf ppf " (%a)"
-      (Format.pp_print_list ~pp_sep:(pp_sep ",") Format.pp_print_string)
-      ids
+  | ids -> Format.fprintf ppf " %% %s" (String.concat "," ids)
 
 let pp_bound ppf = function
   | Fin n -> Format.pp_print_int ppf n
@@ -92,10 +84,8 @@ let rec pp_path ppf = function
       (match sel with Some k -> Printf.sprintf "^%d" k | None -> "")
 
 let pp ppf t =
-  Format.fprintf ppf "@[<v>%a%a@]"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "@,") pp_view_spec)
-    t.specs
-    (fun ppf -> function
-      | Some p -> Format.fprintf ppf "@,path: %a" pp_path p
-      | None -> ())
-    t.path
+  let path ppf p = Format.fprintf ppf "path %a." pp_path p in
+  Format.fprintf ppf "@[<v>%a@]"
+    (Format.pp_print_list (fun ppf clause -> clause ppf))
+    (List.map (fun s ppf -> pp_view_spec ppf s) t.specs
+    @ Option.to_list (Option.map (fun p ppf -> path ppf p) t.path))

@@ -59,4 +59,7 @@ val pattern_ids : path -> string list
 (** All spec ids mentioned, without duplicates. *)
 
 val pp_path : Format.formatter -> path -> unit
+
 val pp : Format.formatter -> t -> unit
+(** Prints the syntax [Braid_advice.Parser.parse] reads, one clause per
+    line, each spec's rule ids in a trailing [%] comment. *)

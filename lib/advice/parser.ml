@@ -1,380 +1,116 @@
 module L = Braid_logic
-module V = Braid_relalg.Value
-module RP = Braid_relalg.Row_pred
 module A = Braid_caql.Ast
+module G = Braid_caql.Grammar
 
-exception Error of string
-
-(* --- lexer --- *)
-
-type token =
-  | Tident of string
-  | Tvar of string
-  | Tint of int
-  | Tstring of string
-  | Tlparen
-  | Trparen
-  | Tlbracket
-  | Trbracket
-  | Tcomma
-  | Tamp
-  | Tdot
-  | Tcaret
-  | Tquestion
-  | Tbar
-  | Tstar
-  | Tlt
-  | Tgt
-  | Tdefeq  (** =def *)
-  | Tcmp of RP.cmp
-  | Teof
-
-let is_ident_char c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
-
-let tokenize src =
-  let n = String.length src in
-  let tokens = ref [] in
-  let pos = ref 0 in
-  let fail msg = raise (Error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek k = if !pos + k < n then Some src.[!pos + k] else None in
-  let emit t = tokens := t :: !tokens in
-  while !pos < n do
-    let c = src.[!pos] in
-    if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr pos
-    else if c = '%' then
-      while !pos < n && src.[!pos] <> '\n' do
-        incr pos
-      done
-    else if c = '(' then (emit Tlparen; incr pos)
-    else if c = ')' then (emit Trparen; incr pos)
-    else if c = '[' then (emit Tlbracket; incr pos)
-    else if c = ']' then (emit Trbracket; incr pos)
-    else if c = ',' then (emit Tcomma; incr pos)
-    else if c = '&' then (emit Tamp; incr pos)
-    else if c = '.' then (emit Tdot; incr pos)
-    else if c = '^' then (emit Tcaret; incr pos)
-    else if c = '?' then (emit Tquestion; incr pos)
-    else if c = '|' then (emit Tbar; incr pos)
-    else if c = '*' then (emit Tstar; incr pos)
-    else if c = '=' then begin
-      (* '=def' or a plain '=' comparison *)
-      if !pos + 3 < n && String.sub src (!pos + 1) 3 = "def" then begin
-        emit Tdefeq;
-        pos := !pos + 4
-      end
-      else begin
-        emit (Tcmp RP.Eq);
-        incr pos
-      end
-    end
-    else if c = '<' then begin
-      match peek 1 with
-      | Some '=' ->
-        emit (Tcmp RP.Le);
-        pos := !pos + 2
-      | Some '>' ->
-        emit (Tcmp RP.Ne);
-        pos := !pos + 2
-      | Some _ | None ->
-        emit Tlt;
-        incr pos
-    end
-    else if c = '>' then begin
-      match peek 1 with
-      | Some '=' ->
-        emit (Tcmp RP.Ge);
-        pos := !pos + 2
-      | Some _ | None ->
-        emit Tgt;
-        incr pos
-    end
-    else if c = '\'' || c = '"' then begin
-      let quote = c in
-      let buf = Buffer.create 16 in
-      incr pos;
-      while !pos < n && src.[!pos] <> quote do
-        Buffer.add_char buf src.[!pos];
-        incr pos
-      done;
-      if !pos >= n then fail "unterminated string";
-      incr pos;
-      emit (Tstring (Buffer.contents buf))
-    end
-    else if c >= '0' && c <= '9' then begin
-      let start = !pos in
-      while !pos < n && src.[!pos] >= '0' && src.[!pos] <= '9' do
-        incr pos
-      done;
-      emit (Tint (int_of_string (String.sub src start (!pos - start))))
-    end
-    else if is_ident_char c then begin
-      let start = !pos in
-      while !pos < n && is_ident_char src.[!pos] do
-        incr pos
-      done;
-      let text = String.sub src start (!pos - start) in
-      if (c >= 'A' && c <= 'Z') || c = '_' then emit (Tvar text) else emit (Tident text)
-    end
-    else fail (Printf.sprintf "unexpected character %C" c)
-  done;
-  emit Teof;
-  List.rev !tokens
-
-(* --- parser state --- *)
-
-type state = { mutable toks : token list }
-
-let peek st = match st.toks with [] -> Teof | t :: _ -> t
-let peek2 st = match st.toks with _ :: t :: _ -> t | _ -> Teof
-let advance st = match st.toks with [] -> () | _ :: rest -> st.toks <- rest
-
-let expect st tok msg = if peek st = tok then advance st else raise (Error ("expected " ^ msg))
-
-let parse_term st =
-  match peek st with
-  | Tvar x ->
-    advance st;
-    L.Term.Var x
-  | Tident s ->
-    advance st;
-    L.Term.Const (V.Str s)
-  | Tstring s ->
-    advance st;
-    L.Term.Const (V.Str s)
-  | Tint k ->
-    advance st;
-    L.Term.Const (V.Int k)
-  | _ -> raise (Error "expected a term")
-
-let parse_term_list st =
-  expect st Tlparen "(";
-  if peek st = Trparen then begin
-    advance st;
-    []
-  end
-  else begin
-    let rec loop acc =
-      let t = parse_term st in
-      match peek st with
-      | Tcomma ->
-        advance st;
-        loop (t :: acc)
-      | Trparen ->
-        advance st;
-        List.rev (t :: acc)
-      | _ -> raise (Error "expected ',' or ')'")
-    in
-    loop []
-  end
+exception Error = Braid_caql.Parser.Error
 
 (* --- view specifications --- *)
 
-let parse_param st =
-  let t = parse_term st in
-  match t with
-  | L.Term.Var _ ->
-    let binding =
-      match peek st with
-      | Tcaret ->
-        advance st;
-        Ast.Producer
-      | Tquestion ->
-        advance st;
-        Ast.Consumer
-      | _ -> raise (Error "spec parameters need a ^ or ? annotation")
-    in
-    (t, Some binding)
-  | L.Term.Const _ -> (t, None)
+(* A variable parameter carries its annotation; a constant is neither
+   producer nor consumer, and is modelled as a producer of a fixed value
+   since [Ast.spec] wants one binding per head position. *)
+let param st =
+  match G.term st with
+  | L.Term.Const _ as t -> (t, Ast.Producer)
+  | L.Term.Var _ as t ->
+    (match G.peek st with
+     | G.Tcaret -> G.advance st; (t, Ast.Producer)
+     | G.Tquestion -> G.advance st; (t, Ast.Consumer)
+     | _ -> G.error "spec parameters need a ^ or ? annotation")
 
-let parse_param_list st =
-  expect st Tlparen "(";
-  if peek st = Trparen then begin
-    advance st;
-    []
-  end
-  else begin
-    let rec loop acc =
-      let p = parse_param st in
-      match peek st with
-      | Tcomma ->
-        advance st;
-        loop (p :: acc)
-      | Trparen ->
-        advance st;
-        List.rev (p :: acc)
-      | _ -> raise (Error "expected ',' or ')'")
-    in
-    loop []
-  end
-
-type conjunct =
-  | Catom of L.Atom.t
-  | Ccmp of A.comparison
-
-let parse_conjunct st =
-  match peek st, peek2 st with
-  | Tident name, Tlparen ->
-    advance st;
-    Catom (L.Atom.make name (parse_term_list st))
-  | _, _ ->
-    let lhs = parse_term st in
-    let op =
-      match peek st with
-      | Tcmp op ->
-        advance st;
-        op
-      | Tlt ->
-        advance st;
-        RP.Lt
-      | Tgt ->
-        advance st;
-        RP.Gt
-      | _ -> raise (Error "expected a comparison operator")
-    in
-    let rhs = parse_term st in
-    Ccmp (op, L.Literal.Term lhs, L.Literal.Term rhs)
-
-let parse_body st =
-  let rec loop acc =
-    let c = parse_conjunct st in
-    match peek st with
-    | Tamp ->
-      advance st;
-      loop (c :: acc)
-    | _ -> List.rev (c :: acc)
+(* [id(params) =def body.], the body a CAQL body without negation *)
+let spec st id =
+  let params = G.parens st param in
+  G.expect st (G.Tcmp Braid_relalg.Row_pred.Eq) "'=def'";
+  G.expect st (G.Tident "def") "'=def'";
+  let body = G.body st in
+  G.expect st G.Tdot "'.'";
+  let atoms, cmps =
+    List.partition_map
+      (function
+        | G.Atom a -> Left a
+        | G.Cmp c -> Right c
+        | G.Neg _ -> G.error "negation is not allowed in a view specification")
+      body
   in
-  loop []
-
-let parse_spec st id =
-  let params = parse_param_list st in
-  expect st Tdefeq "'=def'";
-  let body = parse_body st in
-  expect st Tdot "'.'";
-  let atoms = List.filter_map (function Catom a -> Some a | Ccmp _ -> None) body in
-  let cmps = List.filter_map (function Ccmp c -> Some c | Catom _ -> None) body in
-  (* constants among the parameters become constants of the head *)
-  let head = List.map fst params in
-  let bindings = List.filter_map snd params in
-  let annotated_vars =
-    List.filter (fun (t, _) -> L.Term.is_var t) params |> List.length
-  in
-  if annotated_vars <> List.length bindings then
-    raise (Error "internal: annotation bookkeeping");
-  (* Ast.spec requires one binding per head position; constants are neither
-     producers nor consumers — model them as producers of a fixed value. *)
-  let bindings_full =
-    List.map
-      (fun (t, b) ->
-        match b with Some b -> b | None -> ignore t; Ast.Producer)
-      params
-  in
-  Ast.spec ~id ~bindings:bindings_full (A.conj ~cmps head atoms)
+  Ast.spec ~id ~bindings:(List.map snd params) (A.conj ~cmps (List.map fst params) atoms)
 
 (* --- path expressions --- *)
 
-let parse_bound st =
-  match peek st with
-  | Tint k ->
-    advance st;
-    Ast.Fin k
-  | Tstar ->
-    advance st;
-    Ast.Inf
-  | Tbar ->
-    advance st;
-    (match peek st with
-     | Tvar x ->
-       advance st;
-       expect st Tbar "'|'";
+let bound st =
+  match G.peek st with
+  | G.Tint k -> G.advance st; Ast.Fin k
+  | G.Tstar -> G.advance st; Ast.Inf
+  | G.Tbar ->
+    G.advance st;
+    (match G.peek st with
+     | G.Tvar x ->
+       G.advance st;
+       G.expect st G.Tbar "'|'";
        Ast.Cardinality x
-     | _ -> raise (Error "expected a variable inside |...|"))
-  | _ -> raise (Error "expected an integer, * or |Var|")
+     | _ -> G.error "expected a variable inside |...|")
+  | _ -> G.error "expected an integer, * or |Var|"
 
-let parse_repetition st =
-  (* optional <lo,hi>; default <1,1> *)
-  match peek st with
-  | Tlt ->
-    advance st;
+(* optional <lo,hi>; default <1,1> *)
+let repetition st =
+  match G.peek st with
+  | G.Tcmp Braid_relalg.Row_pred.Lt ->
+    G.advance st;
     let lo =
-      match peek st with
-      | Tint k ->
-        advance st;
-        k
-      | _ -> raise (Error "expected the lower repetition bound")
+      match G.peek st with
+      | G.Tint k -> G.advance st; k
+      | _ -> G.error "expected the lower repetition bound"
     in
-    expect st Tcomma "','";
-    let hi = parse_bound st in
-    expect st Tgt "'>'";
+    G.expect st G.Tcomma "','";
+    let hi = bound st in
+    G.expect st (G.Tcmp Braid_relalg.Row_pred.Gt) "'>'";
     { Ast.lo; hi }
   | _ -> { Ast.lo = 1; hi = Ast.Fin 1 }
 
-let rec parse_path_expr st =
-  match peek st with
-  | Tlparen ->
-    advance st;
-    let items = parse_path_items st Trparen in
-    expect st Trparen "')'";
-    let rep = parse_repetition st in
-    Ast.Seq (items, rep)
-  | Tlbracket ->
-    advance st;
-    let items = parse_path_items st Trbracket in
-    expect st Trbracket "']'";
+let rec path_expr st =
+  match G.peek st with
+  | G.Tlparen ->
+    G.advance st;
+    let items = G.comma_list st path_expr in
+    G.expect st G.Trparen "',' or ')'";
+    Ast.Seq (items, repetition st)
+  | G.Tlbracket ->
+    G.advance st;
+    let items = G.comma_list st path_expr in
+    G.expect st G.Trbracket "',' or ']'";
     let sel =
-      match peek st with
-      | Tcaret ->
-        advance st;
-        (match peek st with
-         | Tint k ->
-           advance st;
-           Some k
-         | _ -> raise (Error "expected the selection term after ^"))
+      match G.peek st, G.peek2 st with
+      | G.Tcaret, G.Tint k -> G.advance st; G.advance st; Some k
+      | G.Tcaret, _ -> G.error "expected the selection term after ^"
       | _ -> None
     in
     Ast.Alt (items, sel)
-  | Tident id ->
-    advance st;
-    let args = parse_term_list st in
-    Ast.Pattern (id, args)
-  | _ -> raise (Error "expected a pattern, '(' or '['")
-
-and parse_path_items st closer =
-  let rec loop acc =
-    let p = parse_path_expr st in
-    match peek st with
-    | Tcomma ->
-      advance st;
-      loop (p :: acc)
-    | t when t = closer -> List.rev (p :: acc)
-    | _ -> raise (Error "expected ',' or the closing bracket")
-  in
-  loop []
+  | G.Tident id ->
+    G.advance st;
+    Ast.Pattern (id, G.term_list st)
+  | _ -> G.error "expected a pattern, '(' or '['"
 
 let parse_path text =
-  let st = { toks = tokenize text } in
-  let p = parse_path_expr st in
-  if peek st <> Teof then raise (Error "trailing input after path expression");
+  let st = G.of_string text in
+  let p = path_expr st in
+  if G.peek st <> G.Teof then G.error "trailing input after path expression";
   p
 
 let parse text =
-  let st = { toks = tokenize text } in
-  let specs = ref [] in
-  let path = ref None in
-  let rec loop () =
-    match peek st with
-    | Teof -> ()
-    | Tident "path" ->
-      advance st;
-      if !path <> None then raise (Error "more than one path clause");
-      path := Some (parse_path_expr st);
-      expect st Tdot "'.'";
-      loop ()
-    | Tident id ->
-      advance st;
-      specs := parse_spec st id :: !specs;
-      loop ()
-    | _ -> raise (Error "expected a spec clause or 'path'")
+  let st = G.of_string text in
+  let rec loop specs path =
+    match G.peek st with
+    | G.Teof -> { Ast.specs = List.rev specs; path }
+    | G.Tident "path" ->
+      G.advance st;
+      if path <> None then G.error "more than one path clause";
+      let p = path_expr st in
+      G.expect st G.Tdot "'.'";
+      loop specs (Some p)
+    | G.Tident id ->
+      G.advance st;
+      let s = spec st id in
+      loop (s :: specs) path
+    | _ -> G.error "expected a spec clause or 'path'"
   in
-  loop ();
-  { Ast.specs = List.rev !specs; path = !path }
+  loop [] None

@@ -8,8 +8,12 @@
 
     - Spec parameters are variables annotated [^] (producer) or [?]
       (consumer); constants may appear directly in the defining conjuncts.
-    - Bodies are conjunctions of atoms and simple comparisons
-      ([X < 5], [Y <> c2]).
+    - Tokens are CAQL's ({!Braid_caql.Grammar}): [=def] is [=] followed
+      by the identifier [def], so [=defb1(...)] does not parse.
+    - A body is a CAQL body without negation: atoms and comparisons
+      ([X < 5], [Y <> c2], [X + 1 < Y]) separated by [&] or [,]. Literals
+      are read as in CAQL: negative and float numbers, [true]/[false] as
+      booleans.
     - A sequence [( ... )] takes an optional repetition count [<lo,hi>]
       (default [<1,1>]) whose upper bound is an integer, [*] (unbounded) or
       [|Y|] (the cardinality of Y's bindings); an alternation [[ ... ]]
@@ -18,6 +22,7 @@
       clause. *)
 
 exception Error of string
+(** The same exception as {!Braid_caql.Parser.Error}. *)
 
 val parse : string -> Ast.t
 (** Parses a whole advice set (spec clauses + optional path clause). *)

@@ -139,57 +139,73 @@ let conj ~source ~schema_of (c : Ast.conj) =
     R.Relation.unsafe_of_rows out_schema rows
   end
 
-let rec query ~source ~schema_of = function
-  | Ast.Conj c -> conj ~source ~schema_of c
-  | Ast.Union [] -> invalid_arg "Eval.query: empty union"
-  | Ast.Union (q :: qs) ->
-    let first = query ~source ~schema_of q in
-    R.Relation.distinct
-      (List.fold_left
-         (fun acc q' -> R.Ops.union_all acc (query ~source ~schema_of q'))
-         first qs)
-  | Ast.Diff (a, b) ->
-    R.Ops.diff (query ~source ~schema_of a) (query ~source ~schema_of b)
-  | Ast.Distinct q -> R.Relation.distinct (query ~source ~schema_of q)
-  | Ast.Division (dividend, divisor) ->
-    (* k s.t. (k, v) ∈ dividend for every v ∈ divisor:
-       candidates − π_k((candidates × divisor) − dividend) *)
-    let d = R.Relation.distinct (query ~source ~schema_of dividend) in
-    let s = R.Relation.distinct (query ~source ~schema_of divisor) in
-    let total = R.Schema.arity (R.Relation.schema d) in
-    let v_arity = R.Schema.arity (R.Relation.schema s) in
-    let k_arity = total - v_arity in
-    if k_arity < 0 then
-      invalid_arg "Eval.query: division dividend narrower than divisor";
-    let key_cols = List.init k_arity (fun i -> i) in
-    let candidates = R.Relation.distinct (R.Ops.project key_cols d) in
-    let pairs = R.Ops.product candidates s in
-    let missing = R.Ops.diff pairs d in
-    let bad = R.Relation.distinct (R.Ops.project key_cols missing) in
-    R.Ops.diff candidates bad
-  | Ast.Fixpoint f ->
-    (* iterate base ∪ step(current) to a fixpoint, set semantics *)
-    let current = ref (R.Relation.distinct (query ~source ~schema_of f.Ast.base)) in
-    let schema = R.Relation.schema !current in
-    let rec iterate guard =
-      if guard > 10_000 then
-        invalid_arg "Eval.query: fixpoint did not converge within 10000 rounds";
-      let source' (a : L.Atom.t) =
-        if String.equal a.L.Atom.pred f.Ast.name then !current else source a
+(* The operator tree walk, over a caller-supplied conjunctive leaf; [bound]
+   holds the fixpoint names in scope, innermost first. Operands are
+   evaluated left to right. *)
+let walk ~conj q =
+  let rec go bound = function
+    | Ast.Conj c -> conj ~bound c
+    | Ast.Union [] -> invalid_arg "Eval.walk: empty union"
+    | Ast.Union (q :: qs) ->
+      let first = go bound q in
+      R.Relation.distinct
+        (List.fold_left (fun acc q' -> R.Ops.union_all acc (go bound q')) first qs)
+    | Ast.Diff (a, b) ->
+      let a = go bound a in
+      let b = go bound b in
+      R.Ops.diff a b
+    | Ast.Distinct q -> R.Relation.distinct (go bound q)
+    | Ast.Division (dividend, divisor) ->
+      (* k s.t. (k, v) ∈ dividend for every v ∈ divisor:
+         candidates − π_k((candidates × divisor) − dividend) *)
+      let d = R.Relation.distinct (go bound dividend) in
+      let s = R.Relation.distinct (go bound divisor) in
+      let total = R.Schema.arity (R.Relation.schema d) in
+      let v_arity = R.Schema.arity (R.Relation.schema s) in
+      let k_arity = total - v_arity in
+      if k_arity < 0 then invalid_arg "Eval.walk: division dividend narrower than divisor";
+      let key_cols = List.init k_arity (fun i -> i) in
+      let candidates = R.Relation.distinct (R.Ops.project key_cols d) in
+      let pairs = R.Ops.product candidates s in
+      let missing = R.Ops.diff pairs d in
+      let bad = R.Relation.distinct (R.Ops.project key_cols missing) in
+      R.Ops.diff candidates bad
+    | Ast.Fixpoint f ->
+      (* iterate base ∪ step(current) to a fixpoint, set semantics *)
+      let current = ref (R.Relation.distinct (go bound f.Ast.base)) in
+      let rec iterate guard =
+        if guard > 10_000 then
+          invalid_arg "Eval.walk: fixpoint did not converge within 10000 rounds";
+        let stepped = go ((f.Ast.name, !current) :: bound) f.Ast.step in
+        let next = R.Relation.distinct (R.Ops.union_all !current stepped) in
+        if R.Relation.cardinality next > R.Relation.cardinality !current then begin
+          current := next;
+          iterate (guard + 1)
+        end
       in
-      let schema_of' n = if String.equal n f.Ast.name then Some schema else schema_of n in
-      let stepped = query ~source:source' ~schema_of:schema_of' f.Ast.step in
-      let next = R.Relation.distinct (R.Ops.union_all !current stepped) in
-      if R.Relation.cardinality next > R.Relation.cardinality !current then begin
-        current := next;
-        iterate (guard + 1)
-      end
-    in
-    iterate 0;
-    R.Relation.with_name f.Ast.name !current
-  | Ast.Agg a ->
-    let src = query ~source ~schema_of a.Ast.source in
-    R.Aggregate.group_by a.Ast.keys a.Ast.specs src
+      iterate 0;
+      R.Relation.with_name f.Ast.name !current
+    | Ast.Agg a -> R.Aggregate.group_by a.Ast.keys a.Ast.specs (go bound a.Ast.source)
+  in
+  go [] q
+
+let query ~source ~schema_of = function
+  (* the hot path: a bare conjunct needs no leaf closure *)
+  | Ast.Conj c -> conj ~source ~schema_of c
+  | q ->
+    walk q ~conj:(fun ~bound c ->
+        match bound with
+        | [] -> conj ~source ~schema_of c
+        | _ ->
+          let source (a : L.Atom.t) =
+            match List.assoc_opt a.L.Atom.pred bound with Some r -> r | None -> source a
+          in
+          let schema_of n =
+            match List.assoc_opt n bound with
+            | Some r -> Some (R.Relation.schema r)
+            | None -> schema_of n
+          in
+          conj ~source ~schema_of c)
 
 (* --- lazy evaluation --- *)
 

@@ -29,7 +29,19 @@ val query :
   schema_of:(string -> Braid_relalg.Schema.t option) ->
   Ast.t ->
   Braid_relalg.Relation.t
-(** Full CAQL: union (set semantics), difference, aggregation. *)
+(** Full CAQL: {!walk} over {!conj}, with a fixpoint's name resolving to
+    its accumulated relation inside its step. *)
+
+val walk :
+  conj:(bound:(string * Braid_relalg.Relation.t) list -> Ast.conj -> Braid_relalg.Relation.t) ->
+  Ast.t ->
+  Braid_relalg.Relation.t
+(** The operator tree walk — union (set semantics), difference, distinct,
+    division, fixpoint, aggregation — over a caller-supplied evaluator of
+    the conjunctive leaves. [bound] holds the fixpoint names in scope
+    (innermost first) with their relations so far. Operands are evaluated
+    left to right, so a caller's side effects (plan steps, cache traffic)
+    follow the tree's reading order. *)
 
 val lazy_conj :
   source:(Braid_logic.Atom.t -> Braid_stream.Tuple_stream.t) ->

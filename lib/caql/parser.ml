@@ -1,216 +1,7 @@
 module L = Braid_logic
-module V = Braid_relalg.Value
-module RP = Braid_relalg.Row_pred
+module G = Grammar
 
-exception Error of string
-
-(* --- lexer --- *)
-
-type token =
-  | Tident of string
-  | Tvar of string
-  | Tint of int
-  | Tfloat of float
-  | Tstring of string
-  | Tlparen
-  | Trparen
-  | Tcomma
-  | Tamp
-  | Ttilde
-  | Tdot
-  | Tturnstile
-  | Tcmp of RP.cmp
-  | Tplus
-  | Tminus
-  | Tstar
-  | Tslash
-  | Teof
-
-let is_ident_char c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
-
-let tokenize src =
-  let n = String.length src in
-  let tokens = ref [] in
-  let pos = ref 0 in
-  let fail msg = raise (Error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek k = if !pos + k < n then Some src.[!pos + k] else None in
-  let emit t = tokens := t :: !tokens in
-  while !pos < n do
-    let c = src.[!pos] in
-    if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr pos
-    else if c = '%' then begin
-      (* comment to end of line *)
-      while !pos < n && src.[!pos] <> '\n' do
-        incr pos
-      done
-    end
-    else if c = '(' then (emit Tlparen; incr pos)
-    else if c = ')' then (emit Trparen; incr pos)
-    else if c = ',' then (emit Tcomma; incr pos)
-    else if c = '&' then (emit Tamp; incr pos)
-    else if c = '~' then (emit Ttilde; incr pos)
-    else if c = '.' then (emit Tdot; incr pos)
-    else if c = '+' then (emit Tplus; incr pos)
-    else if c = '*' then (emit Tstar; incr pos)
-    else if c = '/' then (emit Tslash; incr pos)
-    else if c = '=' then (emit (Tcmp RP.Eq); incr pos)
-    else if c = '<' then begin
-      match peek 1 with
-      | Some '=' -> emit (Tcmp RP.Le); pos := !pos + 2
-      | Some '>' -> emit (Tcmp RP.Ne); pos := !pos + 2
-      | Some _ | None -> emit (Tcmp RP.Lt); incr pos
-    end
-    else if c = '>' then begin
-      match peek 1 with
-      | Some '=' -> emit (Tcmp RP.Ge); pos := !pos + 2
-      | Some _ | None -> emit (Tcmp RP.Gt); incr pos
-    end
-    else if c = ':' then begin
-      match peek 1 with
-      | Some '-' -> emit Tturnstile; pos := !pos + 2
-      | Some _ | None -> fail "expected ':-'"
-    end
-    else if c = '-' then (emit Tminus; incr pos)
-    else if c = '\'' || c = '"' then begin
-      let quote = c in
-      let buf = Buffer.create 16 in
-      incr pos;
-      while !pos < n && src.[!pos] <> quote do
-        Buffer.add_char buf src.[!pos];
-        incr pos
-      done;
-      if !pos >= n then fail "unterminated string";
-      incr pos;
-      emit (Tstring (Buffer.contents buf))
-    end
-    else if c >= '0' && c <= '9' then begin
-      let start = !pos in
-      while !pos < n && ((src.[!pos] >= '0' && src.[!pos] <= '9') || src.[!pos] = '.') do
-        (* a '.' followed by a non-digit is the clause terminator *)
-        if src.[!pos] = '.' && not (match peek 1 with Some d -> d >= '0' && d <= '9' | None -> false)
-        then raise Exit;
-        incr pos
-      done;
-      let text = String.sub src start (!pos - start) in
-      if String.contains text '.' then emit (Tfloat (float_of_string text))
-      else emit (Tint (int_of_string text))
-    end
-    else if is_ident_char c then begin
-      let start = !pos in
-      while !pos < n && is_ident_char src.[!pos] do
-        incr pos
-      done;
-      let text = String.sub src start (!pos - start) in
-      if (c >= 'A' && c <= 'Z') || c = '_' then emit (Tvar text) else emit (Tident text)
-    end
-    else fail (Printf.sprintf "unexpected character %C" c)
-  done;
-  emit Teof;
-  List.rev !tokens
-
-(* Numbers may legitimately end just before a clause-terminating '.'; the
-   lexer signals that with Exit, which we convert by re-lexing carefully. *)
-let tokenize src =
-  try tokenize src
-  with Exit ->
-    (* Retry with a space inserted before every '.' that terminates a
-       number; simplest is to scan manually. *)
-    let buf = Buffer.create (String.length src + 8) in
-    String.iteri
-      (fun i c ->
-        if
-          c = '.'
-          && i > 0
-          && src.[i - 1] >= '0'
-          && src.[i - 1] <= '9'
-          && not (i + 1 < String.length src && src.[i + 1] >= '0' && src.[i + 1] <= '9')
-        then Buffer.add_string buf " ."
-        else Buffer.add_char buf c)
-      src;
-    tokenize (Buffer.contents buf)
-
-(* --- parser --- *)
-
-type state = { mutable toks : token list }
-
-let peek st = match st.toks with [] -> Teof | t :: _ -> t
-
-let advance st = match st.toks with [] -> () | _ :: rest -> st.toks <- rest
-
-let expect st tok msg =
-  if peek st = tok then advance st else raise (Error ("expected " ^ msg))
-
-(* expr := mult (('+'|'-') mult)* ; mult := prim (('*'|'/') prim)* *)
-let rec parse_expr st =
-  let lhs = parse_mult st in
-  let rec loop lhs =
-    match peek st with
-    | Tplus ->
-      advance st;
-      loop (L.Literal.Add (lhs, parse_mult st))
-    | Tminus ->
-      advance st;
-      loop (L.Literal.Sub (lhs, parse_mult st))
-    | _ -> lhs
-  in
-  loop lhs
-
-and parse_mult st =
-  let lhs = parse_prim st in
-  let rec loop lhs =
-    match peek st with
-    | Tstar ->
-      advance st;
-      loop (L.Literal.Mul (lhs, parse_prim st))
-    | Tslash ->
-      advance st;
-      loop (L.Literal.Div (lhs, parse_prim st))
-    | _ -> lhs
-  in
-  loop lhs
-
-and parse_prim st =
-  match peek st with
-  | Tvar x ->
-    advance st;
-    L.Literal.Term (L.Term.Var x)
-  | Tint k ->
-    advance st;
-    L.Literal.Term (L.Term.Const (V.Int k))
-  | Tfloat f ->
-    advance st;
-    L.Literal.Term (L.Term.Const (V.Float f))
-  | Tstring s ->
-    advance st;
-    L.Literal.Term (L.Term.Const (V.Str s))
-  | Tminus ->
-    advance st;
-    (match parse_prim st with
-     | L.Literal.Term (L.Term.Const (V.Int k)) -> L.Literal.Term (L.Term.Const (V.Int (-k)))
-     | L.Literal.Term (L.Term.Const (V.Float f)) ->
-       L.Literal.Term (L.Term.Const (V.Float (-.f)))
-     | e -> L.Literal.Sub (L.Literal.Term (L.Term.Const (V.Int 0)), e))
-  | Tident "true" ->
-    advance st;
-    L.Literal.Term (L.Term.Const (V.Bool true))
-  | Tident "false" ->
-    advance st;
-    L.Literal.Term (L.Term.Const (V.Bool false))
-  | Tident name ->
-    advance st;
-    L.Literal.Term (L.Term.Const (V.Str name))
-  | Tlparen ->
-    advance st;
-    let e = parse_expr st in
-    expect st Trparen ")";
-    e
-  | _ -> raise (Error "expected a term")
-
-let term_of_expr = function
-  | L.Literal.Term t -> t
-  | L.Literal.Add _ | L.Literal.Sub _ | L.Literal.Mul _ | L.Literal.Div _ ->
-    raise (Error "arithmetic not allowed in this position")
+exception Error = Grammar.Error
 
 (* Head terms may be aggregate applications: count(X), sum(X), avg(X),
    min(X), max(X) — CAQL's AGG second-order predicate. *)
@@ -220,122 +11,38 @@ type head_term =
 
 let agg_names = [ "count"; "sum"; "avg"; "min"; "max" ]
 
-let parse_term_list st =
-  expect st Tlparen "(";
-  let rec loop acc =
-    let e = parse_expr st in
-    let acc = term_of_expr e :: acc in
-    match peek st with
-    | Tcomma ->
-      advance st;
-      loop acc
-    | Trparen ->
-      advance st;
-      List.rev acc
-    | _ -> raise (Error "expected ',' or ')'")
-  in
-  if peek st = Trparen then begin
-    advance st;
-    []
-  end
-  else loop []
-
-let parse_head_list st =
-  expect st Tlparen "(";
-  if peek st = Trparen then begin
-    advance st;
-    []
-  end
-  else begin
-    let rec loop acc =
-      let item =
-        match st.toks with
-        | Tident f :: Tlparen :: _ when List.mem f agg_names ->
-          advance st;
-          advance st;
-          let arg = term_of_expr (parse_expr st) in
-          expect st Trparen ")";
-          Agg_of (f, arg)
-        | _ -> Plain (term_of_expr (parse_expr st))
-      in
-      let acc = item :: acc in
-      match peek st with
-      | Tcomma ->
-        advance st;
-        loop acc
-      | Trparen ->
-        advance st;
-        List.rev acc
-      | _ -> raise (Error "expected ',' or ')'")
-    in
-    loop []
-  end
-
-type conjunct =
-  | Catom of L.Atom.t
-  | Cneg of L.Atom.t
-  | Ccmp of Ast.comparison
-
-let parse_conjunct st =
-  match peek st with
-  | Ttilde ->
-    advance st;
-    (match peek st with
-     | Tident name ->
-       advance st;
-       Cneg (L.Atom.make name (parse_term_list st))
-     | _ -> raise (Error "expected an atom after '~'"))
-  | Tident name when (match st.toks with _ :: Tlparen :: _ -> true | _ -> false) ->
-    advance st;
-    Catom (L.Atom.make name (parse_term_list st))
-  | _ ->
-    let lhs = parse_expr st in
-    (match peek st with
-     | Tcmp op ->
-       advance st;
-       let rhs = parse_expr st in
-       Ccmp (op, lhs, rhs)
-     | _ -> raise (Error "expected a comparison operator"))
-
-let parse_body st =
-  let rec loop acc =
-    let c = parse_conjunct st in
-    match peek st with
-    | Tamp | Tcomma ->
-      advance st;
-      loop (c :: acc)
-    | _ -> List.rev (c :: acc)
-  in
-  loop []
+let head_term st =
+  match G.peek st, G.peek2 st with
+  | G.Tident f, G.Tlparen when List.mem f agg_names ->
+    G.advance st;
+    G.advance st;
+    let arg = G.term st in
+    G.expect st G.Trparen "')'";
+    Agg_of (f, arg)
+  | _ -> Plain (G.term st)
 
 let clause_of st =
   (* optional SETOF marker *)
   let distinct =
-    match st.toks with
-    | Tident "distinct" :: Tident _ :: _ ->
-      advance st;
-      true
+    match G.peek st, G.peek2 st with
+    | G.Tident "distinct", G.Tident _ -> G.advance st; true
     | _ -> false
   in
   let name =
-    match peek st with
-    | Tident name ->
-      advance st;
-      name
-    | _ -> raise (Error "expected a head predicate")
+    match G.peek st with
+    | G.Tident name -> G.advance st; name
+    | _ -> G.error "expected a head predicate"
   in
-  let head_items = parse_head_list st in
+  let head_items = G.parens st head_term in
   let body =
-    match peek st with
-    | Tturnstile ->
-      advance st;
-      parse_body st
+    match G.peek st with
+    | G.Tturnstile -> G.advance st; G.body st
     | _ -> []
   in
-  expect st Tdot "'.'";
-  let atoms = List.filter_map (function Catom a -> Some a | Cneg _ | Ccmp _ -> None) body in
-  let negs = List.filter_map (function Cneg a -> Some a | Catom _ | Ccmp _ -> None) body in
-  let cmps = List.filter_map (function Ccmp c -> Some c | Catom _ | Cneg _ -> None) body in
+  G.expect st G.Tdot "'.'";
+  let atoms = List.filter_map (function G.Atom a -> Some a | G.Neg _ | G.Cmp _ -> None) body in
+  let negs = List.filter_map (function G.Neg a -> Some a | G.Atom _ | G.Cmp _ -> None) body in
+  let cmps = List.filter_map (function G.Cmp c -> Some c | G.Atom _ | G.Neg _ -> None) body in
   (* the positive/negative split with a given projection head *)
   let base_query head =
     let positive = Ast.conj ~cmps head atoms in
@@ -345,15 +52,13 @@ let clause_of st =
          atoms also hold (safe set difference). *)
       Ast.Diff (Ast.Conj positive, Ast.Conj (Ast.conj ~cmps head (atoms @ negs)))
   in
-  let has_agg = List.exists (function Agg_of _ -> true | Plain _ -> false) head_items in
+  let keys = List.filter_map (function Plain t -> Some t | Agg_of _ -> None) head_items in
+  let aggs = List.filter_map (function Agg_of (f, t) -> Some (f, t) | Plain _ -> None) head_items in
   let query =
-    if not has_agg then base_query (List.map (function Plain t -> t | Agg_of _ -> assert false) head_items)
-    else begin
+    if aggs = [] then base_query keys
+    else
       (* group by the plain head terms; aggregate columns follow them in
          the source query's head, in order of appearance *)
-      let keys = List.filter_map (function Plain t -> Some t | Agg_of _ -> None) head_items in
-      let agg_args = List.filter_map (function Agg_of (f, t) -> Some (f, t) | Plain _ -> None) head_items in
-      let source_head = keys @ List.map snd agg_args in
       let nkeys = List.length keys in
       let specs =
         List.mapi
@@ -365,30 +70,25 @@ let clause_of st =
             | "avg" -> Braid_relalg.Aggregate.Avg col
             | "min" -> Braid_relalg.Aggregate.Min col
             | "max" -> Braid_relalg.Aggregate.Max col
-            | _ -> raise (Error ("unknown aggregate " ^ f)))
-          agg_args
+            | _ -> G.error ("unknown aggregate " ^ f))
+          aggs
       in
       Ast.Agg
-        {
-          Ast.keys = List.init nkeys (fun i -> i);
-          specs;
-          source = base_query source_head;
-        }
-    end
+        { Ast.keys = List.init nkeys (fun i -> i); specs; source = base_query (keys @ List.map snd aggs) }
   in
   let query = if distinct then Ast.Distinct query else query in
   (name, query)
 
 let parse_clause src =
-  let st = { toks = tokenize src } in
+  let st = G.of_string src in
   let r = clause_of st in
-  if peek st <> Teof then raise (Error "trailing input after clause");
+  if G.peek st <> G.Teof then G.error "trailing input after clause";
   r
 
 let parse_program src =
-  let st = { toks = tokenize src } in
+  let st = G.of_string src in
   let rec loop acc =
-    if peek st = Teof then List.rev acc else loop (clause_of st :: acc)
+    if G.peek st = G.Teof then List.rev acc else loop (clause_of st :: acc)
   in
   let clauses = loop [] in
   (* Group same-name clauses into unions, preserving name order. *)
@@ -406,5 +106,5 @@ let parse_program src =
 let parse_query src =
   match parse_program src with
   | [ (_, q) ] -> q
-  | [] -> raise (Error "empty input")
-  | _ -> raise (Error "expected a single query definition")
+  | [] -> G.error "empty input"
+  | _ -> G.error "expected a single query definition"

@@ -5,10 +5,12 @@
     k(X) :- b(X, N) & N >= 10 & ~excluded(X).
     v}
 
-    - Identifiers starting with an upper-case letter or [_] are variables;
+    - Tokens are {!Grammar}'s, shared with the advice language.
+      Identifiers starting with an upper-case letter or [_] are variables;
       lower-case identifiers are symbolic constants, except directly before
       [(] where they are predicate names.
-    - Literals: integers, floats, ['..'] / ["..."] strings, [true]/[false].
+    - Literals: integers, floats (a fraction needs a digit after the [.]),
+      ['..'] / ["..."] strings, [true]/[false].
     - Body conjuncts are separated by [&] (or [,]); [~] negates an atom
       (compiled to safe set difference); comparisons use
       [= <> < <= > >=] with [+ - * /] arithmetic.
@@ -17,7 +19,9 @@
     A program is a sequence of clauses, each terminated by [.]. *)
 
 exception Error of string
-(** Parse error with position information in the message. *)
+(** Every lexical and syntax error, a bad numeric literal included; a
+    lexical error names its offset. [Braid_advice.Parser.Error] is the
+    same exception. *)
 
 val parse_clause : string -> string * Ast.t
 (** Parses a single clause; returns the head predicate name and the query

@@ -77,11 +77,7 @@ let query t ?session ?spec_id ?prefer_lazy q =
 
 let query_full t ?session q = Qpo.answer_query t.qpo ?session q
 
-let query_text t text =
-  match Braid_caql.Parser.parse_program text with
-  | [ (_, q) ] -> query_full t q
-  | [] -> raise (Braid_caql.Parser.Error "empty CAQL input")
-  | _ -> raise (Braid_caql.Parser.Error "expected a single query definition")
+let query_text t text = query_full t (Braid_caql.Parser.parse_query text)
 
 let invalidate_table t ?(mode = `Drop) name =
   match mode with

@@ -85,7 +85,7 @@ val query_full :
     remote DBMS does not support and the CMS evaluates itself. *)
 
 val query_text : t -> string -> Braid_relalg.Relation.t * Braid_planner.Plan.t
-(** Parses concrete CAQL syntax (see {!Braid_caql.Parser}) and evaluates. *)
+(** {!query_full} of {!Braid_caql.Parser.parse_query}. *)
 
 val invalidate_table : t -> ?mode:[ `Drop | `Mark_stale ] -> string -> string list
 (** Invalidate every cache element that depends on the named remote table;

@@ -50,12 +50,7 @@ let solve_all t query = fst (Engine.solve_all t.engine query)
 
 let solve_first t ?n query = fst (Engine.solve_first t.engine ?n query)
 
-let solve_text t text =
-  match Braid_caql.Parser.parse_clause (String.trim text ^ " .") with
-  | name, Braid_caql.Ast.Conj c when c.Braid_caql.Ast.atoms = [] && c.Braid_caql.Ast.cmps = []
-    ->
-    solve_all t (L.Atom.make name c.Braid_caql.Ast.head)
-  | _ -> invalid_arg "System.solve_text: expected an atomic AI query like p(a, X)"
+let solve_text t text = solve_all t (Loader.parse_atomic_query text)
 
 let insert_remote t name tuple =
   (* [Engine.insert] maintains catalog stats and index buckets

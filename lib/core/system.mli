@@ -48,8 +48,9 @@ val solve_all : t -> Braid_logic.Atom.t -> Braid_relalg.Relation.t
 val solve_first : t -> ?n:int -> Braid_logic.Atom.t -> Braid_relalg.Tuple.t list
 
 val solve_text : t -> string -> Braid_relalg.Relation.t
-(** Parses an atomic AI query like ["ancestor(ann, X)"] (a bodyless CAQL
-    clause head) and solves it. *)
+(** Parses an atomic AI query like ["ancestor(ann, X)"] with
+    {!Loader.parse_atomic_query} and solves it; raises [Invalid_argument]
+    when the text is not a single atom. *)
 
 val insert_remote : t -> string -> Braid_relalg.Tuple.t -> unit
 (** Inserts a tuple into a remote table, refreshes its catalog statistics

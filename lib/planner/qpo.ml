@@ -34,8 +34,6 @@ type config = {
   allow_parallel : bool;
   advice_indexing : bool;
   allow_semijoin : bool;
-  prefetch_max_tuples : int;
-  recompute_cache_threshold : int;
 }
 
 let braid_config =
@@ -48,9 +46,14 @@ let braid_config =
     allow_parallel = true;
     advice_indexing = true;
     allow_semijoin = true;
-    prefetch_max_tuples = 20_000;
-    recompute_cache_threshold = 100;
   }
+
+(* Do not prefetch or generalize families estimated above this size. *)
+let prefetch_max_tuples = 20_000
+
+(* Cache a locally computed result when it touched at least this many
+   tuples (recomputation would be expensive). *)
+let recompute_cache_threshold = 100
 
 let loose_coupling_config =
   {
@@ -878,7 +881,7 @@ let generalization_steps t ses spec ~qkey (q : A.conj) =
       (not (String.equal gkey qkey))
       && Adv.expects_repetition ses.advisor s.Braid_advice.Ast.id
       && find_key t gkey = None
-      && Cost.est_conj (catalog t) general <= t.config.prefetch_max_tuples
+      && Cost.est_conj (catalog t) general <= prefetch_max_tuples
       && Sub.generalizes general q
     in
     match List.find_opt usable candidates with
@@ -913,7 +916,7 @@ let prefetch_steps t ses current_spec_id =
           Some id <> current_spec_id
           && (not (Hashtbl.mem ses.prefetched id))
           && Cost.est_conj (catalog t) spec.Braid_advice.Ast.def
-             <= t.config.prefetch_max_tuples
+             <= prefetch_max_tuples
           && find_key t key = None
         then begin
           Hashtbl.replace ses.prefetched id ();
@@ -1033,7 +1036,7 @@ let should_cache_eager_result t ses spec solved touched =
       match spec with Some s -> Adv.should_cache_result ses.advisor s | None -> true
     in
     advice_ok
-    && (solved.s_used_remote || touched >= t.config.recompute_cache_threshold)
+    && (solved.s_used_remote || touched >= recompute_cache_threshold)
 
 (* What [answer_conj_untraced] computed: a lazy generator, or an eager
    relation whose row vector only the caller holds unless [cached] (then
@@ -1283,82 +1286,17 @@ let answer_conj_with_extra t ?session extras (c : A.conj) =
     (CMgr.eval t.cache ~extra (A.Conj rewritten), [])
   end
 
-let rec answer_query_with_extra t ?session extras (q : A.t) =
-  match q with
-  | A.Conj c -> answer_conj_with_extra t ?session extras c
-  | A.Union [] -> invalid_arg "Qpo.answer_query: empty union"
-  | A.Union (first :: rest) ->
-    let r0, p0 = answer_query_with_extra t ?session extras first in
-    List.fold_left
-      (fun (acc, plan) q' ->
-        let r, p = answer_query_with_extra t ?session extras q' in
-        (R.Ops.union_all acc r, plan @ p))
-      (r0, p0) rest
-    |> fun (rel, plan) -> (R.Relation.distinct rel, plan)
-  | A.Diff (a, b) ->
-    let ra, pa = answer_query_with_extra t ?session extras a in
-    let rb, pb = answer_query_with_extra t ?session extras b in
-    (R.Ops.diff ra rb, pa @ pb)
-  | (A.Distinct _ | A.Division _ | A.Fixpoint _ | A.Agg _) as q ->
-    (* no extras expected below these in fixpoint steps we generate *)
-    ignore extras;
-    answer_query t ?session q
-
-and answer_query t ?session (q : A.t) =
-  match q with
-  | A.Conj c ->
-    let a = answer_relation t ?session c in
-    (a.relation, a.rel_plan)
-  | A.Union [] -> invalid_arg "Qpo.answer_query: empty union"
-  | A.Union (first :: rest) ->
-    let r0, p0 = answer_query t ?session first in
-    List.fold_left
-      (fun (acc, plan) q' ->
-        let r, p = answer_query t ?session q' in
-        (R.Ops.union_all acc r, plan @ p))
-      (r0, p0) rest
-    |> fun (rel, plan) -> (R.Relation.distinct rel, plan)
-  | A.Diff (a, b) ->
-    let ra, pa = answer_query t ?session a in
-    let rb, pb = answer_query t ?session b in
-    (R.Ops.diff ra rb, pa @ pb)
-  | A.Distinct q' ->
-    let r, p = answer_query t ?session q' in
-    (R.Relation.distinct r, p)
-  | A.Division (dividend, divisor) ->
-    let rd, pd = answer_query t ?session dividend in
-    let rs, ps = answer_query t ?session divisor in
-    let total = R.Schema.arity (R.Relation.schema rd) in
-    let k_arity = total - R.Schema.arity (R.Relation.schema rs) in
-    if k_arity < 0 then invalid_arg "Qpo.answer_query: invalid division arities";
-    let key_cols = List.init k_arity (fun i -> i) in
-    let candidates = R.Relation.distinct (R.Ops.project key_cols rd) in
-    let missing = R.Ops.diff (R.Ops.product candidates rs) (R.Relation.distinct rd) in
-    let bad = R.Relation.distinct (R.Ops.project key_cols missing) in
-    (R.Ops.diff candidates bad, pd @ ps)
-  | A.Fixpoint f ->
-    (* Evaluate the recursion in the CMS: the base case goes through the
-       planner normally; each step round resolves the recursive name to
-       the accumulated result and every other relation through the cache. *)
-    let base, plan = answer_query t ?session f.A.base in
-    let current = ref (R.Relation.distinct base) in
-    let steps = ref plan in
-    let rec iterate guard =
-      if guard > 10_000 then invalid_arg "Qpo.answer_query: fixpoint did not converge";
-      let stepped, plan' =
-        answer_query_with_extra t ?session [ (f.A.name, !current) ] f.A.step
-      in
-      steps := !steps @ plan';
-      let next = R.Relation.distinct (R.Ops.union_all !current stepped) in
-      if R.Relation.cardinality next > R.Relation.cardinality !current then begin
-        current := next;
-        iterate (guard + 1)
-      end
-    in
-    iterate 0;
-    (R.Relation.with_name f.A.name !current, !steps)
-  | A.Agg ag ->
-    let src, plan = answer_query t ?session ag.A.source in
-    (R.Aggregate.group_by ag.A.keys ag.A.specs src, plan)
+(* CAQL's operator walk over planner-answered leaves; a leaf naming a
+   fixpoint in scope is evaluated in the CMS. Plan steps are collected in
+   evaluation order. *)
+let answer_query t ?session (q : A.t) =
+  let steps = ref [] in
+  let conj ~bound c =
+    let rel, plan = answer_conj_with_extra t ?session bound c in
+    steps := List.rev_append plan !steps;
+    rel
+  in
+  let rel = Braid_caql.Eval.walk ~conj q in
+  (rel, List.rev !steps)
 
 let metrics t = { t.stats with queries = t.stats.queries }

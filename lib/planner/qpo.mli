@@ -35,11 +35,6 @@ type config = {
   allow_semijoin : bool;
       (** push IN-filters built from already-local join keys into remote
           requests when the modeled transfer saving beats shipping them *)
-  prefetch_max_tuples : int;
-      (** do not prefetch/generalize families estimated above this size *)
-  recompute_cache_threshold : int;
-      (** cache a locally computed result when it touched at least this
-          many tuples (recomputation would be expensive) *)
 }
 
 val braid_config : config
@@ -192,8 +187,10 @@ val answer_relation :
 
 val answer_query :
   t -> ?session:session -> Braid_caql.Ast.t -> Braid_relalg.Relation.t * Plan.t
-(** Full CAQL (union / difference / aggregation), evaluated eagerly by
-    answering each conjunctive leaf through the planner. *)
+(** Full CAQL: {!Braid_caql.Eval.walk}, CAQL's one operator interpreter,
+    over planner-answered conjunctive leaves. A leaf that names a fixpoint
+    in scope fetches its other atoms through the planner and is evaluated
+    in the CMS. The plan lists the leaves' steps in evaluation order. *)
 
 (** Per-planner counters since {!create}. Only this module writes them. *)
 type metrics = private {

@@ -646,8 +646,7 @@ let exec_line t line =
                            "rule added"
                        end)))))
   with
-  | Braid_caql.Parser.Error m -> "error: " ^ m
-  | Braid_advice.Parser.Error m -> "error: " ^ m
+  | Braid_caql.Parser.Error m (* = Braid_advice.Parser.Error *) -> "error: " ^ m
   | Invalid_argument m -> "error: " ^ m
   | Not_found -> "error: not found"
   | Sys_error m -> "error: " ^ m

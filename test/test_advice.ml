@@ -310,16 +310,16 @@ let test_parse_errors_advice () =
   check_bool "unclosed alternation" true (fails "path ([a(), b()<1,2>.")
 
 let test_pp_parse_roundtrip () =
-  (* printing then re-parsing an advice set preserves its structure *)
+  (* Ast.pp prints the syntax the parser reads *)
   let advice = AP.parse example1_text in
-  let printed = Format.asprintf "%a" Adv.pp advice in
-  (* pp writes "path: ..." (with colon) and no trailing dots; rebuild
-     clause form from the specs we know *)
-  ignore printed;
-  let reparsed = AP.parse example1_text in
-  check_bool "spec ids stable" true
-    (List.map (fun sp -> sp.Adv.id) advice.Adv.specs
-    = List.map (fun sp -> sp.Adv.id) reparsed.Adv.specs)
+  let reparsed = AP.parse (Format.asprintf "%a" Adv.pp advice) in
+  check_bool "parse (pp (parse s)) = parse s" true (reparsed = advice);
+  let with_ids =
+    { advice with
+      Adv.specs = List.map (fun sp -> { sp with Adv.rule_ids = [ "R1"; "R2" ] }) advice.Adv.specs }
+  in
+  let printed = Format.asprintf "%a" Adv.pp with_ids in
+  check_bool "rule ids in a comment" true (AP.parse printed = advice)
 
 let parser_cases =
   [

@@ -83,7 +83,12 @@ let test_advice_blocks () =
           check_bool
             (Printf.sprintf "%s line %d: block yields specs" file (fst block))
             true
-            (advice.Braid_advice.Ast.specs <> []))
+            (advice.Braid_advice.Ast.specs <> []);
+          check_bool
+            (Printf.sprintf "%s line %d: block round-trips through Ast.pp" file (fst block))
+            true
+            (Braid_advice.Parser.parse (Format.asprintf "%a" Braid_advice.Ast.pp advice)
+            = advice))
         (blocks_of ~lang:"advice" (read_file file)))
     doc_files;
   check_int "exactly the ADVICE.md example block" 1 !total

@@ -342,8 +342,109 @@ let test_fixpoint_via_cms () =
     (fun t -> check_bool "base tuple in closure" true (R.Relation.mem r t))
     (R.Relation.distinct direct)
 
+(* The QPO's answer to a full CAQL tree is Eval's over the engine's own
+   tables, as sets: both are the one operator walk, over planner-answered
+   leaves and over base tables respectively. *)
+let gen_caql_tree =
+  let open QCheck.Gen in
+  let conj head atoms = A.Conj (A.conj head atoms) in
+  let xy = [ v "X"; v "Y" ] in
+  let leaf2 =
+    oneofl
+      [
+        conj xy [ atom "b1" xy ];
+        conj xy [ atom "b2" xy ];
+        conj xy [ atom "b3" [ v "X"; s "c2"; v "Y" ] ];
+        conj xy [ atom "b3" [ v "X"; s "c3"; v "Y" ] ];
+        conj xy [ atom "b2" [ v "X"; v "Z" ]; atom "b1" [ v "Z"; v "Y" ] ];
+      ]
+  in
+  let leaf1 =
+    oneofl
+      [
+        conj [ v "Y" ] [ atom "b1" [ s "c1"; v "Y" ] ];
+        conj [ v "Y" ] [ atom "b3" [ v "Z"; s "c2"; v "Y" ] ];
+        conj [ v "Z" ] [ atom "b2" [ v "X"; v "Z" ] ];
+      ]
+  in
+  let step b = conj xy [ atom "fx" [ v "X"; v "Z" ]; atom b [ v "Z"; v "Y" ] ] in
+  let rec tree2 d =
+    if d = 0 then leaf2
+    else
+      frequency
+        [
+          (3, leaf2);
+          (1, map2 (fun a b -> A.Union [ a; b ]) (tree2 (d - 1)) (tree2 (d - 1)));
+          (1, map2 (fun a b -> A.Diff (a, b)) (tree2 (d - 1)) (tree2 (d - 1)));
+          (1, map (fun a -> A.Distinct a) (tree2 (d - 1)));
+          ( 1,
+            map2
+              (fun base step -> A.Fixpoint { A.name = "fx"; base; step })
+              (tree2 (d - 1))
+              (oneof
+                 [
+                   return (step "b1");
+                   return (step "b2");
+                   map (fun l -> A.Union [ step "b1"; l ]) leaf2;
+                 ]) );
+        ]
+  and tree1 d =
+    if d = 0 then leaf1
+    else
+      frequency
+        [
+          (3, leaf1);
+          (1, map2 (fun a b -> A.Division (a, b)) (tree2 (d - 1)) (tree1 (d - 1)));
+          (1, map2 (fun a b -> A.Union [ a; b ]) (tree1 (d - 1)) (tree1 (d - 1)));
+          (1, map2 (fun a b -> A.Diff (a, b)) (tree1 (d - 1)) (tree1 (d - 1)));
+          (1, map (fun a -> A.Distinct a) (tree1 (d - 1)));
+        ]
+  in
+  let count keys src = A.Agg { A.keys; specs = [ R.Aggregate.Count ]; source = A.Distinct src } in
+  oneof [ tree2 3; tree1 3; map (count [ 0 ]) (tree2 2); map (count []) (tree1 2) ]
+
+(* Operands run left to right: the plan lists the left leaf's fetch first. *)
+let test_diff_plan_order () =
+  let q = make_qpo ~config:Qpo.no_advice_config () in
+  let diff =
+    A.Diff
+      ( A.Conj (A.conj [ v "Y" ] [ atom "b1" [ s "c1"; v "Y" ] ]),
+        A.Conj (A.conj [ v "Y" ] [ atom "b3" [ v "X"; s "c2"; v "Y" ] ]) )
+  in
+  let _, plan = Qpo.answer_query q diff in
+  let fetched =
+    List.filter_map
+      (function
+        | Plan.Remote_fetch { sql; _ } | Plan.Ship_subquery { sql; _ } -> Some sql | _ -> None)
+      plan
+  in
+  let mentions table sql = List.mem table (String.split_on_char ' ' sql) in
+  match fetched with
+  | [ first; second ] ->
+    check_bool "left operand fetched first" true (mentions "b1" first && mentions "b3" second)
+  | _ -> Alcotest.failf "expected two fetches: %s" (Plan.to_string plan)
+
+let qpo_equals_eval =
+  let q = lazy (make_qpo ()) in
+  QCheck.Test.make ~count:200 ~name:"Qpo.answer_query = Eval.query over the tables"
+    (QCheck.make ~print:A.to_string gen_caql_tree)
+    (fun tree ->
+      let q = Lazy.force q in
+      let engine = Server.engine (Qpo.server q) in
+      let as_set r = List.sort_uniq compare (R.Relation.to_list r) in
+      let expected =
+        Braid_caql.Eval.query tree
+          ~source:(fun a -> Braid_remote.Engine.table engine a.L.Atom.pred)
+          ~schema_of:(Braid_remote.Catalog.schema_of (Braid_remote.Engine.catalog engine))
+      in
+      as_set (fst (Qpo.answer_query q tree)) = as_set expected)
+
 let fixpoint_cases =
-  [ Alcotest.test_case "fixpoint via the CMS" `Quick test_fixpoint_via_cms ]
+  [
+    Alcotest.test_case "fixpoint via the CMS" `Quick test_fixpoint_via_cms;
+    Alcotest.test_case "difference plan order" `Quick test_diff_plan_order;
+    QCheck_alcotest.to_alcotest qpo_equals_eval;
+  ]
 
 let suites = match suites with
   | [ (name, cases) ] -> [ (name, cases @ fixpoint_cases) ]

@@ -74,7 +74,7 @@ let test_inspection_commands () =
   let _ = Braid_serve.Repl.exec_line s "?- anc(tom, Y)." in
   check_bool "cache listing" true (contains "elements" (Braid_serve.Repl.exec_line s ":cache"));
   check_bool "metrics" true (contains "remote:" (Braid_serve.Repl.exec_line s ":metrics"));
-  check_bool "advice" true (contains "path:" (Braid_serve.Repl.exec_line s ":advice"));
+  check_bool "advice" true (contains "path (" (Braid_serve.Repl.exec_line s ":advice"));
   check_bool "rules listing" true (contains "anc(X, Y)" (Braid_serve.Repl.exec_line s ":rules"));
   check_bool "lint clean" true (contains "clean" (Braid_serve.Repl.exec_line s ":lint"))
 
@@ -188,8 +188,23 @@ let test_sessions_command () =
   check_bool "reset after invalidation" true
     (contains "no serving sessions" (Braid_serve.Repl.exec_line s ":sessions"))
 
+(* A malformed numeric literal is a parse error like any other: the line
+   answers "error: ..." and the session goes on. *)
+let test_bad_number_literal () =
+  let s = Braid_serve.Repl.create () in
+  let outs =
+    feed s [ "p(1)."; "p(1.2.3)."; "?- p(99999999999999999999)."; "?- p(X)." ]
+  in
+  match outs with
+  | [ _; bad_fact; bad_query; answer ] ->
+    check_bool "bad fact" true (String.starts_with ~prefix:"error: " bad_fact);
+    check_bool "bad query" true (String.starts_with ~prefix:"error: " bad_query);
+    check_bool "next line answers" true (contains "1 solutions" answer)
+  | _ -> Alcotest.fail "one reply per line"
+
 let trace_cases =
   [
+    Alcotest.test_case "bad number literal" `Quick test_bad_number_literal;
     Alcotest.test_case "trace command" `Quick test_trace_command;
     Alcotest.test_case "base-relation query" `Quick test_base_query_directly;
     Alcotest.test_case "journal command" `Quick test_journal_command;
