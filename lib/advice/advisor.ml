@@ -1,10 +1,10 @@
-module A = Braid_caql.Ast
+module Form = Braid_subsume.Form
 module Sub = Braid_subsume.Subsumption
 
 type t = {
   advice : Ast.t;
   tracker : Tracker.t option;
-  mutable keys : (Ast.view_spec * string) list; (* memo of [spec_key] *)
+  mutable forms : (Ast.view_spec * Form.inst) list; (* memo of [spec_form] *)
 }
 
 let create ?nfa (advice : Ast.t) =
@@ -13,15 +13,23 @@ let create ?nfa (advice : Ast.t) =
     | Some nfa -> Some (Tracker.start nfa)
     | None -> Option.map (fun p -> Tracker.start (Tracker.compile p)) advice.Ast.path
   in
-  { advice; tracker; keys = [] }
+  { advice; tracker; forms = [] }
 
 let no_advice () = create { Ast.specs = []; path = None }
 
 let specs t = t.advice.Ast.specs
 let find_spec t id = Ast.find_spec t.advice id
 
-let identify t (q : A.conj) =
-  List.find_opt (fun (s : Ast.view_spec) -> Sub.generalizes s.Ast.def q) t.advice.Ast.specs
+let spec_form t (s : Ast.view_spec) =
+  match List.assq_opt s t.forms with
+  | Some f -> f
+  | None ->
+    let f = Form.of_conj s.Ast.def in
+    t.forms <- (s, f) :: t.forms;
+    f
+
+let identify t (q : Form.inst) =
+  List.find_opt (fun s -> Sub.subsumes ~def:(spec_form t s) q) t.advice.Ast.specs
 
 let observe t id =
   match t.tracker with Some tr -> ignore (Tracker.advance tr id) | None -> ()
@@ -45,10 +53,3 @@ let should_cache_result t (s : Ast.view_spec) =
 
 let generalized (s : Ast.view_spec) = s.Ast.def
 
-let spec_key t (s : Ast.view_spec) =
-  match List.assq_opt s t.keys with
-  | Some k -> k
-  | None ->
-    let k = A.variant_key s.Ast.def in
-    t.keys <- (s, k) :: t.keys;
-    k

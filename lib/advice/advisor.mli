@@ -21,10 +21,12 @@ val no_advice : unit -> t
 val specs : t -> Ast.view_spec list
 val find_spec : t -> string -> Ast.view_spec option
 
-val identify : t -> Braid_caql.Ast.conj -> Ast.view_spec option
+val identify : t -> Braid_subsume.Form.inst -> Ast.view_spec option
 (** Which view specification the query instantiates ("any given CAQL query
     will necessarily be a single view specification with zero or more query
-    constants", §4.2.1). *)
+    constants", §4.2.1): the first spec, in advice order, whose definition
+    fully covers the query ({!Braid_subsume.Subsumption.subsumes}, through
+    the match plan of the two forms). *)
 
 val observe : t -> string -> unit
 (** Advance path tracking: a query for this spec id has arrived. *)
@@ -57,7 +59,7 @@ val generalized : Ast.view_spec -> Braid_caql.Ast.conj
 (** The spec's defining conjunction with all parameters free — the
     generalization target of QPO step 1. *)
 
-val spec_key : t -> Ast.view_spec -> string
-(** [Braid_caql.Ast.variant_key (generalized s)], computed once per spec
-    record and advisor: the QPO probes the cache for the same specs on
-    every query. *)
+val spec_form : t -> Ast.view_spec -> Braid_subsume.Form.inst
+(** [Braid_subsume.Form.of_conj (generalized s)], computed once per spec
+    record and advisor: identification, generalization and the QPO's
+    exact-match probes for the spec all read it. *)

@@ -53,12 +53,12 @@ let pp_view_spec ppf s =
   let param ppf (t, b) =
     match t with
     | L.Term.Var x -> Format.fprintf ppf "%s%s" x (binding_mark b)
-    | L.Term.Const _ -> L.Term.pp ppf t
+    | L.Term.Const _ -> A.pp_term ppf t
   in
   Format.fprintf ppf "%s(%a) =def %a." s.id
     (Format.pp_print_list ~pp_sep:(pp_sep ", ") param)
     (List.combine s.def.A.head s.bindings)
-    (Format.pp_print_list ~pp_sep:(pp_sep " & ") L.Literal.pp)
+    (Format.pp_print_list ~pp_sep:(pp_sep " & ") A.pp_literal)
     (List.map (fun a -> L.Literal.Rel a) s.def.A.atoms
     @ List.map (fun (op, a, b) -> L.Literal.Cmp (op, a, b)) s.def.A.cmps);
   match s.rule_ids with
@@ -72,7 +72,7 @@ let pp_bound ppf = function
 
 let rec pp_path ppf = function
   | Pattern (id, args) ->
-    Format.fprintf ppf "%s(%a)" id (Format.pp_print_list ~pp_sep:(pp_sep ", ") L.Term.pp) args
+    Format.fprintf ppf "%s(%a)" id (Format.pp_print_list ~pp_sep:(pp_sep ", ") A.pp_term) args
   | Seq (ps, { lo; hi }) ->
     Format.fprintf ppf "(%a)<%d,%a>"
       (Format.pp_print_list ~pp_sep:(pp_sep ", ") pp_path)

@@ -1,6 +1,5 @@
 module R = Braid_relalg
 module A = Braid_caql.Ast
-module Sub = Braid_subsume.Subsumption
 module Obs = Braid_obs
 
 type stats = {
@@ -104,32 +103,10 @@ let insert t ?id ~def repr =
 
 let find t id = Cache_model.find t.model id
 
-let find_exact t def = Cache_model.find_variant t.model (A.variant_key def)
+let find_exact t def =
+  Cache_model.find_variant t.model (Braid_subsume.Form.of_conj def)
 
-let relevant_covers t (q : A.conj) =
-  let candidates =
-    match
-      List.sort_uniq String.compare
-        (List.map (fun a -> a.Braid_logic.Atom.pred) q.A.atoms)
-    with
-    | [ p ] -> Cache_model.candidates_for_pred t.model p
-    | preds ->
-      let seen = Hashtbl.create 16 in
-      List.concat_map (Cache_model.candidates_for_pred t.model) preds
-      |> List.filter (fun (e : Element.t) ->
-             if Hashtbl.mem seen e.Element.id then false
-             else begin
-               Hashtbl.add seen e.Element.id ();
-               true
-             end)
-  in
-  let probe = Sub.probe q in
-  List.concat_map
-    (fun (e : Element.t) ->
-      match Sub.probe_covers probe { Sub.id = e.Element.id; def = e.Element.def } with
-      | [] -> [] (* most candidates: no closure built for them *)
-      | covers -> List.map (fun cover -> (e, cover)) covers)
-    candidates
+let relevant_covers t q = Cache_model.covers t.model q
 
 let stale_hook t n =
   t.stats.stale_touches <- t.stats.stale_touches + n;

@@ -34,17 +34,18 @@ val insert :
 val find : t -> string -> Element.t option
 
 val find_exact : t -> Braid_caql.Ast.conj -> Element.t option
-(** The oldest element whose definition is a variant of the query
-    (exact-match reuse): one probe of {!Cache_model.find_variant}. *)
+(** The oldest element whose definition is a variant of the query with
+    equal constants (exact-match reuse): one lookup of
+    {!Cache_model.find_variant}. *)
 
 val relevant_covers :
-  t -> Braid_caql.Ast.conj -> (Element.t * Braid_subsume.Subsumption.cover) list
+  t -> Braid_subsume.Form.inst -> (Element.t * Braid_subsume.Subsumption.cover) list
 (** Step 2 of §5.3.2: all (element, cover) pairs usable to derive part of
-    the query, found via the predicate-name index. Pairs come in candidate
-    order — the query's predicates sorted, each predicate's elements
-    oldest first, an element counted once — and each element's covers in
-    the order {!Braid_subsume.Subsumption.covers} finds them. The QPO's
-    cover choice breaks ties by this order. *)
+    the query, found through the form index ({!Cache_model.covers}). Pairs
+    come in candidate order — the query's predicates sorted, each
+    predicate's elements oldest first, an element counted once — and each
+    element's covers in the order {!Braid_subsume.Subsumption.covers}
+    finds them. The QPO's cover choice breaks ties by this order. *)
 
 val eval : t -> ?extra:(string * Braid_relalg.Relation.t) list -> Braid_caql.Ast.t ->
   Braid_relalg.Relation.t

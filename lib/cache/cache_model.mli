@@ -2,11 +2,13 @@
     which elements exist, their definitions, state and statistics. The IE
     may query it through the CMS.
 
-    Keeps the paper's [(predicate name, cache element)] index used to
-    expedite subsumption candidate lookup, and a variant-key index
-    ({!Braid_caql.Ast.variant_key}) that makes exact-match lookup a hash
-    probe. {!add} and {!remove} maintain both, so journal replay rebuilds
-    them. *)
+    Keeps two indexes. The paper's [(predicate name, cache element)]
+    index lists the elements that read a predicate, for invalidation and
+    IVM. The form index maps (definition form, atom constants)
+    ({!Braid_subsume.Form}) to elements, oldest first: an exact hit is one
+    lookup, and a cover is one lookup per assignment of a match plan
+    ({!covers}). {!add} and {!remove} maintain both, so journal replay
+    rebuilds them. *)
 
 type t
 
@@ -33,13 +35,27 @@ val find : t -> string -> Element.t option
 val elements : t -> Element.t list
 (** In insertion order. *)
 
-val find_variant : t -> string -> Element.t option
-(** [find_variant t (Braid_caql.Ast.variant_key q)] is the oldest element
-    whose definition is a variant of [q]. *)
+val find_variant : t -> Braid_subsume.Form.inst -> Element.t option
+(** The oldest element whose definition is a variant of the query with
+    equal constants ({!Braid_subsume.Form.same}): one lookup of the form
+    index. *)
+
+val covers :
+  t -> Braid_subsume.Form.inst -> (Element.t * Braid_subsume.Subsumption.cover) list
+(** Step 2 of §5.3.2 through the form index: for each definition form
+    with elements whose match plan against the query's form is not empty,
+    each assignment whose query equalities hold is one lookup of
+    (definition form, {!Braid_subsume.Subsumption.def_key}), and each
+    element found is checked for the rest (its comparisons) and gives a
+    cover. Pairs come in candidate order — the query's predicates sorted,
+    each predicate's elements oldest first, an element counted once at its
+    first predicate — and each element's covers in search order with
+    repeats dropped: exactly {!Braid_subsume.Subsumption.covers} of each
+    element of {!candidates_for_pred}, in that order. *)
 
 val candidates_for_pred : t -> string -> Element.t list
-(** Elements whose definition mentions the given predicate, oldest first —
-    the candidates of the §5.3.2 algorithm. The index holds the elements
+(** Elements whose definition mentions the given predicate, oldest first
+    (invalidation and IVM's dependents). The index holds the elements
     themselves in that order, so this allocates nothing. *)
 
 val touch : t -> Element.t -> unit

@@ -8,7 +8,8 @@ type representation =
 type t = {
   id : string;
   def : Braid_caql.Ast.conj;
-  key : string;
+  inst : Braid_subsume.Form.inst;
+  mutable seq : int;
   mutable repr : representation;
   mutable ext_bytes : int;
   mutable indexes : (int list * R.Index.t) list;
@@ -26,7 +27,8 @@ let make ~id ~def ~now repr =
   {
     id;
     def;
-    key = Braid_caql.Ast.variant_key def;
+    inst = Braid_subsume.Form.of_conj def;
+    seq = 0;
     repr;
     ext_bytes = (match repr with Extension r -> R.Relation.bytes_estimate r | Generator _ -> 0);
     indexes = [];

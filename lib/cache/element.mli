@@ -29,10 +29,14 @@ type representation =
 type t = {
   id : string;
   def : Braid_caql.Ast.conj;  (** [def.head] describes the stored columns *)
-  key : string;
-      (** [Braid_caql.Ast.variant_key def], printed once when the element
-          is made; the cache model's exact-match index and the QPO's
-          exact-hit test read it *)
+  inst : Braid_subsume.Form.inst;
+      (** [Braid_subsume.Form.of_conj def], computed once when the element
+          is made: the cache model indexes the element by its form and
+          atom constants, and the QPO's exact-hit test compares it *)
+  mutable seq : int;
+      (** the element's position in its cache model's insertion order, set
+          by [Cache_model.add]: candidates of one predicate come oldest
+          first *)
   mutable repr : representation;
   mutable ext_bytes : int;
       (** [Relation.bytes_estimate] of the extension, kept current by the

@@ -38,11 +38,12 @@ let full_content_of cmgr ~schema_of pred =
   | None -> None
   | Some schema ->
     let q = identity_query pred schema in
+    let qkey = Braid_subsume.Form.of_conj q in
     List.find_map
       (fun (el : Element.t) ->
         if el.Element.stale || not (Element.is_materialized el) then None
         else
-          match Sub.full_cover { Sub.id = el.Element.id; def = el.Element.def } q with
+          match Sub.full_cover_of ~id:el.Element.id el.Element.inst qkey with
           | None -> None
           | Some cover ->
             let rewritten = Sub.rewrite q cover in

@@ -109,20 +109,51 @@ let numbering c =
 
 let pp_sep s ppf () = Format.fprintf ppf "%s" s
 
-let pp_cmp_lit ppf (op, a, b) = L.Literal.pp ppf (L.Literal.Cmp (op, a, b))
+(* Constants as the CAQL lexer reads them back: a float always with a
+   fraction, a string between the quote character it does not contain.
+   A string holding both has no CAQL spelling; it prints OCaml-escaped. *)
+let pp_const ppf = function
+  | V.Float x ->
+    let s = V.float_digits x in
+    Format.pp_print_string ppf
+      (if String.contains s '.' || not (Float.is_finite x) then s else s ^ ".0")
+  | V.Str s when not (String.contains s '"') -> Format.fprintf ppf "\"%s\"" s
+  | V.Str s when not (String.contains s '\'') -> Format.fprintf ppf "'%s'" s
+  | v -> V.pp ppf v
+
+let pp_term ppf = function
+  | L.Term.Var x -> Format.pp_print_string ppf x
+  | L.Term.Const v -> pp_const ppf v
+
+let rec pp_expr ppf = function
+  | L.Literal.Term t -> pp_term ppf t
+  | L.Literal.Add (a, b) -> Format.fprintf ppf "(%a + %a)" pp_expr a pp_expr b
+  | L.Literal.Sub (a, b) -> Format.fprintf ppf "(%a - %a)" pp_expr a pp_expr b
+  | L.Literal.Mul (a, b) -> Format.fprintf ppf "(%a * %a)" pp_expr a pp_expr b
+  | L.Literal.Div (a, b) -> Format.fprintf ppf "(%a / %a)" pp_expr a pp_expr b
+
+let pp_atom ppf (a : L.Atom.t) =
+  Format.fprintf ppf "%s(%a)" a.L.Atom.pred
+    (Format.pp_print_list ~pp_sep:(pp_sep ", ") pp_term)
+    a.L.Atom.args
+
+let pp_literal ppf = function
+  | L.Literal.Rel a -> pp_atom ppf a
+  | L.Literal.Cmp (op, a, b) ->
+    Format.fprintf ppf "%a %s %a" pp_expr a (L.Literal.cmp_symbol op) pp_expr b
 
 let pp_conj ppf c =
   Format.fprintf ppf "(%a) :- %a"
-    (Format.pp_print_list ~pp_sep:(pp_sep ", ") L.Term.pp)
+    (Format.pp_print_list ~pp_sep:(pp_sep ", ") pp_term)
     c.head
     (Format.pp_print_list ~pp_sep:(pp_sep " & ") (fun ppf x -> x ppf))
-    (List.map (fun a ppf -> L.Atom.pp ppf a) c.atoms
-    @ List.map (fun cmp ppf -> pp_cmp_lit ppf cmp) c.cmps)
+    (List.map (fun a ppf -> pp_atom ppf a) c.atoms
+    @ List.map (fun (op, a, b) ppf -> pp_literal ppf (L.Literal.Cmp (op, a, b))) c.cmps)
 
 let conj_to_string c = Format.asprintf "%a" pp_conj c
 
-(* What [conj_to_string] prints of the renamed conjunct, without building
-   the renamed copy. *)
+(* [conj_to_string] of the renamed conjunct, without building the renamed
+   copy, except that constants are [V.add_to_buffer]'s lossless spelling. *)
 let variant_key c =
   let names = numbering c in
   let b = Buffer.create 64 in

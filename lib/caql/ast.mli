@@ -59,21 +59,35 @@ val apply_subst : Braid_logic.Subst.t -> conj -> conj
 val rename_vars : (string -> string) -> conj -> conj
 
 val variant_key : conj -> string
-(** The conjunct as {!conj_to_string} prints it, with its variables
+(** The conjunct as {!conj_to_string} prints it, but with each constant
+    as {!Braid_relalg.Value.add_to_buffer} prints it (lossless: floats
+    that differ get different keys), and with its variables
     renamed [v0], [v1], ... in the order they are met when the comparisons
     are read first (each one's right operand before its left, and inside
     an arithmetic expression the right operand first), then the atoms'
     arguments left to right, then the head. So [(X, Y) :- b(X, Y) & X < Y]
     has the key [(v1, v0) :- b(v1, v0) & v1 < v0]. Printed straight into
-    one buffer. Two conjuncts have the same key iff they are variants; the
-    cache indexes its elements by it, so exact-match lookup is a hash
-    probe. *)
+    one buffer. Two conjuncts have the same key iff they are variants
+    whose constants print alike ([2] and [2.0] do); the set-oriented tier
+    interns its fetches by it. The cache matches on
+    [Braid_subsume.Form] instead, which compares constants by value. *)
 
 val variant_equal : conj -> conj -> bool
 (** Equality up to variable renaming, with atom order significant
     ([variant_key a = variant_key b]). This is the reuse test of
     exact-match caching systems (BERMUDA [IOAN88], [SELL87]), which BrAID's
     subsumption strictly generalizes. *)
+
+val pp_term : Format.formatter -> Braid_logic.Term.t -> unit
+(** A term as CAQL reads it back: an integral float keeps a fraction
+    ([2.0]), a string is quoted with the quote character it does not
+    contain (['say "hi"']). Only a string holding both quote characters
+    has no CAQL spelling; it prints OCaml-escaped. Answer tuples print
+    with {!Braid_relalg.Value.pp}, not this. *)
+
+val pp_atom : Format.formatter -> Braid_logic.Atom.t -> unit
+val pp_literal : Format.formatter -> Braid_logic.Literal.t -> unit
+(** Atoms and comparisons with their constants printed by {!pp_term}. *)
 
 val pp_conj : Format.formatter -> conj -> unit
 val pp : Format.formatter -> t -> unit

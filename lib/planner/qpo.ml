@@ -10,6 +10,7 @@ module Router = Braid_remote.Shard_router
 module Catalog = Braid_remote.Catalog
 module CModel = Braid_remote.Cost_model
 module Sub = Braid_subsume.Subsumption
+module Form = Braid_subsume.Form
 module Adv = Braid_advice.Advisor
 module To_sql = Braid_caql.To_sql
 module Analyze = Braid_caql.Analyze
@@ -568,17 +569,14 @@ let solve_no_cache t (q : A.conj) =
     s_degraded = degraded;
   }
 
-let element_cover_replacement e (q : A.conj) =
-  Sub.full_cover { Sub.id = e.Elem.id; def = e.Elem.def } q
-
-(* Exact-match lookup by a precomputed {!A.variant_key}: a query's key is
-   computed once and probed with several times. *)
+(* Exact-match lookup by a query's form and constants ({!Form.of_conj}),
+   computed once per query and probed with several times. *)
 let find_key t key = Braid_cache.Cache_model.find_variant (CMgr.model t.cache) key
 
 let solve_exact t ~key (q : A.conj) =
   match find_key t key with
   | Some e ->
-    (match element_cover_replacement e q with
+    (match Sub.full_cover_of ~id:e.Elem.id e.Elem.inst key with
      | Some cover ->
        let model = CMgr.model t.cache in
        Braid_cache.Cache_model.touch model e;
@@ -624,7 +622,7 @@ let solve_single t (q : A.conj) =
         in
         match CMgr.find_exact t.cache def_a with
         | Some e ->
-          (match element_cover_replacement e def_a with
+          (match Sub.full_cover { Sub.id = e.Elem.id; def = e.Elem.def } def_a with
            | Some cover ->
              Braid_cache.Cache_model.touch model e;
              ( repls @ [ ([ i ], cover.Sub.replacement) ],
@@ -710,7 +708,7 @@ let solve_subsume t ~key (q : A.conj) =
   let model = CMgr.model t.cache in
   let chosen =
     Obs.Trace.with_span ~cat:"qpo" "qpo.subsume" (fun () ->
-        let covers = CMgr.relevant_covers t.cache q in
+        let covers = CMgr.relevant_covers t.cache key in
         let chosen = choose_covers covers in
         Obs.Trace.add_arg "candidates" (Obs.Trace.Int (List.length covers));
         Obs.Trace.add_arg "chosen" (Obs.Trace.Int (List.length chosen));
@@ -727,7 +725,7 @@ let solve_subsume t ~key (q : A.conj) =
         Braid_cache.Cache_model.touch model e;
         if
           uncovered_idx = [] && List.length chosen = 1
-          && String.equal e.Elem.key key
+          && Form.same e.Elem.inst key
         then
           Plan.Exact_hit { element = e.Elem.id }
         else Plan.Use_element { element = e.Elem.id; covered_atoms = c.Sub.covered })
@@ -853,7 +851,7 @@ let materialize_def t ~key (def : A.conj) =
             | Some e -> Some (e, solved.s_steps)
             | None -> None))
 
-let generalization_steps t ses spec ~qkey (q : A.conj) =
+let generalization_steps t ses spec ~identified (qkey : Form.inst) =
   if
     not
       (t.config.allow_generalization && t.config.caching = Subsumption
@@ -865,33 +863,33 @@ let generalization_steps t ses spec ~qkey (q : A.conj) =
        by (the definition of) ANY view specification, not only its own;
        e.g. the paper generalizes b1(c1,Y) because d3's definition contains
        the subsuming b1(Z,Y). Prefer the query's own spec, then scan the
-       rest for a strictly more general definition worth materializing. *)
+       rest for a strictly more general definition worth materializing.
+       The spec [identify] chose is already known to cover the query. *)
     let candidates =
-      (match spec with Some s -> [ s ] | None -> [])
-      @ List.filter
+      (match spec with Some s -> [ (s, identified) ] | None -> [])
+      @ List.filter_map
           (fun (s : Braid_advice.Ast.view_spec) ->
             match spec with
-            | Some s0 -> not (String.equal s0.Braid_advice.Ast.id s.Braid_advice.Ast.id)
-            | None -> true)
+            | Some s0 when String.equal s0.Braid_advice.Ast.id s.Braid_advice.Ast.id -> None
+            | Some _ | None -> Some (s, false))
           (Adv.specs ses.advisor)
     in
-    let usable (s : Braid_advice.Ast.view_spec) =
-      let general = Adv.generalized s in
-      let gkey = Adv.spec_key ses.advisor s in
-      (not (String.equal gkey qkey))
+    let usable ((s : Braid_advice.Ast.view_spec), covers_query) =
+      let gkey = Adv.spec_form ses.advisor s in
+      (not (Form.same gkey qkey))
       && Adv.expects_repetition ses.advisor s.Braid_advice.Ast.id
       && find_key t gkey = None
-      && Cost.est_conj (catalog t) general <= prefetch_max_tuples
-      && Sub.generalizes general q
+      && Cost.est_conj (catalog t) (Adv.generalized s) <= prefetch_max_tuples
+      && (covers_query || Sub.subsumes ~def:gkey qkey)
     in
     match List.find_opt usable candidates with
     | None -> []
-    | Some s ->
+    | Some (s, _) ->
       let general = Adv.generalized s in
-      let key = Adv.spec_key ses.advisor s in
+      let key = Adv.spec_form ses.advisor s in
       Log.debug (fun m ->
-          m "generalizing %s to spec %s (%s)" (A.conj_to_string q) s.Braid_advice.Ast.id
-            (A.conj_to_string general));
+          m "generalizing %s to spec %s (%s)" (A.conj_to_string qkey.Form.conj)
+            s.Braid_advice.Ast.id (A.conj_to_string general));
       (match materialize_def t ~key general with
        | Some (e, steps) ->
          associate ses e.Elem.id s.Braid_advice.Ast.id;
@@ -911,7 +909,7 @@ let prefetch_steps t ses current_spec_id =
     List.concat_map
       (fun (spec : Braid_advice.Ast.view_spec) ->
         let id = spec.Braid_advice.Ast.id in
-        let key = Adv.spec_key ses.advisor spec in
+        let key = Adv.spec_form ses.advisor spec in
         if
           Some id <> current_spec_id
           && (not (Hashtbl.mem ses.prefetched id))
@@ -1066,12 +1064,15 @@ let element_holding t exact_hit rel =
 
 let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
   t.stats.queries <- t.stats.queries + 1;
-  let spec =
-    if not t.config.use_advice then None
+  (* The query's form and constants: its exact-match key, and what
+     identification, generalization and cover lookup match on. *)
+  let qkey = Form.of_conj q in
+  let spec, identified =
+    if not t.config.use_advice then (None, false)
     else
       match spec_id with
-      | Some id -> Adv.find_spec ses.advisor id
-      | None -> Adv.identify ses.advisor q
+      | Some id -> (Adv.find_spec ses.advisor id, false)
+      | None -> (Adv.identify ses.advisor qkey, true)
   in
   (match spec with
    | Some s when t.config.use_advice -> Adv.observe ses.advisor s.Braid_advice.Ast.id
@@ -1083,8 +1084,7 @@ let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
   let touched_before = (CMgr.stats t.cache).CMgr.tuples_touched in
   let stale_before = (CMgr.stats t.cache).CMgr.stale_touches in
   (* QPO step 1: possibly evaluate a generalization first. *)
-  let qkey = A.variant_key q in
-  let gen_steps = generalization_steps t ses spec ~qkey q in
+  let gen_steps = generalization_steps t ses spec ~identified qkey in
   (* Steps 2 and 3: rewrite over the cache and fetch what is missing. *)
   let solved = solve t ~key:qkey q in
   classify t solved;
@@ -1147,7 +1147,7 @@ let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
      path-expression pinning can protect it (§5.4). *)
   (match spec with
    | Some s ->
-     (match find_key t (Adv.spec_key ses.advisor s) with
+     (match find_key t (Adv.spec_form ses.advisor s) with
       | Some e -> associate ses e.Elem.id s.Braid_advice.Ast.id
       | None ->
         (match find_key t qkey with

@@ -5,8 +5,10 @@
       IE-query may be replaced by a {e generalization} (its view
       specification with parameters freed) when path tracking predicts
       repetition, so one remote request serves the whole family (§5.3.1).
-    - {b Step 2 — determine relevant cache elements}: subsumption over the
-      cache model's predicate index (§5.3.2); the configured
+    - {b Step 2 — determine relevant cache elements}: subsumption through
+      the cache model's form index (§5.3.2), with the query's form
+      ({!Braid_subsume.Form}) computed once and shared with step 1's
+      identification and generalization; the configured
       {!caching_mode} selects between BrAID's subsumption and the baseline
       disciplines of earlier systems.
     - {b Step 3 — generate and execute the plan}: choose, per remaining

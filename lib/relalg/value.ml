@@ -50,8 +50,12 @@ let hash_int x =
   let h = x * 0x2545F4914F6CDD1D in
   (h lxor (h lsr 29)) land max_int
 
-let hash = function
-  | Int x -> hash_int x
+(* Past 2^53 an int is equal to the float it rounds to, and so must hash
+   like it. *)
+let rec hash = function
+  | Int x ->
+    if x > -0x20000000000000 && x < 0x20000000000000 then hash_int x
+    else hash (Float (float_of_int x))
   | Float x ->
     (* Hash integral floats like the equal integer so that 2 and 2.0,
        which compare equal, also hash equal. *)
@@ -70,9 +74,34 @@ let pp ppf = function
 
 let to_string v = Format.asprintf "%a" pp v
 
+(* The fewest significant digits that read back as [x]; then, where that
+   needed an exponent, the same digits written out in full, since CAQL's
+   lexer reads no exponents. Rounding at the same decimal position gives
+   the same value, so the plain form reads back as [x] too. *)
+let float_digits x =
+  if not (Float.is_finite x) then Printf.sprintf "%g" x
+  else begin
+    let rec shortest p =
+      let s = Printf.sprintf "%.*g" p x in
+      if p >= 17 || Float.equal (float_of_string s) x then s else shortest (p + 1)
+    in
+    let s = shortest 1 in
+    match String.index_opt s 'e' with
+    | None -> s
+    | Some i ->
+      let mantissa = String.sub s 0 i in
+      let exponent = int_of_string (String.sub s (i + 1) (String.length s - i - 1)) in
+      let fraction =
+        match String.index_opt mantissa '.' with
+        | Some j -> String.length mantissa - j - 1
+        | None -> 0
+      in
+      Printf.sprintf "%.*f" (max 0 (fraction - exponent)) x
+  end
+
 let add_to_buffer b = function
   | Int x -> Buffer.add_string b (string_of_int x)
-  | Float x -> Printf.bprintf b "%g" x
+  | Float x -> Buffer.add_string b (float_digits x)
   | Str s -> Printf.bprintf b "%S" s
   | Bool x -> Buffer.add_string b (string_of_bool x)
   | Null -> Buffer.add_string b "null"

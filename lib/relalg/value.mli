@@ -20,13 +20,23 @@ val compare : t -> t -> int
 (** Total order: [Null] < [Bool] < [Int]/[Float] (numerically) < [Str]. *)
 
 val equal : t -> t -> bool
+
 val hash : t -> int
+(** Values {!equal} equates hash alike: [Int 2] and [Float 2.0], and an
+    int past 2^53 and the float it rounds to. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
+val float_digits : float -> string
+(** The shortest decimal that reads back as the float, written without an
+    exponent ([1e-07] is ["0.0000001"]); an integral float has no
+    fraction (["2"]). Infinities and NaN print as {!pp} prints them. *)
+
 val add_to_buffer : Buffer.t -> t -> unit
-(** Appends exactly what {!pp} prints. *)
+(** Appends what {!pp} prints, except that a float is {!float_digits}: a
+    lossless rendering, for keys. [Int 2] and [Float 2.0] print alike, as
+    {!equal} equates them. *)
 
 val pp_ty : Format.formatter -> ty -> unit
 

@@ -1,5 +1,6 @@
 module A = Braid_caql.Ast
 module Sub = Braid_subsume.Subsumption
+module Form = Braid_subsume.Form
 module CMgr = Braid_cache.Cache_manager
 module Elem = Braid_cache.Element
 module Qpo = Braid_planner.Qpo
@@ -23,13 +24,13 @@ let decision_to_string = function
   | Shed_session_cap -> "shed (session cap)"
 
 let cached_only cache (q : A.conj) =
+  let qkey = Form.of_conj q in
+  let all = List.length q.A.atoms in
+  (* the first element with a full cover, and its first full cover *)
   let full =
-    List.find_map
-      (fun ((e : Elem.t), _) ->
-        match Sub.full_cover { Sub.id = e.Elem.id; def = e.Elem.def } q with
-        | Some cover -> Some (e, cover)
-        | None -> None)
-      (CMgr.relevant_covers cache q)
+    List.find_opt
+      (fun (_, (c : Sub.cover)) -> List.length c.Sub.covered = all)
+      (CMgr.relevant_covers cache qkey)
   in
   match full with
   | None -> None
@@ -43,7 +44,7 @@ let cached_only cache (q : A.conj) =
        fresh answer. *)
     let stale = e.Elem.stale || stale_delta > 0 in
     let step =
-      if Sub.exact_match { Sub.id = e.Elem.id; def = e.Elem.def } q then
+      if Form.same e.Elem.inst qkey then
         Plan.Exact_hit { element = e.Elem.id }
       else Plan.Use_element { element = e.Elem.id; covered_atoms = cover.Sub.covered }
     in

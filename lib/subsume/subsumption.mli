@@ -37,19 +37,9 @@ type cover = {
 val covers : element -> Braid_caql.Ast.conj -> cover list
 (** All distinct ways the element derives a sub-conjunction of the query
     (the element's every atom must participate), in the order the search
-    finds them. Empty when the element cannot be used. Step 1 runs first
-    and allocates nothing: unless every element atom meets a query atom of
-    its predicate and arity whose constants agree with the element's
-    constants, the element is rejected before any mapping is built. *)
-
-type probe
-(** A query prepared for testing many elements against it. *)
-
-val probe : Braid_caql.Ast.conj -> probe
-
-val probe_covers : probe -> element -> cover list
-(** [probe_covers (probe q) e = covers e q]; the query's preparation is
-    shared by every element probed with it. *)
+    finds them: element atom [i] tries the query's atoms in turn, a repeat
+    (same covered atoms, same replacement) dropped. Empty when the element
+    cannot be used. Runs through the pair's {!plan}. *)
 
 val full_cover : element -> Braid_caql.Ast.conj -> cover option
 (** A cover whose [covered] is all of the query's atoms, if any. *)
@@ -60,10 +50,63 @@ val rewrite : Braid_caql.Ast.conj -> cover -> Braid_caql.Ast.conj
     variables in the replacement's argument list. *)
 
 val exact_match : element -> Braid_caql.Ast.conj -> bool
-(** Variant equality of definitions (the reuse test of BERMUDA-style
-    result caching). *)
+(** Variant equality of definitions with equal constants ({!Form.same}:
+    the reuse test of BERMUDA-style result caching). *)
 
 val generalizes : Braid_caql.Ast.conj -> Braid_caql.Ast.conj -> bool
 (** [generalizes g q]: treating [g] as a view, are all of [q]'s answers
     derivable from [g] by selection/projection covering all of [q]? Used
     by QPO step 1 to decide query generalization. *)
+
+(** {2 Match plans}
+
+    The search of step 2 depends on the constants only through equality
+    tests, so it runs once per (query form, definition form) pair. A
+    {b match plan} lists, in search order, each assignment of definition
+    atoms to query atoms that survives the checks needing no values (a
+    definition constant faces a query constant, columns that select or
+    merge are stored, needed query variables are exposed), with what is
+    left for the instances: which query parameters must be equal, which
+    query parameter each definition atom constant must equal, where each
+    stored column comes from, and the definition's comparisons, which
+    the query's must still imply. A cache holding elements by (form, atom
+    constants) finds an assignment's elements with one lookup of
+    {!def_key}. *)
+
+type plan
+type assignment
+
+val plan : query:Form.t -> def:Form.t -> plan
+(** Memoised for the pairs whose predicates fit; the table holds at most
+    1,024 pairs and starts over when full. *)
+
+val rank : plan -> int
+(** The position, among the query form's sorted predicates, of the first
+    one the definition mentions: the cache's candidate order. *)
+
+val assignments : plan -> assignment list
+(** In search order; empty when no instance of the definition form can
+    cover any instance of the query form. *)
+
+val holds : assignment -> Form.inst -> bool
+(** The query's parameters that the assignment merges are equal. *)
+
+val def_key : assignment -> Form.inst -> Braid_relalg.Value.t array
+(** The atom constants a definition must have for the assignment to apply
+    to the query: its [Form.atom_params] parameters. *)
+
+val cover : assignment -> Form.inst -> id:string -> Form.inst -> cover option
+(** [cover a q ~id d]: the cover of the query by the definition through
+    [a], given that {!holds} and the definition's atom constants are
+    {!def_key}; [None] when the query's comparisons do not imply the
+    definition's. *)
+
+val same_cover : cover -> cover -> bool
+(** The same covered atoms and the same replacement arguments: the
+    repeat {!covers} drops. *)
+
+val full_cover_of : id:string -> Form.inst -> Form.inst -> cover option
+(** [full_cover_of ~id d q] is {!full_cover} for prepared instances. *)
+
+val subsumes : def:Form.inst -> Form.inst -> bool
+(** {!generalizes} for prepared instances. *)

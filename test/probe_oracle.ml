@@ -3,10 +3,13 @@
    [covers] is subsumption as it ran before step 1's allocation-free
    predicate-match pass: every candidate goes straight to the full
    mapping search, and repeats are dropped by printing the replacement
-   atom. [variant_key] renames through a hashtable in the order OCaml's
-   evaluation of [Ast.rename_vars] meets the variables, then prints with
-   [Ast.conj_to_string]. [may_occur_later] walks the tracker's automaton
-   breadth first on every call. *)
+   arguments with the variant key's lossless constant spelling.
+   [full_cover] and [variant_equal] are built on it and on [canonical].
+   [variant_key] renames through a hashtable in the order OCaml's
+   evaluation of [Ast.rename_vars] meets the variables, then prints in
+   [Ast.conj_to_string]'s layout with the key's constant spelling.
+   [may_occur_later] walks the tracker's automaton breadth first on every
+   call. *)
 
 module L = Braid_logic
 module A = Braid_caql.Ast
@@ -166,6 +169,19 @@ let build_cover element (q : A.conj) theta used =
     Some { Sub.element_id = element.Sub.id; replacement = L.Atom.make element.Sub.id args; covered }
   else None
 
+(* Replacement arguments spelled as keys spell constants: [Int 2] and
+   [Float 2.0] alike, floats that differ apart. *)
+let key_of_args args =
+  let b = Buffer.create 32 in
+  List.iter
+    (function
+      | L.Term.Var x -> Buffer.add_string b ("?" ^ x ^ ",")
+      | L.Term.Const v ->
+        V.add_to_buffer b v;
+        Buffer.add_char b ',')
+    args;
+  Buffer.contents b
+
 let covers (element : Sub.element) (q : A.conj) =
   let e_atoms = Array.of_list element.Sub.def.A.atoms in
   let q_atoms = Array.of_list q.A.atoms in
@@ -178,9 +194,7 @@ let covers (element : Sub.element) (q : A.conj) =
       if i = ne then begin
         match (try build_cover element q theta used with Exit -> None) with
         | Some cover ->
-          let key =
-            (cover.Sub.covered, L.Atom.to_string cover.Sub.replacement)
-          in
+          let key = (cover.Sub.covered, key_of_args cover.Sub.replacement.L.Atom.args) in
           if not (Hashtbl.mem seen key) then begin
             Hashtbl.add seen key ();
             results := cover :: !results
@@ -213,7 +227,32 @@ let canonical c =
   in
   A.rename_vars f c
 
-let variant_key c = A.conj_to_string (canonical c)
+(* [Ast.conj_to_string]'s layout, with constants spelled as
+   [Value.add_to_buffer] spells them for keys. *)
+let variant_key c =
+  let c = canonical c in
+  let term = function
+    | L.Term.Var x -> x
+    | L.Term.Const v ->
+      let b = Buffer.create 16 in
+      V.add_to_buffer b v;
+      Buffer.contents b
+  in
+  let rec expr = function
+    | L.Literal.Term t -> term t
+    | L.Literal.Add (a, b) -> bin a "+" b
+    | L.Literal.Sub (a, b) -> bin a "-" b
+    | L.Literal.Mul (a, b) -> bin a "*" b
+    | L.Literal.Div (a, b) -> bin a "/" b
+  and bin a op b = Printf.sprintf "(%s %s %s)" (expr a) op (expr b) in
+  let terms ts = String.concat ", " (List.map term ts) in
+  Printf.sprintf "(%s) :- %s" (terms c.A.head)
+    (String.concat " & "
+       (List.map (fun (a : L.Atom.t) -> Printf.sprintf "%s(%s)" a.L.Atom.pred (terms a.L.Atom.args))
+          c.A.atoms
+       @ List.map
+           (fun (op, a, b) -> Printf.sprintf "%s %s %s" (expr a) (L.Literal.cmp_symbol op) (expr b))
+           c.A.cmps))
 
 let may_occur_later nfa tr id =
   let visited = Hashtbl.create 64 in
@@ -229,3 +268,29 @@ let may_occur_later nfa tr id =
       end
   in
   go (Tracker.states tr)
+
+let full_cover element q =
+  let all = List.init (List.length q.A.atoms) Fun.id in
+  List.find_opt (fun (c : Sub.cover) -> c.Sub.covered = all) (covers element q)
+
+(* Variants with [Value.equal] constants, compared on the canonical
+   renamings. *)
+let variant_equal a b =
+  let a = canonical a and b = canonical b in
+  let terms = List.equal L.Term.equal in
+  let rec expr x y =
+    match x, y with
+    | L.Literal.Term s, L.Literal.Term t -> L.Term.equal s t
+    | L.Literal.Add (a, b), L.Literal.Add (c, d)
+    | L.Literal.Sub (a, b), L.Literal.Sub (c, d)
+    | L.Literal.Mul (a, b), L.Literal.Mul (c, d)
+    | L.Literal.Div (a, b), L.Literal.Div (c, d) ->
+      expr a c && expr b d
+    | _, _ -> false
+  in
+  terms a.A.head b.A.head
+  && List.equal
+       (fun (x : L.Atom.t) (y : L.Atom.t) ->
+         String.equal x.L.Atom.pred y.L.Atom.pred && terms x.L.Atom.args y.L.Atom.args)
+       a.A.atoms b.A.atoms
+  && List.equal (fun (o, x, y) (o', x', y') -> o = o' && expr x x' && expr y y') a.A.cmps b.A.cmps

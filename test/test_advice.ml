@@ -187,12 +187,13 @@ let test_advisor_identify () =
   let q =
     A.conj [ v "X" ] [ atom "b2" [ v "X"; v "Z" ]; atom "b3" [ v "Z"; s "c2"; s "y5" ] ]
   in
-  (match Advisor.identify adv q with
+  (match Advisor.identify adv (Braid_subsume.Form.of_conj q) with
    | Some sp -> Alcotest.(check string) "spec d2" "d2" sp.Adv.id
    | None -> Alcotest.fail "expected identification");
   (* something unrelated *)
   check_bool "no match" true
-    (Advisor.identify adv (A.conj [ v "A" ] [ atom "zz" [ v "A" ] ]) = None)
+    (Advisor.identify adv (Braid_subsume.Form.of_conj (A.conj [ v "A" ] [ atom "zz" [ v "A" ] ]))
+     = None)
 
 let test_advisor_predictions () =
   let adv = Advisor.create advice_ex1 in
@@ -213,9 +214,11 @@ let test_advisor_recommendations () =
   (* d1 is producer-only and cannot recur: not worth caching *)
   check_bool "d1 not worth caching" false (Advisor.should_cache_result adv d1);
   check_bool "d2 worth caching" true (Advisor.should_cache_result adv d2);
-  Alcotest.(check string) "spec key is the variant key of the generalization"
-    (A.variant_key (Advisor.generalized d2)) (Advisor.spec_key adv d2);
-  check_bool "spec key memoized" true (Advisor.spec_key adv d2 == Advisor.spec_key adv d2)
+  check_bool "spec form is the form of the generalization" true
+    (Braid_subsume.Form.same
+       (Braid_subsume.Form.of_conj (Advisor.generalized d2))
+       (Advisor.spec_form adv d2));
+  check_bool "spec form memoized" true (Advisor.spec_form adv d2 == Advisor.spec_form adv d2)
 
 let test_no_advice_defaults () =
   let adv = Advisor.no_advice () in
@@ -319,7 +322,19 @@ let test_pp_parse_roundtrip () =
       Adv.specs = List.map (fun sp -> { sp with Adv.rule_ids = [ "R1"; "R2" ] }) advice.Adv.specs }
   in
   let printed = Format.asprintf "%a" Adv.pp with_ids in
-  check_bool "rule ids in a comment" true (AP.parse printed = advice)
+  check_bool "rule ids in a comment" true (AP.parse printed = advice);
+  (* constants that [Value.pp] would print differently from how they read *)
+  let f x = T.Const (V.Float x) in
+  let spec =
+    Adv.spec ~id:"d" ~bindings:[ Adv.Producer; Adv.Consumer ]
+      (A.conj
+         ~cmps:[ (Braid_relalg.Row_pred.Gt, L.Literal.Term (v "X"), L.Literal.Term (f 2.0)) ]
+         [ v "X"; v "Y" ]
+         [ atom "b" [ v "X"; f 2.0; s "say \"hi\""; s "it's"; f 1.0000001; f 1e-7; v "Y" ] ])
+  in
+  let consts = { Adv.specs = [ spec ]; path = None } in
+  let printed = Format.asprintf "%a" Adv.pp consts in
+  check_bool printed true (AP.parse printed = consts)
 
 let parser_cases =
   [

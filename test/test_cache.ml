@@ -205,7 +205,10 @@ let test_relevant_covers () =
     (CMgr.insert c
        ~def:(A.conj [ v "X" ] [ atom "zz" [ v "X" ] ])
        (Elem.Extension (R.Relation.create (R.Schema.make [ ("x", V.Tint) ]))));
-  let covers = CMgr.relevant_covers c (A.conj [ v "Y" ] [ atom "b" [ T.Const (V.Int 1); v "Y" ] ]) in
+  let covers =
+    CMgr.relevant_covers c
+      (Braid_subsume.Form.of_conj (A.conj [ v "Y" ] [ atom "b" [ T.Const (V.Int 1); v "Y" ] ]))
+  in
   check_int "one relevant element" 1 (List.length covers)
 
 let test_query_processor_eval () =
@@ -273,7 +276,7 @@ let test_model_find_variant_oldest () =
   in
   add "e1" (def "b");
   add "e2" (A.conj [ v "P"; v "Q" ] [ atom "b" [ v "P"; v "Q" ] ]);
-  let key = A.variant_key (A.conj [ v "A"; v "B" ] [ atom "b" [ v "A"; v "B" ] ]) in
+  let key = Braid_subsume.Form.of_conj (A.conj [ v "A"; v "B" ] [ atom "b" [ v "A"; v "B" ] ]) in
   let found () = Option.map (fun (e : Elem.t) -> e.Elem.id) (CModel.find_variant m key) in
   Alcotest.(check (option string)) "oldest variant" (Some "e1") (found ());
   CModel.remove m "e1";

@@ -538,10 +538,36 @@ let test_lazy_cmp_prunes_early () =
   let stream = E.lazy_conj ~source:counting ~schema_of c in
   check_int "no solutions" 0 (List.length (TS.to_list stream))
 
+(* [conj_to_string] prints what the parser reads back, constants
+   included: an integral float stays a float, a string holding one quote
+   character is quoted with the other, and a float keeps every digit it
+   needs, without an exponent. *)
+let test_conj_to_string_reads_back () =
+  let f x = T.Const (V.Float x) in
+  let cmp op x y = (op, L.Literal.Term x, L.Literal.Term y) in
+  let c =
+    A.conj
+      ~cmps:
+        [
+          cmp Braid_relalg.Row_pred.Gt (v "X") (f 2.0);
+          cmp Braid_relalg.Row_pred.Le (v "Y") (f 1.0000001);
+        ]
+      [ v "X"; v "Y" ]
+      [
+        atom "b" [ v "X"; f 2.0; s "say \"hi\""; s "it's" ];
+        atom "c" [ v "Y"; f 1e-7; f 1e21; f (-2.5); i 2; f 1.0000002 ];
+      ]
+  in
+  let printed = A.conj_to_string c in
+  match P.parse_clause ("q" ^ printed ^ ".") with
+  | _, A.Conj c' -> check_bool printed true (c' = c)
+  | _ -> Alcotest.failf "not a conjunct: %s" printed
+
 let lazy_cmp_cases =
   [
     Alcotest.test_case "lazy with comparisons" `Quick test_lazy_cmp_filtering;
     Alcotest.test_case "lazy prunes on ground false" `Quick test_lazy_cmp_prunes_early;
+    Alcotest.test_case "conj_to_string reads back" `Quick test_conj_to_string_reads_back;
   ]
 
 let suites = match suites with

@@ -739,6 +739,39 @@ let test_set_oriented_all_free_and_base_queries () =
   let b = norm_rel (Braid_stream.Tuple_stream.to_relation b) in
   check_bool "base query answered by one fetch" true (List.length b >= 1)
 
+(* Two fetches whose constants differ past the sixth digit are two
+   fetches: a key that printed floats with [%g] made them one, and the
+   set-oriented tier then answered [q] with [p]'s rows. *)
+let test_float_constants_keep_fetches_apart () =
+  let kb = L.Kb.create () in
+  L.Kb.declare_base kb "b" ~arity:2;
+  let f x = T.Const (V.Float x) in
+  let rule id head body = L.Kb.add_rule kb (L.Rule.make ~id head (List.map L.Literal.rel body)) in
+  rule "P" (atom "p" [ v "X" ]) [ atom "b" [ v "X"; f 1.0000001 ] ];
+  rule "Q" (atom "q" [ v "X" ]) [ atom "b" [ v "X"; f 1.0000002 ] ];
+  rule "R1" (atom "r" [ v "X" ]) [ atom "p" [ v "X" ] ];
+  rule "R2" (atom "r" [ v "X" ]) [ atom "q" [ v "X" ] ];
+  rule "S" (atom "s" [ v "X"; v "Y" ])
+    [ atom "b" [ v "X"; f 1.0000001 ]; atom "b" [ v "Y"; f 1.0000002 ] ];
+  let data () =
+    [
+      R.Relation.of_tuples ~name:"b"
+        (R.Schema.make [ ("x", V.Tstr); ("y", V.Tfloat) ])
+        [ [| V.Str "one"; V.Float 1.0000001 |]; [| V.Str "two"; V.Float 1.0000002 |] ];
+    ]
+  in
+  List.iter
+    (fun strategy ->
+      let sys = Braid.System.build ~strategy ~kb ~data:(data ()) () in
+      let answer g = norm_rel (Braid.System.solve_all sys g) in
+      Alcotest.(check (list (list string)))
+        "r(X)" [ [ "\"one\"" ]; [ "\"two\"" ] ]
+        (List.map (List.map V.to_string) (answer (atom "r" [ v "X" ])));
+      Alcotest.(check (list (list string)))
+        "s(X, Y)" [ [ "\"one\""; "\"two\"" ] ]
+        (List.map (List.map V.to_string) (answer (atom "s" [ v "X"; v "Y" ]))))
+    [ Strategy.Interpretive; Strategy.Set_oriented ]
+
 let extra_cases =
   [
     Alcotest.test_case "semi-naive = naive (ancestor)" `Quick test_semi_naive_equals_naive;
@@ -1292,6 +1325,8 @@ let template_cases =
     Alcotest.test_case "set-oriented program reused per form" `Quick test_set_program_reuse;
     Alcotest.test_case "magic right-linear rewrite" `Quick test_magic_right_linear;
     Alcotest.test_case "magic right-linear fallbacks" `Quick test_magic_right_linear_fallbacks;
+    Alcotest.test_case "float constants keep fetches apart" `Quick
+      test_float_constants_keep_fetches_apart;
   ]
 
 let suites = match suites with

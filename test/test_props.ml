@@ -589,11 +589,15 @@ let prop_instance_always_covered =
 
 (* --- the cache probe against its reference implementations --- *)
 
+(* 2 and 2.0 are equal values; the two floats near 1 print alike with
+   [%g] but are not equal. *)
 let gen_probe_value : V.t QCheck.Gen.t =
   QCheck.Gen.oneof
     [
       (QCheck.Gen.int_range 0 2 >|= fun n -> V.Int n);
-      QCheck.Gen.oneofl [ V.Str "a"; V.Str "b"; V.Float 0.5; V.Float 2.5 ];
+      QCheck.Gen.oneofl
+        [ V.Str "a"; V.Str "b"; V.Float 0.5; V.Float 2.5; V.Float 2.0; V.Float 1.0000001;
+          V.Float 1.0000002 ];
     ]
 
 let gen_probe_term vars : T.t QCheck.Gen.t =
@@ -606,7 +610,14 @@ let gen_probe_atom vars : L.Atom.t QCheck.Gen.t =
 
 let gen_probe_cmp vars : A.comparison QCheck.Gen.t =
   let var = QCheck.Gen.oneofl vars >|= fun x -> L.Literal.Term (T.Var x) in
-  let const = QCheck.Gen.int_range 0 2 >|= fun n -> L.Literal.Term (T.Const (V.Int n)) in
+  let const =
+    QCheck.Gen.oneof
+      [
+        (QCheck.Gen.int_range 0 2 >|= fun n -> V.Int n);
+        QCheck.Gen.oneofl [ V.Float 2.0; V.Float 1.0000001; V.Float 1.0000002 ];
+      ]
+    >|= fun v -> L.Literal.Term (T.Const v)
+  in
   QCheck.Gen.triple gen_cmp_op var (QCheck.Gen.oneof [ var; const ])
 
 (* A conjunct over [vars]: 1-3 atoms, a head of 0-3 of its atoms' terms
@@ -624,10 +635,9 @@ let gen_probe_conj vars : A.conj QCheck.Gen.t =
    to constants or to the query's own variables U and V, which can merge
    two of them) and add atoms of their own, so covers are common; the
    rest are unrelated conjuncts. *)
-let gen_probe_pair : (A.conj * A.conj) QCheck.Gen.t =
-  gen_probe_conj [ "X"; "Y"; "Z" ] >>= fun def ->
+let gen_probe_query def =
   QCheck.Gen.bool >>= fun related ->
-  if not related then gen_probe_conj [ "U"; "V"; "W"; "X" ] >|= fun q -> (def, q)
+  if not related then gen_probe_conj [ "U"; "V"; "W"; "X" ]
   else
     QCheck.Gen.list_repeat 3
       (QCheck.Gen.frequency [ (1, QCheck.Gen.return None); (2, gen_probe_term [ "U"; "V" ] >|= Option.some) ])
@@ -640,7 +650,11 @@ let gen_probe_pair : (A.conj * A.conj) QCheck.Gen.t =
         L.Subst.empty [ "X"; "Y"; "Z" ] images
     in
     let inst = A.apply_subst subst def in
-    (def, { inst with A.atoms = extra @ inst.A.atoms })
+    { inst with A.atoms = extra @ inst.A.atoms }
+
+let gen_probe_pair : (A.conj * A.conj) QCheck.Gen.t =
+  gen_probe_conj [ "X"; "Y"; "Z" ] >>= fun def ->
+  gen_probe_query def >|= fun q -> (def, q)
 
 let print_probe_pair (def, q) = A.conj_to_string def ^ "  vs  " ^ A.conj_to_string q
 
@@ -650,7 +664,13 @@ let prop_covers_equal_reference =
     (fun (def, q) ->
       let e = { Sub.id = "e"; def } in
       let expected = Probe_oracle.covers e q in
-      Sub.covers e q = expected && Sub.probe_covers (Sub.probe q) e = expected)
+      (* the indexed path, over a cache holding the element *)
+      let m = Braid_cache.Cache_model.create ~capacity_bytes:max_int in
+      Braid_cache.Cache_model.add m
+        (Braid_cache.Element.make ~id:"e" ~def ~now:0
+           (Braid_cache.Element.Extension (R.Relation.create schema2)));
+      Sub.covers e q = expected
+      && List.map snd (Braid_cache.Cache_model.covers m (Braid_subsume.Form.of_conj q)) = expected)
 
 (* Comparisons with nested arithmetic and every kind of constant, strings
    that need escaping included. *)
@@ -812,6 +832,218 @@ let prop_candidates_keep_insertion_order =
           List.map (fun (e : Elem.t) -> e.Elem.id) (CModel.candidates_for_pred m p)
           = List.filter_map (fun (id, ps) -> if List.mem p ps then Some id else None) !live)
         preds)
+
+(* Hash indexes, the cache's form index among them, find a value by its
+   hash, so values [Value.equal] equates must hash alike: 2 and 2.0, and
+   ints past 2^53 and the floats they round to. *)
+let prop_equal_values_hash_alike =
+  let gen =
+    let open QCheck.Gen in
+    let big = 1 lsl 53 in
+    oneof
+      [
+        (int_range (-3) 3 >|= fun k -> V.Int (big + k));
+        (int_range (-3) 3 >|= fun k -> V.Int (-big + k));
+        (int_range (-3) 3 >|= fun k -> V.Float (float_of_int (big + k)));
+        (int_range (-2) 2 >|= fun k -> V.Int k);
+        (int_range (-2) 2 >|= fun k -> V.Float (float_of_int k));
+        oneofl [ V.Float 0.5; V.Float 1e18; V.Int 1_000_000_000_000_000_000; V.Float (-0.0) ];
+      ]
+  in
+  QCheck.Test.make ~count:1000 ~name:"equal values hash alike"
+    (arb_of (QCheck.Gen.pair gen gen) (fun (a, b) -> V.to_string a ^ " " ^ V.to_string b))
+    (fun (a, b) -> (not (V.equal a b)) || V.hash a = V.hash b)
+
+(* --- the form index against the reference, over a live cache --- *)
+
+module Form = Braid_subsume.Form
+
+(* The conjunct with its constants replaced by [values], in the order
+   [Ast.constants] lists them: another query of the same form. *)
+let reconst (c : A.conj) values =
+  let rest = ref values in
+  let next = function
+    | T.Const _ as t ->
+      (match !rest with
+       | v :: vs ->
+         rest := vs;
+         T.Const v
+       | [] -> t)
+    | T.Var _ as t -> t
+  in
+  let rec expr = function
+    | L.Literal.Term t -> L.Literal.Term (next t)
+    | L.Literal.Add (a, b) -> bin (fun a b -> L.Literal.Add (a, b)) a b
+    | L.Literal.Sub (a, b) -> bin (fun a b -> L.Literal.Sub (a, b)) a b
+    | L.Literal.Mul (a, b) -> bin (fun a b -> L.Literal.Mul (a, b)) a b
+    | L.Literal.Div (a, b) -> bin (fun a b -> L.Literal.Div (a, b)) a b
+  and bin mk a b =
+    let a = expr a in
+    mk a (expr b)
+  in
+  let head = List.map next c.A.head in
+  let atoms =
+    List.map (fun (a : L.Atom.t) -> { a with L.Atom.args = List.map next a.L.Atom.args }) c.A.atoms
+  in
+  let cmps =
+    List.map
+      (fun (op, a, b) ->
+        let a = expr a in
+        (op, a, expr b))
+      c.A.cmps
+  in
+  { A.head; atoms; cmps }
+
+type live_op =
+  | Admit of int * V.t list  (** a definition template, its constants *)
+  | Probe of int * V.t list  (** a query template, its constants *)
+  | Drop of string  (** invalidate a predicate *)
+
+let live_op_to_string = function
+  | Admit (i, vs) -> Printf.sprintf "admit d%d[%s]" i (String.concat "," (List.map V.to_string vs))
+  | Probe (i, vs) -> Printf.sprintf "probe q%d[%s]" i (String.concat "," (List.map V.to_string vs))
+  | Drop p -> "drop " ^ p
+
+(* A few definition templates (some over a whole predicate) and a few
+   query templates (instances of the definitions with atoms of their own,
+   unrelated conjuncts, and the definitions themselves), then a run of admissions, invalidations and
+   probes, each with fresh constants: many queries of one form, repeated
+   parameters, 2 beside 2.0, floats equal to six digits. *)
+let gen_live =
+  let open QCheck.Gen in
+  let plain pred vars =
+    let args = List.map (fun x -> T.Var x) vars in
+    A.conj args [ L.Atom.make pred args ]
+  in
+  (* whole-predicate definitions cover any atom of theirs, so elements of
+     several predicates answer one query *)
+  list_size (int_range 0 2)
+    (oneofl [ plain "p" [ "X"; "Y" ]; plain "q" [ "X"; "Y" ]; plain "r" [ "X"; "Y"; "Z" ] ])
+  >>= fun plains ->
+  list_size (int_range 1 3) (gen_probe_conj [ "X"; "Y"; "Z" ]) >|= List.append plains
+  >>= fun defs ->
+  list_size (int_range 1 3) (oneofl defs >>= gen_probe_query) >>= fun queries ->
+  let templates = Array.of_list (queries @ defs) and defs_a = Array.of_list defs in
+  let values c = list_repeat (List.length (A.constants c)) gen_probe_value in
+  let op =
+    frequency
+      [
+        ( 3,
+          int_bound (Array.length defs_a - 1) >>= fun i ->
+          values defs_a.(i) >|= fun vs -> Admit (i, vs) );
+        ( 4,
+          int_bound (Array.length templates - 1) >>= fun i ->
+          values templates.(i) >|= fun vs -> Probe (i, vs) );
+        (1, oneofl [ "p"; "q"; "r" ] >|= fun p -> Drop p);
+      ]
+  in
+  list_size (int_range 5 40) op >|= fun ops -> (defs_a, templates, ops)
+
+let print_live (defs, templates, ops) =
+  let conjs tag a =
+    String.concat "\n"
+      (Array.to_list
+         (Array.mapi (fun i c -> Printf.sprintf "%s%d: %s" tag i (A.conj_to_string c)) a))
+  in
+  conjs "d" defs ^ "\n" ^ conjs "q" templates ^ "\n"
+  ^ String.concat "; " (List.map live_op_to_string ops)
+
+(* Runs the ops over a cache with room for four elements, so admissions
+   evict; [check] judges every probe. *)
+let run_live (defs, templates, ops) check =
+  let empty () = Elem.Extension (R.Relation.create schema2) in
+  let one = Elem.bytes_estimate (Elem.make ~id:"e0" ~def:defs.(0) ~now:0 (empty ())) in
+  let cmgr = CMgr.create ~capacity_bytes:(4 * one) () in
+  List.for_all
+    (function
+      | Admit (i, vs) ->
+        ignore (CMgr.insert cmgr ~def:(reconst defs.(i) vs) (empty ()));
+        true
+      | Drop p ->
+        ignore (CMgr.invalidate_pred cmgr p);
+        true
+      | Probe (i, vs) -> check cmgr (reconst templates.(i) vs))
+    ops
+
+let prop_indexed_covers_equal_reference =
+  QCheck.Test.make ~count:500 ~name:"indexed covers = reference over a live cache, same order"
+    (arb_of gen_live print_live)
+    (fun live ->
+      run_live live (fun cmgr q ->
+          let m = CMgr.model cmgr in
+          let seen = Hashtbl.create 8 in
+          let candidates =
+            List.concat_map (CModel.candidates_for_pred m)
+              (List.sort_uniq String.compare
+                 (List.map (fun (a : L.Atom.t) -> a.L.Atom.pred) q.A.atoms))
+            |> List.filter (fun (e : Elem.t) ->
+                   (not (Hashtbl.mem seen e.Elem.id)) && (Hashtbl.add seen e.Elem.id (); true))
+          in
+          let expected =
+            List.concat_map
+              (fun (e : Elem.t) ->
+                List.map
+                  (fun c -> (e.Elem.id, c))
+                  (Probe_oracle.covers { Sub.id = e.Elem.id; def = e.Elem.def } q))
+              candidates
+          in
+          List.map
+            (fun ((e : Elem.t), c) -> (e.Elem.id, c))
+            (CMgr.relevant_covers cmgr (Form.of_conj q))
+          = expected))
+
+let prop_exact_hits_equal_reference =
+  QCheck.Test.make ~count:500 ~name:"exact hits = oldest variant over a live cache"
+    (arb_of gen_live print_live)
+    (fun live ->
+      run_live live (fun cmgr q ->
+          let id = Option.map (fun (e : Elem.t) -> e.Elem.id) in
+          id (CModel.find_variant (CMgr.model cmgr) (Form.of_conj q))
+          = id
+              (List.find_opt
+                 (fun (e : Elem.t) -> Probe_oracle.variant_equal e.Elem.def q)
+                 (CModel.elements (CMgr.model cmgr)))))
+
+(* The definition templates as advice specs, each admission replacing one
+   spec's constants; every probe must identify the first spec, in advice
+   order, that fully covers it. *)
+let prop_identify_equals_reference =
+  QCheck.Test.make ~count:500 ~name:"identify = first fully covering spec in advice order"
+    (arb_of gen_live print_live)
+    (fun (defs, templates, ops) ->
+      let specs = Array.copy defs in
+      let advisor () =
+        Advisor.create
+          {
+            Adv.specs =
+              Array.to_list
+                (Array.mapi
+                   (fun i def ->
+                     Adv.spec ~id:(Printf.sprintf "d%d" i)
+                       ~bindings:(List.map (fun _ -> Adv.Producer) def.A.head)
+                       def)
+                   specs);
+            path = None;
+          }
+      in
+      let adv = ref (advisor ()) in
+      List.for_all
+        (function
+          | Admit (i, vs) ->
+            specs.(i) <- reconst defs.(i) vs;
+            adv := advisor ();
+            true
+          | Drop _ -> true
+          | Probe (i, vs) ->
+            let q = reconst templates.(i) vs in
+            let id = Option.map (fun (s : Adv.view_spec) -> s.Adv.id) in
+            id (Advisor.identify !adv (Form.of_conj q))
+            = id
+                (List.find_opt
+                   (fun (s : Adv.view_spec) ->
+                     Probe_oracle.full_cover { Sub.id = s.Adv.id; def = s.Adv.def } q <> None)
+                   (Advisor.specs !adv)))
+        ops)
 
 type pin_op =
   | Advise of int * Adv.path  (* new advice on a session *)
@@ -1628,6 +1860,10 @@ let suites : unit Alcotest.test list =
           prop_datalog_algorithms_agree;
           prop_datalog_shapes_agree;
           prop_magic_sound;
+          prop_indexed_covers_equal_reference;
+          prop_exact_hits_equal_reference;
+          prop_identify_equals_reference;
+          prop_equal_values_hash_alike;
         ]
       @ [ Alcotest.test_case "index cursor allocates nothing" `Quick test_cursor_allocates_nothing ]
     );
