@@ -4,6 +4,7 @@ module A = Braid_caql.Ast
 module Sub = Braid_subsume.Subsumption
 module Obs = Braid_obs
 module CM = Cache_manager
+module JP = Braid_caql.Join_plan
 
 type write =
   | Insert of string * R.Tuple.t
@@ -20,86 +21,86 @@ type report = {
 let empty_report =
   { maintained = 0; fallbacks = 0; dropped = 0; rows_added = 0; rows_removed = 0 }
 
-(* The identity query over a base predicate: head = all columns, one atom,
-   no comparisons. An element fully covering it derives the predicate's
-   complete current content — the "already-cached other side" a join delta
-   semi-joins against. *)
-let identity_query pred schema =
-  let vars =
-    List.init (R.Schema.arity schema) (fun i -> L.Term.Var (Printf.sprintf "D%d" i))
-  in
-  A.conj vars [ L.Atom.make pred vars ]
+let dvar i = L.Term.Var (Printf.sprintf "D%d" i)
 
-(* The full current content of [pred], derived from a Fresh materialized
-   cache element that fully covers the identity query — or [None] when no
-   such element exists (the join delta then cannot be computed locally). *)
-let full_content_of cmgr ~schema_of pred =
-  match schema_of pred with
-  | None -> None
-  | Some schema ->
-    let q = identity_query pred schema in
-    let qkey = Braid_subsume.Form.of_conj q in
-    List.find_map
-      (fun (el : Element.t) ->
-        if el.Element.stale || not (Element.is_materialized el) then None
-        else
-          match Sub.full_cover_of ~id:el.Element.id el.Element.inst qkey with
-          | None -> None
-          | Some cover ->
-            let rewritten = Sub.rewrite q cover in
-            let source (a : L.Atom.t) =
-              if String.equal a.L.Atom.pred el.Element.id then Element.extension el
-              else R.Relation.create (R.Schema.make [])
-            in
-            let schema_of' n =
-              if String.equal n el.Element.id then Some (Element.schema el)
-              else schema_of n
-            in
-            (try Some (Braid_caql.Eval.conj ~source ~schema_of:schema_of' rewritten)
-             with Braid_caql.Eval.Unsafe _ -> None))
-      (Cache_model.candidates_for_pred (CM.model cmgr) pred)
+(* An element fully covering the identity query over [pred] (head = all
+   columns, one atom, no comparisons) holds the predicate's complete
+   current content: the "already-cached other side" a join delta
+   semi-joins against. The first Fresh materialized one, with its
+   replacement atom over the identity's variables, or [None] when there is
+   none (the join delta then cannot be computed locally). *)
+let cover_of cmgr ~schema_of pred =
+  Option.bind (schema_of pred) (fun schema ->
+      let vars = List.init (R.Schema.arity schema) dvar in
+      let identity = Braid_subsume.Form.of_conj (A.conj vars [ L.Atom.make pred vars ]) in
+      List.find_map
+        (fun (el : Element.t) ->
+          if el.Element.stale || not (Element.is_materialized el) then None
+          else
+            Option.map
+              (fun (c : Sub.cover) -> (el, c.Sub.replacement))
+              (Sub.full_cover_of ~id:el.Element.id el.Element.inst identity))
+        (Cache_model.candidates_for_pred (CM.model cmgr) pred))
+
+(* [a] read from its cover's rows in place: the replacement atom with
+   [a]'s terms for the identity's variables. *)
+let read_in_place (replacement : L.Atom.t) (a : L.Atom.t) =
+  let sigma = List.mapi (fun i t -> (dvar i, t)) a.L.Atom.args in
+  L.Atom.make replacement.L.Atom.pred
+    (List.map (fun t -> Option.value (List.assoc_opt t sigma) ~default:t) replacement.L.Atom.args)
 
 let occurrences pred (def : A.conj) =
   List.length
     (List.filter (fun (a : L.Atom.t) -> String.equal a.L.Atom.pred pred) def.A.atoms)
 
 (* The delta an element's definition derives from a single-tuple write to
-   [pred]: evaluate the definition with the written atom bound to the
-   singleton and every other atom bound to its full cached content.
-   [None] = not computable (other side not cached Fresh, arity mismatch,
-   unsafe definition) — the caller falls back. *)
+   [pred]: the definition's plan led by the written atom, which reads the
+   singleton, with every other atom read in place from its cover. Every
+   cover is found before anything is evaluated. [None] = not computable
+   (other side not cached Fresh, arity mismatch, unsafe definition) — the
+   caller falls back. *)
 let delta_rows cmgr ~schema_of (e : Element.t) ~pred ~tup =
   match schema_of pred with
-  | None -> None
-  | Some base_schema ->
-    if R.Schema.arity base_schema <> R.Tuple.arity tup then None
-    else begin
-      let singleton = R.Relation.of_tuples ~name:pred base_schema [ tup ] in
-      let others =
-        List.filter
-          (fun (a : L.Atom.t) -> not (String.equal a.L.Atom.pred pred))
-          e.Element.def.A.atoms
-      in
-      let rec gather acc = function
-        | [] -> Some acc
-        | (a : L.Atom.t) :: rest ->
-          if List.mem_assoc a.L.Atom.pred acc then gather acc rest
-          else (
-            match full_content_of cmgr ~schema_of a.L.Atom.pred with
-            | None -> None
-            | Some r -> gather ((a.L.Atom.pred, r) :: acc) rest)
-      in
-      match gather [] others with
-      | None -> None
-      | Some contents ->
-        let source (a : L.Atom.t) =
-          if String.equal a.L.Atom.pred pred then singleton
-          else List.assoc a.L.Atom.pred contents
+  | Some base_schema when R.Schema.arity base_schema = R.Tuple.arity tup ->
+    let def = e.Element.def in
+    (* input 0 is the written tuple, input k the k-th cover's element *)
+    let rec gather acc = function
+      | [] -> Some (List.rev acc)
+      | (a : L.Atom.t) :: rest ->
+        if String.equal a.L.Atom.pred pred || List.mem_assoc a.L.Atom.pred acc then gather acc rest
+        else
+          Option.bind (cover_of cmgr ~schema_of a.L.Atom.pred) (fun (el, replacement) ->
+              gather ((a.L.Atom.pred, (List.length acc + 1, el, replacement)) :: acc) rest)
+    in
+    Option.bind (gather [] def.A.atoms) (fun covers ->
+        let input (a : L.Atom.t) =
+          match List.assoc_opt a.L.Atom.pred covers with
+          | Some (k, _, replacement) -> (k, read_in_place replacement a)
+          | None -> (0, a)
         in
-        (try
-           Some (R.Relation.to_list (Braid_caql.Eval.conj ~source ~schema_of e.Element.def))
-         with Braid_caql.Eval.Unsafe _ -> None)
-    end
+        let lead =
+          List.find_index (fun (a : L.Atom.t) -> String.equal a.L.Atom.pred pred) def.A.atoms
+        in
+        let jp = JP.compiler () in
+        match
+          JP.compile jp ?lead ~target:0 ~head:def.A.head ~atoms:(List.map input def.A.atoms)
+            ~cmps:def.A.cmps ()
+        with
+        | exception JP.Unsafe _ -> None
+        | plan ->
+          let els = List.map (fun (_, (_, el, _)) -> el) covers in
+          let written = R.Relation.of_tuples ~name:pred base_schema [ tup ] in
+          let rels = written :: List.map Element.extension els in
+          (* a covering element's own indexes are probed where it has them *)
+          let providers = (fun _ -> None) :: List.map Element.index_on els in
+          let rows = ref [] in
+          JP.execute
+            (JP.start jp ~rels:(Array.of_list rels) ~providers:(Array.of_list providers)
+               ~emit:(fun _ t -> rows := t :: !rows)
+               ())
+            plan;
+          Some (List.rev !rows))
+  | Some _ | None -> None
 
 (* Decision table (paper §4 duality, docs/CONSISTENCY.md):
    - generator repr        -> lazy by construction; fall back

@@ -8,11 +8,12 @@
     re-derived. On every single-tuple write to a base predicate this module
     classifies each dependent element and either
 
-    - {b delta-maintains} it: the definition is evaluated with the written
-      atom bound to the singleton delta — selections filter the delta,
-      projections rewrite it, and joins semi-join it against the full
-      cached content of each other atom (derived from a Fresh materialized
-      element fully covering that predicate) — and the resulting rows are
+    - {b delta-maintains} it: the definition runs as a
+      {!Braid_caql.Join_plan} led by the written atom, which reads the
+      singleton delta — selections filter the delta, projections rewrite
+      it, and joins probe each other atom's rows in place, in a Fresh
+      materialized element fully covering that predicate (through the
+      element's own index where it has one) — and the resulting rows are
       journaled ({!Journal.log_delta_insert} / {!Journal.log_delta_delete})
       then applied to a private copy of the extension, keeping the element
       {e Fresh}; or

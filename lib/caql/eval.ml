@@ -2,142 +2,35 @@ module L = Braid_logic
 module R = Braid_relalg
 module TS = Braid_stream.Tuple_stream
 
-exception Unsafe of string
+exception Unsafe = Join_plan.Unsafe
 
 (* --- eager evaluation --- *)
 
-(* Variable environment: variable name -> column in the accumulator. *)
-type env = (string * int) list
-
-let unit_relation () =
-  let r = R.Relation.create (R.Schema.make []) in
-  R.Relation.add r [||];
-  r
-
-(* Selection local to one relation occurrence: constants and repeated
-   variables within the atom. *)
-let local_pred (a : L.Atom.t) =
-  let preds = ref [] in
-  let seen = Hashtbl.create 8 in
-  List.iteri
-    (fun i t ->
-      match t with
-      | L.Term.Const v -> preds := R.Row_pred.Cmp (R.Row_pred.Eq, Col i, Lit v) :: !preds
-      | L.Term.Var x ->
-        (match Hashtbl.find_opt seen x with
-         | Some j -> preds := R.Row_pred.Cmp (R.Row_pred.Eq, Col i, Col j) :: !preds
-         | None -> Hashtbl.add seen x i))
-    a.L.Atom.args;
-  R.Row_pred.conj (List.rev !preds)
-
-(* Join columns between the accumulator and the atom's extension, plus the
-   new variable bindings the atom contributes. *)
-let atom_joins (env : env) (a : L.Atom.t) =
-  let joins = ref [] in
-  let fresh = ref [] in
-  List.iteri
-    (fun i t ->
-      match t with
-      | L.Term.Const _ -> ()
-      | L.Term.Var x ->
-        (match List.assoc_opt x env with
-         | Some col -> joins := (col, i) :: !joins
-         | None -> if not (List.mem_assoc x !fresh) then fresh := (x, i) :: !fresh))
-    a.L.Atom.args;
-  (List.rev !joins, List.rev !fresh)
-
-let operand_of_expr env e =
-  let rec go = function
-    | L.Literal.Term (L.Term.Const v) -> R.Row_pred.Lit v
-    | L.Literal.Term (L.Term.Var x) ->
-      (match List.assoc_opt x env with
-       | Some col -> R.Row_pred.Col col
-       | None -> raise (Unsafe ("unbound variable in comparison: " ^ x)))
-    | L.Literal.Add (a, b) -> R.Row_pred.Add (go a, go b)
-    | L.Literal.Sub (a, b) -> R.Row_pred.Sub (go a, go b)
-    | L.Literal.Mul (a, b) -> R.Row_pred.Mul (go a, go b)
-    | L.Literal.Div (a, b) -> R.Row_pred.Div (go a, go b)
-  in
-  go e
-
-let cmp_vars (_, a, b) = L.Literal.expr_vars a @ L.Literal.expr_vars b
-
+(* Every source is resolved first, in written order, so a caller's
+   per-atom effects (touch counts, LRU ticks) do not depend on the data.
+   The result shares tuples with the sources but owns its row vector; a
+   head naming one atom's distinct variables in order, with no comparison,
+   is that atom's rows as they stand. *)
 let conj ~source ~schema_of (c : Ast.conj) =
-  (* Join pipeline; comparisons are applied as soon as their variables are
-     all bound. *)
-  let apply_ready env pending rel =
-    let ready, pending =
-      List.partition
-        (fun cmp -> List.for_all (fun x -> List.mem_assoc x env) (cmp_vars cmp))
-        pending
+  let rels = Array.map source (Array.of_list c.Ast.atoms) in
+  match c.Ast.atoms, c.Ast.cmps with
+  | [ a ], []
+    when List.equal L.Term.equal c.Ast.head a.L.Atom.args
+         && List.length (L.Atom.vars a) = List.length a.L.Atom.args
+         && List.length a.L.Atom.args = R.Schema.arity (R.Relation.schema rels.(0)) ->
+    R.Relation.with_schema (Analyze.schema_of_conj schema_of c) (R.Relation.copy ~name:"" rels.(0))
+  | atoms, cmps ->
+    let jp = Join_plan.compiler () in
+    let plan =
+      Join_plan.compile jp
+        ?lead:(if atoms = [] then None else Some 0)
+        ~target:0 ~head:c.Ast.head
+        ~atoms:(List.mapi (fun i a -> (i, a)) atoms)
+        ~cmps ()
     in
-    let preds =
-      List.map
-        (fun (op, a, b) -> R.Row_pred.Cmp (op, operand_of_expr env a, operand_of_expr env b))
-        ready
-    in
-    let rel = if preds = [] then rel else R.Ops.select (R.Row_pred.conj preds) rel in
-    (rel, pending)
-  in
-  let step (acc, env, pending) (a : L.Atom.t) =
-    let ext = source a in
-    let ext = match local_pred a with R.Row_pred.True -> ext | p -> R.Ops.select p ext in
-    let joins, fresh = atom_joins env a in
-    let acc_arity = R.Schema.arity (R.Relation.schema acc) in
-    let joined =
-      match joins with
-      (* the unit relation times [ext] is [ext]: share its rows *)
-      | [] when acc_arity = 0 && R.Relation.cardinality acc = 1 -> ext
-      | [] -> R.Ops.product acc ext
-      | _ ->
-        let left_cols = List.map fst joins and right_cols = List.map snd joins in
-        R.Ops.hash_join ~left_cols ~right_cols acc ext
-    in
-    let env = env @ List.map (fun (x, i) -> (x, acc_arity + i)) fresh in
-    let joined, pending = apply_ready env pending joined in
-    (joined, env, pending)
-  in
-  (* Ground comparisons (no variables) are applied straight away so that a
-     body of pure ground comparisons evaluates without any atom. *)
-  let acc0, pending0 = apply_ready [] c.Ast.cmps (unit_relation ()) in
-  let acc, env, pending = List.fold_left step (acc0, [], pending0) c.Ast.atoms in
-  (match pending with
-   | [] -> ()
-   | cmp :: _ ->
-     raise
-       (Unsafe
-          (Format.asprintf "comparison with unbound variable: %a" L.Literal.pp
-             (let op, a, b = cmp in
-              L.Literal.Cmp (op, a, b)))));
-  (* Project the head. [acc] may share an element's row vector, so the
-     result always owns a fresh one; an identity head keeps the tuples. *)
-  let out_schema = Analyze.schema_of_conj schema_of c in
-  let cols =
-    Array.of_list
-      (List.map
-         (function
-           | L.Term.Var x ->
-             (match List.assoc_opt x env with
-              | Some col -> `Col col
-              | None -> raise (Unsafe ("unbound head variable: " ^ x)))
-           | L.Term.Const v -> `Const v)
-         c.Ast.head)
-  in
-  let n = Array.length cols in
-  let rec identity i =
-    i = n || (match cols.(i) with `Col j when j = i -> identity (i + 1) | _ -> false)
-  in
-  if n = R.Schema.arity (R.Relation.schema acc) && identity 0 then
-    R.Relation.with_schema out_schema (R.Relation.copy ~name:"" acc)
-  else begin
     let rows = R.Vec.create () in
-    R.Relation.iter
-      (fun t ->
-        R.Vec.push rows
-          (Array.map (function `Col i -> R.Tuple.get t i | `Const v -> v) cols))
-      acc;
-    R.Relation.unsafe_of_rows out_schema rows
-  end
+    Join_plan.execute (Join_plan.start jp ~rels ~emit:(fun _ t -> R.Vec.push rows t) ()) plan;
+    R.Relation.unsafe_of_rows (Analyze.schema_of_conj schema_of c) rows
 
 (* The operator tree walk, over a caller-supplied conjunctive leaf; [bound]
    holds the fixpoint names in scope, innermost first. Operands are
@@ -156,20 +49,28 @@ let walk ~conj q =
       R.Ops.diff a b
     | Ast.Distinct q -> R.Relation.distinct (go bound q)
     | Ast.Division (dividend, divisor) ->
-      (* k s.t. (k, v) ∈ dividend for every v ∈ divisor:
-         candidates − π_k((candidates × divisor) − dividend) *)
+      (* k s.t. (k, v) ∈ dividend for every v ∈ divisor: both sides being
+         distinct, the k whose rows meet the divisor |divisor| times *)
       let d = R.Relation.distinct (go bound dividend) in
       let s = R.Relation.distinct (go bound divisor) in
-      let total = R.Schema.arity (R.Relation.schema d) in
       let v_arity = R.Schema.arity (R.Relation.schema s) in
-      let k_arity = total - v_arity in
+      let k_arity = R.Schema.arity (R.Relation.schema d) - v_arity in
       if k_arity < 0 then invalid_arg "Eval.walk: division dividend narrower than divisor";
-      let key_cols = List.init k_arity (fun i -> i) in
+      let key_cols = List.init k_arity Fun.id and v_cols = List.init v_arity (( + ) k_arity) in
+      let module Tbl = R.Relation.Tuple_tbl in
+      let wanted = Tbl.create 16 and met = Tbl.create 16 in
+      R.Relation.iter (fun v -> Tbl.replace wanted v ()) s;
+      R.Relation.iter
+        (fun t ->
+          let k = R.Tuple.project t key_cols in
+          let n = Option.value (Tbl.find_opt met k) ~default:0 in
+          Tbl.replace met k (if Tbl.mem wanted (R.Tuple.project t v_cols) then n + 1 else n))
+        d;
       let candidates = R.Relation.distinct (R.Ops.project key_cols d) in
-      let pairs = R.Ops.product candidates s in
-      let missing = R.Ops.diff pairs d in
-      let bad = R.Relation.distinct (R.Ops.project key_cols missing) in
-      R.Ops.diff candidates bad
+      R.Relation.of_tuples ~name:(R.Relation.name candidates) (R.Relation.schema candidates)
+        (List.filter
+           (fun k -> Tbl.find met k = R.Relation.cardinality s)
+           (R.Relation.to_list candidates))
     | Ast.Fixpoint f ->
       (* iterate base ∪ step(current) to a fixpoint, set semantics *)
       let current = ref (R.Relation.distinct (go bound f.Ast.base)) in

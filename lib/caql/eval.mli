@@ -11,18 +11,21 @@
     wrapper, or test harness) decides where the extension comes from. *)
 
 exception Unsafe of string
-(** Raised when a head or comparison variable is not range-restricted. *)
+(** Raised when a head or comparison variable is not range-restricted:
+    {!Join_plan.Unsafe}, under a second name. *)
 
 val conj :
   source:(Braid_logic.Atom.t -> Braid_relalg.Relation.t) ->
   schema_of:(string -> Braid_relalg.Schema.t option) ->
   Ast.conj ->
   Braid_relalg.Relation.t
-(** Eager bottom-up evaluation: left-to-right hash-join pipeline with
-    pushed-down constant selections and comparisons. The result shares
-    tuples with the [source] relations (a head naming the body's columns
-    in order keeps them whole) but always owns its row vector, so writes to
-    either side never reach the other. *)
+(** Eager bottom-up evaluation: the conjunct compiled to a
+    {!Join_plan} led by its first atom and run over the [source]
+    relations, each atom's resolved once, in written order, before the
+    plan runs. The result shares tuples with the [source] relations (a
+    head naming one atom's columns in order keeps them whole) but always
+    owns its row vector, so writes to either side never reach the
+    other. *)
 
 val query :
   source:(Braid_logic.Atom.t -> Braid_relalg.Relation.t) ->

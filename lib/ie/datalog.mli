@@ -12,36 +12,25 @@
     restricted to the previous round's {e delta}, so settled tuples are not
     re-derived. The [tuples_produced] counter measures that work.
 
-    A semi-naive round costs its delta, not the totals. Every join runs a
-    rule {e plan} compiled before round 0:
-    - a plan's join order starts from its delta atom (in round 0, from the
-      rule's first atom), then takes the first remaining atom that shares
-      a bound variable, or else the first remaining one (a product);
-    - a delta is scanned. Every later atom with a bound column (a bound
-      variable or a constant) is probed through an index on exactly those
-      columns; an atom with none is scanned;
-    - bindings live in one slot array. Constants, repeated variables and
-      comparisons are checked as soon as their variables are bound, and
-      head tuples go straight into the predicate's seen-set and next
-      delta, with no intermediate relation.
-
+    A semi-naive round costs its delta, not the totals. Before round 0
+    every rule is compiled to {!Braid_caql.Join_plan} plans, one for round
+    0 and one per derived body occurrence, led by that occurrence's delta:
+    the rows its total gained in the previous round. Their inputs are the
+    totals, which only grow, in first-derivation order, and the static
+    relations (fetched components, supplied extensions, empty failures);
+    head tuples go straight into the predicate's seen-set and next delta.
     A run's state is its own and nothing outlives it, except the indexes
-    of a fetch that handed out its own (see {!exec}). Each derived
-    predicate's total only grows, in first-derivation order, and its delta
-    is the range of rows the previous round appended. Indexes are got on
-    first probe: a static relation's once per run (components that are
-    variants are one fetch and share their indexes), a total's built and
-    kept current as it grows. A delta is never indexed. A probe walks its
-    bucket with {!Braid_relalg.Index}'s cursor, and a multi-column probe
-    fills a per-run key buffer, so neither allocates.
+    of a fetch that handed out its own (see {!exec}); components that are
+    variants are one fetch and share their indexes.
 
     A join order changes only the order in which a round meets its
     tuples. So the rounds, [tuples_produced] and every fixpoint size are
     those of joining each rule body in written order, and answers are
     equal as sets; the order of their rows may differ. The test suite
     keeps a naive fixpoint, which re-derives every relation from scratch
-    each round through {!Braid_caql.Eval.conj}, as the oracle the plans
-    are checked against. *)
+    each round through the tuple-at-a-time
+    {!Braid_caql.Eval.lazy_conj}, as the oracle the plans are checked
+    against. *)
 
 type outcome = {
   result : Braid_relalg.Relation.t;  (** bindings for the query's variables *)

@@ -1,13 +1,15 @@
 (* Naive bottom-up Datalog: the oracle the library's semi-naive fixpoint
    ([Braid_ie.Datalog]) is checked against. Every round re-derives every
    derived relation from scratch over the current totals, until no total
-   grows. It joins through the conjunctive evaluator ([Eval.conj]), which
-   the library's fixpoint does not use, and shares only schema inference
-   with it. *)
+   grows. It joins through the tuple-at-a-time generator
+   ([Eval.lazy_conj]), which matches substitutions atom by atom and shares
+   no join code with the library's compiled plans; the two share only
+   schema inference. *)
 
 module L = Braid_logic
 module R = Braid_relalg
 module A = Braid_caql.Ast
+module TS = Braid_stream.Tuple_stream
 
 type outcome = {
   result : R.Relation.t;  (** bindings for the query's variables *)
@@ -25,6 +27,10 @@ let rule_query (r : L.Rule.t) =
       r.L.Rule.body
   in
   A.conj ~cmps r.L.Rule.head.L.Atom.args (body_atoms r)
+
+let conj ~source ~schema_of c =
+  TS.to_relation
+    (Braid_caql.Eval.lazy_conj ~source:(fun a -> TS.of_relation (source a)) ~schema_of c)
 
 (* Derived predicates reachable from [p] through rule bodies. *)
 let rec reachable kb seen p =
@@ -73,7 +79,7 @@ let solve kb ~base (query : L.Atom.t) =
         let derivations =
           List.map
             (fun r ->
-              let rel = Braid_caql.Eval.conj ~source ~schema_of (rule_query r) in
+              let rel = conj ~source ~schema_of (rule_query r) in
               tuples_produced := !tuples_produced + R.Relation.cardinality rel;
               rel)
             (L.Kb.rules_for kb p)
@@ -90,7 +96,7 @@ let solve kb ~base (query : L.Atom.t) =
       derived
   done;
   let result =
-    Braid_caql.Eval.conj ~source ~schema_of
+    conj ~source ~schema_of
       (A.conj (List.map (fun v -> L.Term.Var v) (L.Atom.vars query)) [ query ])
   in
   {

@@ -244,6 +244,30 @@ let test_eval_unsafe_raises () =
        false
      with E.Unsafe _ -> true)
 
+(* Callers count per-atom effects (touches, LRU ticks, stale hooks) off
+   [source], so every atom is resolved once, in written order, even when
+   a ground comparison fails or an earlier atom matches nothing. *)
+let test_eval_sources_once_in_order () =
+  let calls = ref [] in
+  let source (a : L.Atom.t) =
+    calls := a.L.Atom.pred :: !calls;
+    source a
+  in
+  let resolved c =
+    calls := [];
+    ignore (E.conj ~source ~schema_of c);
+    List.rev !calls
+  in
+  let atoms =
+    [ atom "edge" [ s "zz"; v "Y" ]; atom "num" [ v "Y"; v "W" ]; atom "edge" [ v "Y"; v "Z" ] ]
+  in
+  let expected = [ "edge"; "num"; "edge" ] in
+  Alcotest.(check (list string)) "an empty first step" expected (resolved (A.conj [ v "Z" ] atoms));
+  Alcotest.(check (list string))
+    "a false ground comparison" expected
+    (resolved
+       (A.conj ~cmps:[ (R.Row_pred.Lt, L.Literal.Term (i 2), L.Literal.Term (i 1)) ] [ v "Z" ] atoms))
+
 let test_eval_union_diff_agg () =
   let q1 = A.Conj (A.conj [ v "X" ] [ atom "edge" [ v "X"; v "Y" ] ]) in
   let q2 = A.Conj (A.conj [ v "X" ] [ atom "edge" [ v "Y"; v "X" ] ]) in
@@ -379,6 +403,8 @@ let suites : unit Alcotest.test list =
         Alcotest.test_case "eval ground comparisons only" `Quick test_eval_ground_cmp_only;
         Alcotest.test_case "eval shares tuples, not rows" `Quick test_eval_shares_tuples_not_rows;
         Alcotest.test_case "eval unsafe raises" `Quick test_eval_unsafe_raises;
+        Alcotest.test_case "eval resolves each atom once, in order" `Quick
+          test_eval_sources_once_in_order;
         Alcotest.test_case "eval union/diff/agg" `Quick test_eval_union_diff_agg;
         Alcotest.test_case "lazy matches eager" `Quick test_lazy_matches_eager;
         Alcotest.test_case "lazy is demand-driven" `Quick test_lazy_is_demand_driven;

@@ -56,6 +56,16 @@ let q_join =
 
 let q_sel3 = A.conj [ v "Z" ] [ atom "t3" [ v "Z"; s "c2"; s "y1" ] ]
 
+(* t2 stored with its columns swapped: a full cover of t2 whose
+   replacement atom permutes the columns *)
+let q_perm2 = A.conj [ v "Z"; v "X" ] [ atom "t2" [ v "X"; v "Z" ] ]
+
+(* three atoms, the last over t3: a t3 write leads the plan from the last
+   atom and reads both t2 atoms from one covering element *)
+let q_three =
+  A.conj [ v "X"; v "W"; v "Y" ]
+    [ atom "t2" [ v "X"; v "Z" ]; atom "t2" [ v "W"; v "Z" ]; atom "t3" [ v "Z"; s "c2"; v "Y" ] ]
+
 let eager = { Qpo.braid_config with Qpo.allow_lazy = false }
 
 let make_cms ?(maintain = true) server = Cms.create ~config:eager ~maintain server
@@ -147,6 +157,27 @@ let test_join_maintained_via_cached_side () =
   check_bool "no fallbacks on the covered side" true
     ((Cms.delta_totals cms).Maintain.fallbacks = 0)
 
+let test_join_maintained_via_permuted_cover () =
+  let server = load_server () in
+  let cms = make_cms server in
+  warm cms [ q_perm2; q_join ];
+  let size () = R.Relation.cardinality (Elem.extension (element_of cms q_join)) in
+  let before = size () in
+  (* t2's only cover stores (z, x): the t3 delta reads it in place through
+     the renamed replacement atom *)
+  Cms.apply_insert cms "t3" (row [ "z2"; "c2"; "y7" ]);
+  let j = element_of cms q_join in
+  check_bool "join still fresh" false j.Elem.stale;
+  check_exact server j "join after t3 insert";
+  check_int "the insert joined one t2 row" (before + 1) (size ());
+  ignore (Cms.apply_delete cms "t3" (row [ "z2"; "c2"; "y7" ]));
+  let j = element_of cms q_join in
+  check_bool "join fresh after delete" false j.Elem.stale;
+  check_exact server j "join after t3 delete";
+  check_int "the delete took it back" before (size ());
+  check_bool "no fallbacks on the permuted side" true
+    ((Cms.delta_totals cms).Maintain.fallbacks = 0)
+
 let test_join_fallback_without_cover () =
   let server = load_server () in
   let cms = make_cms server in
@@ -187,7 +218,8 @@ let prop_maintained_equals_recompute =
     (fun seed ->
       let server = load_server () in
       let cms = make_cms server in
-      warm cms [ q_sel1; q_full2; q_join; q_sel3 ];
+      (* q_three first: fetched whole, it is admitted as its own element *)
+      warm cms [ q_three; q_sel1; q_full2; q_join; q_sel3 ];
       let prng = Prng.create seed in
       let inserted = ref [] in
       for _ = 1 to 25 do
@@ -694,6 +726,8 @@ let suites =
         Alcotest.test_case "bag-semantics delete" `Quick test_delete_bag_semantics;
         Alcotest.test_case "join maintained via cached side" `Quick
           test_join_maintained_via_cached_side;
+        Alcotest.test_case "join maintained via a permuted cover" `Quick
+          test_join_maintained_via_permuted_cover;
         Alcotest.test_case "join falls back without cover" `Quick
           test_join_fallback_without_cover;
         Alcotest.test_case "maintain off: stale-mark/drop unchanged" `Quick

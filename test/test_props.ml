@@ -524,15 +524,60 @@ let gen_conj_query : A.conj QCheck.Gen.t =
       };
     ]
 
+(* Conjunctions over two relations [r] and [s]: one to three atoms whose
+   arguments are drawn from four variables and a few constants, so an atom
+   may repeat a variable or share none with the atoms before it (a
+   product); a head of bound variables and constants; and up to two
+   comparisons, each ground, over bound variables, or arithmetic. *)
+let gen_wide_conj : A.conj QCheck.Gen.t =
+  let open QCheck.Gen in
+  let const = int_range 0 5 >|= fun c -> T.Const (V.Int c) in
+  let term = frequency [ (4, oneofl [ "X"; "Y"; "Z"; "W" ] >|= fun x -> T.Var x); (1, const) ] in
+  let atom =
+    pair (oneofl [ "r"; "s" ]) (pair term term) >|= fun (p, (a, b)) -> L.Atom.make p [ a; b ]
+  in
+  list_size (int_range 1 3) atom >>= fun atoms ->
+  let vars = List.sort_uniq compare (List.concat_map L.Atom.vars atoms) in
+  let bound =
+    if vars = [] then const else frequency [ (3, oneofl vars >|= fun x -> T.Var x); (1, const) ]
+  in
+  let operand = bound >|= fun t -> L.Literal.Term t in
+  let expr =
+    frequency
+      [
+        (3, operand);
+        ( 1,
+          triple (int_range 0 2) operand operand >|= fun (k, a, b) ->
+          match k with
+          | 0 -> L.Literal.Add (a, b)
+          | 1 -> L.Literal.Sub (a, b)
+          | _ -> L.Literal.Mul (a, b) );
+      ]
+  in
+  let cmp = triple (oneofl [ RP.Eq; RP.Ne; RP.Lt; RP.Le; RP.Gt; RP.Ge ]) expr expr in
+  let lit = const >|= fun t -> L.Literal.Term t in
+  let ground = triple (oneofl [ RP.Le; RP.Ne ]) lit lit in
+  list_size (int_range 0 3) bound >>= fun head ->
+  list_size (int_range 0 2) (frequency [ (4, cmp); (1, ground) ]) >|= fun cmps ->
+  A.conj ~cmps head atoms
+
+let gen_maybe_empty =
+  QCheck.Gen.frequency
+    [ (1, QCheck.Gen.return (R.Relation.create ~name:"r" schema2)); (4, gen_relation) ]
+
 let prop_lazy_equals_eager =
-  QCheck.Test.make ~count:300 ~name:"lazy conj evaluation = eager"
-    (arb_of (QCheck.Gen.pair gen_relation gen_conj_query) (fun (_, q) -> A.conj_to_string q))
-    (fun (r, q) ->
-      let source _ = r in
+  QCheck.Test.make ~count:500 ~name:"lazy conj evaluation = eager"
+    (arb_of
+       (QCheck.Gen.triple gen_maybe_empty gen_maybe_empty gen_wide_conj)
+       (fun (r, s, q) ->
+         Printf.sprintf "%s over |r| = %d, |s| = %d" (A.conj_to_string q)
+           (R.Relation.cardinality r) (R.Relation.cardinality s)))
+    (fun (r, s, q) ->
+      let rel (a : L.Atom.t) = if a.L.Atom.pred = "r" then r else s in
       let schema_of _ = Some schema2 in
-      let eager = Braid_caql.Eval.conj ~source ~schema_of q in
+      let eager = Braid_caql.Eval.conj ~source:rel ~schema_of q in
       let lazy_ =
-        Braid_caql.Eval.lazy_conj ~source:(fun _ -> TS.of_relation r) ~schema_of q
+        Braid_caql.Eval.lazy_conj ~source:(fun a -> TS.of_relation (rel a)) ~schema_of q
       in
       norm eager = norm (TS.to_relation lazy_))
 
