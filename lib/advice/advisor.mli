@@ -11,10 +11,12 @@
 
 type t
 
-val create : ?nfa:Tracker.nfa -> Ast.t -> t
+val create : ?nfa:Tracker.nfa -> ?forms:Braid_subsume.Form.inst list -> Ast.t -> t
 (** [nfa], when given, must be [Tracker.compile] of the advice's path (or
     of a path with the same shape and spec ids: the NFA reads only the
-    ids), and saves compiling it again. *)
+    ids), and saves compiling it again; trackers started on one [nfa]
+    share its DFA. [forms], when given, must be {!spec_form} of each spec,
+    in the advice's order, and saves computing them. *)
 
 val no_advice : unit -> t
 
@@ -32,7 +34,15 @@ val observe : t -> string -> unit
 (** Advance path tracking: a query for this spec id has arrived. *)
 
 val predicted_next : t -> Ast.view_spec list
-(** Specs that may be asked for next — prefetch candidates. *)
+(** Specs that may be asked for next — prefetch candidates. Computed once
+    per tracker position: until the next {!observe}, every call returns
+    the same list. *)
+
+val keep : t -> string list
+(** The ids of the {!predicted_next} specs that {!may_occur_later}: the
+    specs whose elements replacement pins. Computed with
+    {!predicted_next}, and likewise the same list until the next
+    {!observe}. *)
 
 val may_occur_later : t -> string -> bool
 (** Whether queries for this spec may still arrive (replacement pinning
@@ -60,6 +70,7 @@ val generalized : Ast.view_spec -> Braid_caql.Ast.conj
     generalization target of QPO step 1. *)
 
 val spec_form : t -> Ast.view_spec -> Braid_subsume.Form.inst
-(** [Braid_subsume.Form.of_conj (generalized s)], computed once per spec
-    record and advisor: identification, generalization and the QPO's
-    exact-match probes for the spec all read it. *)
+(** [Braid_subsume.Form.of_conj (generalized s)], as {!create} received
+    it or computed once per spec record and advisor: identification,
+    generalization and the QPO's exact-match probes for the spec all read
+    it. *)

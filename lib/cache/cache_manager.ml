@@ -72,7 +72,7 @@ let insert t ?id ~def repr =
   let bytes = Element.bytes_estimate e in
   if bytes > Cache_model.capacity_bytes t.model then None
   else begin
-    let evicted = Replacement.evict t.model ~needed_bytes:bytes () in
+    let evicted, used = Replacement.evict t.model ~needed_bytes:bytes () in
     List.iter
       (fun (vid, pinned_fallback) ->
         Obs.Metrics.incr "cache.evictions";
@@ -87,9 +87,7 @@ let insert t ?id ~def repr =
     t.stats.evictions <- t.stats.evictions + List.length evicted;
     (* Even after evicting everything evictable the element may not fit
        (e.g. only pinned elements remain). *)
-    if
-      Cache_model.used_bytes t.model + bytes > Cache_model.capacity_bytes t.model
-    then None
+    if used + bytes > Cache_model.capacity_bytes t.model then None
     else begin
       Cache_model.add t.model e;
       journal_admit t e;

@@ -1,8 +1,9 @@
-let victims model ~needed_bytes ?(protect = fun _ -> false) () =
+(* The victims, and the bytes in use once they are gone. *)
+let plan model ~needed_bytes ?(protect = fun _ -> false) () =
   let capacity = Cache_model.capacity_bytes model in
   let used = Cache_model.used_bytes model in
   let to_free = used + needed_bytes - capacity in
-  if to_free <= 0 then []
+  if to_free <= 0 then ([], used)
   else begin
     (* Protected elements are exempt unconditionally — they must never
        reach the pinned fallback. Pinned elements are only deferred. *)
@@ -24,13 +25,15 @@ let victims model ~needed_bytes ?(protect = fun _ -> false) () =
     in
     let freed, chosen = take 0 [] (by_lru unpinned) in
     let chosen = List.map (fun e -> (e, false)) chosen in
-    if freed >= to_free then chosen
+    if freed >= to_free then (chosen, used - freed)
     else
-      let _, more = take freed [] (by_lru pinned) in
-      chosen @ List.map (fun e -> (e, true)) more
+      let freed, more = take freed [] (by_lru pinned) in
+      (chosen @ List.map (fun e -> (e, true)) more, used - freed)
   end
 
+let victims model ~needed_bytes ?protect () = fst (plan model ~needed_bytes ?protect ())
+
 let evict model ~needed_bytes ?protect () =
-  let vs = victims model ~needed_bytes ?protect () in
+  let vs, used = plan model ~needed_bytes ?protect () in
   List.iter (fun (e, _) -> Cache_model.remove model e.Element.id) vs;
-  List.map (fun (e, pinned_fallback) -> (e.Element.id, pinned_fallback)) vs
+  (List.map (fun (e, pinned_fallback) -> (e.Element.id, pinned_fallback)) vs, used)

@@ -25,6 +25,7 @@ val evict :
   needed_bytes:int ->
   ?protect:(Element.t -> bool) ->
   unit ->
-  (string * bool) list
+  (string * bool) list * int
 (** Applies [victims] and removes them; returns the evicted ids with their
-    pinned-fallback tag. *)
+    pinned-fallback tag, and {!Cache_model.used_bytes} after the removal,
+    derived from the one sum [victims] takes rather than summed again. *)

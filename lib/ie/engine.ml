@@ -7,12 +7,15 @@ module Catalog = Braid_remote.Catalog
 module Obs = Braid_obs
 module V = Braid_relalg.Value
 module Adv = Braid_advice.Ast
+module Form = Braid_subsume.Form
+module Value_tbl = Hashtbl.Make (V)
 
 (* What [solve] uses from the front end (extract, shape, advise): every
    field depends on the goal's form and, for the advice, on its constants. *)
 type front_end = {
   advice : Adv.t;
   nfa : Braid_advice.Tracker.nfa option;
+  spec_forms : Form.inst list option;
   orderings : (string * int list) list;
   skip_rules : string list;
   graph_size : Problem_graph.size;
@@ -27,6 +30,8 @@ type template = {
   sentinels : V.t list;  (* one per class, in order of first occurrence *)
   goal : L.Atom.t;  (* the goal with its sentinels *)
   front : front_end;
+  spec_forms : (Form.inst * bool) list;
+      (* per advice spec: its form, and whether its atoms hold a sentinel *)
   consulted : (string * int) list;  (* catalog cardinalities the shaper read *)
   mutable set_program : Strategy.set_program option;
 }
@@ -34,6 +39,9 @@ type template = {
 type form =
   | Template of template
   | Value_dependent  (* a condition mentions a goal constant: the shaper reads it *)
+
+(* The KB's constants, by value and by their written forms. *)
+type constants = { values : unit Value_tbl.t; printed : (string, unit) Hashtbl.t }
 
 type compile =
   | Hit
@@ -49,7 +57,7 @@ type t = {
   mutable total_resolutions : int;
   forms : (string, form) Hashtbl.t;
   mutable forms_generation : int;  (* the KB generation [forms] was built for *)
-  mutable kb_constants : (V.t * string) list;  (* with their written forms *)
+  mutable kb_constants : constants option;  (* rebuilt with [forms]; [None]: none *)
 }
 
 let create ?(strategy = Strategy.Interpretive) ?(max_depth = 50_000) ?(send_advice = true) kb
@@ -63,7 +71,7 @@ let create ?(strategy = Strategy.Interpretive) ?(max_depth = 50_000) ?(send_advi
     total_resolutions = 0;
     forms = Hashtbl.create 16;
     forms_generation = -1;
-    kb_constants = [];
+    kb_constants = None;
   }
 
 let kb t = t.kb
@@ -115,6 +123,7 @@ let shape_and_advise t ~cardinality graph =
   {
     advice;
     nfa = None;
+    spec_forms = None;
     orderings = Shaper.rule_orderings graph;
     skip_rules;
     graph_size = Problem_graph.size graph;
@@ -132,6 +141,24 @@ let compile t query =
    matter: the extractor unifies by value, the view specifier matches
    literals by their printed form. *)
 let clash v printed (c, p) = V.equal c v || String.equal p printed
+
+(* The value table keeps every constant ([add], not [replace]): [V.equal]
+   is not transitive past 2^53, and every constant equal to a value hashes
+   alike, so [mem] finds one whenever a scan of the list would. *)
+let constants_of consts =
+  let c = { values = Value_tbl.create 16; printed = Hashtbl.create 16 } in
+  List.iter
+    (fun v ->
+      Value_tbl.add c.values v ();
+      Hashtbl.replace c.printed (V.to_string v) ())
+    consts;
+  c
+
+(* [clash] against some KB constant. *)
+let kb_clash t v printed =
+  match t.kb_constants with
+  | Some c -> Value_tbl.mem c.values v || Hashtbl.mem c.printed printed
+  | None -> false
 
 (* A goal's form: its predicate, its variables, and which positions hold
    constants of which equality class; with the classes' values in order.
@@ -151,7 +178,7 @@ let form_of t (goal : L.Atom.t) =
     | L.Term.Const v :: rest ->
       let printed = V.to_string v in
       let n = List.length classes in
-      if List.exists (clash v printed) t.kb_constants then None
+      if kb_clash t v printed then None
       else begin
         match List.find_index (clash v printed) classes with
         | None ->
@@ -171,32 +198,40 @@ let form_of t (goal : L.Atom.t) =
 let sentinel t i =
   let rec fresh s =
     let v = V.Str s in
-    if List.exists (clash v (V.to_string v)) t.kb_constants then fresh (s ^ "'") else v
+    if kb_clash t v (V.to_string v) then fresh (s ^ "'") else v
   in
   fresh (Printf.sprintf "\000form%d" i)
 
-(* Replaces each constant equal to the first of a pair by the second. *)
+(* The second of the first pair whose first equals [v]. *)
+let swapped pairs v = Option.map snd (List.find_opt (fun (from, _) -> V.equal from v) pairs)
+
 let swap pairs = function
-  | L.Term.Const v as c ->
-    (match List.find_opt (fun (from, _) -> V.equal from v) pairs with
-     | Some (_, into) -> L.Term.Const into
-     | None -> c)
+  | L.Term.Const v as c -> (match swapped pairs v with Some into -> L.Term.Const into | None -> c)
   | L.Term.Var _ as x -> x
 
 let swap_atom pairs (a : L.Atom.t) = { a with L.Atom.args = List.map (swap pairs) a.L.Atom.args }
 
 (* Sentinels can only sit in the atoms of view specifications: spec heads
    and path patterns are parameter variables, and a spec's comparisons come
-   from graph conditions, none of which mention a sentinel in a template. *)
+   from graph conditions, none of which mention a sentinel in a template.
+   A spec's form is the template's with the sentinels' parameters set to
+   the goal's values; a spec without a sentinel is the template's own. *)
 let instantiate tpl values =
   let pairs = List.combine tpl.sentinels values in
-  let spec (s : Adv.view_spec) =
-    let def = s.Adv.def in
-    { s with Adv.def = { def with atoms = List.map (swap_atom pairs) def.Braid_caql.Ast.atoms } }
-  in
   let f = tpl.front in
   if pairs = [] then f
-  else { f with advice = { f.advice with Adv.specs = List.map spec f.advice.Adv.specs } }
+  else
+    let specs, forms =
+      List.split
+        (List.map2
+           (fun (s : Adv.view_spec) (form, mentions) ->
+             if not mentions then (s, form)
+             else
+               let form = Form.map_atom_consts form (swapped pairs) in
+               ({ s with Adv.def = form.Form.conj }, form))
+           f.advice.Adv.specs tpl.spec_forms)
+    in
+    { f with advice = { f.advice with Adv.specs }; spec_forms = Some forms }
 
 (* Whether a built-in condition of the extracted graph mentions a sentinel:
    the shaper would evaluate it, so the goal's value decides the outcome. *)
@@ -232,8 +267,23 @@ let compile_template t key (goal : L.Atom.t) values =
     in
     let front = shape_and_advise t ~cardinality graph in
     let nfa = Option.map Braid_advice.Tracker.compile front.advice.Adv.path in
-    let front = { front with nfa } in
-    let tpl = { sentinels; goal; front; consulted = !consulted; set_program = None } in
+    let sentinel = function
+      | L.Term.Const v -> List.exists (V.equal v) sentinels
+      | L.Term.Var _ -> false
+    in
+    let spec_forms =
+      List.map
+        (fun (s : Adv.view_spec) ->
+          ( Form.of_conj s.Adv.def,
+            List.exists
+              (fun (a : L.Atom.t) -> List.exists sentinel a.L.Atom.args)
+              s.Adv.def.Braid_caql.Ast.atoms ))
+        front.advice.Adv.specs
+    in
+    let front = { front with nfa; spec_forms = Some (List.map fst spec_forms) } in
+    let tpl =
+      { sentinels; goal; front; spec_forms; consulted = !consulted; set_program = None }
+    in
     Hashtbl.replace t.forms key (Template tpl);
     Some tpl
   end
@@ -245,7 +295,8 @@ let lookup t query =
   if generation <> t.forms_generation then begin
     Hashtbl.reset t.forms;
     t.forms_generation <- generation;
-    t.kb_constants <- List.map (fun c -> (c, V.to_string c)) (L.Kb.constants t.kb)
+    t.kb_constants <-
+      (match L.Kb.constants t.kb with [] -> None | consts -> Some (constants_of consts))
   end;
   match form_of t query with
   | None -> (compile t query, Per_goal, None)
@@ -300,7 +351,8 @@ let solutions t query =
     (fun () ->
       let front, status, form = lookup t query in
       Obs.Trace.add_arg "compile" (Obs.Trace.Str (compile_name status));
-      if t.send_advice then Qpo.set_advice ?nfa:front.nfa t.qpo front.advice
+      if t.send_advice then
+        Qpo.set_advice ?nfa:front.nfa ?forms:front.spec_forms t.qpo front.advice
       else Qpo.set_advice t.qpo { Adv.specs = []; path = None };
       (* Inference strategy controller. *)
       let counters = { Strategy.resolutions = 0; db_goal_queries = 0 } in

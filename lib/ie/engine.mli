@@ -74,6 +74,10 @@ type front_end = {
   advice : Braid_advice.Ast.t;
   nfa : Braid_advice.Tracker.nfa option;
       (** the compiled path tracker, kept with a template *)
+  spec_forms : Braid_subsume.Form.inst list option;
+      (** with a template, each spec's {!Braid_advice.Advisor.spec_form}:
+          the template's, with the goal's values in the sentinels'
+          parameters *)
   orderings : (string * int list) list;  (** {!Shaper.rule_orderings} *)
   skip_rules : string list;  (** rules the shaper culled entirely *)
   graph_size : Problem_graph.size;

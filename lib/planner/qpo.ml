@@ -245,17 +245,17 @@ let set_fetcher t f = t.fetcher <- f
 (* Element→spec links end with their advice epoch: the next advice reuses
    the spec ids d1…dn for other views, so a surviving link would pin its
    element whenever the tracker predicts the reused id. *)
-let advise ?nfa t ses advice =
+let advise ?nfa ?forms t ses advice =
   Hashtbl.iter (fun elem_id _ -> CMgr.pin t.cache elem_id false) ses.elem_spec;
   Hashtbl.reset ses.elem_spec;
   Hashtbl.reset ses.spec_elems;
   ses.dirty <- [];
   ses.kept <- [];
   ses.pins_synced <- Some (t.cache, CMgr.pin_epoch t.cache);
-  ses.advisor <- Adv.create ?nfa advice;
+  ses.advisor <- Adv.create ?nfa ?forms advice;
   Hashtbl.reset ses.prefetched
 
-let set_advice ?nfa t advice = advise ?nfa t t.default_session advice
+let set_advice ?nfa ?forms t advice = advise ?nfa ?forms t t.default_session advice
 
 let catalog t = Server.catalog t.server
 let remote_schema t name = Catalog.schema_of (catalog t) name
@@ -865,16 +865,7 @@ let generalization_steps t ses spec ~identified (qkey : Form.inst) =
        the subsuming b1(Z,Y). Prefer the query's own spec, then scan the
        rest for a strictly more general definition worth materializing.
        The spec [identify] chose is already known to cover the query. *)
-    let candidates =
-      (match spec with Some s -> [ (s, identified) ] | None -> [])
-      @ List.filter_map
-          (fun (s : Braid_advice.Ast.view_spec) ->
-            match spec with
-            | Some s0 when String.equal s0.Braid_advice.Ast.id s.Braid_advice.Ast.id -> None
-            | Some _ | None -> Some (s, false))
-          (Adv.specs ses.advisor)
-    in
-    let usable ((s : Braid_advice.Ast.view_spec), covers_query) =
+    let usable (s : Braid_advice.Ast.view_spec) covers_query =
       let gkey = Adv.spec_form ses.advisor s in
       (not (Form.same gkey qkey))
       && Adv.expects_repetition ses.advisor s.Braid_advice.Ast.id
@@ -882,9 +873,19 @@ let generalization_steps t ses spec ~identified (qkey : Form.inst) =
       && Cost.est_conj (catalog t) (Adv.generalized s) <= prefetch_max_tuples
       && (covers_query || Sub.subsumes ~def:gkey qkey)
     in
-    match List.find_opt usable candidates with
+    let other (s : Braid_advice.Ast.view_spec) =
+      match spec with
+      | Some s0 -> not (String.equal s0.Braid_advice.Ast.id s.Braid_advice.Ast.id)
+      | None -> true
+    in
+    let chosen =
+      match spec with
+      | Some s when usable s identified -> Some s
+      | Some _ | None -> List.find_opt (fun s -> other s && usable s false) (Adv.specs ses.advisor)
+    in
+    match chosen with
     | None -> []
-    | Some (s, _) ->
+    | Some s ->
       let general = Adv.generalized s in
       let key = Adv.spec_form ses.advisor s in
       Log.debug (fun m ->
@@ -913,9 +914,8 @@ let prefetch_steps t ses current_spec_id =
         if
           Some id <> current_spec_id
           && (not (Hashtbl.mem ses.prefetched id))
-          && Cost.est_conj (catalog t) spec.Braid_advice.Ast.def
-             <= prefetch_max_tuples
           && find_key t key = None
+          && Cost.est_conj (catalog t) spec.Braid_advice.Ast.def <= prefetch_max_tuples
         then begin
           Hashtbl.replace ses.prefetched id ();
           Log.debug (fun m -> m "prefetching predicted-next spec %s" id);
@@ -938,13 +938,7 @@ let update_pins t ses =
      d1 "will be required for one of the next two queries", so d1's element
      "is not the best candidate" for eviction. Elements whose spec can no
      longer occur are unpinned (plain LRU applies to them). *)
-  let keep =
-    List.filter_map
-      (fun s ->
-        let id = s.Braid_advice.Ast.id in
-        if Adv.may_occur_later ses.advisor id then Some id else None)
-      (Adv.predicted_next ses.advisor)
-  in
+  let keep = Adv.keep ses.advisor in
   (* Incrementally: while nobody else has flipped a pin since our last call,
      every linked element already carries [spec ∈ kept], so only the
      elements of specs that entered or left [keep], and the elements linked
@@ -958,8 +952,10 @@ let update_pins t ses =
        | Some elems -> Hashtbl.iter (fun elem_id () -> pin elem_id spec_id) elems
        | None -> ()
      in
-     List.iter (fun id -> if not (List.mem id ses.kept) then repin id) keep;
-     List.iter (fun id -> if not (List.mem id keep) then repin id) ses.kept;
+     if keep != ses.kept then begin
+       List.iter (fun id -> if not (List.mem id ses.kept) then repin id) keep;
+       List.iter (fun id -> if not (List.mem id keep) then repin id) ses.kept
+     end;
      List.iter
        (fun elem_id ->
          match Hashtbl.find_opt ses.elem_spec elem_id with

@@ -105,10 +105,16 @@ val exec_remote : t -> Braid_remote.Sql.select -> Braid_remote.Rdi.outcome
     single RDI), bypassing any installed fetcher hook — the serving
     layer's coalescer uses this as its miss fallback. *)
 
-val set_advice : ?nfa:Braid_advice.Tracker.nfa -> t -> Braid_advice.Ast.t -> unit
+val set_advice :
+  ?nfa:Braid_advice.Tracker.nfa ->
+  ?forms:Braid_subsume.Form.inst list ->
+  t ->
+  Braid_advice.Ast.t ->
+  unit
 (** Starts a new advice epoch on the {e default} session (a session's
-    advice set, §3). [nfa] is the path's compiled tracker, when the caller
-    already has it (see {!Braid_advice.Advisor.create}). The previous
+    advice set, §3). [nfa] is the path's compiled tracker and [forms] the
+    specs' forms, when the caller already has them (see
+    {!Braid_advice.Advisor.create}). The previous
     epoch's element→spec links end here: every element they linked is
     unpinned (each flip journaled) and the links are dropped. *)
 
@@ -237,6 +243,12 @@ val set_observer :
    links replacement pinning reads, and the pinning step every answer runs
    twice. *)
 
-val advise : ?nfa:Braid_advice.Tracker.nfa -> t -> session -> Braid_advice.Ast.t -> unit
+val advise :
+  ?nfa:Braid_advice.Tracker.nfa ->
+  ?forms:Braid_subsume.Form.inst list ->
+  t ->
+  session ->
+  Braid_advice.Ast.t ->
+  unit
 val associate : session -> string -> string -> unit
 val update_pins : t -> session -> unit

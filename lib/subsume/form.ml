@@ -193,6 +193,25 @@ let of_conj (c : A.conj) =
     vars = Array.sub !names 0 !n_names;
   }
 
+let map_atom_consts (i : inst) f =
+  let consts = Array.copy i.consts in
+  let k = ref 0 in
+  let term = function
+    | L.Term.Var _ as x -> x
+    | L.Term.Const v as c ->
+      let j = !k in
+      incr k;
+      (match f v with
+       | Some w ->
+         consts.(j) <- w;
+         L.Term.Const w
+       | None -> c)
+  in
+  let atoms =
+    List.map (fun (a : L.Atom.t) -> { a with L.Atom.args = List.map term a.L.Atom.args }) i.conj.A.atoms
+  in
+  { i with conj = { i.conj with A.atoms }; consts }
+
 let equal f g = f == g || String.equal f.key g.key
 
 let same a b =

@@ -58,6 +58,12 @@ val of_conj : Braid_caql.Ast.conj -> inst
     state and the table are process-global and unsynchronised: call it
     from one domain at a time. *)
 
+val map_atom_consts : inst -> (Braid_relalg.Value.t -> Braid_relalg.Value.t option) -> inst
+(** [map_atom_consts i f] replaces each constant [v] of [i]'s atoms for
+    which [f v = Some w] by [w], in the conjunct and in its parameter, and
+    keeps the rest. It is [of_conj] of the new conjunct without a pass:
+    every constant occurrence is its own parameter, so the form stays. *)
+
 val equal : t -> t -> bool
 (** Same key. *)
 

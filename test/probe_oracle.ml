@@ -9,7 +9,8 @@
    evaluation of [Ast.rename_vars] meets the variables, then prints in
    [Ast.conj_to_string]'s layout with the key's constant spelling.
    [may_occur_later] walks the tracker's automaton breadth first on every
-   call. *)
+   call, and [Ref_tracker] is the tracker as it ran before its DFA: a set
+   of NFA states, recomputed on every step from [Tracker.successors]. *)
 
 module L = Braid_logic
 module A = Braid_caql.Ast
@@ -254,7 +255,7 @@ let variant_key c =
            (fun (op, a, b) -> Printf.sprintf "%s %s %s" (expr a) (L.Literal.cmp_symbol op) (expr b))
            c.A.cmps))
 
-let may_occur_later nfa tr id =
+let may_occur_later_from nfa states id =
   let visited = Hashtbl.create 64 in
   let rec go = function
     | [] -> false
@@ -267,7 +268,66 @@ let may_occur_later nfa tr id =
         else go (List.map snd out @ rest)
       end
   in
-  go (Tracker.states tr)
+  go states
+
+let may_occur_later nfa tr id = may_occur_later_from nfa (Tracker.states tr) id
+
+module Ref_tracker = struct
+  type t = { nfa : Tracker.nfa; mutable states : int list; mutable lost : bool }
+
+  (* Ascending, closed under epsilon edges. *)
+  let closure nfa from =
+    let rec go acc = function
+      | [] -> List.sort_uniq compare acc
+      | s :: rest ->
+        if List.mem s acc then go acc rest
+        else
+          let eps =
+            List.filter_map
+              (fun (label, dst) -> if label = None then Some dst else None)
+              (Tracker.successors nfa s)
+          in
+          go (s :: acc) (eps @ rest)
+    in
+    go [] from
+
+  let labeled nfa s =
+    List.filter_map
+      (fun (label, dst) -> Option.map (fun l -> (l, dst)) label)
+      (Tracker.successors nfa s)
+
+  let start nfa = { nfa; states = closure nfa [ Tracker.initial_state nfa ]; lost = false }
+
+  let advance t id =
+    let targets =
+      List.concat_map
+        (fun s ->
+          List.filter_map (fun (l, dst) -> if l = id then Some dst else None) (labeled t.nfa s))
+        t.states
+    in
+    if targets = [] then begin
+      t.lost <- true;
+      t.states <- closure t.nfa (List.init (Tracker.nfa_states t.nfa) Fun.id);
+      false
+    end
+    else begin
+      t.states <- closure t.nfa targets;
+      true
+    end
+
+  (* Each label once, where it is first met: states ascending, each
+     state's edges in order. *)
+  let next_possible t =
+    List.fold_left
+      (fun acc s ->
+        List.fold_left
+          (fun acc (l, _) -> if List.mem l acc then acc else acc @ [ l ])
+          acc (labeled t.nfa s))
+      [] t.states
+
+  let may_occur_later t id = may_occur_later_from t.nfa t.states id
+  let finished t = List.mem (Tracker.final_state t.nfa) t.states
+end
 
 let full_cover element q =
   let all = List.init (List.length q.A.atoms) Fun.id in

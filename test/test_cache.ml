@@ -122,8 +122,9 @@ let test_lru_eviction_order () =
      Alcotest.(check string) "LRU first" "e2" first.Elem.id;
      check_bool "not a pinned fallback" false fallback
    | [] -> Alcotest.fail "expected victims");
-  ignore (Repl.evict m ~needed_bytes:0 ());
-  check_bool "cache emptied to fit" true (CModel.used_bytes m <= 1)
+  let _, used = Repl.evict m ~needed_bytes:0 () in
+  check_bool "cache emptied to fit" true (CModel.used_bytes m <= 1);
+  Alcotest.(check int) "evict reports the bytes left" (CModel.used_bytes m) used
 
 let test_pinned_spared () =
   let m = CModel.create ~capacity_bytes:(3 * 800) in
@@ -151,7 +152,9 @@ let test_pinned_evicted_as_last_resort () =
   check_bool "pinned evicted when nothing else can free space" true
     (List.exists (fun ((x : Elem.t), _) -> x.Elem.id = "e1") victims);
   check_bool "last-resort eviction tagged as pinned fallback" true
-    (List.for_all (fun ((x : Elem.t), fallback) -> x.Elem.id <> "e1" || fallback) victims)
+    (List.for_all (fun ((x : Elem.t), fallback) -> x.Elem.id <> "e1" || fallback) victims);
+  let _, used = Repl.evict m ~needed_bytes:400 () in
+  Alcotest.(check int) "evict reports the bytes left" (CModel.used_bytes m) used
 
 let test_protected_never_evicted () =
   let m = CModel.create ~capacity_bytes:500 in

@@ -1311,6 +1311,63 @@ let test_set_program_reuse () =
   check_bool "p0, now a KB constant" true (solve Engine.Per_goal (goal "p0") <> p0);
   ignore (solve Engine.Hit (goal "p7"))
 
+(* A template hands the advisor each spec's form with the goal's values in
+   the sentinels' parameters: it must be the form of the instantiated spec,
+   for repeated constants, floats and strings with quotes alike. *)
+let test_template_spec_forms () =
+  let module Form = Braid_subsume.Form in
+  let module Advisor = Braid_advice.Advisor in
+  let kb = L.Kb.create () in
+  List.iter (fun b -> L.Kb.declare_base kb b ~arity:2) [ "a"; "b"; "c" ];
+  L.Kb.add_rule kb
+    (L.Rule.make ~id:"P" (atom "p" [ v "X"; v "Y"; v "Z" ])
+       [
+         L.Literal.rel (atom "a" [ v "X"; v "W" ]);
+         L.Literal.rel (atom "b" [ v "W"; v "Y" ]);
+         L.Literal.rel (atom "c" [ v "Y"; v "Z" ]);
+       ]);
+  let engine = Braid.System.engine (Braid.System.build ~kb ~data:[] ()) in
+  let f x = V.Float x and q = V.Str "say \"hi\"" and apos = V.Str "it's" in
+  let goals =
+    [
+      (f 2.0, f 2.0);
+      (f 1.0000001, f 1.0000001);
+      (q, apos);
+      (f 2.0, f 1.0000001);
+      (apos, q);
+    ]
+  in
+  let statuses =
+    List.map
+      (fun (x, y) ->
+        let g = atom "p" [ T.Const x; T.Const y; v "Z" ] in
+        let front, status = Engine.front_end engine g in
+        let name = L.Atom.to_string g in
+        check_bool (name ^ ": the template gives forms") true (front.Engine.spec_forms <> None);
+        let adv =
+          Advisor.create ?nfa:front.Engine.nfa ?forms:front.Engine.spec_forms front.Engine.advice
+        in
+        let forms =
+          List.map
+            (fun (sp : Adv.view_spec) ->
+              let got = Advisor.spec_form adv sp and want = Form.of_conj sp.Adv.def in
+              check_bool
+                (Printf.sprintf "%s: %s's form" name sp.Adv.id)
+                true
+                (Form.equal got.Form.form want.Form.form && Form.same got want);
+              got)
+            front.Engine.advice.Adv.specs
+        in
+        check_bool (name ^ ": specs hold the goal's values") true
+          (List.for_all
+             (fun value ->
+               List.exists (fun (got : Form.inst) -> Array.exists (V.equal value) got.Form.consts) forms)
+             [ x; y ]);
+        status)
+      goals
+  in
+  check_statuses "p" [ Engine.Miss; Engine.Hit; Engine.Miss; Engine.Hit; Engine.Hit ] statuses
+
 let template_cases =
   [
     Alcotest.test_case "templates equal fresh compiles" `Quick
@@ -1323,6 +1380,7 @@ let template_cases =
     Alcotest.test_case "cardinality change recompiles" `Quick
       test_cardinality_change_recompiles;
     Alcotest.test_case "set-oriented program reused per form" `Quick test_set_program_reuse;
+    Alcotest.test_case "template spec forms = Form.of_conj" `Quick test_template_spec_forms;
     Alcotest.test_case "magic right-linear rewrite" `Quick test_magic_right_linear;
     Alcotest.test_case "magic right-linear fallbacks" `Quick test_magic_right_linear_fallbacks;
     Alcotest.test_case "float constants keep fetches apart" `Quick

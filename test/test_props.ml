@@ -827,6 +827,58 @@ let prop_may_occur_later_equals_bfs =
              agrees ())
            ids)
 
+(* The DFA against the set-of-states simulation it replaced. Two trackers
+   started on one [nfa] take turns, so each runs through DFA states and
+   memos the other built; unexpected ids ("e", or any the path lacks) make
+   a tracker lost. After every step both trackers must answer what their
+   references answer. *)
+module Ref = Probe_oracle.Ref_tracker
+
+let agrees_with_reference ids tr (r : Ref.t) =
+  Tracker.states tr = r.Ref.states
+  && Tracker.next_possible tr = Ref.next_possible r
+  && List.for_all (fun id -> Tracker.may_occur_later tr id = Ref.may_occur_later r id) ids
+  && Tracker.lost tr = r.Ref.lost
+  && Tracker.finished tr = Ref.finished r
+
+let run_against_reference nfa ids steps =
+  let trs = [| Tracker.start nfa; Tracker.start nfa |] in
+  let refs = [| Ref.start nfa; Ref.start nfa |] in
+  let agree () =
+    agrees_with_reference ids trs.(0) refs.(0) && agrees_with_reference ids trs.(1) refs.(1)
+  in
+  agree ()
+  && List.for_all
+       (fun (k, id) -> Tracker.advance trs.(k) id = Ref.advance refs.(k) id && agree ())
+       steps
+
+let prop_tracker_dfa_equals_reference =
+  let ids = [ "a"; "b"; "c"; "d"; "e" ] in
+  QCheck.Test.make ~count:300 ~name:"tracker DFA = set-of-states reference"
+    (arb_of
+       (QCheck.Gen.pair (gen_path 2)
+          (QCheck.Gen.list_size (QCheck.Gen.int_range 0 16)
+             (QCheck.Gen.pair (QCheck.Gen.int_range 0 1) (QCheck.Gen.oneofl ids))))
+       (fun (p, steps) ->
+         Format.asprintf "%a after %s" Adv.pp_path p
+           (String.concat ","
+              (List.map (fun (k, id) -> Printf.sprintf "%d:%s" k id) steps))))
+    (fun (p, steps) -> run_against_reference (Tracker.compile p) ids steps)
+
+(* A path with more DFA states than one NFA interns: both trackers walk it
+   to the end, past the cap, and on after an unexpected id. *)
+let test_tracker_past_dfa_cap () =
+  let ids = List.init (Tracker.max_dfa_states + 44) (Printf.sprintf "p%d") in
+  let nfa =
+    Tracker.compile
+      (Adv.Seq (List.map (fun id -> Adv.Pattern (id, [])) ids, { Adv.lo = 1; hi = Adv.Fin 1 }))
+  in
+  let walk = ids @ [ "p0"; "zz"; "p5"; "p6"; "p300" ] in
+  let steps = List.map (fun id -> (0, id)) walk @ List.map (fun id -> (1, id)) walk in
+  Alcotest.(check bool) "both trackers agree with the reference" true
+    (run_against_reference nfa [ "p0"; "p5"; "p299"; "zz" ] steps);
+  Alcotest.(check int) "the DFA stops at its cap" Tracker.max_dfa_states (Tracker.dfa_states nfa)
+
 (* --- incremental replacement pins --- *)
 
 module CMgr = Braid_cache.Cache_manager
@@ -1892,6 +1944,7 @@ let suites : unit Alcotest.test list =
           prop_variant_key_equals_reference;
           prop_candidates_keep_insertion_order;
           prop_may_occur_later_equals_bfs;
+          prop_tracker_dfa_equals_reference;
           prop_incremental_pins_equal_full_walk;
           prop_advice_epoch_ends_links;
           prop_replay_across_truncation;
@@ -1910,6 +1963,9 @@ let suites : unit Alcotest.test list =
           prop_identify_equals_reference;
           prop_equal_values_hash_alike;
         ]
-      @ [ Alcotest.test_case "index cursor allocates nothing" `Quick test_cursor_allocates_nothing ]
+      @ [
+          Alcotest.test_case "index cursor allocates nothing" `Quick test_cursor_allocates_nothing;
+          Alcotest.test_case "tracker past the DFA-state cap" `Quick test_tracker_past_dfa_cap;
+        ]
     );
   ]
