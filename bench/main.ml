@@ -550,6 +550,8 @@ module X = Braid_experiments
    it (--check) while the bechamel timings beside it are reported but never
    compared. Each table is a list of flat rows, printed one per line. *)
 let experiments_json ?seed () =
+  let e1_rows, _ = X.Exp_coupling.run () in
+  let e5_rows, _ = X.Exp_reuse.run ?seed () in
   let e10_rows, _ = X.Exp_indexing.run ?seed ~probes:60 ~size:120 () in
   let e13_rows, _ = X.Exp_faults.run ?seed () in
   let e14_rows, _ = X.Exp_serve.run ?seed () in
@@ -567,6 +569,22 @@ let experiments_json ?seed () =
     [
       ( "remote_indexed_scan",
         ints [ ("table_cardinality", table_card); ("result_rows", result_rows); ("rows_scanned", scanned) ] );
+      ( "e1_coupling",
+        table
+          (fun (r : X.Runner.result) ->
+            J.Obj
+              [ ("label", J.Str r.label); ("remote_requests", i r.requests);
+                ("tuples_moved", i r.tuples_returned); ("comm_ms", ms r.comm_ms);
+                ("total_ms", ms r.total_ms); ("solutions", i r.solutions) ])
+          e1_rows );
+      ( "e5_reuse",
+        table
+          (fun (r : X.Exp_reuse.row) ->
+            J.Obj
+              [ ("label", J.Str r.label); ("queries", i r.queries); ("full_hits", i r.full_hits);
+                ("partial_hits", i r.partial_hits); ("requests", i r.requests);
+                ("tuples_moved", i r.tuples_moved) ])
+          e5_rows );
       ( "e10_indexing",
         table
           (fun (r : X.Exp_indexing.row) ->

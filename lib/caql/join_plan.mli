@@ -1,11 +1,14 @@
-(** Compiled join plans: the CMS's one local join executor.
+(** Compiled join plans: the CMS's local join executor.
 
     {!Eval.conj}, IVM deltas ([Braid_cache.Maintain]) and every rule of
     the set-oriented fixpoint ([Braid_ie.Datalog]) compile their
     conjunction to a plan and run it over numbered {e inputs}, relations
     the caller supplies per run. A constant equal to one of the
     compiler's [params] reads the run's arguments, so a plan depends on
-    the conjunction's form and serves every instance of it.
+    the conjunction's form and serves every instance of it. Lazy answers
+    do not run here: {!Eval.lazy_conj}, behind the QPO's generators, is
+    still tuple-at-a-time, and on [telecom_session] lazy answers are most
+    of the QPO's answers.
 
     A plan starts from its [lead] atom (else the first atom), then takes
     the first remaining atom that shares a bound variable, or else the

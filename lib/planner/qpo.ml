@@ -455,42 +455,17 @@ let stash t ~cacheable ~degraded (def : A.conj) rel sql ~ship =
     | Some e -> (e.Elem.id, [], [ mk_step (Some e.Elem.id) ])
     | None -> as_extra ()
 
-(* Replace the atoms at the given indices by replacement atoms; atoms not
-   mentioned are kept in order. *)
-let apply_replacements (q : A.conj) replacements =
-  (* replacements : (indices, replacement atom) list, indices disjoint *)
-  let at_index = Hashtbl.create 16 in
-  List.iter
-    (fun (indices, repl) ->
-      match indices with
-      | [] -> ()
-      | first :: _ ->
-        Hashtbl.replace at_index first (`Replace repl);
-        List.iter (fun i -> if i <> first then Hashtbl.replace at_index i `Drop) indices)
-    replacements;
-  let atoms =
-    List.concat
-      (List.mapi
-         (fun i a ->
-           match Hashtbl.find_opt at_index i with
-           | Some (`Replace repl) -> [ repl ]
-           | Some `Drop -> []
-           | None -> [ a ])
-         q.A.atoms)
-  in
-  { q with A.atoms }
-
 (* Fetch the uncovered part of a query, either as one shipped join or one
-   request per relation occurrence, choosing by estimated cost.
+   request per relation occurrence, choosing by estimated cost; CERI86
+   caches single relations only, so it always fetches per occurrence.
    [local_values] carries join-key value sets already held locally (from
    chosen cache covers) for semi-join pushdown. *)
-let fetch_uncovered t ~cacheable ?(local_values = []) (q : A.conj) uncovered_idx
-    external_vars =
+let fetch_uncovered t ~cacheable ~local_values (q : A.conj) uncovered_idx external_vars =
   let uncovered =
     List.filteri (fun i _ -> List.mem i uncovered_idx) q.A.atoms
   in
   let ship_replacement () =
-    if List.length uncovered < 2 then None
+    if List.length uncovered < 2 || t.config.caching = Single_relation then None
     else begin
       let atom_vars = uniq (List.concat_map L.Atom.vars uncovered) in
       let head_vars =
@@ -547,105 +522,40 @@ let fetch_uncovered t ~cacheable ?(local_values = []) (q : A.conj) uncovered_idx
           degraded || source <> None ))
       ([], [], [], false) uncovered_idx
 
-let all_indices (q : A.conj) = List.init (List.length q.A.atoms) (fun i -> i)
-
-(* --- per-mode solvers --- *)
-
-let solve_no_cache t (q : A.conj) =
-  let external_vars =
-    uniq (List.concat_map (function L.Term.Var x -> [ x ] | L.Term.Const _ -> []) q.A.head
-         @ List.concat_map cmp_vars q.A.cmps)
-  in
-  let repls, extras, steps, degraded =
-    fetch_uncovered t ~cacheable:false q (all_indices q) external_vars
-  in
-  {
-    s_rewritten = apply_replacements q repls;
-    s_extras = extras;
-    s_steps = steps;
-    s_used_cache = false;
-    s_used_remote = true;
-    s_covered_cards = 0;
-    s_degraded = degraded;
-  }
-
 (* Exact-match lookup by a query's form and constants ({!Form.of_conj}),
    computed once per query and probed with several times. *)
 let find_key t key = Braid_cache.Cache_model.find_variant (CMgr.model t.cache) key
 
-let solve_exact t ~key (q : A.conj) =
-  match find_key t key with
-  | Some e ->
-    (match Sub.full_cover_of ~id:e.Elem.id e.Elem.inst key with
-     | Some cover ->
-       let model = CMgr.model t.cache in
-       Braid_cache.Cache_model.touch model e;
-       {
-         s_rewritten = Sub.rewrite q cover;
-         s_extras = [];
-         s_steps = [ Plan.Exact_hit { element = e.Elem.id } ];
-         s_used_cache = true;
-         s_used_remote = false;
-         s_covered_cards = Elem.cardinality_estimate e;
-         s_degraded = false;
-       }
-     | None ->
-       (* A variant-equal definition always yields a full cover; defensive
-          fallback to a miss if it ever does not. *)
-       solve_no_cache t q)
-  | None -> solve_no_cache t q
-
-let solve_single t (q : A.conj) =
-  let model = CMgr.model t.cache in
-  let fetch_arm (repls, extras, steps, uc, cards, degraded) i a =
-    let def, rel, sql, source, filtered = fetch_atom t a in
-    let name, extras', steps' =
-      stash t ~cacheable:(not filtered) ~degraded:source def rel sql ~ship:false
-    in
-    ( repls @ [ ([ i ], L.Atom.make name def.A.head) ],
-      extras @ extras',
-      steps @ steps',
-      uc,
-      cards,
-      degraded || source <> None )
+(* QPO step 2, narrowed to the elements each discipline may reuse: BrAID
+   any element that subsumes part of the query (§5.3.2), BERMUDA only the
+   query's own result [IOAN88], CERI86 only each atom's own selection,
+   loose coupling nothing. *)
+let candidate_covers t ~key (q : A.conj) =
+  (* The full cover of [k] by the oldest element variant-equal to it. *)
+  let own_cover k =
+    match find_key t k with
+    | Some e -> Option.map (fun c -> (e, c)) (Sub.full_cover_of ~id:e.Elem.id e.Elem.inst k)
+    | None -> None
   in
-  let repls, extras, steps, used_cache, used_remote, cards, degraded =
-    List.fold_left
-      (fun (repls, extras, steps, uc, ur, cards, degraded) i ->
-        let a = List.nth q.A.atoms i in
-        let def_a = single_atom_def a in
-        let fetched () =
-          let repls, extras, steps, uc, cards, degraded =
-            fetch_arm (repls, extras, steps, uc, cards, degraded) i a
-          in
-          (repls, extras, steps, uc, true, cards, degraded)
-        in
-        match CMgr.find_exact t.cache def_a with
-        | Some e ->
-          (match Sub.full_cover { Sub.id = e.Elem.id; def = e.Elem.def } def_a with
-           | Some cover ->
-             Braid_cache.Cache_model.touch model e;
-             ( repls @ [ ([ i ], cover.Sub.replacement) ],
-               extras,
-               steps @ [ Plan.Use_element { element = e.Elem.id; covered_atoms = [ i ] } ],
-               true,
-               ur,
-               cards + Elem.cardinality_estimate e,
-               degraded )
-           | None -> fetched ())
-        | None -> fetched ())
-      ([], [], [], false, false, 0, false)
-      (all_indices q)
-  in
-  {
-    s_rewritten = apply_replacements q repls;
-    s_extras = extras;
-    s_steps = steps;
-    s_used_cache = used_cache;
-    s_used_remote = used_remote;
-    s_covered_cards = cards;
-    s_degraded = degraded;
-  }
+  match t.config.caching with
+  | Subsumption -> CMgr.relevant_covers t.cache key
+  | Exact_match ->
+    (* The query's own element has no full cover, and the query misses,
+       when the query compares a variable the element's head projects away.
+       [(Kind) :- equipment("co0", Kind, Free) & Free > 0] is stored
+       without [Free], so BERMUDA fetches it again (E12); under subsumption
+       835 of telecom_session's 4,047 queries per replay meet such an
+       element and are answered from a broader one. *)
+    Option.to_list (own_cover key)
+  | Single_relation ->
+    List.concat
+      (List.mapi
+         (fun i a ->
+           match own_cover (Form.of_conj (single_atom_def a)) with
+           | Some (e, c) -> [ (e, { c with Sub.covered = [ i ] }) ]
+           | None -> [])
+         q.A.atoms)
+  | No_cache -> []
 
 (* Greedy disjoint cover selection: larger covers first, preferring
    materialized elements and smaller extensions. Ties keep the order of
@@ -704,76 +614,16 @@ let local_values_of_covers chosen =
       end)
     [] chosen
 
-let solve_subsume t ~key (q : A.conj) =
-  let model = CMgr.model t.cache in
-  let chosen =
-    Obs.Trace.with_span ~cat:"qpo" "qpo.subsume" (fun () ->
-        let covers = CMgr.relevant_covers t.cache key in
-        let chosen = choose_covers covers in
-        Obs.Trace.add_arg "candidates" (Obs.Trace.Int (List.length covers));
-        Obs.Trace.add_arg "chosen" (Obs.Trace.Int (List.length chosen));
-        chosen)
-  in
-  let covered_idx = List.concat_map (fun (_, c) -> c.Sub.covered) chosen in
-  let uncovered_idx = List.filter (fun i -> not (List.mem i covered_idx)) (all_indices q) in
-  let cover_repls =
-    List.map (fun (_, (c : Sub.cover)) -> (c.Sub.covered, c.Sub.replacement)) chosen
-  in
-  let cover_steps =
-    List.map
-      (fun ((e : Elem.t), (c : Sub.cover)) ->
-        Braid_cache.Cache_model.touch model e;
-        if
-          uncovered_idx = [] && List.length chosen = 1
-          && Form.same e.Elem.inst key
-        then
-          Plan.Exact_hit { element = e.Elem.id }
-        else Plan.Use_element { element = e.Elem.id; covered_atoms = c.Sub.covered })
-      chosen
-  in
-  let covered_cards =
-    List.fold_left (fun acc (e, _) -> acc + Elem.cardinality_estimate e) 0 chosen
-  in
-  if uncovered_idx = [] then
-    {
-      s_rewritten = apply_replacements q cover_repls;
-      s_extras = [];
-      s_steps = cover_steps;
-      s_used_cache = chosen <> [];
-      s_used_remote = false;
-      s_covered_cards = covered_cards;
-      s_degraded = false;
-    }
-  else begin
-    let external_vars =
-      uniq
-        (List.concat_map (function L.Term.Var x -> [ x ] | L.Term.Const _ -> []) q.A.head
-        @ List.concat_map cmp_vars q.A.cmps
-        @ List.concat_map (fun (_, repl) -> L.Atom.vars repl) cover_repls)
-    in
-    let local_values =
-      if t.config.allow_semijoin then local_values_of_covers chosen else []
-    in
-    let fetch_repls, extras, fetch_steps, degraded =
-      fetch_uncovered t ~cacheable:true ~local_values q uncovered_idx external_vars
-    in
-    {
-      s_rewritten = apply_replacements q (cover_repls @ fetch_repls);
-      s_extras = extras;
-      s_steps = cover_steps @ fetch_steps;
-      s_used_cache = chosen <> [];
-      s_used_remote = true;
-      s_covered_cards = covered_cards;
-      s_degraded = degraded;
-    }
-  end
-
 let caching_mode_name = function
   | No_cache -> "no-cache"
   | Exact_match -> "exact-match"
   | Single_relation -> "single-relation"
   | Subsumption -> "subsumption"
 
+(* Steps 2 and 3: rewrite the query over the covers chosen from the
+   discipline's candidates, and fetch the rest. Fetched parts are cached
+   only by BrAID and CERI86; loose coupling and BERMUDA keep whole results
+   at most ([should_cache_eager_result]). *)
 let solve t ~key (q : A.conj) =
   Obs.Trace.with_span ~cat:"qpo" "qpo.solve"
     ~args:
@@ -784,11 +634,64 @@ let solve t ~key (q : A.conj) =
          ]
        else [])
     (fun () ->
-      match t.config.caching with
-      | No_cache -> solve_no_cache t q
-      | Exact_match -> solve_exact t ~key q
-      | Single_relation -> solve_single t q
-      | Subsumption -> solve_subsume t ~key q)
+      let model = CMgr.model t.cache in
+      let chosen =
+        Obs.Trace.with_span ~cat:"qpo" "qpo.subsume" (fun () ->
+            let covers = candidate_covers t ~key q in
+            let chosen = choose_covers covers in
+            Obs.Trace.add_arg "candidates" (Obs.Trace.Int (List.length covers));
+            Obs.Trace.add_arg "chosen" (Obs.Trace.Int (List.length chosen));
+            chosen)
+      in
+      let covered_idx = List.concat_map (fun (_, c) -> c.Sub.covered) chosen in
+      let uncovered_idx =
+        List.filter
+          (fun i -> not (List.mem i covered_idx))
+          (List.init (List.length q.A.atoms) Fun.id)
+      in
+      let cover_repls =
+        List.map (fun (_, (c : Sub.cover)) -> (c.Sub.covered, c.Sub.replacement)) chosen
+      in
+      let cover_steps =
+        List.map
+          (fun ((e : Elem.t), (c : Sub.cover)) ->
+            Braid_cache.Cache_model.touch model e;
+            if uncovered_idx = [] && List.length chosen = 1 && Form.same e.Elem.inst key then
+              Plan.Exact_hit { element = e.Elem.id }
+            else Plan.Use_element { element = e.Elem.id; covered_atoms = c.Sub.covered })
+          chosen
+      in
+      let covered_cards =
+        List.fold_left (fun acc (e, _) -> acc + Elem.cardinality_estimate e) 0 chosen
+      in
+      let fetch_repls, extras, fetch_steps, degraded =
+        if uncovered_idx = [] then ([], [], [], false)
+        else begin
+          let external_vars =
+            uniq
+              (List.concat_map (function L.Term.Var x -> [ x ] | L.Term.Const _ -> []) q.A.head
+              @ List.concat_map cmp_vars q.A.cmps
+              @ List.concat_map (fun (_, repl) -> L.Atom.vars repl) cover_repls)
+          in
+          let cacheable, local_values =
+            match t.config.caching with
+            | Subsumption ->
+              (true, if t.config.allow_semijoin then local_values_of_covers chosen else [])
+            | Single_relation -> (true, [])
+            | Exact_match | No_cache -> (false, [])
+          in
+          fetch_uncovered t ~cacheable ~local_values q uncovered_idx external_vars
+        end
+      in
+      {
+        s_rewritten = Sub.rewrite q (cover_repls @ fetch_repls);
+        s_extras = extras;
+        s_steps = cover_steps @ fetch_steps;
+        s_used_cache = chosen <> [];
+        s_used_remote = uncovered_idx <> [];
+        s_covered_cards = covered_cards;
+        s_degraded = degraded;
+      })
 
 (* --- advice-driven extras: generalization, prefetch, indexing, pinning --- *)
 

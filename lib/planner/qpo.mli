@@ -8,9 +8,10 @@
     - {b Step 2 — determine relevant cache elements}: subsumption through
       the cache model's form index (§5.3.2), with the query's form
       ({!Braid_subsume.Form}) computed once and shared with step 1's
-      identification and generalization; the configured
-      {!caching_mode} selects between BrAID's subsumption and the baseline
-      disciplines of earlier systems.
+      identification and generalization. The configured {!caching_mode}
+      only narrows which elements this step may use; the baseline
+      disciplines of earlier systems run the same cover choice and the
+      same step 3.
     - {b Step 3 — generate and execute the plan}: choose, per remaining
       subquery, cache vs remote execution by estimated cost (one shipped
       join vs per-relation fetches), build advice-recommended indexes,
@@ -20,11 +21,19 @@
     The simulated elapsed time overlaps cache-side work with the remote
     request when [allow_parallel] is set (feature (e) of §5). *)
 
+(** Which cache elements step 2 may use, and what step 3 caches. *)
 type caching_mode =
-  | No_cache  (** loose coupling: every DB goal is a remote request *)
-  | Exact_match  (** BERMUDA-style result caching [IOAN88] *)
-  | Single_relation  (** CERI86-style single-relation extensions *)
-  | Subsumption  (** BrAID: PSJ-view subsumption *)
+  | No_cache  (** loose coupling: no covers, nothing cached *)
+  | Exact_match
+      (** BERMUDA-style result caching [IOAN88]: only the query's own
+          cached result (a variant with equal constants) covers it, and
+          only whole results are cached *)
+  | Single_relation
+      (** CERI86-style: each atom is covered only by the element defined
+          as that atom's own selection, and fetched parts are cached as
+          such selections, one request per atom with no shipped join and
+          no semi-join filter *)
+  | Subsumption  (** BrAID: any element that subsumes part of the query *)
 
 type config = {
   caching : caching_mode;
@@ -49,7 +58,9 @@ val bermuda_config : config
 (** Exact-match result caching only, after BERMUDA [IOAN88]. *)
 
 val ceri_config : config
-(** Whole-relation extension caching only, after [CERI86]. *)
+(** Single-relation caching only, after [CERI86]: each atom's own
+    selection, with its constants applied remotely, is fetched, cached and
+    reused on its own. *)
 
 val no_advice_config : config
 (** Subsumption caching but no advice-driven features — isolates the

@@ -36,7 +36,9 @@ let cached_only cache (q : A.conj) =
   | None -> None
   | Some (e, cover) ->
     let stale_before = (CMgr.stats cache).CMgr.stale_touches in
-    let rel = CMgr.eval cache (A.Conj (Sub.rewrite q cover)) in
+    let rel =
+      CMgr.eval cache (A.Conj (Sub.rewrite q [ (cover.Sub.covered, cover.Sub.replacement) ]))
+    in
     let stale_delta = (CMgr.stats cache).CMgr.stale_touches - stale_before in
     (* Degraded whenever the covering element is stale-marked, not merely
        when stale tuples were read: a stale element whose selection happens

@@ -276,20 +276,17 @@ let covers element q =
 
 let full_cover element q = full_cover_of ~id:element.id (Form.of_conj element.def) (Form.of_conj q)
 
-let rewrite (q : A.conj) (cover : cover) =
-  match cover.covered with
-  | [] -> q
-  | first :: _ ->
-    let atoms =
-      List.concat
-        (List.mapi
-           (fun i a ->
-             if i = first then [ cover.replacement ]
-             else if List.mem i cover.covered then []
-             else [ a ])
-           q.A.atoms)
-    in
-    { q with A.atoms }
+let rewrite (q : A.conj) replacements =
+  let rec go i = function
+    | [] -> []
+    | a :: rest ->
+      let rest = go (i + 1) rest in
+      (match List.find_opt (fun (covered, _) -> List.mem i covered) replacements with
+       | None -> a :: rest
+       | Some (first :: _, repl) when first = i -> repl :: rest
+       | Some _ -> rest)
+  in
+  { q with A.atoms = go 0 q.A.atoms }
 
 let exact_match element q = Form.same (Form.of_conj element.def) (Form.of_conj q)
 

@@ -44,10 +44,15 @@ val covers : element -> Braid_caql.Ast.conj -> cover list
 val full_cover : element -> Braid_caql.Ast.conj -> cover option
 (** A cover whose [covered] is all of the query's atoms, if any. *)
 
-val rewrite : Braid_caql.Ast.conj -> cover -> Braid_caql.Ast.conj
-(** Replaces the covered atoms with the replacement occurrence; the
-    compensating selections are encoded by constants and repeated
-    variables in the replacement's argument list. *)
+val rewrite :
+  Braid_caql.Ast.conj -> (int list * Braid_logic.Atom.t) list -> Braid_caql.Ast.conj
+(** [rewrite q [(covered, replacement); ...]] replaces each set of [q]'s
+    atoms (disjoint, sorted indices) by its replacement atom, placed where
+    the set's first atom stood; the other atoms keep their order. A
+    cover's pair is [(c.covered, c.replacement)], whose compensating
+    selections are encoded by constants and repeated variables in the
+    replacement's argument list; the QPO also passes the atoms that stand
+    for fetched relations. *)
 
 val exact_match : element -> Braid_caql.Ast.conj -> bool
 (** Variant equality of definitions with equal constants ({!Form.same}:

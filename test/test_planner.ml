@@ -5,6 +5,7 @@ module L = Braid_logic
 module T = L.Term
 module R = Braid_relalg
 module V = R.Value
+module RP = R.Row_pred
 module A = Braid_caql.Ast
 module TS = Braid_stream.Tuple_stream
 module Qpo = Braid_planner.Qpo
@@ -553,8 +554,126 @@ let test_single_relation_mode_reuses_selections () =
   check_bool "per-atom reuse inside a join" true
     (List.exists (function Plan.Use_element _ -> true | _ -> false) a.Qpo.plan)
 
+(* --- the caching modes: one solver, four cover choices --- *)
+
+(* Random PSJ queries over supplier-parts: scans, constant and range
+   selections, joins, a self-join, and a selection on a column the head
+   projects away (whose own cached result has no full cover). *)
+let gen_psj : A.conj QCheck.Gen.t =
+  let open QCheck.Gen in
+  let sup = oneofl [ "sup0"; "sup1"; "sup2" ] >|= s in
+  let color = oneofl [ "red"; "green"; "blue" ] >|= s in
+  let city = oneofl [ "athens"; "paris"; "oslo" ] >|= s in
+  let int_c n = T.Const (V.Int n) in
+  let qty = oneofl [ 100; 200; 300 ] >|= int_c in
+  let weight = oneofl [ 20; 50; 80 ] >|= int_c in
+  let supplies a b c = atom "supplies" [ a; b; c ] in
+  let cmp op x c = (op, L.Literal.Term (v x), L.Literal.Term c) in
+  oneof
+    [
+      return (A.conj [ v "S"; v "P"; v "Q" ] [ supplies (v "S") (v "P") (v "Q") ]);
+      (sup >|= fun c -> A.conj [ v "P"; v "Q" ] [ supplies c (v "P") (v "Q") ]);
+      ( qty >|= fun t ->
+        A.conj ~cmps:[ cmp RP.Gt "Q" t ] [ v "S"; v "P"; v "Q" ]
+          [ supplies (v "S") (v "P") (v "Q") ] );
+      return
+        (A.conj [ v "S"; v "P"; v "C" ]
+           [ supplies (v "S") (v "P") (v "Q"); atom "part" [ v "P"; v "C"; v "W" ] ]);
+      ( color >|= fun c ->
+        A.conj [ v "S"; v "P" ] [ supplies (v "S") (v "P") (v "Q"); atom "part" [ v "P"; c; v "W" ] ] );
+      ( city >|= fun c ->
+        A.conj [ v "S"; v "P" ] [ atom "supplier" [ v "S"; c ]; supplies (v "S") (v "P") (v "Q") ] );
+      ( pair city color >|= fun (ci, co) ->
+        A.conj [ v "S"; v "W" ]
+          [
+            atom "supplier" [ v "S"; ci ];
+            supplies (v "S") (v "P") (v "Q");
+            atom "part" [ v "P"; co; v "W" ];
+          ] );
+      ( pair color weight >|= fun (c, w) ->
+        A.conj ~cmps:[ cmp RP.Gt "W" w ] [ v "P" ] [ atom "part" [ v "P"; c; v "W" ] ] );
+      ( sup >|= fun c ->
+        A.conj [ v "P"; v "S2" ] [ supplies c (v "P") (v "Q"); supplies (v "S2") (v "P") (v "Q2") ] );
+    ]
+
+let mode_configs =
+  [
+    ("exact-match", Qpo.bermuda_config);
+    ("single-relation", Qpo.ceri_config);
+    ("subsumption", Qpo.braid_config);
+  ]
+
+(* Runs [batch] on a fresh planner: the answers as sorted tuple lists, the
+   definitions the cache admitted, and every remote request's SQL. *)
+let run_modes_batch config batch =
+  let server = Server.create () in
+  List.iter
+    (Braid_remote.Engine.load (Server.engine server))
+    (Braid_workload.Datagen.supplier_parts ~suppliers:6 ~parts:12 ~shipments:60 ());
+  let cache = CMgr.create ~capacity_bytes:(1 lsl 20) () in
+  let q = Qpo.create config ~cache ~server in
+  let requests = ref [] in
+  Qpo.set_fetcher q
+    (Some
+       (fun _ sql ->
+         requests := sql :: !requests;
+         Qpo.exec_remote q sql));
+  let answers =
+    List.map
+      (fun c ->
+        let rel = TS.to_relation (Qpo.answer_conj q c).Qpo.stream in
+        List.sort_uniq compare (List.map R.Tuple.to_list (R.Relation.to_list rel)))
+      batch
+  in
+  let admitted =
+    List.filter_map
+      (function Braid_cache.Journal.Admit { def; _ } -> Some def | _ -> None)
+      (Braid_cache.Journal.entries (CMgr.journal cache))
+  in
+  (answers, admitted, List.rev !requests)
+
+let prop_modes_agree =
+  QCheck.Test.make ~count:80
+    ~name:"caching modes answer like loose coupling and admit only their own elements"
+    (QCheck.make
+       ~print:(fun b -> String.concat "; " (List.map A.conj_to_string b))
+       QCheck.Gen.(list_size (int_range 1 8) gen_psj))
+    (fun batch ->
+      let module Form = Braid_subsume.Form in
+      let reference, admitted, _ = run_modes_batch Qpo.loose_coupling_config batch in
+      if admitted <> [] then QCheck.Test.fail_reportf "loose coupling admitted an element";
+      List.iter
+        (fun (mode, config) ->
+          let answers, admitted, requests = run_modes_batch config batch in
+          if answers <> reference then QCheck.Test.fail_reportf "%s: answers differ" mode;
+          let is_own_selection (d : A.conj) =
+            match d.A.atoms with
+            | [ a ] -> d.A.cmps = [] && d.A.head = List.map v (L.Atom.vars a)
+            | _ -> false
+          in
+          List.iter
+            (fun (d : A.conj) ->
+              let ok =
+                match config.Qpo.caching with
+                | Qpo.Exact_match ->
+                  List.exists (fun c -> Form.same (Form.of_conj d) (Form.of_conj c)) batch
+                | Qpo.Single_relation -> is_own_selection d
+                | Qpo.Subsumption | Qpo.No_cache -> true
+              in
+              if not ok then QCheck.Test.fail_reportf "%s admitted %s" mode (A.conj_to_string d))
+            admitted;
+          if config.Qpo.caching = Qpo.Single_relation then
+            List.iter
+              (fun (sql : Sql.select) ->
+                if List.length sql.Sql.from <> 1 || Sql.has_semijoin sql then
+                  QCheck.Test.fail_reportf "%s requested %s" mode (Sql.to_string sql))
+              requests)
+        mode_configs;
+      true)
+
 let deeper_cases =
   [
+    QCheck_alcotest.to_alcotest prop_modes_agree;
     Alcotest.test_case "§5.3.3: join view preferred over two relations" `Quick
       test_prefer_join_view_over_two_relations;
     Alcotest.test_case "arithmetic comparisons evaluated locally" `Quick

@@ -602,7 +602,7 @@ let prop_subsumption_sound =
         let schema_of _ = Some schema2 in
         let stored = Braid_caql.Eval.conj ~source ~schema_of general in
         let direct = Braid_caql.Eval.conj ~source ~schema_of q in
-        let rewritten = Sub.rewrite q cover in
+        let rewritten = Sub.rewrite q [ (cover.Sub.covered, cover.Sub.replacement) ] in
         let source' (a : L.Atom.t) = if a.L.Atom.pred = "elem" then stored else r in
         let schema_of' n =
           if n = "elem" then Some (R.Relation.schema stored) else Some schema2

@@ -58,7 +58,7 @@ let semantic_check (e : Sub.element) (q : A.conj) =
   let direct = norm (Braid_caql.Eval.conj ~source:base_source ~schema_of q) in
   List.iter
     (fun cover ->
-      let rewritten = Sub.rewrite q cover in
+      let rewritten = Sub.rewrite q [ (cover.Sub.covered, cover.Sub.replacement) ] in
       let source (a : L.Atom.t) =
         if String.equal a.L.Atom.pred e.Sub.id then stored else base_source a
       in
