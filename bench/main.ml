@@ -254,9 +254,7 @@ let bench_find_exact =
   let cache = CMgr.create ~capacity_bytes:max_int () in
   let schema = R.Schema.make [ ("x", V.Tint); ("y", V.Tint) ] in
   for i = 0 to 255 do
-    ignore
-      (CMgr.insert cache ~def:(def i "X" "Y" "Z")
-         (Braid_cache.Element.Extension (R.Relation.create schema)))
+    ignore (CMgr.insert cache ~def:(def i "X" "Y" "Z") (R.Relation.create schema))
   done;
   let hit = def 200 "A" "B" "C" and miss = def 256 "A" "B" "C" in
   Bechamel.Test.make ~name:"cache_find_exact_256"
@@ -280,7 +278,7 @@ let bench_relevant_covers =
         A.conj [ v "X"; v "Y" ] [ atom "link" [ v "X"; v "Y"; T.Const (V.Int (i / 6)) ] ]
       else A.conj [ v "X"; v "Y" ] [ atom "route" [ v "X"; v "Y"; T.Const (V.Int i) ] ]
     in
-    ignore (CMgr.insert cache ~def (Braid_cache.Element.Extension (R.Relation.create schema)))
+    ignore (CMgr.insert cache ~def (R.Relation.create schema))
   done;
   let query = A.conj [ v "A"; v "B" ] [ atom "link" [ v "A"; v "B"; T.Const (V.Int 17) ] ] in
   let covers () = CMgr.relevant_covers cache (Braid_subsume.Form.of_conj query) in

@@ -30,22 +30,16 @@ let create ?journal ?model ~capacity_bytes () =
 let model t = t.model
 let journal t = t.journal
 
-let snapshot_of = function
-  | Element.Extension r -> Journal.Extension r
-  | Element.Generator _ -> Journal.Generator_def
-
 let journal_admit t (e : Element.t) =
   Journal.log_admit t.journal ~id:e.Element.id ~def:e.Element.def
-    ~snap:(snapshot_of e.Element.repr) ~stale:e.Element.stale
+    ~ext:e.Element.ext ~stale:e.Element.stale
     ~pinned:e.Element.pinned ~at:e.Element.created_at;
   (* The journal now holds this extension by reference: the next delta
      applied to the element must copy-on-write (see Element.delta_private). *)
   e.Element.delta_private <- false
 
 (* A checkpoint is the marker followed by a full re-admission of the live
-   state in insertion order, so it replaces the log before it.
-   Representations are journaled as they are NOW — an element admitted lazy
-   but since forced checkpoints as an extension. *)
+   state in insertion order, so it replaces the log before it. *)
 let checkpoint t =
   let live = Cache_model.elements t.model in
   let epoch = Journal.log_checkpoint t.journal ~live:(List.length live) in
@@ -59,16 +53,10 @@ let checkpoint t =
 let compact t =
   if Journal.length t.journal >= Journal.compact_at t.journal then ignore (checkpoint t)
 
-let insert t ?id ~def repr =
+let insert t ?id ~def ext =
   compact t;
   let id = match id with Some id -> id | None -> Cache_model.fresh_id t.model in
-  let e = Element.make ~id ~def ~now:(Cache_model.tick t.model) repr in
-  e.Element.on_materialize <-
-    (fun id rel ->
-      Obs.Metrics.incr "cache.materializations";
-      Obs.Trace.instant ~cat:"cache" "cache.materialize"
-        ~args:[ ("element", Obs.Trace.Str id) ];
-      Journal.log_materialize t.journal ~id ~rel);
+  let e = Element.make ~id ~def ~now:(Cache_model.tick t.model) ext in
   let bytes = Element.bytes_estimate e in
   if bytes > Cache_model.capacity_bytes t.model then None
   else begin

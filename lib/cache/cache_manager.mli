@@ -17,7 +17,7 @@ val journal : t -> Journal.t
 
 val checkpoint : t -> int
 (** Writes a checkpoint — the epoch marker followed by re-admissions of
-    every live element with its current representation and flags — and
+    every live element with its current extension and flags — and
     returns the new epoch. The journal drops everything before it; replay
     starts from it.
 
@@ -26,8 +26,8 @@ val checkpoint : t -> int
     entries. *)
 
 val insert :
-  t -> ?id:string -> def:Braid_caql.Ast.conj -> Element.representation -> Element.t option
-(** Stores a new element, evicting by (advice-modified) LRU to make room.
+  t -> ?id:string -> def:Braid_caql.Ast.conj -> Braid_relalg.Relation.t -> Element.t option
+(** Stores a new element with the given extension, evicting by (advice-modified) LRU to make room.
     Returns [None] — and caches nothing — when the element alone exceeds
     capacity. A generated [id] is used when none is given. *)
 

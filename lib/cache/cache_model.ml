@@ -202,8 +202,6 @@ let restore t ~counter ~clock =
 
 type summary = {
   element_count : int;
-  materialized : int;
-  generators : int;
   total_bytes : int;
   total_hits : int;
 }
@@ -213,10 +211,8 @@ let summary t =
     (fun _ e acc ->
       {
         element_count = acc.element_count + 1;
-        materialized = (acc.materialized + if Element.is_materialized e then 1 else 0);
-        generators = (acc.generators + if Element.is_materialized e then 0 else 1);
         total_bytes = acc.total_bytes + Element.bytes_estimate e;
         total_hits = acc.total_hits + e.Element.hits;
       })
     t.elements
-    { element_count = 0; materialized = 0; generators = 0; total_bytes = 0; total_hits = 0 }
+    { element_count = 0; total_bytes = 0; total_hits = 0 }

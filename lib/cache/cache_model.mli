@@ -20,7 +20,8 @@ val used_bytes : t -> int
 (** The sum of {!Element.bytes_estimate} over the elements: one fold over
     the elements, each read in O(1) (the element keeps its extension's
     byte count), so O(elements), not O(cached tuples). There is no running
-    total: a generator's size grows as its consumers pull from it. *)
+    total: building an index or a sorted representation grows an element
+    without going through the model. *)
 
 val tick : t -> int
 (** Advances and returns the logical clock. *)
@@ -71,8 +72,6 @@ val restore : t -> counter:int -> clock:int -> unit
 
 type summary = {
   element_count : int;
-  materialized : int;
-  generators : int;
   total_bytes : int;
   total_hits : int;
 }

@@ -1,16 +1,12 @@
 module R = Braid_relalg
 module TS = Braid_stream.Tuple_stream
 
-type representation =
-  | Extension of R.Relation.t
-  | Generator of TS.t
-
 type t = {
   id : string;
   def : Braid_caql.Ast.conj;
   inst : Braid_subsume.Form.inst;
   mutable seq : int;
-  mutable repr : representation;
+  mutable ext : R.Relation.t;
   mutable ext_bytes : int;
   mutable indexes : (int list * R.Index.t) list;
   mutable sorted : (int list * R.Relation.t) list;
@@ -20,17 +16,16 @@ type t = {
   mutable stale : bool;
   mutable delta_private : bool;
   created_at : int;
-  mutable on_materialize : string -> R.Relation.t -> unit;
 }
 
-let make ~id ~def ~now repr =
+let make ~id ~def ~now ext =
   {
     id;
     def;
     inst = Braid_subsume.Form.of_conj def;
     seq = 0;
-    repr;
-    ext_bytes = (match repr with Extension r -> R.Relation.bytes_estimate r | Generator _ -> 0);
+    ext;
+    ext_bytes = R.Relation.bytes_estimate ext;
     indexes = [];
     sorted = [];
     hits = 0;
@@ -39,43 +34,20 @@ let make ~id ~def ~now repr =
     stale = false;
     delta_private = false;
     created_at = now;
-    on_materialize = (fun _ _ -> ());
   }
 
-let schema e =
-  match e.repr with
-  | Extension r -> R.Relation.schema r
-  | Generator s -> TS.schema s
-
-let is_materialized e = match e.repr with Extension _ -> true | Generator _ -> false
-
-(* The journal holds this relation by reference (a forced generator's
-   [Materialize] entry, or the entry replay reads it from), so the first
-   delta must copy it. *)
-let set_extension e r =
-  e.repr <- Extension r;
-  e.ext_bytes <- R.Relation.bytes_estimate r;
-  e.delta_private <- false
-
-let extension e =
-  match e.repr with
-  | Extension r -> r
-  | Generator s ->
-    let r = TS.to_relation ~name:e.id s in
-    set_extension e r;
-    e.on_materialize e.id r;
-    r
+let schema e = R.Relation.schema e.ext
+let extension e = e.ext
 
 (* The extension, as a private copy a delta may change in place: the
    journal shares every snapshot it holds by reference, so the first delta
    after one copies the rows (same rows, same size) and later ones edit
    them. *)
 let writable e =
-  let r = extension e in
-  if e.delta_private then r
+  if e.delta_private then e.ext
   else begin
-    let r = R.Relation.copy r in
-    e.repr <- Extension r;
+    let r = R.Relation.copy e.ext in
+    e.ext <- r;
     e.delta_private <- true;
     r
   end
@@ -109,10 +81,7 @@ let delete_rows e rows =
   written e;
   all_present
 
-let stream e =
-  match e.repr with
-  | Extension r -> TS.of_relation r
-  | Generator s -> s
+let stream e = TS.of_relation e.ext
 
 let index_on e cols = List.assoc_opt cols e.indexes
 
@@ -120,7 +89,7 @@ let ensure_index e cols =
   match index_on e cols with
   | Some ix -> ix
   | None ->
-    let ix = R.Index.build (extension e) cols in
+    let ix = R.Index.build e.ext cols in
     e.indexes <- (cols, ix) :: e.indexes;
     ix
 
@@ -128,33 +97,22 @@ let sorted_on e cols =
   match List.assoc_opt cols e.sorted with
   | Some r -> r
   | None ->
-    let r = R.Ops.order_by cols (extension e) in
+    let r = R.Ops.order_by cols e.ext in
     e.sorted <- (cols, r) :: e.sorted;
     r
 
 let sorted_representations e = List.map fst e.sorted
 
+(* A sorted representation is a permutation of the current extension
+   (writes drop it), so it costs exactly the extension's bytes. *)
 let bytes_estimate e =
-  let data =
-    match e.repr with
-    | Extension _ -> e.ext_bytes
-    | Generator s ->
-      (* Only the memoized prefix occupies memory so far. *)
-      64 + (TS.produced s * 48)
-  in
-  (* A sorted representation is a permutation of the current extension
-     (writes drop it), so it costs exactly the extension's bytes. *)
-  data
+  e.ext_bytes
   + List.fold_left (fun acc (_, ix) -> acc + R.Index.bytes_estimate ix) 0 e.indexes
   + (List.length e.sorted * e.ext_bytes)
 
-let cardinality_estimate e =
-  match e.repr with
-  | Extension r -> R.Relation.cardinality r
-  | Generator s -> TS.produced s
+let cardinality_estimate e = R.Relation.cardinality e.ext
 
 let pp ppf e =
-  Format.fprintf ppf "%s := %a [%s, %d tuples, hits=%d%s]" e.id Braid_caql.Ast.pp_conj e.def
-    (if is_materialized e then "extension" else "generator")
+  Format.fprintf ppf "%s := %a [%d tuples, hits=%d%s]" e.id Braid_caql.Ast.pp_conj e.def
     (cardinality_estimate e) e.hits
     ((if e.pinned then ", pinned" else "") ^ if e.stale then ", stale" else "")

@@ -1,22 +1,17 @@
 module R = Braid_relalg
 module A = Braid_caql.Ast
 
-type snapshot =
-  | Extension of R.Relation.t
-  | Generator_def
-
 type entry =
   | Admit of {
       seq : int;
       id : string;
       def : A.conj;
-      snap : snapshot;
+      ext : R.Relation.t;
       stale : bool;
       pinned : bool;
       at : int;
       by : string;
     }
-  | Materialize of { seq : int; id : string; rel : R.Relation.t; by : string }
   | Evict of { seq : int; id : string; pinned_fallback : bool; by : string }
   | Remove of { seq : int; id : string; pred : string; by : string }
   | Mark_stale of { seq : int; id : string; pred : string; by : string }
@@ -50,11 +45,8 @@ let next_seq t =
   t.seq <- t.seq + 1;
   t.seq
 
-let log_admit t ~id ~def ~snap ~stale ~pinned ~at =
-  push t (Admit { seq = next_seq t; id; def; snap; stale; pinned; at; by = t.context })
-
-let log_materialize t ~id ~rel =
-  push t (Materialize { seq = next_seq t; id; rel; by = t.context })
+let log_admit t ~id ~def ~ext ~stale ~pinned ~at =
+  push t (Admit { seq = next_seq t; id; def; ext; stale; pinned; at; by = t.context })
 
 let log_evict t ~id ~pinned_fallback =
   push t (Evict { seq = next_seq t; id; pinned_fallback; by = t.context })
@@ -83,8 +75,8 @@ let max_admitted t =
   List.fold_left
     (fun ((counter, clock) as acc) -> function
       | Admit { id; at; _ } -> (max counter (id_counter id), max clock at)
-      | Materialize _ | Evict _ | Remove _ | Mark_stale _ | Pin _ | Delta_insert _
-      | Delta_delete _ | Checkpoint _ -> acc)
+      | Evict _ | Remove _ | Mark_stale _ | Pin _ | Delta_insert _ | Delta_delete _
+      | Checkpoint _ -> acc)
     (t.counter, t.clock) t.log
 
 (* Replay starts from the latest checkpoint, whose re-admissions restore
@@ -114,7 +106,6 @@ let epoch t = t.epoch
 
 let entry_by = function
   | Admit { by; _ }
-  | Materialize { by; _ }
   | Evict { by; _ }
   | Remove { by; _ }
   | Mark_stale { by; _ }
@@ -126,17 +117,12 @@ let entry_by = function
 let by_suffix by = if by = "" then "" else Printf.sprintf " (by %s)" by
 
 let entry_to_string = function
-  | Admit { seq; id; def; snap; stale; pinned; at; by } ->
-    Printf.sprintf "#%d admit %s := %s [%s%s%s, at=%d]%s" seq id (A.conj_to_string def)
-      (match snap with
-       | Extension r -> Printf.sprintf "extension, %d tuples" (R.Relation.cardinality r)
-       | Generator_def -> "generator")
+  | Admit { seq; id; def; ext; stale; pinned; at; by } ->
+    Printf.sprintf "#%d admit %s := %s [extension, %d tuples%s%s, at=%d]%s" seq id
+      (A.conj_to_string def) (R.Relation.cardinality ext)
       (if stale then ", stale" else "")
       (if pinned then ", pinned" else "")
       at (by_suffix by)
-  | Materialize { seq; id; rel; by } ->
-    Printf.sprintf "#%d materialize %s (%d tuples)%s" seq id (R.Relation.cardinality rel)
-      (by_suffix by)
   | Evict { seq; id; pinned_fallback; by } ->
     Printf.sprintf "#%d evict %s%s%s" seq id
       (if pinned_fallback then " (pinned fallback)" else "")
@@ -155,32 +141,22 @@ let entry_to_string = function
       (by_suffix by)
   | Checkpoint { seq; epoch } -> Printf.sprintf "#%d checkpoint epoch=%d" seq epoch
 
-let replay ~capacity_bytes ~rebuild_generator t =
+let replay ~capacity_bytes t =
   let model = Cache_model.create ~capacity_bytes in
   let apply = function
-    | Admit { id; def; snap; stale; pinned; at; _ } ->
-      let repr =
-        match snap with
-        | Extension r -> Element.Extension r
-        | Generator_def -> Element.Generator (rebuild_generator def)
-      in
-      let e = Element.make ~id ~def ~now:at repr in
+    | Admit { id; def; ext; stale; pinned; at; _ } ->
+      let e = Element.make ~id ~def ~now:at ext in
       e.Element.stale <- stale;
       e.Element.pinned <- pinned;
-      e.Element.on_materialize <- (fun id rel -> log_materialize t ~id ~rel);
       Cache_model.add model e
-    | Materialize { id; rel; _ } ->
-      (match Cache_model.find model id with
-       | Some e -> Element.set_extension e rel
-       | None -> ())
     | Delta_insert { id; rows; _ } ->
       (match Cache_model.find model id with
-       | Some e when Element.is_materialized e -> Element.insert_rows e rows
-       | Some _ | None -> ())
+       | Some e -> Element.insert_rows e rows
+       | None -> ())
     | Delta_delete { id; rows; _ } ->
       (match Cache_model.find model id with
-       | Some e when Element.is_materialized e -> ignore (Element.delete_rows e rows)
-       | Some _ | None -> ())
+       | Some e -> ignore (Element.delete_rows e rows)
+       | None -> ())
     | Evict { id; _ } | Remove { id; _ } -> Cache_model.remove model id
     | Mark_stale { id; _ } ->
       (match Cache_model.find model id with

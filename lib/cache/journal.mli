@@ -1,40 +1,31 @@
 (** Crash-consistent cache journal: a write-ahead log of every operation
-    that changes the cache model — admissions, forced materializations,
-    evictions, invalidations ([`Drop`]), stale-marks ([`Mark_stale`]) and
-    pin changes — plus periodic checkpoints. A checkpoint drops the log
+    that changes the cache model — admissions, evictions, invalidations
+    ([`Drop`]), stale-marks ([`Mark_stale`]) and pin changes — plus
+    periodic checkpoints. A checkpoint drops the log
     before it, so the journal holds only what replay reads.
 
     The journal is the durable artifact of the simulated CMS process: when
     a {!Braid_remote.Fault.Crash} kills the CMS mid-run, {!replay} rebuilds
     the cache model from the last checkpoint so the recovered CMS resumes
-    with byte-identical element ids, representations and stale flags.
-    Extension snapshots share the admitted relation by reference; delta
+    with byte-identical element ids, extensions and stale flags.
+    An admission shares the admitted relation by reference; delta
     maintenance therefore copies-on-first-write before mutating an
     extension (see {!Element.t.delta_private}) and journals every applied
     delta ([Delta_insert]/[Delta_delete]) so replay reproduces the
-    maintained state exactly. Generator content is volatile — only the
-    definition is durable, and recovery re-binds it to a fresh stream over
-    ground truth (see docs/CONSISTENCY.md and docs/ARCHITECTURE.md,
-    "Consistency model & recovery"). *)
-
-type snapshot =
-  | Extension of Braid_relalg.Relation.t
-      (** shared reference to the admitted extension *)
-  | Generator_def  (** lazy element: only the definition is durable *)
+    maintained state exactly (see docs/CONSISTENCY.md and
+    docs/ARCHITECTURE.md, "Consistency model & recovery"). *)
 
 type entry =
   | Admit of {
       seq : int;
       id : string;
       def : Braid_caql.Ast.conj;
-      snap : snapshot;
+      ext : Braid_relalg.Relation.t;  (** shared reference to the admitted extension *)
       stale : bool;
       pinned : bool;
       at : int;  (** logical-clock admission time *)
       by : string;  (** session context at write time; [""] = unattributed *)
     }
-  | Materialize of { seq : int; id : string; rel : Braid_relalg.Relation.t; by : string }
-      (** a generator was forced into this extension *)
   | Evict of { seq : int; id : string; pinned_fallback : bool; by : string }
       (** replacement eviction; [pinned_fallback] marks the last-resort
           eviction of a pinned element *)
@@ -51,7 +42,7 @@ type entry =
     }
       (** incremental maintenance appended these rows to the element's
           extension (see {!Maintain}); replay re-applies them against a
-          private copy of the journaled snapshot *)
+          private copy of the journaled extension *)
   | Delta_delete of {
       seq : int;
       id : string;
@@ -64,7 +55,7 @@ type entry =
   | Checkpoint of { seq : int; epoch : int }
       (** marker; immediately followed by re-admissions of every element
           live at the checkpoint, carrying current flags and
-          representations *)
+          extensions *)
 
 type t
 
@@ -84,13 +75,12 @@ val log_admit :
   t ->
   id:string ->
   def:Braid_caql.Ast.conj ->
-  snap:snapshot ->
+  ext:Braid_relalg.Relation.t ->
   stale:bool ->
   pinned:bool ->
   at:int ->
   unit
 
-val log_materialize : t -> id:string -> rel:Braid_relalg.Relation.t -> unit
 val log_evict : t -> id:string -> pinned_fallback:bool -> unit
 val log_remove : t -> id:string -> pred:string -> unit
 val log_mark_stale : t -> id:string -> pred:string -> unit
@@ -135,18 +125,12 @@ val entry_by : entry -> string
 
 val entry_to_string : entry -> string
 
-val replay :
-  capacity_bytes:int ->
-  rebuild_generator:(Braid_caql.Ast.conj -> Braid_stream.Tuple_stream.t) ->
-  t ->
-  Cache_model.t
+val replay : capacity_bytes:int -> t -> Cache_model.t
 (** Rebuilds the cache model from the retained log — the latest
     checkpoint on, or everything when none was taken: admissions restore
-    elements with their journaled representation, flags and admission
-    time; materializations restore forced extensions by shared reference;
-    evictions and removals delete; stale-marks and pins update flags.
-    [rebuild_generator] supplies a fresh stream for elements journaled as
-    generators (their memoized content is not durable). The model's id
+    elements with their journaled extension (by shared reference), flags
+    and admission time; deltas re-apply to a private copy; evictions and
+    removals delete; stale-marks and pins update flags. The model's id
     counter and logical clock are restored past every value ever
     journaled, dropped entries included, so post-recovery admissions
     cannot collide. *)

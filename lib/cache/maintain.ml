@@ -26,7 +26,7 @@ let dvar i = L.Term.Var (Printf.sprintf "D%d" i)
 (* An element fully covering the identity query over [pred] (head = all
    columns, one atom, no comparisons) holds the predicate's complete
    current content: the "already-cached other side" a join delta
-   semi-joins against. The first Fresh materialized one, with its
+   semi-joins against. The first Fresh one, with its
    replacement atom over the identity's variables, or [None] when there is
    none (the join delta then cannot be computed locally). *)
 let cover_of cmgr ~schema_of pred =
@@ -35,7 +35,7 @@ let cover_of cmgr ~schema_of pred =
       let identity = Braid_subsume.Form.of_conj (A.conj vars [ L.Atom.make pred vars ]) in
       List.find_map
         (fun (el : Element.t) ->
-          if el.Element.stale || not (Element.is_materialized el) then None
+          if el.Element.stale then None
           else
             Option.map
               (fun (c : Sub.cover) -> (el, c.Sub.replacement))
@@ -102,14 +102,13 @@ let delta_rows cmgr ~schema_of (e : Element.t) ~pred ~tup =
           Some (List.rev !rows))
   | Some _ | None -> None
 
-(* Decision table (paper §4 duality, docs/CONSISTENCY.md):
-   - generator repr        -> lazy by construction; fall back
+(* Decision table (docs/CONSISTENCY.md):
    - already stale         -> content no longer exact; fall back
    - self-join on [pred]   -> delta has quadratic terms; fall back
    - otherwise             -> attempt the delta (which may still fall back
                               when a join's other side is not cached Fresh) *)
 let maintainable (e : Element.t) ~pred =
-  Element.is_materialized e && (not e.Element.stale) && occurrences pred e.Element.def = 1
+  (not e.Element.stale) && occurrences pred e.Element.def = 1
 
 let trace_delta e ~pred ~kind ~rows =
   Obs.Trace.instant ~cat:"cache" "cache.delta.apply"

@@ -81,8 +81,6 @@ let eval model ?(extra = []) ?(stale_hook = fun _ -> ()) q =
   (result, !touched)
 
 let eval_conj_lazy model ?(stale_hook = fun _ -> ()) c =
-  (* Resolve to streams without forcing generator elements: laziness must
-     propagate all the way down. *)
   let source (a : L.Atom.t) =
     match Cache_model.find model a.L.Atom.pred with
     | None -> raise (Unknown_relation a.L.Atom.pred)

@@ -33,6 +33,6 @@ val eval_conj_lazy :
   ?stale_hook:(int -> unit) ->
   Braid_caql.Ast.conj ->
   Braid_stream.Tuple_stream.t
-(** Lazy generator over cached data only (possible exactly when all
+(** Lazy answer stream over cached data only (possible exactly when all
     required data is in the cache, §5.1). [stale_hook] fires at stream
     construction when a stale element is a source. *)

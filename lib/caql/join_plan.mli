@@ -6,7 +6,7 @@
     the caller supplies per run. A constant equal to one of the
     compiler's [params] reads the run's arguments, so a plan depends on
     the conjunction's form and serves every instance of it. Lazy answers
-    do not run here: {!Eval.lazy_conj}, behind the QPO's generators, is
+    do not run here: {!Eval.lazy_conj}, behind the QPO's lazy answers, is
     still tuple-at-a-time, and on [telecom_session] lazy answers are most
     of the QPO's answers.
 

@@ -1,7 +1,6 @@
 module R = Braid_relalg
 module A = Braid_caql.Ast
 module L = Braid_logic
-module TS = Braid_stream.Tuple_stream
 module Server = Braid_remote.Server
 module Engine = Braid_remote.Engine
 module Plan = Braid_planner.Plan
@@ -63,26 +62,16 @@ let check_answer t (q : A.conj) (provenance : Plan.provenance) answer =
        tuples are the degradation; invented tuples are a bug. *)
     if extra = [] then None else Some { def = q; provenance; missing = []; extra }
 
-(* Element content without converting the representation: forcing a
-   generator's stream drains the (memoizing) spine but leaves [repr] a
-   generator, so recovery byte-identity comparisons are unaffected. *)
-let element_content (e : Element.t) =
-  match e.Element.repr with
-  | Element.Extension r -> r
-  | Element.Generator s -> TS.to_relation s
-
 let revalidate t (e : Element.t) =
   let truth = ground_truth t e.Element.def in
-  let missing, extra = diff_relations ~expected:truth ~actual:(element_content e) in
+  let missing, extra = diff_relations ~expected:truth ~actual:(Element.extension e) in
   if e.Element.stale then extra = [] (* stale: subset of truth suffices *)
   else missing = [] && extra = []
 
 (* Structural equality of two cache models — the recovery invariant: same
-   element ids in the same order, same definitions, representation kinds
-   and flags; extension content compared tuple-by-tuple (recovery shares
-   the journaled snapshot, so this should be the same relation). Generator
-   content is volatile and compared by definition only — [revalidate]
-   covers it against ground truth. *)
+   element ids in the same order, same definitions and flags; extension
+   content compared tuple-by-tuple (recovery shares the journaled
+   extension, so this should be the same relation). *)
 let same_state expected actual =
   let es = Cache_model.elements expected and as_ = Cache_model.elements actual in
   let rec go = function
@@ -94,25 +83,19 @@ let same_state expected actual =
         Error (Printf.sprintf "element order differs: %s vs %s" e.Element.id a.Element.id)
       else if not (A.variant_equal e.Element.def a.Element.def) then
         Error (Printf.sprintf "%s: definition differs" e.Element.id)
-      else if Element.is_materialized e <> Element.is_materialized a then
-        Error
-          (Printf.sprintf "%s: representation differs (%s vs %s)" e.Element.id
-             (if Element.is_materialized e then "extension" else "generator")
-             (if Element.is_materialized a then "extension" else "generator"))
       else if e.Element.stale <> a.Element.stale then
         Error (Printf.sprintf "%s: stale flag differs" e.Element.id)
       else if e.Element.pinned <> a.Element.pinned then
         Error (Printf.sprintf "%s: pinned flag differs" e.Element.id)
       else begin
-        match e.Element.repr, a.Element.repr with
-        | Element.Extension re, Element.Extension ra ->
-          let missing, extra = diff_relations ~expected:re ~actual:ra in
-          if missing = [] && extra = [] then go (es', as')
-          else
-            Error
-              (Printf.sprintf "%s: extension content differs (%d missing, %d extra)"
-                 e.Element.id (List.length missing) (List.length extra))
-        | (Element.Generator _ | Element.Extension _), _ -> go (es', as')
+        let missing, extra =
+          diff_relations ~expected:(Element.extension e) ~actual:(Element.extension a)
+        in
+        if missing = [] && extra = [] then go (es', as')
+        else
+          Error
+            (Printf.sprintf "%s: extension content differs (%d missing, %d extra)"
+               e.Element.id (List.length missing) (List.length extra))
       end
   in
   go (es, as_)

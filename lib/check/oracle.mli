@@ -2,7 +2,7 @@
 
     The CMS's whole value proposition is that a cached answer is
     indistinguishable from re-asking the remote DBMS: subsumption,
-    generalization, lazy generators and invalidation must all preserve
+    generalization, lazy answers and invalidation must all preserve
     answer equivalence, and the degraded paths must never invent data.
     This module checks exactly that: every CAQL conjunction is also
     evaluated {e directly} against ground truth — the engine's tables,
@@ -59,7 +59,5 @@ val same_state :
   Braid_cache.Cache_model.t -> Braid_cache.Cache_model.t -> (unit, string) result
 (** The recovery invariant: [actual] reproduces [expected] byte-for-byte —
     same element ids in the same insertion order, same definitions,
-    representation kinds, stale and pinned flags, and identical extension
-    content. Generator content is volatile (only the definition is
-    durable) and is checked by {!revalidate} instead. [Error] carries the
-    first mismatch. *)
+    stale and pinned flags, and identical extension content. [Error]
+    carries the first mismatch. *)

@@ -4,7 +4,6 @@ module Journal = Braid_cache.Journal
 module Maintain = Braid_cache.Maintain
 module Server = Braid_remote.Server
 module Router = Braid_remote.Shard_router
-module TS = Braid_stream.Tuple_stream
 
 type t = {
   qpo : Qpo.t;
@@ -128,19 +127,7 @@ type recovery_report = {
 
 let recover ?(config = Qpo.braid_config) ?(capacity_bytes = 8 * 1024 * 1024) ?rdi_policy
     ?router ?(maintain = false) ?(validate = fun _ -> true) ~journal:jnl server =
-  let engine = Server.engine server in
-  (* Generator content is volatile (only the memoized prefix ever existed in
-     memory): recovered generators re-bind to ground-truth evaluation of
-     their definition, read directly off the engine's tables — no server
-     round trips, no fault injector draws. *)
-  let rebuild_generator def =
-    Braid_caql.Eval.lazy_conj
-      ~source:(fun (a : Braid_logic.Atom.t) ->
-        TS.of_relation (Braid_remote.Engine.table engine a.Braid_logic.Atom.pred))
-      ~schema_of:(Braid_remote.Catalog.schema_of (Server.catalog server))
-      def
-  in
-  let model = Journal.replay ~capacity_bytes ~rebuild_generator jnl in
+  let model = Journal.replay ~capacity_bytes jnl in
   let recovered =
     List.map (fun (e : Braid_cache.Element.t) -> e.Braid_cache.Element.id)
       (Braid_cache.Cache_model.elements model)

@@ -134,8 +134,7 @@ type recovery_report = {
 
 (** Rebuilds a CMS from a surviving journal after a
     {!Braid_remote.Fault.Crash}: replays the log from the latest
-    checkpoint into a fresh cache model (extensions by shared snapshot,
-    generators re-bound to ground-truth evaluation of their definition),
+    checkpoint into a fresh cache model (extensions by shared reference),
     re-validates every recovered element with [validate] (dropping — and
     journaling the drop of — any failure), and wires a new QPO over the
     recovered cache. The recovered CMS keeps writing the same journal,

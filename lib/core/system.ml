@@ -90,7 +90,7 @@ let pp_metrics ppf m =
      planner: %d queries — %d exact, %d full, %d partial hits, %d misses; %d generalizations, \
      %d prefetches, %d lazy@,\
      rdi: %d requests, %d retries, %d trips, %d deadline misses, %d degraded answers@,\
-     cache: %d elements (%d ext / %d gen), %d bytes, %d insertions, %d evictions@,\
+     cache: %d elements, %d bytes, %d insertions, %d evictions@,\
      time: ie %.1fms, local %.1fms, total %.1fms@]"
     m.remote.Server.requests m.remote.Server.tuples_returned m.remote.Server.tuples_scanned
     m.remote.Server.server_ms m.remote.Server.comm_ms m.planner.Qpo.queries
@@ -99,8 +99,6 @@ let pp_metrics ppf m =
     m.planner.Qpo.lazy_answers m.rdi.Braid_remote.Rdi.requests
     m.rdi.Braid_remote.Rdi.retries m.rdi.Braid_remote.Rdi.trips
     m.rdi.Braid_remote.Rdi.deadline_misses m.planner.Qpo.degraded m.cache_summary.Braid_cache.Cache_model.element_count
-    m.cache_summary.Braid_cache.Cache_model.materialized
-    m.cache_summary.Braid_cache.Cache_model.generators
     m.cache_summary.Braid_cache.Cache_model.total_bytes
     m.cache.Braid_cache.Cache_manager.insertions m.cache.Braid_cache.Cache_manager.evictions
     m.ie_ms m.planner.Qpo.local_ms m.total_ms

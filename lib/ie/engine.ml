@@ -30,8 +30,9 @@ type template = {
   sentinels : V.t list;  (* one per class, in order of first occurrence *)
   goal : L.Atom.t;  (* the goal with its sentinels *)
   front : front_end;
-  spec_forms : (Form.inst * bool) list;
-      (* per advice spec: its form, and whether its atoms hold a sentinel *)
+  spec_forms : (Form.inst * bool) list option;
+      (* per advice spec: its form, and whether its atoms hold a sentinel;
+         [None] when the QPO is sent no advice *)
   consulted : (string * int) list;  (* catalog cardinalities the shaper read *)
   mutable set_program : Strategy.set_program option;
 }
@@ -76,6 +77,10 @@ let create ?(strategy = Strategy.Interpretive) ?(max_depth = 50_000) ?(send_advi
 
 let kb t = t.kb
 let qpo t = t.qpo
+
+(* Whether the QPO is sent the advice: with [use_advice] off it would read
+   none of it, so neither it nor the engine builds a tracker or spec forms. *)
+let advised t = t.send_advice && (Qpo.config t.qpo).Qpo.use_advice
 let strategy t = t.strategy
 
 type report = {
@@ -221,17 +226,26 @@ let instantiate tpl values =
   let f = tpl.front in
   if pairs = [] then f
   else
-    let specs, forms =
-      List.split
-        (List.map2
-           (fun (s : Adv.view_spec) (form, mentions) ->
-             if not mentions then (s, form)
-             else
-               let form = Form.map_atom_consts form (swapped pairs) in
-               ({ s with Adv.def = form.Form.conj }, form))
-           f.advice.Adv.specs tpl.spec_forms)
-    in
-    { f with advice = { f.advice with Adv.specs }; spec_forms = Some forms }
+    match tpl.spec_forms with
+    | None ->
+      let swap_spec (s : Adv.view_spec) =
+        let def = s.Adv.def in
+        let atoms = List.map (swap_atom pairs) def.Braid_caql.Ast.atoms in
+        { s with Adv.def = { def with Braid_caql.Ast.atoms } }
+      in
+      { f with advice = { f.advice with Adv.specs = List.map swap_spec f.advice.Adv.specs } }
+    | Some spec_forms ->
+      let specs, forms =
+        List.split
+          (List.map2
+             (fun (s : Adv.view_spec) (form, mentions) ->
+               if not mentions then (s, form)
+               else
+                 let form = Form.map_atom_consts form (swapped pairs) in
+                 ({ s with Adv.def = form.Form.conj }, form))
+             f.advice.Adv.specs spec_forms)
+      in
+      { f with advice = { f.advice with Adv.specs }; spec_forms = Some forms }
 
 (* Whether a built-in condition of the extracted graph mentions a sentinel:
    the shaper would evaluate it, so the goal's value decides the outcome. *)
@@ -266,21 +280,29 @@ let compile_template t key (goal : L.Atom.t) values =
       c
     in
     let front = shape_and_advise t ~cardinality graph in
-    let nfa = Option.map Braid_advice.Tracker.compile front.advice.Adv.path in
-    let sentinel = function
-      | L.Term.Const v -> List.exists (V.equal v) sentinels
-      | L.Term.Var _ -> false
+    let front, spec_forms =
+      if not (advised t) then (front, None)
+      else
+        let sentinel = function
+          | L.Term.Const v -> List.exists (V.equal v) sentinels
+          | L.Term.Var _ -> false
+        in
+        let spec_forms =
+          List.map
+            (fun (s : Adv.view_spec) ->
+              ( Form.of_conj s.Adv.def,
+                List.exists
+                  (fun (a : L.Atom.t) -> List.exists sentinel a.L.Atom.args)
+                  s.Adv.def.Braid_caql.Ast.atoms ))
+            front.advice.Adv.specs
+        in
+        ( {
+            front with
+            nfa = Option.map Braid_advice.Tracker.compile front.advice.Adv.path;
+            spec_forms = Some (List.map fst spec_forms);
+          },
+          Some spec_forms )
     in
-    let spec_forms =
-      List.map
-        (fun (s : Adv.view_spec) ->
-          ( Form.of_conj s.Adv.def,
-            List.exists
-              (fun (a : L.Atom.t) -> List.exists sentinel a.L.Atom.args)
-              s.Adv.def.Braid_caql.Ast.atoms ))
-        front.advice.Adv.specs
-    in
-    let front = { front with nfa; spec_forms = Some (List.map fst spec_forms) } in
     let tpl =
       { sentinels; goal; front; spec_forms; consulted = !consulted; set_program = None }
     in
@@ -351,8 +373,7 @@ let solutions t query =
     (fun () ->
       let front, status, form = lookup t query in
       Obs.Trace.add_arg "compile" (Obs.Trace.Str (compile_name status));
-      if t.send_advice then
-        Qpo.set_advice ?nfa:front.nfa ?forms:front.spec_forms t.qpo front.advice
+      if advised t then Qpo.set_advice ?nfa:front.nfa ?forms:front.spec_forms t.qpo front.advice
       else Qpo.set_advice t.qpo { Adv.specs = []; path = None };
       (* Inference strategy controller. *)
       let counters = { Strategy.resolutions = 0; db_goal_queries = 0 } in

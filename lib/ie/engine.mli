@@ -17,7 +17,8 @@ val create :
   t
 (** [strategy] defaults to {!Strategy.Interpretive}; [send_advice] (default
     true) controls whether the generated advice is transmitted to the CMS —
-    advice is never {e required} by the CMS (§3). *)
+    advice is never {e required} by the CMS (§3). Advice is not sent to a
+    QPO whose config has [use_advice] off either: it would read none of it. *)
 
 val kb : t -> Braid_logic.Kb.t
 val qpo : t -> Braid_planner.Qpo.t
@@ -73,11 +74,12 @@ val ie_ms : t -> float
 type front_end = {
   advice : Braid_advice.Ast.t;
   nfa : Braid_advice.Tracker.nfa option;
-      (** the compiled path tracker, kept with a template *)
+      (** the compiled path tracker, kept with a template when the QPO is
+          sent advice ([send_advice] and the QPO's [use_advice]) *)
   spec_forms : Braid_subsume.Form.inst list option;
-      (** with a template, each spec's {!Braid_advice.Advisor.spec_form}:
-          the template's, with the goal's values in the sentinels'
-          parameters *)
+      (** with a template, when the QPO is sent advice, each spec's
+          {!Braid_advice.Advisor.spec_form}: the template's, with the
+          goal's values in the sentinels' parameters *)
   orderings : (string * int list) list;  (** {!Shaper.rule_orderings} *)
   skip_rules : string list;  (** rules the shaper culled entirely *)
   graph_size : Problem_graph.size;

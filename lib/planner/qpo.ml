@@ -451,7 +451,7 @@ let stash t ~cacheable ~degraded (def : A.conj) rel sql ~ship =
   in
   if not (cacheable && degraded = None) then as_extra ()
   else
-    match CMgr.insert t.cache ~def (Elem.Extension rel) with
+    match CMgr.insert t.cache ~def rel with
     | Some e -> (e.Elem.id, [], [ mk_step (Some e.Elem.id) ])
     | None -> as_extra ()
 
@@ -558,13 +558,11 @@ let candidate_covers t ~key (q : A.conj) =
   | No_cache -> []
 
 (* Greedy disjoint cover selection: larger covers first, preferring
-   materialized elements and smaller extensions. Ties keep the order of
-   [CMgr.relevant_covers] (each predicate's elements oldest first). *)
+   smaller extensions. Ties keep the order of [CMgr.relevant_covers]
+   (each predicate's elements oldest first). *)
 let choose_covers covers =
   let score ((e : Elem.t), (c : Sub.cover)) =
-    ( -List.length c.Sub.covered,
-      (if Elem.is_materialized e then 0 else 1),
-      Elem.cardinality_estimate e )
+    (-List.length c.Sub.covered, Elem.cardinality_estimate e)
   in
   let sorted = List.stable_sort (fun a b -> Stdlib.compare (score a) (score b)) covers in
   let chosen, _ =
@@ -578,10 +576,9 @@ let choose_covers covers =
 
 (* Join-key value sets the chosen covers hold locally: a cover's
    replacement atom lists one term per element column, so arg position [i]
-   names extension column [i]. Only materialized elements contribute —
-   building a filter must not force a generator. Oversized or colliding
-   sets keep the smallest list; sets beyond [semijoin_max_values] are
-   dropped here rather than shipped and rejected later. *)
+   names extension column [i]. Oversized or colliding sets keep the
+   smallest list; sets beyond [semijoin_max_values] are dropped here
+   rather than shipped and rejected later. *)
 let local_values_of_covers chosen =
   let distinct_col rel i =
     let tbl = Hashtbl.create 64 in
@@ -591,27 +588,23 @@ let local_values_of_covers chosen =
   in
   List.fold_left
     (fun acc ((e : Elem.t), (c : Sub.cover)) ->
-      if not (Elem.is_materialized e) then acc
-      else begin
-        let rel = Elem.extension e in
-        let arity = R.Schema.arity (R.Relation.schema rel) in
-        List.fold_left
-          (fun acc (i, v) ->
-            if i >= arity then acc
-            else
-              match distinct_col rel i with
-              | None -> acc
-              | Some values ->
-                (match List.assoc_opt v acc with
-                 | Some prev when List.length prev <= List.length values -> acc
-                 | Some _ | None -> (v, values) :: List.remove_assoc v acc))
-          acc
-          (List.concat
-             (List.mapi
-                (fun i t ->
-                  match t with L.Term.Var v -> [ (i, v) ] | L.Term.Const _ -> [])
-                c.Sub.replacement.L.Atom.args))
-      end)
+      let rel = Elem.extension e in
+      let arity = R.Schema.arity (R.Relation.schema rel) in
+      List.fold_left
+        (fun acc (i, v) ->
+          if i >= arity then acc
+          else
+            match distinct_col rel i with
+            | None -> acc
+            | Some values ->
+              (match List.assoc_opt v acc with
+               | Some prev when List.length prev <= List.length values -> acc
+               | Some _ | None -> (v, values) :: List.remove_assoc v acc))
+        acc
+        (List.concat
+           (List.mapi
+              (fun i t -> match t with L.Term.Var v -> [ (i, v) ] | L.Term.Const _ -> [])
+              c.Sub.replacement.L.Atom.args)))
     [] chosen
 
 let caching_mode_name = function
@@ -750,7 +743,7 @@ let materialize_def t ~key (def : A.conj) =
          if (CMgr.stats t.cache).CMgr.stale_touches > stale_before then None
          else
            let rel = retyped t def rel in
-           (match CMgr.insert t.cache ~def (Elem.Extension rel) with
+           (match CMgr.insert t.cache ~def rel with
             | Some e -> Some (e, solved.s_steps)
             | None -> None))
 
@@ -935,7 +928,7 @@ let should_cache_eager_result t ses spec solved touched =
     advice_ok
     && (solved.s_used_remote || touched >= recompute_cache_threshold)
 
-(* What [answer_conj_untraced] computed: a lazy generator, or an eager
+(* What [answer_conj_untraced] computed: a lazy stream, or an eager
    relation whose row vector only the caller holds unless [cached] (then
    it is also the new cache element's). [exact_hit] is the element a lone
    exact hit read. *)
@@ -954,12 +947,12 @@ let exact_hit solved =
    make can pass for one. *)
 let element_holding t exact_hit rel =
   match Option.bind exact_hit (CMgr.find t.cache) with
-  | Some e when Elem.is_materialized e ->
+  | Some e ->
     let ext = Elem.extension e in
     let n = R.Relation.cardinality rel in
     let rec same i = i = n || (R.Relation.get rel i == R.Relation.get ext i && same (i + 1)) in
     if R.Relation.cardinality ext = n && same 0 then Some e else None
-  | Some _ | None -> None
+  | None -> None
 
 let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
   t.stats.queries <- t.stats.queries + 1;
@@ -1002,19 +995,11 @@ let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
       Log.debug (fun m -> m "answering lazily: %s" (A.conj_to_string q));
       t.stats.lazy_answers <- t.stats.lazy_answers + 1;
       Obs.Metrics.incr "qpo.lazy_answers";
-      let s = CMgr.eval_conj_lazy t.cache solved.s_rewritten in
       result_steps := [ Plan.Lazy_answer ];
-      (* A generator is itself cacheable (§5.1); it shares its memoized
-         spine with the consumer's stream. Generators built over stale
-         elements are not cached: they would outlive the staleness. *)
-      (match t.config.caching with
-       | Subsumption
-         when find_key t qkey = None
-              && (not read_stale)
-              && (CMgr.stats t.cache).CMgr.stale_touches = stale_before ->
-         ignore (CMgr.insert t.cache ~def:q (Elem.Generator s))
-       | Subsumption | No_cache | Exact_match | Single_relation -> ());
-      Lazy_result s
+      (* A lazy answer streams over extensions that cover the whole query,
+         so caching it would only copy what the cache already holds; the
+         paper's cached generators (§5.1) are these streams. *)
+      Lazy_result (CMgr.eval_conj_lazy t.cache solved.s_rewritten)
     end
     else begin
       let rel = CMgr.eval t.cache ~extra:solved.s_extras (A.Conj solved.s_rewritten) in
@@ -1029,7 +1014,7 @@ let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
         && (not degraded_eval)
         && find_key t qkey = None
         &&
-        match CMgr.insert t.cache ~def:q (Elem.Extension (retyped t q rel)) with
+        match CMgr.insert t.cache ~def:q (retyped t q rel) with
         | Some e ->
           (match spec with
            | Some s ->

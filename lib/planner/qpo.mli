@@ -175,8 +175,10 @@ exception Unknown_relation of string
 val answer_conj :
   t -> ?session:session -> ?spec_id:string -> ?prefer_lazy:bool -> Braid_caql.Ast.conj -> answer
 (** [prefer_lazy] is the interpretive IE's hint that it will consume the
-    stream tuple-at-a-time; a lazy generator is used whenever the query is
-    answerable from the cache alone (§5.1). [session] selects whose advice
+    stream tuple-at-a-time; a lazy answer, a stream that computes each
+    tuple on demand over the cached extensions, is used whenever the
+    query is answerable from the cache alone (§5.1). A lazy answer is
+    not itself cached. [session] selects whose advice
     tracking and pins the answer updates (default: the planner's default
     session). With a {!Braid_obs.Trace} tracer installed, every answer is
     recorded as a [qpo.answer] span whose [query], [plan] (the executed
@@ -189,7 +191,7 @@ type relation_answer = {
   rel_plan : Plan.t;
   index : (int list -> Braid_relalg.Index.t) option;
       (** set when [relation] is a cache element's extension, row for row
-          and in order: the plan is a lone exact hit on a materialized
+          and in order: the plan is a lone exact hit on an
           element and the evaluation returned that element's own tuples.
           [i cols] is the element's index on [cols], built through the
           cache manager on first use and kept, so it is charged to the

@@ -358,10 +358,7 @@ let handle_cache t =
     let summary = Braid_cache.Cache_model.summary model in
     let buf = Buffer.create 256 in
     Buffer.add_string buf
-      (Printf.sprintf "%d elements (%d extensions, %d generators), %d bytes"
-         summary.Braid_cache.Cache_model.element_count
-         summary.Braid_cache.Cache_model.materialized
-         summary.Braid_cache.Cache_model.generators
+      (Printf.sprintf "%d elements, %d bytes" summary.Braid_cache.Cache_model.element_count
          summary.Braid_cache.Cache_model.total_bytes);
     List.iteri
       (fun i e ->

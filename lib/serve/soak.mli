@@ -119,7 +119,7 @@ type report = {
   fresh : int;
   degraded : int;
   lazy_answers : int;
-      (** answers the planner served as lazy generators, across crash
+      (** answers the planner served lazily, across crash
           incarnations *)
   inserts : int;
   deletes : int;  (** [Write_heavy] mix only; 0 otherwise *)

@@ -79,73 +79,3 @@ let to_relation ?name s =
   R.Relation.unsafe_of_rows ?name s.schema (R.Vec.copy s.spine)
 
 let to_list s = R.Relation.to_list (to_relation s)
-
-let map schema f s =
-  let c = cursor s in
-  from schema (fun () -> Option.map f (next c))
-
-let filter p s =
-  let c = cursor s in
-  let rec pull () =
-    match next c with
-    | None -> None
-    | Some t -> if p t then Some t else pull ()
-  in
-  from s.schema pull
-
-let take n s =
-  let c = cursor s in
-  let remaining = ref n in
-  from s.schema (fun () ->
-      if !remaining <= 0 then None
-      else
-        match next c with
-        | None -> None
-        | Some t ->
-          decr remaining;
-          Some t)
-
-let append a b =
-  if R.Schema.arity a.schema <> R.Schema.arity b.schema then
-    invalid_arg "Tuple_stream.append: arity mismatch";
-  let ca = cursor a and cb = cursor b in
-  from a.schema (fun () -> match next ca with Some t -> Some t | None -> next cb)
-
-let concat_map schema f s =
-  let c = cursor s in
-  let pending = ref [] in
-  let rec pull () =
-    match !pending with
-    | t :: rest ->
-      pending := rest;
-      Some t
-    | [] ->
-      (match next c with
-       | None -> None
-       | Some t ->
-         pending := f t;
-         pull ())
-  in
-  from schema pull
-
-module Tuple_tbl = Hashtbl.Make (struct
-  type t = R.Tuple.t
-
-  let equal = R.Tuple.equal
-  let hash = R.Tuple.hash
-end)
-
-let distinct s =
-  let c = cursor s in
-  let seen = Tuple_tbl.create 64 in
-  let rec pull () =
-    match next c with
-    | None -> None
-    | Some t ->
-      if Tuple_tbl.mem seen t then pull ()
-      else begin
-        Tuple_tbl.add seen t ();
-        Some t
-      end
-  in
-  from s.schema pull

@@ -1,8 +1,11 @@
-(** Pull-based tuple streams (the paper's generators, §5.1 and §5.5).
+(** Pull-based tuple streams (§3 and §5.1).
 
-    A stream produces one tuple on demand; this is the CMS's [lazy
-    evaluation] representation and also the IE–CMS result-transfer channel
-    ("the CMS returns the result for the query using a stream", §3).
+    A stream produces one tuple on demand. It is the IE–CMS
+    result-transfer channel ("the CMS returns the result for the query
+    using a stream", §3) and the form of a lazy answer: a query the cache
+    covers whole is answered by a stream that computes each solution tuple
+    over the cached extensions when the consumer pulls it (§5.1). Streams
+    are not stored in the cache.
 
     Streams are memoizing: tuples already pulled are retained in a spine so
     that a second cursor over the same stream re-reads them without
@@ -42,20 +45,9 @@ val exhausted : t -> bool
 (** Whether the producer has reported end-of-stream. *)
 
 val to_relation : ?name:string -> t -> Braid_relalg.Relation.t
-(** Forces the stream (eager evaluation of a generator) and returns its
+(** Forces the stream (eager evaluation of a lazy answer) and returns its
     rows as a fresh relation: one copy of the spine, tuples shared. Writes
     to the result do not reach the stream. Raises [Invalid_argument] if a
     tuple's arity differs from the schema's. *)
 
 val to_list : t -> Braid_relalg.Tuple.t list
-
-val map : Braid_relalg.Schema.t -> (Braid_relalg.Tuple.t -> Braid_relalg.Tuple.t) -> t -> t
-val filter : (Braid_relalg.Tuple.t -> bool) -> t -> t
-val take : int -> t -> t
-val append : t -> t -> t
-(** Schemas must have equal arity; the left schema is kept. *)
-
-val concat_map : Braid_relalg.Schema.t -> (Braid_relalg.Tuple.t -> Braid_relalg.Tuple.t list) -> t -> t
-
-val distinct : t -> t
-(** Lazily deduplicates while preserving order. *)

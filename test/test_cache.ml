@@ -27,40 +27,18 @@ let def name = A.conj [ v "X"; v "Y" ] [ atom name [ v "X"; v "Y" ] ]
 
 let big_rel name n = rel_of_pairs name (List.init n (fun i -> (i, i * 2)))
 
-(* --- element representations --- *)
+(* --- elements --- *)
 
 let test_element_extension () =
-  let e = Elem.make ~id:"e1" ~def:(def "b") ~now:0 (Elem.Extension (rel_of_pairs "b" [ (1, 2) ])) in
-  check_bool "materialized" true (Elem.is_materialized e);
+  let r = rel_of_pairs "b" [ (1, 2) ] in
+  let e = Elem.make ~id:"e1" ~def:(def "b") ~now:0 r in
+  check_bool "holds the given relation" true (Elem.extension e == r);
   check_int "cardinality" 1 (Elem.cardinality_estimate e)
-
-let test_element_generator_forcing () =
-  let pulled = ref 0 in
-  let gen =
-    TS.from schema2 (fun () ->
-        if !pulled >= 5 then None
-        else begin
-          incr pulled;
-          Some [| V.Int !pulled; V.Int 0 |]
-        end)
-  in
-  let e = Elem.make ~id:"e2" ~def:(def "b") ~now:0 (Elem.Generator gen) in
-  check_bool "not materialized" false (Elem.is_materialized e);
-  (* a cursor pulls two tuples; the element's estimate tracks the spine *)
-  let c = TS.cursor (Elem.stream e) in
-  ignore (TS.next c);
-  ignore (TS.next c);
-  check_int "partial" 2 (Elem.cardinality_estimate e);
-  (* forcing converts the representation *)
-  let ext = Elem.extension e in
-  check_int "forced size" 5 (R.Relation.cardinality ext);
-  check_bool "now materialized" true (Elem.is_materialized e);
-  check_int "producer ran exactly once" 5 !pulled
 
 let test_element_index () =
   let e =
     Elem.make ~id:"e3" ~def:(def "b") ~now:0
-      (Elem.Extension (rel_of_pairs "b" [ (1, 2); (1, 3); (2, 4) ]))
+      (rel_of_pairs "b" [ (1, 2); (1, 3); (2, 4) ])
   in
   let ix = Elem.ensure_index e [ 0 ] in
   check_int "bucket" 2 (List.length (R.Index.lookup ix [ V.Int 1 ]));
@@ -71,12 +49,12 @@ let test_element_index () =
 
 let test_model_pred_index () =
   let m = CModel.create ~capacity_bytes:1_000_000 in
-  let e1 = Elem.make ~id:"e1" ~def:(def "b") ~now:(CModel.tick m) (Elem.Extension (rel_of_pairs "b" [])) in
+  let e1 = Elem.make ~id:"e1" ~def:(def "b") ~now:(CModel.tick m) (rel_of_pairs "b" []) in
   let e2 =
     Elem.make ~id:"e2"
       ~def:(A.conj [ v "X" ] [ atom "b" [ v "X"; v "Y" ]; atom "c" [ v "Y"; v "Z" ] ])
       ~now:(CModel.tick m)
-      (Elem.Extension (R.Relation.create (R.Schema.make [ ("x", V.Tint) ])))
+      (R.Relation.create (R.Schema.make [ ("x", V.Tint) ]))
   in
   CModel.add m e1;
   CModel.add m e2;
@@ -92,7 +70,7 @@ let test_model_pred_index () =
 
 let test_model_summary_and_touch () =
   let m = CModel.create ~capacity_bytes:1_000_000 in
-  let e = Elem.make ~id:"e1" ~def:(def "b") ~now:(CModel.tick m) (Elem.Extension (rel_of_pairs "b" [ (1, 1) ])) in
+  let e = Elem.make ~id:"e1" ~def:(def "b") ~now:(CModel.tick m) (rel_of_pairs "b" [ (1, 1) ]) in
   CModel.add m e;
   CModel.touch m e;
   CModel.touch m e;
@@ -106,7 +84,7 @@ let test_model_summary_and_touch () =
 let test_lru_eviction_order () =
   let m = CModel.create ~capacity_bytes:1 (* force eviction of everything *) in
   let add id =
-    let e = Elem.make ~id ~def:(def id) ~now:(CModel.tick m) (Elem.Extension (big_rel id 10)) in
+    let e = Elem.make ~id ~def:(def id) ~now:(CModel.tick m) (big_rel id 10) in
     CModel.add m e;
     e
   in
@@ -129,7 +107,7 @@ let test_lru_eviction_order () =
 let test_pinned_spared () =
   let m = CModel.create ~capacity_bytes:(3 * 800) in
   let add id =
-    let e = Elem.make ~id ~def:(def id) ~now:(CModel.tick m) (Elem.Extension (big_rel id 10)) in
+    let e = Elem.make ~id ~def:(def id) ~now:(CModel.tick m) (big_rel id 10) in
     CModel.add m e;
     e
   in
@@ -145,7 +123,7 @@ let test_pinned_spared () =
 
 let test_pinned_evicted_as_last_resort () =
   let m = CModel.create ~capacity_bytes:500 in
-  let e = Elem.make ~id:"e1" ~def:(def "b") ~now:(CModel.tick m) (Elem.Extension (big_rel "b" 8)) in
+  let e = Elem.make ~id:"e1" ~def:(def "b") ~now:(CModel.tick m) (big_rel "b" 8) in
   CModel.add m e;
   e.Elem.pinned <- true;
   let victims = Repl.victims m ~needed_bytes:400 () in
@@ -158,7 +136,7 @@ let test_pinned_evicted_as_last_resort () =
 
 let test_protected_never_evicted () =
   let m = CModel.create ~capacity_bytes:500 in
-  let e = Elem.make ~id:"e1" ~def:(def "b") ~now:(CModel.tick m) (Elem.Extension (big_rel "b" 8)) in
+  let e = Elem.make ~id:"e1" ~def:(def "b") ~now:(CModel.tick m) (big_rel "b" 8) in
   CModel.add m e;
   e.Elem.pinned <- true;
   (* protect must be honored unconditionally: unlike a merely pinned
@@ -175,7 +153,7 @@ let test_protected_never_evicted () =
 let test_insert_and_find_exact () =
   let c = CMgr.create ~capacity_bytes:1_000_000 () in
   let d = def "b" in
-  (match CMgr.insert c ~def:d (Elem.Extension (rel_of_pairs "b" [ (1, 2) ])) with
+  (match CMgr.insert c ~def:d (rel_of_pairs "b" [ (1, 2) ]) with
    | None -> Alcotest.fail "insert failed"
    | Some e -> check_bool "id assigned" true (String.length e.Elem.id > 0));
   check_bool "exact by variant" true
@@ -186,15 +164,15 @@ let test_insert_and_find_exact () =
 let test_insert_too_large () =
   let c = CMgr.create ~capacity_bytes:100 () in
   check_bool "oversized refused" true
-    (CMgr.insert c ~def:(def "b") (Elem.Extension (big_rel "b" 1000)) = None);
+    (CMgr.insert c ~def:(def "b") (big_rel "b" 1000) = None);
   check_int "nothing inserted" 0 (CModel.summary (CMgr.model c)).CModel.element_count
 
 let test_insert_evicts () =
   let one_size = R.Relation.bytes_estimate (big_rel "b" 10) + 64 in
   let c = CMgr.create ~capacity_bytes:(2 * one_size) () in
-  let i1 = CMgr.insert c ~def:(def "b") (Elem.Extension (big_rel "b" 10)) in
-  let i2 = CMgr.insert c ~def:(def "c") (Elem.Extension (big_rel "c" 10)) in
-  let i3 = CMgr.insert c ~def:(def "d") (Elem.Extension (big_rel "d" 10)) in
+  let i1 = CMgr.insert c ~def:(def "b") (big_rel "b" 10) in
+  let i2 = CMgr.insert c ~def:(def "c") (big_rel "c" 10) in
+  let i3 = CMgr.insert c ~def:(def "d") (big_rel "d" 10) in
   check_bool "all inserts succeeded" true (i1 <> None && i2 <> None && i3 <> None);
   let stats = CMgr.stats c in
   check_bool "eviction happened" true (stats.CMgr.evictions >= 1);
@@ -203,11 +181,11 @@ let test_insert_evicts () =
 
 let test_relevant_covers () =
   let c = CMgr.create ~capacity_bytes:1_000_000 () in
-  ignore (CMgr.insert c ~def:(def "b") (Elem.Extension (rel_of_pairs "b" [ (1, 2); (3, 4) ])));
+  ignore (CMgr.insert c ~def:(def "b") (rel_of_pairs "b" [ (1, 2); (3, 4) ]));
   ignore
     (CMgr.insert c
        ~def:(A.conj [ v "X" ] [ atom "zz" [ v "X" ] ])
-       (Elem.Extension (R.Relation.create (R.Schema.make [ ("x", V.Tint) ]))));
+       (R.Relation.create (R.Schema.make [ ("x", V.Tint) ])));
   let covers =
     CMgr.relevant_covers c
       (Braid_subsume.Form.of_conj (A.conj [ v "Y" ] [ atom "b" [ T.Const (V.Int 1); v "Y" ] ]))
@@ -216,8 +194,8 @@ let test_relevant_covers () =
 
 let test_query_processor_eval () =
   let c = CMgr.create ~capacity_bytes:1_000_000 () in
-  ignore (CMgr.insert c ~id:"eb" ~def:(def "b") (Elem.Extension (rel_of_pairs "b" [ (1, 2); (2, 3) ])));
-  ignore (CMgr.insert c ~id:"ec" ~def:(def "c") (Elem.Extension (rel_of_pairs "c" [ (2, 9); (3, 9) ])));
+  ignore (CMgr.insert c ~id:"eb" ~def:(def "b") (rel_of_pairs "b" [ (1, 2); (2, 3) ]));
+  ignore (CMgr.insert c ~id:"ec" ~def:(def "c") (rel_of_pairs "c" [ (2, 9); (3, 9) ]));
   let q =
     A.Conj (A.conj [ v "X"; v "Z" ] [ atom "eb" [ v "X"; v "Y" ]; atom "ec" [ v "Y"; v "Z" ] ])
   in
@@ -235,7 +213,7 @@ let test_query_processor_unknown () =
 
 let test_lazy_eval_from_cache () =
   let c = CMgr.create ~capacity_bytes:1_000_000 () in
-  ignore (CMgr.insert c ~id:"eb" ~def:(def "b") (Elem.Extension (big_rel "b" 50)));
+  ignore (CMgr.insert c ~id:"eb" ~def:(def "b") (big_rel "b" 50));
   let stream = CMgr.eval_conj_lazy c (A.conj [ v "X" ] [ atom "eb" [ v "X"; v "Y" ] ]) in
   let cur = TS.cursor stream in
   ignore (TS.next cur);
@@ -244,7 +222,7 @@ let test_lazy_eval_from_cache () =
 let test_index_probe_reduces_touched () =
   let c = CMgr.create ~capacity_bytes:10_000_000 () in
   let e =
-    match CMgr.insert c ~id:"eb" ~def:(def "b") (Elem.Extension (big_rel "b" 1000)) with
+    match CMgr.insert c ~id:"eb" ~def:(def "b") (big_rel "b" 1000) with
     | Some e -> e
     | None -> Alcotest.fail "insert"
   in
@@ -258,7 +236,7 @@ let test_index_probe_reduces_touched () =
 
 let test_pin_api () =
   let c = CMgr.create ~capacity_bytes:1_000_000 () in
-  (match CMgr.insert c ~id:"eb" ~def:(def "b") (Elem.Extension (rel_of_pairs "b" [])) with
+  (match CMgr.insert c ~id:"eb" ~def:(def "b") (rel_of_pairs "b" []) with
    | Some _ -> ()
    | None -> Alcotest.fail "insert");
   CMgr.pin c "eb" true;
@@ -275,7 +253,7 @@ let test_pin_api () =
 let test_model_find_variant_oldest () =
   let m = CModel.create ~capacity_bytes:1_000_000 in
   let add id d =
-    CModel.add m (Elem.make ~id ~def:d ~now:(CModel.tick m) (Elem.Extension (rel_of_pairs "b" [])))
+    CModel.add m (Elem.make ~id ~def:d ~now:(CModel.tick m) (rel_of_pairs "b" []))
   in
   add "e1" (def "b");
   add "e2" (A.conj [ v "P"; v "Q" ] [ atom "b" [ v "P"; v "Q" ] ]);
@@ -344,7 +322,7 @@ let prop_find_exact_matches_scan =
       let rel () = rel_of_pairs "b" [ (1, 2); (3, 4) ] in
       (* room for about four elements, so inserts evict *)
       let capacity_bytes =
-        4 * Elem.bytes_estimate (Elem.make ~id:"e0" ~def:pool.(2) ~now:0 (Elem.Extension (rel ())))
+        4 * Elem.bytes_estimate (Elem.make ~id:"e0" ~def:pool.(2) ~now:0 (rel ()))
       in
       let cmgr = ref (CMgr.create ~capacity_bytes ()) in
       let scan q =
@@ -368,7 +346,7 @@ let prop_find_exact_matches_scan =
           (match op with
            | Insert (i, r) ->
              let def = A.rename_vars renamings.(r) pool.(i) in
-             ignore (CMgr.insert !cmgr ~def (Elem.Extension (rel ())))
+             ignore (CMgr.insert !cmgr ~def (rel ()))
            | Remove n ->
              (match CModel.elements (CMgr.model !cmgr) with
               | [] -> ()
@@ -378,9 +356,7 @@ let prop_find_exact_matches_scan =
              if cp then ignore (CMgr.checkpoint !cmgr);
              let journal = CMgr.journal !cmgr in
              let model =
-               Braid_cache.Journal.replay ~capacity_bytes
-                 ~rebuild_generator:(fun _ -> Alcotest.fail "no generators cached")
-                 journal
+               Braid_cache.Journal.replay ~capacity_bytes journal
              in
              cmgr := CMgr.create ~journal ~model ~capacity_bytes ());
           agrees ())
@@ -391,7 +367,6 @@ let suites : unit Alcotest.test list =
     ( "cache",
       [
         Alcotest.test_case "element extension" `Quick test_element_extension;
-        Alcotest.test_case "generator forcing" `Quick test_element_generator_forcing;
         Alcotest.test_case "element index" `Quick test_element_index;
         Alcotest.test_case "model predicate index" `Quick test_model_pred_index;
         Alcotest.test_case "model summary and touch" `Quick test_model_summary_and_touch;

@@ -463,7 +463,7 @@ let test_sorted_representations_coexist () =
   let e =
     Braid_cache.Element.make ~id:"e" ~now:0
       ~def:(Braid_caql.Ast.conj [ v "X"; v "Y" ] [ atom "r" [ v "X"; v "Y" ] ])
-      (Braid_cache.Element.Extension rel)
+      rel
   in
   let by_x = Braid_cache.Element.sorted_on e [ 0 ] in
   let by_y = Braid_cache.Element.sorted_on e [ 1 ] in
@@ -1141,21 +1141,38 @@ let batch_goals = function
   | "telecom" -> Queries.telecom_batch ~orders:10 ~offices:5 ~n:60 ()
   | _ -> []
 
+(* Under a QPO that reads no advice, templates keep no tracker and no spec
+   forms, and still equal fresh compiles. *)
 let test_templates_equal_fresh_compiles () =
   List.iter
-    (fun strategy ->
+    (fun (strategy, config) ->
       List.iter
         (fun (name, kb, data) ->
-          let sys = Braid.System.build ~strategy ~kb:(kb ()) ~data:(data ()) () in
+          let sys = Braid.System.build ~config ~strategy ~kb:(kb ()) ~data:(data ()) () in
           let kb = Braid.System.kb sys in
           let consts =
             [ V.Str "y1"; V.Int 7 ] @ List.filteri (fun j _ -> j < 2) (L.Kb.constants kb)
           in
           let goals = batch_goals name @ sweep_goals kb consts @ sweep_goals kb [ V.Str "y2" ] in
-          let statuses = check_front_ends (Braid.System.engine sys) goals in
-          check_bool (name ^ ": some goals hit a template") true (List.mem Engine.Hit statuses))
+          let engine = Braid.System.engine sys in
+          let statuses = check_front_ends engine goals in
+          check_bool (name ^ ": some goals hit a template") true (List.mem Engine.Hit statuses);
+          if not config.Braid_planner.Qpo.use_advice then
+            List.iter
+              (fun g ->
+                match Engine.front_end engine g with
+                | f, (Engine.Hit | Engine.Miss) ->
+                  check_bool (name ^ ": no tracker or spec forms") true
+                    (f.Engine.nfa = None && f.Engine.spec_forms = None)
+                | _, Engine.Per_goal -> ())
+              goals)
         template_kbs)
-    [ Strategy.Interpretive; Strategy.Set_oriented ]
+    [
+      (Strategy.Interpretive, Braid_planner.Qpo.braid_config);
+      (Strategy.Set_oriented, Braid_planner.Qpo.braid_config);
+      (Strategy.Interpretive, Braid_planner.Qpo.no_advice_config);
+      (Strategy.Set_oriented, Braid_planner.Qpo.no_advice_config);
+    ]
 
 let telecom_system () =
   Braid.System.build ~kb:(Kbgen.telecom ())

@@ -2,7 +2,7 @@
    through PSJ cache elements on the CMS write path, the fallback decision
    table, bag semantics, and crash recovery mid-delta.
 
-   The invariant under test everywhere: a non-stale materialized element
+   The invariant under test everywhere: a non-stale element
    must hold exactly what re-evaluating its definition against the
    remote's current tables produces — maintenance is allowed to keep an
    element Fresh only by keeping it exact. *)
@@ -92,12 +92,12 @@ let check_exact server (e : Elem.t) what =
   check_bool (what ^ " ≡ recompute-from-scratch") true
     (norm (Elem.extension e) = norm (ground server e.Elem.def))
 
-(* Every non-stale materialized element must be exact — the global
+(* Every non-stale element must be exact — the global
    maintenance invariant the property test sweeps. *)
 let check_all_fresh_exact server cms =
   List.iter
     (fun (e : Elem.t) ->
-      if (not e.Elem.stale) && Elem.is_materialized e then check_exact server e "element")
+      if not e.Elem.stale then check_exact server e "element")
     (elements cms)
 
 (* --- selections and projections --- *)
@@ -446,7 +446,7 @@ let test_element_indexes_charged () =
   let admit_one cms =
     let c = Cms.cache cms in
     check_bool "the next element is admitted" true
-      (CMgr.insert c ~def:(A.conj [ v "X" ] [ atom "one" [ v "X" ] ]) (Elem.Extension one) <> None);
+      (CMgr.insert c ~def:(A.conj [ v "X" ] [ atom "one" [ v "X" ] ]) one <> None);
     (CMgr.stats c).CMgr.evictions
   in
   let tight n =
@@ -490,9 +490,7 @@ let test_element_indexes_follow_writes () =
 (* An element's size from scratch: the formula every element keeps current
    without walking its rows. *)
 let recount (e : Elem.t) =
-  (match e.Elem.repr with
-   | Elem.Extension r -> R.Relation.bytes_estimate r
-   | Elem.Generator g -> 64 + (TS.produced g * 48))
+  R.Relation.bytes_estimate (Elem.extension e)
   + List.fold_left (fun n (_, ix) -> n + R.Index.bytes_estimate ix) 0 e.Elem.indexes
   + List.fold_left (fun n (_, r) -> n + R.Relation.bytes_estimate r) 0 e.Elem.sorted
 
@@ -501,15 +499,14 @@ let sizes_hold model =
   List.for_all (fun e -> Elem.bytes_estimate e = recount e) es
   && Braid_cache.Cache_model.used_bytes model = List.fold_left (fun n e -> n + recount e) 0 es
 
-(* Random cache histories: admissions of extensions and generators (with
-   evictions, under a small capacity), pulls, forcing, IVM inserts and
-   deletes through [Maintain.on_write] (a delete a dependent does not hold
-   drops it), a delta with an absent row applied the way [Maintain] applies
+(* Random cache histories: admissions of extensions (with evictions,
+   under a small capacity), IVM inserts and deletes through
+   [Maintain.on_write] (a delete a dependent does not hold drops it), a delta with an absent row applied the way [Maintain] applies
    one, element indexes, sorted representations, checkpoints and replays.
    After every step each element's size equals a recount, and so does the
    cache's used bytes; every replayed model holds the same. *)
 let prop_sizes_equal_recount =
-  QCheck.Test.make ~name:"element sizes = recount under admit/pull/IVM/index/sort/replay"
+  QCheck.Test.make ~name:"element sizes = recount under admit/IVM/index/sort/replay"
     ~count:100
     QCheck.(int_range 0 100_000)
     (fun seed ->
@@ -532,12 +529,11 @@ let prop_sizes_equal_recount =
         ]
       in
       let elements () = Braid_cache.Cache_model.elements model in
-      let materialized () = List.filter Elem.is_materialized (elements ()) in
       let check step =
         if not (sizes_hold model) then QCheck.Test.fail_reportf "seed %d: step %d" seed step
       in
       for step = 1 to 60 do
-        (match Prng.int prng 11 with
+        (match Prng.int prng 8 with
          | 0 ->
            let p = pred () in
            let def = pick (defs p) in
@@ -549,25 +545,11 @@ let prop_sizes_equal_recount =
                   (fun t -> if arity = 2 then t else [| t.(1) |])
                   (rows (Prng.int prng 7)))
            in
-           ignore (CMgr.insert cmgr ~def (Elem.Extension rel))
-         | 1 ->
-           let p = pred () in
-           ignore
-             (CMgr.insert cmgr ~def:(List.hd (defs p))
-                (Elem.Generator (TS.of_list schema (rows (Prng.int prng 9)))))
+           ignore (CMgr.insert cmgr ~def rel)
+         | 1 -> ignore (Maintain.on_write cmgr ~schema_of (Maintain.Insert (pred (), tup ())))
          | 2 -> (
-           match List.filter (fun e -> not (Elem.is_materialized e)) (elements ()) with
-           | [] -> ()
-           | gs ->
-             let c = TS.cursor (Elem.stream (pick gs)) in
-             for _ = 1 to 1 + Prng.int prng 6 do
-               ignore (TS.next c)
-             done)
-         | 3 -> if elements () <> [] then ignore (Elem.extension (pick (elements ())))
-         | 4 -> ignore (Maintain.on_write cmgr ~schema_of (Maintain.Insert (pred (), tup ())))
-         | 5 -> (
            (* a row some element holds: the others drop *)
-           match List.filter (fun e -> List.length e.Elem.def.A.head = 2) (materialized ()) with
+           match List.filter (fun e -> List.length e.Elem.def.A.head = 2) (elements ()) with
            | [] -> ()
            | es ->
              let e = pick es in
@@ -577,10 +559,10 @@ let prop_sizes_equal_recount =
                ignore
                  (Maintain.on_write cmgr ~schema_of
                     (Maintain.Delete (p, R.Relation.get ext (Prng.int prng (R.Relation.cardinality ext))))))
-         | 6 -> (
+         | 3 -> (
            (* a delta with an absent row: journaled, partly applied, checked,
               then the element is dropped — [Maintain]'s divergence path *)
-           match materialized () with
+           match elements () with
            | [] -> ()
            | es ->
              let e = pick es in
@@ -594,42 +576,36 @@ let prop_sizes_equal_recount =
              check_bool "a delta with an absent row is refused" false (Elem.delete_rows e rows);
              check step;
              CMgr.remove_element cmgr e ~pred)
-         | 7 ->
+         | 4 ->
            if elements () <> [] then begin
              let e = pick (elements ()) in
              let arity = R.Schema.arity (Elem.schema e) in
              ignore (CMgr.ensure_index cmgr e (if arity = 1 then [ 0 ] else pick [ [ 0 ]; [ 1 ]; [ 0; 1 ] ]))
            end
-         | 8 ->
+         | 5 ->
            if elements () <> [] then begin
              let e = pick (elements ()) in
              ignore (Elem.sorted_on e (if R.Schema.arity (Elem.schema e) = 1 then [ 0 ] else pick [ [ 0 ]; [ 1 ] ]))
            end
-         | 9 -> ignore (CMgr.checkpoint cmgr)
+         | 6 -> ignore (CMgr.checkpoint cmgr)
          | _ ->
-           let replayed =
-             Braid_cache.Journal.replay ~capacity_bytes
-               ~rebuild_generator:(fun _ -> TS.of_list schema [])
-               (CMgr.journal cmgr)
-           in
+           let replayed = Braid_cache.Journal.replay ~capacity_bytes (CMgr.journal cmgr) in
            if not (sizes_hold replayed) then
              QCheck.Test.fail_reportf "seed %d: step %d: replayed sizes" seed step;
            List.iter
              (fun (r : Elem.t) ->
                match Braid_cache.Cache_model.find model r.Elem.id with
-               | Some live when Elem.is_materialized live && Elem.is_materialized r ->
+               | Some live ->
                  if r.Elem.ext_bytes <> live.Elem.ext_bytes then
                    QCheck.Test.fail_reportf "seed %d: step %d: %s replays to %d bytes, live %d"
                      seed step r.Elem.id r.Elem.ext_bytes live.Elem.ext_bytes
-               | Some _ -> ()
                | None -> QCheck.Test.fail_reportf "seed %d: step %d: %s not live" seed step r.Elem.id)
              (Braid_cache.Cache_model.elements replayed));
         check step
       done;
       true)
 
-(* A cache with extensions, a generator pulled and then forced, IVM
-   inserts and deletes (one of them of a row its dependents lack), an
+(* A cache with extensions, IVM inserts and deletes (one of them of a row its dependents lack), an
    index, a sorted representation and a checkpoint, crashed: every
    recovered element is the live one's size and its recount, and the next
    admission evicts the same elements from both. *)
@@ -648,23 +624,12 @@ let test_sizes_survive_recovery () =
       A.conj [ v "C" ] [ atom "t3" [ s "z2"; v "C"; v "Y" ] ];
     ];
   let q_t1 = A.conj [ v "X"; v "Y" ] [ atom "t1" [ v "X"; v "Y" ] ] in
-  let g =
-    match
-      CMgr.insert cache ~def:q_t1
-        (Elem.Generator
-           (TS.of_list (str_schema [ "a"; "b" ])
-              (R.Relation.to_list (Engine.table (Server.engine server) "t1"))))
-    with
-    | Some g -> g
-    | None -> Alcotest.fail "the generator was not admitted"
-  in
-  let c = TS.cursor (Elem.stream g) in
-  ignore (TS.next c);
-  ignore (TS.next c);
+  check_bool "the t1 extension is admitted" true
+    (CMgr.insert cache ~def:q_t1 (R.Relation.copy (Engine.table (Server.engine server) "t1"))
+     <> None);
   ignore (CMgr.ensure_index cache (element_of cms q_full2) [ 0 ]);
   ignore (Elem.sorted_on (element_of cms q_sel1) [ 0 ]);
   ignore (Cms.checkpoint cms);
-  ignore (Elem.extension g);
   Cms.apply_insert cms "t2" (row [ "x5"; "z1" ]);
   Cms.apply_insert cms "t1" (row [ "c1"; "y9" ]);
   check_bool "a held row is deleted" true (Cms.apply_delete cms "t1" (row [ "c1"; "y1" ]));
@@ -696,7 +661,7 @@ let test_sizes_survive_recovery () =
     let before = ids (CMgr.model cache) in
     let def = A.conj [ v "P" ] [ atom "pad" [ v "P" ] ] in
     check_bool "the next element is admitted" true
-      (CMgr.insert cache ~id:"next" ~def (Elem.Extension (R.Relation.copy pad)) <> None);
+      (CMgr.insert cache ~id:"next" ~def (R.Relation.copy pad) <> None);
     List.filter (fun id -> not (List.mem id (ids (CMgr.model cache)))) before
   in
   let kept = List.length (ids live) in

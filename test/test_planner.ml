@@ -516,26 +516,72 @@ let test_arithmetic_falls_back_to_local () =
       else check_int "all configs agree" !reference (R.Relation.cardinality r))
     [ Qpo.loose_coupling_config; Qpo.bermuda_config; Qpo.braid_config ]
 
-let test_generator_element_reused () =
+let element_ids q =
+  List.map
+    (fun (e : Braid_cache.Element.t) -> e.Braid_cache.Element.id)
+    (Braid_cache.Cache_model.elements (CMgr.model (Qpo.cache q)))
+
+let journal_length q = Braid_cache.Journal.length (CMgr.journal (Qpo.cache q))
+
+(* A lazy answer streams over the extension that covers the query and
+   stores nothing: asking again is answered from that extension. *)
+let test_lazy_answer_admits_nothing () =
   let q = make_qpo ~config:Qpo.braid_config () in
-  (* prime so the instance is answerable from cache, then ask lazily *)
   let _ = TS.to_relation (Qpo.answer_conj q d2_def).Qpo.stream in
+  let cover = (Option.get (CMgr.find_exact (Qpo.cache q) d2_def)).Braid_cache.Element.id in
+  let ids = element_ids q and entries = journal_length q in
   let lazy_a = Qpo.answer_conj q ~prefer_lazy:true (d2_instance "y1") in
   check_bool "lazy answer" true
     (List.exists (function Plan.Lazy_answer -> true | _ -> false) lazy_a.Qpo.plan);
-  (* pull only one tuple, leaving a partially-evaluated generator element *)
-  let cursor = TS.cursor lazy_a.Qpo.stream in
-  ignore (TS.next cursor);
-  (* the same query again: the generator element must serve it (forced as
-     needed), with answers equal to a fresh eager evaluation *)
+  ignore (TS.next (TS.cursor lazy_a.Qpo.stream));
+  check_bool "no element admitted" true (element_ids q = ids);
+  check_int "nothing journaled" entries (journal_length q);
   let again = Qpo.answer_conj q (d2_instance "y1") in
-  let r_again = TS.to_relation again.Qpo.stream in
+  check_bool "answered from the covering extension" true
+    (List.exists
+       (function Plan.Use_element { element; _ } -> element = cover | _ -> false)
+       again.Qpo.plan);
   let fresh = make_qpo ~config:Qpo.loose_coupling_config () in
   let r_ref = TS.to_relation (Qpo.answer_conj fresh (d2_instance "y1")).Qpo.stream in
   let norm rel =
     List.sort_uniq compare (List.map R.Tuple.to_list (R.Relation.to_list rel))
   in
-  check_bool "generator-backed answers correct" true (norm r_again = norm r_ref)
+  check_bool "answers equal loose coupling" true
+    (norm (TS.to_relation again.Qpo.stream) = norm r_ref)
+
+(* A query answered lazily leaves no element under its form, so a spec
+   with that form is still prefetched when predicted — from the cache,
+   with no remote request. *)
+let test_prefetch_after_lazy_answer () =
+  let d1_def = A.conj [ v "Y" ] [ atom "b1" [ s "c1"; v "Y" ] ] in
+  let q = make_qpo ~config:Qpo.braid_config () in
+  let _ = TS.to_relation (Qpo.answer_conj q d2_def).Qpo.stream in
+  let lazy_a = Qpo.answer_conj q ~prefer_lazy:true (d2_instance "y1") in
+  check_bool "lazy answer" true
+    (List.exists (function Plan.Lazy_answer -> true | _ -> false) lazy_a.Qpo.plan);
+  Qpo.set_advice q
+    {
+      Adv.specs =
+        [
+          Adv.spec ~id:"d1" ~bindings:[ Adv.Producer ] d1_def;
+          Adv.spec ~id:"d2y1" ~bindings:[ Adv.Producer ] (d2_instance "y1");
+        ];
+      path =
+        Some
+          (Adv.Seq
+             ( [ Adv.Pattern ("d1", [ v "Y" ]); Adv.Pattern ("d2y1", [ v "X" ]) ],
+               { Adv.lo = 1; hi = Adv.Fin 1 } ));
+    };
+  let a1 = Qpo.answer_conj q d1_def in
+  let _ = TS.to_relation a1.Qpo.stream in
+  check_bool "the lazily answered spec is prefetched" true
+    (List.exists (function Plan.Prefetch { spec = "d2y1"; _ } -> true | _ -> false) a1.Qpo.plan);
+  let before = requests q in
+  let a2 = Qpo.answer_conj q (d2_instance "y1") in
+  let _ = TS.to_relation a2.Qpo.stream in
+  check_int "served from the cache" before (requests q);
+  check_bool "an exact hit on the prefetched element" true
+    (List.exists (function Plan.Exact_hit _ -> true | _ -> false) a2.Qpo.plan)
 
 let test_single_relation_mode_reuses_selections () =
   let q = make_qpo ~config:Qpo.ceri_config () in
@@ -678,8 +724,8 @@ let deeper_cases =
       test_prefer_join_view_over_two_relations;
     Alcotest.test_case "arithmetic comparisons evaluated locally" `Quick
       test_arithmetic_falls_back_to_local;
-    Alcotest.test_case "partially-pulled generator element reused" `Quick
-      test_generator_element_reused;
+    Alcotest.test_case "lazy answer admits nothing" `Quick test_lazy_answer_admits_nothing;
+    Alcotest.test_case "prefetch after a lazy answer" `Quick test_prefetch_after_lazy_answer;
     Alcotest.test_case "single-relation mode reuse" `Quick
       test_single_relation_mode_reuses_selections;
   ]

@@ -497,7 +497,8 @@ let prop_stream_roundtrip =
 let prop_stream_take_prefix =
   QCheck.Test.make ~count:300 ~name:"take yields a prefix" arb_rel (fun r ->
       let l = List.map R.Tuple.to_list (R.Relation.to_list r) in
-      let t = List.map R.Tuple.to_list (TS.to_list (TS.take 3 (TS.of_relation r))) in
+      let c = TS.cursor (TS.of_relation r) in
+      let t = List.filter_map (fun _ -> Option.map R.Tuple.to_list (TS.next c)) [ 1; 2; 3 ] in
       let rec is_prefix p l =
         match p, l with
         | [], _ -> true
@@ -713,7 +714,7 @@ let prop_covers_equal_reference =
       let m = Braid_cache.Cache_model.create ~capacity_bytes:max_int in
       Braid_cache.Cache_model.add m
         (Braid_cache.Element.make ~id:"e" ~def ~now:0
-           (Braid_cache.Element.Extension (R.Relation.create schema2)));
+           (R.Relation.create schema2));
       Sub.covers e q = expected
       && List.map snd (Braid_cache.Cache_model.covers m (Braid_subsume.Form.of_conj q)) = expected)
 
@@ -917,7 +918,7 @@ let prop_candidates_keep_insertion_order =
               A.conj [ T.Var "X" ]
                 (List.map (fun p -> L.Atom.make p [ T.Var "X"; T.Var "Y" ]) ps)
             in
-            CModel.add m (Elem.make ~id ~def ~now:(CModel.tick m) (Elem.Extension (R.Relation.create schema2)));
+            CModel.add m (Elem.make ~id ~def ~now:(CModel.tick m) (R.Relation.create schema2));
             live := !live @ [ (id, ps) ]
           | `Remove i ->
             let id = "e" ^ string_of_int i in
@@ -1048,7 +1049,7 @@ let print_live (defs, templates, ops) =
 (* Runs the ops over a cache with room for four elements, so admissions
    evict; [check] judges every probe. *)
 let run_live (defs, templates, ops) check =
-  let empty () = Elem.Extension (R.Relation.create schema2) in
+  let empty () = R.Relation.create schema2 in
   let one = Elem.bytes_estimate (Elem.make ~id:"e0" ~def:defs.(0) ~now:0 (empty ())) in
   let cmgr = CMgr.create ~capacity_bytes:(4 * one) () in
   List.for_all
@@ -1193,16 +1194,14 @@ let pin_cache () =
     ignore
       (CMgr.insert cache
          ~def:(A.conj [ T.Var "Y" ] [ L.Atom.make "b" [ T.int k; T.Var "Y" ] ])
-         (Braid_cache.Element.Extension rel))
+         rel)
   done;
   cache
 
 let recover cache =
   let journal = CMgr.journal cache in
   let model =
-    Braid_cache.Journal.replay ~capacity_bytes:pin_capacity
-      ~rebuild_generator:(fun _ -> invalid_arg "no generators")
-      journal
+    Braid_cache.Journal.replay ~capacity_bytes:pin_capacity journal
   in
   CMgr.create ~journal ~model ~capacity_bytes:pin_capacity ()
 
@@ -1389,7 +1388,7 @@ let prop_replay_across_truncation =
   let ext k = R.Relation.of_tuples ~name:"b" y_schema [ [| V.Int k |]; [| V.Int (k + 1) |] ] in
   let capacity_bytes =
     6 * Elem.bytes_estimate
-          (Elem.make ~id:"e0" ~def:(def 0) ~now:0 (Elem.Extension (ext 0)))
+          (Elem.make ~id:"e0" ~def:(def 0) ~now:0 (ext 0))
   in
   QCheck.Test.make ~count:200 ~name:"journal replay across truncation"
     (arb_of
@@ -1411,7 +1410,7 @@ let prop_replay_across_truncation =
               (fun (e : Elem.t) ->
                 max_id := max !max_id (Scanf.sscanf e.Elem.id "e%d" Fun.id);
                 max_at := max !max_at e.Elem.created_at)
-              (CMgr.insert cache ~def:(def k) (Elem.Extension (ext k)))
+              (CMgr.insert cache ~def:(def k) (ext k))
           | J_drop n -> Option.iter (fun e -> CMgr.remove_element cache e ~pred:"b") (nth n)
           | J_pin (n, flag) ->
             Option.iter (fun (e : Elem.t) -> CMgr.pin cache e.Elem.id flag) (nth n)
@@ -1432,11 +1431,7 @@ let prop_replay_across_truncation =
                   else Maintain.Delete ("b", row)))
           | J_checkpoint -> ignore (CMgr.checkpoint cache))
         ops;
-      let recovered =
-        Journal.replay ~capacity_bytes
-          ~rebuild_generator:(fun _ -> invalid_arg "no generators")
-          (CMgr.journal cache)
-      in
+      let recovered = Journal.replay ~capacity_bytes (CMgr.journal cache) in
       Braid_check.Oracle.same_state (CMgr.model cache) recovered = Ok ()
       && CModel.fresh_id recovered = Printf.sprintf "e%d" (!max_id + 1)
       && CModel.now recovered = !max_at + 1)

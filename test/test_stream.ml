@@ -59,34 +59,9 @@ let test_to_relation_forces () =
   check_int "forced" 7 !produced;
   check_int "relation size" 7 (R.Relation.cardinality r)
 
-let test_map_filter_take () =
-  let s, _ = counting_stream 10 in
-  let doubled = TS.map schema1 (fun t -> [| V.mul t.(0) (V.Int 2) |]) s in
-  let even_gt_10 = TS.filter (fun t -> V.compare t.(0) (V.Int 10) > 0) doubled in
-  let first2 = TS.take 2 even_gt_10 in
-  let values = List.map (fun t -> t.(0)) (TS.to_list first2) in
-  check_bool "12,14" true (values = [ V.Int 12; V.Int 14 ])
-
-let test_take_is_lazy () =
-  let s, produced = counting_stream 1000 in
-  let _ = TS.to_list (TS.take 3 s) in
-  check_int "only 3 produced" 3 !produced
-
-let test_append_distinct () =
-  let a = TS.of_list schema1 [ [| V.Int 1 |]; [| V.Int 2 |] ] in
-  let b = TS.of_list schema1 [ [| V.Int 2 |]; [| V.Int 3 |] ] in
-  let d = TS.distinct (TS.append a b) in
-  check_int "deduped" 3 (List.length (TS.to_list d))
-
-let test_concat_map () =
-  let s = TS.of_list schema1 [ [| V.Int 1 |]; [| V.Int 2 |] ] in
-  let exploded = TS.concat_map schema1 (fun t -> [ t; t |> Array.copy ]) s in
-  check_int "doubled" 4 (List.length (TS.to_list exploded))
-
 let test_empty () =
   let s = TS.empty schema1 in
-  check_bool "no tuples" true (TS.to_list s = []);
-  check_bool "append empty" true (List.length (TS.to_list (TS.append (TS.empty schema1) (TS.of_list schema1 [ [| V.Int 1 |] ]))) = 1)
+  check_bool "no tuples" true (TS.to_list s = [])
 
 (* [of_relation] snapshots the row vector and [to_relation] hands out a
    fresh one: writes on either side of the stream stay on that side, while
@@ -123,10 +98,6 @@ let suites : unit Alcotest.test list =
           test_memoization_shared_cursors;
         Alcotest.test_case "exhaustion" `Quick test_exhaustion;
         Alcotest.test_case "to_relation forces" `Quick test_to_relation_forces;
-        Alcotest.test_case "map/filter/take" `Quick test_map_filter_take;
-        Alcotest.test_case "take is lazy" `Quick test_take_is_lazy;
-        Alcotest.test_case "append + distinct" `Quick test_append_distinct;
-        Alcotest.test_case "concat_map" `Quick test_concat_map;
         Alcotest.test_case "empty stream" `Quick test_empty;
         Alcotest.test_case "relation round trip shares no row vector" `Quick
           test_relation_round_trip_no_alias;
