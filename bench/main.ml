@@ -154,10 +154,11 @@ let bench_semijoin_fetch =
   Bechamel.Test.make ~name:"semijoin_reduced_fetch"
     (Bechamel.Staged.stage (fun () -> ignore (Braid_remote.Engine.execute eng q)))
 
-(* The serve_rw remote hot spot: a covering index-only scan over 2,500
-   string keys (two rows each) whose semi-join filter lists 256 values, 250
-   of them present. Planning picks the index-only path; every key is tested
-   against the IN residual. *)
+(* The serve_rw remote hot spot: a projection over 2,500 string keys (two
+   rows each) whose semi-join filter lists 256 values, 250 of them present.
+   Planning picks the IN probe: one probe of the key column's index per
+   listed value, reaching the 500 matching rows. The covering index-only
+   path it replaced tested all 2,500 keys against the IN residual. *)
 let bench_semijoin_index_only =
   let eng = Braid_remote.Engine.create () in
   let key i = V.Str (Printf.sprintf "sup%04d" i) in

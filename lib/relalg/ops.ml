@@ -11,6 +11,20 @@ let select_indexed_count ix key ?(residual = Row_pred.True) r =
       if Row_pred.eval residual t then Relation.add out t);
   (out, !matched)
 
+let select_indexed_in_count ix values ?(residual = Row_pred.True) r =
+  let out = Relation.create ~name:(Relation.name r) (Relation.schema r) in
+  let matched = ref 0 in
+  let rec walk p =
+    if p >= 0 then begin
+      let t = Index.tuple_at ix p in
+      incr matched;
+      if Row_pred.eval residual t then Relation.add out t;
+      walk (Index.next ix p)
+    end
+  in
+  List.iter (fun v -> walk (Index.first1 ix v)) values;
+  (out, !matched)
+
 let select_indexed ix key ?residual r = fst (select_indexed_count ix key ?residual r)
 
 (* Selection vectors: a selection is represented as the array of qualifying

@@ -64,6 +64,17 @@ let mem s v =
 
 let one_of a = function [] -> False | values -> In (a, value_set values)
 
+let has_wide values = List.exists is_wide values
+
+let distinct_members values =
+  let seen = Value_tbl.create (2 * List.length values) in
+  List.filter
+    (fun v ->
+      (not (Value_tbl.mem seen v))
+      && (Value_tbl.replace seen v ();
+          true))
+    values
+
 let rec eval p t =
   match p with
   | True -> true

@@ -43,6 +43,16 @@ val mem : value_set -> Value.t -> bool
 (** [mem s v] is [List.exists (fun w -> Value.compare v w = 0) vs] for the
     [vs] [s] was built from, in one hash probe. *)
 
+val has_wide : Value.t list -> bool
+(** Whether a value is a number beyond 2^53. Among such values
+    [Value.equal] is not transitive, so hash-index buckets need not hold
+    exactly the rows an IN-list of them admits. *)
+
+val distinct_members : Value.t list -> Value.t list
+(** One value per [Value.equal] class, the first listed. Without wide
+    members ({!has_wide}), probing a hash index with each of these reaches
+    every row [one_of a vs] admits exactly once. *)
+
 val conj : t list -> t
 (** Conjunction with [True]/[False] simplification. *)
 

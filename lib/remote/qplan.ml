@@ -2,7 +2,8 @@
 
    The planner turns a [Sql.select] into an explicit operator tree: one
    access path per FROM source (sequential scan, composite-index probe,
-   covering index-only scan, or bitmap scan) and one strategy per join
+   covering index-only scan, bitmap scan, or a probe of one column's index
+   per value of a semi-join IN-set) and one strategy per join
    (hash, sort-merge, index-nested-loop, or cartesian product), with the
    join order chosen by dynamic programming over the sources (greedy
    beyond 6). Estimates come from [Catalog] cardinality and per-column
@@ -23,6 +24,7 @@ type access_path =
   | Index_only of { cols : int list }
   | Bitmap_in of { col : int; values : R.Value.t list }
   | Bitmap_cmp of { col : int; cmp : R.Row_pred.cmp; value : R.Value.t }
+  | In_probe of { col : int; values : R.Value.t list } (* [values]: distinct, none wide *)
 
 type scan_plan = {
   src : Sql.source;
@@ -196,20 +198,22 @@ let plan_scan catalog info ~local_conds ~semi ~needed =
           match a, b with
           | Sql.Col col, Sql.Const v | Sql.Const v, Sql.Col col ->
             (match R.Schema.position_opt schema (col_name col) with
-             | Some i -> Either.Left (i, v)
+             | Some i -> Either.Left (i, v, c)
              | None -> Either.Right c)
           | Sql.Col _, Sql.Col _ | Sql.Const _, Sql.Const _ -> Either.Right c)
       local_conds
   in
-  let probes = List.sort (fun (i, _) (j, _) -> Int.compare i j) probes in
-  let probes, dup_probes =
+  let probes = List.sort (fun (i, _, _) (j, _, _) -> Int.compare i j) probes in
+  let probes, probe_conds, dup_probes =
     let kept, dups =
       List.fold_left
-        (fun (kept, dups) (i, v) ->
-          if List.mem_assoc i kept then (kept, (i, v) :: dups) else ((i, v) :: kept, dups))
+        (fun (kept, dups) (i, v, c) ->
+          if List.exists (fun (k, _, _) -> k = i) kept then (kept, (i, v) :: dups)
+          else ((i, v, c) :: kept, dups))
         ([], []) probes
     in
-    (List.rev kept, List.rev dups)
+    let kept = List.rev kept in
+    (List.map (fun (i, v, _) -> (i, v)) kept, List.map (fun (_, _, c) -> c) kept, List.rev dups)
   in
   let card_f = float_of_int info.card in
   let probe_sel = List.fold_left (fun acc (i, _) -> acc *. eq_sel info i) 1.0 probes in
@@ -223,12 +227,11 @@ let plan_scan catalog info ~local_conds ~semi ~needed =
       1.0 residual_conds
     *. List.fold_left (fun acc (i, _) -> acc *. eq_sel info i) 1.0 dup_probes
   in
+  let in_sel col n = Float.min 1.0 (float_of_int n /. float_of_int (distinct_at info col)) in
   let semi_sel =
     List.fold_left
       (fun acc (col, values) ->
-        let d = distinct_at info col in
-        if d > 0 then acc *. Float.min 1.0 (float_of_int (List.length values) /. float_of_int d)
-        else acc)
+        if distinct_at info col > 0 then acc *. in_sel col (List.length values) else acc)
       1.0 semi
   in
   let out_est = round_est (card_f *. probe_sel *. residual_sel *. semi_sel) in
@@ -264,10 +267,7 @@ let plan_scan catalog info ~local_conds ~semi ~needed =
          semi
      with
      | Some (col, values) ->
-       let d = distinct_at info col in
-       let touched =
-         round_est (card_f *. Float.min 1.0 (float_of_int (List.length values) /. float_of_int d))
-       in
+       let touched = round_est (card_f *. in_sel col (List.length values)) in
        let semi' = List.filter (fun (c, _) -> c <> col) semi in
        candidates := (Bitmap_in { col; values }, touched, residual_conds, semi', 3) :: !candidates
      | None ->
@@ -314,16 +314,34 @@ let plan_scan catalog info ~local_conds ~semi ~needed =
           candidates := (Bitmap_cmp { col; cmp; value }, touched, rest, semi, 3) :: !candidates
         | None -> ()))
   end;
+  (* an IN probe per semi-join column: a probe of the column's index per
+     value, the other filters (equality probes included) as its residual;
+     last in tie rank, so it wins only by touching fewer rows. Wide values
+     are left to the residual: their buckets need not match [Value.compare]. *)
+  List.iter
+    (fun (col, values) ->
+      if distinct_at info col > 0 && not (R.Row_pred.has_wide values) then
+        let touched = round_est (card_f *. in_sel col (List.length values)) in
+        let semi' = List.filter (fun (c, _) -> c <> col) semi in
+        candidates :=
+          (In_probe { col; values }, touched, probe_conds @ residual_conds, semi', 4) :: !candidates)
+    semi;
   let path, touched, residual, semi, _ =
     List.fold_left
       (fun (bp, bt, br, bs, brank) (p, t, r, s, rank) ->
         if t < bt || (t = bt && rank < brank) then (p, t, r, s, rank) else (bp, bt, br, bs, brank))
       (List.hd !candidates) (List.tl !candidates)
   in
+  let path =
+    match path with
+    | In_probe { col; values } -> In_probe { col; values = R.Row_pred.distinct_members values }
+    | Seq_scan | Index_probe _ | Index_only _ | Bitmap_in _ | Bitmap_cmp _ -> path
+  in
   let scan_cost = cm.CM.server_scan_ms *. float_of_int touched in
   let order =
     match path with
     | Index_only { cols } -> cols
+    | In_probe _ -> [] (* rows come out in probe order *)
     | Seq_scan | Index_probe _ | Bitmap_in _ | Bitmap_cmp _ ->
       List.init info.sorted_pref (fun i -> i)
   in
@@ -773,6 +791,7 @@ let label_of_scan sp =
       Printf.sprintf "index-only [%s]" (String.concat "," (List.map string_of_int cols))
     | Bitmap_in { col; values } -> Printf.sprintf "bitmap col %d in %d values" col (List.length values)
     | Bitmap_cmp { col; _ } -> Printf.sprintf "bitmap col %d" col
+    | In_probe { col; values } -> Printf.sprintf "index in col %d, %d values" col (List.length values)
   in
   let semi = if sp.semi = [] then "" else Printf.sprintf " semi:%d" (List.length sp.semi) in
   Printf.sprintf "scan %s [%s]%s" name path semi
@@ -835,6 +854,15 @@ let rec exec_node ctx node : R.Relation.t * explain =
         let picked = R.Ops.materialize_sv ~name:(R.Relation.name rel) rel sv in
         let pred = scan_residual schema sp in
         if pred = R.Row_pred.True then picked else R.Ops.select pred picked
+      | In_probe { col; values } ->
+        ctx.counters.index_probes <- ctx.counters.index_probes + 1;
+        Obs.Metrics.incr "plan.index_probe";
+        let ix = Catalog.ensure_index ctx.catalog sp.src.Sql.table base [ col ] in
+        let out, matched =
+          R.Ops.select_indexed_in_count ix values ~residual:(scan_residual schema sp) rel
+        in
+        ctx.scanned := !(ctx.scanned) + matched;
+        out
     in
     ( out,
       { label = label_of_scan sp; est_rows = sp.scan_est; actual_rows = R.Relation.cardinality out;
@@ -865,7 +893,7 @@ let rec exec_node ctx node : R.Relation.t * explain =
            List.map2
              (fun c v -> R.Row_pred.Cmp (R.Row_pred.Eq, Col c, Lit v))
              cols key
-         | Bitmap_in { col; values } -> [ semi_pred (col, values) ]
+         | Bitmap_in { col; values } | In_probe { col; values } -> [ semi_pred (col, values) ]
          | Bitmap_cmp { col; cmp; value } ->
            [ R.Row_pred.Cmp (cmp, Col col, Lit value) ]
        in
@@ -973,6 +1001,7 @@ let rec signature node =
       | Index_probe _ -> "+probe"
       | Index_only _ -> "+cover"
       | Bitmap_in _ | Bitmap_cmp _ -> "+bitmap"
+      | In_probe _ -> "+probe-in"
     in
     Printf.sprintf "%s%s" sp.src.Sql.alias p
   | Join jp ->

@@ -2,7 +2,8 @@
 
     Turns a [Sql.select] into an explicit operator tree — an access path
     per source (sequential, composite-index probe, covering index-only,
-    bitmap) and a strategy per join (hash, sort-merge, index-nested-loop,
+    bitmap, or one index probe per value of a semi-join IN-set) and a
+    strategy per join (hash, sort-merge, index-nested-loop,
     product) — with the join order chosen by dynamic programming over the
     sources (greedy beyond 6), driven by [Catalog] cardinality and
     per-column distinct counts. Plan choice always weighs operators with

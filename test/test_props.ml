@@ -1599,6 +1599,40 @@ let prop_enumerated_plan_equals_naive =
       let r2, _ = REngine.execute_naive eng q in
       bag r1 = bag r2)
 
+(* An IN-listed column answered by probing its index once per distinct
+   value gives the seq scan under the explicit [Or]-of-[Eq] filter, as
+   bags. Column [v] holds generated values plus 200 distinct padding
+   strings, so a list of at most 12 values is always cheapest to probe —
+   unless a member is wide, which keeps the filter a residual. *)
+let prop_in_probe_equals_or_of_eq =
+  let print (vs, col) =
+    Printf.sprintf "in [%s] over [%s]"
+      (String.concat "; " (List.map V.to_string vs))
+      (String.concat "; " (List.map V.to_string col))
+  in
+  QCheck.Test.make ~count:300 ~name:"IN-probed scan = Or-of-Eq seq scan"
+    (arb_of
+       (QCheck.Gen.pair
+          (QCheck.Gen.list_size (QCheck.Gen.int_range 0 12) gen_in_value)
+          (QCheck.Gen.list_size (QCheck.Gen.int_range 0 40) gen_in_value))
+       print)
+    (fun (vs, col) ->
+      let eng = REngine.create () in
+      let padding = List.init 200 (fun i -> V.Str (Printf.sprintf "pad%d" i)) in
+      REngine.load eng
+        (R.Relation.of_tuples ~name:"t"
+           (R.Schema.make [ ("id", V.Tint); ("v", V.Tint) ])
+           (List.mapi (fun i v -> [| V.Int i; v |]) (col @ padding)));
+      let q =
+        { Sql.distinct = false; columns = []; from = [ { Sql.table = "t"; alias = "t" } ];
+          where = []; semijoins = [ ({ Sql.src = "t"; attr = "v" }, vs) ] }
+      in
+      let r, _, _, plan = REngine.execute_explained eng q in
+      let explicit = RP.Or (List.map (fun v -> RP.Cmp (RP.Eq, Col 1, Lit v)) vs) in
+      let bag rel = List.sort compare (List.map R.Tuple.to_list (R.Relation.to_list rel)) in
+      (Braid_remote.Qplan.plan_signature plan = "t+probe-in") = not (RP.has_wide vs)
+      && bag r = bag (R.Ops.select explicit (REngine.table eng "t")))
+
 (* --- datalog algorithms + magic sets over random linear-recursive KBs --- *)
 
 module Datalog = Braid_ie.Datalog
@@ -1950,6 +1984,7 @@ let suites : unit Alcotest.test list =
           prop_prng_deterministic;
           prop_zipf_in_range;
           prop_enumerated_plan_equals_naive;
+          prop_in_probe_equals_or_of_eq;
           prop_datalog_algorithms_agree;
           prop_datalog_shapes_agree;
           prop_magic_sound;
