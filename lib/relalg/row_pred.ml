@@ -66,14 +66,23 @@ let one_of a = function [] -> False | values -> In (a, value_set values)
 
 let has_wide values = List.exists is_wide values
 
+(* A strictly increasing list is already one value per class: [float_of_int]
+   is monotone, so [a < b < c] rules out [Value.equal a c]. That is the
+   shape [Sql.with_semijoins] ships, and it needs no hashing. *)
+let rec strictly_increasing = function
+  | a :: (b :: _ as rest) -> Value.compare a b < 0 && strictly_increasing rest
+  | [] | [ _ ] -> true
+
 let distinct_members values =
-  let seen = Value_tbl.create (2 * List.length values) in
-  List.filter
-    (fun v ->
-      (not (Value_tbl.mem seen v))
-      && (Value_tbl.replace seen v ();
-          true))
-    values
+  if strictly_increasing values then values
+  else
+    let seen = Value_tbl.create (2 * List.length values) in
+    List.filter
+      (fun v ->
+        (not (Value_tbl.mem seen v))
+        && (Value_tbl.replace seen v ();
+            true))
+      values
 
 let rec eval p t =
   match p with

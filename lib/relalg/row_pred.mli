@@ -51,7 +51,8 @@ val has_wide : Value.t list -> bool
 val distinct_members : Value.t list -> Value.t list
 (** One value per [Value.equal] class, the first listed. Without wide
     members ({!has_wide}), probing a hash index with each of these reaches
-    every row [one_of a vs] admits exactly once. *)
+    every row [one_of a vs] admits exactly once. A list strictly
+    increasing under [Value.compare] is returned as it is, unhashed. *)
 
 val conj : t list -> t
 (** Conjunction with [True]/[False] simplification. *)

@@ -227,12 +227,20 @@ let plan_scan catalog info ~local_conds ~semi ~needed =
       1.0 residual_conds
     *. List.fold_left (fun acc (i, _) -> acc *. eq_sel info i) 1.0 dup_probes
   in
-  let in_sel col n = Float.min 1.0 (float_of_int n /. float_of_int (distinct_at info col)) in
+  (* each semi-join IN-set's distinct members, taken once: repeated or
+     [Int]/[Float]-equal members must not inflate the estimates below, and
+     the IN probe walks each distinct value once *)
+  let semi_members =
+    List.map (fun (col, values) -> (col, values, R.Row_pred.distinct_members values)) semi
+  in
+  let in_sel col members =
+    Float.min 1.0 (float_of_int (List.length members) /. float_of_int (distinct_at info col))
+  in
   let semi_sel =
     List.fold_left
-      (fun acc (col, values) ->
-        if distinct_at info col > 0 then acc *. in_sel col (List.length values) else acc)
-      1.0 semi
+      (fun acc (col, _, members) ->
+        if distinct_at info col > 0 then acc *. in_sel col members else acc)
+      1.0 semi_members
   in
   let out_est = round_est (card_f *. probe_sel *. residual_sel *. semi_sel) in
   (* candidate paths, each with estimated tuples touched; the scan cost is
@@ -261,13 +269,13 @@ let plan_scan catalog info ~local_conds ~semi ~needed =
        predicate, over a low-cardinality column *)
     (match
        List.find_opt
-         (fun (col, _) ->
+         (fun (col, _, _) ->
            let d = distinct_at info col in
            d > 0 && d <= bitmap_max_distinct)
-         semi
+         semi_members
      with
-     | Some (col, values) ->
-       let touched = round_est (card_f *. in_sel col (List.length values)) in
+     | Some (col, values, members) ->
+       let touched = round_est (card_f *. in_sel col members) in
        let semi' = List.filter (fun (c, _) -> c <> col) semi in
        candidates := (Bitmap_in { col; values }, touched, residual_conds, semi', 3) :: !candidates
      | None ->
@@ -319,23 +327,19 @@ let plan_scan catalog info ~local_conds ~semi ~needed =
      last in tie rank, so it wins only by touching fewer rows. Wide values
      are left to the residual: their buckets need not match [Value.compare]. *)
   List.iter
-    (fun (col, values) ->
+    (fun (col, values, members) ->
       if distinct_at info col > 0 && not (R.Row_pred.has_wide values) then
-        let touched = round_est (card_f *. in_sel col (List.length values)) in
+        let touched = round_est (card_f *. in_sel col members) in
         let semi' = List.filter (fun (c, _) -> c <> col) semi in
         candidates :=
-          (In_probe { col; values }, touched, probe_conds @ residual_conds, semi', 4) :: !candidates)
-    semi;
+          (In_probe { col; values = members }, touched, probe_conds @ residual_conds, semi', 4)
+          :: !candidates)
+    semi_members;
   let path, touched, residual, semi, _ =
     List.fold_left
       (fun (bp, bt, br, bs, brank) (p, t, r, s, rank) ->
         if t < bt || (t = bt && rank < brank) then (p, t, r, s, rank) else (bp, bt, br, bs, brank))
       (List.hd !candidates) (List.tl !candidates)
-  in
-  let path =
-    match path with
-    | In_probe { col; values } -> In_probe { col; values = R.Row_pred.distinct_members values }
-    | Seq_scan | Index_probe _ | Index_only _ | Bitmap_in _ | Bitmap_cmp _ -> path
   in
   let scan_cost = cm.CM.server_scan_ms *. float_of_int touched in
   let order =

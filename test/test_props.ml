@@ -1603,7 +1603,9 @@ let prop_enumerated_plan_equals_naive =
    value gives the seq scan under the explicit [Or]-of-[Eq] filter, as
    bags. Column [v] holds generated values plus 200 distinct padding
    strings, so a list of at most 12 values is always cheapest to probe —
-   unless a member is wide, which keeps the filter a residual. *)
+   unless a member is wide, which keeps the filter a residual. Each list
+   also runs sorted and de-duplicated, the shape the QPO ships, which
+   the planner takes as distinct without hashing it. *)
 let prop_in_probe_equals_or_of_eq =
   let print (vs, col) =
     Printf.sprintf "in [%s] over [%s]"
@@ -1623,15 +1625,18 @@ let prop_in_probe_equals_or_of_eq =
         (R.Relation.of_tuples ~name:"t"
            (R.Schema.make [ ("id", V.Tint); ("v", V.Tint) ])
            (List.mapi (fun i v -> [| V.Int i; v |]) (col @ padding)));
-      let q =
-        { Sql.distinct = false; columns = []; from = [ { Sql.table = "t"; alias = "t" } ];
-          where = []; semijoins = [ ({ Sql.src = "t"; attr = "v" }, vs) ] }
-      in
-      let r, _, _, plan = REngine.execute_explained eng q in
-      let explicit = RP.Or (List.map (fun v -> RP.Cmp (RP.Eq, Col 1, Lit v)) vs) in
       let bag rel = List.sort compare (List.map R.Tuple.to_list (R.Relation.to_list rel)) in
-      (Braid_remote.Qplan.plan_signature plan = "t+probe-in") = not (RP.has_wide vs)
-      && bag r = bag (R.Ops.select explicit (REngine.table eng "t")))
+      let agrees vs =
+        let q =
+          { Sql.distinct = false; columns = []; from = [ { Sql.table = "t"; alias = "t" } ];
+            where = []; semijoins = [ ({ Sql.src = "t"; attr = "v" }, vs) ] }
+        in
+        let r, _, _, plan = REngine.execute_explained eng q in
+        let explicit = RP.Or (List.map (fun v -> RP.Cmp (RP.Eq, Col 1, Lit v)) vs) in
+        (Braid_remote.Qplan.plan_signature plan = "t+probe-in") = not (RP.has_wide vs)
+        && bag r = bag (R.Ops.select explicit (REngine.table eng "t"))
+      in
+      agrees vs && agrees (List.sort_uniq V.compare vs))
 
 (* --- datalog algorithms + magic sets over random linear-recursive KBs --- *)
 

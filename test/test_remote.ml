@@ -542,6 +542,28 @@ let test_semi_bitmap_in () =
        ~semis:[ ("p", "grp", grp_in); ("p", "k", key_most) ]
        ~expected:(select_parts eng [ explicit_in 1 grp_in; explicit_in 0 key_most ]))
 
+(* Plan estimates count an IN-set's distinct members: [grp_in] lists three
+   values but names two of the five groups, so the bitmap scan on [grp] is
+   expected to touch and return 2/5 of the 400 rows, 160 — not the 240 the
+   raw list length gives — and to cost what the de-duplicated list does. *)
+let test_semi_estimate_distinct () =
+  let eng = semi_engine () in
+  let scan values =
+    let _, _, explain, plan =
+      Engine.execute_explained eng
+        { Sql.distinct = false; columns = []; from = one_parts; where = [];
+          semijoins = [ ({ Sql.src = "p"; attr = "grp" }, values) ] }
+    in
+    check_bool "bitmap scan chosen" true (Qplan.plan_signature plan = "p+bitmap");
+    (explain.Qplan.est_rows, Qplan.modeled_cost plan)
+  in
+  let est, cost = scan grp_in in
+  check_int "estimated rows" 160 est;
+  check_bool "cost = 160 touched rows" true
+    (Float.abs (cost -. (CM.default.CM.server_scan_ms *. 160.0)) < 1e-9);
+  check_bool "cost = the distinct list's" true
+    (scan [ V.Str "g1"; V.Str "g0" ] = (est, cost))
+
 (* [num_in] names five distinct values of [n] ([5] twice, [1.0] and [1]
    equal, [7.5] absent): one probe each, so each of the four present
    values' four rows is reached once, and [grp] is the residual, which
@@ -647,6 +669,8 @@ let semi_cases =
     Alcotest.test_case "semi-join filter on an index-only scan" `Quick test_semi_index_only;
     Alcotest.test_case "semi-join filter on a bitmap IN scan" `Quick test_semi_bitmap_in;
     Alcotest.test_case "semi-join filter on an IN probe" `Quick test_semi_in_probe;
+    Alcotest.test_case "semi-join estimates count distinct members" `Quick
+      test_semi_estimate_distinct;
     Alcotest.test_case "IN probe keeps equality filters" `Quick test_semi_in_probe_over_equality;
     Alcotest.test_case "IN-probed input reports no sort order" `Quick
       test_in_probe_not_sorted;
