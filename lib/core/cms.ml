@@ -2,13 +2,11 @@ module Qpo = Braid_planner.Qpo
 module CMgr = Braid_cache.Cache_manager
 module Journal = Braid_cache.Journal
 module Maintain = Braid_cache.Maintain
-module Server = Braid_remote.Server
 module Router = Braid_remote.Shard_router
 
 type t = {
   qpo : Qpo.t;
   cache : CMgr.t;
-  server : Server.t;
   maintain : bool;
   mutable delta_totals : Maintain.report;
 }
@@ -22,26 +20,23 @@ let add_report (a : Maintain.report) (b : Maintain.report) =
     rows_removed = a.Maintain.rows_removed + b.Maintain.rows_removed;
   }
 
-let schema_of t = Braid_remote.Catalog.schema_of (Server.catalog t.server)
+let schema_of t = Braid_remote.Catalog.schema_of (Router.catalog (Qpo.router t.qpo))
 
 let note_write t w =
   let r = Maintain.on_write t.cache ~schema_of:(schema_of t) w in
   t.delta_totals <- add_report t.delta_totals r
 
-(* With a router, maintenance taps its write stream so writes issued
-   directly against the router (not through [apply_insert]) are propagated
-   too; replication-log re-applies do not re-fire (see
+(* Maintenance taps the router's write stream, so writes issued directly
+   against the router (not through [apply_insert]) are propagated too;
+   replication-log re-applies do not re-fire (see
    {!Braid_remote.Shard_router.set_write_observer}). *)
 let wire_maintenance t =
   if t.maintain then
-    match Qpo.router t.qpo with
-    | Some r ->
-      Router.set_write_observer r
-        (Some
-           (function
-             | Router.W_insert (name, tup) -> note_write t (Maintain.Insert (name, tup))
-             | Router.W_delete (name, tup) -> note_write t (Maintain.Delete (name, tup))))
-    | None -> ()
+    Router.set_write_observer (Qpo.router t.qpo)
+      (Some
+         (function
+           | Router.W_insert (name, tup) -> note_write t (Maintain.Insert (name, tup))
+           | Router.W_delete (name, tup) -> note_write t (Maintain.Delete (name, tup))))
 
 let create ?(config = Qpo.braid_config) ?(capacity_bytes = 8 * 1024 * 1024) ?rdi_policy
     ?router ?(maintain = false) server =
@@ -50,7 +45,6 @@ let create ?(config = Qpo.braid_config) ?(capacity_bytes = 8 * 1024 * 1024) ?rdi
     {
       qpo = Qpo.create ?rdi_policy ?router config ~cache ~server;
       cache;
-      server;
       maintain;
       delta_totals = Maintain.empty_report;
     }
@@ -60,8 +54,7 @@ let create ?(config = Qpo.braid_config) ?(capacity_bytes = 8 * 1024 * 1024) ?rdi
 
 let qpo t = t.qpo
 let cache t = t.cache
-let server t = t.server
-let rdi t = Qpo.rdi t.qpo
+let server t = Qpo.server t.qpo
 let router t = Qpo.router t.qpo
 let rdi_stats t = Qpo.rdi_stats t.qpo
 let exec_remote t sql = Qpo.exec_remote t.qpo sql
@@ -88,30 +81,15 @@ let invalidate_table t ?(mode = `Drop) name =
 let delta_totals t = t.delta_totals
 let reset_delta_totals t = t.delta_totals <- Maintain.empty_report
 
+(* Maintenance (when on) runs in the router's write observer. *)
 let apply_insert t name tup =
-  match Qpo.router t.qpo with
-  | Some r ->
-    Router.insert r name tup;
-    (* maintenance (when on) ran via the router's write observer *)
-    if not t.maintain then ignore (CMgr.mark_stale_pred t.cache name)
-  | None ->
-    Braid_remote.Engine.insert (Server.engine t.server) name tup;
-    if t.maintain then note_write t (Maintain.Insert (name, tup))
-    else ignore (CMgr.mark_stale_pred t.cache name)
+  Router.insert (Qpo.router t.qpo) name tup;
+  if not t.maintain then ignore (CMgr.mark_stale_pred t.cache name)
 
 let apply_delete t name tup =
-  match Qpo.router t.qpo with
-  | Some r ->
-    let removed = Router.delete r name tup in
-    if removed && not t.maintain then ignore (CMgr.invalidate_pred t.cache name);
-    removed
-  | None ->
-    let removed = Braid_remote.Engine.delete (Server.engine t.server) name tup in
-    if removed then begin
-      if t.maintain then note_write t (Maintain.Delete (name, tup))
-      else ignore (CMgr.invalidate_pred t.cache name)
-    end;
-    removed
+  let removed = Router.delete (Qpo.router t.qpo) name tup in
+  if removed && not t.maintain then ignore (CMgr.invalidate_pred t.cache name);
+  removed
 
 (* --- crash consistency --- *)
 
@@ -150,7 +128,6 @@ let recover ?(config = Qpo.braid_config) ?(capacity_bytes = 8 * 1024 * 1024) ?rd
     {
       qpo = Qpo.create ?rdi_policy ?router config ~cache ~server;
       cache;
-      server;
       maintain;
       delta_totals = Maintain.empty_report;
     }

@@ -21,32 +21,31 @@ val create :
 (** [config] defaults to {!Braid_planner.Qpo.braid_config};
     [capacity_bytes] defaults to 8 MiB of cache; [rdi_policy] configures
     the resilient Remote DBMS Interface (retries, backoff, breaker).
-    [router] shards the remote: fetches route through
-    {!Braid_remote.Shard_router.exec} with per-shard RDI instances, while
-    the server (the router's coordinator) stays the catalog authority.
+    Every fetch and write goes through one
+    {!Braid_remote.Shard_router}: [router] when given (sharded or
+    replicated, with the server as its coordinator and catalog
+    authority), otherwise a one-shard, one-replica router whose only
+    replica is the server itself, built fresh here.
     [maintain] (default [false]) turns on incremental view maintenance:
-    writes through {!apply_insert}/{!apply_delete} — and, when sharded,
-    any write through the router — delta-propagate into dependent cache
-    elements via {!Braid_cache.Maintain} instead of stale-marking them
-    (see docs/CONSISTENCY.md). *)
+    every write through the router — {!apply_insert}/{!apply_delete}
+    included — delta-propagates into dependent cache elements via
+    {!Braid_cache.Maintain} instead of stale-marking them (see
+    docs/CONSISTENCY.md). *)
 
 val qpo : t -> Braid_planner.Qpo.t
 val cache : t -> Braid_cache.Cache_manager.t
 val server : t -> Braid_remote.Server.t
+(** The router's coordinator. *)
 
-val rdi : t -> Braid_remote.Rdi.t
-(** The fault-tolerant interface all remote requests go through when the
-    remote is unsharded (see {!router}). *)
-
-val router : t -> Braid_remote.Shard_router.t option
-(** The shard router, when the remote is sharded. *)
+val router : t -> Braid_remote.Shard_router.t
+(** The router every remote request and write goes through. *)
 
 val rdi_stats : t -> Braid_remote.Rdi.stats
-(** RDI accounting on the fetch path — summed over shards when sharded. *)
+(** RDI accounting on the fetch path ({!Braid_remote.Shard_router.rdi_stats}). *)
 
 val exec_remote : t -> Braid_remote.Sql.select -> Braid_remote.Rdi.outcome
-(** One resilient remote request on the fetch path (router or single RDI),
-    bypassing any installed fetcher hook. *)
+(** One resilient remote request through the router, bypassing any
+    installed fetcher hook. *)
 
 val begin_session : t -> Braid_advice.Ast.t -> unit
 (** Submit the session's advice (view specifications + path expression)
@@ -96,7 +95,7 @@ val invalidate_table : t -> ?mode:[ `Drop | `Mark_stale ] -> string -> string li
 
 val apply_insert : t -> string -> Braid_relalg.Tuple.t -> unit
 (** One single-tuple insert on the write path: applied to the remote
-    (router when sharded, engine otherwise), then propagated into the
+    through {!Braid_remote.Shard_router.insert}, then propagated into the
     cache — delta-maintained when [maintain] is on, [`Mark_stale] of
     dependents otherwise. *)
 
@@ -137,8 +136,10 @@ type recovery_report = {
     checkpoint into a fresh cache model (extensions by shared reference),
     re-validates every recovered element with [validate] (dropping — and
     journaling the drop of — any failure), and wires a new QPO over the
-    recovered cache. The recovered CMS keeps writing the same journal,
-    and checkpoints itself at the same points. *)
+    recovered cache. Without [router], the new QPO's single-server router
+    is new too, so breaker and jitter state restart with the process. The
+    recovered CMS keeps writing the same journal, and checkpoints itself
+    at the same points. *)
 val recover :
   ?config:Braid_planner.Qpo.config ->
   ?capacity_bytes:int ->
@@ -153,8 +154,8 @@ val recover :
 val cache_summary : t -> Braid_cache.Cache_model.summary
 val metrics : t -> Braid_planner.Qpo.metrics
 val remote_stats : t -> Braid_remote.Server.stats
-(** Remote-side accounting on the fetch path: the single server, or the
-    {!Braid_remote.Server.sum} over the shard fleet. *)
+(** Remote-side accounting on the fetch path
+    ({!Braid_remote.Shard_router.stats}). *)
 
 val set_observer :
   t ->

@@ -9,7 +9,6 @@ type t = {
   kb : L.Kb.t;
   cms : Cms.t;
   engine : Engine.t;
-  server : Server.t;
 }
 
 let build ?cost ?config ?capacity_bytes ?strategy ?send_advice ?(shards = 1)
@@ -28,20 +27,15 @@ let build ?cost ?config ?capacity_bytes ?strategy ?send_advice ?(shards = 1)
     (fun (name, p) ->
       Braid_remote.Catalog.set_partitioning (Server.catalog server) name (Some p))
     partitioning;
-  let router =
-    (* replication without sharding is still a router job: one shard, R
-       copies — failover needs the replica groups either way *)
-    if shards = 1 && replicas = 1 then None
-    else Some (Router.create ~shards ~replicas server)
-  in
-  let cms = Cms.create ?config ?capacity_bytes ?router server in
+  let router = Router.create ~shards ~replicas server in
+  let cms = Cms.create ?config ?capacity_bytes ~router server in
   let engine = Engine.create ?strategy ?send_advice kb (Cms.qpo cms) in
-  { kb; cms; engine; server }
+  { kb; cms; engine }
 
 let kb t = t.kb
 let cms t = t.cms
 let engine t = t.engine
-let server t = t.server
+let server t = Cms.server t.cms
 let router t = Cms.router t.cms
 
 let solve t query = Engine.solve t.engine query
@@ -56,9 +50,7 @@ let insert_remote t name tuple =
   (* [Engine.insert] maintains catalog stats and index buckets
      incrementally ([Catalog.note_insert]); no rescan needed here. When
      sharded, the router also places the row on its owning shard. *)
-  (match router t with
-   | Some r -> Router.insert r name tuple
-   | None -> Braid_remote.Engine.insert (Server.engine t.server) name tuple);
+  Router.insert (router t) name tuple;
   ignore (Cms.invalidate_table t.cms name)
 
 type metrics = {

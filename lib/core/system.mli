@@ -23,8 +23,9 @@ val build :
 (** Loads each relation into the remote DBMS (named after the relation) and
     declares it in the knowledge base if not already declared.
 
-    [shards] (default 1) > 1 — or [replicas] (default 1) > 1 — puts a
-    {!Braid_remote.Shard_router} between the CMS and the remote:
+    The CMS reaches the remote through a {!Braid_remote.Shard_router} of
+    [shards] (default 1) shards with [replicas] (default 1) copies each.
+    At 1×1 its only replica is the remote server itself. Otherwise
     [partitioning] records each table's scheme in the catalog first, then
     the loaded tables are sliced across the shards (unpartitioned tables
     live whole on a deterministic home shard) with [replicas] copies per
@@ -35,10 +36,10 @@ val cms : t -> Cms.t
 val engine : t -> Braid_ie.Engine.t
 
 val server : t -> Braid_remote.Server.t
-(** The remote server — the shard coordinator when sharded. *)
+(** The remote server: the router's coordinator. *)
 
-val router : t -> Braid_remote.Shard_router.t option
-(** The shard router, when built with [shards > 1]. *)
+val router : t -> Braid_remote.Shard_router.t
+(** The router between the CMS and the remote. *)
 
 val solve : t -> Braid_logic.Atom.t -> Braid_stream.Tuple_stream.t * Braid_ie.Engine.report
 (** One session: advice generation + CAQL query sequence; solutions stream

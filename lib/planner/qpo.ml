@@ -155,12 +155,9 @@ let associate ses elem_id spec_id =
 type t = {
   config : config;
   cache : CMgr.t;
-  server : Server.t;
-  rdi : Rdi.t;
-  router : Router.t option;
-      (* sharded remote: when present, fetches route through the shard
-         router's per-shard RDIs instead of [rdi], and remote accounting
-         aggregates over the shards *)
+  router : Router.t;
+      (* the one remote path: every fetch routes through the router's
+         replica RDIs; the single server is a 1×1 router over it *)
   default_session : session;
   mutable session_counter : int;
   stats : metrics;
@@ -172,14 +169,16 @@ type t = {
 exception Unknown_relation = Braid_cache.Query_processor.Unknown_relation
 
 let create ?rdi_policy ?router config ~cache ~server =
-  (match router with
-   | Some r -> (match rdi_policy with Some p -> Router.set_policy r p | None -> ())
-   | None -> ());
+  let router =
+    match router with
+    | Some r ->
+      Option.iter (Router.set_policy r) rdi_policy;
+      r
+    | None -> Router.create ?policy:rdi_policy ~replicas:1 ~shards:1 server
+  in
   {
     config;
     cache;
-    server;
-    rdi = Rdi.create ?policy:rdi_policy server;
     router;
     default_session = fresh_session "main" { Braid_advice.Ast.specs = []; path = None };
     session_counter = 0;
@@ -207,24 +206,14 @@ let create ?rdi_policy ?router config ~cache ~server =
 
 let config t = t.config
 let cache t = t.cache
-let server t = t.server
-let rdi t = t.rdi
+let server t = Router.coordinator t.router
 let router t = t.router
+let remote_stats t = Router.stats t.router
+let rdi_stats t = Router.rdi_stats t.router
 
-(* Remote-side accounting: the single server, or the shard fleet summed. *)
-let remote_stats t =
-  match t.router with Some r -> Router.stats r | None -> Server.stats t.server
-
-let rdi_stats t =
-  match t.router with Some r -> Router.rdi_stats r | None -> Rdi.stats t.rdi
-
-(* The resilient request primitive: per-shard RDIs behind the router when
-   sharded, the single RDI otherwise. The serving layer's coalescer calls
+(* The resilient request primitive; the serving layer's coalescer calls
    this as its fallback. *)
-let exec_remote t sql =
-  match t.router with
-  | Some r -> Router.exec r sql
-  | None -> (match Rdi.exec t.rdi sql with Ok rel -> Rdi.Fresh rel | Error f -> Rdi.Failed f)
+let exec_remote t sql = Router.exec t.router sql
 
 let new_session t ?sid advice =
   let sid =
@@ -257,7 +246,7 @@ let advise ?nfa ?forms t ses advice =
 
 let set_advice ?nfa ?forms t advice = advise ?nfa ?forms t t.default_session advice
 
-let catalog t = Server.catalog t.server
+let catalog t = Router.catalog t.router
 let remote_schema t name = Catalog.schema_of (catalog t) name
 
 let schema_resolver t extras name =
@@ -365,7 +354,7 @@ let distinct_for catalog (def : A.conj) v =
 let attach_semijoins t (def : A.conj) (sql : Braid_remote.Sql.select) local_values =
   if (not t.config.allow_semijoin) || local_values = [] then (sql, false)
   else begin
-    let model = Server.cost_model t.server in
+    let model = Router.cost_model t.router in
     let est = float_of_int (Cost.est_conj (catalog t) def) in
     let filters =
       List.concat
@@ -483,7 +472,7 @@ let fetch_uncovered t ~cacheable ~local_values (q : A.conj) uncovered_idx extern
         let sc =
           A.conj ~cmps:shippable_cmps (List.map (fun v -> L.Term.Var v) head_vars) uncovered
         in
-        let model = Server.cost_model t.server in
+        let model = Router.cost_model t.router in
         let ship_c = Cost.ship_cost model (catalog t) sc in
         let atoms_c = Cost.per_atom_cost model (catalog t) sc in
         Log.debug (fun m ->
@@ -981,7 +970,7 @@ let answer_conj_untraced t ses ?spec_id ?(prefer_lazy = false) (q : A.conj) =
   let solved = solve t ~key:qkey q in
   classify t solved;
   let read_stale = read_stale_element t solved.s_steps in
-  let model = Server.cost_model t.server in
+  let model = Router.cost_model t.router in
   let lazy_ok =
     t.config.allow_lazy
     && (not solved.s_used_remote)

@@ -75,17 +75,17 @@ val create :
   cache:Braid_cache.Cache_manager.t ->
   server:Braid_remote.Server.t ->
   t
-(** [rdi_policy] configures the resilient Remote DBMS Interface the planner
-    routes every remote request through (retries, backoff, breaker);
-    defaults to {!Braid_remote.Rdi.default_policy}.
+(** Every remote request goes through one
+    {!Braid_remote.Shard_router.exec} path. [router] is the fleet to use
+    (its coordinator should be [server]): fetches are partition-pruned to
+    one shard or scatter-gathered, and {!remote_stats}/{!rdi_stats} sum
+    over it. Without it, the planner builds a one-shard, one-replica
+    router whose only replica is [server] itself — the single server.
 
-    [router] shards the remote: when given (its coordinator should be
-    [server]), every fetch routes through
-    {!Braid_remote.Shard_router.exec} — partition-pruned to one shard or
-    scatter-gathered — under per-shard RDI instances carrying [rdi_policy]
-    (per-shard seed offsets), and {!remote_stats}/{!rdi_stats} aggregate
-    over the fleet. Without it the planner talks to the single [server]
-    exactly as before. *)
+    [rdi_policy] configures the resilient Remote DBMS Interface of every
+    replica (retries, backoff, breaker; per-replica seed offsets, replica
+    0 of shard 0 keeping the seed); defaults to
+    {!Braid_remote.Rdi.default_policy}. *)
 
 val config : t -> config
 (** The configuration the planner was created with. *)
@@ -94,27 +94,23 @@ val cache : t -> Braid_cache.Cache_manager.t
 (** The cache manager all step-2/step-3 decisions operate on. *)
 
 val server : t -> Braid_remote.Server.t
-(** The remote server behind {!rdi}. *)
+(** The router's coordinator: the catalog and statistics authority. *)
 
-val rdi : t -> Braid_remote.Rdi.t
-(** The fault-tolerant remote interface all planner fetches go through
-    when the remote is unsharded (see {!router}). *)
-
-val router : t -> Braid_remote.Shard_router.t option
-(** The shard router, when the remote is sharded. *)
+val router : t -> Braid_remote.Shard_router.t
+(** The router every remote request goes through. *)
 
 val remote_stats : t -> Braid_remote.Server.stats
-(** Remote-side accounting for this planner's fetch path: the single
-    server's stats, or {!Braid_remote.Server.sum} over the shard fleet. *)
+(** Remote-side accounting on the fetch path
+    ({!Braid_remote.Shard_router.stats}). *)
 
 val rdi_stats : t -> Braid_remote.Rdi.stats
-(** The RDI accounting on the fetch path (summed over shards when
-    sharded). *)
+(** RDI accounting on the fetch path
+    ({!Braid_remote.Shard_router.rdi_stats}). *)
 
 val exec_remote : t -> Braid_remote.Sql.select -> Braid_remote.Rdi.outcome
-(** One resilient remote request on this planner's fetch path (router or
-    single RDI), bypassing any installed fetcher hook — the serving
-    layer's coalescer uses this as its miss fallback. *)
+(** One resilient remote request through the router, bypassing any
+    installed fetcher hook — the serving layer's coalescer uses this as
+    its miss fallback. *)
 
 val set_advice :
   ?nfa:Braid_advice.Tracker.nfa ->
@@ -154,12 +150,12 @@ val set_fetcher :
   t -> (Braid_caql.Ast.conj -> Braid_remote.Sql.select -> Braid_remote.Rdi.outcome) option ->
   unit
 (** Installs (or clears) a remote-fetch interceptor: when set, every
-    planner fetch goes through it instead of calling {!Braid_remote.Rdi.exec}
+    planner fetch goes through it instead of calling {!exec_remote}
     directly. The serving layer's coalescer uses this to deduplicate
     identical in-flight remote queries across sessions; the
     interceptor receives the definition being fetched alongside the SQL it
     compiles to, and must return the fetch outcome (typically by calling
-    [Rdi.exec] itself on a miss). *)
+    {!exec_remote} itself on a miss). *)
 
 type answer = {
   stream : Braid_stream.Tuple_stream.t;  (** results are always streamed to the IE (§3) *)

@@ -48,9 +48,7 @@ let replication t = t.replication
    [(s + r) mod shards], so each node hosts its own primary slice plus
    backups of its left neighbors. Pure arithmetic — no seed, no state —
    which is what makes placement identical on every run and machine. *)
-let replica_nodes ~shards ~replicas s =
-  let shards = Int.max 1 shards in
-  List.init (Int.max 1 replicas) (fun r -> (s + r) mod shards)
+let replica_node ~shards s r = (s + r) mod Int.max 1 shards
 
 let register t name schema =
   let arity = R.Schema.arity schema in

@@ -31,7 +31,7 @@ val register : t -> string -> Braid_relalg.Schema.t -> unit
 val set_partitioning : t -> string -> partitioning option -> unit
 (** Records (or clears) how the sharded remote stores the table. Purely
     declarative metadata — the {!Shard_router} consults it for routing and
-    slicing; a single unsharded server ignores it. Raises
+    slicing; a one-shard router ignores it. Raises
     [Invalid_argument] for unknown tables or out-of-range columns. *)
 
 val partitioning_of : t -> string -> partitioning option
@@ -51,11 +51,11 @@ val set_replication : t -> int -> unit
 val replication : t -> int
 (** The recorded replication factor. *)
 
-val replica_nodes : shards:int -> replicas:int -> int -> int list
-(** [replica_nodes ~shards ~replicas s] — the nodes hosting shard [s]'s
-    replicas, primary first: chained placement [(s + r) mod shards] for
-    [r < replicas], so each node carries its own primary slice plus
-    backups of its left neighbors. Pure arithmetic (no seed, no state):
+val replica_node : shards:int -> int -> int -> int
+(** [replica_node ~shards s r] — the node hosting replica [r] of shard
+    [s] (0 = the primary): chained placement [(s + r) mod shards], so
+    each node carries its own primary slice plus backups of its left
+    neighbors. Pure arithmetic (no seed, no state):
     placement is identical on every run and machine, the property the
     replica fault seeds and CI gates rely on. *)
 

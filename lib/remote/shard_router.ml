@@ -47,7 +47,7 @@ type group = {
   replicas : replica array;
   mutable rlog_rev : write list;
   mutable rlog_len : int;
-  base : (string, R.Relation.t) Hashtbl.t;
+  mutable base : (string * R.Relation.t) list;
       (* per-table slice snapshots from the last distribute — with the log
          prefix [0, applied), the durable state a crashed replica rebuilds *)
 }
@@ -83,13 +83,24 @@ let breakers t = Array.to_list (Array.map (fun g -> Rdi.breaker g.replicas.(0).r
 let log_length t i = t.groups.(i).rlog_len
 let applied t ~shard ~replica = t.groups.(shard).replicas.(replica).applied
 
+(* The coordinator holds every table and takes every write before it is
+   replicated. So a group whose only copy is the coordinator needs no
+   slice, no snapshot and no replication log: nothing in it can lag. A
+   fleet of that one group is the single server. *)
+let is_coordinator t rep = rep.server == t.coordinator
+let coordinator_only t g = Array.length g.replicas = 1 && is_coordinator t g.replicas.(0)
+let coordinator_alone t = Array.length t.groups = 1 && coordinator_only t t.groups.(0)
+
 (* Each replica's RDI gets its own jitter stream: decorrelated backoff, and
    — the point of per-replica policies — an independent breaker, so one
    sick copy tripping open never fast-fails requests bound for healthy
    ones. Replica 0 of shard [i] keeps PR 7's per-shard seed exactly, so an
-   unreplicated router is bit-identical to the pre-replication one. *)
+   unreplicated router is bit-identical to the pre-replication one; replica
+   0 of shard 0 runs the base policy itself, as the single server's one RDI
+   always did, and set-up copies nothing for it. *)
 let replica_policy policy i r =
-  { policy with Rdi.seed = policy.Rdi.seed + (101 * i) + (10007 * r) }
+  if i = 0 && r = 0 then policy
+  else { policy with Rdi.seed = policy.Rdi.seed + (101 * i) + (10007 * r) }
 
 (* Unpartitioned tables live whole on one deterministic home shard. *)
 let home t name =
@@ -156,7 +167,7 @@ let distribute t name =
       g.rlog_len <- 0;
       Array.iter (fun rep -> rep.applied <- 0; rep.hints <- 0) g.replicas;
       let slice = R.Relation.of_tuples ~name schema (List.rev rows) in
-      Hashtbl.replace g.base name slice;
+      g.base <- (name, slice) :: List.remove_assoc name g.base;
       (* Each replica owns a private copy: [Engine.insert] mutates in
          place, so sharing the slice would leak a primary's inline
          applies into its backups (and into the snapshot), silently
@@ -180,25 +191,26 @@ let create ?(policy = Rdi.default_policy) ?replicas ~shards coordinator =
   let cost = Server.cost_model coordinator in
   let groups =
     Array.init shards (fun i ->
-        let nodes = Catalog.replica_nodes ~shards ~replicas i in
         {
           replicas =
-            Array.of_list
-              (List.mapi
-                 (fun r node ->
-                   let server = Server.create ~cost () in
-                   {
-                     node;
-                     server;
-                     r_rdi = Rdi.create ~policy:(replica_policy policy i r) server;
-                     applied = 0;
-                     hints = 0;
-                     repaired = 0;
-                   })
-                 nodes);
+            Array.init replicas (fun r ->
+                (* A 1×1 fleet is the single server: its one replica is the
+                   coordinator, so no second copy of the data exists and
+                   faults set on the coordinator reach every read. *)
+                let server =
+                  if shards = 1 && replicas = 1 then coordinator else Server.create ~cost ()
+                in
+                {
+                  node = Catalog.replica_node ~shards i r;
+                  server;
+                  r_rdi = Rdi.create ~policy:(replica_policy policy i r) server;
+                  applied = 0;
+                  hints = 0;
+                  repaired = 0;
+                });
           rlog_rev = [];
           rlog_len = 0;
-          base = Hashtbl.create 8;
+          base = [];
         })
   in
   let t =
@@ -224,7 +236,8 @@ let create ?(policy = Rdi.default_policy) ?replicas ~shards coordinator =
         };
     }
   in
-  List.iter (distribute t) (Catalog.tables (catalog t));
+  (* the coordinator alone holds every table already: nothing to slice *)
+  if not (coordinator_alone t) then List.iter (distribute t) (Catalog.tables (catalog t));
   t
 
 let load t ?partitioning rel =
@@ -232,7 +245,7 @@ let load t ?partitioning rel =
   (match partitioning with
    | Some _ as p -> Catalog.set_partitioning (catalog t) (R.Relation.name rel) p
    | None -> ());
-  distribute t (R.Relation.name rel)
+  if not (coordinator_alone t) then distribute t (R.Relation.name rel)
 
 let set_write_observer t f = t.on_write <- f
 
@@ -244,23 +257,25 @@ let notify_write t w = match t.on_write with Some f -> f w | None -> ()
    diverge from a deterministic replay. Anything else becomes a hinted
    write, drained by {!tick_repair} on rejoin. Each (replica, write) pair
    costs one reachability heartbeat, which also advances the shared clock
-   partitions heal against. *)
+   partitions heal against. A group whose only copy is the coordinator
+   already holds the write and logs nothing. *)
 let replicate t g w =
-  g.rlog_rev <- w :: g.rlog_rev;
-  g.rlog_len <- g.rlog_len + 1;
-  Array.iter
-    (fun rep ->
-      let up = Server.reachable rep.server in
-      if up && rep.applied = g.rlog_len - 1 then begin
-        apply_write (Server.engine rep.server) w;
-        rep.applied <- g.rlog_len
-      end
-      else begin
-        rep.hints <- rep.hints + 1;
-        t.counters.hinted_writes <- t.counters.hinted_writes + 1;
-        Obs.Metrics.incr "shard.replica.hints"
-      end)
-    g.replicas
+  if not (coordinator_only t g) then begin
+    g.rlog_rev <- w :: g.rlog_rev;
+    g.rlog_len <- g.rlog_len + 1;
+    Array.iter
+      (fun rep ->
+        if Server.reachable rep.server && rep.applied = g.rlog_len - 1 then begin
+          apply_write (Server.engine rep.server) w;
+          rep.applied <- g.rlog_len
+        end
+        else begin
+          rep.hints <- rep.hints + 1;
+          t.counters.hinted_writes <- t.counters.hinted_writes + 1;
+          Obs.Metrics.incr "shard.replica.hints"
+        end)
+      g.replicas
+  end
 
 (* Primary-path write: the coordinator (authority) takes the row, then the
    owning group replicates it. The write observer fires exactly once per
@@ -774,7 +789,9 @@ let tick_repair ?(max_lag = 0) t =
    plus the replication-log prefix [0, applied) (the cache WAL's
    checkpoint-and-replay idiom: [applied] is the offset the replica had
    persisted). Breaker and jitter state restart with the process; the
-   fault profile stays — it models the environment, not the process. *)
+   fault profile stays — it models the environment, not the process. A
+   coordinator copy is the authority's own durable store: only its RDI
+   restarts. *)
 let crash_replica t ~shard ~replica =
   if shard < 0 || shard >= Array.length t.groups then
     invalid_arg "Shard_router.crash_replica: shard out of range";
@@ -782,16 +799,17 @@ let crash_replica t ~shard ~replica =
   if replica < 0 || replica >= Array.length g.replicas then
     invalid_arg "Shard_router.crash_replica: replica out of range";
   let rep = g.replicas.(replica) in
-  let fresh = Server.create ~cost:(Server.cost_model t.coordinator) () in
-  Hashtbl.fold (fun name rel acc -> (name, rel) :: acc) g.base []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (_, rel) -> Engine.load (Server.engine fresh) (R.Relation.copy rel));
-  List.iter
-    (fun w -> apply_write (Server.engine fresh) w)
-    (List.filteri (fun k _ -> k < rep.applied) (log_suffix g ~from:0));
-  Server.set_faults fresh (Server.fault_config rep.server);
-  rep.server <- fresh;
-  rep.r_rdi <- Rdi.create ~policy:(replica_policy t.base_policy shard replica) fresh
+  if not (is_coordinator t rep) then begin
+    let fresh = Server.create ~cost:(Server.cost_model t.coordinator) () in
+    List.sort (fun (a, _) (b, _) -> String.compare a b) g.base
+    |> List.iter (fun (_, rel) -> Engine.load (Server.engine fresh) (R.Relation.copy rel));
+    List.iter
+      (fun w -> apply_write (Server.engine fresh) w)
+      (List.filteri (fun k _ -> k < rep.applied) (log_suffix g ~from:0));
+    Server.set_faults fresh (Server.fault_config rep.server);
+    rep.server <- fresh
+  end;
+  rep.r_rdi <- Rdi.create ~policy:(replica_policy t.base_policy shard replica) rep.server
 
 (* --- faults, policies, accounting --- *)
 
@@ -829,10 +847,19 @@ let set_policy t policy =
 let replicas_of t =
   List.concat_map (fun g -> Array.to_list g.replicas) (Array.to_list t.groups)
 
-let stats t = Server.sum (List.map (fun rep -> Server.stats rep.server) (replicas_of t))
+(* A single replica's totals are its own: the planner reads them twice per
+   answer, so they are not re-summed through a fresh list. *)
+let stats t =
+  match t.groups with
+  | [| { replicas = [| rep |]; _ } |] -> Server.stats rep.server
+  | _ -> Server.sum (List.map (fun rep -> Server.stats rep.server) (replicas_of t))
 
 let shard_stats t =
   Array.to_list (Array.map (fun g -> Server.stats g.replicas.(0).server) t.groups)
 
-let rdi_stats t = Rdi.sum (List.map (fun rep -> Rdi.stats rep.r_rdi) (replicas_of t))
+let rdi_stats t =
+  match t.groups with
+  | [| { replicas = [| rep |]; _ } |] -> Rdi.stats rep.r_rdi
+  | _ -> Rdi.sum (List.map (fun rep -> Rdi.stats rep.r_rdi) (replicas_of t))
+
 let counters t = { t.counters with requests = t.counters.requests }

@@ -11,9 +11,9 @@
 
     The {e coordinator} server passed to {!create} keeps the complete data
     set and stays the catalog/statistics authority, the consistency
-    oracle's ground truth, and the recovery source — but its engine is
-    never executed for sharded fetches; all query traffic goes through
-    {!exec}, which routes per the {!Catalog.partitioning} metadata:
+    oracle's ground truth, and the recovery source. All query traffic goes
+    through {!exec}, which routes per the {!Catalog.partitioning}
+    metadata:
 
     - {b pinned}: a single-source fetch whose WHERE clause pins the
       partition key to a constant (or whose semi-join filter maps to one
@@ -29,9 +29,16 @@
       pushed down, then run the residual join on a scratch engine at the
       router (its scan work reported in [counters.gather_scanned]).
 
+    {2 The single server}
+
+    A one-shard, one-replica router is the unsharded remote: its only
+    replica {e is} the coordinator. A group whose only copy is the
+    coordinator gets no slice or snapshot and keeps no replication log,
+    and a single replica's {!stats}/{!rdi_stats} are its own.
+
     {2 Replication}
 
-    Placement is {!Catalog.replica_nodes}: replica [r] of shard [s] lives
+    Placement is {!Catalog.replica_node}: replica [r] of shard [s] lives
     on node [(s + r) mod shards], pure arithmetic, identical on every run.
     Writes ({!insert}) go to the coordinator and append to the owning
     shard's {e replication log}; each replica applies the entry inline only
@@ -96,7 +103,7 @@ type counters = private {
 (** One replica's health, as [:shards] displays it. *)
 type replica_health = {
   rh_replica : int;  (** replica index within the group; 0 = primary *)
-  rh_node : int;  (** hosting node per {!Catalog.replica_nodes} *)
+  rh_node : int;  (** hosting node per {!Catalog.replica_node} *)
   rh_lag : int;  (** replication-log entries behind the head *)
   rh_partitioned : bool;  (** severed right now ({!Server.partitioned}) *)
   rh_breaker : Rdi.breaker_state;
@@ -107,7 +114,8 @@ val create : ?policy:Rdi.policy -> ?replicas:int -> shards:int -> Server.t -> t
 (** Stands up [shards] replica groups of [replicas] servers each (sharing
     the coordinator's cost model) and slices every table currently loaded
     on the coordinator across them per its {!Catalog.partitioning};
-    unpartitioned tables live whole on a deterministic home shard. Each
+    unpartitioned tables live whole on a deterministic home shard; at
+    1×1 the only replica is the coordinator and nothing is copied. Each
     replica's RDI runs [policy] (default {!Rdi.default_policy}) with a
     per-replica seed offset. [replicas] defaults to the catalog's recorded
     {!Catalog.replication} (and records it when given). Raises
@@ -210,7 +218,8 @@ val crash_replica : t -> shard:int -> replica:int -> unit
     replication-log prefix below its [applied] offset (checkpoint +
     replay, the cache WAL idiom). Breaker and jitter state restart with
     the process; the fault profile persists (it models the environment).
-    The replica rejoins lagging; {!tick_repair} catches it up. *)
+    The replica rejoins lagging; {!tick_repair} catches it up. The
+    coordinator, as a replica, keeps its data: only its RDI restarts. *)
 
 val set_faults : t -> shard:int -> Fault.config option -> unit
 (** Fault profile for the shard's {e primary} — the one-shard-down
@@ -226,14 +235,14 @@ val set_policy : t -> Rdi.policy -> unit
 (** Re-seeds every replica's RDI with its per-replica offset of [policy]. *)
 
 val stats : t -> Server.stats
-(** {!Server.sum} over every replica server (the coordinator, never
-    executed through {!exec}, is excluded). *)
+(** {!Server.sum} over every replica server; a single replica's own
+    stats. The coordinator counts only when it is that replica. *)
 
 val shard_stats : t -> Server.stats list
 (** Per-shard {e primary} stats, in shard order. *)
 
 val rdi_stats : t -> Rdi.stats
-(** {!Rdi.sum} over every replica's RDI. *)
+(** {!Rdi.sum} over every replica's RDI; a single replica's own stats. *)
 
 val counters : t -> counters
 (** A snapshot: later requests do not change it. *)

@@ -18,7 +18,7 @@
     any round bypasses the window entirely (a later single-session query
     must not read a response that cache inserts may since have
     superseded). Misses go through {!Braid.Cms.exec_remote}, i.e. the
-    shard router when one is installed. *)
+    CMS's shard router. *)
 
 (** Coalescing accounting since {!create}. Only this module writes it. *)
 type stats = private {
@@ -34,8 +34,8 @@ type stats = private {
 type t
 
 val create : Braid.Cms.t -> t
-(** Coalesces over the CMS's remote fetch path ({!Braid.Cms.exec_remote}:
-    the shard router when sharded, the single RDI otherwise). *)
+(** Coalesces over the CMS's remote fetch path
+    ({!Braid.Cms.exec_remote}, through its shard router). *)
 
 val begin_round : t -> unit
 (** Opens a wave: clears the window and starts coalescing. *)

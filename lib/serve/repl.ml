@@ -7,6 +7,7 @@ module System = Braid.System
 module Cms = Braid.Cms
 module Loader = Braid.Loader
 module Baselines = Braid.Baselines
+module Router = Braid_remote.Shard_router
 
 type t = {
   mutable config : Qpo.config;
@@ -99,6 +100,10 @@ let kb_of t =
         L.Kb.declare_base kb name ~arity:(R.Schema.arity (R.Relation.schema rel)))
     t.facts;
   kb
+
+(* Routing, replica and shard detail only means something for a fleet;
+   the single server is a 1×1 router. *)
+let fleet r = Router.shard_count r > 1 || Router.replica_count r > 1
 
 let system t =
   match t.sys with
@@ -243,11 +248,10 @@ let explain_clause t text =
      | Ok sql ->
        (* Sharded remote: show where the router places the request —
           pruned to one shard, fanned out, or gathered at the router. *)
+       let r = System.router sys in
        let route_line =
-         match System.router sys with
-         | None -> ""
-         | Some r ->
-           let module Router = Braid_remote.Shard_router in
+         if not (fleet r) then ""
+         else begin
            let n = Router.shard_count r in
            (* With replication, also say which copy of each target shard
               the read will be offered to first, and why. *)
@@ -275,6 +279,7 @@ let explain_clause t text =
               in
               Printf.sprintf "route: %s (router-side join over %d shards)\n%s"
                 (Router.route_to_string g) n (replica_line targets))
+         end
        in
        Printf.sprintf "%s\n%s%s" (Braid_remote.Sql.to_string sql) route_line
          (Braid_remote.Engine.explain (Braid_remote.Server.engine server) sql)
@@ -528,31 +533,28 @@ let exec_line t line =
         (* Per-replica health of the live router, when a session exists. *)
         let health =
           match t.sys with
-          | None -> ""
-          | Some sys ->
-            (match System.router sys with
-             | None -> ""
-             | Some r ->
-               let module Router = Braid_remote.Shard_router in
-               let buf = Buffer.create 256 in
-               for i = 0 to Router.shard_count r - 1 do
-                 Buffer.add_string buf
-                   (Printf.sprintf "\nshard %d (log %d):" i (Router.log_length r i));
-                 List.iter
-                   (fun (h : Router.replica_health) ->
-                     Buffer.add_string buf
-                       (Printf.sprintf "\n  r%d@node%d %s lag=%d hints=%d breaker=%s%s"
-                          h.Router.rh_replica h.Router.rh_node
-                          (if h.Router.rh_replica = 0 then "primary" else "backup ")
-                          h.Router.rh_lag h.Router.rh_hints
-                          (match h.Router.rh_breaker with
-                           | Braid_remote.Rdi.Closed -> "closed"
-                           | Braid_remote.Rdi.Open -> "open"
-                           | Braid_remote.Rdi.Half_open -> "half-open")
-                          (if h.Router.rh_partitioned then " PARTITIONED" else "")))
-                   (Router.replica_health r i)
-               done;
-               Buffer.contents buf)
+          | Some sys when fleet (System.router sys) ->
+            let r = System.router sys in
+            let buf = Buffer.create 256 in
+            for i = 0 to Router.shard_count r - 1 do
+              Buffer.add_string buf
+                (Printf.sprintf "\nshard %d (log %d):" i (Router.log_length r i));
+              List.iter
+                (fun (h : Router.replica_health) ->
+                  Buffer.add_string buf
+                    (Printf.sprintf "\n  r%d@node%d %s lag=%d hints=%d breaker=%s%s"
+                       h.Router.rh_replica h.Router.rh_node
+                       (if h.Router.rh_replica = 0 then "primary" else "backup ")
+                       h.Router.rh_lag h.Router.rh_hints
+                       (match h.Router.rh_breaker with
+                        | Braid_remote.Rdi.Closed -> "closed"
+                        | Braid_remote.Rdi.Open -> "open"
+                        | Braid_remote.Rdi.Half_open -> "half-open")
+                       (if h.Router.rh_partitioned then " PARTITIONED" else "")))
+                (Router.replica_health r i)
+            done;
+            Buffer.contents buf
+          | Some _ | None -> ""
         in
         base ^ health
       | Some n ->

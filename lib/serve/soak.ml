@@ -323,13 +323,23 @@ let run profile ~seed ~waves =
       seed = seed + 13;
     }
   in
-  let router =
-    if shards = 1 && replicas = 1 then None
+  (* A sharded or replicated leg builds its fleet once: the fleet is
+     connection state, not cache state, so it outlives a CMS crash. A
+     single-server leg leaves the 1×1 router to each CMS incarnation, so
+     breaker and jitter restart with the process. *)
+  let single = shards = 1 && replicas = 1 in
+  let fleet =
+    if single then None
     else begin
       Workload.partition server;
       Some (Router.create ~policy:rdi_policy ~shards ~replicas server)
     end
   in
+  let capacity_bytes = 48_000 in
+  let cms =
+    ref (Cms.create ~capacity_bytes ~rdi_policy ?router:fleet ~maintain:write_heavy server)
+  in
+  let router () = Cms.router !cms in
   (* Chaos runs on an otherwise fault-free link, so every failed request
      after the heal is the partition's doing, not the flaky link's. *)
   let error_rate = if chaos then 0.0 else 0.35 in
@@ -338,24 +348,15 @@ let run profile ~seed ~waves =
      own seed stream, so replica (and shard) fates decorrelate the way
      independent machines' would. [extra] piggybacks the crash trigger. *)
   let set_faults ?(extra = fun c -> c) () =
-    match router with
-    | None -> Server.set_faults server (Some (extra base))
-    | Some r ->
-      for i = 0 to shards - 1 do
-        for rp = 0 to replicas - 1 do
-          let cfg =
-            extra { base with Fault.seed = base.Fault.seed + (997 * i) + (7717 * rp) }
-          in
-          if rp = 0 then Router.set_faults r ~shard:i (Some cfg)
-          else Router.set_replica_faults r ~shard:i ~replica:rp (Some cfg)
-        done
+    let r = router () in
+    for i = 0 to shards - 1 do
+      for rp = 0 to replicas - 1 do
+        Router.set_replica_faults r ~shard:i ~replica:rp
+          (Some (extra { base with Fault.seed = base.Fault.seed + (997 * i) + (7717 * rp) }))
       done
+    done
   in
   set_faults ();
-  let capacity_bytes = 48_000 in
-  let cms =
-    ref (Cms.create ~capacity_bytes ~rdi_policy ?router ~maintain:write_heavy server)
-  in
   let ws = Workload.new_write_stream () in
   let oracle = Oracle.create server in
   let per =
@@ -504,11 +505,8 @@ let run profile ~seed ~waves =
   (* Every replica request that gave up or was fast-failed: exactly the
      requests that end in [Rdi.exec]'s failure path. *)
   let router_failed () =
-    match router with
-    | None -> 0
-    | Some r ->
-      let s = Router.rdi_stats r in
-      s.Rdi.failures + s.Rdi.fast_fails
+    let s = Router.rdi_stats (router ()) in
+    s.Rdi.failures + s.Rdi.fast_fails
   in
   let live () =
     List.length (Braid_cache.Cache_model.elements (CMgr.model (Cms.cache !cms)))
@@ -527,7 +525,7 @@ let run profile ~seed ~waves =
       okv
     in
     let recovered, rep =
-      Cms.recover ~capacity_bytes ~rdi_policy ?router ~maintain:write_heavy ~validate
+      Cms.recover ~capacity_bytes ~rdi_policy ?router:fleet ~maintain:write_heavy ~validate
         ~journal server
     in
     recovered_elements := rep.Cms.replayed;
@@ -552,15 +550,15 @@ let run profile ~seed ~waves =
           (* arm every shard: whichever is touched next kills the CMS *)
           set_faults ~extra:(fun c -> { c with Fault.crash_at = Some 1 }) ()
         | _ -> ());
-       (match (partition_plan, router) with
-        | Some pw, Some r when wave = pw ->
+       (match partition_plan with
+        | Some pw when wave = pw ->
           (* chaos: sever shard 0's primary. Reads fail over to the most
              caught-up backup; writes to the primary become hints. The
              partition heals on the shared clock after 150 system-wide
              requests, and anti-entropy repair (below) then replays the
              hinted writes. *)
           partition_wave := Some wave;
-          Router.set_replica_faults r ~shard:0 ~replica:0
+          Router.set_replica_faults (router ()) ~shard:0 ~replica:0
             (Some (Fault.severed ~seed:(seed + 4242) ~heal_after:150 ()))
         | _ -> ());
        try
@@ -607,32 +605,32 @@ let run profile ~seed ~waves =
          end
          else if Prng.int prng 100 < 20 then begin
            incr inserts;
-           match Workload.gen_insert prng ?router server !cms with
+           match Workload.gen_insert prng !cms with
            | `Drop -> incr drops
            | `Mark_stale -> incr stale_marks
          end;
          ignore (Scheduler.step !sched);
          (* One anti-entropy round per wave: reachable lagging replicas
             replay the replication log, hinted writes hand off. *)
-         (match router with
-          | Some r when replicas > 1 ->
-            ignore (Router.tick_repair r);
-            (match (!partition_wave, !heal_wave) with
-             | Some _, None ->
-               let healed =
-                 List.for_all
-                   (fun h -> not h.Router.rh_partitioned)
-                   (Router.replica_health r 0)
-               in
-               if healed then begin
-                 heal_wave := Some wave;
-                 (* snapshot after the first post-heal repair: from here on
-                    every replica is at the log head and reachable, so any
-                    further failed request is a bug the chaos gate catches *)
-                 failed_at_heal := Some (router_failed ())
-               end
-             | _ -> ())
-          | _ -> ())
+         if replicas > 1 then begin
+           let r = router () in
+           ignore (Router.tick_repair r);
+           (match (!partition_wave, !heal_wave) with
+            | Some _, None ->
+              let healed =
+                List.for_all
+                  (fun h -> not h.Router.rh_partitioned)
+                  (Router.replica_health r 0)
+              in
+              if healed then begin
+                heal_wave := Some wave;
+                (* snapshot after the first post-heal repair: from here on
+                   every replica is at the log head and reachable, so any
+                   further failed request is a bug the chaos gate catches *)
+                failed_at_heal := Some (router_failed ())
+              end
+            | _ -> ())
+         end
        with Fault.Injected Fault.Crash -> handle_crash wave
      done;
      (* Drain the backlog (the crash may also land here, on a queued
@@ -661,9 +659,9 @@ let run profile ~seed ~waves =
   in
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 per_session in
   let per_shard =
-    match router with
-    | None -> []
-    | Some r ->
+    if single then []
+    else
+      let r = router () in
       List.mapi
         (fun i sh_server ->
           {
@@ -721,7 +719,7 @@ let run profile ~seed ~waves =
     per_session;
     (* Router accounting survives crash/recovery (the fleet is connection
        state, not cache state), so end-of-run totals need no folding. *)
-    route = Option.map Router.counters router;
+    route = (if single then None else Some (Router.counters (router ())));
     partition_wave = !partition_wave;
     heal_wave = !heal_wave;
     failed_after_heal;

@@ -126,11 +126,9 @@ let gen_write prng ws cms =
     `Insert
   end
 
-let gen_insert prng ?router server cms =
+let gen_insert prng cms =
   let table, tup = gen_row prng in
-  (match router with
-   | Some r -> Router.insert r table tup (* coordinator + owning shard *)
-   | None -> Engine.insert (Server.engine server) table tup);
+  Router.insert (Cms.router cms) table tup;
   let mode = if Prng.bool prng 0.5 then `Drop else `Mark_stale in
   ignore (Cms.invalidate_table cms ~mode table);
   mode

@@ -58,14 +58,10 @@ val gen_write :
     when it was created with [~maintain:true], stale-marking/dropping
     otherwise — so the same seeded stream drives both arms of E18. *)
 
-val gen_insert :
-  Braid_prng.Prng.t ->
-  ?router:Braid_remote.Shard_router.t ->
-  Braid_remote.Server.t ->
-  Braid.Cms.t ->
-  [ `Drop | `Mark_stale ]
+val gen_insert : Braid_prng.Prng.t -> Braid.Cms.t -> [ `Drop | `Mark_stale ]
 (** A single-tuple insert into one base table followed by the matching
     cache invalidation, randomly dropping or stale-marking dependents.
-    With [router], the row goes through {!Braid_remote.Shard_router.insert}
-    (coordinator + owning shard); the PRNG draw sequence is identical
-    either way. *)
+    The row goes through the CMS's router
+    ({!Braid_remote.Shard_router.insert}: coordinator, then the owning
+    shard's copies), so a CMS created with [~maintain:true] also
+    delta-maintains it before the invalidation. *)

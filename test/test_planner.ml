@@ -269,7 +269,7 @@ let test_metrics_snapshot () =
     ignore (TS.to_relation a.Qpo.stream)
   in
   check_snapshot "Qpo.metrics" (fun () -> Qpo.metrics q) (fun m -> m.Qpo.queries) query;
-  check_snapshot "Rdi.stats" (fun () -> Rdi.stats (Qpo.rdi q)) (fun s -> s.Rdi.requests) query;
+  check_snapshot "Rdi.stats" (fun () -> Rdi.stats (Router.rdi (Qpo.router q) 0)) (fun s -> s.Rdi.requests) query;
   check_snapshot "Cache_manager.stats"
     (fun () -> CMgr.stats (Qpo.cache q))
     (fun s -> s.CMgr.insertions)

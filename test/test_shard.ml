@@ -556,6 +556,44 @@ let test_chaos_reads_attributed () =
   check_bool "a backup served while the primary was severed" true
     (Hashtbl.to_seq_keys copies |> Seq.exists (fun (_, r) -> r > 0))
 
+(* The single server is a one-shard, one-replica router whose only
+   replica is the coordinator: one copy of the data, one application of
+   each write (a coordinator replica that re-applied it would count the
+   row twice) and one RDI, whose stats are the CMS's. *)
+let test_single_server_is_coordinator () =
+  let data () = Braid_workload.Datagen.paper_example ~size:20 () in
+  let sys = Braid.System.build ~kb:(Braid_logic.Kb.create ()) ~data:(data ()) () in
+  let r = Braid.System.router sys in
+  check_int "one shard" 1 (Router.shard_count r);
+  check_int "one replica" 1 (Router.replica_count r);
+  check_bool "the only replica is the coordinator" true
+    (Router.replica r ~shard:0 0 == Router.coordinator r);
+  check_bool "the coordinator is the system's server" true
+    (Router.coordinator r == Braid.System.server sys);
+  let server = Server.create () in
+  List.iter (Braid_remote.Engine.load (Server.engine server)) (data ());
+  let cms = Braid.Cms.create ~config:Braid_planner.Qpo.no_advice_config ~maintain:true server in
+  let r = Braid.Cms.router cms in
+  check_bool "the CMS's router reads the server itself" true (Router.replica r ~shard:0 0 == server);
+  let b2 =
+    Braid_caql.Ast.conj
+      [ Braid_logic.Term.Var "X"; Braid_logic.Term.Var "Z" ]
+      [ Braid_logic.Atom.make "b2" [ Braid_logic.Term.Var "X"; Braid_logic.Term.Var "Z" ] ]
+  in
+  ignore (Braid_stream.Tuple_stream.to_relation (Braid.Cms.query cms b2).Braid_planner.Qpo.stream);
+  check_int "one fetch" 1 (Braid.Cms.rdi_stats cms).Rdi.requests;
+  check_bool "Cms.rdi_stats = the replica's own RDI stats" true
+    (Braid.Cms.rdi_stats cms = Rdi.stats (Router.rdi r 0));
+  check_bool "Cms.remote_stats = the server's own stats" true
+    (Braid.Cms.remote_stats cms = Server.stats server);
+  let card () = R.Relation.cardinality (Braid_remote.Engine.table (Server.engine server) "b2") in
+  let before = card () in
+  Braid.Cms.apply_insert cms "b2" [| V.Str "x-new"; V.Str "z-new" |];
+  check_int "the coordinator took the row once" (before + 1) (card ());
+  check_int "maintenance ran once" 1
+    (Braid.Cms.delta_totals cms).Braid_cache.Maintain.maintained;
+  check_int "no replication log" 0 (Router.log_length r 0)
+
 let suites : unit Alcotest.test list =
   [
     ( "shard router",
@@ -582,6 +620,8 @@ let suites : unit Alcotest.test list =
         Alcotest.test_case "one shard down degrades only its slice" `Quick
           test_one_shard_down_isolation;
         Alcotest.test_case "breakers trip independently" `Quick test_breaker_independence;
+        Alcotest.test_case "the single server is a 1x1 router over the coordinator" `Quick
+          test_single_server_is_coordinator;
       ] );
     ( "replication",
       [
